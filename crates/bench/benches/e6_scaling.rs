@@ -3,9 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use silc_bench::e6;
-use silc_drc::{
-    check, check_flat, check_flat_brute, check_flat_serial, check_flat_unmerged, RuleSet,
-};
+use silc_drc::{check, check_flat, check_flat_brute, check_flat_serial, RuleSet};
 use silc_layout::flatten_to_rects;
 use std::hint::black_box;
 
@@ -37,20 +35,6 @@ fn bench(c: &mut Criterion) {
         });
     }
     drc.finish();
-
-    // Ablation: maximal-rect merge before checking vs raw pairwise.
-    let mut ablation = c.benchmark_group("e6/drc_merge_ablation");
-    for n in [8usize, 16] {
-        let design = e6::compile_design(n);
-        let layers = flatten_to_rects(&design.library, design.top).expect("flattens");
-        ablation.bench_with_input(BenchmarkId::new("merged", n), &layers, |b, l| {
-            b.iter(|| check_flat(black_box(l), &RuleSet::mead_conway_nmos()))
-        });
-        ablation.bench_with_input(BenchmarkId::new("unmerged", n), &layers, |b, l| {
-            b.iter(|| check_flat_unmerged(black_box(l), &RuleSet::mead_conway_nmos()))
-        });
-    }
-    ablation.finish();
 
     // Engine ablation: spatial-index vs all-pairs candidate enumeration,
     // and parallel vs serial execution of the indexed engine. All three

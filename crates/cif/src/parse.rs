@@ -1,5 +1,7 @@
 use crate::CifError;
-use silc_geom::{Fingerprint, FpHasher, Orientation, Path, Point, Polygon, Rect, Transform};
+use silc_geom::{
+    Fingerprint, FpHasher, Orientation, Path, Point, Polygon, Rect, Transform, MAX_COORD,
+};
 use silc_layout::{Cell, CellId, Element, Instance, Layer, Library};
 use std::collections::HashMap;
 
@@ -201,7 +203,10 @@ impl<'a> Parser<'a> {
         let mut digits = 0;
         while let Some(c) = self.peek() {
             if c.is_ascii_digit() {
-                value = value * 10 + i64::from(c - b'0');
+                value = value
+                    .checked_mul(10)
+                    .and_then(|v| v.checked_add(i64::from(c - b'0')))
+                    .ok_or_else(|| self.err("integer out of range"))?;
                 digits += 1;
                 self.pos += 1;
             } else {
@@ -242,12 +247,30 @@ impl<'a> Parser<'a> {
     /// Reads a distance/coordinate and applies the current scale.
     fn scaled(&mut self) -> Result<i64, CifError> {
         let v = self.integer()?;
+        self.scale(v)
+    }
+
+    /// Applies the current scale to `v`, which must come out exact and
+    /// within [`MAX_COORD`] of the origin.
+    fn scale(&self, v: i64) -> Result<i64, CifError> {
         let (a, b) = self.scale;
-        let num = v * a;
-        if num % b != 0 {
+        let num = i128::from(v) * i128::from(a);
+        if num % i128::from(b) != 0 {
             return Err(CifError::InexactScale { value: v, a, b });
         }
-        Ok(num / b)
+        match i64::try_from(num / i128::from(b)) {
+            Ok(scaled) if scaled.unsigned_abs() <= MAX_COORD.unsigned_abs() => Ok(scaled),
+            _ => {
+                let line = self.bytes[..self.pos]
+                    .iter()
+                    .filter(|&&c| c == b'\n')
+                    .count()
+                    + 1;
+                Err(self.err(format!(
+                    "line {line}: coordinate {v} is outside the supported range of +-2^40"
+                )))
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -464,15 +487,10 @@ impl<'a> Parser<'a> {
     fn points_until_semi(&mut self) -> Result<Vec<Point>, CifError> {
         let mut pts = Vec::new();
         while let Some(x) = self.try_integer()? {
-            // Undo the raw read: coordinates must be scaled. We read raw
-            // then rescale here to reuse try_integer for termination.
-            let (a, b) = self.scale;
-            let sx = x * a;
-            if sx % b != 0 {
-                return Err(CifError::InexactScale { value: x, a, b });
-            }
+            // Read raw to reuse try_integer for termination, then scale.
+            let x = self.scale(x)?;
             let y = self.scaled()?;
-            pts.push(Point::new(sx / b, y));
+            pts.push(Point::new(x, y));
         }
         self.expect_semi()?;
         Ok(pts)
@@ -787,6 +805,27 @@ mod tests {
         let t = top.instances()[0].transform;
         assert_eq!(t.orientation, Orientation::MX90);
         assert_eq!(t.offset, Point::new(10, 12));
+    }
+
+    #[test]
+    fn out_of_range_numbers_rejected_with_their_line() {
+        // A number too long for 64 bits, one beyond the coordinate
+        // bound, and one pushed beyond it by the DS scale.
+        for text in [
+            "L NM;\nB 4 4 99999999999999999999 0;\nE",
+            "L NM;\nB 4 4 9000000000000000000 0;\nE",
+            "DS 1 4000000 1;\nL NM;\nP 0 0 1000000 0 1000000 1000000;\nDF;\nE",
+        ] {
+            let err = parse(text).unwrap_err().to_string();
+            assert!(
+                err.contains("out of range") || err.contains("2^40"),
+                "{err}"
+            );
+        }
+        let err = parse("L NM;\nB 4 4 0 0;\nB 4 4 0 9000000000000;\nE").unwrap_err();
+        assert!(err.to_string().contains("line 3"), "{err}");
+        // The bound itself is legal.
+        parse(&format!("L NM;\nB 4 4 {MAX_COORD} 0;\nE")).unwrap();
     }
 
     #[test]

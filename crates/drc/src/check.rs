@@ -1,8 +1,10 @@
-use crate::{merge_rects, region_contains_rect, RuleSet};
+use crate::region::{covered, merge_flat, Cover, Merged};
+use crate::RuleSet;
 use silc_geom::{Coord, Fingerprint, FpHasher, Rect, RectIndex};
 use silc_layout::{CellId, Layer, LayoutError, Library};
 use silc_trace::{span, Tracer};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The rule a violation broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,22 +161,42 @@ impl fmt::Display for Report {
     }
 }
 
+/// Buffers one worker reuses from lookup to lookup, so the passes stay
+/// off the heap once these have grown to the neighbourhood size.
+#[derive(Default)]
+struct Scratch {
+    near: Vec<u32>,
+    cover: Cover,
+}
+
 /// Applies `f` to every item, in parallel when the `parallel` feature is
 /// enabled and `parallel` is true, always returning results in input
 /// order. The serial and parallel paths are therefore interchangeable:
-/// identical inputs give byte-identical outputs.
-fn map_maybe_par<T, R>(parallel: bool, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>
+/// identical inputs give byte-identical outputs. Each worker hands `f`
+/// its own [`Scratch`].
+fn map_maybe_par<T, R>(
+    parallel: bool,
+    items: &[T],
+    f: impl Fn(&mut Scratch, &T) -> R + Sync,
+) -> Vec<R>
 where
     T: Sync,
     R: Send,
 {
+    let run = |chunk: &[T]| {
+        let mut scratch = Scratch::default();
+        chunk.iter().map(|t| f(&mut scratch, t)).collect::<Vec<R>>()
+    };
     #[cfg(feature = "parallel")]
     if parallel && items.len() > 1 {
         use rayon::prelude::*;
-        return items.par_iter().map(f).collect();
+        let per_worker = items.len().div_ceil(rayon::current_num_threads());
+        let chunks: Vec<&[T]> = items.chunks(per_worker).collect();
+        let done: Vec<Vec<R>> = chunks.par_iter().map(|c| run(c)).collect();
+        return done.into_iter().flatten().collect();
     }
     let _ = parallel;
-    items.iter().map(f).collect()
+    run(items)
 }
 
 /// Runs the design-rule checker on the flattened hierarchy under `root`.
@@ -219,7 +241,7 @@ pub fn check_cells(
     roots: &[CellId],
     rules: &RuleSet,
 ) -> Result<Vec<Report>, LayoutError> {
-    map_maybe_par(true, roots, |&root| check(lib, root, rules))
+    map_maybe_par(true, roots, |_, &root| check(lib, root, rules))
         .into_iter()
         .collect()
 }
@@ -227,7 +249,9 @@ pub fn check_cells(
 /// Runs the checker on pre-flattened per-layer rectangles (indexed by
 /// [`Layer::index`]).
 ///
-/// All passes run on a [`RectIndex`] per layer, so each rectangle is
+/// Every pass looks rectangles up in a [`RectIndex`] — one over each
+/// layer's drawn rectangles, one over its merged rectangles, each built
+/// once per run and shared by the passes that need it — so a rectangle is
 /// compared only against its spatial neighbourhood, and independent work
 /// units (layers, rule pairs, cuts, gates) run in parallel when the
 /// `parallel` feature (on by default) is enabled. Output is identical to
@@ -254,6 +278,41 @@ pub fn check_flat_serial(layers: &[Vec<Rect>], rules: &RuleSet) -> Report {
     check_flat_impl(layers, rules, false, &Tracer::disabled())
 }
 
+/// One run's shared state: the drawn and merged rectangles of every
+/// layer and the index over each, built the first time a pass asks.
+struct Run<'a> {
+    layers: &'a [Vec<Rect>],
+    merged: Vec<Merged>,
+    drawn_index: Vec<OnceLock<RectIndex>>,
+    merged_index: Vec<OnceLock<RectIndex>>,
+    rules: &'a RuleSet,
+    parallel: bool,
+    tracer: &'a Tracer,
+}
+
+impl Run<'_> {
+    fn index<'i>(&self, slot: &'i OnceLock<RectIndex>, rects: &[Rect]) -> &'i RectIndex {
+        slot.get_or_init(|| {
+            let index = RectIndex::build(rects);
+            self.tracer.add("drc.index.rects", index.len() as u64);
+            self.tracer.add("drc.index.bins", index.bin_count() as u64);
+            index
+        })
+    }
+
+    /// The index over `layer`'s rectangles as drawn.
+    fn drawn(&self, layer: Layer) -> &RectIndex {
+        let l = layer.index();
+        self.index(&self.drawn_index[l], &self.layers[l])
+    }
+
+    /// The index over `layer`'s merged rectangles, ids in region order.
+    fn merged(&self, layer: Layer) -> &RectIndex {
+        let l = layer.index();
+        self.index(&self.merged_index[l], &self.merged[l].rects)
+    }
+}
+
 fn check_flat_impl(
     layers: &[Vec<Rect>],
     rules: &RuleSet,
@@ -264,26 +323,36 @@ fn check_flat_impl(
     let rects_checked = layers.iter().map(Vec::len).sum();
 
     // Merge each layer once (independently, so in parallel).
-    let merged: Vec<Vec<crate::Region>> = {
+    let merged: Vec<Merged> = {
         let _s = span!(tracer, "drc.merge");
-        map_maybe_par(parallel, layers, |v| merge_rects(v))
+        map_maybe_par(parallel, layers, |_, v| merge_flat(v))
+    };
+    let slots = || layers.iter().map(|_| OnceLock::new()).collect();
+    let run = Run {
+        layers,
+        merged,
+        drawn_index: slots(),
+        merged_index: slots(),
+        rules,
+        parallel,
+        tracer,
     };
 
     {
         let _s = span!(tracer, "drc.width");
-        width_checks(layers, rules, parallel, tracer, &mut violations);
+        width_checks(&run, &mut violations);
     }
     {
         let _s = span!(tracer, "drc.spacing");
-        spacing_checks(&merged, rules, parallel, tracer, &mut violations);
+        spacing_checks(&run, &mut violations);
     }
     {
         let _s = span!(tracer, "drc.contact");
-        contact_checks(layers, rules, parallel, tracer, &mut violations);
+        contact_checks(&run, &mut violations);
     }
     {
         let _s = span!(tracer, "drc.gate");
-        gate_checks(&merged, layers, rules, parallel, tracer, &mut violations);
+        gate_checks(&run, &mut violations);
     }
 
     tracer.add("drc.rects_checked", rects_checked as u64);
@@ -296,94 +365,29 @@ fn check_flat_impl(
     }
 }
 
-/// Flushes one built index's size into the run counters (a no-op on a
-/// disabled tracer). Called once per index build, never per query.
-fn note_index(tracer: &Tracer, index: &RectIndex) {
-    tracer.add("drc.index.rects", index.len() as u64);
-    tracer.add("drc.index.bins", index.bin_count() as u64);
-}
-
-/// The ablation variant of [`check_flat`]: skips maximal-rect merging and
-/// runs the spacing and gate checks on the raw drawn rectangles.
-///
-/// The touching-exemption still prevents same-net false positives, but
-/// without band canonicalisation this variant reports one violation per
-/// offending *drawn* rectangle (duplicates on overlap-heavy generator
-/// output) and its spacing pass scales with the square of drawn, not
-/// merged, rectangles. E6's ablation bench compares the two; `DESIGN.md`
-/// lists the trade.
-pub fn check_flat_unmerged(layers: &[Vec<Rect>], rules: &RuleSet) -> Report {
-    let mut violations = Vec::new();
-    let rects_checked = layers.iter().map(Vec::len).sum();
-
-    // Pose the raw rects as one single-rect "region" each.
-    let pseudo: Vec<Vec<crate::Region>> = layers
-        .iter()
-        .map(|v| v.iter().map(|&r| crate::Region::new(vec![r])).collect())
-        .collect();
-
-    let tracer = Tracer::disabled();
-    width_checks(layers, rules, true, &tracer, &mut violations);
-    spacing_checks(&pseudo, rules, true, &tracer, &mut violations);
-    contact_checks(layers, rules, true, &tracer, &mut violations);
-    gate_checks(&pseudo, layers, rules, true, &tracer, &mut violations);
-
-    Report {
-        rules: format!("{} (unmerged)", rules.name),
-        violations,
-        rects_checked,
-    }
-}
-
-/// The indexed rectangles touching `probe`, in id (= input) order. The
-/// coverage tests below only ever accumulate area from rectangles that
-/// intersect the probe, so restricting to this subset is exact.
-fn touching(index: &RectIndex, probe: Rect) -> Vec<Rect> {
-    index
-        .query(probe, 0)
-        .into_iter()
-        .map(|j| index.rect(j))
-        .collect()
-}
-
 /// Width: every *drawn* rectangle must meet the minimum width unless it is
 /// redundant (fully covered by the other rectangles on the layer, in which
 /// case it adds no new feature). Layers are independent → parallel units.
-fn width_checks(
-    layers: &[Vec<Rect>],
-    rules: &RuleSet,
-    parallel: bool,
-    tracer: &Tracer,
-    out: &mut Vec<Violation>,
-) {
-    let per_layer = map_maybe_par(parallel, &Layer::ALL, |&layer| {
-        let w = rules.min_width(layer);
-        let rects = &layers[layer.index()];
-        if w == 0 || rects.iter().all(|r| r.min_dimension() >= w) {
-            return Vec::new();
-        }
-        let index = RectIndex::build(rects);
-        note_index(tracer, &index);
+fn width_checks(run: &Run<'_>, out: &mut Vec<Violation>) {
+    let per_layer = map_maybe_par(run.parallel, &Layer::ALL, |scratch, &layer| {
+        let w = run.rules.min_width(layer);
         let mut found = Vec::new();
-        for (i, r) in rects.iter().enumerate() {
+        for (i, &r) in (0u32..).zip(&run.layers[layer.index()]) {
             if r.min_dimension() >= w {
                 continue;
             }
             // Redundancy exemption: covered entirely by the other rects.
             // Only rects touching `r` can contribute coverage.
-            let others: Vec<Rect> = index
-                .query(*r, 0)
-                .into_iter()
-                .filter(|&j| j as usize != i)
-                .map(|j| index.rect(j))
-                .collect();
-            if region_contains_rect(&others, *r) {
-                continue;
+            scratch.cover.start(r);
+            let redundant = run
+                .drawn(layer)
+                .any(r, 0, |j, other| j != i && scratch.cover.add(other));
+            if !redundant {
+                found.push(Violation {
+                    rule: RuleKind::MinWidth { layer, required: w },
+                    at: r,
+                });
             }
-            found.push(Violation {
-                rule: RuleKind::MinWidth { layer, required: w },
-                at: *r,
-            });
         }
         found
     });
@@ -394,47 +398,21 @@ fn width_checks(
 /// region-to-region spacing and same-region notches. Rule pairs are
 /// independent → parallel units; within a pair, each rect is compared only
 /// against index candidates within the rule distance.
-fn spacing_checks(
-    merged: &[Vec<crate::Region>],
-    rules: &RuleSet,
-    parallel: bool,
-    tracer: &Tracer,
-    out: &mut Vec<Violation>,
-) {
-    let pairs = rules.active_spacing_pairs();
-    let per_pair = map_maybe_par(parallel, &pairs, |&(a, b)| {
-        let s = rules.min_spacing(a, b);
-        let ra: Vec<Rect> = merged[a.index()]
-            .iter()
-            .flat_map(|r| r.rects().iter().copied())
-            .collect();
+fn spacing_checks(run: &Run<'_>, out: &mut Vec<Violation>) {
+    let pairs = run.rules.active_spacing_pairs();
+    let per_pair = map_maybe_par(run.parallel, &pairs, |scratch, &(a, b)| {
+        let s = run.rules.min_spacing(a, b);
+        let ra = &run.merged[a.index()].rects;
+        let index = run.merged(b);
+        run.tracer.add("drc.queries", ra.len() as u64);
         let mut found = Vec::new();
-        if a == b {
-            let index = RectIndex::build(&ra);
-            note_index(tracer, &index);
-            tracer.add("drc.queries", ra.len() as u64);
-            for (i, &x) in ra.iter().enumerate() {
-                // Ascending candidate ids reproduce the i<j pair order of
-                // the all-pairs loop; margin s covers every violating pair
-                // (violations need both axis gaps < s).
-                for j in index.query(x, s) {
-                    if (j as usize) > i {
-                        spacing_pair(a, b, s, x, ra[j as usize], &mut found);
-                    }
-                }
-            }
-        } else {
-            let rb: Vec<Rect> = merged[b.index()]
-                .iter()
-                .flat_map(|r| r.rects().iter().copied())
-                .collect();
-            let index = RectIndex::build(&rb);
-            note_index(tracer, &index);
-            tracer.add("drc.queries", ra.len() as u64);
-            for &x in &ra {
-                for j in index.query(x, s) {
-                    spacing_pair(a, b, s, x, index.rect(j), &mut found);
-                }
+        for (i, &x) in (0u32..).zip(ra) {
+            // Ascending candidate ids reproduce the pair order of the
+            // all-pairs loop (i < j within one layer); margin s covers
+            // every violating pair (violations need both axis gaps < s).
+            index.query_into(x, s, &mut scratch.near);
+            for &j in scratch.near.iter().filter(|&&j| a != b || j > i) {
+                spacing_pair(a, b, s, x, index.rect(j), &mut found);
             }
         }
         found
@@ -460,54 +438,39 @@ fn spacing_pair(a: Layer, b: Layer, s: Coord, x: Rect, y: Rect, out: &mut Vec<Vi
 /// Contacts: each cut must be surrounded by metal and by poly or
 /// diffusion. Cuts are independent → parallel units; enclosure coverage
 /// for each cut comes from index lookups around it.
-fn contact_checks(
-    layers: &[Vec<Rect>],
-    rules: &RuleSet,
-    parallel: bool,
-    tracer: &Tracer,
-    out: &mut Vec<Violation>,
-) {
-    let cuts = &layers[Layer::Contact.index()];
+fn contact_checks(run: &Run<'_>, out: &mut Vec<Violation>) {
+    let cuts = &run.layers[Layer::Contact.index()];
     if cuts.is_empty() {
         return;
     }
-    let metal = RectIndex::build(&layers[Layer::Metal.index()]);
-    let lower: Vec<Rect> = layers[Layer::Poly.index()]
-        .iter()
-        .chain(layers[Layer::Diffusion.index()].iter())
-        .copied()
-        .collect();
-    let lower = RectIndex::build(&lower);
-    note_index(tracer, &metal);
-    note_index(tracer, &lower);
-    tracer.add("drc.queries", 2 * cuts.len() as u64);
+    let (metal_by, lower_by) = (
+        run.rules.contact_metal_surround,
+        run.rules.contact_lower_surround,
+    );
+    let metal = run.drawn(Layer::Metal);
+    let poly = run.drawn(Layer::Poly);
+    let diff = run.drawn(Layer::Diffusion);
+    run.tracer.add("drc.queries", 2 * cuts.len() as u64);
 
-    let per_cut = map_maybe_par(parallel, cuts, |cut| {
+    let per_cut = map_maybe_par(run.parallel, cuts, |scratch, cut| {
+        let cover = &mut scratch.cover;
         let mut found = Vec::new();
-        if rules.contact_metal_surround > 0 {
-            let needed = cut
-                .inflate(rules.contact_metal_surround)
-                .expect("inflating a valid rect");
-            if !region_contains_rect(&touching(&metal, needed), needed) {
-                found.push(Violation {
-                    rule: RuleKind::ContactMetalSurround {
-                        required: rules.contact_metal_surround,
-                    },
-                    at: *cut,
-                });
-            }
+        if metal_by > 0 && !covered(metal, cut.grow(metal_by, metal_by), cover) {
+            found.push(Violation {
+                rule: RuleKind::ContactMetalSurround { required: metal_by },
+                at: *cut,
+            });
         }
-        if rules.contact_lower_surround > 0 {
-            let needed = cut
-                .inflate(rules.contact_lower_surround)
-                .expect("inflating a valid rect");
+        if lower_by > 0 {
+            let needed = cut.grow(lower_by, lower_by);
             // Either poly alone or diffusion alone must enclose; a mix is
             // a butting contact, which we accept when the union covers.
-            if !region_contains_rect(&touching(&lower, needed), needed) {
+            cover.start(needed);
+            let enclosed = poly.any(needed, 0, |_, r| cover.add(r))
+                || diff.any(needed, 0, |_, r| cover.add(r));
+            if !enclosed {
                 found.push(Violation {
-                    rule: RuleKind::ContactLowerSurround {
-                        required: rules.contact_lower_surround,
-                    },
+                    rule: RuleKind::ContactLowerSurround { required: lower_by },
                     at: *cut,
                 });
             }
@@ -523,90 +486,55 @@ fn contact_checks(
 /// contact cut is a butting contact (the metal shorts the junction), not
 /// a transistor, and is exempt. Crossing discovery queries the diffusion
 /// index per poly rect; gates are then independent → parallel units.
-fn gate_checks(
-    merged: &[Vec<crate::Region>],
-    layers: &[Vec<Rect>],
-    rules: &RuleSet,
-    parallel: bool,
-    tracer: &Tracer,
-    out: &mut Vec<Violation>,
-) {
-    if rules.gate_poly_overhang == 0 && rules.gate_diff_overhang == 0 {
-        return;
-    }
-    let poly: Vec<Rect> = merged[Layer::Poly.index()]
-        .iter()
-        .flat_map(|r| r.rects().iter().copied())
-        .collect();
-    let diff: Vec<Rect> = merged[Layer::Diffusion.index()]
-        .iter()
-        .flat_map(|r| r.rects().iter().copied())
-        .collect();
-    if poly.is_empty() || diff.is_empty() {
+fn gate_checks(run: &Run<'_>, out: &mut Vec<Violation>) {
+    let (pv, dv) = (run.rules.gate_poly_overhang, run.rules.gate_diff_overhang);
+    let poly = &run.merged[Layer::Poly.index()].rects;
+    if (pv == 0 && dv == 0)
+        || poly.is_empty()
+        || run.merged[Layer::Diffusion.index()].rects.is_empty()
+    {
         return;
     }
     // Gates are connected components of the poly∩diff geometry.
-    let diff_index = RectIndex::build(&diff);
+    let diff_index = run.merged(Layer::Diffusion);
     let mut crossings: Vec<Rect> = Vec::new();
-    for p in &poly {
-        for j in diff_index.query(*p, 0) {
-            if let Some(g) = p.intersection(diff_index.rect(j)) {
-                crossings.push(g);
-            }
-        }
+    let mut near = Vec::new();
+    for p in poly {
+        diff_index.query_into(*p, 0, &mut near);
+        crossings.extend(
+            near.iter()
+                .filter_map(|&j| p.intersection(diff_index.rect(j))),
+        );
     }
-    let cuts = RectIndex::build(&layers[Layer::Contact.index()]);
-    let poly_index = RectIndex::build(&poly);
-    note_index(tracer, &diff_index);
-    note_index(tracer, &cuts);
-    note_index(tracer, &poly_index);
-    tracer.add("drc.queries", poly.len() as u64);
-    let gates = merge_rects(&crossings);
-    tracer.add("drc.gates", gates.len() as u64);
-    let per_gate = map_maybe_par(parallel, &gates, |gate_region| {
-        let g = gate_region.bbox();
-        // Butting-contact exemption.
-        if region_contains_rect(&touching(&cuts, g), g) {
-            return None;
-        }
-        let pv = rules.gate_poly_overhang;
-        let dv = rules.gate_diff_overhang;
-        let covered = |index: &RectIndex, needed: Rect| {
-            region_contains_rect(&touching(index, needed), needed)
-        };
-        // Orientation A: poly runs vertically (extends in y), diffusion
-        // horizontally (extends in x).
-        let vertical_ok =
-            covered(&poly_index, grow_y(g, pv)) && covered(&diff_index, grow_x(g, dv));
-        // Orientation B: the transpose.
-        let horizontal_ok =
-            covered(&poly_index, grow_x(g, pv)) && covered(&diff_index, grow_y(g, dv));
-        if !vertical_ok && !horizontal_ok {
-            Some(Violation {
-                rule: RuleKind::GateOverhang { poly: pv, diff: dv },
-                at: g,
-            })
-        } else {
-            None
-        }
+    let cuts = run.drawn(Layer::Contact);
+    let poly_index = run.merged(Layer::Poly);
+    run.tracer.add("drc.queries", poly.len() as u64);
+    let gates: Vec<Rect> = merge_flat(&crossings)
+        .regions()
+        .map(|rects| {
+            rects
+                .iter()
+                .copied()
+                .reduce(|a, b| a.union(b))
+                .expect("regions are non-empty")
+        })
+        .collect();
+    run.tracer.add("drc.gates", gates.len() as u64);
+    let per_gate = map_maybe_par(run.parallel, &gates, |scratch, &g| {
+        let cover = &mut scratch.cover;
+        // Butting-contact exemption, then orientation A (poly runs
+        // vertically, diffusion horizontally) or B (the transpose).
+        let ok = covered(cuts, g, cover)
+            || (covered(poly_index, g.grow(0, pv), cover)
+                && covered(diff_index, g.grow(dv, 0), cover))
+            || (covered(poly_index, g.grow(pv, 0), cover)
+                && covered(diff_index, g.grow(0, dv), cover));
+        (!ok).then_some(Violation {
+            rule: RuleKind::GateOverhang { poly: pv, diff: dv },
+            at: g,
+        })
     });
     out.extend(per_gate.into_iter().flatten());
-}
-
-fn grow_x(r: Rect, by: Coord) -> Rect {
-    Rect::new(
-        silc_geom::Point::new(r.left() - by, r.bottom()),
-        silc_geom::Point::new(r.right() + by, r.top()),
-    )
-    .expect("growing keeps positive extent")
-}
-
-fn grow_y(r: Rect, by: Coord) -> Rect {
-    Rect::new(
-        silc_geom::Point::new(r.left(), r.bottom() - by),
-        silc_geom::Point::new(r.right(), r.top() + by),
-    )
-    .expect("growing keeps positive extent")
 }
 
 // ---------------------------------------------------------------------------
@@ -621,7 +549,7 @@ pub fn check_flat_brute(layers: &[Vec<Rect>], rules: &RuleSet) -> Report {
     let mut violations = Vec::new();
     let rects_checked = layers.iter().map(Vec::len).sum();
 
-    let merged: Vec<Vec<crate::Region>> = layers.iter().map(|v| merge_rects(v)).collect();
+    let merged: Vec<Vec<Rect>> = layers.iter().map(|v| merge_flat(v).rects).collect();
 
     brute::width_checks(layers, rules, &mut violations);
     brute::spacing_checks(&merged, rules, &mut violations);
@@ -638,6 +566,7 @@ pub fn check_flat_brute(layers: &[Vec<Rect>], rules: &RuleSet) -> Report {
 #[cfg(any(test, feature = "oracle"))]
 mod brute {
     use super::*;
+    use crate::{merge_rects, region_contains_rect};
 
     pub fn width_checks(layers: &[Vec<Rect>], rules: &RuleSet, out: &mut Vec<Violation>) {
         for layer in Layer::ALL {
@@ -667,17 +596,10 @@ mod brute {
         }
     }
 
-    pub fn spacing_checks(
-        merged: &[Vec<crate::Region>],
-        rules: &RuleSet,
-        out: &mut Vec<Violation>,
-    ) {
+    pub fn spacing_checks(merged: &[Vec<Rect>], rules: &RuleSet, out: &mut Vec<Violation>) {
         for (a, b) in rules.active_spacing_pairs() {
             let s = rules.min_spacing(a, b);
-            let ra: Vec<Rect> = merged[a.index()]
-                .iter()
-                .flat_map(|r| r.rects().iter().copied())
-                .collect();
+            let (ra, rb) = (&merged[a.index()], &merged[b.index()]);
             if a == b {
                 for i in 0..ra.len() {
                     for j in (i + 1)..ra.len() {
@@ -685,12 +607,8 @@ mod brute {
                     }
                 }
             } else {
-                let rb: Vec<Rect> = merged[b.index()]
-                    .iter()
-                    .flat_map(|r| r.rects().iter().copied())
-                    .collect();
-                for &x in &ra {
-                    for &y in &rb {
+                for &x in ra {
+                    for &y in rb {
                         spacing_pair(a, b, s, x, y, out);
                     }
                 }
@@ -739,7 +657,7 @@ mod brute {
     }
 
     pub fn gate_checks(
-        merged: &[Vec<crate::Region>],
+        merged: &[Vec<Rect>],
         layers: &[Vec<Rect>],
         rules: &RuleSet,
         out: &mut Vec<Violation>,
@@ -747,20 +665,16 @@ mod brute {
         if rules.gate_poly_overhang == 0 && rules.gate_diff_overhang == 0 {
             return;
         }
-        let poly: Vec<Rect> = merged[Layer::Poly.index()]
-            .iter()
-            .flat_map(|r| r.rects().iter().copied())
-            .collect();
-        let diff: Vec<Rect> = merged[Layer::Diffusion.index()]
-            .iter()
-            .flat_map(|r| r.rects().iter().copied())
-            .collect();
+        let (poly, diff) = (
+            &merged[Layer::Poly.index()],
+            &merged[Layer::Diffusion.index()],
+        );
         if poly.is_empty() || diff.is_empty() {
             return;
         }
         let mut crossings: Vec<Rect> = Vec::new();
-        for p in &poly {
-            for d in &diff {
+        for p in poly {
+            for d in diff {
                 if let Some(g) = p.intersection(*d) {
                     crossings.push(g);
                 }
@@ -774,10 +688,10 @@ mod brute {
             }
             let pv = rules.gate_poly_overhang;
             let dv = rules.gate_diff_overhang;
-            let vertical_ok = region_contains_rect(&poly, grow_y(g, pv))
-                && region_contains_rect(&diff, grow_x(g, dv));
-            let horizontal_ok = region_contains_rect(&poly, grow_x(g, pv))
-                && region_contains_rect(&diff, grow_y(g, dv));
+            let vertical_ok = region_contains_rect(poly, g.grow(0, pv))
+                && region_contains_rect(diff, g.grow(dv, 0));
+            let horizontal_ok = region_contains_rect(poly, g.grow(pv, 0))
+                && region_contains_rect(diff, g.grow(0, dv));
             if !vertical_ok && !horizontal_ok {
                 out.push(Violation {
                     rule: RuleKind::GateOverhang { poly: pv, diff: dv },
@@ -995,40 +909,6 @@ mod tests {
     }
 
     #[test]
-    fn unmerged_variant_agrees_on_simple_cases() {
-        // Disjoint clean wires: both variants clean.
-        let layers = flat_with(Layer::Metal, vec![rect(0, 0, 3, 10), rect(10, 0, 3, 10)]);
-        assert!(check_flat(&layers, &rules()).is_clean());
-        assert!(check_flat_unmerged(&layers, &rules()).is_clean());
-        // A real spacing violation: both catch it.
-        let layers = flat_with(Layer::Metal, vec![rect(0, 0, 3, 10), rect(5, 0, 3, 10)]);
-        assert!(!check_flat(&layers, &rules()).is_clean());
-        assert!(!check_flat_unmerged(&layers, &rules()).is_clean());
-    }
-
-    #[test]
-    fn unmerged_variant_duplicates_reports() {
-        // A wire drawn as three overlapping rects next to another wire:
-        // one physical violation. The merged checker canonicalises the
-        // overlaps and reports once; the raw variant reports once per
-        // offending drawn rect — the duplication (and quadratic blowup on
-        // overlap-heavy generators) that canonicalisation buys away.
-        let layers = flat_with(
-            Layer::Metal,
-            vec![
-                rect(0, 0, 4, 6),
-                rect(0, 4, 4, 6),
-                rect(0, 8, 4, 6),
-                rect(6, 0, 4, 14), // 2-lambda gap: violation
-            ],
-        );
-        let merged = check_flat(&layers, &rules());
-        let raw = check_flat_unmerged(&layers, &rules());
-        assert_eq!(merged.violations.len(), 1, "{merged}");
-        assert!(raw.violations.len() > 1, "{raw}");
-    }
-
-    #[test]
     fn traced_run_matches_untraced_and_records_passes() {
         let layers = flat_with(Layer::Metal, vec![rect(0, 0, 2, 20), rect(5, 0, 3, 10)]);
         let tracer = Tracer::enabled();
@@ -1089,6 +969,28 @@ mod tests {
         layers
     }
 
+    /// Decoder-like layouts on the four mask layers that carry rules
+    /// between them: L-shaped wires, every one at its own y (the case a
+    /// slice-per-band merge is quadratic on), with cuts dropped on some.
+    fn decoder_like(specs: &[(usize, i64, i64, i64)]) -> Vec<Vec<Rect>> {
+        let mut layers = vec![Vec::new(); Layer::ALL.len()];
+        for (i, &(l, pitch, run, width)) in specs.iter().enumerate() {
+            let (x, y) = (i as i64 * pitch, -10 - i as i64 * run);
+            layers[l % 4].push(rect(x, y, width, 12 - y)); // drop from the driver row
+            layers[l % 4].push(rect(-10, y, x + 10 + width, width)); // run to the bus
+        }
+        layers
+    }
+
+    /// Sparse layouts: clusters a million lambda and more apart.
+    fn far_apart(specs: &[(usize, i64, i64, i64, i64, i64, i64)]) -> Vec<Vec<Rect>> {
+        let mut layers = vec![Vec::new(); Layer::ALL.len()];
+        for &(l, cx, cy, x, y, w, h) in specs {
+            layers[l % 4].push(rect(cx * 1_000_000 + x, cy * 3_000_000 + y, w, h));
+        }
+        layers
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1099,15 +1001,19 @@ mod tests {
         fn indexed_checker_matches_brute_force(
             specs in prop::collection::vec(
                 (0usize..7, 0i64..80, 0i64..80, 1i64..12, 1i64..12), 1..80),
+            wires in prop::collection::vec((0usize..4, 6i64..16, 3i64..9, 1i64..5), 24..60),
+            clusters in prop::collection::vec(
+                (0usize..4, 0i64..3, 0i64..3, 0i64..24, 0i64..24, 1i64..8, 1i64..8), 40..100),
         ) {
-            let layers = layers_from_specs(&specs);
-            let rules = rules();
-            let indexed = check_flat(&layers, &rules);
-            let brute = check_flat_brute(&layers, &rules);
-            prop_assert_eq!(&indexed.violations, &brute.violations);
-            prop_assert_eq!(indexed.rects_checked, brute.rects_checked);
-            let serial = check_flat_serial(&layers, &rules);
-            prop_assert_eq!(&serial.violations, &indexed.violations);
+            for layers in [layers_from_specs(&specs), decoder_like(&wires), far_apart(&clusters)] {
+                let rules = rules();
+                let indexed = check_flat(&layers, &rules);
+                let brute = check_flat_brute(&layers, &rules);
+                prop_assert_eq!(&indexed.violations, &brute.violations);
+                prop_assert_eq!(indexed.rects_checked, brute.rects_checked);
+                let serial = check_flat_serial(&layers, &rules);
+                prop_assert_eq!(&serial.violations, &indexed.violations);
+            }
         }
 
         /// Same equivalence under the permissive and sparse regimes:

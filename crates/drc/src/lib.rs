@@ -45,8 +45,8 @@ mod rules;
 #[cfg(any(test, feature = "oracle"))]
 pub use check::check_flat_brute;
 pub use check::{
-    check, check_cells, check_flat, check_flat_serial, check_flat_traced, check_flat_unmerged,
-    check_traced, Report, RuleKind, Violation,
+    check, check_cells, check_flat, check_flat_serial, check_flat_traced, check_traced, Report,
+    RuleKind, Violation,
 };
-pub use region::{merge_rects, region_contains_rect, Region};
+pub use region::{covered, merge_rects, region_contains_rect, Cover, Region};
 pub use rules::RuleSet;

@@ -1,4 +1,4 @@
-use silc_geom::{band_decompose, Coord, Point, Rect, RectIndex};
+use silc_geom::{band_decompose, Bands, Coord, Point, Rect, RectIndex};
 
 /// A connected group of merged rectangles on one layer — one electrical
 /// region of mask geometry.
@@ -58,72 +58,139 @@ impl Region {
     }
 }
 
+/// A layer's merged geometry as one flat list: the disjoint maximal-band
+/// rectangles of every region, regions in [`merge_rects`] order, each
+/// region's rectangles contiguous. This is what the checker iterates and
+/// indexes; [`merge_rects`] is the same data grouped into [`Region`]s.
+#[derive(Debug, Default)]
+pub(crate) struct Merged {
+    pub(crate) rects: Vec<Rect>,
+    /// End offset of each region in `rects`.
+    ends: Vec<u32>,
+}
+
+impl Merged {
+    /// The rectangles of each region, in region order.
+    pub(crate) fn regions(&self) -> impl Iterator<Item = &[Rect]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.rects[start as usize..end as usize])
+    }
+}
+
+/// Representative of `i`'s set, compressing the path walked.
+fn find(parent: &mut [u32], mut i: u32) -> u32 {
+    let mut root = i;
+    while parent[root as usize] != root {
+        root = parent[root as usize];
+    }
+    while parent[i as usize] != root {
+        i = std::mem::replace(&mut parent[i as usize], root);
+    }
+    root
+}
+
+/// [`merge_rects`] as a flat list.
+pub(crate) fn merge_flat(rects: &[Rect]) -> Merged {
+    let Bands {
+        rects: bands,
+        touching,
+    } = band_decompose(rects);
+
+    // Union-find over the touching pairs in ascending (i, j) order — the
+    // order decides each region's representative, which breaks ties in
+    // the sort below.
+    let mut parent: Vec<u32> = (0..bands.len() as u32).collect();
+    for (i, j) in touching {
+        let (a, b) = (find(&mut parent, i), find(&mut parent, j));
+        if a != b {
+            parent[a as usize] = b;
+        }
+    }
+
+    // Each region's bounding-box corner, kept at its representative.
+    let roots: Vec<u32> = (0..bands.len() as u32)
+        .map(|i| find(&mut parent, i))
+        .collect();
+    let mut corner = vec![(Coord::MAX, Coord::MAX); bands.len()];
+    for (&root, rect) in roots.iter().zip(&bands) {
+        let (left, bottom) = corner[root as usize];
+        corner[root as usize] = (left.min(rect.left()), bottom.min(rect.bottom()));
+    }
+    // Regions by corner, ties in ascending representative order; the sort
+    // is stable, so rects stay in band order within their region.
+    let mut order: Vec<usize> = (0..bands.len()).collect();
+    order.sort_by_key(|&i| (corner[roots[i] as usize], roots[i]));
+    let ends = (1..=order.len())
+        .filter(|&k| k == order.len() || roots[order[k]] != roots[order[k - 1]])
+        .map(|k| k as u32)
+        .collect();
+    Merged {
+        rects: order.iter().map(|&i| bands[i]).collect(),
+        ends,
+    }
+}
+
 /// Canonicalises a bag of (possibly overlapping) rectangles into disjoint
 /// maximal-band rectangles, grouped into connected [`Region`]s.
 ///
-/// The decomposition ([`band_decompose`]) slices the union into horizontal
-/// bands at every distinct rectangle top/bottom, producing per-band
-/// x-spans, then merges vertically adjacent rects with identical spans.
+/// The decomposition ([`band_decompose`]) sweeps the union bottom to top
+/// into maximal horizontal spans, fused vertically while a span persists.
 /// Two rects belong to the same region when they touch (edge or corner);
-/// connectivity is resolved through a [`RectIndex`], so each rect is
-/// unioned only with its spatial neighbours rather than every other rect.
+/// the sweep reports the touching pairs, so no rect is ever compared with
+/// one that is not its neighbour.
 ///
 /// Output is deterministic: regions sorted by `(bbox.left, bbox.bottom,
 /// first-rect order)`, rects within a region in band order.
 pub fn merge_rects(rects: &[Rect]) -> Vec<Region> {
-    let merged = band_decompose(rects);
-    if merged.is_empty() {
-        return Vec::new();
-    }
-
-    // Union-find over touching rects; the index limits each rect's
-    // candidate set to its actual neighbours.
-    let n = merged.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], i: usize) -> usize {
-        if parent[i] != i {
-            let root = find(parent, parent[i]);
-            parent[i] = root;
-        }
-        parent[i]
-    }
-    let index = RectIndex::build(&merged);
-    for (i, rect) in merged.iter().enumerate() {
-        // query(.., 0) yields every rect touching rect i, including i.
-        for j in index.query(*rect, 0) {
-            let j = j as usize;
-            if j <= i {
-                continue;
-            }
-            let (a, b) = (find(&mut parent, i), find(&mut parent, j));
-            if a != b {
-                parent[a] = b;
-            }
-        }
-    }
-
-    // Group by root in ascending first-member order: a BTreeMap keyed by
-    // root id makes the grouping (and thus tie-breaking below) fully
-    // deterministic, unlike hashing.
-    let mut groups: std::collections::BTreeMap<usize, Vec<Rect>> =
-        std::collections::BTreeMap::new();
-    for (i, &r) in merged.iter().enumerate() {
-        let root = find(&mut parent, i);
-        groups.entry(root).or_default().push(r);
-    }
-    let mut regions: Vec<Region> = groups.into_values().map(Region::new).collect();
-    regions.sort_by_key(|r| {
-        let b = r.bbox();
-        (b.left(), b.bottom())
-    });
-    regions
+    let merged = merge_flat(rects);
+    merged.regions().map(|r| Region::new(r.to_vec())).collect()
 }
 
-/// True when the union of `rects` fully contains `r` (coverage test used
-/// by the enclosure rules).
+/// True when the union of `rects` fully contains `r`: the all-rects
+/// coverage test of the brute-force oracles. The checker proper asks
+/// [`covered`], which looks only at an index's candidates.
 pub fn region_contains_rect(rects: &[Rect], r: Rect) -> bool {
     let clipped: Vec<Rect> = rects.iter().filter_map(|a| a.intersection(r)).collect();
     silc_layout::union_area(&clipped) == r.area()
+}
+
+/// Reusable buffers for [`covered`]: what is left of the probe while the
+/// covering rectangles are carved out of it.
+#[derive(Debug, Default)]
+pub struct Cover {
+    left: Vec<Rect>,
+    carved: Vec<Rect>,
+}
+
+impl Cover {
+    /// Starts a test of whether `needed` gets covered.
+    pub fn start(&mut self, needed: Rect) {
+        self.left.clear();
+        self.left.push(needed);
+    }
+
+    /// Carves `r` out of what is left; true once nothing is. A single
+    /// `r` containing the whole probe answers in one step, which is the
+    /// case for every clean gate and contact.
+    pub fn add(&mut self, r: Rect) -> bool {
+        self.carved.clear();
+        for piece in &self.left {
+            piece.subtract_into(r, &mut self.carved);
+        }
+        std::mem::swap(&mut self.left, &mut self.carved);
+        self.left.is_empty()
+    }
+}
+
+/// True when the rectangles of `index` fully cover `needed` (the
+/// enclosure rules' coverage test). Only rectangles touching `needed`
+/// can contribute, so only those are looked up; `cover` is scratch space
+/// reused from call to call.
+pub fn covered(index: &RectIndex, needed: Rect, cover: &mut Cover) -> bool {
+    cover.start(needed);
+    index.any(needed, 0, |_, r| cover.add(r))
 }
 
 #[cfg(test)]
@@ -197,10 +264,23 @@ mod tests {
     #[test]
     fn containment_test() {
         let cover = [rect(0, 0, 4, 4), rect(4, 0, 4, 4)];
-        assert!(region_contains_rect(&cover, rect(1, 1, 6, 2)));
-        assert!(!region_contains_rect(&cover, rect(1, 1, 8, 2)));
-        assert!(region_contains_rect(&cover, rect(0, 0, 8, 4)));
+        let index = RectIndex::build(&cover);
+        let mut scratch = Cover::default();
+        for (probe, inside) in [
+            (rect(1, 1, 6, 2), true),
+            (rect(1, 1, 8, 2), false),
+            (rect(0, 0, 8, 4), true),
+            (rect(1, 1, 2, 2), true), // one rect contains it
+        ] {
+            assert_eq!(region_contains_rect(&cover, probe), inside, "{probe}");
+            assert_eq!(covered(&index, probe, &mut scratch), inside, "{probe}");
+        }
         assert!(!region_contains_rect(&[], rect(0, 0, 1, 1)));
+        assert!(!covered(
+            &RectIndex::build(&[]),
+            rect(0, 0, 1, 1),
+            &mut scratch
+        ));
     }
 
     /// Brute-force oracle: the pre-index merge algorithm, kept verbatim
@@ -312,8 +392,26 @@ mod tests {
         #[test]
         fn merge_matches_brute_force(
             specs in prop::collection::vec((0i64..40, 0i64..40, 1i64..12, 1i64..12), 1..40),
+            wires in prop::collection::vec((6i64..16, 3i64..9, 1i64..5), 8..40),
+            clusters in prop::collection::vec(
+                (0i64..3, 0i64..3, 0i64..24, 0i64..24, 1i64..8, 1i64..8), 16..60),
         ) {
             let rects: Vec<_> = specs.iter().map(|&(x, y, w, h)| rect(x, y, w, h)).collect();
+            prop_assert_eq!(merge_rects(&rects), merge_rects_brute(&rects));
+            // Decoder-like: L-shaped wires, every one at its own y.
+            let rects: Vec<_> = (0i64..)
+                .zip(&wires)
+                .flat_map(|(i, &(pitch, run, width))| {
+                    let (x, y) = (i * pitch, -10 - i * run);
+                    [rect(x, y, width, 12 - y), rect(-10, y, x + 10 + width, width)]
+                })
+                .collect();
+            prop_assert_eq!(merge_rects(&rects), merge_rects_brute(&rects));
+            // Sparse: clusters a million lambda and more apart.
+            let rects: Vec<_> = clusters
+                .iter()
+                .map(|&(cx, cy, x, y, w, h)| rect(cx * 1_000_000 + x, cy * 3_000_000 + y, w, h))
+                .collect();
             prop_assert_eq!(merge_rects(&rects), merge_rects_brute(&rects));
         }
     }

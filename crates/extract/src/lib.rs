@@ -51,7 +51,7 @@ mod switch;
 
 pub use switch::{switch_level_eval, Level, SwitchError};
 
-use silc_drc::{merge_rects, Region};
+use silc_drc::{covered, merge_rects, Cover, Region};
 use silc_geom::{Fingerprint, FpHasher, Point, Rect, RectIndex};
 use silc_layout::{CellId, Layer, LayoutError, Library};
 use silc_netlist::{Netlist, NetlistError};
@@ -182,29 +182,35 @@ impl RegionLookup {
     /// Index of the first region touching `probe` — equivalent to
     /// `regions.iter().position(|r| r.touches_rect(probe))`.
     fn first_touching(&self, probe: Rect) -> Option<usize> {
-        self.index
-            .query(probe, 0)
-            .first()
-            .map(|&id| self.owner[id as usize] as usize)
+        // Rect ids are non-decreasing in region id: the lowest id wins.
+        let mut first = u32::MAX;
+        self.index.any(probe, 0, |id, _| {
+            first = first.min(id);
+            false
+        });
+        self.owner
+            .get(first as usize)
+            .map(|&region| region as usize)
     }
 
     /// Index of the first region containing point `p` — equivalent to a
     /// linear scan with `contains_point`.
     fn first_containing(&self, p: Point) -> Option<usize> {
-        self.index
-            .query_point(p)
-            .first()
-            .map(|&id| self.owner[id as usize] as usize)
+        let mut ids = Vec::new();
+        self.index.query_point_into(p, &mut ids);
+        ids.first().map(|&id| self.owner[id as usize] as usize)
     }
 
     /// Sorted, deduplicated indices of every region touching any of
     /// `probes`.
     fn touching_any(&self, probes: &[Rect]) -> Vec<usize> {
-        let mut out: Vec<usize> = probes
-            .iter()
-            .flat_map(|&p| self.index.query(p, 0))
-            .map(|id| self.owner[id as usize] as usize)
-            .collect();
+        let mut out = Vec::new();
+        for &p in probes {
+            self.index.any(p, 0, |id, _| {
+                out.push(self.owner[id as usize] as usize);
+                false
+            });
+        }
         out.sort_unstable();
         out.dedup();
         out
@@ -258,15 +264,12 @@ pub fn extract_traced(
     let diff_index = RectIndex::build(diff_rects);
     let cut_index = RectIndex::build(cut_rects);
     let mut crossings: Vec<Rect> = Vec::new();
+    let (mut near, mut cover) = (Vec::new(), Cover::default());
     for p in poly_rects {
-        for j in diff_index.query(*p, 0) {
+        diff_index.query_into(*p, 0, &mut near);
+        for &j in &near {
             if let Some(g) = p.intersection(diff_index.rect(j)) {
-                let cuts_near: Vec<Rect> = cut_index
-                    .query(g, 0)
-                    .into_iter()
-                    .map(|c| cut_index.rect(c))
-                    .collect();
-                if !region_covered(&cuts_near, g) {
+                if !covered(&cut_index, g, &mut cover) {
                     crossings.push(g);
                 }
             }
@@ -368,11 +371,7 @@ pub fn extract_traced(
                 diffusions: sd.len(),
             });
         }
-        let kind = if implant_index
-            .query(gbox, 0)
-            .into_iter()
-            .any(|i| implant_index.rect(i).contains_rect(gbox))
-        {
+        let kind = if implant_index.any(gbox, 0, |_, implant| implant.contains_rect(gbox)) {
             "dep"
         } else {
             "enh"
@@ -380,35 +379,47 @@ pub fn extract_traced(
         Ok((gbox, gp, [sd[0], sd[1]], kind))
     });
 
-    // Build the netlist.
-    let mut netlist = Netlist::new(root_cell.name().to_string());
+    let extracted = assemble(root_cell.name(), (nd, total), uf, &net_names, resolved)?;
+    drop(netlist_span);
+    tracer.add("extract.transistors", extracted.transistors.len() as u64);
+    tracer.add("extract.nets", extracted.nets as u64);
+    Ok(extracted)
+}
+
+/// What one gate's geometry resolves to: its box, its poly region, its
+/// two source/drain diffusion regions and its device kind.
+type Gate = Result<(Rect, usize, [usize; 2], &'static str), ExtractError>;
+
+/// Builds the netlist from the resolved gates, serially in gate order so
+/// anonymous net numbering (and the first error reported) is
+/// deterministic. Nodes are numbered diffusion regions (`nd` of them),
+/// then poly, then metal, `total` in all.
+fn assemble(
+    name: &str,
+    (nd, total): (usize, usize),
+    mut uf: UnionFind,
+    net_names: &HashMap<usize, String>,
+    gates: Vec<Gate>,
+) -> Result<Extracted, ExtractError> {
+    let mut netlist = Netlist::new(name.to_string());
     let mut net_of_node: HashMap<usize, silc_netlist::NetId> = HashMap::new();
     let mut next_anon = 0usize;
-    let mut net_id = |node: usize,
-                      uf: &mut UnionFind,
-                      netlist: &mut Netlist,
-                      net_names: &HashMap<usize, String>|
-     -> silc_netlist::NetId {
+    let mut net_id = |node: usize, uf: &mut UnionFind, netlist: &mut Netlist| {
         let rep = uf.find(node);
-        if let Some(&id) = net_of_node.get(&rep) {
-            return id;
-        }
-        let name = net_names.get(&rep).cloned().unwrap_or_else(|| {
-            let n = format!("n{next_anon}");
-            next_anon += 1;
-            n
-        });
-        let id = netlist.add_net(name);
-        net_of_node.insert(rep, id);
-        id
+        *net_of_node.entry(rep).or_insert_with(|| {
+            netlist.add_net(net_names.get(&rep).cloned().unwrap_or_else(|| {
+                next_anon += 1;
+                format!("n{}", next_anon - 1)
+            }))
+        })
     };
 
     let mut transistors: Vec<(String, Rect)> = Vec::new();
-    for (t, resolved) in resolved.into_iter().enumerate() {
-        let (gbox, gp, sd, kind) = resolved?;
-        let g_net = net_id(poly_node(gp), &mut uf, &mut netlist, &net_names);
-        let mut s_net = net_id(diff_node(sd[0]), &mut uf, &mut netlist, &net_names);
-        let mut d_net = net_id(diff_node(sd[1]), &mut uf, &mut netlist, &net_names);
+    for (t, gate) in gates.into_iter().enumerate() {
+        let (gbox, gp, sd, kind) = gate?;
+        let g_net = net_id(nd + gp, &mut uf, &mut netlist);
+        let mut s_net = net_id(sd[0], &mut uf, &mut netlist);
+        let mut d_net = net_id(sd[1], &mut uf, &mut netlist);
         // Canonical source/drain order so signatures are stable.
         if netlist.net_name(s_net) > netlist.net_name(d_net) {
             std::mem::swap(&mut s_net, &mut d_net);
@@ -426,20 +437,11 @@ pub fn extract_traced(
     let mut reps: Vec<usize> = (0..total).map(|i| uf.find(i)).collect();
     reps.sort_unstable();
     reps.dedup();
-    let nets = reps.len();
-    drop(netlist_span);
-    tracer.add("extract.transistors", transistors.len() as u64);
-    tracer.add("extract.nets", nets as u64);
     Ok(Extracted {
         netlist,
         transistors,
-        nets,
+        nets: reps.len(),
     })
-}
-
-/// True when the union of `rects` fully covers `r`.
-pub(crate) fn region_covered(rects: &[Rect], r: Rect) -> bool {
-    silc_drc::region_contains_rect(rects, r)
 }
 
 /// Subtracts `cuts` from `base`, returning disjoint rectangles covering
@@ -452,59 +454,21 @@ pub(crate) fn region_covered(rects: &[Rect], r: Rect) -> bool {
 fn subtract_rects(base: &[Rect], cuts: &[Rect]) -> Vec<Rect> {
     let cut_index = RectIndex::build(cuts);
     let mut out: Vec<Rect> = Vec::with_capacity(base.len());
+    let (mut near, mut slabs, mut carved) = (Vec::new(), Vec::new(), Vec::new());
     for &b in base {
-        let mut slabs = vec![b];
+        slabs.clear();
+        slabs.push(b);
         // Ascending ids = original cut order; cuts missing the base rect
         // cannot intersect any slab carved from it.
-        for c in cut_index.query(b, 0) {
-            let cut = cut_index.rect(c);
-            let mut next: Vec<Rect> = Vec::with_capacity(slabs.len());
-            for r in slabs {
-                if let Some(overlap) = r.intersection(cut) {
-                    // Up to four slabs around the overlap.
-                    if overlap.top() < r.top() {
-                        next.push(
-                            Rect::new(
-                                Point::new(r.left(), overlap.top()),
-                                Point::new(r.right(), r.top()),
-                            )
-                            .expect("non-empty slab"),
-                        );
-                    }
-                    if r.bottom() < overlap.bottom() {
-                        next.push(
-                            Rect::new(
-                                Point::new(r.left(), r.bottom()),
-                                Point::new(r.right(), overlap.bottom()),
-                            )
-                            .expect("non-empty slab"),
-                        );
-                    }
-                    if r.left() < overlap.left() {
-                        next.push(
-                            Rect::new(
-                                Point::new(r.left(), overlap.bottom()),
-                                Point::new(overlap.left(), overlap.top()),
-                            )
-                            .expect("non-empty slab"),
-                        );
-                    }
-                    if overlap.right() < r.right() {
-                        next.push(
-                            Rect::new(
-                                Point::new(overlap.right(), overlap.bottom()),
-                                Point::new(r.right(), overlap.top()),
-                            )
-                            .expect("non-empty slab"),
-                        );
-                    }
-                } else {
-                    next.push(r);
-                }
+        cut_index.query_into(b, 0, &mut near);
+        for &c in &near {
+            carved.clear();
+            for r in &slabs {
+                r.subtract_into(cut_index.rect(c), &mut carved);
             }
-            slabs = next;
+            std::mem::swap(&mut slabs, &mut carved);
         }
-        out.extend(slabs);
+        out.extend_from_slice(&slabs);
     }
     out
 }
@@ -554,7 +518,7 @@ pub fn extract_brute(lib: &Library, root: CellId) -> Result<Extracted, ExtractEr
     for p in poly_rects {
         for d in diff_rects {
             if let Some(g) = p.intersection(*d) {
-                if !region_covered(cut_rects, g) {
+                if !silc_drc::region_contains_rect(cut_rects, g) {
                     crossings.push(g);
                 }
             }
@@ -619,80 +583,35 @@ pub fn extract_brute(lib: &Library, root: CellId) -> Result<Extracted, ExtractEr
         }
     }
 
-    let mut netlist = Netlist::new(root_cell.name().to_string());
-    let mut net_of_node: HashMap<usize, silc_netlist::NetId> = HashMap::new();
-    let mut next_anon = 0usize;
-    let mut net_id = |node: usize,
-                      uf: &mut UnionFind,
-                      netlist: &mut Netlist,
-                      net_names: &HashMap<usize, String>|
-     -> silc_netlist::NetId {
-        let rep = uf.find(node);
-        if let Some(&id) = net_of_node.get(&rep) {
-            return id;
-        }
-        let name = net_names.get(&rep).cloned().unwrap_or_else(|| {
-            let n = format!("n{next_anon}");
-            next_anon += 1;
-            n
-        });
-        let id = netlist.add_net(name);
-        net_of_node.insert(rep, id);
-        id
-    };
-
-    let mut transistors: Vec<(String, Rect)> = Vec::new();
-    for (t, gate) in gates.iter().enumerate() {
-        let gbox = gate.bbox();
-        let gp = poly_regions
+    let resolved =
+        gates
             .iter()
-            .position(|r| gate.rects().iter().any(|g| r.touches_rect(*g)))
-            .ok_or(ExtractError::MalformedTransistor {
-                at: gbox,
-                diffusions: 0,
-            })?;
-        let mut sd: Vec<usize> = diff_regions
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| gate.rects().iter().any(|g| r.touches_rect(*g)))
-            .map(|(i, _)| i)
+            .map(|gate| {
+                let gbox = gate.bbox();
+                let touches = |r: &Region| gate.rects().iter().any(|g| r.touches_rect(*g));
+                let gp = poly_regions.iter().position(touches).ok_or(
+                    ExtractError::MalformedTransistor {
+                        at: gbox,
+                        diffusions: 0,
+                    },
+                )?;
+                let sd: Vec<usize> = (0..nd).filter(|&i| touches(&diff_regions[i])).collect();
+                if sd.len() != 2 {
+                    return Err(ExtractError::MalformedTransistor {
+                        at: gbox,
+                        diffusions: sd.len(),
+                    });
+                }
+                let implanted = implant_rects.iter().any(|imp| imp.contains_rect(gbox));
+                Ok((
+                    gbox,
+                    gp,
+                    [sd[0], sd[1]],
+                    if implanted { "dep" } else { "enh" },
+                ))
+            })
             .collect();
-        sd.sort_unstable();
-        sd.dedup();
-        if sd.len() != 2 {
-            return Err(ExtractError::MalformedTransistor {
-                at: gbox,
-                diffusions: sd.len(),
-            });
-        }
-        let kind = if implant_rects.iter().any(|imp| imp.contains_rect(gbox)) {
-            "dep"
-        } else {
-            "enh"
-        };
-        let g_net = net_id(poly_node(gp), &mut uf, &mut netlist, &net_names);
-        let mut s_net = net_id(diff_node(sd[0]), &mut uf, &mut netlist, &net_names);
-        let mut d_net = net_id(diff_node(sd[1]), &mut uf, &mut netlist, &net_names);
-        if netlist.net_name(s_net) > netlist.net_name(d_net) {
-            std::mem::swap(&mut s_net, &mut d_net);
-        }
-        netlist.add_instance(
-            format!("m{t}"),
-            kind,
-            &[("gate", g_net), ("src", s_net), ("drn", d_net)],
-        )?;
-        transistors.push((kind.to_string(), gbox));
-    }
-
-    let mut reps: Vec<usize> = (0..total).map(|i| uf.find(i)).collect();
-    reps.sort_unstable();
-    reps.dedup();
-    let nets = reps.len();
-    Ok(Extracted {
-        netlist,
-        transistors,
-        nets,
-    })
+    assemble(root_cell.name(), (nd, total), uf, &net_names, resolved)
 }
 
 /// The original all-cuts-over-all-slabs subtraction, kept for the oracle.
@@ -702,46 +621,7 @@ fn brute_subtract_rects(base: &[Rect], cuts: &[Rect]) -> Vec<Rect> {
     for cut in cuts {
         let mut next: Vec<Rect> = Vec::with_capacity(result.len());
         for r in result {
-            if let Some(overlap) = r.intersection(*cut) {
-                if overlap.top() < r.top() {
-                    next.push(
-                        Rect::new(
-                            Point::new(r.left(), overlap.top()),
-                            Point::new(r.right(), r.top()),
-                        )
-                        .expect("non-empty slab"),
-                    );
-                }
-                if r.bottom() < overlap.bottom() {
-                    next.push(
-                        Rect::new(
-                            Point::new(r.left(), r.bottom()),
-                            Point::new(r.right(), overlap.bottom()),
-                        )
-                        .expect("non-empty slab"),
-                    );
-                }
-                if r.left() < overlap.left() {
-                    next.push(
-                        Rect::new(
-                            Point::new(r.left(), overlap.bottom()),
-                            Point::new(overlap.left(), overlap.top()),
-                        )
-                        .expect("non-empty slab"),
-                    );
-                }
-                if overlap.right() < r.right() {
-                    next.push(
-                        Rect::new(
-                            Point::new(overlap.right(), overlap.bottom()),
-                            Point::new(r.right(), overlap.top()),
-                        )
-                        .expect("non-empty slab"),
-                    );
-                }
-            } else {
-                next.push(r);
-            }
+            r.subtract_into(*cut, &mut next);
         }
         result = next;
     }

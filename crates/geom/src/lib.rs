@@ -48,7 +48,7 @@ mod transform;
 
 pub use error::GeomError;
 pub use fp::{Fingerprint, Fp, FpHasher};
-pub use index::{band_decompose, RectIndex};
+pub use index::{band_decompose, Bands, RectIndex};
 pub use interval::{Interval, IntervalSet};
 pub use path::Path;
 pub use point::{Point, Vector};
@@ -62,3 +62,10 @@ pub use transform::{Orientation, Transform};
 /// Sixty-four bits comfortably covers any die: a 1 cm die at λ = 0.25 µm is
 /// only 4×10⁴ λ across.
 pub type Coord = i64;
+
+/// Largest coordinate magnitude the front ends (SIL elaboration, the CIF
+/// reader) accept: `|v| ≤ 2⁴⁰ λ`, seven orders of magnitude beyond any
+/// die. Inside the bound, sums of coordinates and products of two extents
+/// stay far from the ends of 128-bit arithmetic, and differences from the
+/// ends of [`Coord`].
+pub const MAX_COORD: Coord = 1 << 40;

@@ -160,17 +160,57 @@ impl Rect {
     }
 
     /// Returns the rectangle grown outward by `margin` on all sides
-    /// (negative `margin` shrinks it).
+    /// (negative `margin` shrinks it). Saturates at the ends of the
+    /// coordinate range instead of overflowing.
     ///
     /// Returns `None` when shrinking collapses the rectangle to zero or
     /// negative extent.
     pub fn inflate(&self, margin: Coord) -> Option<Rect> {
-        let min = Point::new(self.min.x - margin, self.min.y - margin);
-        let max = Point::new(self.max.x + margin, self.max.y + margin);
-        if min.x >= max.x || min.y >= max.y {
-            None
-        } else {
-            Some(Rect { min, max })
+        let grown = self.grow(margin, margin);
+        (grown.min.x < grown.max.x && grown.min.y < grown.max.y).then_some(grown)
+    }
+
+    /// Returns the rectangle grown outward by `dx` on the left and right
+    /// and `dy` on the bottom and top, saturating at the ends of the
+    /// coordinate range. `dx` and `dy` must not be so negative that the
+    /// rectangle collapses ([`inflate`](Rect::inflate) checks that).
+    pub fn grow(&self, dx: Coord, dy: Coord) -> Rect {
+        Rect {
+            min: Point::new(self.min.x.saturating_sub(dx), self.min.y.saturating_sub(dy)),
+            max: Point::new(self.max.x.saturating_add(dx), self.max.y.saturating_add(dy)),
+        }
+    }
+
+    /// Pushes onto `out` the disjoint rectangles covering `self − cut`:
+    /// `self` unchanged when the interiors are disjoint, otherwise up to
+    /// four slabs around the overlap in the order top, bottom, left, right.
+    pub fn subtract_into(&self, cut: Rect, out: &mut Vec<Rect>) {
+        let Some(overlap) = self.intersection(cut) else {
+            out.push(*self);
+            return;
+        };
+        let mut slab = |x0, y0, x1, y1| {
+            out.push(Rect {
+                min: Point::new(x0, y0),
+                max: Point::new(x1, y1),
+            });
+        };
+        if overlap.top() < self.top() {
+            slab(self.left(), overlap.top(), self.right(), self.top());
+        }
+        if self.bottom() < overlap.bottom() {
+            slab(self.left(), self.bottom(), self.right(), overlap.bottom());
+        }
+        if self.left() < overlap.left() {
+            slab(self.left(), overlap.bottom(), overlap.left(), overlap.top());
+        }
+        if overlap.right() < self.right() {
+            slab(
+                overlap.right(),
+                overlap.bottom(),
+                self.right(),
+                overlap.top(),
+            );
         }
     }
 
@@ -374,6 +414,31 @@ mod tests {
         assert_eq!(a.inflate(1), Some(r(1, 1, 7, 7)));
         assert_eq!(a.inflate(-1), Some(r(3, 3, 5, 5)));
         assert_eq!(a.inflate(-2), None); // collapses
+        assert_eq!(a.grow(2, 0), r(0, 2, 8, 6));
+        // At the end of the coordinate range growth saturates.
+        let edge = r(i64::MAX - 4, 0, i64::MAX - 1, 4);
+        assert_eq!(edge.inflate(3), Some(r(i64::MAX - 7, -3, i64::MAX, 7)));
+    }
+
+    #[test]
+    fn subtract_into_carves_around_the_overlap() {
+        let a = r(0, 0, 10, 10);
+        let mut out = Vec::new();
+        a.subtract_into(r(4, 4, 6, 6), &mut out);
+        assert_eq!(
+            out,
+            vec![
+                r(0, 6, 10, 10),
+                r(0, 0, 10, 4),
+                r(0, 4, 4, 6),
+                r(6, 4, 10, 6)
+            ]
+        );
+        out.clear();
+        a.subtract_into(r(-1, -1, 11, 11), &mut out);
+        assert!(out.is_empty());
+        a.subtract_into(r(10, 0, 12, 10), &mut out); // abuts: nothing removed
+        assert_eq!(out, vec![a]);
     }
 
     #[test]

@@ -25,7 +25,6 @@ use silc_drc::{check_flat_traced, Report, RuleSet};
 use silc_exec::{CompiledSim, SimEngine};
 use silc_geom::{Fingerprint, Rect};
 use silc_lang::{Compiler, Design, PRELUDE};
-use silc_layout::CellStats;
 use silc_logic::TruthTable;
 use silc_netlist::Netlist;
 use silc_pla::{generate_layout_traced, Minimize, PlaSpec};
@@ -46,9 +45,9 @@ use std::sync::Arc;
 pub struct FlatSnapshot {
     /// Merged per-layer rectangles, indexed by [`silc_layout::Layer::index`].
     pub layers: Vec<Vec<Rect>>,
-    /// Flattened element count ([`CellStats::flat_elements`]).
+    /// Flattened element count ([`silc_layout::CellStats::flat_elements`]).
     pub flat_elements: u64,
-    /// Die bounding box ([`CellStats::bbox`]).
+    /// Die bounding box ([`silc_layout::CellStats::bbox`]).
     pub bbox: Option<Rect>,
 }
 
@@ -268,20 +267,15 @@ pub fn flat_regions(
 ) -> Result<Arc<FlatSnapshot>, String> {
     let key = design.fingerprint();
     engine.query(Stage::FLATTEN, key, stats, || {
-        let tracer = engine.tracer();
-        let layers = {
-            let mut s = span!(tracer, "layout.flatten");
-            let layers = silc_layout::flatten_to_rects(&design.library, design.top)
-                .map_err(|e| e.to_string())?;
-            s.attr("rects", layers.iter().map(Vec::len).sum::<usize>() as u64);
-            layers
-        };
-        let cell_stats =
-            CellStats::compute(&design.library, design.top).map_err(|e| e.to_string())?;
+        // One flattening serves the geometry and the die summary.
+        let mut s = span!(engine.tracer(), "layout.flatten");
+        let flat = silc_layout::flatten(&design.library, design.top).map_err(|e| e.to_string())?;
+        let layers = silc_layout::rects_by_layer(&flat);
+        s.attr("rects", layers.iter().map(Vec::len).sum::<usize>() as u64);
         Ok(FlatSnapshot {
             layers,
-            flat_elements: cell_stats.flat_elements as u64,
-            bbox: cell_stats.bbox,
+            flat_elements: flat.len() as u64,
+            bbox: silc_layout::flat_bbox(&flat),
         })
     })
 }

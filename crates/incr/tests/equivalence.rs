@@ -53,6 +53,29 @@ fn observe(
     ))
 }
 
+/// `FLATTEN` flattens once; the snapshot must still hold exactly what
+/// `flatten_to_rects` and `CellStats::compute` say, wires included.
+#[test]
+fn flat_snapshot_matches_the_layout_crates_own_answers() {
+    let source = format!(
+        "{}cell top() {{ place sr_array(3) at (5, 7); wire metal 4 (0, -20) (40, -20) (40, -9); }}
+         place top() at (1, 1);",
+        shift_array(3).replace("place sr_array(3) at (0, 0);", "")
+    );
+    let engine = Engine::in_memory();
+    let mut stats = JobStats::default();
+    let design = silc_incr::elaborate(&engine, &source, &mut stats).expect("elaborates");
+    let flat = silc_incr::flat_regions(&engine, &design, &mut stats).expect("flattens");
+    let cell_stats = silc_layout::CellStats::compute(&design.library, design.top).expect("root");
+    assert_eq!(
+        flat.layers,
+        silc_layout::flatten_to_rects(&design.library, design.top).expect("root")
+    );
+    assert_eq!(flat.flat_elements, cell_stats.flat_elements as u64);
+    assert_eq!(flat.bbox, cell_stats.bbox);
+    assert!(flat.bbox.is_some());
+}
+
 #[test]
 fn warm_recompile_is_an_order_of_magnitude_faster_and_byte_identical() {
     let source = shift_array(32);

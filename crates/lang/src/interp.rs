@@ -3,7 +3,9 @@ use crate::lexer::lex;
 use crate::parser::{parse, parse_tokens};
 use crate::value::Value;
 use crate::LangError;
-use silc_geom::{Fingerprint, FpHasher, Orientation, Path, Point, Polygon, Rect, Transform};
+use silc_geom::{
+    Coord, Fingerprint, FpHasher, Orientation, Path, Point, Polygon, Rect, Transform, MAX_COORD,
+};
 use silc_layout::{Cell, CellId, Element, Instance, Layer, Library, Port};
 use silc_trace::{span, Tracer};
 use std::collections::HashMap;
@@ -275,6 +277,9 @@ struct Interp {
     types: HashMap<String, TypeDef>,
     lib: Library,
     memo: HashMap<String, CellId>,
+    /// Per elaborated cell, the largest coordinate magnitude anything
+    /// under it reaches in the cell's own frame (at most [`MAX_COORD`]).
+    reach: HashMap<CellId, i128>,
     elab_stack: Vec<String>,
     call_depth: usize,
     cells_elaborated: u64,
@@ -291,6 +296,7 @@ impl Interp {
             types: HashMap::new(),
             lib: Library::new(),
             memo: HashMap::new(),
+            reach: HashMap::new(),
             elab_stack: Vec::new(),
             call_depth: 0,
             cells_elaborated: 0,
@@ -389,10 +395,12 @@ impl Interp {
         }
         self.elab_stack.pop();
 
+        let reach = self.cell_reach(&cell);
         let id = self
             .lib
             .add_cell(cell)
             .map_err(|e| LangError::eval(def.line, e.to_string()))?;
+        self.reach.insert(id, reach);
         self.memo.insert(key, id);
         self.cells_elaborated += 1;
         Ok(id)
@@ -452,8 +460,9 @@ impl Interp {
                     .map(|p| self.eval_point(p, env, line))
                     .collect::<Result<Vec<_>, _>>()?;
                 let path = Path::new(w, pts).map_err(|e| LangError::eval(line, e.to_string()))?;
-                self.target(cell, line)?
-                    .push_element(Element::new(layer, path));
+                let wire = Element::new(layer, path);
+                in_range(far_corner(wire.bbox()), line)?;
+                self.target(cell, line)?.push_element(wire);
                 Ok(Flow::Normal)
             }
             Stmt::Polygon { layer, points, .. } => {
@@ -496,9 +505,9 @@ impl Interp {
                     .collect::<Result<Vec<_>, _>>()?;
                 let at = self.eval_point(at, env, line)?;
                 let child_id = self.elaborate_cell(child, arg_values, line)?;
-                let transform = Transform::new(orientation_of(orient), at);
-                self.target(cell, line)?
-                    .push_instance(Instance::place(child_id, transform));
+                let inst = Instance::place(child_id, Transform::new(orientation_of(orient), at));
+                in_range(self.instance_reach(&inst), line)?;
+                self.target(cell, line)?.push_instance(inst);
                 Ok(Flow::Normal)
             }
             Stmt::ArrayPlace {
@@ -533,6 +542,24 @@ impl Interp {
                 }
                 let child_id = self.elaborate_cell(child, arg_values, line)?;
                 let orientation = orientation_of(orient);
+                // The copies farthest out sit at the corners of the array.
+                let along = |axis: fn(Point) -> Coord, i: i64, j: i64| {
+                    let step2 = step2.map_or(0, axis);
+                    i128::from(axis(at))
+                        + i128::from(axis(step)) * i128::from(i)
+                        + i128::from(step2) * i128::from(j)
+                };
+                let span = [
+                    (0, 0),
+                    (count - 1, 0),
+                    (0, count2 - 1),
+                    (count - 1, count2 - 1),
+                ]
+                .into_iter()
+                .map(|(i, j)| along(|p| p.x, i, j).abs().max(along(|p| p.y, i, j).abs()))
+                .max()
+                .expect("four corners");
+                in_range(span + self.reach[&child_id], line)?;
                 let target = self.target(cell, line)?;
                 // Axis-aligned steps map onto native array instances
                 // (compact in CIF); diagonal steps expand to placements.
@@ -843,9 +870,30 @@ impl Interp {
 
     fn eval_point(&mut self, e: &Expr, env: &mut Env, line: usize) -> Result<Point, LangError> {
         let v = self.eval(e, env, line)?;
-        v.as_point().ok_or_else(|| {
+        let p = v.as_point().ok_or_else(|| {
             LangError::eval(line, format!("expected a point, got {}", v.type_name()))
-        })
+        })?;
+        in_range(far(p), line)?;
+        Ok(p)
+    }
+
+    /// How far from its parent's origin `inst` puts anything. The child's
+    /// reach is a max-norm, so its orientation does not matter.
+    fn instance_reach(&self, inst: &Instance) -> i128 {
+        let last = |at: Coord, pitch: Coord, n: u32| {
+            (i128::from(at) + i128::from(pitch) * i128::from(n - 1)).abs()
+        };
+        let at = inst.transform.offset;
+        far(at)
+            .max(last(at.x, inst.dx, inst.cols))
+            .max(last(at.y, inst.dy, inst.rows))
+            + self.reach[&inst.cell]
+    }
+
+    fn cell_reach(&self, cell: &Cell) -> i128 {
+        let own = cell.elements().iter().map(|e| far_corner(e.bbox()));
+        let placed = cell.instances().iter().map(|i| self.instance_reach(i));
+        own.chain(placed).max().unwrap_or(0)
     }
 
     fn eval_layer(&mut self, e: &Expr, env: &mut Env, line: usize) -> Result<Layer, LangError> {
@@ -860,6 +908,28 @@ impl Interp {
             )),
         }
     }
+}
+
+/// The larger coordinate magnitude of `p`.
+fn far(p: Point) -> i128 {
+    i128::from(p.x.unsigned_abs().max(p.y.unsigned_abs()))
+}
+
+/// The largest coordinate magnitude of `r`.
+fn far_corner(r: Rect) -> i128 {
+    far(r.min()).max(far(r.max()))
+}
+
+/// Geometry may reach [`MAX_COORD`] from the origin of its cell and no
+/// further: inside that bound no later stage can overflow a coordinate.
+fn in_range(reach: i128, line: usize) -> Result<(), LangError> {
+    if reach <= i128::from(MAX_COORD) {
+        return Ok(());
+    }
+    Err(LangError::eval(
+        line,
+        format!("geometry reaches {reach} lambda from the origin; the limit is 2^40"),
+    ))
 }
 
 fn binary(op: &BinOp, l: Value, r: Value, line: usize) -> Result<Value, LangError> {
@@ -1304,5 +1374,50 @@ mod tests {
             .compile("box metal9 (0,0) (1,1);")
             .unwrap_err();
         assert!(err.to_string().contains("metal9"));
+    }
+
+    #[test]
+    fn geometry_beyond_the_coordinate_bound_is_rejected_with_its_line() {
+        let limit = MAX_COORD;
+        // A literal point, a wire's pen, a placement and an array whose
+        // far corner leaves the range; each names the statement.
+        for (src, line) in [
+            (format!("box metal (0, 0) (4, 4);\nbox metal (0, 0) ({}, 4);", limit + 1), 2),
+            (format!("wire metal 4 (0, 0) ({limit}, 0);"), 1),
+            (
+                format!("cell a() {{ box metal (0, 0) ({limit}, 4); }}\n\nplace a() at (1, 0);"),
+                3,
+            ),
+            (
+                format!(
+                    "cell a() {{ box metal (0, 0) (4, 4); }}\n\
+                     cell b() {{ array a() at (0, 0) step ({}, 0) count 3; }}\nplace b() at (0, 0);",
+                    limit / 2
+                ),
+                2,
+            ),
+            (
+                format!(
+                    "cell a() {{ box metal (0, 0) (4, 4); }}\n\
+                     array a() at (0, 0) step (3, 3) (0 - {limit}, 0) count 2 3;"
+                ),
+                2,
+            ),
+            ("box metal (0, 0) (9223372036854775806, 4);".to_string(), 1),
+        ] {
+            match compile_err(&src) {
+                LangError::Eval { line: at, message } => {
+                    assert_eq!(at, line, "{src}: {message}");
+                    assert!(message.contains("2^40"), "{message}");
+                }
+                other => panic!("{src}: {other}"),
+            }
+        }
+        // Reaching the bound exactly is legal, at any depth.
+        compile(&format!(
+            "cell a() {{ box metal (0, 0) (4, 4); }}\n\
+             cell b() {{ place a() at ({0}, 0 - {0}); }}\nplace b() at (0, 0);",
+            limit - 4
+        ));
     }
 }

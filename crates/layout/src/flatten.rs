@@ -74,13 +74,25 @@ fn flatten_into(lib: &Library, id: CellId, t: Transform, out: &mut Vec<FlatEleme
 ///
 /// Returns [`LayoutError::UnknownCell`] if `root` is not in the library.
 pub fn flatten_to_rects(lib: &Library, root: CellId) -> Result<Vec<Vec<Rect>>, LayoutError> {
-    let flat = flatten(lib, root)?;
+    Ok(rects_by_layer(&flatten(lib, root)?))
+}
+
+/// Decomposes already-flattened elements into per-layer rectangles,
+/// indexed by [`Layer::index`]: [`flatten_to_rects`] for a caller that
+/// also wants the element list itself.
+pub fn rects_by_layer(flat: &[FlatElement]) -> Vec<Vec<Rect>> {
     let mut layers: Vec<Vec<Rect>> = vec![Vec::new(); Layer::ALL.len()];
-    for fe in &flat {
-        let idx = fe.element.layer.index();
-        layers[idx].extend(fe.element.shape.to_rects());
+    for fe in flat {
+        layers[fe.element.layer.index()].extend(fe.element.shape.to_rects());
     }
-    Ok(layers)
+    layers
+}
+
+/// Bounding box of flattened elements (`None` when there are none).
+pub fn flat_bbox(flat: &[FlatElement]) -> Option<Rect> {
+    flat.iter()
+        .map(|f| f.element.bbox())
+        .reduce(|a, b| a.union(b))
 }
 
 #[cfg(test)]

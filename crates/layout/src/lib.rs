@@ -47,7 +47,7 @@ mod stats;
 
 pub use cell::{Cell, Instance, Port};
 pub use error::LayoutError;
-pub use flatten::{flatten, flatten_to_rects, FlatElement};
+pub use flatten::{flat_bbox, flatten, flatten_to_rects, rects_by_layer, FlatElement};
 pub use layer::Layer;
 pub use library::{CellId, Library};
 pub use shape::{Element, Shape};

@@ -1,4 +1,4 @@
-use crate::{flatten, CellId, Layer, LayoutError, Library};
+use crate::{flat_bbox, flatten, rects_by_layer, CellId, Layer, LayoutError, Library};
 use silc_geom::{Coord, Rect};
 
 /// Exact area of the union of a set of rectangles (overlaps counted once),
@@ -126,20 +126,15 @@ impl CellStats {
             .cell(root)
             .ok_or(LayoutError::UnknownCell { id: root })?;
         let flat = flatten(lib, root)?;
-        let bbox = flat
-            .iter()
-            .map(|f| f.element.bbox())
-            .reduce(|a, b| a.union(b));
-        let mut per_layer: Vec<Vec<Rect>> = vec![Vec::new(); Layer::ALL.len()];
-        for fe in &flat {
-            per_layer[fe.element.layer.index()].extend(fe.element.shape.to_rects());
-        }
         Ok(CellStats {
             name: cell.name().to_string(),
             local_elements: cell.elements().len(),
             flat_elements: flat.len(),
-            bbox,
-            area_by_layer: per_layer.iter().map(|v| union_area(v)).collect(),
+            bbox: flat_bbox(&flat),
+            area_by_layer: rects_by_layer(&flat)
+                .iter()
+                .map(|v| union_area(v))
+                .collect(),
         })
     }
 

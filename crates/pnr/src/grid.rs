@@ -39,11 +39,10 @@ impl LayerObs {
     /// geometry under `spacing`: it touches it, or sits closer than
     /// `spacing` on both axes (the DRC spacing predicate).
     fn conflicts(&self, probe: Rect, spacing: Coord, net: u32) -> bool {
-        self.index.query(probe, spacing).into_iter().any(|id| {
+        self.index.any(probe, spacing, |id, r| {
             if self.nets[id as usize] == net {
                 return false;
             }
-            let r = self.index.rect(id);
             if probe.touches(r) {
                 return true;
             }
@@ -89,18 +88,13 @@ impl ObstructionMap {
     /// Poly may not touch or crowd diffusion: any contact would form a
     /// spurious transistor, so this check ignores net identity.
     fn clear_of_diffusion(&self, probe: Rect) -> bool {
-        !self
-            .diff
-            .query(probe, self.poly_diff_spacing)
-            .into_iter()
-            .any(|id| {
-                let r = self.diff.rect(id);
-                if probe.touches(r) {
-                    return true;
-                }
-                let (gx, gy) = probe.axis_gaps(r);
-                gx < self.poly_diff_spacing && gy < self.poly_diff_spacing
-            })
+        !self.diff.any(probe, self.poly_diff_spacing, |_, r| {
+            if probe.touches(r) {
+                return true;
+            }
+            let (gx, gy) = probe.axis_gaps(r);
+            gx < self.poly_diff_spacing && gy < self.poly_diff_spacing
+        })
     }
 
     /// Can `net` occupy the track crossing `(col, row)` on stack layer

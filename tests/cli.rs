@@ -304,6 +304,88 @@ fn stats_prints_stage_table() {
     assert!(stderr.contains("drc.rects_checked"), "{stderr}");
 }
 
+/// The value of counter `name` in `--stats` output.
+fn stat(stderr: &str, name: &str) -> u64 {
+    let line = stderr
+        .lines()
+        .find(|l| l.split_whitespace().next() == Some(name))
+        .unwrap_or_else(|| panic!("missing `{name}` in: {stderr}"));
+    let value = line.split_whitespace().last().expect("a value");
+    value.parse().expect("counters are integers")
+}
+
+#[test]
+fn stats_show_indexes_sized_by_the_geometry_not_the_extent() {
+    // A crossbar: long thin wires over a wide die, the shape that made a
+    // grid sized from the feature width alone run to millions of bins.
+    let sil = write_temp(
+        "xbar.sil",
+        "cell tap() { box diff (-3, -2) (3, 2); box contact (-1, -1) (1, 1); }
+         cell xtile(k) {
+           for i in 0..k {
+             wire metal 4 (0, i * 12) (k * 12, i * 12);
+             wire poly 2 (i * 12 + 6, 0 - 4) (i * 12 + 6, k * 12 + 4);
+           }
+           for i in 0..k { place tap() at (i * 12 + 6, i * 12); }
+         }
+         cell xbar(k, n, m) { array xtile(k) at (0, 0) step (207, 0) (0, 207) count n m; }
+         place xbar(16, 6, 6) at (17, 40);",
+    );
+    let out = silc()
+        .args(["compile", sil.to_str().unwrap(), "--stats", "--no-cache"])
+        .output()
+        .expect("runs");
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (rects, bins) = (
+        stat(&stderr, "drc.index.rects"),
+        stat(&stderr, "drc.index.bins"),
+    );
+    let (checked, gates) = (
+        stat(&stderr, "drc.rects_checked"),
+        stat(&stderr, "drc.gates"),
+    );
+    assert_eq!(checked, 6 * 6 * 64);
+    assert_eq!(gates, 6 * 6 * 16);
+    assert!(bins <= 4 * rects, "{bins} bins for {rects} indexed rects");
+    // Each layer is indexed at most twice: as drawn and as merged.
+    assert!(rects <= 2 * checked + gates, "{rects} indexed of {checked}");
+}
+
+#[test]
+fn coordinates_beyond_the_supported_range_are_a_line_numbered_error() {
+    // Once aborted the process inside the spatial index ("memory
+    // allocation of 198338161864 bytes failed") after printing a wrapped
+    // die size.
+    let sil = write_temp(
+        "huge.sil",
+        "cell a() {
+           box metal (0,0) (9000000000000000000,4);
+           box metal (-9000000000000000000,10) (0,14);
+           box contact (9223372036854775800,0) (9223372036854775806,4);
+         }
+         cell b(n) { array a() at (0,0) step (10,0) count n; }
+         place b(20) at (0,0);",
+    );
+    let cif = sil.with_extension("cif");
+    let _ = std::fs::remove_file(&cif);
+    let out = silc()
+        .args(["compile", sil.to_str().unwrap(), "--no-cache", "-o"])
+        .arg(&cif)
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("silc:"), "{stderr}");
+    assert!(stderr.contains("line 2"), "{stderr}");
+    assert!(stderr.contains("2^40"), "{stderr}");
+    assert!(
+        !stderr.contains("die"),
+        "no summary of a rejected design: {stderr}"
+    );
+    assert!(!cif.exists(), "no CIF for a rejected design");
+}
+
 #[test]
 fn stats_off_by_default() {
     let sil = write_temp(

@@ -179,6 +179,40 @@ fn verify_op_answers_verdicts_and_reuses_the_cache() {
 }
 
 #[test]
+fn out_of_range_geometry_is_an_error_reply_and_the_worker_lives_on() {
+    // One worker: if the request killed it (it used to abort the whole
+    // process on an impossible allocation) nothing would answer the next.
+    let (addr, handle) = start(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr);
+    let huge = "cell a() {
+           box metal (0,0) (9000000000000000000,4);
+           box metal (-9000000000000000000,10) (0,14);
+           box contact (9223372036854775800,0) (9223372036854775806,4);
+         }
+         cell b(n) { array a() at (0,0) step (10,0) count n; }
+         place b(20) at (0,0);";
+    let reply = client.request(&format!(
+        r#"{{"op":"compile","id":1,"source":{}}}"#,
+        quoted(huge)
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    let message = reply.to_string();
+    assert!(
+        message.contains("line 2") && message.contains("2^40"),
+        "{message}"
+    );
+    let reply = client.request(&format!(
+        r#"{{"op":"compile","id":2,"source":{}}}"#,
+        quoted(&sil_program(7))
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    handle.shutdown();
+}
+
+#[test]
 fn slow_request_times_out_without_stalling_other_clients() {
     let (addr, handle) = start(ServerConfig {
         jobs: 2,
