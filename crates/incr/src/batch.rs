@@ -19,51 +19,12 @@
 //! pull jobs from an atomic cursor; results land in manifest order.
 
 use crate::engine::{Engine, JobStats};
-use crate::pipeline::{
-    compile_sil, pnr_sil, sim_results, verify_against, verify_isl, verify_pla, verify_sil,
-    CompileOptions,
-};
+use crate::ops::{self, Front, Op, Outcome};
 use silc_exec::SimEngine;
-use silc_rtl::parse as parse_isl;
-use silc_trace::span;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// What one manifest line asks for.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobKind {
-    /// Compile a SIL design: DRC + CIF (and nothing else).
-    Compile {
-        /// Write CIF here; `None` = discard (compile for the check).
-        output: Option<PathBuf>,
-        /// Skip design-rule checking.
-        no_drc: bool,
-    },
-    /// Simulate an ISL machine.
-    Sim {
-        /// Cycle budget.
-        cycles: u64,
-        /// Per-job engine override; `None` defers to the batch default.
-        engine: Option<SimEngine>,
-    },
-    /// Place and route a SIL design's extracted netlist.
-    Pnr {
-        /// Write the routed CIF here; `None` = discard (route for the
-        /// DRC + extract-back check).
-        output: Option<PathBuf>,
-        /// Routing stack name; `None` = the default stack.
-        stack: Option<String>,
-    },
-    /// Equivalence-check an artifact against its specification.
-    Verify {
-        /// Check against this PLA table instead of the input's own spec.
-        against: Option<PathBuf>,
-        /// Routing stack for `.sil` inputs; `None` = the default stack.
-        stack: Option<String>,
-    },
-}
 
 /// One parsed manifest line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,19 +34,18 @@ pub struct JobSpec {
     /// 1-based manifest line number (for error messages).
     pub line: usize,
     /// What to do with the input.
-    pub kind: JobKind,
+    pub op: Op,
+    /// `-o`: write the CIF here; `None` = discard (run for the checks).
+    pub output: Option<PathBuf>,
+    /// `--against`: verify against this PLA table instead of the
+    /// input's own specification.
+    pub against: Option<PathBuf>,
 }
 
 impl JobSpec {
     /// The label shown in the summary table.
     pub fn label(&self) -> String {
-        let verb = match self.kind {
-            JobKind::Compile { .. } => "compile",
-            JobKind::Sim { .. } => "sim",
-            JobKind::Pnr { .. } => "pnr",
-            JobKind::Verify { .. } => "verify",
-        };
-        format!("{verb} {}", self.input.display())
+        format!("{} {}", self.op.verb.name(), self.input.display())
     }
 }
 
@@ -102,8 +62,9 @@ pub struct JobResult {
     pub millis: u128,
 }
 
-/// Parses a manifest. Paths are resolved relative to `base` (normally
-/// the manifest's own directory).
+/// Parses a manifest: each line is a verb and the words
+/// [`ops::parse_words`] decodes. Paths are resolved relative to `base`
+/// (normally the manifest's own directory).
 ///
 /// # Errors
 ///
@@ -113,289 +74,88 @@ pub fn parse_manifest(text: &str, base: &Path) -> Result<Vec<JobSpec>, String> {
     let mut jobs = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
-        let trimmed = raw.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
+        let words: Vec<&str> = raw.split_whitespace().collect();
+        let Some((&name, rest)) = words.split_first() else {
+            continue;
+        };
+        if name.starts_with('#') {
             continue;
         }
-        let mut words = trimmed.split_whitespace();
-        let verb = words.next().expect("non-empty line has a first word");
-        let rest: Vec<&str> = words.collect();
-        let err = |msg: String| format!("manifest line {line}: {msg}");
-        match verb {
-            "compile" => {
-                let mut output = None;
-                let mut no_drc = false;
-                let mut input = None;
-                let mut it = rest.iter();
-                while let Some(&word) = it.next() {
-                    match word {
-                        "-o" | "--output" => {
-                            let path = it
-                                .next()
-                                .ok_or_else(|| err(format!("`{word}` needs a path")))?;
-                            if output.replace(base.join(path)).is_some() {
-                                return Err(err(format!("duplicate `{word}`")));
-                            }
-                        }
-                        "--no-drc" => {
-                            if no_drc {
-                                return Err(err("duplicate `--no-drc`".into()));
-                            }
-                            no_drc = true;
-                        }
-                        w if w.starts_with('-') => {
-                            return Err(err(format!("unknown compile flag `{w}`")));
-                        }
-                        w => {
-                            if input.replace(w).is_some() {
-                                return Err(err(format!("unexpected extra argument `{w}`")));
-                            }
-                        }
-                    }
-                }
-                let input = input.ok_or_else(|| err("compile needs an input file".into()))?;
-                jobs.push(JobSpec {
-                    input: base.join(input),
-                    line,
-                    kind: JobKind::Compile { output, no_drc },
-                });
-                continue;
-            }
-            "sim" => {
-                let mut cycles = 10_000u64;
-                let mut engine = None;
-                let mut input = None;
-                let mut it = rest.iter();
-                while let Some(&word) = it.next() {
-                    match word {
-                        "--cycles" => {
-                            let n = it
-                                .next()
-                                .ok_or_else(|| err("`--cycles` needs a count".into()))?;
-                            cycles = n
-                                .parse()
-                                .map_err(|_| err(format!("invalid cycle count `{n}`")))?;
-                        }
-                        "--engine" => {
-                            let name = it
-                                .next()
-                                .ok_or_else(|| err("`--engine` needs a name".into()))?;
-                            engine = Some(name.parse().map_err(|e: String| err(e))?);
-                        }
-                        w if w.starts_with('-') => {
-                            return Err(err(format!("unknown sim flag `{w}`")));
-                        }
-                        w => {
-                            if input.replace(w).is_some() {
-                                return Err(err(format!("unexpected extra argument `{w}`")));
-                            }
-                        }
-                    }
-                }
-                let input = input.ok_or_else(|| err("sim needs an input file".into()))?;
-                jobs.push(JobSpec {
-                    input: base.join(input),
-                    line,
-                    kind: JobKind::Sim { cycles, engine },
-                });
-                continue;
-            }
-            "pnr" => {
-                let mut output = None;
-                let mut stack: Option<String> = None;
-                let mut input = None;
-                let mut it = rest.iter();
-                while let Some(&word) = it.next() {
-                    match word {
-                        "-o" | "--output" => {
-                            let path = it
-                                .next()
-                                .ok_or_else(|| err(format!("`{word}` needs a path")))?;
-                            if output.replace(base.join(path)).is_some() {
-                                return Err(err(format!("duplicate `{word}`")));
-                            }
-                        }
-                        "--stack" => {
-                            let name = it
-                                .next()
-                                .ok_or_else(|| err("`--stack` needs a name".into()))?;
-                            if stack.replace(name.to_string()).is_some() {
-                                return Err(err("duplicate `--stack`".into()));
-                            }
-                        }
-                        w if w.starts_with('-') => {
-                            return Err(err(format!("unknown pnr flag `{w}`")));
-                        }
-                        w => {
-                            if input.replace(w).is_some() {
-                                return Err(err(format!("unexpected extra argument `{w}`")));
-                            }
-                        }
-                    }
-                }
-                let input = input.ok_or_else(|| err("pnr needs an input file".into()))?;
-                jobs.push(JobSpec {
-                    input: base.join(input),
-                    line,
-                    kind: JobKind::Pnr { output, stack },
-                });
-                continue;
-            }
-            "verify" => {
-                let mut against = None;
-                let mut stack: Option<String> = None;
-                let mut input = None;
-                let mut it = rest.iter();
-                while let Some(&word) = it.next() {
-                    match word {
-                        "--against" => {
-                            let path = it
-                                .next()
-                                .ok_or_else(|| err("`--against` needs a path".into()))?;
-                            if against.replace(base.join(path)).is_some() {
-                                return Err(err("duplicate `--against`".into()));
-                            }
-                        }
-                        "--stack" => {
-                            let name = it
-                                .next()
-                                .ok_or_else(|| err("`--stack` needs a name".into()))?;
-                            if stack.replace(name.to_string()).is_some() {
-                                return Err(err("duplicate `--stack`".into()));
-                            }
-                        }
-                        w if w.starts_with('-') => {
-                            return Err(err(format!("unknown verify flag `{w}`")));
-                        }
-                        w => {
-                            if input.replace(w).is_some() {
-                                return Err(err(format!("unexpected extra argument `{w}`")));
-                            }
-                        }
-                    }
-                }
-                let input = input.ok_or_else(|| err("verify needs an input file".into()))?;
-                jobs.push(JobSpec {
-                    input: base.join(input),
-                    line,
-                    kind: JobKind::Verify { against, stack },
-                });
-                continue;
-            }
-            other => {
-                return Err(err(format!(
-                    "unknown verb `{other}` (expected `compile`, `sim`, `pnr` or `verify`)"
-                )))
-            }
-        }
+        let spec = ops::verb(Front::Manifest, name).ok_or_else(|| {
+            let known: Vec<String> = ops::verbs(Front::Manifest)
+                .map(|v| format!("`{}`", v.name))
+                .collect();
+            format!("unknown verb `{name}` (expected {})", known.join(", "))
+        });
+        let args = spec
+            .and_then(|spec| ops::parse_words(Front::Manifest, spec, rest))
+            .map_err(|msg| format!("manifest line {line}: {msg}"))?;
+        jobs.push(JobSpec {
+            input: base.join(args.input.unwrap_or_default()),
+            line,
+            op: args.op,
+            output: args.output.map(|p| base.join(p)),
+            against: args.against.map(|p| base.join(p)),
+        });
     }
     Ok(jobs)
 }
 
+fn read(path: &Path) -> Result<String, String> {
+    fs::read_to_string(path).map_err(|e| format!("cannot read `{}`: {e}", path.display()))
+}
+
+/// Reads a job's files, runs its op, writes its `-o` file and renders
+/// the one-line summary of the table's `detail` column.
 fn run_one(
     engine: &Engine,
     job: &JobSpec,
     default_engine: SimEngine,
-) -> (Result<String, String>, JobStats) {
-    let mut stats = JobStats::default();
-    let outcome = (|| -> Result<String, String> {
-        let source = fs::read_to_string(&job.input)
-            .map_err(|e| format!("cannot read `{}`: {e}", job.input.display()))?;
-        match &job.kind {
-            JobKind::Compile { output, no_drc } => {
-                let options = CompileOptions {
-                    check_drc: !no_drc,
-                    ..CompileOptions::default()
-                };
-                let out = compile_sil(engine, &source, &options, &mut stats)?;
-                if let Some(report) = &out.drc {
-                    if !report.is_clean() {
-                        // Name the stage like engine errors do, so every
-                        // FAIL row reads `<stage>: <detail>`.
-                        return Err(format!("drc: {} violation(s)", report.violations.len()));
-                    }
-                }
-                if let (Some(path), Some(cif)) = (output, &out.cif) {
-                    fs::write(path, cif.as_bytes())
-                        .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
-                }
-                let (w, h) = out.flat.bbox.map_or((0, 0), |b| (b.width(), b.height()));
-                Ok(format!(
-                    "{} cells, {} elements, die {w}x{h}",
-                    out.design.library.len(),
-                    out.flat.flat_elements
-                ))
-            }
-            JobKind::Sim {
-                cycles,
-                engine: sim_engine,
-            } => {
-                let machine = {
-                    let _s = span!(engine.tracer(), "isl.parse");
-                    parse_isl(&source).map_err(|e| format!("isl.parse: {e}"))?
-                };
-                let sim_engine = sim_engine.unwrap_or(default_engine);
-                let sim = sim_results(engine, &machine, *cycles, sim_engine, &mut stats)?;
-                Ok(format!(
-                    "{} cycle(s), {}",
-                    sim.cycles,
-                    if sim.halted {
-                        "halted"
-                    } else {
-                        "budget exhausted"
-                    }
-                ))
-            }
-            JobKind::Pnr { output, stack } => {
-                let stack = stack.as_deref().unwrap_or(silc_pnr::RouteStack::KNOWN[0]);
-                let out = pnr_sil(engine, &source, stack, true, &mut stats)?;
-                if let Some(path) = output {
-                    fs::write(path, out.cif.as_bytes())
-                        .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
-                }
-                Ok(format!(
-                    "{} cells, {}/{} nets, wirelength {}, {} via(s)",
-                    out.cells, out.routed, out.nets, out.wirelength, out.vias
-                ))
-            }
-            JobKind::Verify { against, stack } => {
-                let ext = job.input.extension().and_then(|e| e.to_str()).unwrap_or("");
-                let snap = match (against, ext) {
-                    (Some(spec_path), "pla") => {
-                        let spec = fs::read_to_string(spec_path)
-                            .map_err(|e| format!("cannot read `{}`: {e}", spec_path.display()))?;
-                        verify_against(engine, &source, &spec, &mut stats)?
-                    }
-                    (Some(_), _) => {
-                        return Err(format!(
-                            "`--against` checks one PLA table against another; got `{}`",
-                            job.input.display()
-                        ))
-                    }
-                    (None, "pla") => verify_pla(engine, &source, &mut stats)?,
-                    (None, "isl") => verify_isl(engine, &source, &mut stats)?,
-                    (None, "sil") => {
-                        let stack = stack.as_deref().unwrap_or(silc_pnr::RouteStack::KNOWN[0]);
-                        verify_sil(engine, &source, stack, &mut stats)?
-                    }
-                    (None, _) => {
-                        return Err(format!(
-                            "verify needs a `.pla`, `.isl` or `.sil` input, got `{}`",
-                            job.input.display()
-                        ))
-                    }
-                };
-                if !snap.equivalent {
-                    return Err(format!(
-                        "verify: NOT equivalent ({})",
-                        snap.mismatches.join("; ")
-                    ));
-                }
-                Ok(snap.summary())
-            }
+    stats: &mut JobStats,
+) -> Result<String, String> {
+    let source = read(&job.input)?;
+    let against = job.against.as_deref().map(read).transpose()?;
+    let against = against.as_deref();
+    let write = |cif: &str| match &job.output {
+        Some(path) => {
+            fs::write(path, cif).map_err(|e| format!("cannot write `{}`: {e}", path.display()))
         }
-    })();
-    (outcome, stats)
+        None => Ok(()),
+    };
+    let outcome = ops::run(engine, &job.op, &source, against, default_engine, stats)?;
+    Ok(match outcome {
+        Outcome::Compile(out) => {
+            out.gate()?;
+            if let Some(cif) = &out.cif {
+                write(cif)?;
+            }
+            let (w, h) = out.flat.bbox.map_or((0, 0), |b| (b.width(), b.height()));
+            let (cells, elements) = (out.design.library.len(), out.flat.flat_elements);
+            format!("{cells} cells, {elements} elements, die {w}x{h}")
+        }
+        Outcome::Sim { sim, .. } => {
+            let end = if sim.halted {
+                "halted"
+            } else {
+                "budget exhausted"
+            };
+            format!("{} cycle(s), {end}", sim.cycles)
+        }
+        Outcome::Pnr(out) => {
+            write(&out.cif)?;
+            format!(
+                "{} cells, {}/{} nets, wirelength {}, {} via(s)",
+                out.cells, out.routed, out.nets, out.wirelength, out.vias
+            )
+        }
+        Outcome::Verify(snap) => {
+            snap.gate()?;
+            snap.summary()
+        }
+        Outcome::Synth(_) | Outcome::Pla(_) | Outcome::Drc(_) => {
+            return Err(format!("`{}` is not a manifest verb", job.op.verb.name()))
+        }
+    })
 }
 
 /// Runs every job against the shared engine on up to `workers` threads,
@@ -418,7 +178,8 @@ pub fn run_batch(
                 let idx = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = jobs.get(idx) else { break };
                 let started = Instant::now();
-                let (outcome, stats) = run_one(engine, job, default_engine);
+                let mut stats = JobStats::default();
+                let outcome = run_one(engine, job, default_engine, &mut stats);
                 let result = JobResult {
                     label: job.label(),
                     outcome,
@@ -438,7 +199,7 @@ pub fn run_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
+    use crate::ops::Verb;
 
     #[test]
     fn manifest_parses_verbs_flags_and_comments() {
@@ -451,52 +212,58 @@ mod tests {
         )
         .unwrap();
         assert_eq!(jobs.len(), 6);
+        let op = |verb| Op {
+            verb,
+            ..Op::default()
+        };
         assert_eq!(jobs[0].input, base.join("a.sil"));
+        assert_eq!(jobs[0].op, op(Verb::Compile));
+        assert_eq!(jobs[0].output, Some(base.join("a.cif")));
         assert_eq!(
-            jobs[0].kind,
-            JobKind::Compile {
-                output: Some(base.join("a.cif")),
-                no_drc: false
+            jobs[1].op,
+            Op {
+                no_drc: true,
+                ..op(Verb::Compile)
             }
         );
+        assert_eq!(jobs[1].output, None);
         assert_eq!(
-            jobs[1].kind,
-            JobKind::Compile {
-                output: None,
-                no_drc: true
-            }
-        );
-        assert_eq!(
-            jobs[2].kind,
-            JobKind::Sim {
-                cycles: 42,
-                engine: None
+            jobs[2].op,
+            Op {
+                cycles: Some(42),
+                engine: None,
+                ..op(Verb::Sim)
             }
         );
         assert_eq!(jobs[2].line, 5);
         assert_eq!(
-            jobs[3].kind,
-            JobKind::Pnr {
-                output: Some(base.join("c.cif")),
-                stack: Some("nmos".into())
+            jobs[3].op,
+            Op {
+                stack: Some("nmos".into()),
+                ..op(Verb::Pnr)
             }
         );
+        assert_eq!(jobs[3].output, Some(base.join("c.cif")));
         assert_eq!(jobs[3].label(), "pnr /designs/c.sil");
         assert_eq!(
-            jobs[4].kind,
-            JobKind::Verify {
-                against: Some(base.join("gold.pla")),
-                stack: None
+            jobs[4].op,
+            Op {
+                lang: Some("pla".into()),
+                stack: None,
+                ..op(Verb::Verify)
             }
         );
+        assert_eq!(jobs[4].against, Some(base.join("gold.pla")));
         assert_eq!(jobs[4].label(), "verify /designs/d.pla");
         assert_eq!(
-            jobs[5].kind,
-            JobKind::Verify {
-                against: None,
-                stack: Some("nmos".into())
+            jobs[5].op,
+            Op {
+                lang: Some("sil".into()),
+                stack: Some("nmos".into()),
+                ..op(Verb::Verify)
             }
         );
+        assert_eq!(jobs[5].against, None);
     }
 
     #[test]
@@ -512,6 +279,11 @@ mod tests {
             ("sim m.isl --cycles many", "invalid cycle count"),
             ("sim m.isl --engine", "needs a name"),
             ("sim m.isl --engine turbo", "unknown engine `turbo`"),
+            ("sim a.isl --cycles 5 --cycles 7", "duplicate `--cycles`"),
+            (
+                "sim a.isl --engine interp --engine interp",
+                "duplicate `--engine`",
+            ),
             ("pnr", "needs an input"),
             ("pnr a.sil --stack", "needs a name"),
             ("pnr a.sil --stack x --stack y", "duplicate `--stack`"),
@@ -601,10 +373,9 @@ mod tests {
         let jobs = vec![JobSpec {
             input: PathBuf::from("/nonexistent/q.sil"),
             line: 1,
-            kind: JobKind::Compile {
-                output: None,
-                no_drc: false,
-            },
+            op: Op::default(),
+            output: None,
+            against: None,
         }];
         let results = run_batch(&engine, &jobs, 4, SimEngine::default());
         assert!(results[0]
@@ -631,7 +402,15 @@ mod tests {
         fs::write(dir.join("bad.isl"), "machine oops { state").unwrap();
         let manifest = "compile good.sil\ncompile bad.sil\nsim bad.isl\ncompile good.sil\n";
         let jobs = parse_manifest(manifest, &dir).unwrap();
-        let results = run_batch(&Engine::in_memory(), &jobs, 2, SimEngine::default());
+        let tracer = silc_trace::Tracer::enabled();
+        let engine = Engine::new(crate::EngineConfig {
+            tracer: tracer.clone(),
+            ..crate::EngineConfig::default()
+        })
+        .unwrap();
+        let results = run_batch(&engine, &jobs, 2, SimEngine::default());
+        let spans = tracer.finish();
+        assert!(spans.spans().iter().any(|s| s.name == "isl.parse"));
         assert!(results[0].outcome.is_ok(), "{:?}", results[0].outcome);
         assert!(results[3].outcome.is_ok(), "{:?}", results[3].outcome);
         let compile_err = results[1].outcome.as_ref().unwrap_err();

@@ -21,8 +21,10 @@
 //!   concurrent batch and serve workers, reporting `incr.*` counters
 //!   through `silc-trace`.
 //!
-//! On top sit the [`pipeline`] stage queries and the [`batch`] driver
-//! that compiles a whole manifest of jobs against one shared cache.
+//! On top sit the [`pipeline`] stage queries, the [`ops`] table that
+//! defines every operation once for all three front-ends, and the
+//! [`batch`] driver that runs a whole manifest of jobs against one
+//! shared cache.
 //!
 //! ```
 //! use silc_incr::{compile_sil, CompileOptions, Engine, JobStats};
@@ -40,13 +42,15 @@ pub mod batch;
 pub mod codec;
 pub mod disk;
 pub mod engine;
+pub mod ops;
 mod persist;
 pub mod pipeline;
 
-pub use batch::{parse_manifest, run_batch, JobKind, JobResult, JobSpec};
+pub use batch::{parse_manifest, run_batch, JobResult, JobSpec};
 pub use codec::{Dec, DecodeError, Enc, Persist};
 pub use disk::{DiskCache, FORMAT_VERSION};
 pub use engine::{default_parallelism, Engine, EngineConfig, EvictPolicy, JobStats, Stage};
+pub use ops::{Args, Front, Op, Outcome, Verb};
 pub use pipeline::{
     cif_text, compile_sil, drc_report, elaborate, extract_signature, flat_regions, pla_products,
     pnr_products, pnr_sil, sim_results, synth_allocation, verify_against, verify_isl, verify_pla,

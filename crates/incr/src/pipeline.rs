@@ -828,10 +828,6 @@ pub fn verify_against(
 pub struct CompileOptions {
     /// Run DRC (and withhold CIF when violations are found).
     pub check_drc: bool,
-    /// Rule set for DRC.
-    pub rules: RuleSet,
-    /// Produce CIF text.
-    pub emit_cif: bool,
     /// Produce the extracted netlist summary.
     pub extract: bool,
 }
@@ -840,8 +836,6 @@ impl Default for CompileOptions {
     fn default() -> CompileOptions {
         CompileOptions {
             check_drc: true,
-            rules: RuleSet::mead_conway_nmos(),
-            emit_cif: true,
             extract: false,
         }
     }
@@ -857,21 +851,15 @@ pub struct CompileOutput {
     pub flat: Arc<FlatSnapshot>,
     /// DRC report, when requested.
     pub drc: Option<Arc<Report>>,
-    /// CIF text, when requested and the layout is clean (or unchecked).
+    /// CIF text, when the layout is clean (or unchecked).
     pub cif: Option<Arc<String>>,
     /// Extraction summary, when requested.
     pub extract: Option<Arc<ExtractSnapshot>>,
 }
 
-impl CompileOutput {
-    /// True when DRC either ran clean or was skipped.
-    pub fn is_clean(&self) -> bool {
-        self.drc.as_ref().is_none_or(|r| r.is_clean())
-    }
-}
-
-/// The full SIL compile pipeline as chained queries — the CLI's
-/// `compile` subcommand and every batch compile job run through here.
+/// The full SIL compile pipeline as chained queries, checked against
+/// the Mead–Conway nMOS rules — what [`crate::ops::run`] runs for the
+/// `compile` op of every front-end.
 ///
 /// # Errors
 ///
@@ -886,12 +874,13 @@ pub fn compile_sil(
     let design = elaborate(engine, source, stats)?;
     let flat = flat_regions(engine, &design, stats)?;
     let drc = if options.check_drc {
-        Some(drc_report(engine, &flat, &options.rules, stats)?)
+        let rules = RuleSet::mead_conway_nmos();
+        Some(drc_report(engine, &flat, &rules, stats)?)
     } else {
         None
     };
     let clean = drc.as_ref().is_none_or(|r| r.is_clean());
-    let cif = if options.emit_cif && clean {
+    let cif = if clean {
         Some(cif_text(engine, &design, stats)?)
     } else {
         None

@@ -31,4 +31,4 @@ pub mod server;
 
 pub use json::Json;
 pub use protocol::{parse_request, Envelope, Priority, Request};
-pub use server::{install_sigint_handler, Server, ServerConfig, ShutdownHandle};
+pub use server::{install_sigint_handler, Server, ServerConfig, ShutdownHandle, MAX_REQUEST_BYTES};

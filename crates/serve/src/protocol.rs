@@ -4,14 +4,16 @@
 //! # Requests
 //!
 //! ```json
-//! {"op":"compile","source":"cell a() {...}","no_drc":false,"extract":false}
 //! {"op":"sim","source":"machine m {...}","cycles":10000,"engine":"compiled"}
-//! {"op":"drc","source":"cell a() {...}"}
-//! {"op":"pnr","source":"cell a() {...}","stack":"mead-conway-nmos"}
-//! {"op":"verify","source":".i 2\n...","lang":"pla","against":".i 2\n..."}
 //! {"op":"stats"}
 //! {"op":"shutdown"}
 //! ```
+//!
+//! A compute request names a verb of [`silc_incr::ops::VERBS`] that the
+//! wire exposes and carries its `source` text; its other fields are the
+//! rows of [`silc_incr::ops::ARGS`] for that verb, each named after the
+//! flag without its dashes (`--no-drc` is `"no_drc"`). `stats` and
+//! `shutdown` are control ops with no fields.
 //!
 //! Every request may carry `"id"` (any scalar, echoed verbatim in the
 //! response so clients can pipeline), `"deadline_ms"` (per-request
@@ -30,6 +32,7 @@
 
 use crate::json::{parse, Json};
 use silc_exec::SimEngine;
+use silc_incr::ops::{self, Args, Front, Op, Slot, Verb};
 
 /// Failure kinds carried in the `error` field of a failure response.
 pub mod kind {
@@ -160,6 +163,52 @@ impl Request {
         }
         h | 1
     }
+
+    /// The one conversion from the wire form into the op the table
+    /// defines plus the `source` and `against` texts it reads; `None`
+    /// for control and test ops.
+    pub fn to_op(&self) -> Option<(Op, &str, Option<&str>)> {
+        let mut op = Op::default();
+        let mut against = None;
+        let source = match self {
+            Request::Compile {
+                source,
+                no_drc,
+                extract,
+            } => {
+                (op.verb, op.no_drc, op.extract) = (Verb::Compile, *no_drc, *extract);
+                source
+            }
+            Request::Sim {
+                source,
+                cycles,
+                engine,
+            } => {
+                (op.verb, op.cycles, op.engine) = (Verb::Sim, Some(*cycles), *engine);
+                source
+            }
+            Request::Drc { source } => {
+                op.verb = Verb::Drc;
+                source
+            }
+            Request::Pnr { source, stack } => {
+                (op.verb, op.stack) = (Verb::Pnr, stack.clone());
+                source
+            }
+            Request::Verify {
+                source,
+                lang,
+                against: spec,
+                stack,
+            } => {
+                (op.verb, op.lang, op.stack) = (Verb::Verify, Some(lang.clone()), stack.clone());
+                against = spec.as_deref();
+                source
+            }
+            Request::Stats | Request::Shutdown | Request::Sleep { .. } => return None,
+        };
+        Some((op, source, against))
+    }
 }
 
 /// A request plus its wire envelope (client id, deadline override).
@@ -173,32 +222,6 @@ pub struct Envelope {
     pub priority: Priority,
     /// The decoded operation.
     pub request: Request,
-}
-
-fn required_str(obj: &Json, key: &str, op: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("`{op}` needs a string `{key}` field"))
-}
-
-fn optional_bool(obj: &Json, key: &str) -> Result<bool, String> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(false),
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| format!("`{key}` must be a boolean")),
-    }
-}
-
-fn optional_engine(obj: &Json) -> Result<Option<SimEngine>, String> {
-    match obj.get("engine") {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => {
-            let name = v.as_str().ok_or("`engine` must be a string")?;
-            name.parse().map(Some)
-        }
-    }
 }
 
 fn optional_priority(obj: &Json) -> Result<Priority, String> {
@@ -222,6 +245,72 @@ fn optional_u64(obj: &Json, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
+/// Decodes a compute op: its fields are the rows of [`ops::ARGS`] the
+/// wire exposes for the verb, plus the `source` text every op reads.
+fn decode_op(obj: &Json, name: &str) -> Result<Request, String> {
+    let unknown = || format!("unknown op `{name}`");
+    let spec = ops::verb(Front::Wire, name).ok_or_else(unknown)?;
+    let mut args = Args::default();
+    let exposed = |a: &&ops::Arg| a.accepted(Front::Wire, spec.verb);
+    for arg in ops::ARGS.iter().filter(exposed) {
+        let key = arg.field();
+        let value = match obj.get(&key) {
+            None | Some(Json::Null) => continue,
+            Some(value) => value,
+        };
+        let must = |what: &str| format!("`{key}` must be {what}");
+        let text = || value.as_str().ok_or_else(|| must("a string"));
+        let number = |least: u64, what: &str| {
+            let n = value.as_u64().filter(|&n| n >= least);
+            n.ok_or_else(|| must(what))
+        };
+        match (arg.slot)(&mut args) {
+            Slot::Switch(on) => *on = value.as_bool().ok_or_else(|| must("a boolean"))?,
+            Slot::Text(slot) => *slot = Some(text()?.to_string()),
+            Slot::Engine(slot) => *slot = Some(text()?.parse()?),
+            Slot::Cycles(slot) => *slot = Some(number(0, "a non-negative integer")?),
+            Slot::Count(slot) => *slot = usize::try_from(number(1, "a positive integer")?).ok(),
+        }
+    }
+    let source = obj.get("source").and_then(Json::as_str);
+    let source = source
+        .ok_or_else(|| format!("`{name}` needs a string `source` field"))?
+        .to_string();
+    let Args { op, against, .. } = args;
+    Ok(match spec.verb {
+        Verb::Compile => Request::Compile {
+            source,
+            no_drc: op.no_drc,
+            extract: op.extract,
+        },
+        Verb::Sim => Request::Sim {
+            source,
+            cycles: op.cycles(),
+            engine: op.engine,
+        },
+        Verb::Drc => Request::Drc { source },
+        Verb::Pnr => Request::Pnr {
+            source,
+            stack: op.stack,
+        },
+        Verb::Verify => {
+            let lang = op.lang.ok_or("`verify` needs a string `lang` field")?;
+            if !ops::LANGS.contains(&lang.as_str()) {
+                return Err(format!(
+                    "`lang` must be \"pla\", \"isl\" or \"sil\", got `{lang}`"
+                ));
+            }
+            Request::Verify {
+                source,
+                lang,
+                against,
+                stack: op.stack,
+            }
+        }
+        _ => return Err(unknown()),
+    })
+}
+
 /// Decodes one request line.
 ///
 /// # Errors
@@ -234,58 +323,14 @@ pub fn parse_request(line: &str, allow_test_ops: bool) -> Result<Envelope, Strin
     if !matches!(obj, Json::Obj(_)) {
         return Err("request must be a JSON object".into());
     }
-    let op = obj
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or("request needs a string `op` field")?
-        .to_string();
-    let request = match op.as_str() {
-        "compile" => Request::Compile {
-            source: required_str(&obj, "source", "compile")?,
-            no_drc: optional_bool(&obj, "no_drc")?,
-            extract: optional_bool(&obj, "extract")?,
-        },
-        "sim" => Request::Sim {
-            source: required_str(&obj, "source", "sim")?,
-            cycles: optional_u64(&obj, "cycles")?.unwrap_or(10_000),
-            engine: optional_engine(&obj)?,
-        },
-        "drc" => Request::Drc {
-            source: required_str(&obj, "source", "drc")?,
-        },
-        "pnr" => Request::Pnr {
-            source: required_str(&obj, "source", "pnr")?,
-            stack: match obj.get("stack") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_str().ok_or("`stack` must be a string")?.to_string()),
-            },
-        },
-        "verify" => {
-            let lang = required_str(&obj, "lang", "verify")?;
-            if !matches!(lang.as_str(), "pla" | "isl" | "sil") {
-                return Err(format!(
-                    "`lang` must be \"pla\", \"isl\" or \"sil\", got `{lang}`"
-                ));
-            }
-            Request::Verify {
-                source: required_str(&obj, "source", "verify")?,
-                lang,
-                against: match obj.get("against") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(v.as_str().ok_or("`against` must be a string")?.to_string()),
-                },
-                stack: match obj.get("stack") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(v.as_str().ok_or("`stack` must be a string")?.to_string()),
-                },
-            }
-        }
+    let op = obj.get("op").and_then(Json::as_str);
+    let request = match op.ok_or("request needs a string `op` field")? {
         "stats" => Request::Stats,
         "shutdown" => Request::Shutdown,
         "sleep" if allow_test_ops => Request::Sleep {
             ms: optional_u64(&obj, "ms")?.unwrap_or(0),
         },
-        other => return Err(format!("unknown op `{other}`")),
+        name => decode_op(&obj, name)?,
     };
     Ok(Envelope {
         id: obj.get("id").cloned(),
@@ -534,5 +579,64 @@ mod tests {
             err,
             r#"{"ok":false,"error":"overloaded","detail":"queue full"}"#
         );
+    }
+
+    /// The one request spelled three ways must be one op: for every verb
+    /// and every row of the argument table, each front-end that exposes
+    /// the pair decodes it to the same [`Op`].
+    #[test]
+    fn every_front_end_decodes_the_same_op() {
+        for spec in ops::VERBS.iter() {
+            let rows = ops::ARGS.iter().filter(|a| a.verbs.contains(&spec.verb));
+            for arg in rows.map(Some).chain([None]) {
+                let mut scratch = Args::default();
+                let (value, json) = match arg.map(|a| (a.slot)(&mut scratch)) {
+                    None => (None, String::new()),
+                    Some(Slot::Switch(_)) => (None, "true".to_string()),
+                    Some(Slot::Text(_)) => (Some("nmos"), "\"nmos\"".to_string()),
+                    Some(Slot::Cycles(_)) => (Some("7"), "7".to_string()),
+                    Some(Slot::Count(_)) => (Some("3"), "3".to_string()),
+                    Some(Slot::Engine(_)) => (Some("interp"), "\"interp\"".to_string()),
+                };
+                let mut decoded = Vec::new();
+                for front in [Front::Cli, Front::Manifest, Front::Wire] {
+                    let exposed = spec.fronts & front as u8 != 0
+                        && arg.is_none_or(|a| a.accepted(front, spec.verb));
+                    if !exposed {
+                        continue;
+                    }
+                    let op = if front == Front::Wire {
+                        // The wire names the language a file name implies.
+                        let mut line = format!(r#"{{"op":"{}","source":"x""#, spec.name);
+                        if spec.verb == Verb::Verify {
+                            line.push_str(r#","lang":"pla""#);
+                        }
+                        if let Some(a) = arg.filter(|a| a.flag != "--lang") {
+                            line.push_str(&format!(r#","{}":{json}"#, a.field()));
+                        }
+                        line.push('}');
+                        let request = parse_request(&line, false).expect(&line).request;
+                        request.to_op().expect(&line).0
+                    } else {
+                        let input = Some("a.pla").filter(|_| !spec.input.is_empty());
+                        let words: Vec<&str> = input
+                            .into_iter()
+                            .chain(arg.map(|a| a.flag))
+                            .chain(value)
+                            .collect();
+                        ops::parse_words(front, spec, &words).expect(spec.name).op
+                    };
+                    assert_eq!(op.verb, spec.verb);
+                    // `Request::Sim` carries the budget resolved, so
+                    // compare with the default applied on every side.
+                    let cycles = Some(op.cycles()).filter(|_| op.verb == Verb::Sim);
+                    decoded.push((front, Op { cycles, ..op }));
+                }
+                assert!(!decoded.is_empty(), "{} {arg:?}", spec.name);
+                for (front, op) in &decoded {
+                    assert_eq!(op, &decoded[0].1, "{} {arg:?}: {front:?}", spec.name);
+                }
+            }
+        }
     }
 }

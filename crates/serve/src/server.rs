@@ -51,7 +51,7 @@
 //!   `Ok(())`.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -60,13 +60,9 @@ use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use silc_drc::RuleSet;
 use silc_exec::SimEngine;
-use silc_incr::{
-    compile_sil, default_parallelism, drc_report, elaborate, flat_regions, pnr_sil, sim_results,
-    verify_against, verify_isl, verify_pla, verify_sil, CompileOptions, Engine, EngineConfig,
-    EvictPolicy, JobStats,
-};
+use silc_incr::ops::{self, Outcome, Verb};
+use silc_incr::{default_parallelism, Engine, EngineConfig, EvictPolicy, JobStats};
 use silc_trace::{names, Tracer};
 
 use crate::json::Json;
@@ -83,6 +79,10 @@ const FAIRNESS_SCAN: usize = 4;
 /// Affinity routing yields to load balance when the warm worker is this
 /// many jobs deeper than the shallowest one.
 const AFFINITY_DEPTH_SLACK: usize = 4;
+/// Longest request line accepted, in bytes. A client that sends more
+/// without a newline is answered `bad_request` and disconnected, so a
+/// connection can hold at most this much of the server's memory.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 
 /// Server tuning knobs. `Default` is production-shaped; tests shrink the
 /// queue and deadlines to force each failure mode deterministically.
@@ -560,163 +560,109 @@ fn run_job(shared: &Shared, job: &Job) -> String {
     }
 }
 
-/// Runs one compute op against the shared engine. Field order is fixed
-/// so responses are byte-stable across runs.
+/// Runs one compute op through [`ops::run`] against the shared engine
+/// and renders its reply fields. Field order is fixed so responses are
+/// byte-stable across runs.
 fn execute(
     shared: &Shared,
     request: &Request,
     deadline: Instant,
 ) -> Result<Vec<(String, Json)>, String> {
-    let engine = &shared.engine;
     let mut stats = JobStats::default();
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    match request {
-        Request::Compile {
-            source,
-            no_drc,
-            extract,
-        } => {
-            let options = CompileOptions {
-                check_drc: !no_drc,
-                rules: RuleSet::mead_conway_nmos(),
-                emit_cif: true,
-                extract: *extract,
-            };
-            let out = compile_sil(engine, source, &options, &mut stats)?;
-            if let Some(report) = &out.drc {
-                // Mirror the CLI: violations fail the request and
-                // withhold CIF (`no_drc` skips the check entirely).
-                if !report.is_clean() {
-                    return Err(format!("drc: {} violation(s)", report.violations.len()));
+    let int = |value: u64| Json::Int(i128::from(value));
+    let text = |value: &str| Json::Str(value.to_string());
+    let mut fields = match request.to_op() {
+        Some((op, source, against)) => {
+            let default_engine = shared.config.default_engine;
+            if op.verb == Verb::Sim {
+                let counter = match op.sim_engine(default_engine) {
+                    SimEngine::Compiled => &shared.stats.sim_compiled,
+                    SimEngine::Interp => &shared.stats.sim_interp,
+                };
+                counter.fetch_add(1, Ordering::SeqCst);
+            }
+            let engine = &shared.engine;
+            match ops::run(engine, &op, source, against, default_engine, &mut stats)? {
+                Outcome::Compile(out) => {
+                    // Mirror the CLI: violations fail the request and
+                    // withhold CIF (`no_drc` skips the check entirely).
+                    out.gate()?;
+                    let (w, h) = out.flat.bbox.map_or((0, 0), |b| (b.width(), b.height()));
+                    let die = [w, h].map(|side| Json::Int(i128::from(side)));
+                    let mut fields = vec![
+                        ("cells", int(out.design.library.len() as u64)),
+                        ("flat_elements", int(out.flat.flat_elements)),
+                        ("die", Json::Arr(die.to_vec())),
+                    ];
+                    if let Some(ex) = &out.extract {
+                        let counts = [("transistors", ex.transistors), ("nets", ex.nets)];
+                        let counts = counts.map(|(name, n)| (name.to_string(), int(n)));
+                        fields.push(("extract", Json::Obj(counts.to_vec())));
+                    }
+                    fields.push(("cif", text(out.cif.as_ref().map_or("", |c| c.as_str()))));
+                    fields
+                }
+                Outcome::Sim {
+                    machine,
+                    engine,
+                    sim,
+                } => {
+                    let render = |pairs: &[(String, u64)]| {
+                        Json::Obj(pairs.iter().map(|(n, v)| (n.clone(), int(*v))).collect())
+                    };
+                    vec![
+                        ("machine", Json::Str(machine)),
+                        ("engine", text(&engine.to_string())),
+                        ("cycles", int(sim.cycles)),
+                        ("halted", Json::Bool(sim.halted)),
+                        ("state", text(&sim.state)),
+                        ("regs", render(&sim.regs)),
+                        ("outputs", render(&sim.outputs)),
+                    ]
+                }
+                Outcome::Drc(report) => vec![
+                    ("violations", int(report.violations.len() as u64)),
+                    ("clean", Json::Bool(report.is_clean())),
+                    ("report", text(&report.to_string())),
+                ],
+                Outcome::Pnr(out) => vec![
+                    ("cells", int(out.cells)),
+                    ("nets", int(out.nets)),
+                    ("routed", int(out.routed)),
+                    ("wirelength", int(out.wirelength)),
+                    ("vias", int(out.vias)),
+                    ("rounds", int(out.rounds)),
+                    ("lvs_ok", Json::Bool(out.lvs_ok)),
+                    ("cif", text(&out.cif)),
+                ],
+                // Either verdict is data here, not a failure.
+                Outcome::Verify(snap) => vec![
+                    ("check", text(&snap.check)),
+                    ("equivalent", Json::Bool(snap.equivalent)),
+                    ("outputs", int(snap.outputs)),
+                    ("strash_merged", int(snap.strash_merged)),
+                    ("sim_refuted", int(snap.sim_refuted)),
+                    ("exact_decided", int(snap.exact_decided)),
+                    (
+                        "mismatches",
+                        Json::Arr(snap.mismatches.iter().map(|m| text(m)).collect()),
+                    ),
+                ],
+                Outcome::Synth(_) | Outcome::Pla(_) => {
+                    return Err(format!("`{}` is not a served op", op.verb.name()))
                 }
             }
-            fields.push(("cells".into(), Json::Int(out.design.library.len() as i128)));
-            fields.push((
-                "flat_elements".into(),
-                Json::Int(out.flat.flat_elements as i128),
-            ));
-            let (w, h) = out
-                .flat
-                .bbox
-                .map_or((0, 0), |b| (b.width() as i128, b.height() as i128));
-            fields.push(("die".into(), Json::Arr(vec![Json::Int(w), Json::Int(h)])));
-            if let Some(ex) = &out.extract {
-                fields.push((
-                    "extract".into(),
-                    Json::Obj(vec![
-                        ("transistors".into(), Json::Int(ex.transistors as i128)),
-                        ("nets".into(), Json::Int(ex.nets as i128)),
-                    ]),
-                ));
-            }
-            let cif = out.cif.as_ref().map_or("", |c| c.as_str());
-            fields.push(("cif".into(), Json::Str(cif.to_string())));
         }
-        Request::Sim {
-            source,
-            cycles,
-            engine: requested,
-        } => {
-            let sim_engine = requested.unwrap_or(shared.config.default_engine);
-            let counter = match sim_engine {
-                SimEngine::Compiled => &shared.stats.sim_compiled,
-                SimEngine::Interp => &shared.stats.sim_interp,
+        None => {
+            let Request::Sleep { ms } = request else {
+                unreachable!("control ops are answered on the connection thread")
             };
-            counter.fetch_add(1, Ordering::SeqCst);
-            let machine = silc_rtl::parse(source).map_err(|e| format!("isl.parse: {e}"))?;
-            let sim = sim_results(engine, &machine, *cycles, sim_engine, &mut stats)?;
-            fields.push(("machine".into(), Json::Str(machine.name.clone())));
-            fields.push(("engine".into(), Json::Str(sim_engine.to_string())));
-            fields.push(("cycles".into(), Json::Int(sim.cycles as i128)));
-            fields.push(("halted".into(), Json::Bool(sim.halted)));
-            fields.push(("state".into(), Json::Str(sim.state.clone())));
-            let render = |pairs: &[(String, u64)]| {
-                Json::Obj(
-                    pairs
-                        .iter()
-                        .map(|(name, value)| (name.clone(), Json::Int(*value as i128)))
-                        .collect(),
-                )
-            };
-            fields.push(("regs".into(), render(&sim.regs)));
-            fields.push(("outputs".into(), render(&sim.outputs)));
-        }
-        Request::Drc { source } => {
-            let design = elaborate(engine, source, &mut stats)?;
-            let flat = flat_regions(engine, &design, &mut stats)?;
-            let report = drc_report(engine, &flat, &RuleSet::mead_conway_nmos(), &mut stats)?;
-            fields.push((
-                "violations".into(),
-                Json::Int(report.violations.len() as i128),
-            ));
-            fields.push(("clean".into(), Json::Bool(report.is_clean())));
-            fields.push(("report".into(), Json::Str(report.to_string())));
-        }
-        Request::Pnr { source, stack } => {
-            let stack = stack.as_deref().unwrap_or(silc_pnr::RouteStack::KNOWN[0]);
-            let out = pnr_sil(engine, source, stack, true, &mut stats)?;
-            fields.push(("cells".into(), Json::Int(out.cells as i128)));
-            fields.push(("nets".into(), Json::Int(out.nets as i128)));
-            fields.push(("routed".into(), Json::Int(out.routed as i128)));
-            fields.push(("wirelength".into(), Json::Int(out.wirelength as i128)));
-            fields.push(("vias".into(), Json::Int(out.vias as i128)));
-            fields.push(("rounds".into(), Json::Int(out.rounds as i128)));
-            fields.push(("lvs_ok".into(), Json::Bool(out.lvs_ok)));
-            fields.push(("cif".into(), Json::Str(out.cif.clone())));
-        }
-        Request::Verify {
-            source,
-            lang,
-            against,
-            stack,
-        } => {
-            let snap = match (against, lang.as_str()) {
-                (Some(spec), "pla") => verify_against(engine, source, spec, &mut stats)?,
-                (Some(_), other) => {
-                    return Err(format!(
-                        "verify: `against` checks one PLA table against another, not `{other}`"
-                    ))
-                }
-                (None, "pla") => verify_pla(engine, source, &mut stats)?,
-                (None, "isl") => verify_isl(engine, source, &mut stats)?,
-                (None, "sil") => {
-                    let stack = stack.as_deref().unwrap_or(silc_pnr::RouteStack::KNOWN[0]);
-                    verify_sil(engine, source, stack, &mut stats)?
-                }
-                (None, other) => return Err(format!("verify: unsupported lang `{other}`")),
-            };
-            fields.push(("check".into(), Json::Str(snap.check.clone())));
-            fields.push(("equivalent".into(), Json::Bool(snap.equivalent)));
-            fields.push(("outputs".into(), Json::Int(snap.outputs as i128)));
-            fields.push((
-                "strash_merged".into(),
-                Json::Int(snap.strash_merged as i128),
-            ));
-            fields.push(("sim_refuted".into(), Json::Int(snap.sim_refuted as i128)));
-            fields.push((
-                "exact_decided".into(),
-                Json::Int(snap.exact_decided as i128),
-            ));
-            fields.push((
-                "mismatches".into(),
-                Json::Arr(
-                    snap.mismatches
-                        .iter()
-                        .map(|m| Json::Str(m.clone()))
-                        .collect(),
-                ),
-            ));
-        }
-        Request::Sleep { ms } => {
             // Sleep in short slices so shutdown drains fast and an
             // expired deadline frees the worker early.
             let end = Instant::now() + Duration::from_millis(*ms);
             loop {
                 let now = Instant::now();
-                if now >= end {
-                    break;
-                }
-                if shared.should_stop() {
+                if now >= end || shared.should_stop() {
                     break;
                 }
                 if now >= deadline {
@@ -724,15 +670,15 @@ fn execute(
                 }
                 std::thread::sleep((end - now).min(Duration::from_millis(5)));
             }
-            fields.push(("slept_ms".into(), Json::Int(*ms as i128)));
+            vec![("slept_ms", int(*ms))]
         }
-        Request::Stats | Request::Shutdown => {
-            unreachable!("control ops are answered on the connection thread")
-        }
-    }
-    fields.push(("cache_hits".into(), Json::Int(stats.hits as i128)));
-    fields.push(("cache_misses".into(), Json::Int(stats.misses as i128)));
-    Ok(fields)
+    };
+    fields.push(("cache_hits", int(stats.hits)));
+    fields.push(("cache_misses", int(stats.misses)));
+    Ok(fields
+        .into_iter()
+        .map(|(name, value)| (name.to_string(), value))
+        .collect())
 }
 
 /// Services one client: read a line, answer it, repeat. Reads tick every
@@ -758,9 +704,16 @@ fn serve_connection(shared: &Shared, farm: &Farm, stream: TcpStream, conn: u64) 
             return;
         }
         // `read_line` keeps whatever arrived before a timeout in `line`,
-        // so a request split across packets accumulates across ticks.
-        match reader.read_line(&mut line) {
+        // so a request split across packets accumulates across ticks —
+        // up to the cap: `take` ends the read one byte past it.
+        let room = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
+        match reader.by_ref().take(room).read_line(&mut line) {
             Ok(0) => return, // client closed
+            Ok(_) if line.len() > MAX_REQUEST_BYTES => {
+                let detail = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+                refuse_line(shared, &mut writer, &detail);
+                return;
+            }
             Ok(_) => {
                 let keep_open = answer_line(shared, farm, &mut writer, line.trim(), conn);
                 line.clear();
@@ -779,6 +732,15 @@ fn serve_connection(shared: &Shared, farm: &Farm, stream: TcpStream, conn: u64) 
     }
 }
 
+/// Counts one request that was no request and says why.
+fn refuse_line(shared: &Shared, writer: &mut TcpStream, detail: &str) -> bool {
+    shared.stats.requests.fetch_add(1, Ordering::SeqCst);
+    shared.config.tracer.add(names::SERVE_REQUESTS, 1);
+    shared.stats.bad_requests.fetch_add(1, Ordering::SeqCst);
+    shared.config.tracer.add(names::SERVE_BAD_REQUEST, 1);
+    respond(writer, &err_response(&None, kind::BAD_REQUEST, detail))
+}
+
 /// Parses and answers one request line. Returns `false` when the
 /// connection should close (after a `shutdown` acknowledgement).
 fn answer_line(
@@ -791,16 +753,12 @@ fn answer_line(
     if line.is_empty() {
         return true; // blank keep-alive lines are not requests
     }
-    shared.stats.requests.fetch_add(1, Ordering::SeqCst);
-    shared.config.tracer.add(names::SERVE_REQUESTS, 1);
     let envelope = match parse_request(line, shared.config.enable_test_ops) {
         Ok(envelope) => envelope,
-        Err(detail) => {
-            shared.stats.bad_requests.fetch_add(1, Ordering::SeqCst);
-            shared.config.tracer.add(names::SERVE_BAD_REQUEST, 1);
-            return respond(writer, &err_response(&None, kind::BAD_REQUEST, &detail));
-        }
+        Err(detail) => return refuse_line(shared, writer, &detail),
     };
+    shared.stats.requests.fetch_add(1, Ordering::SeqCst);
+    shared.config.tracer.add(names::SERVE_REQUESTS, 1);
     match &envelope.request {
         Request::Stats => respond(
             writer,

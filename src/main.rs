@@ -1,54 +1,32 @@
 //! `silc` — the command-line face of the silicon compiler (the paper's
 //! "extensible language system with associated programming environment").
 //!
-//! ```text
-//! silc compile <design.sil> [-o out.cif] [--no-drc]   SIL -> DRC -> CIF
-//! silc sim     <machine.isl> [--cycles N] [--engine E] simulate an ISP description
-//! silc synth   <machine.isl>                          compile it onto standard modules
-//! silc pla     <table.pla> [-o out.cif] [--raw]       espresso table -> minimized PLA -> CIF
-//! silc pnr     <design.sil> [-o out.cif] [--stack S]  place and route the extracted netlist
-//! silc verify  <file.pla|.isl|.sil> [--against FILE]  equivalence-check an artifact against its spec
-//! silc batch   <manifest> [--jobs N] [--shards N]     run many jobs against one shared cache
-//! silc serve   [--addr HOST:PORT] [--jobs N] [--shards N] compile server over newline-delimited JSON
-//! ```
-//!
-//! Every subcommand also accepts `--stats` (per-stage wall-time and
-//! counter summary on stderr), `--trace <file>` (machine-readable JSONL
-//! event stream), and `--cache <dir>` (persistent incremental cache: an
-//! unchanged design recompiles from stage results on disk).
+//! Six ops (`compile`, `sim`, `synth`, `pla`, `pnr`, `verify`) and two
+//! drivers (`batch`, `serve`). Which flags each takes is not written
+//! here: `silc --help` renders it from the one operation table,
+//! [`silc::incr::ops`], which also decodes the command line, runs the
+//! op and fixes its error texts. This file is the CLI's share — file
+//! I/O, the tracer, and rendering an outcome for a terminal.
 
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use silc::drc::RuleSet;
 use silc::exec::SimEngine;
-use silc::incr::{
-    cif_text, default_parallelism, drc_report, elaborate, flat_regions, parse_manifest,
-    pla_products, pnr_sil, run_batch, sim_results, synth_allocation, verify_against, verify_isl,
-    verify_pla, verify_sil, Engine, EngineConfig, JobStats,
-};
-use silc::rtl::parse as parse_isl;
+use silc::incr::ops::{self, Args, Front, Outcome, Verb};
+use silc::incr::{default_parallelism, parse_manifest, run_batch, Engine, EngineConfig, JobStats};
 use silc::serve::{install_sigint_handler, Server, ServerConfig};
-use silc::trace::{span, JsonlSink, StatsSink, Tracer};
+use silc::trace::{JsonlSink, StatsSink, Tracer};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("compile") => cmd_compile(&args[1..]),
-        Some("sim") => cmd_sim(&args[1..]),
-        Some("synth") => cmd_synth(&args[1..]),
-        Some("pla") => cmd_pla(&args[1..]),
-        Some("pnr") => cmd_pnr(&args[1..]),
-        Some("verify") => cmd_verify(&args[1..]),
-        Some("batch") => cmd_batch(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
         Some("--help") | Some("-h") | None => {
-            eprint!("{}", USAGE);
+            eprint!("{}", ops::usage());
             return ExitCode::SUCCESS;
         }
-        Some(other) => Err(format!("unknown command `{other}`\n{USAGE}")),
+        Some(cmd) => command(cmd, &args[1..]),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -59,295 +37,40 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
-usage:
-  silc compile <design.sil> [-o out.cif] [--no-drc]
-  silc sim     <machine.isl> [--cycles N] [--engine compiled|interp]
-  silc synth   <machine.isl>
-  silc pla     <table.pla> [-o out.cif] [--raw]
-  silc pnr     <design.sil> [-o out.cif] [--stack NAME] [--jobs N]
-  silc verify  <file.pla|.isl|.sil> [--against FILE] [--stack NAME]
-  silc batch   <manifest> [--jobs N] [--shards N] [--engine compiled|interp]
-  silc serve   [--addr HOST:PORT] [--jobs N] [--shards N] [--engine compiled|interp]
-common flags:
-  --stats            per-stage timing and counter summary on stderr
-  --trace <file>     JSONL event stream (one object per span/counter)
-  --cache <dir>      persistent incremental cache shared across runs
-  --no-cache         force a cold run (conflicts with --cache)
-";
-
-struct Opts {
-    input: String,
-    output: Option<String>,
-    stack: Option<String>,
-    against: Option<String>,
-    no_drc: bool,
-    raw: bool,
-    cycles: u64,
-    sim_engine: SimEngine,
-    jobs: Option<usize>,
-    shards: Option<usize>,
-    addr: Option<String>,
-    cache: Option<String>,
-    stats: bool,
-    trace: Option<String>,
-}
-
-impl Opts {
-    /// A tracer that records only when the user asked for output.
-    fn tracer(&self) -> Tracer {
-        if self.stats || self.trace.is_some() {
-            Tracer::enabled()
-        } else {
-            Tracer::disabled()
-        }
-    }
-
-    /// The query engine every subcommand compiles through: persistent
-    /// when `--cache <dir>` was given, in-memory otherwise.
-    fn engine(&self, tracer: &Tracer) -> Result<Engine, String> {
-        let defaults = EngineConfig::default();
-        Engine::new(EngineConfig {
-            cache_dir: self.cache.as_ref().map(PathBuf::from),
-            tracer: tracer.clone(),
-            shards: self.shards.unwrap_or(defaults.shards),
-            ..defaults
-        })
-    }
-}
-
-fn parse_opts(cmd: &str, args: &[String]) -> Result<Opts, String> {
-    let mut input = None;
-    let mut output = None;
-    let mut stack = None;
-    let mut against = None;
-    let mut no_drc = false;
-    let mut raw = false;
-    let mut cycles = None;
-    let mut sim_engine = None;
-    let mut jobs = None;
-    let mut shards = None;
-    let mut addr = None;
-    let mut cache = None;
-    let mut no_cache = false;
-    let mut stats = false;
-    let mut trace = None;
-    let mut it = args.iter();
-    // Every flag may appear at most once; a repeat is an error naming it.
-    let dup = |flag: &str| format!("duplicate flag `{flag}`");
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-o" if matches!(cmd, "compile" | "pla" | "pnr") => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| "-o needs a file name".to_string())?
-                    .clone();
-                if output.replace(value).is_some() {
-                    return Err(dup("-o"));
-                }
-            }
-            "--cycles" if cmd == "sim" => {
-                let value = it
-                    .next()
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .ok_or_else(|| "--cycles needs a number".to_string())?;
-                if cycles.replace(value).is_some() {
-                    return Err(dup("--cycles"));
-                }
-            }
-            "--engine" if matches!(cmd, "sim" | "batch" | "serve") => {
-                let value: SimEngine = it
-                    .next()
-                    .ok_or_else(|| format!("--engine needs a name ({})", SimEngine::NAMES))?
-                    .parse()?;
-                if sim_engine.replace(value).is_some() {
-                    return Err(dup("--engine"));
-                }
-            }
-            "--addr" if cmd == "serve" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| "--addr needs a HOST:PORT".to_string())?
-                    .clone();
-                if addr.replace(value).is_some() {
-                    return Err(dup("--addr"));
-                }
-            }
-            "--against" if cmd == "verify" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| "--against needs a file name".to_string())?
-                    .clone();
-                if against.replace(value).is_some() {
-                    return Err(dup("--against"));
-                }
-            }
-            "--stack" if matches!(cmd, "pnr" | "verify") => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| {
-                        format!(
-                            "--stack needs a name ({})",
-                            silc::pnr::RouteStack::KNOWN.join(", ")
-                        )
-                    })?
-                    .clone();
-                if stack.replace(value).is_some() {
-                    return Err(dup("--stack"));
-                }
-            }
-            "--jobs" if matches!(cmd, "batch" | "serve" | "pnr") => {
-                let value = it
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "--jobs needs a positive number".to_string())?;
-                if jobs.replace(value).is_some() {
-                    return Err(dup("--jobs"));
-                }
-            }
-            "--shards" if matches!(cmd, "batch" | "serve") => {
-                let value = it
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "--shards needs a positive number".to_string())?;
-                if shards.replace(value).is_some() {
-                    return Err(dup("--shards"));
-                }
-            }
-            "--no-drc" if cmd == "compile" => {
-                if no_drc {
-                    return Err(dup("--no-drc"));
-                }
-                no_drc = true;
-            }
-            "--raw" if cmd == "pla" => {
-                if raw {
-                    return Err(dup("--raw"));
-                }
-                raw = true;
-            }
-            "--cache" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| "--cache needs a directory".to_string())?
-                    .clone();
-                if cache.replace(value).is_some() {
-                    return Err(dup("--cache"));
-                }
-            }
-            "--no-cache" => {
-                if no_cache {
-                    return Err(dup("--no-cache"));
-                }
-                no_cache = true;
-            }
-            "--stats" => {
-                if stats {
-                    return Err(dup("--stats"));
-                }
-                stats = true;
-            }
-            "--trace" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| "--trace needs a file name".to_string())?
-                    .clone();
-                if trace.replace(value).is_some() {
-                    return Err(dup("--trace"));
-                }
-            }
-            f if f.starts_with('-') => {
-                return Err(match f {
-                    "--cycles" => {
-                        format!("`--cycles` is only valid for `silc sim`, not `silc {cmd}`")
-                    }
-                    "--jobs" => format!(
-                        "`--jobs` is only valid for `silc batch`, `silc serve` and `silc pnr`, \
-                         not `silc {cmd}`"
-                    ),
-                    "--stack" => format!(
-                        "`--stack` is only valid for `silc pnr` and `silc verify`, \
-                         not `silc {cmd}`"
-                    ),
-                    "--against" => {
-                        format!("`--against` is only valid for `silc verify`, not `silc {cmd}`")
-                    }
-                    "--shards" => format!(
-                        "`--shards` is only valid for `silc batch` and `silc serve`, \
-                         not `silc {cmd}`"
-                    ),
-                    "--engine" => format!(
-                        "`--engine` is only valid for `silc sim`, `silc batch` and `silc serve`, \
-                         not `silc {cmd}`"
-                    ),
-                    "--addr" => {
-                        format!("`--addr` is only valid for `silc serve`, not `silc {cmd}`")
-                    }
-                    "--no-drc" => {
-                        format!("`--no-drc` is only valid for `silc compile`, not `silc {cmd}`")
-                    }
-                    "--raw" => format!("`--raw` is only valid for `silc pla`, not `silc {cmd}`"),
-                    "-o" => format!(
-                        "`-o` is only valid for `silc compile`, `silc pla` and `silc pnr`, \
-                         not `silc {cmd}`"
-                    ),
-                    _ => format!("unknown flag `{f}` for `silc {cmd}`\n{USAGE}"),
-                });
-            }
-            positional => {
-                if input.replace(positional.to_string()).is_some() {
-                    return Err("more than one input file given".into());
-                }
-            }
-        }
-    }
-    if no_cache && cache.is_some() {
-        return Err("`--no-cache` conflicts with `--cache`".into());
-    }
-    // `serve` is the one daemon: it listens instead of reading a file.
-    let input = if cmd == "serve" {
-        if let Some(file) = input {
-            return Err(format!("`silc serve` takes no input file (got `{file}`)"));
-        }
-        String::new()
+/// Every subcommand: decode the words through the op table, run under
+/// the tracer the flags asked for, flush the trace whatever happened.
+fn command(cmd: &str, words: &[String]) -> Result<(), String> {
+    let spec = ops::verb(Front::Cli, cmd)
+        .ok_or_else(|| format!("unknown command `{cmd}`\n{}", ops::usage()))?;
+    let args = ops::parse_words(Front::Cli, spec, words)?;
+    let tracer = if args.stats || args.trace.is_some() {
+        Tracer::enabled()
     } else {
-        input.ok_or_else(|| format!("missing input file\n{USAGE}"))?
+        Tracer::disabled()
     };
-    Ok(Opts {
-        input,
-        output,
-        stack,
-        against,
-        no_drc,
-        raw,
-        cycles: cycles.unwrap_or(10_000),
-        sim_engine: sim_engine.unwrap_or_default(),
-        jobs,
-        shards,
-        addr,
-        cache,
-        stats,
-        trace,
-    })
+    let result = match spec.verb {
+        Verb::Batch => run_batch_cmd(&args, &tracer),
+        Verb::Serve => run_serve(&args, &tracer),
+        _ => run_op(&args, &tracer),
+    };
+    emit_trace(&args, &tracer).and(result)
 }
 
 /// Flushes the recorded events to the sinks the user asked for. Runs even
 /// when the command failed, so a DRC abort still yields its stage timings.
-fn emit_trace(opts: &Opts, tracer: &Tracer) -> Result<(), String> {
+fn emit_trace(args: &Args, tracer: &Tracer) -> Result<(), String> {
     if !tracer.is_enabled() {
         return Ok(());
     }
     let report = tracer.finish();
-    if opts.stats {
+    if args.stats {
         let mut stderr = std::io::stderr().lock();
         report
             .emit(&mut StatsSink::new(&mut stderr))
             .and_then(|()| stderr.flush())
             .map_err(|e| format!("cannot write stats: {e}"))?;
     }
-    if let Some(path) = &opts.trace {
+    if let Some(path) = &args.trace {
         let file = fs::File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
         let mut writer = std::io::BufWriter::new(file);
         report
@@ -358,241 +81,136 @@ fn emit_trace(opts: &Opts, tracer: &Tracer) -> Result<(), String> {
     Ok(())
 }
 
+/// The query engine every subcommand compiles through: persistent when
+/// `--cache <dir>` was given, in-memory otherwise.
+fn engine(args: &Args, tracer: &Tracer) -> Result<Engine, String> {
+    let defaults = EngineConfig::default();
+    Engine::new(EngineConfig {
+        cache_dir: args.cache.as_ref().map(PathBuf::from),
+        tracer: tracer.clone(),
+        shards: args.shards.unwrap_or(defaults.shards),
+        ..defaults
+    })
+}
+
 fn read(path: &str) -> Result<String, String> {
     fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
 
-fn write_out(path: Option<&str>, text: &str) -> Result<(), String> {
-    match path {
-        Some(p) => fs::write(p, text).map_err(|e| format!("cannot write `{p}`: {e}")),
-        None => {
-            print!("{text}");
+/// Reads the op's files, runs it, and renders the outcome the way a
+/// terminal wants it: summaries on stderr, results on stdout, CIF to
+/// `-o` or stdout.
+fn run_op(args: &Args, tracer: &Tracer) -> Result<(), String> {
+    let engine = engine(args, tracer)?;
+    let input = args.input.as_deref().unwrap_or_default();
+    let source = read(input)?;
+    let against = args.against.as_deref().map(read).transpose()?;
+    let (against, default_engine) = (against.as_deref(), SimEngine::default());
+    let mut stats = JobStats::default();
+    let outcome = ops::run(
+        &engine,
+        &args.op,
+        &source,
+        against,
+        default_engine,
+        &mut stats,
+    )?;
+    let cif = match &outcome {
+        Outcome::Compile(out) => {
+            eprintln!(
+                "compiled `{input}`: {} cells, {} flattened elements, die {}x{} lambda",
+                out.design.library.len(),
+                out.flat.flat_elements,
+                out.flat.bbox.map_or(0, |b| b.width()),
+                out.flat.bbox.map_or(0, |b| b.height()),
+            );
+            if let Some(report) = &out.drc {
+                eprint!("{report}");
+            }
+            out.gate()?;
+            out.cif.as_ref().map(|cif| cif.as_str())
+        }
+        Outcome::Sim { machine, sim, .. } => {
+            let end = if sim.halted {
+                "halted"
+            } else {
+                "cycle budget exhausted"
+            };
+            let (cycles, state) = (sim.cycles, &sim.state);
+            println!("{machine}: {cycles} cycle(s), {end} (final state `{state}`)");
+            for (name, value) in &sim.regs {
+                println!("  {name} = {value:#o}");
+            }
+            for (name, value) in &sim.outputs {
+                println!("  {name} = {value:#o} (output)");
+            }
+            None
+        }
+        Outcome::Synth(shared) => {
+            println!("{}", shared.display);
+            let (bits, inputs, outputs, terms) = shared.control;
+            println!("control: {bits} state bits, PLA {inputs} in / {outputs} out / {terms} terms");
+            None
+        }
+        Outcome::Pla(products) => {
+            eprintln!("{}", products.personality);
+            eprint!("{}", products.report);
+            Some(products.cif.as_str())
+        }
+        Outcome::Pnr(snap) => {
+            eprintln!(
+                "routed `{input}`: {} cells, {}/{} nets, wirelength {}, {} via(s), \
+                 {} routing round(s) ({} rip-up), drc clean, extract-back ok",
+                snap.cells,
+                snap.routed,
+                snap.nets,
+                snap.wirelength,
+                snap.vias,
+                snap.rounds,
+                snap.ripup_rounds,
+            );
+            Some(snap.cif.as_str())
+        }
+        Outcome::Verify(snap) => {
+            eprintln!("{}", snap.summary());
+            for m in &snap.mismatches {
+                eprintln!("  {m}");
+            }
+            snap.gate()?;
+            None
+        }
+        Outcome::Drc(_) => None, // served only
+    };
+    match (cif, &args.output) {
+        (Some(cif), Some(path)) => {
+            fs::write(path, cif).map_err(|e| format!("cannot write `{path}`: {e}"))
+        }
+        (Some(cif), None) => {
+            print!("{cif}");
             Ok(())
         }
+        (None, _) => Ok(()),
     }
 }
 
-fn cmd_compile(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts("compile", args)?;
-    let tracer = opts.tracer();
-    let result = run_compile(&opts, &tracer);
-    emit_trace(&opts, &tracer).and(result)
-}
-
-fn run_compile(opts: &Opts, tracer: &Tracer) -> Result<(), String> {
-    let engine = opts.engine(tracer)?;
-    let mut stats = JobStats::default();
-    let source = read(&opts.input)?;
-    let design = elaborate(&engine, &source, &mut stats)?;
-    let flat = flat_regions(&engine, &design, &mut stats)?;
-    eprintln!(
-        "compiled `{}`: {} cells, {} flattened elements, die {}x{} lambda",
-        opts.input,
-        design.library.len(),
-        flat.flat_elements,
-        flat.bbox.map_or(0, |b| b.width()),
-        flat.bbox.map_or(0, |b| b.height()),
-    );
-    if !opts.no_drc {
-        let report = drc_report(&engine, &flat, &RuleSet::mead_conway_nmos(), &mut stats)?;
-        eprint!("{report}");
-        if !report.is_clean() {
-            return Err("design rule violations (use --no-drc to emit anyway)".into());
-        }
-    }
-    let cif = cif_text(&engine, &design, &mut stats)?;
-    write_out(opts.output.as_deref(), &cif)
-}
-
-fn cmd_sim(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts("sim", args)?;
-    let tracer = opts.tracer();
-    let result = run_sim(&opts, &tracer);
-    emit_trace(&opts, &tracer).and(result)
-}
-
-fn run_sim(opts: &Opts, tracer: &Tracer) -> Result<(), String> {
-    let engine = opts.engine(tracer)?;
-    let mut stats = JobStats::default();
-    let source = read(&opts.input)?;
-    let machine = {
-        let _s = span!(tracer, "isl.parse");
-        parse_isl(&source).map_err(|e| e.to_string())?
-    };
-    let sim = sim_results(&engine, &machine, opts.cycles, opts.sim_engine, &mut stats)?;
-    println!(
-        "{}: {} cycle(s), {} (final state `{}`)",
-        machine.name,
-        sim.cycles,
-        if sim.halted {
-            "halted"
-        } else {
-            "cycle budget exhausted"
-        },
-        sim.state,
-    );
-    for (name, value) in &sim.regs {
-        println!("  {name} = {value:#o}");
-    }
-    for (name, value) in &sim.outputs {
-        println!("  {name} = {value:#o} (output)");
-    }
-    Ok(())
-}
-
-fn cmd_synth(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts("synth", args)?;
-    let tracer = opts.tracer();
-    let result = run_synth(&opts, &tracer);
-    emit_trace(&opts, &tracer).and(result)
-}
-
-fn run_synth(opts: &Opts, tracer: &Tracer) -> Result<(), String> {
-    let engine = opts.engine(tracer)?;
-    let mut stats = JobStats::default();
-    let source = read(&opts.input)?;
-    let machine = {
-        let _s = span!(tracer, "isl.parse");
-        parse_isl(&source).map_err(|e| e.to_string())?
-    };
-    let shared = synth_allocation(&engine, &machine, &mut stats)?;
-    println!("{}", shared.display);
-    let (bits, inputs, outputs, terms) = shared.control;
-    println!("control: {bits} state bits, PLA {inputs} in / {outputs} out / {terms} terms");
-    Ok(())
-}
-
-fn cmd_pla(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts("pla", args)?;
-    let tracer = opts.tracer();
-    let result = run_pla(&opts, &tracer);
-    emit_trace(&opts, &tracer).and(result)
-}
-
-fn run_pla(opts: &Opts, tracer: &Tracer) -> Result<(), String> {
-    let engine = opts.engine(tracer)?;
-    let mut stats = JobStats::default();
-    let source = read(&opts.input)?;
-    let products = pla_products(&engine, &source, opts.raw, &mut stats)?;
-    eprintln!("{}", products.personality);
-    eprint!("{}", products.report);
-    write_out(opts.output.as_deref(), &products.cif)
-}
-
-fn cmd_pnr(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts("pnr", args)?;
-    let tracer = opts.tracer();
-    let result = run_pnr(&opts, &tracer);
-    emit_trace(&opts, &tracer).and(result)
-}
-
-fn run_pnr(opts: &Opts, tracer: &Tracer) -> Result<(), String> {
-    let engine = opts.engine(tracer)?;
-    let mut stats = JobStats::default();
-    let source = read(&opts.input)?;
-    // `--jobs 1` forces the serial router; anything else (including the
-    // default) routes net batches in parallel. Both produce the same
-    // bytes, so the cache key does not mention it.
-    let parallel = opts.jobs.is_none_or(|j| j > 1);
-    let stack = opts
-        .stack
-        .as_deref()
-        .unwrap_or(silc::pnr::RouteStack::KNOWN[0]);
-    let snap = pnr_sil(&engine, &source, stack, parallel, &mut stats)?;
-    eprintln!(
-        "routed `{}`: {} cells, {}/{} nets, wirelength {}, {} via(s), \
-         {} routing round(s) ({} rip-up), drc clean, extract-back ok",
-        opts.input,
-        snap.cells,
-        snap.routed,
-        snap.nets,
-        snap.wirelength,
-        snap.vias,
-        snap.rounds,
-        snap.ripup_rounds,
-    );
-    write_out(opts.output.as_deref(), &snap.cif)
-}
-
-fn cmd_verify(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts("verify", args)?;
-    let tracer = opts.tracer();
-    let result = run_verify(&opts, &tracer);
-    emit_trace(&opts, &tracer).and(result)
-}
-
-fn run_verify(opts: &Opts, tracer: &Tracer) -> Result<(), String> {
-    let engine = opts.engine(tracer)?;
-    let mut stats = JobStats::default();
-    let source = read(&opts.input)?;
-    let ext = Path::new(&opts.input)
-        .extension()
-        .and_then(|e| e.to_str())
-        .unwrap_or("");
-    let snap = match (&opts.against, ext) {
-        (Some(spec_path), "pla") => {
-            let spec = read(spec_path)?;
-            verify_against(&engine, &source, &spec, &mut stats)?
-        }
-        (Some(_), _) => {
-            return Err(format!(
-                "`--against` checks one PLA table against another; got `{}`",
-                opts.input
-            ))
-        }
-        (None, "pla") => verify_pla(&engine, &source, &mut stats)?,
-        (None, "isl") => verify_isl(&engine, &source, &mut stats)?,
-        (None, "sil") => {
-            let stack = opts
-                .stack
-                .as_deref()
-                .unwrap_or(silc::pnr::RouteStack::KNOWN[0]);
-            verify_sil(&engine, &source, stack, &mut stats)?
-        }
-        (None, _) => {
-            return Err(format!(
-                "verify needs a `.pla`, `.isl` or `.sil` input, got `{}`",
-                opts.input
-            ))
-        }
-    };
-    eprintln!("{}", snap.summary());
-    for m in &snap.mismatches {
-        eprintln!("  {m}");
-    }
-    if !snap.equivalent {
-        return Err(format!(
-            "`{}` is NOT equivalent to its specification",
-            opts.input
-        ));
-    }
-    Ok(())
-}
-
-fn cmd_batch(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts("batch", args)?;
-    let tracer = opts.tracer();
-    let result = run_batch_cmd(&opts, &tracer);
-    emit_trace(&opts, &tracer).and(result)
-}
-
-fn run_batch_cmd(opts: &Opts, tracer: &Tracer) -> Result<(), String> {
-    let engine = opts.engine(tracer)?;
-    let text = read(&opts.input)?;
-    let base = Path::new(&opts.input)
+fn run_batch_cmd(args: &Args, tracer: &Tracer) -> Result<(), String> {
+    let engine = engine(args, tracer)?;
+    let input = args.input.as_deref().unwrap_or_default();
+    let text = read(input)?;
+    let base = Path::new(input)
         .parent()
         .filter(|p| !p.as_os_str().is_empty())
         .unwrap_or_else(|| Path::new("."))
         .to_path_buf();
     let jobs = parse_manifest(&text, &base)?;
     if jobs.is_empty() {
-        return Err(format!("manifest `{}` has no jobs", opts.input));
+        return Err(format!("manifest `{input}` has no jobs"));
     }
     let results = run_batch(
         &engine,
         &jobs,
-        opts.jobs.unwrap_or_else(default_parallelism),
-        opts.sim_engine,
+        args.op.jobs.unwrap_or_else(default_parallelism),
+        args.op.sim_engine(SimEngine::default()),
     );
     let label_width = results
         .iter()
@@ -630,28 +248,21 @@ fn run_batch_cmd(opts: &Opts, tracer: &Tracer) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts("serve", args)?;
-    let tracer = opts.tracer();
-    let result = run_serve(&opts, &tracer);
-    emit_trace(&opts, &tracer).and(result)
-}
-
-fn run_serve(opts: &Opts, tracer: &Tracer) -> Result<(), String> {
+fn run_serve(args: &Args, tracer: &Tracer) -> Result<(), String> {
     let mut config = ServerConfig {
-        cache_dir: opts.cache.as_ref().map(PathBuf::from),
+        cache_dir: args.cache.as_ref().map(PathBuf::from),
         tracer: tracer.clone(),
-        default_engine: opts.sim_engine,
+        default_engine: args.op.sim_engine(SimEngine::default()),
         ..ServerConfig::default()
     };
-    if let Some(addr) = &opts.addr {
+    if let Some(addr) = &args.addr {
         config.addr = addr.clone();
     }
-    if let Some(jobs) = opts.jobs {
+    if let Some(jobs) = args.op.jobs {
         config.jobs = jobs;
         config.queue_capacity = jobs * 4;
     }
-    if let Some(shards) = opts.shards {
+    if let Some(shards) = args.shards {
         config.shards = shards;
     }
     let server = Server::bind(config)?;

@@ -467,6 +467,22 @@ fn sim_and_pla_record_their_stages() {
     assert!(stderr.contains("isl.parse"), "{stderr}");
     assert!(stderr.contains("sim.run"), "{stderr}");
     assert!(stderr.contains("sim.cycles"), "{stderr}");
+    // Both ISL commands parse under that span, and a parse failure is
+    // named after it like every other stage failure.
+    let broken = write_temp("broken.isl", "machine oops { state");
+    for cmd in ["sim", "synth"] {
+        let out = silc()
+            .args([cmd, isl.to_str().unwrap(), "--stats"])
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "{cmd}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("isl.parse"), "{cmd}: {stderr}");
+        let out = silc().arg(cmd).arg(&broken).output().expect("runs");
+        assert!(!out.status.success(), "{cmd}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("silc: isl.parse: "), "{cmd}: {stderr}");
+    }
 
     let pla = write_temp("traced.pla", ".i 3\n.o 1\n110 1\n101 1\n011 1\n111 1\n.e\n");
     let out = silc()

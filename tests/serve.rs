@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use silc::serve::json::{parse as parse_json, Json};
-use silc::serve::{Server, ServerConfig};
+use silc::serve::{Server, ServerConfig, MAX_REQUEST_BYTES};
+use silc::trace::Tracer;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Command, Stdio};
@@ -67,15 +68,20 @@ fn sil_program(width: i64) -> String {
     )
 }
 
-/// Runs `silc compile <file> --no-drc` and returns its exact stdout.
-fn cli_compile_stdout(source: &str, tag: &str) -> Vec<u8> {
+/// Writes `source` to a scratch `.sil` file named after `tag`.
+fn design_file(source: &str, tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("silc-serve-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(format!("{tag}.sil"));
     std::fs::write(&path, source).expect("write design");
+    path
+}
+
+/// Runs `silc compile <file> --no-drc` and returns its exact stdout.
+fn cli_compile_stdout(source: &str, tag: &str) -> Vec<u8> {
     let out = silc()
         .arg("compile")
-        .arg(&path)
+        .arg(design_file(source, tag))
         .arg("--no-drc")
         .output()
         .expect("CLI runs");
@@ -83,19 +89,60 @@ fn cli_compile_stdout(source: &str, tag: &str) -> Vec<u8> {
     out.stdout
 }
 
+/// A DRC-clean design whose extraction yields real transistors.
+const PNR_SIL: &str = "cell inv() { \
+     box diff (0, 0) (4, 30); \
+     box poly (-4, 8) (8, 10); \
+     box poly (-4, 20) (8, 22); \
+     box implant (-2, 18) (6, 24); \
+     box contact (1, 14) (3, 16); \
+     box metal (0, 13) (12, 17); } \
+     cell column(n) { array inv() at (0, 0) step (0, 0) (0, 36) count 1 n; } \
+     place column(2) at (0, 0);";
+
+/// Runs `silc pnr <file>` and a one-job `silc batch` with `-o`, and
+/// returns the CLI's exact stdout and the batch job's output file.
+fn cli_and_batch_pnr(source: &str, tag: &str) -> (Vec<u8>, Vec<u8>) {
+    let path = design_file(source, tag);
+    let out = silc().arg("pnr").arg(&path).output().expect("CLI runs");
+    assert!(out.status.success(), "CLI pnr failed: {out:?}");
+    let manifest = path.with_extension("jobs");
+    let routed = path.with_extension("cif");
+    let line = format!("pnr {} -o {}\n", path.display(), routed.display());
+    std::fs::write(&manifest, line).expect("write manifest");
+    let batch = silc().arg("batch").arg(&manifest).output().expect("runs");
+    assert!(batch.status.success(), "batch pnr failed: {batch:?}");
+    (out.stdout, std::fs::read(&routed).expect("batch wrote -o"))
+}
+
 #[test]
 fn eight_concurrent_clients_match_the_cli_byte_for_byte() {
+    let tracer = Tracer::enabled();
     let (addr, handle) = start(ServerConfig {
         jobs: 4,
         queue_capacity: 16,
+        tracer: tracer.clone(),
         ..ServerConfig::default()
     });
     let isl = "machine m { reg n[8]; state s { n := n + 1; if n == 5 { halt; } } }";
     std::thread::scope(|scope| {
-        for client_id in 0..8i64 {
+        for client_id in 0..9i64 {
             scope.spawn(move || {
                 let mut client = Client::connect(addr);
-                if client_id % 2 == 0 {
+                if client_id == 8 {
+                    // The pnr client: the routed CIF is the same bytes
+                    // served, printed by `silc pnr` and written by a
+                    // batch job's `-o`.
+                    let reply = client.request(&format!(
+                        r#"{{"op":"pnr","id":{client_id},"source":{}}}"#,
+                        quoted(PNR_SIL)
+                    ));
+                    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+                    let served = reply.get("cif").and_then(Json::as_str).expect("cif");
+                    let (cli, batch) = cli_and_batch_pnr(PNR_SIL, "client8");
+                    assert_eq!(served.as_bytes(), &cli[..], "served pnr != `silc pnr`");
+                    assert_eq!(served.as_bytes(), &batch[..], "served pnr != batch -o");
+                } else if client_id % 2 == 0 {
                     // Compile clients: each a distinct design, each
                     // checked against the real CLI's stdout bytes.
                     let source = sil_program(6 + client_id);
@@ -127,13 +174,17 @@ fn eight_concurrent_clients_match_the_cli_byte_for_byte() {
             });
         }
     });
-    // All 8 clients shared one engine: the stats op sees their traffic
-    // (the counter includes the stats request itself: 8 + 1).
+    // All 9 clients shared one engine: the stats op sees their traffic
+    // (the counter includes the stats request itself: 9 + 1).
     let stats = Client::connect(addr).request(r#"{"op":"stats"}"#);
-    assert_eq!(stats.get("requests"), Some(&Json::Int(9)));
+    assert_eq!(stats.get("requests"), Some(&Json::Int(10)));
     assert_eq!(stats.get("timeouts"), Some(&Json::Int(0)));
     assert_eq!(stats.get("rejected"), Some(&Json::Int(0)));
     handle.shutdown();
+    // A served sim parses its ISL under the same span the CLI and batch
+    // front-ends record.
+    let spans = tracer.finish();
+    assert!(spans.spans().iter().any(|s| s.name == "isl.parse"));
 }
 
 #[test]
@@ -209,6 +260,52 @@ fn out_of_range_geometry_is_an_error_reply_and_the_worker_lives_on() {
         quoted(&sil_program(7))
     ));
     assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    handle.shutdown();
+}
+
+#[test]
+fn oversized_request_line_is_refused_and_the_server_lives_on() {
+    let (addr, handle) = start(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    // One byte past the cap and still no newline: the server must answer
+    // and hang up rather than keep buffering.
+    let mut hog = Client::connect(addr);
+    let flood = vec![b'x'; MAX_REQUEST_BYTES + 1];
+    hog.writer.write_all(&flood).expect("send");
+    let mut response = String::new();
+    hog.reader.read_line(&mut response).expect("reply");
+    let reply = parse_json(response.trim()).expect("well-formed reply");
+    assert_eq!(
+        reply.get("error").and_then(Json::as_str),
+        Some("bad_request"),
+        "{reply:?}"
+    );
+    let detail = reply.get("detail").and_then(Json::as_str).expect("detail");
+    assert!(detail.contains(&MAX_REQUEST_BYTES.to_string()), "{detail}");
+    response.clear();
+    let n = hog
+        .reader
+        .read_line(&mut response)
+        .expect("EOF, not a hang");
+    assert_eq!(n, 0, "connection closed after the refusal: {response:?}");
+    // A line of exactly the cap is still a request (here: not JSON), and
+    // other connections never noticed.
+    let mut edge = Client::connect(addr);
+    let mut line = vec![b'x'; MAX_REQUEST_BYTES - 1];
+    line.push(b'\n');
+    edge.writer.write_all(&line).expect("send");
+    response.clear();
+    edge.reader.read_line(&mut response).expect("reply");
+    assert!(response.contains("bad_request"), "{response}");
+    let reply = edge.request(&format!(
+        r#"{{"op":"compile","source":{}}}"#,
+        quoted(&sil_program(7))
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    let stats = edge.request(r#"{"op":"stats"}"#);
+    assert_eq!(stats.get("bad_requests"), Some(&Json::Int(2)));
     handle.shutdown();
 }
 
