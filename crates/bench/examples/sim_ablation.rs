@@ -8,7 +8,7 @@
 //! Prints a human-readable table followed by one JSON object per row.
 //! Every row is an equivalence witness (registers, core, state and run
 //! report byte-identical) before it is a timing. Exits non-zero if the
-//! largest budget does not show at least a 5x compiled speedup.
+//! largest budget does not show at least a 10x compiled speedup.
 
 fn main() {
     let budgets: Vec<u64> = std::env::args()
@@ -33,13 +33,13 @@ fn main() {
 
     // The acceptance bar only means anything on optimized builds.
     if cfg!(debug_assertions) {
-        eprintln!("debug build: skipping the 5x speedup check");
+        eprintln!("debug build: skipping the 10x speedup check");
         return;
     }
     let last = rows.last().expect("at least one budget");
-    if last.speedup < 5.0 {
+    if last.speedup < 10.0 {
         eprintln!(
-            "FAIL: compiled engine is only {:.1}x faster at {} cycles (need >= 5x)",
+            "FAIL: compiled engine is only {:.1}x faster at {} cycles (need >= 10x)",
             last.speedup, last.cycles
         );
         std::process::exit(1);

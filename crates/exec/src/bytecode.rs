@@ -1,23 +1,34 @@
-//! The compiled form of an ISL machine: a register-based bytecode over a
-//! flat `Vec<u64>` state arena.
+//! The compiled form of an ISL machine: a register-based bytecode over
+//! one flat `Vec<u64>` frame.
 //!
-//! # Format
+//! # Frame
 //!
-//! Every register, input port and output port owns one **slot** in the
-//! arena; memories occupy contiguous word ranges after the signals. Each
-//! control state compiles to one straight-line op sequence (`if` lowers
-//! to [`Op::Jz`]/[`Op::Jmp`]) that reads pre-cycle slots, evaluates the
-//! state's combinational logic in levelized (operands-before-users)
-//! order through a scratch temp file, and records its writes; the
-//! executor commits all writes together at the end of the cycle, exactly
-//! like the tree-walking [`silc_rtl::Simulator`].
+//! ```text
+//! [ signals | shadow | constants and temps | memory words ... ]
+//!   0..n      n..2n    2n..                   MemInfo::base..
+//! ```
 //!
-//! Width semantics are baked in at compile time: every op that can carry
-//! bits above its result width stores the mask to clamp with, so the
-//! executor never consults declarations.
+//! Every register, input and output port owns one **signal** slot, which
+//! holds its pre-cycle value for the whole cycle, and one **shadow**
+//! slot, which holds "the pending value if the cycle stored one, else
+//! the pre-cycle value". Literals are interned into constant slots that
+//! are written once when the frame is built; every computed value owns a
+//! temp slot. Operands are frame indices, so reading a signal or a
+//! literal costs no op of its own.
+//!
+//! Each control state compiles to one op sequence in the interpreter's
+//! evaluation order. A store is any op whose `dst` is a shadow slot; the
+//! executor commits the state's static write set (shadow → signal) and
+//! the buffered memory writes at the end of the cycle, exactly like the
+//! tree-walking [`silc_rtl::Simulator`].
+//!
+//! Width semantics are baked in at compile time: an op that can carry
+//! bits above its result width holds `sh = 64 - width` and clamps with
+//! `u64::MAX >> sh`, so the executor never consults declarations and an
+//! op stays 16 bytes.
 
-use silc_rtl::BinaryOp;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Bit mask of a width (`>= 64` saturates to all ones), mirroring the
 /// interpreter's masking rule.
@@ -29,80 +40,208 @@ pub(crate) fn mask(width: u32) -> u64 {
     }
 }
 
-/// One bytecode instruction. `dst`/`a`/`b`/`src`/`addr`/`cond` index the
-/// scratch temp file; `slot` indexes the signal arena; `mem` indexes
-/// [`CompiledMachine::mems`]; jump targets are resolved op indices.
+/// The clamp field of a result `width` bits wide (1 or more; 64 and
+/// above clamp nothing).
+pub(crate) fn sh(width: u32) -> u8 {
+    debug_assert!(width > 0);
+    (64 - width.min(64)) as u8
+}
+
+/// One bytecode instruction. `dst`, `a` and `b` index the frame; `mem`
+/// indexes [`Program::mems`]; `target` is a resolved op index. `m(sh)`
+/// below is `u64::MAX >> sh`.
+// One line per variant: the enum is a table.
+#[rustfmt::skip]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Op {
-    /// `t[dst] = value`.
-    Const { dst: u32, value: u64 },
-    /// `t[dst] = arena[slot]` — a pre-cycle signal read.
-    Load { dst: u32, slot: u32 },
-    /// `t[dst] = mem[t[addr]]`, bounds-checked (errors like the
+    /// `f[dst] = mem[f[a]]`, bounds-checked (errors like the
     /// interpreter's `MemRead`).
-    LoadMem { dst: u32, mem: u32, addr: u32 },
-    /// `t[dst] = !t[a] & mask`.
-    Not { dst: u32, a: u32, mask: u64 },
-    /// `t[dst] = t[a].wrapping_neg() & mask`.
-    Neg { dst: u32, a: u32, mask: u64 },
-    /// `t[dst] = (t[a] == 0) as u64` — logical not.
+    LoadMem { dst: u32, mem: u32, a: u32 },
+    /// `f[dst] = !f[a] & m(sh)`.
+    Not { dst: u32, a: u32, sh: u8 },
+    /// `f[dst] = f[a].wrapping_neg() & m(sh)`.
+    Neg { dst: u32, a: u32, sh: u8 },
+    /// `f[dst] = (f[a] == 0) as u64` — logical not.
     IsZero { dst: u32, a: u32 },
-    /// `t[dst] = t[a] <op> t[b]`, masked where the operator wraps.
-    Bin {
-        dst: u32,
-        op: BinaryOp,
-        a: u32,
-        b: u32,
-        mask: u64,
-    },
-    /// `t[dst] = (t[a] >> lo) & mask` — a bit-slice read.
-    Slice {
-        dst: u32,
-        a: u32,
-        lo: u32,
-        mask: u64,
-    },
-    /// `t[dst] = (t[acc] << shift) | (t[part] & mask)` — one step of a
-    /// concatenation fold, MSB-first.
-    Fold {
-        dst: u32,
-        acc: u32,
-        part: u32,
-        shift: u32,
-        mask: u64,
-    },
-    /// Jump to `target` when `t[cond] == 0`.
-    Jz { cond: u32, target: u32 },
+    /// `f[dst] = f[a].wrapping_add(f[b]) & m(sh)`.
+    Add { dst: u32, a: u32, b: u32, sh: u8 },
+    /// `f[dst] = f[a].wrapping_sub(f[b]) & m(sh)`.
+    Sub { dst: u32, a: u32, b: u32, sh: u8 },
+    /// `f[dst] = (f[a] << f[b]) & m(sh)`, 0 for shifts of 64 or more.
+    Shl { dst: u32, a: u32, b: u32, sh: u8 },
+    /// `f[dst] = f[a] >> f[b]`, 0 for shifts of 64 or more.
+    Shr { dst: u32, a: u32, b: u32 },
+    /// Bitwise: `f[dst] = f[a] <op> f[b]`.
+    And { dst: u32, a: u32, b: u32 },
+    Or { dst: u32, a: u32, b: u32 },
+    Xor { dst: u32, a: u32, b: u32 },
+    /// Comparisons (unsigned) and logical connectives: `f[dst]` is 0 or 1.
+    Eq { dst: u32, a: u32, b: u32 },
+    Ne { dst: u32, a: u32, b: u32 },
+    Lt { dst: u32, a: u32, b: u32 },
+    Le { dst: u32, a: u32, b: u32 },
+    Gt { dst: u32, a: u32, b: u32 },
+    Ge { dst: u32, a: u32, b: u32 },
+    LAnd { dst: u32, a: u32, b: u32 },
+    LOr { dst: u32, a: u32, b: u32 },
+    /// `f[dst] = (f[a] >> lo) & m(sh)` — a bit-slice read and, with a
+    /// shadow `dst` and `lo == 0`, a full signal store.
+    Slice { dst: u32, a: u32, lo: u8, sh: u8 },
+    /// `f[dst] = (f[a] << shift) | f[b]` — one step of a concatenation,
+    /// MSB-first (`f[b]` already fits its `shift` bits).
+    Fold { dst: u32, a: u32, b: u32, shift: u8 },
+    /// `f[dst][lo +: width] = f[a]` — a sliced signal store into the
+    /// shadow slot `dst`, the other bits kept.
+    Insert { dst: u32, a: u32, lo: u8, sh: u8 },
+    /// Jump when `f[a] == 0` / `f[a] != 0`.
+    Jz { a: u32, target: u32 },
+    Jnz { a: u32, target: u32 },
+    /// Compare and branch: jump when `f[a] <cmp> f[b]`.
+    JEq { a: u32, b: u32, target: u32 },
+    JNe { a: u32, b: u32, target: u32 },
+    JLt { a: u32, b: u32, target: u32 },
+    JLe { a: u32, b: u32, target: u32 },
+    JGt { a: u32, b: u32, target: u32 },
+    JGe { a: u32, b: u32, target: u32 },
+    /// Slice, compare and branch: jump when `(f[a] >> lo) & m(sh)`
+    /// equals / differs from `f[b]`.
+    JBitsEq { a: u32, b: u32, target: u32, lo: u8, sh: u8 },
+    JBitsNe { a: u32, b: u32, target: u32, lo: u8, sh: u8 },
     /// Unconditional jump.
     Jmp { target: u32 },
-    /// Buffer a full signal write: `slot <- t[src] & mask`.
-    StoreFull { slot: u32, src: u32, mask: u64 },
-    /// Buffer a sliced signal write (read-modify-write against the
-    /// pending value if one exists, else the pre-cycle value).
-    StoreSlice {
-        slot: u32,
-        src: u32,
-        lo: u32,
-        mask: u64,
-    },
-    /// Buffer a memory word write, bounds-checked at execution.
-    StoreMem {
-        mem: u32,
-        addr: u32,
-        src: u32,
-        mask: u64,
-    },
-    /// Buffer the next control state (`goto`; last one wins).
+    /// Buffer a memory word write `mem[f[a]] <- f[b] & m(sh)`,
+    /// bounds-checked at execution.
+    StoreMem { mem: u32, a: u32, b: u32, sh: u8 },
+    /// Select the next control state (a `goto` under a condition; last
+    /// one wins).
     SetState { index: u32 },
-    /// Buffer a halt (takes effect at end of cycle).
+    /// Halt at the end of this cycle.
     Halt,
+}
+
+impl Op {
+    /// The frame slot this op writes, if it writes one.
+    pub(crate) fn dst(&self) -> Option<u32> {
+        let mut op = *self;
+        op.dst_mut().copied()
+    }
+
+    pub(crate) fn dst_mut(&mut self) -> Option<&mut u32> {
+        use Op::*;
+        match self {
+            LoadMem { dst, .. }
+            | Not { dst, .. }
+            | Neg { dst, .. }
+            | IsZero { dst, .. }
+            | Add { dst, .. }
+            | Sub { dst, .. }
+            | Shl { dst, .. }
+            | Shr { dst, .. }
+            | And { dst, .. }
+            | Or { dst, .. }
+            | Xor { dst, .. }
+            | Eq { dst, .. }
+            | Ne { dst, .. }
+            | Lt { dst, .. }
+            | Le { dst, .. }
+            | Gt { dst, .. }
+            | Ge { dst, .. }
+            | LAnd { dst, .. }
+            | LOr { dst, .. }
+            | Slice { dst, .. }
+            | Fold { dst, .. }
+            | Insert { dst, .. } => Some(dst),
+            _ => None,
+        }
+    }
+
+    /// The frame slots this op reads as operands (an [`Op::Insert`] also
+    /// reads its own shadow `dst`, which no op defines).
+    pub(crate) fn reads(&self) -> [Option<u32>; 2] {
+        use Op::*;
+        match *self {
+            LoadMem { a, .. }
+            | Not { a, .. }
+            | Neg { a, .. }
+            | IsZero { a, .. }
+            | Slice { a, .. }
+            | Insert { a, .. }
+            | Jz { a, .. }
+            | Jnz { a, .. } => [Some(a), None],
+            Add { a, b, .. }
+            | Sub { a, b, .. }
+            | Shl { a, b, .. }
+            | Shr { a, b, .. }
+            | And { a, b, .. }
+            | Or { a, b, .. }
+            | Xor { a, b, .. }
+            | Eq { a, b, .. }
+            | Ne { a, b, .. }
+            | Lt { a, b, .. }
+            | Le { a, b, .. }
+            | Gt { a, b, .. }
+            | Ge { a, b, .. }
+            | LAnd { a, b, .. }
+            | LOr { a, b, .. }
+            | Fold { a, b, .. }
+            | JEq { a, b, .. }
+            | JNe { a, b, .. }
+            | JLt { a, b, .. }
+            | JLe { a, b, .. }
+            | JGt { a, b, .. }
+            | JGe { a, b, .. }
+            | JBitsEq { a, b, .. }
+            | JBitsNe { a, b, .. }
+            | StoreMem { a, b, .. } => [Some(a), Some(b)],
+            Jmp { .. } | SetState { .. } | Halt => [None, None],
+        }
+    }
+
+    /// The jump target (a label id until lowering resolves it).
+    pub(crate) fn target(&self) -> Option<u32> {
+        let mut op = *self;
+        op.target_mut().copied()
+    }
+
+    pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
+        use Op::*;
+        match self {
+            Jz { target, .. }
+            | Jnz { target, .. }
+            | JEq { target, .. }
+            | JNe { target, .. }
+            | JLt { target, .. }
+            | JLe { target, .. }
+            | JGt { target, .. }
+            | JGe { target, .. }
+            | JBitsEq { target, .. }
+            | JBitsNe { target, .. }
+            | Jmp { target } => Some(target),
+            _ => None,
+        }
+    }
+
+    /// The clamp of a value-producing op that has one; narrowing it
+    /// clamps the result further.
+    pub(crate) fn clamp_mut(&mut self) -> Option<&mut u8> {
+        use Op::*;
+        match self {
+            Not { sh, .. }
+            | Neg { sh, .. }
+            | Add { sh, .. }
+            | Sub { sh, .. }
+            | Shl { sh, .. }
+            | Slice { sh, .. } => Some(sh),
+            _ => None,
+        }
+    }
 }
 
 /// What a signal slot is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SigKind {
-    /// A register with its reset value.
-    Reg { init: u64 },
+    /// A register (its reset value is in [`Program::image`]).
+    Reg,
     /// An input port (reset to 0, driven externally).
     Input,
     /// An output port (reset to 0).
@@ -110,21 +249,17 @@ pub(crate) enum SigKind {
 }
 
 /// Per-slot metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct SigInfo {
-    /// Kept for disassembly/debug dumps even though lookups go through
-    /// the name index.
-    #[allow(dead_code)]
-    pub name: String,
     pub width: u32,
     pub kind: SigKind,
 }
 
-/// Per-memory metadata: a contiguous arena range.
+/// Per-memory metadata: a contiguous frame range.
 #[derive(Debug, Clone)]
 pub(crate) struct MemInfo {
     pub name: String,
-    /// First arena word of this memory.
+    /// First frame word of this memory.
     pub base: usize,
     pub words: u64,
     /// `mask(width)`.
@@ -136,12 +271,13 @@ pub(crate) struct MemInfo {
 pub(crate) struct CompiledState {
     pub name: String,
     pub ops: Vec<Op>,
-    /// Sensitivity bitset over signal slots: which slots the body reads.
-    /// The event scheduler re-executes the state only when one of these
-    /// (or a read memory) changed.
-    pub read_sigs: Vec<u64>,
-    /// Sensitivity bitset over memories.
-    pub read_mems: Vec<u64>,
+    /// Signal slots some op of this state stores to, ascending: all the
+    /// commit has to look at.
+    pub writes: Vec<u32>,
+    /// The state the machine is in after a cycle here unless an
+    /// [`Op::SetState`] says otherwise: the last unconditional `goto`,
+    /// or this state.
+    pub next: u32,
 }
 
 /// Compile-time statistics, surfaced as `exec.*` trace counters.
@@ -149,43 +285,50 @@ pub(crate) struct CompiledState {
 pub struct CompileStats {
     /// States compiled.
     pub states: u64,
-    /// Ops emitted (after optimization).
+    /// Ops in the final program (after optimization and fusion).
     pub ops: u64,
     /// Expressions folded to constants at compile time.
     pub folded: u64,
     /// Common-subexpression hits (ops not emitted twice).
     pub cse: u64,
-    /// Ops removed as dead code.
+    /// Ops removed as dead code: unused results, jumps to the next op
+    /// and `goto`s a later unconditional `goto` overrides.
     pub dead: u64,
 }
 
-/// An ISL machine lowered to bytecode; produced by [`crate::compile`]
-/// and executed by [`crate::CompiledSim`].
-#[derive(Debug, Clone)]
-pub struct CompiledMachine {
-    pub(crate) name: String,
-    pub(crate) sigs: Vec<SigInfo>,
-    pub(crate) mems: Vec<MemInfo>,
-    pub(crate) states: Vec<CompiledState>,
-    /// Scratch temp file size (max over states).
-    pub(crate) n_temps: u32,
-    /// Total arena words (signals + memory storage).
-    pub(crate) arena_len: usize,
+/// The shared, immutable part of a [`CompiledMachine`].
+#[derive(Debug)]
+pub(crate) struct Program {
+    pub name: String,
+    pub sigs: Vec<SigInfo>,
+    pub mems: Vec<MemInfo>,
+    pub states: Vec<CompiledState>,
+    /// Reset contents of the frame up to the first memory word: signal
+    /// reset values, the same again as shadow, then constants (temps
+    /// are 0).
+    pub image: Vec<u64>,
+    /// Total frame words (`image` plus memory storage).
+    pub frame_len: usize,
     /// Signal name -> slot.
-    pub(crate) sig_index: HashMap<String, u32>,
+    pub sig_index: HashMap<String, u32>,
     /// Memory name -> index into `mems`.
-    pub(crate) mem_index: HashMap<String, u32>,
-    pub(crate) stats: CompileStats,
+    pub mem_index: HashMap<String, u32>,
+    pub stats: CompileStats,
 }
+
+/// An ISL machine lowered to bytecode; produced by [`crate::compile`]
+/// and executed by [`crate::CompiledSim`]. Cloning shares the program.
+#[derive(Debug, Clone)]
+pub struct CompiledMachine(pub(crate) Arc<Program>);
 
 impl CompiledMachine {
     /// The machine's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// Compile-time statistics (op counts, folds, CSE and DCE tallies).
     pub fn stats(&self) -> CompileStats {
-        self.stats
+        self.0.stats
     }
 }

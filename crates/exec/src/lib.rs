@@ -5,11 +5,12 @@
 //! so this crate removes the tree-walking tax. An elaborated ISL
 //! [`Machine`](silc_rtl::Machine) is [`compile`]d once into a compact
 //! register-based bytecode: constant-folded, value-numbered,
-//! dead-code-eliminated, and levelized so each cycle's combinational
-//! logic runs as straight-line ops over a flat `Vec<u64>` bit-packed
-//! arena. A two-list event scheduler watches which state elements
-//! actually changed and skips cycles it can prove are no-ops — sparse
-//! activity costs nothing, dense activity runs at bytecode speed.
+//! dead-code-eliminated, fused (compare-and-branch, compute-into-store)
+//! and levelized so each cycle's combinational logic runs as a handful
+//! of ops over one flat `Vec<u64>` frame. The commit notes whether any
+//! state element actually changed; once a cycle changes nothing the
+//! rest are provably the same no-op and are skipped — sparse activity
+//! costs nothing, dense activity runs at bytecode speed.
 //!
 //! [`CompiledSim`] mirrors [`silc_rtl::Simulator`]'s API and observable
 //! behavior *byte for byte* — same `RunReport`s, same register/output/

@@ -1,28 +1,22 @@
 //! The bytecode executor: a drop-in for [`silc_rtl::Simulator`] with
 //! byte-identical observable behavior.
 //!
-//! Each cycle runs the current state's straight-line ops over the arena
-//! and a scratch temp file, buffering writes; the commit applies them
-//! together and records **change events** (slots and memories whose
-//! stored value actually changed). A two-list scheduler — last cycle's
-//! events versus the ones being recorded — lets [`CompiledSim::step`]
-//! prove a cycle is a no-op without running it: if the machine re-enters
-//! the state it just executed and none of that state's read set changed,
-//! the cycle must recompute and commit the very values already stored.
-//! [`CompiledSim::run`] extends the proof inductively and fast-forwards
-//! the whole remaining budget.
+//! Each cycle runs the current state's ops over the frame. Signal slots
+//! keep their pre-cycle values while stores land in the shadow slots and
+//! memory writes in a buffer; the commit copies the state's static write
+//! set from shadow to signal, applies the buffer, and notes whether any
+//! stored value differed from what was there.
+//!
+//! That one bit is the whole scheduler. A cycle that changed nothing,
+//! stayed in its state and did not halt left the machine exactly as it
+//! found it, so the next cycle — a function of that configuration alone
+//! — repeats it, and so does every cycle after: [`CompiledSim::run`]
+//! fast-forwards the rest of its budget and [`CompiledSim::step`] counts
+//! the cycle without executing it, until a poke clears the bit.
 
 use crate::bytecode::*;
 use crate::compile;
-use silc_rtl::{BinaryOp, Machine, RtlError, RunReport};
-
-fn bit_set(words: &mut [u64], i: u32) {
-    words[i as usize / 64] |= 1 << (i % 64);
-}
-
-fn disjoint(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x & y == 0)
-}
+use silc_rtl::{Machine, RtlError, RunReport};
 
 /// Executes a [`CompiledMachine`]; mirrors the [`silc_rtl::Simulator`]
 /// API and its observable semantics exactly.
@@ -48,31 +42,28 @@ fn disjoint(a: &[u64], b: &[u64]) -> bool {
 #[derive(Debug, Clone)]
 pub struct CompiledSim {
     cm: CompiledMachine,
-    /// Signal slots then memory words.
-    arena: Vec<u64>,
-    temps: Vec<u64>,
-    /// Buffered signal writes: value, epoch stamp, first-write order.
-    pending: Vec<u64>,
-    pending_epoch: Vec<u64>,
-    epoch: u64,
-    write_list: Vec<u32>,
-    /// Buffered memory writes (mem, addr, value), last write wins.
-    mem_writes: Vec<(u32, u64, u64)>,
-    /// Change events from the last committed cycle (list one).
-    changed_sigs: Vec<u64>,
-    changed_mems: Vec<u64>,
-    /// Events being recorded by the current commit (list two).
-    next_sigs: Vec<u64>,
-    next_mems: Vec<u64>,
-    /// State executed (not fast-forwarded) last cycle, if any.
-    last_exec: Option<usize>,
-    /// The last `step` proved itself a no-op via the event lists.
+    /// Signals, shadow, constants and temps, then memory words. Between
+    /// cycles every shadow slot equals its signal slot.
+    frame: Vec<u64>,
+    /// Buffered memory writes (frame index, value), last write wins.
+    mem_writes: Vec<(usize, u64)>,
+    /// The last executed cycle changed nothing and nothing was poked
+    /// since: every further cycle repeats it.
     quiescent: bool,
-    /// Cycles skipped by the scheduler instead of executed.
+    /// Cycles counted without being executed.
     fast_cycles: u64,
     state: usize,
     cycle: u64,
     halted: bool,
+}
+
+#[cold]
+fn out_of_range(m: &MemInfo, addr: u64) -> RtlError {
+    RtlError::AddressOutOfRange {
+        name: m.name.clone(),
+        addr,
+        words: m.words,
+    }
 }
 
 impl CompiledSim {
@@ -80,34 +71,17 @@ impl CompiledSim {
     /// registers at their `init` values, memories zeroed, first state
     /// current.
     pub fn new(cm: &CompiledMachine) -> CompiledSim {
-        let n_sigs = cm.sigs.len();
-        let mut arena = vec![0u64; cm.arena_len];
-        for (i, s) in cm.sigs.iter().enumerate() {
-            if let SigKind::Reg { init } = s.kind {
-                arena[i] = init;
-            }
-        }
-        let sig_words = n_sigs.div_ceil(64).max(1);
-        let mem_words = cm.mems.len().div_ceil(64).max(1);
+        let mut frame = vec![0u64; cm.0.frame_len];
+        frame[..cm.0.image.len()].copy_from_slice(&cm.0.image);
         CompiledSim {
-            arena,
-            temps: vec![0; cm.n_temps as usize],
-            pending: vec![0; n_sigs],
-            pending_epoch: vec![0; n_sigs],
-            epoch: 0,
-            write_list: Vec::new(),
+            cm: cm.clone(),
+            frame,
             mem_writes: Vec::new(),
-            changed_sigs: vec![0; sig_words],
-            changed_mems: vec![0; mem_words],
-            next_sigs: vec![0; sig_words],
-            next_mems: vec![0; mem_words],
-            last_exec: None,
             quiescent: false,
             fast_cycles: 0,
             state: 0,
             cycle: 0,
             halted: false,
-            cm: cm.clone(),
         }
     }
 
@@ -128,33 +102,49 @@ impl CompiledSim {
 
     /// Name of the current control state.
     pub fn state_name(&self) -> &str {
-        &self.cm.states[self.state].name
+        &self.cm.0.states[self.state].name
     }
 
-    /// Cycles the event scheduler proved quiescent and skipped.
+    /// Cycles proved quiescent and skipped instead of executed.
     pub fn fast_forwarded(&self) -> u64 {
         self.fast_cycles
     }
 
+    fn signal(&self, name: &str, kind: SigKind) -> Option<usize> {
+        let &slot = self.cm.0.sig_index.get(name)?;
+        (self.cm.0.sigs[slot as usize].kind == kind).then_some(slot as usize)
+    }
+
     /// Reads a register.
     pub fn reg(&self, name: &str) -> Option<u64> {
-        let &slot = self.cm.sig_index.get(name)?;
-        matches!(self.cm.sigs[slot as usize].kind, SigKind::Reg { .. })
-            .then(|| self.arena[slot as usize])
+        self.signal(name, SigKind::Reg).map(|slot| self.frame[slot])
     }
 
     /// Reads an output port.
     pub fn output(&self, name: &str) -> Option<u64> {
-        let &slot = self.cm.sig_index.get(name)?;
-        matches!(self.cm.sigs[slot as usize].kind, SigKind::Output)
-            .then(|| self.arena[slot as usize])
+        self.signal(name, SigKind::Output)
+            .map(|slot| self.frame[slot])
     }
 
     /// Reads a memory word.
     pub fn mem_word(&self, name: &str, addr: u64) -> Option<u64> {
-        let &mem = self.cm.mem_index.get(name)?;
-        let m = &self.cm.mems[mem as usize];
-        (addr < m.words).then(|| self.arena[m.base + addr as usize])
+        let &mem = self.cm.0.mem_index.get(name)?;
+        let m = &self.cm.0.mems[mem as usize];
+        (addr < m.words).then(|| self.frame[m.base + addr as usize])
+    }
+
+    /// Overwrites a signal and its shadow (value is masked).
+    fn poke(&mut self, name: &str, kind: SigKind, value: u64) -> Result<(), RtlError> {
+        let Some(slot) = self.signal(name, kind) else {
+            return Err(RtlError::Undeclared {
+                name: name.to_string(),
+            });
+        };
+        let v = value & mask(self.cm.0.sigs[slot].width);
+        self.frame[slot] = v;
+        self.frame[self.cm.0.sigs.len() + slot] = v;
+        self.quiescent = false;
+        Ok(())
     }
 
     /// Drives an input port (value is masked to the port width).
@@ -163,23 +153,7 @@ impl CompiledSim {
     ///
     /// [`RtlError::Undeclared`] naming an unknown port.
     pub fn set_input(&mut self, name: &str, value: u64) -> Result<(), RtlError> {
-        let slot = match self.cm.sig_index.get(name) {
-            Some(&s) if matches!(self.cm.sigs[s as usize].kind, SigKind::Input) => s,
-            _ => {
-                return Err(RtlError::Undeclared {
-                    name: name.to_string(),
-                })
-            }
-        };
-        let v = value & mask(self.cm.sigs[slot as usize].width);
-        if self.arena[slot as usize] != v {
-            self.arena[slot as usize] = v;
-            // Merge into the last-commit event list so the scheduler
-            // re-executes states sensitive to this port.
-            bit_set(&mut self.changed_sigs, slot);
-        }
-        self.quiescent = false;
-        Ok(())
+        self.poke(name, SigKind::Input, value)
     }
 
     /// Overwrites a register (for test setup; value is masked).
@@ -188,22 +162,7 @@ impl CompiledSim {
     ///
     /// [`RtlError::Undeclared`] naming an unknown register.
     pub fn set_reg(&mut self, name: &str, value: u64) -> Result<(), RtlError> {
-        let slot = match self.cm.sig_index.get(name) {
-            Some(&s) if matches!(self.cm.sigs[s as usize].kind, SigKind::Reg { .. }) => s,
-            _ => {
-                return Err(RtlError::Undeclared {
-                    name: name.to_string(),
-                })
-            }
-        };
-        let v = value & mask(self.cm.sigs[slot as usize].width);
-        self.arena[slot as usize] = v;
-        // A poke may desynchronize a register the quiescent state writes
-        // but never reads; force a full execution to re-establish the
-        // scheduler's invariant.
-        self.last_exec = None;
-        self.quiescent = false;
-        Ok(())
+        self.poke(name, SigKind::Reg, value)
     }
 
     /// Loads `data` into a memory starting at word 0 (for program
@@ -214,23 +173,18 @@ impl CompiledSim {
     /// [`RtlError::Undeclared`] for an unknown memory;
     /// [`RtlError::AddressOutOfRange`] when `data` overruns it.
     pub fn load_mem(&mut self, name: &str, data: &[u64]) -> Result<(), RtlError> {
-        let Some(&mem) = self.cm.mem_index.get(name) else {
+        let Some(&mem) = self.cm.0.mem_index.get(name) else {
             return Err(RtlError::Undeclared {
                 name: name.to_string(),
             });
         };
-        let m = &self.cm.mems[mem as usize];
+        let m = &self.cm.0.mems[mem as usize];
         if data.len() as u64 > m.words {
-            return Err(RtlError::AddressOutOfRange {
-                name: name.to_string(),
-                addr: data.len() as u64 - 1,
-                words: m.words,
-            });
+            return Err(out_of_range(m, data.len() as u64 - 1));
         }
-        for (i, &v) in data.iter().enumerate() {
-            self.arena[m.base + i] = v & m.mask;
+        for (word, &v) in self.frame[m.base..].iter_mut().zip(data) {
+            *word = v & m.mask;
         }
-        self.last_exec = None;
         self.quiescent = false;
         Ok(())
     }
@@ -242,23 +196,7 @@ impl CompiledSim {
     /// Returns [`RtlError::AddressOutOfRange`] on a bad memory access,
     /// leaving the cycle uncommitted — exactly like the interpreter.
     pub fn step(&mut self) -> Result<(), RtlError> {
-        if self.halted {
-            return Ok(());
-        }
-        if self.last_exec == Some(self.state) {
-            let st = &self.cm.states[self.state];
-            if disjoint(&self.changed_sigs, &st.read_sigs)
-                && disjoint(&self.changed_mems, &st.read_mems)
-            {
-                // Same state, same reads: the cycle recomputes and
-                // commits the values already stored.
-                self.cycle += 1;
-                self.fast_cycles += 1;
-                self.quiescent = true;
-                return Ok(());
-            }
-        }
-        self.exec_cycle()
+        self.run(1).map(|_| ())
     }
 
     /// Runs until `halt` or until `max_cycles` have executed. Once a
@@ -268,210 +206,220 @@ impl CompiledSim {
     ///
     /// # Errors
     ///
-    /// Propagates [`CompiledSim::step`] errors; running out of budget is
-    /// *not* an error (the report's `halted` field says which happened).
+    /// [`RtlError::AddressOutOfRange`] on a bad memory access; the cycles
+    /// before it stay committed, the failing one commits nothing.
+    /// Running out of budget is *not* an error (the report's `halted`
+    /// field says which happened).
     pub fn run(&mut self, max_cycles: u64) -> Result<RunReport, RtlError> {
+        let program = &*self.cm.0;
+        let mems = &program.mems[..];
+        let n_sigs = program.sigs.len();
+        let f = &mut self.frame[..];
+        let mem_writes = &mut self.mem_writes;
+        let mut state = self.state;
+        let mut halted = self.halted;
+        let mut quiescent = self.quiescent;
         let mut cycles = 0;
-        while !self.halted && cycles < max_cycles {
-            self.step()?;
-            cycles += 1;
-            if self.quiescent {
-                let rest = max_cycles - cycles;
-                self.cycle += rest;
-                self.fast_cycles += rest;
+        let mut fault = None;
+
+        'run: while !halted && cycles < max_cycles {
+            if quiescent {
+                self.fast_cycles += max_cycles - cycles;
                 cycles = max_cycles;
+                break;
             }
-        }
-        Ok(RunReport {
-            cycles,
-            halted: self.halted,
-        })
-    }
-
-    fn exec_cycle(&mut self) -> Result<(), RtlError> {
-        self.epoch += 1;
-        self.write_list.clear();
-        self.mem_writes.clear();
-        let mut next_state: Option<u32> = None;
-        let mut halt = false;
-
-        let n_ops = self.cm.states[self.state].ops.len();
-        let mut pc = 0usize;
-        while pc < n_ops {
-            let op = self.cm.states[self.state].ops[pc];
-            match op {
-                Op::Const { dst, value } => self.temps[dst as usize] = value,
-                Op::Load { dst, slot } => self.temps[dst as usize] = self.arena[slot as usize],
-                Op::LoadMem { dst, mem, addr } => {
-                    let a = self.temps[addr as usize];
-                    let m = &self.cm.mems[mem as usize];
-                    if a >= m.words {
-                        return Err(RtlError::AddressOutOfRange {
-                            name: m.name.clone(),
-                            addr: a,
-                            words: m.words,
-                        });
-                    }
-                    self.temps[dst as usize] = self.arena[m.base + a as usize];
-                }
-                Op::Not { dst, a, mask } => {
-                    self.temps[dst as usize] = !self.temps[a as usize] & mask;
-                }
-                Op::Neg { dst, a, mask } => {
-                    self.temps[dst as usize] = self.temps[a as usize].wrapping_neg() & mask;
-                }
-                Op::IsZero { dst, a } => {
-                    self.temps[dst as usize] = u64::from(self.temps[a as usize] == 0);
-                }
-                Op::Bin {
-                    dst,
-                    op,
-                    a,
-                    b,
-                    mask,
-                } => {
-                    let x = self.temps[a as usize];
-                    let y = self.temps[b as usize];
-                    self.temps[dst as usize] = match op {
-                        BinaryOp::Add => x.wrapping_add(y) & mask,
-                        BinaryOp::Sub => x.wrapping_sub(y) & mask,
-                        BinaryOp::And => x & y,
-                        BinaryOp::Or => x | y,
-                        BinaryOp::Xor => x ^ y,
-                        BinaryOp::Shl => {
-                            if y >= 64 {
-                                0
-                            } else {
-                                (x << y) & mask
-                            }
+            let st = &program.states[state];
+            let ops = &st.ops[..];
+            let mut next = st.next;
+            let mut halt = false;
+            let mut pc = 0;
+            while let Some(&op) = ops.get(pc) {
+                pc += 1;
+                match op {
+                    Op::LoadMem { dst, mem, a } => {
+                        let (m, addr) = (&mems[mem as usize], f[a as usize]);
+                        if addr >= m.words {
+                            fault = Some(out_of_range(m, addr));
+                            break 'run;
                         }
-                        BinaryOp::Shr => {
-                            if y >= 64 {
-                                0
-                            } else {
-                                x >> y
-                            }
+                        f[dst as usize] = f[m.base + addr as usize];
+                    }
+                    Op::Not { dst, a, sh } => f[dst as usize] = !f[a as usize] & (u64::MAX >> sh),
+                    Op::Neg { dst, a, sh } => {
+                        f[dst as usize] = f[a as usize].wrapping_neg() & (u64::MAX >> sh);
+                    }
+                    Op::IsZero { dst, a } => f[dst as usize] = u64::from(f[a as usize] == 0),
+                    Op::Add { dst, a, b, sh } => {
+                        f[dst as usize] =
+                            f[a as usize].wrapping_add(f[b as usize]) & (u64::MAX >> sh);
+                    }
+                    Op::Sub { dst, a, b, sh } => {
+                        f[dst as usize] =
+                            f[a as usize].wrapping_sub(f[b as usize]) & (u64::MAX >> sh);
+                    }
+                    Op::Shl { dst, a, b, sh } => {
+                        let by = f[b as usize].min(64) as u32;
+                        f[dst as usize] =
+                            f[a as usize].checked_shl(by).unwrap_or(0) & (u64::MAX >> sh);
+                    }
+                    Op::Shr { dst, a, b } => {
+                        let by = f[b as usize].min(64) as u32;
+                        f[dst as usize] = f[a as usize].checked_shr(by).unwrap_or(0);
+                    }
+                    Op::And { dst, a, b } => f[dst as usize] = f[a as usize] & f[b as usize],
+                    Op::Or { dst, a, b } => f[dst as usize] = f[a as usize] | f[b as usize],
+                    Op::Xor { dst, a, b } => f[dst as usize] = f[a as usize] ^ f[b as usize],
+                    Op::Eq { dst, a, b } => {
+                        f[dst as usize] = u64::from(f[a as usize] == f[b as usize]);
+                    }
+                    Op::Ne { dst, a, b } => {
+                        f[dst as usize] = u64::from(f[a as usize] != f[b as usize]);
+                    }
+                    Op::Lt { dst, a, b } => {
+                        f[dst as usize] = u64::from(f[a as usize] < f[b as usize]);
+                    }
+                    Op::Le { dst, a, b } => {
+                        f[dst as usize] = u64::from(f[a as usize] <= f[b as usize]);
+                    }
+                    Op::Gt { dst, a, b } => {
+                        f[dst as usize] = u64::from(f[a as usize] > f[b as usize]);
+                    }
+                    Op::Ge { dst, a, b } => {
+                        f[dst as usize] = u64::from(f[a as usize] >= f[b as usize]);
+                    }
+                    Op::LAnd { dst, a, b } => {
+                        f[dst as usize] = u64::from(f[a as usize] != 0 && f[b as usize] != 0);
+                    }
+                    Op::LOr { dst, a, b } => {
+                        f[dst as usize] = u64::from(f[a as usize] != 0 || f[b as usize] != 0);
+                    }
+                    Op::Slice { dst, a, lo, sh } => {
+                        f[dst as usize] = (f[a as usize] >> lo) & (u64::MAX >> sh);
+                    }
+                    Op::Fold { dst, a, b, shift } => {
+                        f[dst as usize] = (f[a as usize] << shift) | f[b as usize];
+                    }
+                    Op::Insert { dst, a, lo, sh } => {
+                        let field = u64::MAX >> sh;
+                        f[dst as usize] =
+                            (f[dst as usize] & !(field << lo)) | ((f[a as usize] & field) << lo);
+                    }
+                    Op::Jz { a, target } => {
+                        if f[a as usize] == 0 {
+                            pc = target as usize;
                         }
-                        BinaryOp::Eq => u64::from(x == y),
-                        BinaryOp::Ne => u64::from(x != y),
-                        BinaryOp::Lt => u64::from(x < y),
-                        BinaryOp::Le => u64::from(x <= y),
-                        BinaryOp::Gt => u64::from(x > y),
-                        BinaryOp::Ge => u64::from(x >= y),
-                        BinaryOp::LogicalAnd => u64::from(x != 0 && y != 0),
-                        BinaryOp::LogicalOr => u64::from(x != 0 || y != 0),
-                    };
-                }
-                Op::Slice { dst, a, lo, mask } => {
-                    self.temps[dst as usize] = (self.temps[a as usize] >> lo) & mask;
-                }
-                Op::Fold {
-                    dst,
-                    acc,
-                    part,
-                    shift,
-                    mask,
-                } => {
-                    self.temps[dst as usize] =
-                        (self.temps[acc as usize] << shift) | (self.temps[part as usize] & mask);
-                }
-                Op::Jz { cond, target } => {
-                    if self.temps[cond as usize] == 0 {
-                        pc = target as usize;
-                        continue;
                     }
-                }
-                Op::Jmp { target } => {
-                    pc = target as usize;
-                    continue;
-                }
-                Op::StoreFull { slot, src, mask } => {
-                    let v = self.temps[src as usize] & mask;
-                    self.pend_sig(slot, v);
-                }
-                Op::StoreSlice {
-                    slot,
-                    src,
-                    lo,
-                    mask,
-                } => {
-                    let cur = if self.pending_epoch[slot as usize] == self.epoch {
-                        self.pending[slot as usize]
-                    } else {
-                        self.arena[slot as usize]
-                    };
-                    let field = (self.temps[src as usize] & mask) << lo;
-                    let keep = !(mask << lo);
-                    self.pend_sig(slot, (cur & keep) | field);
-                }
-                Op::StoreMem {
-                    mem,
-                    addr,
-                    src,
-                    mask,
-                } => {
-                    let a = self.temps[addr as usize];
-                    let m = &self.cm.mems[mem as usize];
-                    if a >= m.words {
-                        return Err(RtlError::AddressOutOfRange {
-                            name: m.name.clone(),
-                            addr: a,
-                            words: m.words,
-                        });
+                    Op::Jnz { a, target } => {
+                        if f[a as usize] != 0 {
+                            pc = target as usize;
+                        }
                     }
-                    let v = self.temps[src as usize] & mask;
-                    match self
-                        .mem_writes
-                        .iter_mut()
-                        .find(|(wm, wa, _)| *wm == mem && *wa == a)
-                    {
-                        Some(w) => w.2 = v,
-                        None => self.mem_writes.push((mem, a, v)),
+                    Op::JEq { a, b, target } => {
+                        if f[a as usize] == f[b as usize] {
+                            pc = target as usize;
+                        }
                     }
+                    Op::JNe { a, b, target } => {
+                        if f[a as usize] != f[b as usize] {
+                            pc = target as usize;
+                        }
+                    }
+                    Op::JLt { a, b, target } => {
+                        if f[a as usize] < f[b as usize] {
+                            pc = target as usize;
+                        }
+                    }
+                    Op::JLe { a, b, target } => {
+                        if f[a as usize] <= f[b as usize] {
+                            pc = target as usize;
+                        }
+                    }
+                    Op::JGt { a, b, target } => {
+                        if f[a as usize] > f[b as usize] {
+                            pc = target as usize;
+                        }
+                    }
+                    Op::JGe { a, b, target } => {
+                        if f[a as usize] >= f[b as usize] {
+                            pc = target as usize;
+                        }
+                    }
+                    Op::JBitsEq {
+                        a,
+                        b,
+                        target,
+                        lo,
+                        sh,
+                    } => {
+                        if (f[a as usize] >> lo) & (u64::MAX >> sh) == f[b as usize] {
+                            pc = target as usize;
+                        }
+                    }
+                    Op::JBitsNe {
+                        a,
+                        b,
+                        target,
+                        lo,
+                        sh,
+                    } => {
+                        if (f[a as usize] >> lo) & (u64::MAX >> sh) != f[b as usize] {
+                            pc = target as usize;
+                        }
+                    }
+                    Op::Jmp { target } => pc = target as usize,
+                    Op::StoreMem { mem, a, b, sh } => {
+                        let (m, addr) = (&mems[mem as usize], f[a as usize]);
+                        if addr >= m.words {
+                            fault = Some(out_of_range(m, addr));
+                            break 'run;
+                        }
+                        let (at, v) = (m.base + addr as usize, f[b as usize] & (u64::MAX >> sh));
+                        match mem_writes.iter_mut().find(|w| w.0 == at) {
+                            Some(w) => w.1 = v,
+                            None => mem_writes.push((at, v)),
+                        }
+                    }
+                    Op::SetState { index } => next = index,
+                    Op::Halt => halt = true,
                 }
-                Op::SetState { index } => next_state = Some(index),
-                Op::Halt => halt = true,
             }
-            pc += 1;
+
+            // Commit; `changed` collects the bits any store flipped.
+            let mut changed = 0;
+            for &slot in &st.writes {
+                let slot = slot as usize;
+                let v = f[n_sigs + slot];
+                changed |= f[slot] ^ v;
+                f[slot] = v;
+            }
+            if !mem_writes.is_empty() {
+                for &(at, v) in mem_writes.iter() {
+                    changed |= f[at] ^ v;
+                    f[at] = v;
+                }
+                mem_writes.clear();
+            }
+            cycles += 1;
+            halted = halt;
+            quiescent = changed == 0 && !halt && next as usize == state;
+            state = next as usize;
         }
 
-        // Commit, recording change events into list two.
-        self.next_sigs.iter_mut().for_each(|w| *w = 0);
-        self.next_mems.iter_mut().for_each(|w| *w = 0);
-        for i in 0..self.write_list.len() {
-            let slot = self.write_list[i];
-            let v = self.pending[slot as usize];
-            if self.arena[slot as usize] != v {
-                self.arena[slot as usize] = v;
-                bit_set(&mut self.next_sigs, slot);
+        if fault.is_some() {
+            // The failing cycle commits nothing: forget its stores.
+            for &slot in &program.states[state].writes {
+                f[n_sigs + slot as usize] = f[slot as usize];
             }
+            mem_writes.clear();
         }
-        for i in 0..self.mem_writes.len() {
-            let (mem, a, v) = self.mem_writes[i];
-            let idx = self.cm.mems[mem as usize].base + a as usize;
-            if self.arena[idx] != v {
-                self.arena[idx] = v;
-                bit_set(&mut self.next_mems, mem);
-            }
+        self.state = state;
+        self.halted = halted;
+        self.quiescent = quiescent;
+        self.cycle += cycles;
+        match fault {
+            Some(err) => Err(err),
+            None => Ok(RunReport { cycles, halted }),
         }
-        std::mem::swap(&mut self.changed_sigs, &mut self.next_sigs);
-        std::mem::swap(&mut self.changed_mems, &mut self.next_mems);
-        self.last_exec = Some(self.state);
-        if let Some(next) = next_state {
-            self.state = next as usize;
-        }
-        self.halted = halt;
-        self.cycle += 1;
-        self.quiescent = false;
-        Ok(())
-    }
-
-    fn pend_sig(&mut self, slot: u32, value: u64) {
-        if self.pending_epoch[slot as usize] != self.epoch {
-            self.pending_epoch[slot as usize] = self.epoch;
-            self.write_list.push(slot);
-        }
-        self.pending[slot as usize] = value;
     }
 }
 
@@ -585,5 +533,150 @@ mod tests {
         s.run(10).unwrap();
         assert_eq!(s.reg("a"), Some(0xB1));
         assert_eq!(s.state_name(), "two");
+    }
+
+    /// Steps both engines `cycles` times from reset and compares every
+    /// register after every cycle; returns the compiled one.
+    fn agree(src: &str, cycles: u64) -> CompiledSim {
+        let machine = parse(src).unwrap();
+        let mut interp = silc_rtl::Simulator::new(&machine);
+        let mut comp = CompiledSim::from_machine(&machine);
+        for cycle in 0..cycles {
+            assert_eq!(interp.step(), comp.step(), "cycle {cycle}");
+            for r in &machine.regs {
+                assert_eq!(
+                    interp.reg(&r.name),
+                    comp.reg(&r.name),
+                    "{} @ {cycle}",
+                    r.name
+                );
+            }
+            assert_eq!(interp.state_name(), comp.state_name());
+            assert_eq!(interp.is_halted(), comp.is_halted());
+        }
+        comp
+    }
+
+    #[test]
+    fn a_fused_comparison_still_stores_its_value() {
+        let src = "machine k { reg x[8]; reg f[1]; reg a[4];
+               state s { f := x == 3; if x == 3 { a := 9; } x := x + 1; } }";
+        let s = agree(src, 6);
+        assert_eq!(s.reg("a"), Some(9));
+        assert_eq!(s.reg("f"), Some(0));
+    }
+
+    #[test]
+    fn jumps_land_past_operands_that_are_no_longer_ops() {
+        // The `else` label used to sit on the load of the literal 5.
+        let src = "machine j { reg a[8]; reg b[8]; reg n[4];
+               state s { if n[0] { a := a + 1; } b := b + 5; n := n + 1; } }";
+        let s = agree(src, 8);
+        assert_eq!(s.reg("a"), Some(4));
+        assert_eq!(s.reg("b"), Some(40));
+    }
+
+    #[test]
+    fn an_empty_else_may_end_the_state() {
+        let src = "machine e { reg a[8]; reg n[4];
+               state s { n := n + 1; if n == 2 { a := 7; } } }";
+        let s = agree(src, 5);
+        assert_eq!(s.reg("a"), Some(7));
+    }
+
+    #[test]
+    fn slice_stores_see_the_pending_value_or_the_old_one() {
+        // Full store then slice store in one cycle: the slice lands in
+        // the pending value. Under a branch not taken: the old field
+        // stays, this cycle and the next.
+        let src = "machine p { reg a[8] init 0x55; reg b[8] init 0xA0; reg n[4];
+               state s {
+                 a := 0xF0; a[1:0] := 3;
+                 if n == 1 { b[3:0] := 0xC; }
+                 n := n + 1;
+               } }";
+        let mut s = agree(src, 1);
+        assert_eq!(s.reg("a"), Some(0xF3));
+        assert_eq!(s.reg("b"), Some(0xA0));
+        s.step().unwrap();
+        assert_eq!(s.reg("b"), Some(0xAC));
+        s.step().unwrap();
+        assert_eq!(s.reg("b"), Some(0xAC));
+        agree(src, 4);
+    }
+
+    #[test]
+    fn a_failed_cycle_leaves_no_trace() {
+        // The stores before the bad read are forgotten: registers,
+        // memory and cycle count stay, and the next cycle computes from
+        // the old values — not from a half-written shadow.
+        let src = "machine f { reg a[8] init 1; reg at[8] init 200; reg d[8]; mem ram[16][8];
+               state s { a := a + 1; a[7] := 1; ram[(a & 15)] := 9; d := ram[at]; } }";
+        let machine = parse(src).unwrap();
+        let mut interp = silc_rtl::Simulator::new(&machine);
+        let mut s = CompiledSim::from_machine(&machine);
+        for _ in 0..2 {
+            assert_eq!(interp.step(), s.step());
+            assert!(matches!(
+                s.run(5),
+                Err(RtlError::AddressOutOfRange { addr: 200, .. })
+            ));
+            assert_eq!((s.cycle(), s.reg("a"), s.reg("d")), (0, Some(1), Some(0)));
+            assert_eq!(s.mem_word("ram", 1), Some(0));
+        }
+        interp.set_reg("at", 1).unwrap();
+        s.set_reg("at", 1).unwrap();
+        for _ in 0..3 {
+            assert_eq!(s.step(), Ok(()));
+            assert_eq!(interp.step(), Ok(()));
+            assert_eq!(interp.reg("a"), s.reg("a"));
+            assert_eq!(interp.reg("d"), s.reg("d"));
+        }
+        assert_eq!(s.reg("a"), Some(0x84));
+        assert_eq!((s.reg("d"), s.mem_word("ram", 1)), (Some(9), Some(9)));
+        assert_eq!(s.cycle(), 3);
+    }
+
+    #[test]
+    fn states_share_constants() {
+        let src = "machine c { reg a[16]; reg b[16];
+               state s0 { a := a + 1234; goto s1; }
+               state s1 { b := b ^ 1234; if b == 0 { goto s0; } goto s0; } }";
+        let s = agree(src, 6);
+        assert_eq!(s.reg("a"), Some(3 * 1234));
+        assert_eq!(s.reg("b"), Some(1234));
+    }
+
+    #[test]
+    fn pokes_interrupt_fast_forwarding() {
+        let mut s = sim("machine io { port input x[8]; reg a[8]; reg w[8];
+               state s { a := x + 1; w := 7; } }");
+        s.run(1000).unwrap();
+        // Two cycles executed (the second one changed nothing), the
+        // rest counted.
+        assert_eq!(s.fast_forwarded(), 998);
+        s.step().unwrap();
+        assert_eq!((s.cycle(), s.fast_forwarded()), (1001, 999));
+        s.set_input("x", 41).unwrap();
+        s.set_reg("w", 0).unwrap();
+        s.run(1000).unwrap();
+        assert_eq!((s.reg("a"), s.reg("w")), (Some(42), Some(7)));
+        assert_eq!((s.cycle(), s.fast_forwarded()), (2001, 999 + 998));
+        // A poke that changes nothing still costs one executed cycle.
+        s.set_input("x", 41).unwrap();
+        s.run(10).unwrap();
+        assert_eq!(s.fast_forwarded(), 999 + 998 + 9);
+    }
+
+    #[test]
+    fn bits_above_63_do_not_exist() {
+        // A 64-bit concat part shifts the rest out; a slice from bit 64
+        // up reads 0. Same answer from both engines, debug or release.
+        let src = "machine w { reg a[64] init 5; reg b[8] init 3; reg r[64]; reg q[8]; reg t[64];
+               state s { r := {b, a}; q := (a | 0)[70:65]; t := {a, b}; halt; } }";
+        let s = agree(src, 1);
+        assert_eq!(s.reg("r"), Some(5));
+        assert_eq!(s.reg("q"), Some(0));
+        assert_eq!(s.reg("t"), Some(0x503));
     }
 }

@@ -30,7 +30,7 @@ struct Gen {
     rng: TestRng,
 }
 
-const WIDTHS: [u32; 10] = [1, 2, 3, 4, 7, 8, 12, 16, 32, 63];
+const WIDTHS: [u32; 11] = [1, 2, 3, 4, 7, 8, 12, 16, 32, 63, 64];
 const BIN_OPS: [&str; 15] = [
     "+", "-", "&", "|", "^", "<<", ">>", "==", "!=", "<", "<=", ">", ">=", "&&", "||",
 ];
@@ -55,13 +55,15 @@ impl Gen {
     /// A literal or signal read.
     fn leaf(&mut self, s: &Spec) -> String {
         match self.below(4) {
-            0 => {
-                if self.chance(1, 2) {
-                    format!("{}", self.below(10))
-                } else {
-                    format!("{}", self.below(1 << 16))
+            0 => match self.below(5) {
+                0 | 1 => format!("{}", self.below(10)),
+                2 | 3 => format!("{}", self.below(1 << 16)),
+                // Sized, from the empty literal to wider than a value.
+                _ => {
+                    let w = [0, 1, 5, 12, 64, 100][self.below(6) as usize];
+                    format!("{w}'d{}", self.below(1 << 13))
                 }
-            }
+            },
             1 if !s.inputs.is_empty() => s.inputs[self.below(s.inputs.len() as u64) as usize]
                 .0
                 .clone(),
@@ -88,13 +90,29 @@ impl Gen {
         }
     }
 
-    /// A concat part: always a slice no wider than 16 bits, so the total
-    /// never reaches the 64-bit shift that both engines refuse. The base
-    /// is OR-ed with zero so the parser cannot collapse it to a bare
-    /// ident (whose slice bounds validation would then reject).
+    /// Bounds of an expression slice: mostly a narrow field near bit 0,
+    /// now and then one that reaches or starts past bit 63, where both
+    /// engines read zeros.
+    fn slice_bounds(&mut self) -> (u32, u32) {
+        if self.chance(1, 4) {
+            let lo = self.below(72) as u32;
+            (lo + self.below(70) as u32, lo)
+        } else {
+            let lo = self.below(8) as u32;
+            (lo + self.below(12) as u32, lo)
+        }
+    }
+
+    /// A concat part: a slice (so parts are up to 64 bits wide and the
+    /// total goes past 64, where the leading parts fall off the top) or,
+    /// now and then, a whole register. The base is OR-ed with zero so the
+    /// parser cannot collapse it to a bare ident (whose slice bounds
+    /// validation would then reject).
     fn concat_part(&mut self, s: &Spec, depth: u32) -> String {
-        let lo = self.below(8) as u32;
-        let hi = lo + self.below(12) as u32;
+        if self.chance(1, 6) {
+            return self.reg(s).0.clone();
+        }
+        let (hi, lo) = self.slice_bounds();
         let base = self.expr(s, depth);
         format!("({base} | 0)[{hi}:{lo}]")
     }
@@ -121,8 +139,7 @@ impl Gen {
                 format!("{name}[{hi}:{lo}]")
             }
             6 => {
-                let lo = self.below(8) as u32;
-                let hi = lo + self.below(12) as u32;
+                let (hi, lo) = self.slice_bounds();
                 format!("({} | 0)[{hi}:{lo}]", self.expr(s, depth - 1))
             }
             7 => {

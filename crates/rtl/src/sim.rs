@@ -379,8 +379,9 @@ impl Simulator {
             }
             Expr::Slice { base, hi, lo } => {
                 let (v, _) = self.eval(base)?;
-                let w = hi - lo + 1;
-                Ok(((v >> lo) & mask(w), w))
+                let w = (hi - lo).saturating_add(1);
+                // Values are 64 bits wide: bits above 63 do not exist.
+                Ok((v.checked_shr(*lo).unwrap_or(0) & mask(w), w))
             }
             Expr::MemRead { name, addr } => {
                 let (a, _) = self.eval(addr)?;
@@ -444,8 +445,9 @@ impl Simulator {
                 let mut w: u32 = 0;
                 for p in parts {
                     let (pv, pw) = self.eval(p)?;
-                    v = (v << pw) | (pv & mask(pw));
-                    w += pw;
+                    // A part of 64 bits or more shifts the rest out.
+                    v = v.checked_shl(pw).unwrap_or(0) | (pv & mask(pw));
+                    w = w.saturating_add(pw);
                 }
                 Ok((v, w.min(64)))
             }
@@ -639,5 +641,19 @@ mod tests {
         let mut s = sim("machine sz { reg a[12]; state s { a := 12'o7777; halt; } }");
         s.run(10).unwrap();
         assert_eq!(s.reg("a"), Some(0o7777));
+    }
+
+    #[test]
+    fn bits_above_63_do_not_exist() {
+        // A concat part 64 bits wide shifts the accumulator out; a slice
+        // whose low bound is 64 or more reads 0. No shift overflows.
+        let mut s = sim(
+            "machine w { reg a[64] init 5; reg b[8] init 3; reg r[64]; reg q[8]; reg t[64];
+                state s { r := {b, a}; q := (a | 0)[70:65]; t := {a, b, 100'd1}; halt; } }",
+        );
+        s.run(10).unwrap();
+        assert_eq!(s.reg("r"), Some(5));
+        assert_eq!(s.reg("q"), Some(0));
+        assert_eq!(s.reg("t"), Some(1));
     }
 }
