@@ -16,7 +16,6 @@ pub mod e5;
 pub mod e6;
 pub mod e7;
 pub mod e8;
-pub mod e9;
 
 /// Renders a table of rows with a header, for the examples and bench
 /// summaries.

@@ -12,9 +12,9 @@
 //! The engine is `Sync`: batch workers and serve workers on separate
 //! threads share one engine (and therefore one cache) through
 //! `&Engine`. The memory tier is **lock-striped**: entries are spread
-//! across N shards selected by fingerprint bits, each behind its own
-//! mutex with its own recency order, so concurrent warm queries on
-//! different shards never contend. Shard locks are held only for
+//! across [`STRIPES`] shards selected by fingerprint bits, each behind
+//! its own mutex with its own recency order, so concurrent warm queries
+//! on different shards never contend. Shard locks are held only for
 //! lookups and insertions, never across a compute or a disk read.
 //!
 //! The entry budget is **globally pooled**: a lock-free occupancy
@@ -22,18 +22,13 @@
 //! evicts its own least-recent entries while the *global* total is over
 //! budget. Victim selection stays shard-local (no cross-shard locking)
 //! but a shard whose fingerprints happen to carry more than their share
-//! of the hot set may outgrow `mem_entries / shards` — the eviction
+//! of the hot set may outgrow `mem_entries / STRIPES` — the eviction
 //! pressure lands wherever the cold inserts land, instead of thrashing
 //! whichever shard lost the hash lottery.
 //!
-//! Within a shard, eviction is touch-on-hit LRU by default (a hit
-//! refreshes the entry, so hot entries survive capacity pressure); the
-//! pre-shard insertion-order FIFO policy is kept as
-//! [`EvictPolicy::Fifo`] for ablation baselines. Entries served from
-//! the disk tier repeatedly are *promoted*: once a key's disk-hit count
-//! reaches [`EngineConfig::promote_after`], it is pinned into the
-//! memory tier and exempted from eviction (up to a per-shard pin
-//! budget).
+//! Eviction is touch-on-hit LRU and nothing else: a memory hit
+//! refreshes the entry, so hot entries survive capacity pressure, and
+//! an entry read back from the disk tier re-enters as the most recent.
 
 use crate::codec::{Dec, Enc, Persist};
 use crate::disk::DiskCache;
@@ -44,7 +39,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// One pipeline stage, identifying a query family. The tag goes into
 /// persisted entry headers (stable across builds); the name goes into
@@ -110,23 +105,9 @@ impl Stage {
     };
 }
 
-/// Memory-tier eviction policy.
-///
-/// [`EvictPolicy::Lru`] is the production policy. [`EvictPolicy::Fifo`]
-/// reproduces the pre-shard engine's insertion-order eviction and is
-/// kept as the single-lock ablation baseline for the serve load test
-/// (`e9`) and the shard-equivalence proptests — eviction policy must
-/// never change *results*, only hit rates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EvictPolicy {
-    /// Touch-on-hit least-recently-used: a hit refreshes the entry's
-    /// recency, so repeatedly-hit entries survive capacity pressure.
-    #[default]
-    Lru,
-    /// Insertion-order FIFO: entries age out in insertion order no
-    /// matter how often they hit.
-    Fifo,
-}
+/// Lock stripes in the memory tier (a power of two: the stripe is
+/// picked by masking fingerprint bits).
+const STRIPES: usize = 8;
 
 /// The default worker-thread count for parallel front-ends (`silc
 /// batch` job workers, `silc serve` compute workers): the machine's
@@ -145,18 +126,8 @@ pub struct EngineConfig {
     /// shard may outgrow its even share as long as the global total
     /// stays under budget.
     pub mem_entries: usize,
-    /// Receives `incr.*` counters (hits, misses, bytes, evictions,
-    /// promotions, per-shard occupancy).
+    /// Receives `incr.*` counters (hits, misses, bytes, evictions).
     pub tracer: Tracer,
-    /// Lock-stripe count for the memory tier; rounded up to a power of
-    /// two and clamped to `1..=256`.
-    pub shards: usize,
-    /// Memory-tier eviction policy.
-    pub policy: EvictPolicy,
-    /// Disk hits on one key before it is promoted — pinned into the
-    /// memory tier, exempt from eviction (up to half a shard's budget).
-    /// `0` disables promotion.
-    pub promote_after: u32,
 }
 
 impl Default for EngineConfig {
@@ -165,9 +136,6 @@ impl Default for EngineConfig {
             cache_dir: None,
             mem_entries: 4096,
             tracer: Tracer::disabled(),
-            shards: 8,
-            policy: EvictPolicy::Lru,
-            promote_after: 2,
         }
     }
 }
@@ -190,8 +158,6 @@ struct Slot {
     /// Last-touch sequence number; identifies this entry's one live
     /// record in the shard's recency queue.
     stamp: u64,
-    /// Pinned entries (disk-tier promotions) are exempt from eviction.
-    pinned: bool,
 }
 
 /// One lock stripe of the memory tier. The recency queue is
@@ -204,20 +170,12 @@ struct Shard {
     entries: HashMap<MemKey, Slot>,
     order: VecDeque<(u64, MemKey)>,
     seq: u64,
-    pinned: usize,
-    /// Disk-hit counts per key, driving promotion.
-    disk_touches: HashMap<MemKey, u32>,
 }
 
 impl Shard {
-    fn touch(&mut self, key: MemKey, policy: EvictPolicy) {
-        if policy != EvictPolicy::Lru {
-            return;
-        }
+    /// Makes `key`'s entry the most recent one.
+    fn touch(&mut self, key: MemKey) {
         if let Some(slot) = self.entries.get_mut(&key) {
-            if slot.pinned {
-                return;
-            }
             self.seq += 1;
             slot.stamp = self.seq;
             self.order.push_back((self.seq, key));
@@ -225,9 +183,9 @@ impl Shard {
         }
     }
 
-    /// Inserts (or replaces) an entry, then evicts this shard's
-    /// least-recent entries while the *global* occupancy is over
-    /// budget. Returns the number of evictions.
+    /// Inserts (or replaces) an entry as the most recent, then evicts
+    /// this shard's least-recent entries while the *global* occupancy
+    /// is over budget. Returns the number of evictions.
     ///
     /// The shard never evicts the entry it is inserting: if its own
     /// oldest live entry is `key`, the excess lives on some other shard
@@ -237,45 +195,21 @@ impl Shard {
         &mut self,
         key: MemKey,
         value: Arc<dyn Any + Send + Sync>,
-        pin: bool,
         occupancy: &AtomicUsize,
         global_budget: usize,
     ) -> u64 {
-        match self.entries.get_mut(&key) {
-            Some(slot) => {
-                slot.value = value;
-                if pin && !slot.pinned {
-                    slot.pinned = true;
-                    self.pinned += 1;
-                }
-            }
-            None => {
-                self.seq += 1;
-                self.entries.insert(
-                    key,
-                    Slot {
-                        value,
-                        stamp: self.seq,
-                        pinned: pin,
-                    },
-                );
-                occupancy.fetch_add(1, Ordering::Relaxed);
-                if pin {
-                    self.pinned += 1;
-                } else {
-                    self.order.push_back((self.seq, key));
-                }
-            }
+        self.seq += 1;
+        let stamp = self.seq;
+        if self.entries.insert(key, Slot { value, stamp }).is_none() {
+            occupancy.fetch_add(1, Ordering::Relaxed);
         }
+        self.order.push_back((stamp, key));
         let mut evicted = 0;
         while occupancy.load(Ordering::Relaxed) > global_budget {
             let Some(&(stamp, old)) = self.order.front() else {
                 break;
             };
-            let live = self
-                .entries
-                .get(&old)
-                .is_some_and(|slot| slot.stamp == stamp && !slot.pinned);
+            let live = self.entries.get(&old).is_some_and(|s| s.stamp == stamp);
             if live && old == key {
                 break;
             }
@@ -293,59 +227,30 @@ impl Shard {
     fn compact_if_bloated(&mut self) {
         if self.order.len() > self.entries.len() * 2 + 16 {
             let entries = &self.entries;
-            self.order.retain(|&(stamp, key)| {
-                entries
-                    .get(&key)
-                    .is_some_and(|slot| slot.stamp == stamp && !slot.pinned)
-            });
+            self.order
+                .retain(|&(stamp, key)| entries.get(&key).is_some_and(|s| s.stamp == stamp));
         }
     }
 }
 
-/// Returns interned `("incr.shardN.hits", "incr.shardN.entries")`
-/// counter names for shard `N`. Names are leaked once per distinct
-/// shard index process-wide (the tracer API wants `&'static str`).
-fn shard_counter_names(i: usize) -> (&'static str, &'static str) {
-    static NAMES: OnceLock<Mutex<HashMap<usize, (&'static str, &'static str)>>> = OnceLock::new();
-    let mut table = NAMES
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("shard name table");
-    *table.entry(i).or_insert_with(|| {
-        (
-            Box::leak(format!("incr.shard{i}.hits").into_boxed_str()),
-            Box::leak(format!("incr.shard{i}.entries").into_boxed_str()),
-        )
-    })
-}
-
 /// The memoizing query engine. See the module docs.
 pub struct Engine {
-    shards: Vec<Mutex<Shard>>,
+    shards: [Mutex<Shard>; STRIPES],
     /// Global entry budget, pooled across shards.
     budget: usize,
     /// Total live entries across all shards; lets an inserting shard
     /// evict against the global budget without touching other shards'
     /// locks.
     occupancy: AtomicUsize,
-    /// Per-shard cap on pinned entries.
-    pin_cap: usize,
-    policy: EvictPolicy,
-    promote_after: u32,
     disk: Option<DiskCache>,
     tracer: Tracer,
-    /// `(hits, entries)` counter names per shard; built only when the
-    /// tracer is enabled so the disabled path never formats or leaks.
-    shard_names: Option<Vec<(&'static str, &'static str)>>,
 }
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("disk", &self.disk)
-            .field("shards", &self.shards.len())
             .field("budget", &self.budget)
-            .field("policy", &self.policy)
             .finish_non_exhaustive()
     }
 }
@@ -362,25 +267,12 @@ impl Engine {
             Some(dir) => Some(DiskCache::open(dir)?),
             None => None,
         };
-        let shard_count = config.shards.clamp(1, 256).next_power_of_two();
-        let budget = config.mem_entries.max(1);
-        let share = budget.div_ceil(shard_count).max(1);
-        let shard_names = config
-            .tracer
-            .is_enabled()
-            .then(|| (0..shard_count).map(shard_counter_names).collect());
         Ok(Engine {
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
-            budget,
+            shards: std::array::from_fn(|_| Mutex::default()),
+            budget: config.mem_entries.max(1),
             occupancy: AtomicUsize::new(0),
-            pin_cap: (share / 2).max(1),
-            policy: config.policy,
-            promote_after: config.promote_after,
             disk,
             tracer: config.tracer,
-            shard_names,
         })
     }
 
@@ -405,21 +297,17 @@ impl Engine {
 
     /// The number of lock stripes in the memory tier.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        STRIPES
     }
 
-    /// Current memory-tier occupancy: `(entries, pinned)` summed over
-    /// all shards.
-    pub fn mem_occupancy(&self) -> (usize, usize) {
-        self.shards.iter().fold((0, 0), |(e, p), shard| {
-            let shard = shard.lock().expect("engine shard");
-            (e + shard.entries.len(), p + shard.pinned)
-        })
+    /// Entries currently held in the memory tier, over all shards.
+    pub fn mem_entries(&self) -> usize {
+        self.occupancy.load(Ordering::Relaxed)
     }
 
-    fn shard_index(&self, (tag, raw): MemKey) -> usize {
+    fn shard_index((tag, raw): MemKey) -> usize {
         let folded = (raw as u64) ^ ((raw >> 64) as u64) ^ (u64::from(tag) << 56);
-        (folded as usize) & (self.shards.len() - 1)
+        (folded as usize) & (STRIPES - 1)
     }
 
     /// Answers the query `(stage, key)`, computing (and caching) on
@@ -445,19 +333,16 @@ impl Engine {
         F: FnOnce() -> Result<T, String>,
     {
         let mem_key: MemKey = (stage.tag, key.raw());
-        let idx = self.shard_index(mem_key);
+        let shard = &self.shards[Self::shard_index(mem_key)];
         {
-            let mut shard = self.shards[idx].lock().expect("engine shard");
+            let mut shard = shard.lock().expect("engine shard");
             if let Some(slot) = shard.entries.get(&mem_key) {
                 if let Ok(value) = Arc::clone(&slot.value).downcast::<T>() {
-                    shard.touch(mem_key, self.policy);
+                    shard.touch(mem_key);
                     drop(shard);
                     stats.hits += 1;
                     self.tracer.add(names::INCR_HIT, 1);
                     self.tracer.add(names::INCR_MEM_HIT, 1);
-                    if let Some(names) = &self.shard_names {
-                        self.tracer.add(names[idx].0, 1);
-                    }
                     return Ok(value);
                 }
             }
@@ -468,7 +353,7 @@ impl Engine {
                 match T::decode(&mut d) {
                     Ok(value) if d.is_done() => {
                         let value = Arc::new(value);
-                        self.insert_after_disk_hit(idx, mem_key, Arc::clone(&value) as _);
+                        self.insert_mem(shard, mem_key, Arc::clone(&value) as _);
                         stats.hits += 1;
                         self.tracer.add(names::INCR_HIT, 1);
                         self.tracer.add(names::INCR_DISK_HIT, 1);
@@ -488,7 +373,7 @@ impl Engine {
         let value = Arc::new(compute().map_err(|e| format!("{}: {e}", stage.name))?);
         stats.misses += 1;
         self.tracer.add(names::INCR_MISS, 1);
-        self.insert_mem(idx, mem_key, Arc::clone(&value) as _, false);
+        self.insert_mem(shard, mem_key, Arc::clone(&value) as _);
         if let Some(disk) = &self.disk {
             let mut e = Enc::new();
             value.encode(&mut e);
@@ -498,37 +383,14 @@ impl Engine {
         Ok(value)
     }
 
-    /// Re-inserts a disk-tier hit into the memory tier, promoting
-    /// (pinning) the entry once its disk-hit count reaches the
-    /// threshold — a hot entry that keeps falling out of memory stops
-    /// paying the decode tax.
-    fn insert_after_disk_hit(&self, idx: usize, key: MemKey, value: Arc<dyn Any + Send + Sync>) {
-        let pin = {
-            let mut shard = self.shards[idx].lock().expect("engine shard");
-            if shard.disk_touches.len() > self.budget * 8 / self.shards.len() + 64 {
-                shard.disk_touches.clear();
-            }
-            let touches = shard.disk_touches.entry(key).or_insert(0);
-            *touches += 1;
-            self.promote_after > 0 && *touches >= self.promote_after && shard.pinned < self.pin_cap
-        };
-        if pin {
-            self.tracer.add(names::INCR_PROMOTED, 1);
-        }
-        self.insert_mem(idx, key, value, pin);
-    }
-
-    fn insert_mem(&self, idx: usize, key: MemKey, value: Arc<dyn Any + Send + Sync>, pin: bool) {
-        let (evicted, occupied) = {
-            let mut shard = self.shards[idx].lock().expect("engine shard");
-            let evicted = shard.insert(key, value, pin, &self.occupancy, self.budget);
-            (evicted, shard.entries.len())
-        };
+    fn insert_mem(&self, shard: &Mutex<Shard>, key: MemKey, value: Arc<dyn Any + Send + Sync>) {
+        let evicted =
+            shard
+                .lock()
+                .expect("engine shard")
+                .insert(key, value, &self.occupancy, self.budget);
         if evicted > 0 {
             self.tracer.add(names::INCR_EVICTIONS, evicted);
-        }
-        if let Some(names) = &self.shard_names {
-            self.tracer.gauge_max(names[idx].1, occupied as u64);
         }
     }
 }
@@ -603,12 +465,16 @@ mod tests {
         assert_eq!(*ok, 5);
     }
 
+    /// `key(n)` lands on stripe `n % STRIPES`; multiples of it share one.
+    fn same_stripe(n: u64) -> Fp {
+        key(n * STRIPES as u64)
+    }
+
     #[test]
     fn eviction_respects_capacity() {
         let tracer = Tracer::enabled();
         let engine = Engine::new(EngineConfig {
             mem_entries: 2,
-            shards: 1,
             tracer: tracer.clone(),
             ..EngineConfig::default()
         })
@@ -616,13 +482,13 @@ mod tests {
         let mut stats = JobStats::default();
         for n in 0..5 {
             engine
-                .query(Stage::SIM, key(10 + n), &mut stats, || Ok(n))
+                .query(Stage::SIM, same_stripe(10 + n), &mut stats, || Ok(n))
                 .unwrap();
         }
         // Oldest entries were evicted: re-querying them recomputes (and
         // that re-insert evicts once more).
         engine
-            .query(Stage::SIM, key(10), &mut stats, || Ok(0u64))
+            .query(Stage::SIM, same_stripe(10), &mut stats, || Ok(0u64))
             .unwrap();
         assert_eq!(stats.misses, 6);
         let report = tracer.finish();
@@ -630,70 +496,34 @@ mod tests {
         assert_eq!(report.counter(names::INCR_MISS), Some(6));
     }
 
-    /// The satellite regression: under the old insertion-order FIFO a
-    /// hot entry inserted early was evicted before cold recent ones; LRU
-    /// must keep it alive through arbitrary capacity pressure.
+    /// A hit refreshes recency: a hot entry inserted first outlives any
+    /// number of colder, newer ones in a two-entry cache.
     #[test]
     fn repeatedly_hit_entry_survives_capacity_pressure() {
-        let pressure = |policy: EvictPolicy| {
-            let engine = Engine::new(EngineConfig {
-                mem_entries: 2,
-                shards: 1,
-                policy,
-                ..EngineConfig::default()
-            })
-            .unwrap();
-            let hot_computes = AtomicU64::new(0);
-            let mut stats = JobStats::default();
-            let query_hot = |stats: &mut JobStats| {
-                engine
-                    .query(Stage::SIM, key(1000), stats, || {
-                        hot_computes.fetch_add(1, Ordering::Relaxed);
-                        Ok(42u64)
-                    })
-                    .unwrap()
-            };
-            query_hot(&mut stats);
-            for n in 0..6 {
-                engine
-                    .query(Stage::SIM, key(2000 + n), &mut stats, || Ok(n))
-                    .unwrap();
-                query_hot(&mut stats);
-            }
-            hot_computes.load(Ordering::Relaxed)
-        };
-        assert_eq!(pressure(EvictPolicy::Lru), 1, "LRU evicted a hot entry");
-        assert!(
-            pressure(EvictPolicy::Fifo) > 1,
-            "the FIFO baseline should demonstrate the old bug"
-        );
-    }
-
-    #[test]
-    fn shards_spread_entries_and_count_per_shard_hits() {
-        let tracer = Tracer::enabled();
         let engine = Engine::new(EngineConfig {
-            shards: 8,
-            tracer: tracer.clone(),
+            mem_entries: 2,
             ..EngineConfig::default()
         })
         .unwrap();
-        assert_eq!(engine.shard_count(), 8);
+        let hot_computes = AtomicU64::new(0);
         let mut stats = JobStats::default();
-        for n in 0..32 {
+        let query_hot = |stats: &mut JobStats| {
             engine
-                .query(Stage::SIM, key(n), &mut stats, || Ok(n))
+                .query(Stage::SIM, same_stripe(1000), stats, || {
+                    hot_computes.fetch_add(1, Ordering::Relaxed);
+                    Ok(42u64)
+                })
+                .unwrap()
+        };
+        query_hot(&mut stats);
+        for n in 0..6 {
+            engine
+                .query(Stage::SIM, same_stripe(2000 + n), &mut stats, || Ok(n))
                 .unwrap();
+            query_hot(&mut stats);
         }
-        assert_eq!(engine.mem_occupancy(), (32, 0));
-        // key(0) lands on shard 0 (low fingerprint bits); a second
-        // query is a memory hit counted against that shard.
-        engine
-            .query(Stage::SIM, key(0), &mut stats, || Ok(0u64))
-            .unwrap();
-        let report = tracer.finish();
-        assert_eq!(report.counter("incr.shard0.hits"), Some(1));
-        assert!(report.counter("incr.shard0.entries").unwrap_or(0) >= 1);
+        assert_eq!(hot_computes.load(Ordering::Relaxed), 1);
+        assert_eq!(engine.mem_entries(), 2);
     }
 
     /// The budget is pooled: when the hash lottery concentrates the
@@ -703,33 +533,32 @@ mod tests {
     #[test]
     fn shard_may_outgrow_its_even_share_under_a_pooled_budget() {
         let engine = Engine::new(EngineConfig {
-            shards: 2,
             mem_entries: 4,
             ..EngineConfig::default()
         })
         .unwrap();
+        assert_eq!(engine.shard_count(), STRIPES);
         let mut stats = JobStats::default();
-        // key(n) lands on shard n & 1: even keys all hash to shard 0.
-        for n in [0u64, 2, 4, 6] {
+        for n in 0..4 {
             engine
-                .query(Stage::SIM, key(n), &mut stats, || Ok(n))
+                .query(Stage::SIM, same_stripe(n), &mut stats, || Ok(n))
                 .unwrap();
         }
-        assert_eq!(engine.mem_occupancy(), (4, 0));
-        // A fifth even key evicts shard 0's oldest; the survivors — a
+        assert_eq!(engine.mem_entries(), 4);
+        // A fifth key on that shard evicts its oldest; the survivors — a
         // full global budget on one shard — still hit.
         engine
-            .query(Stage::SIM, key(8), &mut stats, || Ok(8u64))
+            .query(Stage::SIM, same_stripe(4), &mut stats, || Ok(4u64))
             .unwrap();
-        assert_eq!(engine.mem_occupancy(), (4, 0));
-        for n in [2u64, 4, 6, 8] {
+        assert_eq!(engine.mem_entries(), 4);
+        for n in 1..5 {
             engine
-                .query(Stage::SIM, key(n), &mut stats, || Ok(0u64))
+                .query(Stage::SIM, same_stripe(n), &mut stats, || Ok(0u64))
                 .unwrap();
         }
         assert_eq!(stats, JobStats { hits: 4, misses: 5 });
-        // Shard 1 is empty and the pool is full: its first insert must
-        // survive (bounded overshoot), not evict itself.
+        // key(1)'s shard is empty and the pool is full: its first insert
+        // must survive (bounded overshoot), not evict itself.
         engine
             .query(Stage::SIM, key(1), &mut stats, || Ok(1u64))
             .unwrap();
@@ -737,64 +566,6 @@ mod tests {
             .query(Stage::SIM, key(1), &mut stats, || Ok(0u64))
             .unwrap();
         assert_eq!(stats, JobStats { hits: 5, misses: 6 });
-    }
-
-    #[test]
-    fn disk_hits_above_the_touch_threshold_are_pinned() {
-        let dir = std::env::temp_dir().join(format!("silc-incr-promote-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let warm = Engine::new(EngineConfig {
-                cache_dir: Some(dir.clone()),
-                ..EngineConfig::default()
-            })
-            .unwrap();
-            let mut stats = JobStats::default();
-            warm.query(Stage::CIF, key(77), &mut stats, || Ok("hot".to_string()))
-                .unwrap();
-        }
-        let tracer = Tracer::enabled();
-        let engine = Engine::new(EngineConfig {
-            cache_dir: Some(dir.clone()),
-            mem_entries: 2,
-            shards: 1,
-            promote_after: 2,
-            tracer: tracer.clone(),
-            ..EngineConfig::default()
-        })
-        .unwrap();
-        let mut stats = JobStats::default();
-        let hot = |engine: &Engine, stats: &mut JobStats| {
-            engine
-                .query(Stage::CIF, key(77), stats, || {
-                    Err::<String, _>("must come from cache".into())
-                })
-                .unwrap()
-        };
-        // First disk hit: touch 1, not yet pinned; push it out.
-        hot(&engine, &mut stats);
-        for n in 0..2 {
-            engine
-                .query(Stage::CIF, key(200 + n), &mut stats, || Ok(n.to_string()))
-                .unwrap();
-        }
-        // Second disk hit crosses the threshold: pinned from here on.
-        hot(&engine, &mut stats);
-        for n in 0..4 {
-            engine
-                .query(Stage::CIF, key(300 + n), &mut stats, || Ok(n.to_string()))
-                .unwrap();
-        }
-        // Despite heavy pressure in a 2-entry shard, the pinned entry
-        // answers from memory (the error closure proves no recompute,
-        // the counters prove no third disk read).
-        let value = hot(&engine, &mut stats);
-        assert_eq!(*value, "hot");
-        assert_eq!(engine.mem_occupancy().1, 1, "exactly one pinned entry");
-        let report = tracer.finish();
-        assert_eq!(report.counter(names::INCR_PROMOTED), Some(1));
-        assert_eq!(report.counter(names::INCR_DISK_HIT), Some(2));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -809,7 +580,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let config = |tracer: Tracer| EngineConfig {
             cache_dir: Some(dir.clone()),
-            mem_entries: 4096,
             tracer,
             ..EngineConfig::default()
         };

@@ -16,10 +16,10 @@
 //! - [`disk`]: one self-describing file per entry — magic, format
 //!   version, stage tag, key, length, payload, checksum. Any damage
 //!   warns and degrades to a recompute; it can never break a build.
-//! - [`engine`]: the memo table itself — lock-striped into shards with
-//!   touch-on-hit LRU eviction and disk-hit promotion — shared by
-//!   concurrent batch and serve workers, reporting `incr.*` counters
-//!   through `silc-trace`.
+//! - [`engine`]: the memo table itself — lock-striped into a fixed
+//!   number of shards, touch-on-hit LRU eviction under one pooled entry
+//!   budget — shared by concurrent batch and serve workers, reporting
+//!   `incr.*` counters through `silc-trace`.
 //!
 //! On top sit the [`pipeline`] stage queries, the [`ops`] table that
 //! defines every operation once for all three front-ends, and the
@@ -49,7 +49,7 @@ pub mod pipeline;
 pub use batch::{parse_manifest, run_batch, JobResult, JobSpec};
 pub use codec::{Dec, DecodeError, Enc, Persist};
 pub use disk::{DiskCache, FORMAT_VERSION};
-pub use engine::{default_parallelism, Engine, EngineConfig, EvictPolicy, JobStats, Stage};
+pub use engine::{default_parallelism, Engine, EngineConfig, JobStats, Stage};
 pub use ops::{Args, Front, Op, Outcome, Verb};
 pub use pipeline::{
     cif_text, compile_sil, drc_report, elaborate, extract_signature, flat_regions, pla_products,

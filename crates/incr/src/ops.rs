@@ -179,8 +179,6 @@ pub struct Args {
     /// `--against`: the PLA table to verify against (a path in a word
     /// list, the table text on the wire).
     pub against: Option<String>,
-    /// `--shards`: engine lock stripes.
-    pub shards: Option<usize>,
     /// `--addr`: the server's bind address.
     pub addr: Option<String>,
     /// `--cache`: persistent cache directory.
@@ -271,7 +269,7 @@ const fn arg(
 }
 
 /// The argument table. Row order is usage order.
-pub const ARGS: [Arg; 16] = [
+pub const ARGS: [Arg; 15] = [
     Arg {
         alias: "--output",
         ..arg(
@@ -314,14 +312,6 @@ pub const ARGS: [Arg; 16] = [
         &[Pnr, Batch, Serve],
         CLI,
         |a| Slot::Count(&mut a.op.jobs),
-    ),
-    arg(
-        "--shards",
-        "N",
-        "a positive number",
-        &[Batch, Serve],
-        CLI,
-        |a| Slot::Count(&mut a.shards),
     ),
     arg(
         "--engine",

@@ -4,7 +4,7 @@
 //! build — and a fully warm recompile is an order of magnitude faster.
 
 use proptest::prelude::*;
-use silc_incr::{compile_sil, CompileOptions, Engine, EngineConfig, EvictPolicy, JobStats};
+use silc_incr::{compile_sil, CompileOptions, Engine, EngineConfig, JobStats};
 use silc_trace::Tracer;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -226,14 +226,13 @@ proptest! {
         prop_assert_eq!(warm_stats.misses, 0);
     }
 
-    /// Sharding and eviction change *when* the cache recomputes, never
-    /// what it answers. Replaying one request stream against engines
-    /// with different shard counts and starvation-level budgets (down
-    /// to one entry, so eviction churns on every insert) must yield
-    /// byte-identical outputs at every step; the single-shard FIFO
-    /// engine of the pre-farm era is the oracle.
+    /// Eviction changes *when* the cache recomputes, never what it
+    /// answers. One request stream replayed against an engine on a
+    /// starvation-level budget (down to one entry, so eviction churns on
+    /// every insert) must yield, at every step, exactly what a fresh
+    /// engine that has cached nothing yields.
     #[test]
-    fn outputs_are_identical_across_shard_counts_and_budgets(
+    fn outputs_are_identical_at_every_budget(
         dims in prop::collection::vec((4i64..20, 4i64..20, 0i64..8), 2..5),
         picks in prop::collection::vec(0usize..8, 4..16),
         mem_entries in 1usize..12,
@@ -242,27 +241,18 @@ proptest! {
             .iter()
             .map(|d| program(std::slice::from_ref(d), false))
             .collect();
-        let replay = |shards: usize, policy: EvictPolicy| -> Result<Vec<_>, TestCaseError> {
-            let engine = Engine::new(EngineConfig {
-                shards,
-                policy,
-                mem_entries,
-                ..EngineConfig::default()
-            })
-            .expect("engine config cannot fail without a cache dir");
-            picks
-                .iter()
-                .map(|&p| {
-                    let mut stats = JobStats::default();
-                    observe(&engine, &programs[p % programs.len()], &mut stats)
-                        .map_err(TestCaseError::fail)
-                })
-                .collect()
-        };
-        let oracle = replay(1, EvictPolicy::Fifo)?;
-        for shards in [1usize, 2, 8] {
-            let farm = replay(shards, EvictPolicy::Lru)?;
-            prop_assert_eq!(&farm, &oracle, "LRU engine with {} shard(s) diverged", shards);
+        let evicting = Engine::new(EngineConfig {
+            mem_entries,
+            ..EngineConfig::default()
+        })
+        .expect("engine config cannot fail without a cache dir");
+        for (step, &p) in picks.iter().enumerate() {
+            let source = &programs[p % programs.len()];
+            let mut stats = JobStats::default();
+            let cached = observe(&evicting, source, &mut stats).map_err(TestCaseError::fail)?;
+            let fresh = observe(&Engine::in_memory(), source, &mut stats)
+                .map_err(TestCaseError::fail)?;
+            prop_assert_eq!(cached, fresh, "step {} diverged from an uncached build", step);
         }
     }
 }

@@ -22,7 +22,20 @@ use std::collections::HashSet;
 /// ```
 pub fn parse(source: &str) -> Result<Machine, RtlError> {
     let tokens = lex(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    // `mem` is a keyword, so `mem <name>` is a declaration wherever it
+    // stands — possibly after the states that index it.
+    let mems = tokens
+        .windows(2)
+        .filter_map(|pair| match (&pair[0].kind, &pair[1].kind) {
+            (TokenKind::Mem, TokenKind::Ident(name)) => Some(name.clone()),
+            _ => None,
+        })
+        .collect();
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        mems,
+    };
     let machine = p.machine()?;
     validate(&machine)?;
     Ok(machine)
@@ -31,6 +44,9 @@ pub fn parse(source: &str) -> Result<Machine, RtlError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Every declared memory's name: `m[3]` is word 3 of a memory and
+    /// bit 3 of anything else.
+    mems: HashSet<String>,
 }
 
 impl Parser {
@@ -250,8 +266,8 @@ impl Parser {
                 let target = if *self.peek() == TokenKind::LBracket {
                     self.advance();
                     // Distinguish slice target (numbers) from memory write
-                    // (expression address) by trying `num : num ]` or
-                    // `num ]` first.
+                    // (expression address) by trying `num : num ]` or,
+                    // off a memory, `num ]` first.
                     let save = self.pos;
                     if let TokenKind::Number { value: hi, .. } = *self.peek() {
                         self.advance();
@@ -265,7 +281,7 @@ impl Parser {
                                     slice: Some((hi as u32, lo as u32)),
                                 }
                             }
-                            TokenKind::RBracket if !self.is_assign_to_mem(&name) => {
+                            TokenKind::RBracket if !self.mems.contains(&name) => {
                                 self.advance();
                                 Target::Signal {
                                     name,
@@ -296,18 +312,6 @@ impl Parser {
                 Err(self.err_here(format!("expected a statement, found {}", other.describe())))
             }
         }
-    }
-
-    /// Heuristic used only at parse time to disambiguate `x[3] := ...`:
-    /// without a symbol table yet, the parser cannot know whether `x` is a
-    /// memory. We defer to validation: produce a `MemWord` when the name
-    /// will be resolved as a memory. The trick: parse as a slice here and
-    /// let validation rewrite — instead, we parse both ways. This hook
-    /// exists to keep the logic in one place; it always returns `false`
-    /// and validation converts single-bit slices on memories into word
-    /// writes.
-    fn is_assign_to_mem(&self, _name: &str) -> bool {
-        false
     }
 
     // Precedence climbing.
@@ -373,6 +377,7 @@ impl Parser {
         while *self.peek() == TokenKind::LBracket {
             self.advance();
             // `[num]`, `[num:num]`, or `[expr]` (memory index).
+            let on_mem = matches!(&e, Expr::Ident(name) if self.mems.contains(name));
             let save = self.pos;
             if let TokenKind::Number { value: hi, .. } = *self.peek() {
                 self.advance();
@@ -388,7 +393,7 @@ impl Parser {
                         };
                         continue;
                     }
-                    TokenKind::RBracket => {
+                    TokenKind::RBracket if !on_mem => {
                         self.advance();
                         e = Expr::Slice {
                             base: Box::new(e),
@@ -707,6 +712,31 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn constant_index_on_a_memory_is_a_word() {
+        // The parser meets `m[128]` before or after it meets `m`.
+        for source in [
+            "machine b { reg w[12]; mem m[256][12]; state s { m[128] := w; w := m[7] + w[7]; } }",
+            "machine b { reg w[12]; state s { m[128] := w; w := m[7] + w[7]; } mem m[256][12]; }",
+        ] {
+            let m = parse(source).unwrap();
+            let [Stmt::Assign { target, .. }, Stmt::Assign { value, .. }] = &m.states[0].body[..]
+            else {
+                panic!("unexpected {:?}", m.states[0].body);
+            };
+            assert!(
+                matches!(target, Target::MemWord { name, addr: Expr::Const { value: 128, .. } } if name == "m"),
+                "{target:?}"
+            );
+            // On the register the same spelling stays a bit select.
+            let Expr::Binary { lhs, rhs, .. } = value else {
+                panic!("unexpected {value:?}");
+            };
+            assert!(matches!(**lhs, Expr::MemRead { .. }), "{lhs:?}");
+            assert!(matches!(**rhs, Expr::Slice { hi: 7, lo: 7, .. }), "{rhs:?}");
+        }
     }
 
     #[test]

@@ -141,29 +141,6 @@ impl Request {
         matches!(self, Request::Stats | Request::Shutdown)
     }
 
-    /// A 64-bit FNV-1a hash of the request's cacheable identity (op
-    /// tag and source text), used by the farm's cache-affinity router:
-    /// two requests with equal hashes hit the same engine entries, so
-    /// they should land on the same worker's warm shard path. Never
-    /// zero for compute ops; zero (no affinity) for control and test
-    /// ops.
-    pub fn affinity(&self) -> u64 {
-        let (tag, source) = match self {
-            Request::Compile { source, .. } => (1u8, source.as_str()),
-            Request::Sim { source, .. } => (2, source.as_str()),
-            Request::Drc { source } => (3, source.as_str()),
-            Request::Pnr { source, .. } => (4, source.as_str()),
-            Request::Verify { source, .. } => (5, source.as_str()),
-            Request::Stats | Request::Shutdown | Request::Sleep { .. } => return 0,
-        };
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &byte in std::iter::once(&tag).chain(source.as_bytes()) {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h | 1
-    }
-
     /// The one conversion from the wire form into the op the table
     /// defines plus the `source` and `against` texts it reads; `None`
     /// for control and test ops.
@@ -484,34 +461,6 @@ mod tests {
             .unwrap_err();
             assert!(err.contains("priority"), "{err}");
         }
-    }
-
-    #[test]
-    fn affinity_tracks_the_cacheable_identity() {
-        let parse = |line: &str| parse_request(line, true).unwrap().request;
-        let a = parse(r#"{"op":"compile","source":"cell a() {}"}"#).affinity();
-        let b = parse(r#"{"op":"compile","source":"cell b() {}"}"#).affinity();
-        assert_ne!(a, 0, "compute ops always have affinity");
-        assert_ne!(a, b, "different sources, different affinity");
-        // Same source, same op -> same hash; a different op on the same
-        // source keys different cache entries, so it hashes apart.
-        let a2 = parse(r#"{"op":"compile","source":"cell a() {}","id":9}"#).affinity();
-        assert_eq!(a, a2, "envelope fields must not perturb affinity");
-        let drc = parse(r#"{"op":"drc","source":"cell a() {}"}"#).affinity();
-        assert_ne!(a, drc);
-        let pnr = parse(r#"{"op":"pnr","source":"cell a() {}"}"#).affinity();
-        assert_ne!(pnr, 0, "pnr is a compute op");
-        assert!(pnr != a && pnr != drc, "pnr keys its own cache entries");
-        let pnr2 = parse(r#"{"op":"pnr","source":"cell a() {}","stack":"nmos"}"#).affinity();
-        assert_eq!(pnr, pnr2, "affinity is per-source, not per-stack");
-        let verify = parse(r#"{"op":"verify","source":"cell a() {}","lang":"sil"}"#).affinity();
-        assert_ne!(verify, 0, "verify is a compute op");
-        assert!(
-            verify != a && verify != drc && verify != pnr,
-            "verify keys its own cache entries"
-        );
-        assert_eq!(parse(r#"{"op":"stats"}"#).affinity(), 0);
-        assert_eq!(parse(r#"{"op":"sleep","ms":1}"#).affinity(), 0);
     }
 
     #[test]

@@ -1,41 +1,37 @@
-//! The compile server: a threaded TCP accept loop feeding a compile
-//! *farm* — per-worker dequeues with work stealing — over ONE shared
-//! incremental [`Engine`] whose memory tier is lock-striped into shards.
+//! The compile server: a threaded TCP accept loop and a pool of workers
+//! popping ONE bounded job queue, over ONE shared incremental
+//! [`Engine`].
 //!
 //! ```text
-//!            ┌── connection thread ──┐  dispatch   ┌─ worker 0 ─┐
-//! accept ──▶ │ read line → parse →   ├────────────▶│ lanes: I|B │──▶ engine
-//!            │ wait (recv_timeout) ◀─┤  (affinity  └─────┬──────┘   (shared,
-//!            └───────────────────────┘   routing)  steal │          sharded)
-//!                                                  ┌─────▼──────┐
-//!                                                  │ worker N   │
-//!                                                  └────────────┘
+//!            ┌── connection thread ──┐   push    ┌─ queue ─┐  pop  ┌ worker 0 ┐
+//! accept ──▶ │ read line → parse →   ├──────────▶│ I: ▒▒▒  │──────▶│   ...    │──▶ engine
+//!            │ wait (recv_timeout) ◀─┤ or refuse │ B: ▒▒▒▒ │       └ worker N ┘   (shared)
+//!            └───────────────────────┘           └─────────┘
 //! ```
 //!
-//! Scheduling properties, each with a dedicated mechanism:
+//! Every worker is equally warm for every request — the cache lives in
+//! the engine, not in the worker — so there is nothing to route by: a
+//! job goes to whichever worker is free next. What the queue
+//! guarantees:
 //!
-//! * **Cache affinity** — each worker keeps a ring of the affinity
-//!   hashes it recently completed; the dispatcher routes a request to
-//!   the worker warmest for its source (bounded by a depth slack so a
-//!   popular source cannot pile onto one worker unboundedly).
-//! * **Work stealing** — a worker with empty lanes steals from the
-//!   *back* of another worker's lanes (the cold end, preserving the
-//!   victim's warm front), so affinity routing never strands work.
-//! * **Priority lanes** — every worker has an interactive and a batch
-//!   lane (`"priority"` request field, interactive by default);
-//!   interactive jobs always dequeue first, so bulk traffic cannot
-//!   push editor round-trips past their deadlines.
+//! * **Priority** — two lanes (`"priority"` request field, interactive
+//!   by default); an interactive job always dequeues before any batch
+//!   job, so bulk traffic cannot push editor round-trips past their
+//!   deadlines.
 //! * **Per-client fairness** — a worker avoids serving the same
-//!   connection twice in a row when another client's job is waiting
-//!   within a small scan window, so one chatty connection cannot
-//!   starve its neighbours.
+//!   connection twice in a row when another client's job waits within
+//!   the first [`FAIRNESS_SCAN`] of a lane, so one chatty connection
+//!   cannot starve its neighbours.
+//! * **Exact backpressure** — at most `queue_capacity` jobs wait; the
+//!   test and the enqueue are one critical section, so no number of
+//!   racing connections overshoots it. Past it requests answer
+//!   `overloaded` immediately ([`crate::protocol::kind::OVERLOADED`]).
+//! * **Drain on shutdown** — a `shutdown` request or SIGINT stops the
+//!   accept loop; workers keep popping until the queue is empty, then
+//!   every thread joins and `run` returns `Ok(())`.
 //!
-//! Robustness properties (unchanged contract from the single-queue
-//! server):
+//! Around it, per request and per connection:
 //!
-//! * **Backpressure** — total queued jobs are bounded by
-//!   `queue_capacity`; past it requests answer `overloaded` immediately
-//!   ([`crate::protocol::kind::OVERLOADED`]).
 //! * **Deadlines** — the connection thread waits for the worker's reply
 //!   with `recv_timeout`; past the deadline the client gets a `timeout`
 //!   response and the connection moves on. Workers additionally drop
@@ -44,25 +40,22 @@
 //!   connection survives; a panicking pipeline is caught per-job
 //!   (`catch_unwind`) and answered as an `error`.
 //! * **Idle reaping** — connections that complete no request within the
-//!   idle window are closed.
-//! * **Graceful shutdown** — a `shutdown` request or SIGINT stops the
-//!   accept loop; workers keep draining (their own lanes *and* steals)
-//!   until no job remains, then every thread joins and `run` returns
-//!   `Ok(())`.
+//!   idle window are closed, whether they send nothing or a line that
+//!   never ends.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use silc_exec::SimEngine;
 use silc_incr::ops::{self, Outcome, Verb};
-use silc_incr::{default_parallelism, Engine, EngineConfig, EvictPolicy, JobStats};
+use silc_incr::{default_parallelism, Engine, EngineConfig, JobStats};
 use silc_trace::{names, Tracer};
 
 use crate::json::Json;
@@ -72,13 +65,8 @@ use crate::protocol::{
 
 /// How often blocked loops wake to check the stop flag, in milliseconds.
 const POLL_MS: u64 = 25;
-/// Affinity hashes remembered per worker.
-const RECENT_RING: usize = 32;
 /// How many queued jobs the fairness pop scans for another client.
 const FAIRNESS_SCAN: usize = 4;
-/// Affinity routing yields to load balance when the warm worker is this
-/// many jobs deeper than the shallowest one.
-const AFFINITY_DEPTH_SLACK: usize = 4;
 /// Longest request line accepted, in bytes. A client that sends more
 /// without a newline is answered `bad_request` and disconnected, so a
 /// connection can hold at most this much of the server's memory.
@@ -93,8 +81,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads computing pipeline requests.
     pub jobs: usize,
-    /// Bound on total queued (not yet running) jobs across all workers;
-    /// past it requests answer `overloaded`.
+    /// Bound on queued (not yet running) jobs; past it requests answer
+    /// `overloaded`.
     pub queue_capacity: usize,
     /// Default per-request deadline when the request names none.
     pub default_deadline_ms: u64,
@@ -102,13 +90,8 @@ pub struct ServerConfig {
     pub idle_timeout_ms: u64,
     /// Persistent cache directory for the shared engine.
     pub cache_dir: Option<PathBuf>,
-    /// Lock-stripe count for the engine's memory tier (`--shards`).
-    pub shards: usize,
     /// Total memory-tier entry budget for the engine.
     pub mem_entries: usize,
-    /// Memory-tier eviction policy ([`EvictPolicy::Fifo`] is the
-    /// single-lock-era baseline, kept for the `e9` load-test ablation).
-    pub policy: EvictPolicy,
     /// Trace destination; `serve.*` counters and pipeline spans land
     /// here.
     pub tracer: Tracer,
@@ -119,10 +102,10 @@ pub struct ServerConfig {
     pub default_engine: SimEngine,
 }
 
-impl Default for ServerConfig {
-    fn default() -> ServerConfig {
-        let jobs = default_parallelism();
-        let engine = EngineConfig::default();
+impl ServerConfig {
+    /// The production shape for `jobs` workers: room for four waiting
+    /// jobs per worker.
+    pub fn for_jobs(jobs: usize) -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             jobs,
@@ -130,13 +113,17 @@ impl Default for ServerConfig {
             default_deadline_ms: 30_000,
             idle_timeout_ms: 60_000,
             cache_dir: None,
-            shards: engine.shards,
-            mem_entries: engine.mem_entries,
-            policy: engine.policy,
+            mem_entries: EngineConfig::default().mem_entries,
             tracer: Tracer::disabled(),
             enable_test_ops: false,
             default_engine: SimEngine::default(),
         }
+    }
+}
+
+impl Default for ServerConfig {
+    fn default() -> ServerConfig {
+        ServerConfig::for_jobs(default_parallelism())
     }
 }
 
@@ -149,8 +136,6 @@ struct ServeStats {
     rejected: AtomicU64,
     bad_requests: AtomicU64,
     busy_workers: AtomicU64,
-    stolen: AtomicU64,
-    affinity_hits: AtomicU64,
     lane_interactive: AtomicU64,
     lane_batch: AtomicU64,
     sim_compiled: AtomicU64,
@@ -180,35 +165,9 @@ struct Job {
     reply: SyncSender<String>,
     /// Originating connection, for per-client fairness.
     conn: u64,
-    /// Cache-affinity hash of the request (0 = none).
-    affinity: u64,
 }
 
-/// One worker's scheduling state: two job lanes behind a mutex (with a
-/// condvar for wakeups), a queued-depth counter, and a lock-free ring
-/// of recently completed affinity hashes the dispatcher reads to find
-/// the warmest worker.
-struct WorkerHub {
-    lanes: Mutex<Lanes>,
-    wake: Condvar,
-    depth: AtomicUsize,
-    recent: Vec<AtomicU64>,
-    cursor: AtomicUsize,
-}
-
-impl WorkerHub {
-    fn new() -> WorkerHub {
-        WorkerHub {
-            lanes: Mutex::new(Lanes::default()),
-            wake: Condvar::new(),
-            depth: AtomicUsize::new(0),
-            recent: (0..RECENT_RING).map(|_| AtomicU64::new(0)).collect(),
-            cursor: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// A worker's two job lanes. Interactive always dequeues before batch.
+/// The two job lanes. Interactive always dequeues before batch.
 #[derive(Default)]
 struct Lanes {
     interactive: VecDeque<Job>,
@@ -216,12 +175,12 @@ struct Lanes {
 }
 
 impl Lanes {
-    fn is_empty(&self) -> bool {
-        self.interactive.is_empty() && self.batch.is_empty()
+    fn len(&self) -> usize {
+        self.interactive.len() + self.batch.len()
     }
 
-    /// Owner pop: interactive first, avoiding `last_conn` when another
-    /// client's job waits within the fairness scan window.
+    /// Interactive first, avoiding `last_conn` when another client's job
+    /// waits within the fairness scan window.
     fn pop(&mut self, last_conn: Option<u64>) -> Option<Job> {
         Self::pop_lane(&mut self.interactive, last_conn)
             .or_else(|| Self::pop_lane(&mut self.batch, last_conn))
@@ -236,157 +195,62 @@ impl Lanes {
         }
         lane.pop_front()
     }
-
-    /// Thief pop: from the back (the cold end), so the victim keeps the
-    /// jobs its cache is warmest for. Interactive still outranks batch.
-    fn steal(&mut self) -> Option<Job> {
-        self.interactive
-            .pop_back()
-            .or_else(|| self.batch.pop_back())
-    }
 }
 
-/// What [`Farm::dispatch`] did with a job.
-struct Dispatched {
-    /// Total queued jobs after the enqueue (for the depth gauge).
-    depth: u64,
-    /// The job was routed by affinity, not load.
-    affinity_hit: bool,
-    /// Index of the chosen worker.
-    #[cfg_attr(not(test), allow(dead_code))]
-    worker: usize,
-}
-
-/// The scheduler: per-worker hubs plus the global queued-job count that
-/// implements backpressure.
-struct Farm {
-    workers: Vec<WorkerHub>,
-    queued: AtomicUsize,
+/// The scheduler: one bounded two-lane queue that every worker pops.
+struct Queue {
+    lanes: Mutex<Lanes>,
+    wake: Condvar,
     capacity: usize,
 }
 
-impl Farm {
-    fn new(workers: usize, capacity: usize) -> Farm {
-        Farm {
-            workers: (0..workers.max(1)).map(|_| WorkerHub::new()).collect(),
-            queued: AtomicUsize::new(0),
+impl Queue {
+    fn new(capacity: usize) -> Queue {
+        Queue {
+            lanes: Mutex::default(),
+            wake: Condvar::new(),
             capacity: capacity.max(1),
         }
     }
 
-    /// Routes and enqueues one job: the worker with the most recent
-    /// completions of the same affinity hash wins (within a depth slack
-    /// of the shallowest worker); otherwise the shallowest worker.
-    /// Rejects the job when the global queue bound is reached.
-    fn dispatch(&self, job: Job) -> Result<Dispatched, Box<Job>> {
-        if self.queued.load(Ordering::SeqCst) >= self.capacity {
-            return Err(Box::new(job));
-        }
-        let mut warm = None; // (worker, score)
-        if job.affinity != 0 && self.workers.len() > 1 {
-            for (i, hub) in self.workers.iter().enumerate() {
-                let score = hub
-                    .recent
-                    .iter()
-                    .filter(|slot| slot.load(Ordering::Relaxed) == job.affinity)
-                    .count();
-                if score > 0 && warm.is_none_or(|(_, best)| score > best) {
-                    warm = Some((i, score));
-                }
-            }
-        }
-        let shallowest = self
-            .workers
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, hub)| hub.depth.load(Ordering::SeqCst))
-            .map_or(0, |(i, _)| i);
-        let min_depth = self.workers[shallowest].depth.load(Ordering::SeqCst);
-        let (target, affinity_hit) = match warm {
-            Some((i, _))
-                if self.workers[i].depth.load(Ordering::SeqCst)
-                    <= min_depth + AFFINITY_DEPTH_SLACK =>
-            {
-                (i, true)
-            }
-            _ => (shallowest, false),
-        };
-        let hub = &self.workers[target];
-        // Count before pushing so depth/queued never read below zero.
-        let depth = self.queued.fetch_add(1, Ordering::SeqCst) as u64 + 1;
-        hub.depth.fetch_add(1, Ordering::SeqCst);
-        {
-            let mut lanes = hub.lanes.lock().expect("worker lanes");
-            match job.envelope.priority {
-                Priority::Interactive => lanes.interactive.push_back(job),
-                Priority::Batch => lanes.batch.push_back(job),
-            }
-        }
-        hub.wake.notify_one();
-        // Poke a neighbour too: if the warm worker is mid-compute, an
-        // idle one can steal promptly instead of on its poll tick.
-        if self.workers.len() > 1 {
-            self.workers[(target + 1) % self.workers.len()]
-                .wake
-                .notify_one();
-        }
-        Ok(Dispatched {
-            depth,
-            affinity_hit,
-            worker: target,
-        })
+    fn len(&self) -> usize {
+        self.lanes.lock().expect("job queue").len()
     }
 
-    /// Worker `me` claims its next job: own lanes first (fairness-aware),
-    /// then a steal sweep over the other workers. Returns the job and
-    /// whether it was stolen.
-    fn take(&self, me: usize, last_conn: Option<u64>) -> Option<(Job, bool)> {
-        let own = self.workers[me]
-            .lanes
-            .lock()
-            .expect("worker lanes")
-            .pop(last_conn);
-        if let Some(job) = own {
-            self.workers[me].depth.fetch_sub(1, Ordering::SeqCst);
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            return Some((job, false));
+    /// Enqueues `job` on its priority's lane and returns the depth it
+    /// brought the queue to, or drops it and returns `None` when the
+    /// queue is full. One critical section tests and pushes, so the
+    /// bound is exact however many connections race.
+    fn push(&self, job: Job) -> Option<u64> {
+        let mut lanes = self.lanes.lock().expect("job queue");
+        if lanes.len() >= self.capacity {
+            return None;
         }
-        for offset in 1..self.workers.len() {
-            let victim = &self.workers[(me + offset) % self.workers.len()];
-            // try_lock: never block on a hub being serviced; the poll
-            // tick retries soon enough.
-            let stolen = victim.lanes.try_lock().ok().and_then(|mut l| l.steal());
-            if let Some(job) = stolen {
-                victim.depth.fetch_sub(1, Ordering::SeqCst);
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                return Some((job, true));
+        match job.envelope.priority {
+            Priority::Interactive => lanes.interactive.push_back(job),
+            Priority::Batch => lanes.batch.push_back(job),
+        }
+        let depth = lanes.len() as u64;
+        drop(lanes);
+        self.wake.notify_one();
+        Some(depth)
+    }
+
+    /// Blocks until a job can be claimed. `None` once `stopping()` holds
+    /// and nothing waits: workers drain the queue, then exit.
+    fn pop(&self, last_conn: Option<u64>, stopping: impl Fn() -> bool) -> Option<Job> {
+        let mut lanes = self.lanes.lock().expect("job queue");
+        loop {
+            if let Some(job) = lanes.pop(last_conn) {
+                return Some(job);
             }
+            if stopping() {
+                return None;
+            }
+            // SIGINT sets a flag and signals nobody; the tick finds it.
+            let tick = Duration::from_millis(POLL_MS * 2);
+            lanes = self.wake.wait_timeout(lanes, tick).expect("job queue").0;
         }
-        None
-    }
-
-    /// Blocks worker `me` until new work is signalled or the poll tick
-    /// elapses. Re-checks emptiness under the lock, so a dispatch
-    /// racing this call cannot be missed.
-    fn park(&self, me: usize) {
-        let hub = &self.workers[me];
-        let lanes = hub.lanes.lock().expect("worker lanes");
-        if lanes.is_empty() {
-            let _ = hub
-                .wake
-                .wait_timeout(lanes, Duration::from_millis(POLL_MS * 2))
-                .expect("worker lanes");
-        }
-    }
-
-    /// Records a completed affinity hash into worker `me`'s ring.
-    fn record_recent(&self, me: usize, affinity: u64) {
-        if affinity == 0 {
-            return;
-        }
-        let hub = &self.workers[me];
-        let slot = hub.cursor.fetch_add(1, Ordering::Relaxed) % hub.recent.len();
-        hub.recent[slot].store(affinity, Ordering::Relaxed);
     }
 }
 
@@ -424,10 +288,7 @@ impl Server {
         let engine = Engine::new(EngineConfig {
             cache_dir: config.cache_dir.clone(),
             tracer: config.tracer.clone(),
-            shards: config.shards.max(1),
-            mem_entries: config.mem_entries.max(1),
-            policy: config.policy,
-            ..EngineConfig::default()
+            mem_entries: config.mem_entries,
         })?;
         Ok(Server {
             listener,
@@ -472,22 +333,19 @@ impl Server {
         listener
             .set_nonblocking(true)
             .map_err(|e| format!("cannot poll the listener: {e}"))?;
-        let farm = Farm::new(
-            shared.config.jobs.max(1),
-            shared.config.queue_capacity.max(1),
-        );
+        let queue = Queue::new(shared.config.queue_capacity);
         let shared = &shared;
-        let farm = &farm;
+        let queue = &queue;
         std::thread::scope(|scope| {
-            for me in 0..farm.workers.len() {
-                scope.spawn(move || worker_loop(shared, farm, me));
+            for _ in 0..shared.config.jobs.max(1) {
+                scope.spawn(move || worker_loop(shared, queue));
             }
             while !shared.should_stop() {
                 match listener.accept() {
                     Ok((stream, _peer)) => {
                         let conn = shared.stats.accepted.fetch_add(1, Ordering::SeqCst);
                         shared.config.tracer.add(names::SERVE_ACCEPT, 1);
-                        scope.spawn(move || serve_connection(shared, farm, stream, conn));
+                        scope.spawn(move || serve_connection(shared, queue, stream, conn));
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(POLL_MS));
@@ -501,49 +359,30 @@ impl Server {
                     }
                 }
             }
-            // Leaving the scope joins workers (which drain every lane,
-            // stealing included) and connection threads (which finish
-            // their in-flight request, then notice the stop flag on the
-            // next read tick).
+            // Leaving the scope joins workers (which drain the queue)
+            // and connection threads (which finish their in-flight
+            // request, then notice the stop flag on the next read tick).
         });
         Ok(())
     }
 }
 
-/// One worker: claim (own lanes, then steal), run, record affinity,
-/// repeat — until shutdown *and* no queued job remains anywhere, which
-/// gives drain-then-exit for free.
-fn worker_loop(shared: &Shared, farm: &Farm, me: usize) {
+/// One worker: claim, run, reply, repeat — until shutdown *and* an
+/// empty queue.
+fn worker_loop(shared: &Shared, queue: &Queue) {
     let mut last_conn = None;
-    loop {
-        match farm.take(me, last_conn) {
-            Some((job, stolen)) => {
-                if stolen {
-                    shared.stats.stolen.fetch_add(1, Ordering::SeqCst);
-                    shared.config.tracer.add(names::SERVE_STEAL, 1);
-                }
-                if Instant::now() >= job.deadline {
-                    // The waiter has already answered `timeout`; don't
-                    // burn a worker on a result nobody will read.
-                    continue;
-                }
-                shared.stats.busy_workers.fetch_add(1, Ordering::SeqCst);
-                let response = run_job(shared, &job);
-                shared.stats.busy_workers.fetch_sub(1, Ordering::SeqCst);
-                // Record warmth BEFORE replying: the client's next
-                // request may race the ring update otherwise.
-                farm.record_recent(me, job.affinity);
-                // Fails iff the waiter timed out meanwhile; discard.
-                let _ = job.reply.send(response);
-                last_conn = Some(job.conn);
-            }
-            None => {
-                if shared.should_stop() && farm.queued.load(Ordering::SeqCst) == 0 {
-                    return;
-                }
-                farm.park(me);
-            }
+    while let Some(job) = queue.pop(last_conn, || shared.should_stop()) {
+        if Instant::now() >= job.deadline {
+            // The waiter has already answered `timeout`; don't burn a
+            // worker on a result nobody will read.
+            continue;
         }
+        shared.stats.busy_workers.fetch_add(1, Ordering::SeqCst);
+        let response = run_job(shared, &job);
+        shared.stats.busy_workers.fetch_sub(1, Ordering::SeqCst);
+        // Fails iff the waiter timed out meanwhile; discard.
+        let _ = job.reply.send(response);
+        last_conn = Some(job.conn);
     }
 }
 
@@ -681,10 +520,12 @@ fn execute(
         .collect())
 }
 
-/// Services one client: read a line, answer it, repeat. Reads tick every
-/// [`POLL_MS`]·4 so the loop can notice shutdown and idle expiry without
-/// a dedicated reaper thread.
-fn serve_connection(shared: &Shared, farm: &Farm, stream: TcpStream, conn: u64) {
+/// Services one client: read a line, answer it, repeat. Socket reads
+/// tick every [`POLL_MS`]·4 and the loop makes at most one per turn, so
+/// it notices shutdown and idle expiry without a dedicated reaper
+/// thread — from a silent client and from one dribbling a line that
+/// never ends alike.
+fn serve_connection(shared: &Shared, queue: &Queue, stream: TcpStream, conn: u64) {
     let Ok(reader_half) = stream.try_clone() else {
         return;
     };
@@ -698,36 +539,43 @@ fn serve_connection(shared: &Shared, farm: &Farm, stream: TcpStream, conn: u64) 
     let mut writer = stream;
     let idle_budget = Duration::from_millis(shared.config.idle_timeout_ms.max(1));
     let mut last_done = Instant::now();
-    let mut line = String::new();
+    // Bytes, not a `String`: a read tick may split a UTF-8 sequence.
+    let mut line = Vec::new();
     loop {
-        if shared.should_stop() {
+        if shared.should_stop() || last_done.elapsed() > idle_budget {
             return;
         }
-        // `read_line` keeps whatever arrived before a timeout in `line`,
-        // so a request split across packets accumulates across ticks —
-        // up to the cap: `take` ends the read one byte past it.
-        let room = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
-        match reader.by_ref().take(room).read_line(&mut line) {
-            Ok(0) => return, // client closed
-            Ok(_) if line.len() > MAX_REQUEST_BYTES => {
-                let detail = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
-                refuse_line(shared, &mut writer, &detail);
+        // A request split across packets accumulates in `line` across
+        // turns — up to the cap, overshot by one read buffer at most.
+        let (used, closed) = match reader.fill_buf() {
+            Ok(mut buffered) => {
+                let closed = buffered.is_empty();
+                // Reading from a slice cannot fail.
+                (buffered.read_until(b'\n', &mut line).unwrap_or(0), closed)
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
+            Err(_) => return,
+        };
+        reader.consume(used);
+        if line.len() > MAX_REQUEST_BYTES {
+            let detail = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+            refuse_line(shared, &mut writer, &detail);
+            return;
+        }
+        // A last line may end at the client's close instead of a newline.
+        if line.last() == Some(&b'\n') || (closed && !line.is_empty()) {
+            let Ok(text) = std::str::from_utf8(&line) else {
+                return;
+            };
+            let keep_open = answer_line(shared, queue, &mut writer, text.trim(), conn);
+            line.clear();
+            last_done = Instant::now();
+            if !keep_open {
                 return;
             }
-            Ok(_) => {
-                let keep_open = answer_line(shared, farm, &mut writer, line.trim(), conn);
-                line.clear();
-                last_done = Instant::now();
-                if !keep_open {
-                    return;
-                }
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if last_done.elapsed() > idle_budget {
-                    return; // idle reap
-                }
-            }
-            Err(_) => return,
+        }
+        if closed {
+            return;
         }
     }
 }
@@ -745,7 +593,7 @@ fn refuse_line(shared: &Shared, writer: &mut TcpStream, detail: &str) -> bool {
 /// connection should close (after a `shutdown` acknowledgement).
 fn answer_line(
     shared: &Shared,
-    farm: &Farm,
+    queue: &Queue,
     writer: &mut TcpStream,
     line: &str,
     conn: u64,
@@ -762,7 +610,7 @@ fn answer_line(
     match &envelope.request {
         Request::Stats => respond(
             writer,
-            &ok_response(&envelope.id, "stats", stats_fields(shared, farm)),
+            &ok_response(&envelope.id, "stats", stats_fields(shared, queue)),
         ),
         Request::Shutdown => {
             // Acknowledge first so the requester sees the reply even
@@ -772,7 +620,7 @@ fn answer_line(
             false
         }
         _ => {
-            dispatch_compute(shared, farm, writer, envelope, conn);
+            dispatch_compute(shared, queue, writer, envelope, conn);
             true
         }
     }
@@ -781,7 +629,7 @@ fn answer_line(
 /// Enqueues a compute request and waits for its reply or deadline.
 fn dispatch_compute(
     shared: &Shared,
-    farm: &Farm,
+    queue: &Queue,
     writer: &mut TcpStream,
     envelope: Envelope,
     conn: u64,
@@ -795,65 +643,46 @@ fn dispatch_compute(
     let deadline = Instant::now() + budget;
     let (reply_tx, reply_rx) = mpsc::sync_channel::<String>(1);
     let id = envelope.id.clone();
-    let priority = envelope.priority;
-    let affinity = envelope.request.affinity();
+    let (stats, tracer) = (&shared.stats, &shared.config.tracer);
+    let (lane, lane_name) = match envelope.priority {
+        Priority::Interactive => (&stats.lane_interactive, names::SERVE_LANE_INTERACTIVE),
+        Priority::Batch => (&stats.lane_batch, names::SERVE_LANE_BATCH),
+    };
     let job = Job {
         envelope,
         deadline,
         reply: reply_tx,
         conn,
-        affinity,
     };
-    match farm.dispatch(job) {
-        Ok(routed) => {
-            shared
-                .config
-                .tracer
-                .gauge_max(names::SERVE_QUEUE_DEPTH, routed.depth);
-            if routed.affinity_hit {
-                shared.stats.affinity_hits.fetch_add(1, Ordering::SeqCst);
-                shared.config.tracer.add(names::SERVE_AFFINITY_HIT, 1);
-            }
-            match priority {
-                Priority::Interactive => {
-                    shared.stats.lane_interactive.fetch_add(1, Ordering::SeqCst);
-                    shared.config.tracer.add(names::SERVE_LANE_INTERACTIVE, 1);
-                }
-                Priority::Batch => {
-                    shared.stats.lane_batch.fetch_add(1, Ordering::SeqCst);
-                    shared.config.tracer.add(names::SERVE_LANE_BATCH, 1);
-                }
-            }
-            match reply_rx.recv_timeout(budget) {
-                Ok(response) => {
-                    respond(writer, &response);
-                }
-                // `Disconnected` means a worker discarded the expired
-                // job before computing — the same client-visible fact.
-                Err(_) => {
-                    shared.stats.timeouts.fetch_add(1, Ordering::SeqCst);
-                    shared.config.tracer.add(names::SERVE_TIMEOUT, 1);
-                    let detail = format!("no result within {}ms", budget.as_millis());
-                    respond(writer, &err_response(&id, kind::TIMEOUT, &detail));
-                }
-            }
+    let Some(depth) = queue.push(job) else {
+        stats.rejected.fetch_add(1, Ordering::SeqCst);
+        tracer.add(names::SERVE_REJECTED, 1);
+        let detail = "compute queue is full; retry later";
+        respond(writer, &err_response(&id, kind::OVERLOADED, detail));
+        return;
+    };
+    tracer.gauge_max(names::SERVE_QUEUE_DEPTH, depth);
+    lane.fetch_add(1, Ordering::SeqCst);
+    tracer.add(lane_name, 1);
+    match reply_rx.recv_timeout(budget) {
+        Ok(response) => {
+            respond(writer, &response);
         }
-        Err(_job) => {
-            shared.stats.rejected.fetch_add(1, Ordering::SeqCst);
-            shared.config.tracer.add(names::SERVE_REJECTED, 1);
-            respond(
-                writer,
-                &err_response(&id, kind::OVERLOADED, "compute queue is full; retry later"),
-            );
+        // `Disconnected` means a worker discarded the expired job
+        // before computing — the same client-visible fact.
+        Err(_) => {
+            stats.timeouts.fetch_add(1, Ordering::SeqCst);
+            tracer.add(names::SERVE_TIMEOUT, 1);
+            let detail = format!("no result within {}ms", budget.as_millis());
+            respond(writer, &err_response(&id, kind::TIMEOUT, &detail));
         }
     }
 }
 
 /// The `stats` response body, in a fixed field order.
-fn stats_fields(shared: &Shared, farm: &Farm) -> Vec<(String, Json)> {
+fn stats_fields(shared: &Shared, queue: &Queue) -> Vec<(String, Json)> {
     let count = |a: &AtomicU64| Json::Int(a.load(Ordering::SeqCst) as i128);
     let s = &shared.stats;
-    let (mem_entries, mem_pinned) = shared.engine.mem_occupancy();
     vec![
         ("accepted".into(), count(&s.accepted)),
         ("requests".into(), count(&s.requests)),
@@ -861,12 +690,11 @@ fn stats_fields(shared: &Shared, farm: &Farm) -> Vec<(String, Json)> {
         ("rejected".into(), count(&s.rejected)),
         ("bad_requests".into(), count(&s.bad_requests)),
         ("busy_workers".into(), count(&s.busy_workers)),
-        (
-            "queue_depth".into(),
-            Json::Int(farm.queued.load(Ordering::SeqCst) as i128),
-        ),
-        ("stolen".into(), count(&s.stolen)),
-        ("affinity_hits".into(), count(&s.affinity_hits)),
+        ("queue_depth".into(), Json::Int(queue.len() as i128)),
+        // Nothing steals or routes any more; `ledger/src/probes.rs` fails
+        // on a missing field, so a benchmark-only PR removes these two.
+        ("stolen".into(), Json::Int(0)),
+        ("affinity_hits".into(), Json::Int(0)),
         ("interactive".into(), count(&s.lane_interactive)),
         ("batch".into(), count(&s.lane_batch)),
         ("sim.compiled".into(), count(&s.sim_compiled)),
@@ -883,8 +711,10 @@ fn stats_fields(shared: &Shared, farm: &Farm) -> Vec<(String, Json)> {
             "queue_capacity".into(),
             Json::Int(shared.config.queue_capacity.max(1) as i128),
         ),
-        ("mem_entries".into(), Json::Int(mem_entries as i128)),
-        ("mem_pinned".into(), Json::Int(mem_pinned as i128)),
+        (
+            "mem_entries".into(),
+            Json::Int(shared.engine.mem_entries() as i128),
+        ),
         (
             "persistent_cache".into(),
             Json::Bool(shared.engine.is_persistent()),
@@ -968,7 +798,7 @@ mod tests {
         crate::json::parse(response.trim()).expect("json reply")
     }
 
-    fn test_job(conn: u64, affinity: u64, priority: Priority) -> Job {
+    fn test_job(conn: u64, priority: Priority) -> Job {
         let (reply, _discard) = mpsc::sync_channel(1);
         Job {
             envelope: Envelope {
@@ -980,67 +810,46 @@ mod tests {
             deadline: Instant::now() + Duration::from_secs(5),
             reply,
             conn,
-            affinity,
         }
     }
 
     #[test]
-    fn farm_prefers_warm_workers_within_the_depth_slack() {
-        let farm = Farm::new(2, 16);
-        farm.record_recent(1, 77);
-        let routed = farm
-            .dispatch(test_job(1, 77, Priority::Interactive))
-            .ok()
-            .expect("under capacity");
-        assert_eq!(routed.worker, 1, "affinity routes to the warm worker");
-        assert!(routed.affinity_hit);
-        // No affinity: load balance to the shallowest worker instead.
-        let routed = farm
-            .dispatch(test_job(2, 0, Priority::Interactive))
-            .ok()
-            .expect("under capacity");
-        assert_eq!(routed.worker, 0);
-        assert!(!routed.affinity_hit);
-    }
-
-    #[test]
-    fn farm_bounds_the_queue_and_steals_from_the_cold_end() {
-        let farm = Farm::new(2, 2);
-        farm.record_recent(0, 5);
-        assert!(farm.dispatch(test_job(1, 5, Priority::Batch)).is_ok());
-        assert!(farm.dispatch(test_job(2, 5, Priority::Batch)).is_ok());
-        assert!(
-            farm.dispatch(test_job(3, 5, Priority::Batch)).is_err(),
-            "capacity 2 is full"
-        );
-        // Worker 1 owns nothing; it steals worker 0's *newest* job,
-        // leaving the warm front with its owner.
-        let (job, stolen) = farm.take(1, None).expect("steal");
-        assert!(stolen);
-        assert_eq!(job.conn, 2);
-        let (job, stolen) = farm.take(0, None).expect("own job");
-        assert!(!stolen);
-        assert_eq!(job.conn, 1);
-        assert!(farm.take(0, None).is_none());
-        assert_eq!(farm.queued.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
     fn lanes_favor_interactive_and_alternate_clients() {
-        let farm = Farm::new(1, 16);
-        assert!(farm.dispatch(test_job(7, 0, Priority::Batch)).is_ok());
-        assert!(farm.dispatch(test_job(7, 0, Priority::Batch)).is_ok());
-        assert!(farm.dispatch(test_job(8, 0, Priority::Batch)).is_ok());
-        assert!(farm.dispatch(test_job(9, 0, Priority::Interactive)).is_ok());
+        let queue = Queue::new(16);
+        assert!(queue.push(test_job(7, Priority::Batch)).is_some());
+        assert!(queue.push(test_job(7, Priority::Batch)).is_some());
+        assert!(queue.push(test_job(8, Priority::Batch)).is_some());
+        assert!(queue.push(test_job(9, Priority::Interactive)).is_some());
         // Interactive jumps the entire batch lane.
-        let (job, _) = farm.take(0, None).expect("interactive first");
+        let job = queue.pop(None, || true).expect("interactive first");
         assert_eq!(job.conn, 9);
         // Fairness: having just served conn 7, prefer conn 8's job even
         // though 7's are older.
-        let (job, _) = farm.take(0, Some(7)).expect("fair pop");
+        let job = queue.pop(Some(7), || true).expect("fair pop");
         assert_eq!(job.conn, 8);
-        let (job, _) = farm.take(0, Some(8)).expect("remaining");
+        let job = queue.pop(Some(8), || true).expect("remaining");
         assert_eq!(job.conn, 7);
+    }
+
+    #[test]
+    fn racing_pushes_never_overshoot_the_capacity() {
+        // No worker pops: whatever gets in stays in.
+        let queue = Queue::new(4);
+        let accepted = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(64);
+        std::thread::scope(|scope| {
+            for conn in 0..64 {
+                let (queue, accepted, start) = (&queue, &accepted, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    if queue.push(test_job(conn, Priority::Interactive)).is_some() {
+                        accepted.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        assert_eq!(accepted.load(Ordering::SeqCst), 4, "60 were refused");
+        assert_eq!(queue.len(), 4);
     }
 
     #[test]
@@ -1154,26 +963,19 @@ mod tests {
     }
 
     #[test]
-    fn priority_lanes_and_affinity_show_in_stats() {
+    fn priority_lanes_show_in_stats() {
         let (addr, handle, join) = start(test_config());
         let source = r#""cell a() { box metal (0,0) (8,4); } place a() at (0,0);""#;
-        // One persistent connection so both compiles share a conn id;
-        // the repeat lands on the worker already warm for the source.
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         for priority in ["batch", "interactive"] {
-            let line =
-                format!("{{\"op\":\"compile\",\"source\":{source},\"priority\":\"{priority}\"}}\n");
-            stream.write_all(line.as_bytes()).expect("send");
-            let mut reply = String::new();
-            reader.read_line(&mut reply).expect("reply");
-            let reply = crate::json::parse(reply.trim()).expect("json");
+            let reply = request(
+                addr,
+                &format!("{{\"op\":\"compile\",\"source\":{source},\"priority\":\"{priority}\"}}"),
+            );
             assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
         }
         let stats = request(addr, r#"{"op":"stats"}"#);
         assert_eq!(stats.get("batch"), Some(&Json::Int(1)));
         assert_eq!(stats.get("interactive"), Some(&Json::Int(1)));
-        assert_eq!(stats.get("affinity_hits"), Some(&Json::Int(1)));
         assert_eq!(stats.get("shards"), Some(&Json::Int(8)));
         assert!(stats.get("mem_entries").is_some());
         handle.shutdown();

@@ -61,9 +61,6 @@ pub mod names {
     pub const INCR_STORE_BYTES: &str = "incr.store_bytes";
     /// In-memory entries evicted to respect the capacity bound.
     pub const INCR_EVICTIONS: &str = "incr.evictions";
-    /// Disk-tier entries promoted (pinned) into the memory tier after
-    /// crossing the touch threshold.
-    pub const INCR_PROMOTED: &str = "incr.promoted";
     /// Connections accepted by `silc serve`.
     pub const SERVE_ACCEPT: &str = "serve.accept";
     /// Requests parsed and answered (any outcome) by `silc serve`.
@@ -76,10 +73,6 @@ pub mod names {
     pub const SERVE_REJECTED: &str = "serve.rejected";
     /// Lines that failed to parse as a request.
     pub const SERVE_BAD_REQUEST: &str = "serve.bad_request";
-    /// Jobs a worker stole from another worker's deque.
-    pub const SERVE_STEAL: &str = "serve.steal";
-    /// Requests routed to a worker already warm for their source hash.
-    pub const SERVE_AFFINITY_HIT: &str = "serve.affinity_hit";
     /// Requests enqueued on the interactive lane.
     pub const SERVE_LANE_INTERACTIVE: &str = "serve.lane_interactive";
     /// Requests enqueued on the batch lane.

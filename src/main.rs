@@ -84,12 +84,10 @@ fn emit_trace(args: &Args, tracer: &Tracer) -> Result<(), String> {
 /// The query engine every subcommand compiles through: persistent when
 /// `--cache <dir>` was given, in-memory otherwise.
 fn engine(args: &Args, tracer: &Tracer) -> Result<Engine, String> {
-    let defaults = EngineConfig::default();
     Engine::new(EngineConfig {
         cache_dir: args.cache.as_ref().map(PathBuf::from),
         tracer: tracer.clone(),
-        shards: args.shards.unwrap_or(defaults.shards),
-        ..defaults
+        ..EngineConfig::default()
     })
 }
 
@@ -253,17 +251,10 @@ fn run_serve(args: &Args, tracer: &Tracer) -> Result<(), String> {
         cache_dir: args.cache.as_ref().map(PathBuf::from),
         tracer: tracer.clone(),
         default_engine: args.op.sim_engine(SimEngine::default()),
-        ..ServerConfig::default()
+        ..ServerConfig::for_jobs(args.op.jobs.unwrap_or_else(default_parallelism))
     };
     if let Some(addr) = &args.addr {
         config.addr = addr.clone();
-    }
-    if let Some(jobs) = args.op.jobs {
-        config.jobs = jobs;
-        config.queue_capacity = jobs * 4;
-    }
-    if let Some(shards) = args.shards {
-        config.shards = shards;
     }
     let server = Server::bind(config)?;
     let addr = server.local_addr()?;

@@ -278,6 +278,34 @@ fn sim_engines_print_identical_reports() {
 }
 
 #[test]
+fn constant_memory_index_is_a_word_write_on_both_engines() {
+    // `m[128] := w` used to parse as a bit select and be refused; it must
+    // mean what `m[128 + 0] := w` means, whichever engine runs it.
+    let machine = |index: &str| {
+        format!(
+            "machine boot {{ reg w[12] init 1234; reg back[12]; mem m[256][12];
+               state load {{ m[{index}] := w; goto read; }}
+               state read {{ back := m[128]; halt; }} }}"
+        )
+    };
+    let mut outputs = Vec::new();
+    for (tag, index) in [("const", "128"), ("sum", "128 + 0")] {
+        let isl = write_temp(&format!("memidx-{tag}.isl"), &machine(index));
+        for engine in ["compiled", "interp"] {
+            let out = silc()
+                .args(["sim", isl.to_str().unwrap(), "--engine", engine])
+                .output()
+                .expect("runs");
+            assert!(out.status.success(), "{index} on {engine}: {out:?}");
+            outputs.push(out.stdout);
+        }
+    }
+    assert!(outputs.iter().all(|o| *o == outputs[0]), "{outputs:?}");
+    let text = String::from_utf8_lossy(&outputs[0]);
+    assert!(text.contains("back = 0o2322"), "{text}");
+}
+
+#[test]
 fn stats_prints_stage_table() {
     let sil = write_temp(
         "stats.sil",
@@ -703,42 +731,41 @@ fn shards_and_jobs_flags_are_validated() {
     let manifest_path = dir.join("jobs.txt");
     std::fs::write(&manifest_path, "compile d.sil\n").unwrap();
     let manifest = manifest_path.to_str().unwrap();
-    // Zero is not a stripe count or a worker count; name the flag.
-    for (args, flag) in [
-        (vec!["batch", manifest, "--shards", "0"], "--shards"),
-        (vec!["batch", manifest, "--shards", "x"], "--shards"),
-        (vec!["batch", manifest, "--jobs", "0"], "--jobs"),
-        (vec!["serve", "--shards", "0"], "--shards"),
-        (vec!["serve", "--jobs", "0"], "--jobs"),
+    // Zero is not a worker count; name the flag.
+    for args in [
+        vec!["batch", manifest, "--jobs", "0"],
+        vec!["batch", manifest, "--jobs", "x"],
+        vec!["serve", "--jobs", "0"],
     ] {
         let out = silc().args(&args).output().expect("runs");
         assert!(!out.status.success(), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(stderr.contains("--jobs"), "{args:?}: {stderr}");
         assert!(stderr.contains("positive number"), "{args:?}: {stderr}");
     }
     // Duplicates are rejected by name.
     let out = silc()
-        .args(["batch", manifest, "--shards", "2", "--shards", "4"])
+        .args(["batch", manifest, "--jobs", "2", "--jobs", "4"])
         .output()
         .expect("runs");
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("duplicate"), "{stderr}");
-    assert!(stderr.contains("--shards"), "{stderr}");
-    // `--shards` belongs to batch/serve only.
-    let sil = dir.join("d.sil");
+    assert!(stderr.contains("--jobs"), "{stderr}");
+    // The stripe count is not the user's to set any more.
+    for args in [
+        vec!["batch", manifest, "--shards", "4"],
+        vec!["serve", "--shards", "4"],
+    ] {
+        let out = silc().args(&args).output().expect("runs");
+        assert!(!out.status.success(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let unknown = format!("unknown {} flag `--shards`", args[0]);
+        assert!(stderr.contains(&unknown), "{args:?}: {stderr}");
+    }
+    // And a valid worker count works end to end.
     let out = silc()
-        .args(["compile", sil.to_str().unwrap(), "--shards", "4"])
-        .output()
-        .expect("runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--shards"), "{stderr}");
-    assert!(stderr.contains("silc batch"), "{stderr}");
-    // And a valid stripe count works end to end.
-    let out = silc()
-        .args(["batch", manifest, "--shards", "4"])
+        .args(["batch", manifest, "--jobs", "2"])
         .output()
         .expect("runs");
     assert!(out.status.success(), "{out:?}");

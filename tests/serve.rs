@@ -310,6 +310,129 @@ fn oversized_request_line_is_refused_and_the_server_lives_on() {
 }
 
 #[test]
+fn slow_loris_is_answered_when_it_finishes_and_reaped_when_it_never_does() {
+    let (addr, handle) = start(ServerConfig {
+        jobs: 1,
+        idle_timeout_ms: 400,
+        ..ServerConfig::default()
+    });
+    // A whole request, one byte at a time, is still one request — also
+    // when a pause longer than the server's read tick falls inside the
+    // two-byte `é`.
+    let mut slow = Client::connect(addr);
+    slow.writer.set_nodelay(true).expect("nodelay");
+    let line = format!(
+        "{{\"op\":\"compile\",\"id\":\"é\",\"source\":{}}}\n",
+        quoted(&sil_program(7))
+    );
+    for byte in line.as_bytes() {
+        slow.writer.write_all(&[*byte]).expect("send a byte");
+        if *byte == "é".as_bytes()[0] {
+            std::thread::sleep(Duration::from_millis(250));
+        }
+    }
+    let mut response = String::new();
+    slow.reader.read_line(&mut response).expect("reply");
+    let reply = parse_json(response.trim()).expect("well-formed reply");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    assert_eq!(reply.get("id").and_then(Json::as_str), Some("é"));
+
+    // A line that never ends, dribbled faster than the server's read
+    // tick: the connection is closed at the idle timeout ...
+    let dribble = std::thread::spawn(move || {
+        let mut client = Client::connect(addr);
+        let begin = Instant::now();
+        while client.writer.write_all(b"x").is_ok() {
+            assert!(
+                begin.elapsed() < Duration::from_secs(10),
+                "still connected long after the 400ms idle timeout"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    });
+    // ... and meanwhile holds no worker: the only one answers others.
+    let reply = Client::connect(addr).request(&format!(
+        r#"{{"op":"compile","source":{}}}"#,
+        quoted(&sil_program(8))
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    dribble.join().expect("the dribbling client was hung up on");
+    handle.shutdown();
+}
+
+#[test]
+fn half_closed_client_still_gets_its_reply() {
+    let (addr, handle) = start(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr);
+    let line = format!(
+        "{{\"op\":\"compile\",\"source\":{}}}\n",
+        quoted(&sil_program(7))
+    );
+    client.writer.write_all(line.as_bytes()).expect("send");
+    client
+        .writer
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut response = String::new();
+    client.reader.read_line(&mut response).expect("reply");
+    let reply = parse_json(response.trim()).expect("well-formed reply");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    // The connection thread saw the end of input and let go.
+    response.clear();
+    let n = client.reader.read_line(&mut response).expect("EOF");
+    assert_eq!(n, 0, "nothing follows the one reply: {response:?}");
+    handle.shutdown();
+}
+
+#[test]
+fn job_that_expires_in_the_queue_is_skipped_not_run() {
+    let (addr, handle) = start(ServerConfig {
+        jobs: 1,
+        enable_test_ops: true,
+        ..ServerConfig::default()
+    });
+    let mut stats_client = Client::connect(addr);
+    let mut busy = Client::connect(addr);
+    busy.writer
+        .write_all(b"{\"op\":\"sleep\",\"ms\":600}\n")
+        .expect("send");
+    wait_for(&mut stats_client, "busy_workers", 1);
+    // Queued behind the sleep with a deadline that passes while it waits.
+    let isl = "machine m { reg n[8]; state s { n := n + 1; } }";
+    let expired = Client::connect(addr).request(&format!(
+        r#"{{"op":"sim","deadline_ms":100,"source":{}}}"#,
+        quoted(isl)
+    ));
+    assert_eq!(
+        expired.get("error").and_then(Json::as_str),
+        Some("timeout"),
+        "{expired:?}"
+    );
+    // The worker meets the expired job first and must not spend itself
+    // on it: the next request is answered as soon as the sleep ends ...
+    let begin = Instant::now();
+    let reply = Client::connect(addr).request(&format!(
+        r#"{{"op":"compile","source":{}}}"#,
+        quoted(&sil_program(7))
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    assert!(
+        begin.elapsed() < Duration::from_secs(3),
+        "{:?}",
+        begin.elapsed()
+    );
+    // ... and no simulation ever ran.
+    let stats = stats_client.request(r#"{"op":"stats"}"#);
+    assert_eq!(stats.get("timeouts"), Some(&Json::Int(1)), "{stats:?}");
+    assert_eq!(stats.get("sim.compiled"), Some(&Json::Int(0)), "{stats:?}");
+    assert_eq!(stats.get("queue_depth"), Some(&Json::Int(0)), "{stats:?}");
+    handle.shutdown();
+}
+
+#[test]
 fn slow_request_times_out_without_stalling_other_clients() {
     let (addr, handle) = start(ServerConfig {
         jobs: 2,
