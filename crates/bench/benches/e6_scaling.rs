@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use silc_bench::e6;
-use silc_drc::{check, check_flat, check_flat_brute, check_flat_serial, RuleSet};
+use silc_drc::{check, check_flat, check_flat_brute, RuleSet};
 use silc_layout::flatten_to_rects;
 use std::hint::black_box;
 
@@ -36,18 +36,14 @@ fn bench(c: &mut Criterion) {
     }
     drc.finish();
 
-    // Engine ablation: spatial-index vs all-pairs candidate enumeration,
-    // and parallel vs serial execution of the indexed engine. All three
-    // produce byte-identical reports; only the time differs.
+    // Engine ablation: spatial-index vs all-pairs candidate enumeration.
+    // Both produce byte-identical reports; only the time differs.
     let mut engine = c.benchmark_group("e6/drc_engine");
     for n in [8usize, 16, 32] {
         let design = e6::compile_design(n);
         let layers = flatten_to_rects(&design.library, design.top).expect("flattens");
-        engine.bench_with_input(BenchmarkId::new("indexed_par", n), &layers, |b, l| {
+        engine.bench_with_input(BenchmarkId::new("indexed", n), &layers, |b, l| {
             b.iter(|| check_flat(black_box(l), &RuleSet::mead_conway_nmos()))
-        });
-        engine.bench_with_input(BenchmarkId::new("indexed_serial", n), &layers, |b, l| {
-            b.iter(|| check_flat_serial(black_box(l), &RuleSet::mead_conway_nmos()))
         });
         // The oracle is quadratic; skip it at the largest size where a
         // single iteration already takes tens of seconds.
@@ -82,7 +78,6 @@ fn bench(c: &mut Criterion) {
                 "bins",
                 "queries",
                 "indexed ms",
-                "serial ms",
                 "brute ms",
                 "speedup"
             ],

@@ -1,5 +1,5 @@
-//! DRC engine ablation: spatial-index (parallel and serial) versus the
-//! all-pairs brute-force oracle on the E6 shift-register arrays.
+//! DRC engine ablation: spatial-index versus the all-pairs brute-force
+//! oracle on the E6 shift-register arrays.
 //!
 //! ```text
 //! cargo run --release -p silc-bench --example drc_ablation -- 8 16 32
@@ -28,7 +28,6 @@ fn main() {
                 "bins",
                 "queries",
                 "indexed ms",
-                "serial ms",
                 "brute ms",
                 "speedup"
             ],

@@ -4,7 +4,7 @@
 
 use crate::e2::shift_array;
 use silc_cif::CifWriter;
-use silc_drc::{check_flat, check_flat_brute, check_flat_serial, check_traced, RuleSet};
+use silc_drc::{check_flat, check_flat_brute, check_traced, RuleSet};
 use silc_lang::{Compiler, Design};
 use silc_layout::CellStats;
 use silc_trace::Tracer;
@@ -96,8 +96,7 @@ pub fn table(rows: &[ScalingRow]) -> Vec<Vec<String>> {
 }
 
 /// One DRC-engine ablation data point: the same flattened layout checked
-/// by the indexed parallel engine, the indexed serial engine, and the
-/// all-pairs brute-force oracle.
+/// by the indexed engine and the all-pairs brute-force oracle.
 #[derive(Debug, Clone)]
 pub struct AblationRow {
     /// Array size parameter (the design is n x n cells).
@@ -109,10 +108,8 @@ pub struct AblationRow {
     pub index_bins: usize,
     /// Index probes issued across all passes (trace counter `drc.queries`).
     pub queries: usize,
-    /// Indexed + parallel (`check_flat`) wall time in milliseconds.
+    /// Indexed (`check_flat`) wall time in milliseconds.
     pub indexed_ms: f64,
-    /// Indexed single-thread (`check_flat_serial`) wall time.
-    pub serial_ms: f64,
     /// All-pairs oracle (`check_flat_brute`) wall time.
     pub brute_ms: f64,
     /// `brute_ms / indexed_ms`.
@@ -137,7 +134,7 @@ fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if the three engines disagree on any layout (they must not).
+/// Panics if the two engines disagree on any layout (they must not).
 pub fn drc_ablation(sizes: &[usize]) -> Vec<AblationRow> {
     let rules = RuleSet::mead_conway_nmos();
     sizes
@@ -154,12 +151,7 @@ pub fn drc_ablation(sizes: &[usize]) -> Vec<AblationRow> {
             let indexed = silc_drc::check_flat_traced(&layers, &rules, &tracer);
             let trace = tracer.finish();
             let counter = |name: &str| trace.counter(name).unwrap_or(0) as usize;
-            let serial = check_flat_serial(&layers, &rules);
             let brute = check_flat_brute(&layers, &rules);
-            assert_eq!(
-                indexed.violations, serial.violations,
-                "parallel/serial divergence at n={n}"
-            );
             assert_eq!(
                 indexed.violations, brute.violations,
                 "indexed/brute divergence at n={n}"
@@ -167,7 +159,6 @@ pub fn drc_ablation(sizes: &[usize]) -> Vec<AblationRow> {
 
             let reps = if rects > 20_000 { 2 } else { 3 };
             let indexed_ms = time_best(reps, || check_flat(&layers, &rules));
-            let serial_ms = time_best(reps, || check_flat_serial(&layers, &rules));
             let brute_ms = time_best(reps, || check_flat_brute(&layers, &rules));
             AblationRow {
                 n,
@@ -175,7 +166,6 @@ pub fn drc_ablation(sizes: &[usize]) -> Vec<AblationRow> {
                 index_bins: counter("drc.index.bins"),
                 queries: counter("drc.queries"),
                 indexed_ms,
-                serial_ms,
                 brute_ms,
                 speedup: brute_ms / indexed_ms,
             }
@@ -193,7 +183,6 @@ pub fn ablation_table(rows: &[AblationRow]) -> Vec<Vec<String>> {
                 r.index_bins.to_string(),
                 r.queries.to_string(),
                 format!("{:.2}", r.indexed_ms),
-                format!("{:.2}", r.serial_ms),
                 format!("{:.2}", r.brute_ms),
                 format!("{:.1}x", r.speedup),
             ]
@@ -209,9 +198,9 @@ pub fn ablation_json(rows: &[AblationRow]) -> String {
             out,
             "{{\"bench\":\"e6/drc_engine\",\"n\":{},\"rects\":{},\
              \"index_bins\":{},\"queries\":{},\
-             \"indexed_ms\":{:.3},\"serial_ms\":{:.3},\"brute_ms\":{:.3},\
+             \"indexed_ms\":{:.3},\"brute_ms\":{:.3},\
              \"speedup\":{:.2}}}",
-            r.n, r.rects, r.index_bins, r.queries, r.indexed_ms, r.serial_ms, r.brute_ms, r.speedup
+            r.n, r.rects, r.index_bins, r.queries, r.indexed_ms, r.brute_ms, r.speedup
         )
         .expect("writing to a String");
     }
@@ -352,7 +341,7 @@ mod tests {
         assert_eq!(json.lines().count(), 2);
         assert!(json.contains("\"speedup\":"));
         assert!(json.contains("\"queries\":"));
-        assert_eq!(ablation_table(&rows)[0].len(), 8);
+        assert_eq!(ablation_table(&rows)[0].len(), 7);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! examples print the tables.
 
 pub mod e1;
-pub mod e10;
 pub mod e11;
 pub mod e2;
 pub mod e3;

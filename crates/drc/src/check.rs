@@ -3,8 +3,8 @@ use crate::RuleSet;
 use silc_geom::{Coord, Fingerprint, FpHasher, Rect, RectIndex};
 use silc_layout::{CellId, Layer, LayoutError, Library};
 use silc_trace::{span, Tracer};
+use std::cell::OnceCell;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// The rule a violation broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,42 +161,12 @@ impl fmt::Display for Report {
     }
 }
 
-/// Buffers one worker reuses from lookup to lookup, so the passes stay
-/// off the heap once these have grown to the neighbourhood size.
+/// Buffers the run reuses from lookup to lookup, so the passes stay off
+/// the heap once these have grown to the neighbourhood size.
 #[derive(Default)]
 struct Scratch {
     near: Vec<u32>,
     cover: Cover,
-}
-
-/// Applies `f` to every item, in parallel when the `parallel` feature is
-/// enabled and `parallel` is true, always returning results in input
-/// order. The serial and parallel paths are therefore interchangeable:
-/// identical inputs give byte-identical outputs. Each worker hands `f`
-/// its own [`Scratch`].
-fn map_maybe_par<T, R>(
-    parallel: bool,
-    items: &[T],
-    f: impl Fn(&mut Scratch, &T) -> R + Sync,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    let run = |chunk: &[T]| {
-        let mut scratch = Scratch::default();
-        chunk.iter().map(|t| f(&mut scratch, t)).collect::<Vec<R>>()
-    };
-    #[cfg(feature = "parallel")]
-    if parallel && items.len() > 1 {
-        use rayon::prelude::*;
-        let per_worker = items.len().div_ceil(rayon::current_num_threads());
-        let chunks: Vec<&[T]> = items.chunks(per_worker).collect();
-        let done: Vec<Vec<R>> = chunks.par_iter().map(|c| run(c)).collect();
-        return done.into_iter().flatten().collect();
-    }
-    let _ = parallel;
-    run(items)
 }
 
 /// Runs the design-rule checker on the flattened hierarchy under `root`.
@@ -229,53 +199,17 @@ pub fn check_traced(
     Ok(check_flat_traced(&layers, rules, tracer))
 }
 
-/// Runs the checker independently on several cells, in parallel when the
-/// `parallel` feature is enabled. Reports come back in `roots` order.
-///
-/// # Errors
-///
-/// Returns [`LayoutError::UnknownCell`] for the first root not in the
-/// library.
-pub fn check_cells(
-    lib: &Library,
-    roots: &[CellId],
-    rules: &RuleSet,
-) -> Result<Vec<Report>, LayoutError> {
-    map_maybe_par(true, roots, |_, &root| check(lib, root, rules))
-        .into_iter()
-        .collect()
-}
-
 /// Runs the checker on pre-flattened per-layer rectangles (indexed by
 /// [`Layer::index`]).
 ///
 /// Every pass looks rectangles up in a [`RectIndex`] — one over each
 /// layer's drawn rectangles, one over its merged rectangles, each built
 /// once per run and shared by the passes that need it — so a rectangle is
-/// compared only against its spatial neighbourhood, and independent work
-/// units (layers, rule pairs, cuts, gates) run in parallel when the
-/// `parallel` feature (on by default) is enabled. Output is identical to
-/// [`check_flat_serial`] and to the all-pairs oracle regardless: candidate
-/// ids come back from the index in the same ascending order brute-force
-/// iteration would visit them, and parallel maps preserve input order.
+/// compared only against its spatial neighbourhood. Output is identical to
+/// the all-pairs oracle: candidate ids come back from the index in the
+/// same ascending order brute-force iteration would visit them.
 pub fn check_flat(layers: &[Vec<Rect>], rules: &RuleSet) -> Report {
-    check_flat_impl(layers, rules, true, &Tracer::disabled())
-}
-
-/// [`check_flat`] with a [`Tracer`]: each rule pass records a
-/// `drc.{merge,width,spacing,contact,gate}` span, and the run flushes
-/// `drc.rects_checked`, `drc.violations`, `drc.index.rects` (rectangles
-/// inserted into spatial indexes) and `drc.index.bins` (grid bins built)
-/// counters. With a disabled tracer this is exactly [`check_flat`].
-pub fn check_flat_traced(layers: &[Vec<Rect>], rules: &RuleSet, tracer: &Tracer) -> Report {
-    check_flat_impl(layers, rules, true, tracer)
-}
-
-/// [`check_flat`] with parallelism disabled: single-threaded, indexed.
-/// Produces byte-identical reports; exists for determinism auditing and
-/// the scaling benchmarks' serial baseline.
-pub fn check_flat_serial(layers: &[Vec<Rect>], rules: &RuleSet) -> Report {
-    check_flat_impl(layers, rules, false, &Tracer::disabled())
+    check_flat_traced(layers, rules, &Tracer::disabled())
 }
 
 /// One run's shared state: the drawn and merged rectangles of every
@@ -283,15 +217,14 @@ pub fn check_flat_serial(layers: &[Vec<Rect>], rules: &RuleSet) -> Report {
 struct Run<'a> {
     layers: &'a [Vec<Rect>],
     merged: Vec<Merged>,
-    drawn_index: Vec<OnceLock<RectIndex>>,
-    merged_index: Vec<OnceLock<RectIndex>>,
+    drawn_index: Vec<OnceCell<RectIndex>>,
+    merged_index: Vec<OnceCell<RectIndex>>,
     rules: &'a RuleSet,
-    parallel: bool,
     tracer: &'a Tracer,
 }
 
 impl Run<'_> {
-    fn index<'i>(&self, slot: &'i OnceLock<RectIndex>, rects: &[Rect]) -> &'i RectIndex {
+    fn index<'i>(&self, slot: &'i OnceCell<RectIndex>, rects: &[Rect]) -> &'i RectIndex {
         slot.get_or_init(|| {
             let index = RectIndex::build(rects);
             self.tracer.add("drc.index.rects", index.len() as u64);
@@ -313,46 +246,45 @@ impl Run<'_> {
     }
 }
 
-fn check_flat_impl(
-    layers: &[Vec<Rect>],
-    rules: &RuleSet,
-    parallel: bool,
-    tracer: &Tracer,
-) -> Report {
+/// [`check_flat`] with a [`Tracer`]: each rule pass records a
+/// `drc.{merge,width,spacing,contact,gate}` span, and the run flushes
+/// `drc.rects_checked`, `drc.violations`, `drc.index.rects` (rectangles
+/// inserted into spatial indexes) and `drc.index.bins` (grid bins built)
+/// counters.
+pub fn check_flat_traced(layers: &[Vec<Rect>], rules: &RuleSet, tracer: &Tracer) -> Report {
     let mut violations = Vec::new();
+    let mut scratch = Scratch::default();
     let rects_checked = layers.iter().map(Vec::len).sum();
 
-    // Merge each layer once (independently, so in parallel).
     let merged: Vec<Merged> = {
         let _s = span!(tracer, "drc.merge");
-        map_maybe_par(parallel, layers, |_, v| merge_flat(v))
+        layers.iter().map(|v| merge_flat(v)).collect()
     };
-    let slots = || layers.iter().map(|_| OnceLock::new()).collect();
+    let slots = || layers.iter().map(|_| OnceCell::new()).collect();
     let run = Run {
         layers,
         merged,
         drawn_index: slots(),
         merged_index: slots(),
         rules,
-        parallel,
         tracer,
     };
 
     {
         let _s = span!(tracer, "drc.width");
-        width_checks(&run, &mut violations);
+        width_checks(&run, &mut scratch, &mut violations);
     }
     {
         let _s = span!(tracer, "drc.spacing");
-        spacing_checks(&run, &mut violations);
+        spacing_checks(&run, &mut scratch, &mut violations);
     }
     {
         let _s = span!(tracer, "drc.contact");
-        contact_checks(&run, &mut violations);
+        contact_checks(&run, &mut scratch, &mut violations);
     }
     {
         let _s = span!(tracer, "drc.gate");
-        gate_checks(&run, &mut violations);
+        gate_checks(&run, &mut scratch, &mut violations);
     }
 
     tracer.add("drc.rects_checked", rects_checked as u64);
@@ -367,11 +299,10 @@ fn check_flat_impl(
 
 /// Width: every *drawn* rectangle must meet the minimum width unless it is
 /// redundant (fully covered by the other rectangles on the layer, in which
-/// case it adds no new feature). Layers are independent → parallel units.
-fn width_checks(run: &Run<'_>, out: &mut Vec<Violation>) {
-    let per_layer = map_maybe_par(run.parallel, &Layer::ALL, |scratch, &layer| {
+/// case it adds no new feature).
+fn width_checks(run: &Run<'_>, scratch: &mut Scratch, out: &mut Vec<Violation>) {
+    for layer in Layer::ALL {
         let w = run.rules.min_width(layer);
-        let mut found = Vec::new();
         for (i, &r) in (0u32..).zip(&run.layers[layer.index()]) {
             if r.min_dimension() >= w {
                 continue;
@@ -383,41 +314,35 @@ fn width_checks(run: &Run<'_>, out: &mut Vec<Violation>) {
                 .drawn(layer)
                 .any(r, 0, |j, other| j != i && scratch.cover.add(other));
             if !redundant {
-                found.push(Violation {
+                out.push(Violation {
                     rule: RuleKind::MinWidth { layer, required: w },
                     at: r,
                 });
             }
         }
-        found
-    });
-    out.extend(per_layer.into_iter().flatten());
+    }
 }
 
 /// Spacing: between merged rects that do not touch. Covers both
-/// region-to-region spacing and same-region notches. Rule pairs are
-/// independent → parallel units; within a pair, each rect is compared only
-/// against index candidates within the rule distance.
-fn spacing_checks(run: &Run<'_>, out: &mut Vec<Violation>) {
-    let pairs = run.rules.active_spacing_pairs();
-    let per_pair = map_maybe_par(run.parallel, &pairs, |scratch, &(a, b)| {
+/// region-to-region spacing and same-region notches. Within a rule pair,
+/// each rect is compared only against index candidates within the rule
+/// distance.
+fn spacing_checks(run: &Run<'_>, scratch: &mut Scratch, out: &mut Vec<Violation>) {
+    for (a, b) in run.rules.active_spacing_pairs() {
         let s = run.rules.min_spacing(a, b);
         let ra = &run.merged[a.index()].rects;
         let index = run.merged(b);
         run.tracer.add("drc.queries", ra.len() as u64);
-        let mut found = Vec::new();
         for (i, &x) in (0u32..).zip(ra) {
             // Ascending candidate ids reproduce the pair order of the
             // all-pairs loop (i < j within one layer); margin s covers
             // every violating pair (violations need both axis gaps < s).
             index.query_into(x, s, &mut scratch.near);
             for &j in scratch.near.iter().filter(|&&j| a != b || j > i) {
-                spacing_pair(a, b, s, x, index.rect(j), &mut found);
+                spacing_pair(a, b, s, x, index.rect(j), out);
             }
         }
-        found
-    });
-    out.extend(per_pair.into_iter().flatten());
+    }
 }
 
 fn spacing_pair(a: Layer, b: Layer, s: Coord, x: Rect, y: Rect, out: &mut Vec<Violation>) {
@@ -436,9 +361,9 @@ fn spacing_pair(a: Layer, b: Layer, s: Coord, x: Rect, y: Rect, out: &mut Vec<Vi
 }
 
 /// Contacts: each cut must be surrounded by metal and by poly or
-/// diffusion. Cuts are independent → parallel units; enclosure coverage
-/// for each cut comes from index lookups around it.
-fn contact_checks(run: &Run<'_>, out: &mut Vec<Violation>) {
+/// diffusion; enclosure coverage for each cut comes from index lookups
+/// around it.
+fn contact_checks(run: &Run<'_>, scratch: &mut Scratch, out: &mut Vec<Violation>) {
     let cuts = &run.layers[Layer::Contact.index()];
     if cuts.is_empty() {
         return;
@@ -452,11 +377,10 @@ fn contact_checks(run: &Run<'_>, out: &mut Vec<Violation>) {
     let diff = run.drawn(Layer::Diffusion);
     run.tracer.add("drc.queries", 2 * cuts.len() as u64);
 
-    let per_cut = map_maybe_par(run.parallel, cuts, |scratch, cut| {
-        let cover = &mut scratch.cover;
-        let mut found = Vec::new();
+    let cover = &mut scratch.cover;
+    for cut in cuts {
         if metal_by > 0 && !covered(metal, cut.grow(metal_by, metal_by), cover) {
-            found.push(Violation {
+            out.push(Violation {
                 rule: RuleKind::ContactMetalSurround { required: metal_by },
                 at: *cut,
             });
@@ -469,15 +393,13 @@ fn contact_checks(run: &Run<'_>, out: &mut Vec<Violation>) {
             let enclosed = poly.any(needed, 0, |_, r| cover.add(r))
                 || diff.any(needed, 0, |_, r| cover.add(r));
             if !enclosed {
-                found.push(Violation {
+                out.push(Violation {
                     rule: RuleKind::ContactLowerSurround { required: lower_by },
                     at: *cut,
                 });
             }
         }
-        found
-    });
-    out.extend(per_cut.into_iter().flatten());
+    }
 }
 
 /// Transistor gates: wherever poly crosses diffusion, poly must extend
@@ -485,8 +407,8 @@ fn contact_checks(run: &Run<'_>, out: &mut Vec<Violation>) {
 /// `gate_diff_overhang` on the other. A crossing fully covered by a
 /// contact cut is a butting contact (the metal shorts the junction), not
 /// a transistor, and is exempt. Crossing discovery queries the diffusion
-/// index per poly rect; gates are then independent → parallel units.
-fn gate_checks(run: &Run<'_>, out: &mut Vec<Violation>) {
+/// index per poly rect.
+fn gate_checks(run: &Run<'_>, scratch: &mut Scratch, out: &mut Vec<Violation>) {
     let (pv, dv) = (run.rules.gate_poly_overhang, run.rules.gate_diff_overhang);
     let poly = &run.merged[Layer::Poly.index()].rects;
     if (pv == 0 && dv == 0)
@@ -498,9 +420,9 @@ fn gate_checks(run: &Run<'_>, out: &mut Vec<Violation>) {
     // Gates are connected components of the poly∩diff geometry.
     let diff_index = run.merged(Layer::Diffusion);
     let mut crossings: Vec<Rect> = Vec::new();
-    let mut near = Vec::new();
+    let Scratch { near, cover } = scratch;
     for p in poly {
-        diff_index.query_into(*p, 0, &mut near);
+        diff_index.query_into(*p, 0, near);
         crossings.extend(
             near.iter()
                 .filter_map(|&j| p.intersection(diff_index.rect(j))),
@@ -509,19 +431,14 @@ fn gate_checks(run: &Run<'_>, out: &mut Vec<Violation>) {
     let cuts = run.drawn(Layer::Contact);
     let poly_index = run.merged(Layer::Poly);
     run.tracer.add("drc.queries", poly.len() as u64);
-    let gates: Vec<Rect> = merge_flat(&crossings)
-        .regions()
-        .map(|rects| {
-            rects
-                .iter()
-                .copied()
-                .reduce(|a, b| a.union(b))
-                .expect("regions are non-empty")
-        })
-        .collect();
-    run.tracer.add("drc.gates", gates.len() as u64);
-    let per_gate = map_maybe_par(run.parallel, &gates, |scratch, &g| {
-        let cover = &mut scratch.cover;
+    let gates = merge_flat(&crossings);
+    run.tracer.add("drc.gates", gates.regions().count() as u64);
+    for rects in gates.regions() {
+        let g = rects
+            .iter()
+            .copied()
+            .reduce(|a, b| a.union(b))
+            .expect("regions are non-empty");
         // Butting-contact exemption, then orientation A (poly runs
         // vertically, diffusion horizontally) or B (the transpose).
         let ok = covered(cuts, g, cover)
@@ -529,12 +446,13 @@ fn gate_checks(run: &Run<'_>, out: &mut Vec<Violation>) {
                 && covered(diff_index, g.grow(dv, 0), cover))
             || (covered(poly_index, g.grow(pv, 0), cover)
                 && covered(diff_index, g.grow(0, dv), cover));
-        (!ok).then_some(Violation {
-            rule: RuleKind::GateOverhang { poly: pv, diff: dv },
-            at: g,
-        })
-    });
-    out.extend(per_gate.into_iter().flatten());
+        if !ok {
+            out.push(Violation {
+                rule: RuleKind::GateOverhang { poly: pv, diff: dv },
+                at: g,
+            });
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -892,23 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn check_cells_reports_in_order() {
-        use silc_layout::{Cell, Element};
-        let mut lib = Library::new();
-        let mut good = Cell::new("good");
-        good.push_element(Element::rect(Layer::Metal, rect(0, 0, 3, 10)));
-        let mut bad = Cell::new("bad");
-        bad.push_element(Element::rect(Layer::Metal, rect(0, 0, 1, 10)));
-        let good_id = lib.add_cell(good).unwrap();
-        let bad_id = lib.add_cell(bad).unwrap();
-        let reports = check_cells(&lib, &[good_id, bad_id, good_id], &rules()).unwrap();
-        assert_eq!(reports.len(), 3);
-        assert!(reports[0].is_clean());
-        assert!(!reports[1].is_clean());
-        assert!(reports[2].is_clean());
-    }
-
-    #[test]
     fn traced_run_matches_untraced_and_records_passes() {
         let layers = flat_with(Layer::Metal, vec![rect(0, 0, 2, 20), rect(5, 0, 3, 10)]);
         let tracer = Tracer::enabled();
@@ -994,9 +895,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The tentpole guarantee: the indexed checker (serial and
-        /// parallel) reports exactly the violations of the all-pairs
-        /// oracle, in the same order.
+        /// The tentpole guarantee: the indexed checker reports exactly
+        /// the violations of the all-pairs oracle, in the same order.
         #[test]
         fn indexed_checker_matches_brute_force(
             specs in prop::collection::vec(
@@ -1011,8 +911,6 @@ mod tests {
                 let brute = check_flat_brute(&layers, &rules);
                 prop_assert_eq!(&indexed.violations, &brute.violations);
                 prop_assert_eq!(indexed.rects_checked, brute.rects_checked);
-                let serial = check_flat_serial(&layers, &rules);
-                prop_assert_eq!(&serial.violations, &indexed.violations);
             }
         }
 

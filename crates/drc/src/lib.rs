@@ -44,9 +44,9 @@ mod rules;
 
 #[cfg(any(test, feature = "oracle"))]
 pub use check::check_flat_brute;
-pub use check::{
-    check, check_cells, check_flat, check_flat_serial, check_flat_traced, check_traced, Report,
-    RuleKind, Violation,
-};
+// Alias shim for the frozen ledger; ROADMAP's benchmark-only follow-up drops it.
+#[doc(hidden)]
+pub use check::check_flat as check_flat_serial;
+pub use check::{check, check_flat, check_flat_traced, check_traced, Report, RuleKind, Violation};
 pub use region::{covered, merge_rects, region_contains_rect, Cover, Region};
 pub use rules::RuleSet;

@@ -18,11 +18,6 @@
 //! stays on as the randomized-equivalence oracle (see the crate's
 //! proptests).
 //!
-//! Extracted transistor netlists get the same treatment in [`gates`]:
-//! the switch-level graph compiles to a word-parallel evaluator that
-//! settles 64 input patterns per pass, oracled against
-//! [`silc_extract::switch_level_eval`].
-//!
 //! # Example
 //!
 //! ```
@@ -45,12 +40,10 @@
 
 mod bytecode;
 mod compile;
-pub mod gates;
 mod run;
 
 pub use bytecode::{CompileStats, CompiledMachine};
 pub use compile::compile;
-pub use gates::{compile_switch, exhaustive_patterns, CompiledSwitch, NetWord, SwitchWord};
 pub use run::CompiledSim;
 
 use std::fmt;

@@ -22,10 +22,9 @@
 //!
 //! All geometric resolution (which region does this cut/port/channel
 //! touch?) runs through [`silc_geom::RectIndex`] lookups rather than
-//! layer-wide scans, and per-gate precomputation parallelises behind the
-//! `parallel` feature; results are identical either way. The all-pairs
-//! reference implementation survives as [`extract_brute`] (tests and the
-//! `oracle` feature) and anchors the equivalence proptests.
+//! layer-wide scans. The all-pairs reference implementation survives as
+//! [`extract_brute`] (tests and the `oracle` feature) and anchors the
+//! equivalence proptests.
 //!
 //! # Example
 //!
@@ -133,21 +132,6 @@ impl Fingerprint for Extracted {
         }
         h.write_len(self.nets);
     }
-}
-
-/// Applies `f` to every item, in parallel when the `parallel` feature is
-/// on, always in input order (results are identical to the serial path).
-fn map_maybe_par<T, R>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    #[cfg(feature = "parallel")]
-    if items.len() > 1 {
-        use rayon::prelude::*;
-        return items.par_iter().map(f).collect();
-    }
-    items.iter().map(f).collect()
 }
 
 /// Spatially indexed membership lookup over a list of [`Region`]s.
@@ -348,13 +332,9 @@ pub fn extract_traced(
         }
     }
 
-    // Per-gate geometry resolution is independent per gate → parallel
-    // units; the netlist itself is then built serially in gate order so
-    // anonymous net numbering (and the first error reported) is
-    // deterministic.
     let netlist_span = span!(tracer, "extract.netlist");
     let implant_index = RectIndex::build(implant_rects);
-    let resolved = map_maybe_par(&gates, |gate| {
+    let resolved = gates.iter().map(|gate| {
         let gbox = gate.bbox();
         let gp = poly_lookup
             .touching_any(gate.rects())
@@ -390,16 +370,16 @@ pub fn extract_traced(
 /// two source/drain diffusion regions and its device kind.
 type Gate = Result<(Rect, usize, [usize; 2], &'static str), ExtractError>;
 
-/// Builds the netlist from the resolved gates, serially in gate order so
-/// anonymous net numbering (and the first error reported) is
-/// deterministic. Nodes are numbered diffusion regions (`nd` of them),
-/// then poly, then metal, `total` in all.
+/// Builds the netlist from the resolved gates in gate order, which fixes
+/// the anonymous net numbering and the first error reported. Nodes are
+/// numbered diffusion regions (`nd` of them), then poly, then metal,
+/// `total` in all.
 fn assemble(
     name: &str,
     (nd, total): (usize, usize),
     mut uf: UnionFind,
     net_names: &HashMap<usize, String>,
-    gates: Vec<Gate>,
+    gates: impl IntoIterator<Item = Gate>,
 ) -> Result<Extracted, ExtractError> {
     let mut netlist = Netlist::new(name.to_string());
     let mut net_of_node: HashMap<usize, silc_netlist::NetId> = HashMap::new();
@@ -583,7 +563,7 @@ pub fn extract_brute(lib: &Library, root: CellId) -> Result<Extracted, ExtractEr
         }
     }
 
-    let resolved =
+    let resolved: Vec<Gate> =
         gates
             .iter()
             .map(|gate| {

@@ -141,9 +141,6 @@ pub struct Op {
     /// `verify`: source language, one of [`LANGS`] (the input file's
     /// extension where there is a file, a field on the wire).
     pub lang: Option<String>,
-    /// Worker count: `pnr` routes serially at 1; `batch` and `serve`
-    /// size their pools with it.
-    pub jobs: Option<usize>,
 }
 
 /// The languages `verify` accepts.
@@ -181,6 +178,8 @@ pub struct Args {
     pub against: Option<String>,
     /// `--addr`: the server's bind address.
     pub addr: Option<String>,
+    /// `--jobs`: how many workers `batch` and `serve` run.
+    pub jobs: Option<usize>,
     /// `--cache`: persistent cache directory.
     pub cache: Option<String>,
     /// `--no-cache`: force a cold run.
@@ -309,9 +308,9 @@ pub const ARGS: [Arg; 15] = [
         "--jobs",
         "N",
         "a positive number",
-        &[Pnr, Batch, Serve],
+        &[Batch, Serve],
         CLI,
-        |a| Slot::Count(&mut a.op.jobs),
+        |a| Slot::Count(&mut a.jobs),
     ),
     arg(
         "--engine",
@@ -562,12 +561,7 @@ pub fn run(
         }
         Synth => Outcome::Synth(synth_allocation(engine, &machine()?, stats)?),
         Pla => Outcome::Pla(pla_products(engine, source, op.raw, stats)?),
-        Pnr => {
-            // `--jobs 1` forces the serial router; both routers produce
-            // the same bytes, so the cache key does not mention it.
-            let parallel = op.jobs.is_none_or(|j| j > 1);
-            Outcome::Pnr(pnr_sil(engine, source, op.stack(), parallel, stats)?)
-        }
+        Pnr => Outcome::Pnr(pnr_sil(engine, source, op.stack(), stats)?),
         Verify => Outcome::Verify(match (against, op.lang.as_deref()) {
             (Some(spec), Some("pla")) => verify_against(engine, source, spec, stats)?,
             (Some(_), lang) => {

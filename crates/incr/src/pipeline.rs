@@ -511,10 +511,7 @@ pub fn pla_products(
 }
 
 /// Netlist + routing stack + floorplan → routed layout products. The
-/// key is exactly those three fingerprints: the `parallel` flag stays
-/// out because serial and parallel runs are byte-identical by
-/// construction (proptest-enforced in `silc-pnr`), so either build may
-/// serve the other's cache entry.
+/// key is exactly those three fingerprints.
 ///
 /// # Errors
 ///
@@ -526,14 +523,15 @@ pub fn pnr_products(
     netlist: &Netlist,
     stack: &RouteStack,
     floorplan: &Floorplan,
-    parallel: bool,
+    // Ignored shim for the frozen ledger; ROADMAP's benchmark-only follow-up drops it.
+    _parallel: bool,
     stats: &mut JobStats,
 ) -> Result<Arc<PnrSnapshot>, String> {
     let key = (netlist, stack, floorplan).fingerprint();
     engine.query(Stage::PNR, key, stats, || {
         let tracer = engine.tracer();
-        let out = place_and_route_traced(netlist, stack, floorplan, parallel, tracer)
-            .map_err(|e| e.to_string())?;
+        let out =
+            place_and_route_traced(netlist, stack, floorplan, tracer).map_err(|e| e.to_string())?;
         let drc =
             silc_drc::check_traced(&out.library, out.root, &RuleSet::mead_conway_nmos(), tracer)
                 .map_err(|e| e.to_string())?;
@@ -575,7 +573,6 @@ pub fn pnr_sil(
     engine: &Engine,
     source: &str,
     stack_name: &str,
-    parallel: bool,
     stats: &mut JobStats,
 ) -> Result<Arc<PnrSnapshot>, String> {
     let stack = RouteStack::by_name(stack_name).map_err(|e| format!("pnr: {e}"))?;
@@ -583,14 +580,7 @@ pub fn pnr_sil(
     let extracted = silc_extract::extract_traced(&design.library, design.top, engine.tracer())
         .map_err(|e| format!("extract: {e}"))?;
     let floorplan = Floorplan::squarish(extracted.netlist.instances().len());
-    let out = pnr_products(
-        engine,
-        &extracted.netlist,
-        &stack,
-        &floorplan,
-        parallel,
-        stats,
-    )?;
+    let out = pnr_products(engine, &extracted.netlist, &stack, &floorplan, false, stats)?;
     if !out.drc.is_clean() {
         return Err(format!(
             "drc: routed layout has {} violation(s)",
@@ -781,7 +771,7 @@ pub fn verify_sil(
     let key = (("verify-sil", &extracted.netlist), (&stack, &floorplan)).fingerprint();
     engine.query(Stage::VERIFY, key, stats, || {
         let tracer = engine.tracer();
-        let out = place_and_route_traced(&extracted.netlist, &stack, &floorplan, false, tracer)
+        let out = place_and_route_traced(&extracted.netlist, &stack, &floorplan, tracer)
             .map_err(|e| e.to_string())?;
         let back = silc_extract::extract_traced(&out.library, out.root, tracer)
             .map_err(|e| e.to_string())?;

@@ -15,7 +15,12 @@ pub fn parse(source: &str) -> Result<Program, LangError> {
 /// Parses an already-lexed token stream (lets the compiler time lexing
 /// and parsing as separate pipeline stages).
 pub(crate) fn parse_tokens(tokens: Vec<Token>) -> Result<Program, LangError> {
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        open: 0,
+        height: 0,
+    };
     let mut items = Vec::new();
     while *p.peek() != Tok::Eof {
         items.push(p.item()?);
@@ -23,9 +28,19 @@ pub(crate) fn parse_tokens(tokens: Vec<Token>) -> Result<Program, LangError> {
     Ok(Program { items })
 }
 
+/// Deepest nesting accepted. The parser, the evaluator and `Drop` recurse
+/// once per level of the tree, and a `silc serve` worker runs them on a
+/// 2 MiB stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Statements and operands open around the current token.
+    open: usize,
+    /// Height of the expression tree parsed last. Operator chains grow a
+    /// tree without recursing, so depth is counted on the tree.
+    height: usize,
 }
 
 impl Parser {
@@ -56,6 +71,16 @@ impl Parser {
             col: t.col,
             message: message.into(),
         }
+    }
+
+    /// Records that the tree parsed last now stands `height` high, and
+    /// refuses it once it reaches deeper than the bound.
+    fn grown(&mut self, height: usize) -> Result<(), LangError> {
+        self.height = height;
+        if self.open + height > MAX_DEPTH {
+            return Err(self.err(format!("nested more than {MAX_DEPTH} levels deep")));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, kind: Tok) -> Result<(), LangError> {
@@ -207,7 +232,57 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, LangError> {
+        // Every cycle in the statement grammar comes through here.
+        self.open += 1;
+        self.grown(0)?;
         let line = self.line();
+        let stmt = match self.peek() {
+            Tok::For => {
+                self.advance();
+                let var = self.ident()?;
+                self.expect(Tok::In)?;
+                let from = self.expr_no_record()?;
+                self.expect(Tok::DotDot)?;
+                let to = self.expr_no_record()?;
+                let body = self.block()?;
+                Ok(Stmt::For {
+                    var,
+                    from,
+                    to,
+                    body,
+                    line,
+                })
+            }
+            Tok::If => {
+                self.advance();
+                let cond = self.expr_no_record()?;
+                let then_body = self.block()?;
+                let else_body = if *self.peek() == Tok::Else {
+                    self.advance();
+                    if *self.peek() == Tok::If {
+                        vec![self.stmt()?]
+                    } else {
+                        self.block()?
+                    }
+                } else {
+                    Vec::new()
+                };
+                Ok(Stmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                    line,
+                })
+            }
+            // Nested blocks stack this frame up once per level, so the
+            // statements that cannot nest keep their locals out of it.
+            _ => self.simple_stmt(line),
+        }?;
+        self.open -= 1;
+        Ok(stmt)
+    }
+
+    fn simple_stmt(&mut self, line: usize) -> Result<Stmt, LangError> {
         match self.peek().clone() {
             Tok::Box_ => {
                 self.advance();
@@ -332,43 +407,6 @@ impl Parser {
                 self.expect(Tok::Semi)?;
                 Ok(Stmt::Let { name, value, line })
             }
-            Tok::For => {
-                self.advance();
-                let var = self.ident()?;
-                self.expect(Tok::In)?;
-                let from = self.expr_no_record()?;
-                self.expect(Tok::DotDot)?;
-                let to = self.expr_no_record()?;
-                let body = self.block()?;
-                Ok(Stmt::For {
-                    var,
-                    from,
-                    to,
-                    body,
-                    line,
-                })
-            }
-            Tok::If => {
-                self.advance();
-                let cond = self.expr_no_record()?;
-                let then_body = self.block()?;
-                let else_body = if *self.peek() == Tok::Else {
-                    self.advance();
-                    if *self.peek() == Tok::If {
-                        vec![self.stmt()?]
-                    } else {
-                        self.block()?
-                    }
-                } else {
-                    Vec::new()
-                };
-                Ok(Stmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                    line,
-                })
-            }
             Tok::Return => {
                 self.advance();
                 let value = if *self.peek() == Tok::Semi {
@@ -407,11 +445,14 @@ impl Parser {
         }
     }
 
+    /// The arguments of a call or a placement, counted as one node over them.
     fn call_args(&mut self) -> Result<Vec<Expr>, LangError> {
         self.expect(Tok::LParen)?;
         let mut args = Vec::new();
+        let mut below = 0;
         while *self.peek() != Tok::RParen {
             args.push(self.expr()?);
+            below = below.max(self.height);
             if *self.peek() == Tok::Comma {
                 self.advance();
             } else {
@@ -419,6 +460,7 @@ impl Parser {
             }
         }
         self.expect(Tok::RParen)?;
+        self.grown(below + 1)?;
         Ok(args)
     }
 
@@ -469,7 +511,9 @@ impl Parser {
                 break;
             }
             self.advance();
+            let left = self.height;
             let rhs = self.binary_expr(prec + 1, allow_record)?;
+            self.grown(left.max(self.height) + 1)?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -480,25 +524,25 @@ impl Parser {
     }
 
     fn unary_expr(&mut self, allow_record: bool) -> Result<Expr, LangError> {
-        match self.peek() {
-            Tok::Minus => {
-                self.advance();
-                let e = self.unary_expr(allow_record)?;
-                Ok(Expr::Unary {
-                    op: UnOp::Neg,
-                    expr: Box::new(e),
-                })
-            }
-            Tok::Bang => {
-                self.advance();
-                let e = self.unary_expr(allow_record)?;
-                Ok(Expr::Unary {
-                    op: UnOp::Not,
-                    expr: Box::new(e),
-                })
-            }
-            _ => self.postfix_expr(allow_record),
-        }
+        // Every cycle in the expression grammar comes through here, and
+        // a new tree starts.
+        self.open += 1;
+        self.grown(0)?;
+        let op = match self.peek() {
+            Tok::Minus => Some(UnOp::Neg),
+            Tok::Bang => Some(UnOp::Not),
+            _ => None,
+        };
+        let e = if let Some(op) = op {
+            self.advance();
+            let expr = Box::new(self.unary_expr(allow_record)?);
+            self.grown(self.height + 1)?;
+            Expr::Unary { op, expr }
+        } else {
+            self.postfix_expr(allow_record)?
+        };
+        self.open -= 1;
+        Ok(e)
     }
 
     fn postfix_expr(&mut self, allow_record: bool) -> Result<Expr, LangError> {
@@ -508,6 +552,7 @@ impl Parser {
                 Tok::Dot => {
                     self.advance();
                     let field = self.ident()?;
+                    self.grown(self.height + 1)?;
                     e = Expr::Field {
                         base: Box::new(e),
                         field,
@@ -515,8 +560,10 @@ impl Parser {
                 }
                 Tok::LBracket => {
                     self.advance();
+                    let base = self.height;
                     let index = self.expr()?;
                     self.expect(Tok::RBracket)?;
+                    self.grown(base.max(self.height) + 1)?;
                     e = Expr::Index {
                         base: Box::new(e),
                         index: Box::new(index),
@@ -549,8 +596,10 @@ impl Parser {
             Tok::LBracket => {
                 self.advance();
                 let mut items = Vec::new();
+                let mut below = 0;
                 while *self.peek() != Tok::RBracket {
                     items.push(self.expr()?);
+                    below = below.max(self.height);
                     if *self.peek() == Tok::Comma {
                         self.advance();
                     } else {
@@ -558,6 +607,7 @@ impl Parser {
                     }
                 }
                 self.expect(Tok::RBracket)?;
+                self.grown(below + 1)?;
                 Ok(Expr::List(items))
             }
             Tok::LParen => {
@@ -565,8 +615,10 @@ impl Parser {
                 let first = self.expr()?;
                 if *self.peek() == Tok::Comma {
                     self.advance();
+                    let below = self.height;
                     let second = self.expr()?;
                     self.expect(Tok::RParen)?;
+                    self.grown(below.max(self.height) + 1)?;
                     Ok(Expr::Point(Box::new(first), Box::new(second)))
                 } else {
                     self.expect(Tok::RParen)?;
@@ -581,10 +633,12 @@ impl Parser {
                 } else if allow_record && *self.peek() == Tok::LBrace {
                     self.advance();
                     let mut fields = Vec::new();
+                    let mut below = 0;
                     while *self.peek() != Tok::RBrace {
                         let fname = self.ident()?;
                         self.expect(Tok::Colon)?;
                         let value = self.expr()?;
+                        below = below.max(self.height);
                         fields.push((fname, value));
                         if *self.peek() == Tok::Comma {
                             self.advance();
@@ -593,6 +647,7 @@ impl Parser {
                         }
                     }
                     self.expect(Tok::RBrace)?;
+                    self.grown(below + 1)?;
                     Ok(Expr::Record {
                         type_name: name,
                         fields,
@@ -768,5 +823,34 @@ mod tests {
     #[test]
     fn bad_rotation_rejected() {
         assert!(parse("place c() at (0,0) rot 45;").is_err());
+    }
+
+    #[test]
+    fn nesting_bombs_are_line_numbered_errors() {
+        // Brackets recurse in the parser; an operator or postfix chain
+        // grows a left-deep tree without recursing; blocks nest statements.
+        let bombs = [
+            format!("let x =\n{}1{};", "(".repeat(20_000), ")".repeat(20_000)),
+            format!("let x =\n{}{};", "[".repeat(20_000), "]".repeat(20_000)),
+            format!("let x =\n{}1{};", "f(".repeat(20_000), ")".repeat(20_000)),
+            format!("let x =\n{}1;", "1+".repeat(300_000)),
+            format!("let x =\n{}1;", "-".repeat(100_000)),
+            format!("let x =\na{};", "[0]".repeat(300_000)),
+            format!("let x =\na{};", ".x".repeat(300_000)),
+            format!("\n{}{}", "if c { ".repeat(50_000), "}".repeat(50_000)),
+            format!("\nif c {{ }}{}", " else if c { }".repeat(50_000)),
+        ];
+        for bomb in bombs {
+            match parse(&bomb) {
+                Err(LangError::Syntax { line, message, .. }) => {
+                    assert_eq!(line, 2);
+                    assert!(message.contains("levels deep"), "{message}");
+                }
+                other => panic!("{:.40}: {other:?}", bomb),
+            }
+        }
+        // The bound is on depth, not size: wide and long programs pass.
+        let wide = format!("let x = [{}1];", "-(1 + 2), ".repeat(10_000));
+        assert!(parse(&wide).is_ok());
     }
 }

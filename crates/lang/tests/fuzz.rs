@@ -17,3 +17,57 @@ proptest! {
         let _ = Compiler::new().compile(&input);
     }
 }
+
+/// Every nesting shape, at every depth around the parser's bound, either
+/// compiles or is refused — on a 2 MiB stack, which is what a `silc
+/// serve` worker has, so a debug `cargo test` shows the bound is safe
+/// for the evaluator as well as the parser.
+#[test]
+fn nesting_up_to_the_bound_fits_a_worker_stack() {
+    let shapes = |n: usize| {
+        [
+            format!("let x = {}1{};", "(".repeat(n), ")".repeat(n)),
+            format!("let x = {}{};", "[".repeat(n), "]".repeat(n)),
+            format!(
+                "fn f(a) {{ return a; }} let x = {}1{};",
+                "f(".repeat(n),
+                ")".repeat(n)
+            ),
+            format!("let x = {}1;", "1+".repeat(n)),
+            format!("let x = {}1{};", "1+(".repeat(n), ")".repeat(n)),
+            format!("let x = {}1;", "-".repeat(n)),
+            format!(
+                "let a = {}7{}; let x = a{};",
+                "[".repeat(n),
+                "]".repeat(n),
+                "[0]".repeat(n)
+            ),
+            format!("let c = true; {}{}", "if c { ".repeat(n), "}".repeat(n)),
+            format!("let c = false; if c {{ }}{}", " else if c { }".repeat(n)),
+        ]
+    };
+    let sweep = move || {
+        let (mut compiled, mut refused) = (0, 0);
+        for n in 1..100 {
+            for source in shapes(n) {
+                match Compiler::new().compile(&source) {
+                    Ok(_) => compiled += 1,
+                    Err(e) => {
+                        assert!(e.to_string().contains("levels deep"), "{n}: {e}");
+                        refused += 1;
+                    }
+                }
+            }
+        }
+        (compiled, refused)
+    };
+    let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(sweep);
+    let (compiled, refused) = worker
+        .expect("spawns")
+        .join()
+        .expect("no overflow, no panic");
+    assert!(
+        compiled > 9 * 50 && refused > 9 * 20,
+        "{compiled} / {refused}"
+    );
+}

@@ -87,7 +87,8 @@ const MICRO: [(&str, u16); 19] = [
 ///   or octal address, `i` for indirection; the assembler picks page-0 or
 ///   current-page encoding and rejects off-page references;
 /// * `cla cll iac` — operate micro-instructions, OR-combined;
-/// * a bare octal number — a data word;
+/// * a bare octal number — a data word; a bare label — its address as a
+///   data word (a pointer), unless a mnemonic is spelled the same;
 /// * `/` starts a comment.
 ///
 /// # Errors
@@ -180,9 +181,11 @@ fn encode_line(text: &str, lc: u16, labels: &HashMap<String, u16>) -> Result<u16
     let tokens: Vec<&str> = text.split_whitespace().collect();
     debug_assert!(!tokens.is_empty());
 
-    // Data word?
-    if tokens.len() == 1 {
-        if let Some(v) = parse_octal(tokens[0]) {
+    // Data word: octal, or a label standing for its address.
+    if let [token] = tokens[..] {
+        let mnemonic = MEMREF.iter().chain(&MICRO).any(|(m, _)| *m == token);
+        let label = labels.get(token).copied().filter(|_| !mnemonic);
+        if let Some(v) = parse_octal(token).or(label) {
             return Ok(v);
         }
     }
@@ -280,6 +283,23 @@ mod tests {
         .unwrap();
         assert_eq!(p.word_at(0o200), Some(0o1202));
         assert_eq!(p.word_at(0o202), Some(0o0042));
+    }
+
+    #[test]
+    fn label_as_data_word_is_its_address() {
+        let p = assemble("cla\ntad i ptr\nhlt\nptr, buf\nbuf, 0042\nhlt, hlt\n").unwrap();
+        assert_eq!(p.word_at(0o203), Some(0o204), "ptr holds buf's address");
+        assert_eq!(
+            p.word_at(0o205),
+            Some(0o7402),
+            "a mnemonic wins over a label"
+        );
+        let mut cpu = crate::Pdp8::new();
+        cpu.load(&p);
+        assert!(cpu.run(10));
+        assert_eq!(cpu.ac, 0o42, "tad i ptr reads through the pointer");
+        let err = assemble("ptr, nowhere\n").unwrap_err();
+        assert_eq!(err.message, "unknown mnemonic `nowhere`");
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! are below the spacing rule), with a conservative pad-sized probe, so
 //! a routed layout is DRC-clean by construction.
 //!
-//! The map is rebuilt from (cell geometry + committed routes) at the
-//! start of every routing round; within a round it is immutable, which
-//! is what makes parallel per-net search deterministic.
+//! The map is built once from the cell geometry, which never changes
+//! during routing; other nets' routes are the router's own soft state.
 
 use crate::stack::RouteStack;
 use silc_geom::{Coord, Rect, RectIndex};

@@ -16,10 +16,6 @@
 //! netlist that [`silc_netlist::Netlist::structurally_matches`] the
 //! source (proptest-enforced).
 //!
-//! Per-net search within a routing round runs in parallel under the
-//! `parallel` feature; commits are serial in net order, so serial and
-//! parallel builds produce byte-identical layouts.
-//!
 //! # Example
 //!
 //! ```
@@ -95,9 +91,10 @@ pub fn place_and_route(
     netlist: &Netlist,
     stack: &RouteStack,
     floorplan: &Floorplan,
-    parallel: bool,
+    // Ignored shim for the frozen ledger; ROADMAP's benchmark-only follow-up drops it.
+    _parallel: bool,
 ) -> Result<PnrResult, PnrError> {
-    place_and_route_traced(netlist, stack, floorplan, parallel, &Tracer::disabled())
+    place_and_route_traced(netlist, stack, floorplan, &Tracer::disabled())
 }
 
 /// [`place_and_route`] with tracing: emits `pnr.place`/`pnr.route`
@@ -106,12 +103,11 @@ pub fn place_and_route_traced(
     netlist: &Netlist,
     stack: &RouteStack,
     floorplan: &Floorplan,
-    parallel: bool,
     tracer: &Tracer,
 ) -> Result<PnrResult, PnrError> {
     let placement = place(netlist, stack, floorplan, tracer)?;
     let cell_rects = placement.tagged_rects(stack)?;
-    let outcome = route::route_all(netlist, stack, &placement, &cell_rects, parallel, tracer)?;
+    let outcome = route::route_all(stack, &placement, &cell_rects, tracer)?;
 
     // Assemble the routed design as one flat root cell: cell geometry
     // in placement order, then per-net route geometry in net-id order,
@@ -234,7 +230,7 @@ mod tests {
         let stack = RouteStack::mead_conway_nmos();
         let fp = Floorplan::for_cells(4, 2);
         let tracer = Tracer::enabled();
-        place_and_route_traced(&netlist, &stack, &fp, false, &tracer).unwrap();
+        place_and_route_traced(&netlist, &stack, &fp, &tracer).unwrap();
         let report = tracer.finish();
         assert!(report.counter("pnr.nets").is_some());
         assert!(report.counter("pnr.routed").is_some());

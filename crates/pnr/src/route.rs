@@ -12,12 +12,10 @@
 //! history cost on every node that stays contested.
 //!
 //! Rounds proceed PathFinder-style: every net that is unrouted or
-//! shares a node re-searches in parallel against the round-start usage
-//! map; the round ends by recomputing sharing and deepening history on
-//! contested nodes. The process converges when no node is shared. All
-//! searches read only round-start state and all bookkeeping is in
-//! net-id order, so serial and parallel builds are byte-identical (a
-//! proptest enforces this).
+//! shares a node re-searches against the round-start usage map; the
+//! round ends by recomputing sharing and deepening history on contested
+//! nodes. The process converges when no node is shared. All bookkeeping
+//! is in net-id order, so a netlist always routes to the same bytes.
 //!
 //! A net whose pins are disconnected by cell geometry alone fails its
 //! search outright; a stuck negotiation runs out of rounds. Both
@@ -30,29 +28,11 @@ use crate::stack::RouteStack;
 use crate::PnrError;
 use silc_geom::Rect;
 use silc_layout::Layer;
-use silc_netlist::Netlist;
 use silc_trace::Tracer;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
 /// Negotiation rounds allowed before routing is declared stuck.
 pub const MAX_RIPUP_ROUNDS: u64 = 256;
-
-/// Serial/parallel map preserving input order (the PR 1 idiom): the
-/// parallel path distributes `f` over a thread pool but collects into
-/// input order, so both paths return identical vectors.
-fn map_maybe_par<T, R>(parallel: bool, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    #[cfg(feature = "parallel")]
-    if parallel && items.len() > 1 {
-        use rayon::prelude::*;
-        return items.par_iter().map(f).collect();
-    }
-    let _ = parallel;
-    items.iter().map(f).collect()
-}
 
 /// The routing grid's node space: `(layer, col, row)` packed to `u32`.
 #[derive(Debug, Clone, Copy)]
@@ -165,8 +145,7 @@ pub(crate) fn net_geometry(stack: &RouteStack, segments: &[Vec<(usize, i64, i64)
     }
 }
 
-/// Per-round congestion state the searches read (immutable within a
-/// round, which is what makes parallel search deterministic).
+/// Per-round congestion state the searches read.
 struct Congestion {
     /// Node → nets currently routed through it (id order).
     users: HashMap<u32, Vec<u32>>,
@@ -535,14 +514,11 @@ fn route_net(
 
 /// Routes every multi-pin net of `netlist` over `placement`.
 pub(crate) fn route_all(
-    netlist: &Netlist,
     stack: &RouteStack,
     placement: &Placement,
     cell_rects: &[Vec<(Rect, u32)>],
-    parallel: bool,
     tracer: &Tracer,
 ) -> Result<RouteOutcome, PnrError> {
-    let _ = netlist;
     let _span = tracer.span("pnr.route");
     let pin_layer = stack
         .layer_for_dir(crate::stack::Dir::Horiz)
@@ -602,33 +578,27 @@ pub(crate) fn route_all(
     let mut ripup_rounds = 0u64;
     let mut nodes_expanded = 0u64;
 
-    // Round 1: the usage map is empty, so every net's search is
-    // independent — route them all in parallel. A failure here means
-    // cell geometry alone disconnects the pins, which no amount of
-    // negotiation can fix.
-    let batch: Vec<&NetTask> = tasks.values().collect();
-    let results = map_maybe_par(parallel, &batch, |task| {
-        route_net(grid, stack, &obs, &congestion, task)
-    });
-    for (task, result) in batch.iter().zip(results) {
-        match result {
-            Ok(route) => {
-                nodes_expanded += route.nodes_expanded;
-                for &n in &route.nodes {
-                    congestion.users.entry(n).or_default().push(task.net);
-                }
-                routes.insert(task.net, route);
-            }
-            Err(fail) => return Err(unroutable(task, stack, fail, 0)),
+    // Round 1: every net searches against the empty usage map, and only
+    // then are the routes committed. A failure here means cell geometry
+    // alone disconnects the pins, which no amount of negotiation can fix.
+    let results: Vec<_> = tasks
+        .values()
+        .map(|task| route_net(grid, stack, &obs, &congestion, task))
+        .collect();
+    for (task, result) in tasks.values().zip(results) {
+        let route = result.map_err(|fail| unroutable(task, stack, fail, 0))?;
+        nodes_expanded += route.nodes_expanded;
+        for &n in &route.nodes {
+            congestion.users.entry(n).or_default().push(task.net);
         }
+        routes.insert(task.net, route);
     }
 
     // Negotiation rounds: serially re-route every net standing on a
     // contested node, updating the usage map immediately so each net
     // sees all earlier moves; then deepen history on nodes that are
     // still contested. Serial negotiation cannot oscillate in lockstep
-    // the way simultaneous re-routing can, and it is byte-identical
-    // across serial and parallel builds by construction.
+    // the way simultaneous re-routing can.
     loop {
         let mut contested: Vec<u32> = routes
             .iter()

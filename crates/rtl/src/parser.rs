@@ -35,11 +35,18 @@ pub fn parse(source: &str) -> Result<Machine, RtlError> {
         tokens,
         pos: 0,
         mems,
+        open: 0,
+        height: 0,
     };
     let machine = p.machine()?;
     validate(&machine)?;
     Ok(machine)
 }
+
+/// Deepest nesting accepted. The parser, validation, both simulators,
+/// synthesis and `Drop` recurse once per level of the tree, and a
+/// `silc serve` worker runs them on a 2 MiB stack.
+const MAX_DEPTH: usize = 64;
 
 struct Parser {
     tokens: Vec<Token>,
@@ -47,6 +54,11 @@ struct Parser {
     /// Every declared memory's name: `m[3]` is word 3 of a memory and
     /// bit 3 of anything else.
     mems: HashSet<String>,
+    /// Statements and operands open around the current token.
+    open: usize,
+    /// Height of the expression tree parsed last. Operator chains grow a
+    /// tree without recursing, so depth is counted on the tree.
+    height: usize,
 }
 
 impl Parser {
@@ -69,6 +81,16 @@ impl Parser {
             col: t.col,
             message: message.into(),
         }
+    }
+
+    /// Records that the tree parsed last now stands `height` high, and
+    /// refuses it once it reaches deeper than the bound.
+    fn grown(&mut self, height: usize) -> Result<(), RtlError> {
+        self.height = height;
+        if self.open + height > MAX_DEPTH {
+            return Err(self.err_here(format!("nested more than {MAX_DEPTH} levels deep")));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, kind: TokenKind) -> Result<(), RtlError> {
@@ -229,7 +251,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, RtlError> {
-        match self.peek().clone() {
+        // Every cycle in the statement grammar comes through here.
+        self.open += 1;
+        self.grown(0)?;
+        let stmt = match self.peek().clone() {
             TokenKind::If => {
                 self.advance();
                 let cond = self.expr()?;
@@ -311,7 +336,9 @@ impl Parser {
             other => {
                 Err(self.err_here(format!("expected a statement, found {}", other.describe())))
             }
-        }
+        }?;
+        self.open -= 1;
+        Ok(stmt)
     }
 
     // Precedence climbing.
@@ -344,7 +371,9 @@ impl Parser {
                 break;
             }
             self.advance();
+            let left = self.height;
             let rhs = self.binary_expr(prec + 1)?;
+            self.grown(left.max(self.height) + 1)?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -355,21 +384,26 @@ impl Parser {
     }
 
     fn unary_expr(&mut self) -> Result<Expr, RtlError> {
+        // Every cycle in the expression grammar comes through here, and
+        // a new tree starts.
+        self.open += 1;
+        self.grown(0)?;
         let op = match self.peek() {
             TokenKind::Tilde => Some(UnaryOp::Not),
             TokenKind::Minus => Some(UnaryOp::Neg),
             TokenKind::Bang => Some(UnaryOp::LogicalNot),
             _ => None,
         };
-        if let Some(op) = op {
+        let e = if let Some(op) = op {
             self.advance();
-            let expr = self.unary_expr()?;
-            return Ok(Expr::Unary {
-                op,
-                expr: Box::new(expr),
-            });
-        }
-        self.postfix_expr()
+            let expr = Box::new(self.unary_expr()?);
+            self.grown(self.height + 1)?;
+            Expr::Unary { op, expr }
+        } else {
+            self.postfix_expr()?
+        };
+        self.open -= 1;
+        Ok(e)
     }
 
     fn postfix_expr(&mut self) -> Result<Expr, RtlError> {
@@ -386,6 +420,7 @@ impl Parser {
                         self.advance();
                         let lo = self.number()?;
                         self.expect(TokenKind::RBracket)?;
+                        self.grown(self.height + 1)?;
                         e = Expr::Slice {
                             base: Box::new(e),
                             hi: hi as u32,
@@ -395,6 +430,7 @@ impl Parser {
                     }
                     TokenKind::RBracket if !on_mem => {
                         self.advance();
+                        self.grown(self.height + 1)?;
                         e = Expr::Slice {
                             base: Box::new(e),
                             hi: hi as u32,
@@ -411,6 +447,7 @@ impl Parser {
             self.expect(TokenKind::RBracket)?;
             // `ident[expr]` is a memory read; anything else indexed by an
             // expression is an error caught in validation.
+            self.grown(self.height + 1)?;
             match e {
                 Expr::Ident(name) => {
                     e = Expr::MemRead {
@@ -445,11 +482,14 @@ impl Parser {
             TokenKind::LBrace => {
                 self.advance();
                 let mut parts = vec![self.expr()?];
+                let mut below = self.height;
                 while *self.peek() == TokenKind::Comma {
                     self.advance();
                     parts.push(self.expr()?);
+                    below = below.max(self.height);
                 }
                 self.expect(TokenKind::RBrace)?;
+                self.grown(below + 1)?;
                 Ok(Expr::Concat(parts))
             }
             other => Err(self.err_here(format!(
@@ -887,5 +927,35 @@ mod tests {
             RtlError::Syntax { line, .. } => assert_eq!(line, 3),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn nesting_bombs_are_line_numbered_errors() {
+        // Brackets recurse in the parser; an operator or slice chain grows
+        // a left-deep tree without recursing; blocks nest statements.
+        let bombs = [
+            format!("r :=\n{}1{};", "(".repeat(20_000), ")".repeat(20_000)),
+            format!("r :=\n{}r{};", "{".repeat(20_000), "}".repeat(20_000)),
+            format!("r :=\n{}1{};", "m[".repeat(20_000), "]".repeat(20_000)),
+            format!("r :=\n{}1;", "1+".repeat(300_000)),
+            format!("r :=\n{}1;", "~".repeat(100_000)),
+            format!("r :=\nr{};", "[7:0]".repeat(300_000)),
+            format!("\n{}{}", "if r { ".repeat(50_000), "}".repeat(50_000)),
+            format!("\nif r {{ }}{}", " else if r { }".repeat(50_000)),
+        ];
+        for bomb in bombs {
+            let machine = format!("machine b {{ reg r[8]; mem m[4][8]; state s {{ {bomb} }} }}");
+            match parse(&machine) {
+                Err(RtlError::Syntax { line, message, .. }) => {
+                    assert_eq!(line, 2);
+                    assert!(message.contains("levels deep"), "{message}");
+                }
+                other => panic!("{:.40}: {other:?}", bomb),
+            }
+        }
+        // The bound is on depth, not size: wide and long machines pass.
+        let wide = format!("r := {{{}r}};", "~(r + 1), ".repeat(10_000));
+        let machine = format!("machine w {{ reg r[8]; state s {{ {} }} }}", wide.repeat(3));
+        assert!(parse(&machine).is_ok());
     }
 }

@@ -136,6 +136,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -146,9 +147,16 @@ pub fn parse(text: &str) -> Result<Json, String> {
     Ok(value)
 }
 
+/// Deepest value nesting accepted, far above what the protocol sends:
+/// the parser, the writer and `Drop` recurse once per level, and a
+/// connection thread has a 2 MiB stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Values open around the current byte, the one being parsed included.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -176,7 +184,11 @@ impl Parser<'_> {
     }
 
     fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(format!("nested more than {MAX_DEPTH} levels deep"));
+        }
+        let value = match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
@@ -186,7 +198,9 @@ impl Parser<'_> {
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(format!("unexpected `{}` at byte {}", b as char, self.pos)),
             None => Err("unexpected end of input".into()),
-        }
+        };
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -390,6 +404,19 @@ mod tests {
         assert!(parse("\"\\q\"").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_bombs_are_errors() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let bomb = format!("{}1{}", open.repeat(200_000), close.repeat(200_000));
+            assert!(parse(&bomb).unwrap_err().contains("levels deep"));
+            let (open, close) = (open.repeat(MAX_DEPTH - 1), close.repeat(MAX_DEPTH - 1));
+            let deepest = format!("{open}1{close}");
+            assert_eq!(parse(&deepest).unwrap().to_string(), deepest);
+        }
+        // The bound is on depth, not size.
+        assert!(parse(&format!("[{}[]]", "[[1]],".repeat(100_000))).is_ok());
     }
 
     #[test]

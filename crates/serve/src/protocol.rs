@@ -108,8 +108,8 @@ pub enum Request {
 }
 
 /// Scheduling priority carried in the optional `priority` field. The
-/// server keeps two lanes per worker; interactive jobs are always
-/// dequeued before batch jobs.
+/// server's one queue has a lane per priority; interactive jobs are
+/// always dequeued before batch jobs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Priority {
     /// The default: editor/CLI round-trips that jump batch traffic.

@@ -16,8 +16,8 @@
 //!    check and an immediate return — no clock read, no allocation, no
 //!    lock. Pipeline stages therefore take a `&Tracer` unconditionally
 //!    and the hot paths PR 2 optimized are unaffected.
-//! 2. **Thread-safe.** Stages parallelised with rayon record events from
-//!    worker threads; the enabled state sits behind a `Mutex` that is
+//! 2. **Thread-safe.** Batch and serve workers record events into one
+//!    tracer; the enabled state sits behind a `Mutex` that is
 //!    locked only at span *close* and counter flush, never inside
 //!    per-rectangle loops (callers accumulate locally and flush in bulk).
 //! 3. **Deterministic output.** Events are ordered by start time, then

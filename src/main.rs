@@ -207,7 +207,7 @@ fn run_batch_cmd(args: &Args, tracer: &Tracer) -> Result<(), String> {
     let results = run_batch(
         &engine,
         &jobs,
-        args.op.jobs.unwrap_or_else(default_parallelism),
+        args.jobs.unwrap_or_else(default_parallelism),
         args.op.sim_engine(SimEngine::default()),
     );
     let label_width = results
@@ -251,7 +251,7 @@ fn run_serve(args: &Args, tracer: &Tracer) -> Result<(), String> {
         cache_dir: args.cache.as_ref().map(PathBuf::from),
         tracer: tracer.clone(),
         default_engine: args.op.sim_engine(SimEngine::default()),
-        ..ServerConfig::for_jobs(args.op.jobs.unwrap_or_else(default_parallelism))
+        ..ServerConfig::for_jobs(args.jobs.unwrap_or_else(default_parallelism))
     };
     if let Some(addr) = &args.addr {
         config.addr = addr.clone();

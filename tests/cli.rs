@@ -125,23 +125,6 @@ fn pnr_routes_and_emits_cif() {
 }
 
 #[test]
-fn pnr_serial_and_parallel_emit_identical_bytes() {
-    let sil = write_temp("pnr-par.sil", PNR_SIL);
-    let path = sil.to_str().unwrap();
-    let serial = silc()
-        .args(["pnr", path, "--jobs", "1"])
-        .output()
-        .expect("runs");
-    assert!(serial.status.success(), "{serial:?}");
-    let parallel = silc()
-        .args(["pnr", path, "--jobs", "4"])
-        .output()
-        .expect("runs");
-    assert!(parallel.status.success(), "{parallel:?}");
-    assert_eq!(serial.stdout, parallel.stdout);
-}
-
-#[test]
 fn pnr_flags_are_validated() {
     let sil = write_temp("pnr-flags.sil", PNR_SIL);
     let path = sil.to_str().unwrap();
@@ -181,6 +164,15 @@ fn pnr_flags_are_validated() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--no-drc"), "{stderr}");
     assert!(stderr.contains("silc compile"), "{stderr}");
+    // `--jobs` sizes the batch and serve pools; the router has no workers.
+    let out = silc()
+        .args(["pnr", path, "--jobs", "4"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let refusal = "`--jobs` is only valid for `silc batch`, `silc serve`, not `silc pnr`";
+    assert!(stderr.contains(refusal), "{stderr}");
 }
 
 #[test]

@@ -264,6 +264,52 @@ fn out_of_range_geometry_is_an_error_reply_and_the_worker_lives_on() {
 }
 
 #[test]
+fn nesting_bombs_are_error_replies_and_the_server_lives_on() {
+    // A stack overflow is no panic to catch: one such request used to
+    // abort the process, and every connection with it.
+    let (addr, handle) = start(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    let parens = format!("let x = {}1{};", "(".repeat(20_000), ")".repeat(20_000));
+    let reply = Client::connect(addr).request(&format!(
+        r#"{{"op":"compile","source":{}}}"#,
+        quoted(&parens)
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    assert!(reply.to_string().contains("levels deep"), "{reply:?}");
+    let arrays = format!(
+        r#"{{"op":"stats","id":{}1{}}}"#,
+        "[".repeat(200_000),
+        "]".repeat(200_000)
+    );
+    let reply = Client::connect(addr).request(&arrays);
+    assert_eq!(
+        reply.get("error").and_then(Json::as_str),
+        Some("bad_request"),
+        "{reply:?}"
+    );
+    // What the bound admits runs on a worker's 2 MiB stack, here in a
+    // debug build: nested blocks in SIL, nested operands in ISL.
+    let mut client = Client::connect(addr);
+    let blocks = format!(
+        "let c = true; {}box metal (0,0) (4,4);{}",
+        "if c { ".repeat(60),
+        "}".repeat(60)
+    );
+    let operands = format!(
+        "machine m {{ reg r[8]; state s {{ r := {}1{}; halt; }} }}",
+        "1+(".repeat(55),
+        ")".repeat(55)
+    );
+    for (op, source) in [("compile", blocks), ("sim", operands)] {
+        let reply = client.request(&format!(r#"{{"op":"{op}","source":{}}}"#, quoted(&source)));
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn oversized_request_line_is_refused_and_the_server_lives_on() {
     let (addr, handle) = start(ServerConfig {
         jobs: 1,
