@@ -1,14 +1,8 @@
 //! E1 — the PDP-8 chip-count claim: "a chip count within 50% of a
-//! commercial design" for a machine compiled from its ISP description,
-//! plus the compiled-vs-interpreted simulation ablation on the same
-//! machine.
+//! commercial design" for a machine compiled from its ISP description.
 
-use silc_exec::{compile, CompiledSim};
-use silc_pdp8::{assemble, baseline_packages, commercial_baseline, isp_machine, Program};
-use silc_rtl::Simulator;
+use silc_pdp8::{baseline_packages, commercial_baseline, isp_machine};
 use silc_synth::{synthesize, Allocation, Sharing, SynthOptions};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// The E1 result: automatic vs hand package counts and their ratio.
 #[derive(Debug, Clone)]
@@ -98,134 +92,6 @@ pub fn table() -> (Vec<Vec<String>>, PdpComparison) {
     (rows, result)
 }
 
-/// One compiled-vs-interpreted simulation data point: the same PDP-8
-/// program run for the same cycle budget on both engines.
-#[derive(Debug, Clone)]
-pub struct SimRow {
-    /// Cycle budget given to both engines.
-    pub cycles: u64,
-    /// Interpreter wall time in milliseconds (best of reps).
-    pub interp_ms: f64,
-    /// Compiled-engine wall time in milliseconds (best of reps).
-    pub compiled_ms: f64,
-    /// `interp_ms / compiled_ms`.
-    pub speedup: f64,
-}
-
-/// A tight PDP-8 busy loop that never halts, so every cycle budget is
-/// spent executing instructions rather than idling in a halt state.
-fn busy_loop() -> Program {
-    assemble("*200\nloop, iac\n jmp loop\n").expect("built-in program assembles")
-}
-
-fn fresh_interp(machine: &silc_rtl::Machine, program: &Program) -> Simulator {
-    let mut sim = Simulator::new(machine);
-    silc_pdp8::load_program_into_isl(&mut sim, program);
-    sim
-}
-
-fn fresh_compiled(compiled: &silc_exec::CompiledMachine, program: &Program) -> CompiledSim {
-    let mut sim = CompiledSim::new(compiled);
-    let mut image = vec![0u64; 4096];
-    for &(addr, word) in &program.words {
-        image[addr as usize] = u64::from(word);
-    }
-    sim.load_mem("m", &image).expect("core exists");
-    sim.set_reg("pc", u64::from(program.start))
-        .expect("pc exists");
-    sim
-}
-
-fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-/// Runs the compiled-vs-interpreted simulation ablation over the given
-/// cycle budgets. Each row is also an equivalence witness: before any
-/// timing, both engines run the budget and every architectural
-/// register, all 4K of core, the state name and the run report are
-/// asserted byte-identical.
-///
-/// # Panics
-///
-/// Panics if the engines diverge on any budget (they must not).
-pub fn sim_ablation(budgets: &[u64]) -> Vec<SimRow> {
-    let machine = isp_machine().expect("built-in ISP source parses");
-    let compiled = compile(&machine);
-    let program = busy_loop();
-    budgets
-        .iter()
-        .map(|&cycles| {
-            let mut interp = fresh_interp(&machine, &program);
-            let mut comp = fresh_compiled(&compiled, &program);
-            let ra = interp.run(cycles);
-            let rb = comp.run(cycles);
-            assert_eq!(ra, rb, "run reports diverged at {cycles} cycles");
-            for reg in ["pc", "ac", "l", "ir", "ma", "page"] {
-                assert_eq!(interp.reg(reg), comp.reg(reg), "register {reg}");
-            }
-            assert_eq!(interp.state_name(), comp.state_name());
-            for addr in 0..4096u64 {
-                assert_eq!(
-                    interp.mem_word("m", addr),
-                    comp.mem_word("m", addr),
-                    "core word {addr:o} diverged at {cycles} cycles"
-                );
-            }
-
-            let reps = if cycles > 100_000 { 2 } else { 3 };
-            let interp_ms = time_best(reps, || {
-                fresh_interp(&machine, &program).run(cycles).unwrap()
-            });
-            let compiled_ms = time_best(reps, || {
-                fresh_compiled(&compiled, &program).run(cycles).unwrap()
-            });
-            SimRow {
-                cycles,
-                interp_ms,
-                compiled_ms,
-                speedup: interp_ms / compiled_ms.max(1e-9),
-            }
-        })
-        .collect()
-}
-
-/// Formats simulation ablation rows for display.
-pub fn sim_table(rows: &[SimRow]) -> Vec<Vec<String>> {
-    rows.iter()
-        .map(|r| {
-            vec![
-                r.cycles.to_string(),
-                format!("{:.2}", r.interp_ms),
-                format!("{:.2}", r.compiled_ms),
-                format!("{:.1}x", r.speedup),
-            ]
-        })
-        .collect()
-}
-
-/// Machine-readable summary: one JSON object per row, one row per line.
-pub fn sim_json(rows: &[SimRow]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        writeln!(
-            out,
-            "{{\"bench\":\"e1/sim_compiled_vs_interp\",\"cycles\":{},\
-             \"interp_ms\":{:.3},\"compiled_ms\":{:.3},\"speedup\":{:.2},\
-             \"identical\":true}}",
-            r.cycles, r.interp_ms, r.compiled_ms, r.speedup
-        )
-        .expect("writing to a String");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,21 +108,5 @@ mod tests {
     fn table_has_totals() {
         let (rows, _) = table();
         assert!(rows.iter().any(|r| r[0] == "ratio"));
-    }
-
-    #[test]
-    fn sim_ablation_rows_are_consistent() {
-        // sim_ablation asserts engine equivalence internally; here we
-        // check the row plumbing and the JSONL shape.
-        let rows = sim_ablation(&[500, 2_000]);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.interp_ms > 0.0 && r.compiled_ms > 0.0);
-            assert!(r.speedup > 0.0);
-        }
-        let json = sim_json(&rows);
-        assert_eq!(json.lines().count(), 2);
-        assert!(json.contains("\"bench\":\"e1/sim_compiled_vs_interp\""));
-        assert!(json.contains("\"identical\":true"));
     }
 }

@@ -1,13 +1,12 @@
 //! # silc-bench — the experiment harness
 //!
 //! One module per experiment in EXPERIMENTS.md. Each module exposes pure
-//! functions that compute the experiment's table rows; the Criterion
-//! benches in `benches/` time the underlying operations, the integration
-//! tests assert the paper's claims on the same functions, and the
-//! examples print the tables.
+//! functions that compute the experiment's table rows; `tests/experiments.rs`
+//! asserts the paper's claims on them and `examples/experiments_report.rs`
+//! prints the tables. Timing is the ledger's job
+//! (`crates/bench/src/bin/ledger/`), not this crate's.
 
 pub mod e1;
-pub mod e11;
 pub mod e2;
 pub mod e3;
 pub mod e4;
@@ -16,8 +15,7 @@ pub mod e6;
 pub mod e7;
 pub mod e8;
 
-/// Renders a table of rows with a header, for the examples and bench
-/// summaries.
+/// Renders a table of rows with a header.
 pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     use std::fmt::Write as _;
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();

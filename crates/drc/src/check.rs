@@ -460,10 +460,10 @@ fn gate_checks(run: &Run<'_>, scratch: &mut Scratch, out: &mut Vec<Violation>) {
 // ---------------------------------------------------------------------------
 
 /// All-pairs reference checker: the pre-index implementation, kept as the
-/// correctness oracle for the equivalence proptests and the benchmark
-/// baseline. O(n²) in the rectangle count — do not use on large layouts.
-#[cfg(any(test, feature = "oracle"))]
-pub fn check_flat_brute(layers: &[Vec<Rect>], rules: &RuleSet) -> Report {
+/// correctness oracle for the equivalence proptests. O(n²) in the
+/// rectangle count.
+#[cfg(test)]
+fn check_flat_brute(layers: &[Vec<Rect>], rules: &RuleSet) -> Report {
     let mut violations = Vec::new();
     let rects_checked = layers.iter().map(Vec::len).sum();
 
@@ -481,7 +481,7 @@ pub fn check_flat_brute(layers: &[Vec<Rect>], rules: &RuleSet) -> Report {
     }
 }
 
-#[cfg(any(test, feature = "oracle"))]
+#[cfg(test)]
 mod brute {
     use super::*;
     use crate::{merge_rects, region_contains_rect};
@@ -835,6 +835,7 @@ mod tests {
             Some(plain.violations.len() as u64)
         );
         assert!(report.counter("drc.index.rects").unwrap_or(0) > 0);
+        assert!(report.counter("drc.queries").unwrap_or(0) > 0);
     }
 
     #[test]

@@ -42,8 +42,6 @@ mod check;
 mod region;
 mod rules;
 
-#[cfg(any(test, feature = "oracle"))]
-pub use check::check_flat_brute;
 // Alias shim for the frozen ledger; ROADMAP's benchmark-only follow-up drops it.
 #[doc(hidden)]
 pub use check::check_flat as check_flat_serial;

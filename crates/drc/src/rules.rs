@@ -4,8 +4,7 @@ use silc_layout::Layer;
 /// A table of lambda design rules.
 ///
 /// All values are in lambda. A zero entry disables the corresponding
-/// check, so partial rule sets (used by the ablation benches) are easy to
-/// express.
+/// check, so partial rule sets are easy to express.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleSet {
     /// Human-readable name, reported with violations.
@@ -24,8 +23,7 @@ pub struct RuleSet {
 }
 
 impl RuleSet {
-    /// A rule set with every check disabled. Useful as a base for custom
-    /// tables and for ablation runs.
+    /// A rule set with every check disabled: a base for custom tables.
     pub fn permissive(name: impl Into<String>) -> RuleSet {
         RuleSet {
             name: name.into(),

@@ -23,8 +23,8 @@
 //! All geometric resolution (which region does this cut/port/channel
 //! touch?) runs through [`silc_geom::RectIndex`] lookups rather than
 //! layer-wide scans. The all-pairs reference implementation survives as
-//! [`extract_brute`] (tests and the `oracle` feature) and anchors the
-//! equivalence proptests.
+//! `extract_brute` (compiled for tests only) and anchors the equivalence
+//! proptests.
 //!
 //! # Example
 //!
@@ -482,10 +482,9 @@ impl UnionFind {
 
 /// The all-pairs reference extractor: every geometric resolution is a
 /// linear scan, exactly as the pre-index implementation did it. Kept as
-/// the equivalence oracle for the proptests and the benchmark baseline.
-/// O(n²) — do not use on large layouts.
-#[cfg(any(test, feature = "oracle"))]
-pub fn extract_brute(lib: &Library, root: CellId) -> Result<Extracted, ExtractError> {
+/// the equivalence oracle for the proptests. O(n²).
+#[cfg(test)]
+fn extract_brute(lib: &Library, root: CellId) -> Result<Extracted, ExtractError> {
     let layers = silc_layout::flatten_to_rects(lib, root)?;
     let poly_rects = &layers[Layer::Poly.index()];
     let diff_rects = &layers[Layer::Diffusion.index()];
@@ -595,7 +594,7 @@ pub fn extract_brute(lib: &Library, root: CellId) -> Result<Extracted, ExtractEr
 }
 
 /// The original all-cuts-over-all-slabs subtraction, kept for the oracle.
-#[cfg(any(test, feature = "oracle"))]
+#[cfg(test)]
 fn brute_subtract_rects(base: &[Rect], cuts: &[Rect]) -> Vec<Rect> {
     let mut result: Vec<Rect> = base.to_vec();
     for cut in cuts {

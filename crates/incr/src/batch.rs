@@ -20,7 +20,6 @@
 
 use crate::engine::{Engine, JobStats};
 use crate::ops::{self, Front, Op, Outcome};
-use silc_exec::SimEngine;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -107,12 +106,7 @@ fn read(path: &Path) -> Result<String, String> {
 
 /// Reads a job's files, runs its op, writes its `-o` file and renders
 /// the one-line summary of the table's `detail` column.
-fn run_one(
-    engine: &Engine,
-    job: &JobSpec,
-    default_engine: SimEngine,
-    stats: &mut JobStats,
-) -> Result<String, String> {
+fn run_one(engine: &Engine, job: &JobSpec, stats: &mut JobStats) -> Result<String, String> {
     let source = read(&job.input)?;
     let against = job.against.as_deref().map(read).transpose()?;
     let against = against.as_deref();
@@ -122,7 +116,7 @@ fn run_one(
         }
         None => Ok(()),
     };
-    let outcome = ops::run(engine, &job.op, &source, against, default_engine, stats)?;
+    let outcome = ops::run(engine, &job.op, &source, against, stats)?;
     Ok(match outcome {
         Outcome::Compile(out) => {
             out.gate()?;
@@ -159,14 +153,8 @@ fn run_one(
 }
 
 /// Runs every job against the shared engine on up to `workers` threads,
-/// returning results in manifest order. Sim jobs that name no engine in
-/// the manifest run on `default_engine` (the CLI's `--engine` flag).
-pub fn run_batch(
-    engine: &Engine,
-    jobs: &[JobSpec],
-    workers: usize,
-    default_engine: SimEngine,
-) -> Vec<JobResult> {
+/// returning results in manifest order.
+pub fn run_batch(engine: &Engine, jobs: &[JobSpec], workers: usize) -> Vec<JobResult> {
     let workers = workers.clamp(1, jobs.len().max(1));
     let cursor = AtomicUsize::new(0);
     let mut results: Vec<Option<JobResult>> = vec![None; jobs.len()];
@@ -179,7 +167,7 @@ pub fn run_batch(
                 let Some(job) = jobs.get(idx) else { break };
                 let started = Instant::now();
                 let mut stats = JobStats::default();
-                let outcome = run_one(engine, job, default_engine, &mut stats);
+                let outcome = run_one(engine, job, &mut stats);
                 let result = JobResult {
                     label: job.label(),
                     outcome,
@@ -321,7 +309,7 @@ mod tests {
         // One worker makes the hit/miss split deterministic (concurrent
         // workers may race identical jobs into duplicate computes).
         let engine = Engine::in_memory();
-        let results = run_batch(&engine, &jobs, 1, SimEngine::default());
+        let results = run_batch(&engine, &jobs, 1);
         assert_eq!(results.len(), 3);
         for r in &results {
             assert!(r.outcome.is_ok(), "{:?}", r.outcome);
@@ -334,7 +322,7 @@ mod tests {
         assert_eq!(total_misses, 4);
 
         // A concurrent re-run against the already-warm engine is all hits.
-        let warm = run_batch(&engine, &jobs, 4, SimEngine::default());
+        let warm = run_batch(&engine, &jobs, 4);
         assert!(warm.iter().all(|r| r.outcome.is_ok()));
         assert_eq!(warm.iter().map(|r| r.stats.misses).sum::<u64>(), 0);
         assert_eq!(warm.iter().map(|r| r.stats.hits).sum::<u64>(), 12);
@@ -350,7 +338,7 @@ mod tests {
         fs::write(dir.join("bad.pla"), table.replace("01 1", "01 0")).unwrap();
         let manifest = "verify good.pla\nverify bad.pla --against good.pla\n";
         let jobs = parse_manifest(manifest, &dir).unwrap();
-        let results = run_batch(&Engine::in_memory(), &jobs, 2, SimEngine::default());
+        let results = run_batch(&Engine::in_memory(), &jobs, 2);
         assert!(
             results[0].outcome.as_ref().unwrap().contains("equivalent"),
             "{:?}",
@@ -377,7 +365,7 @@ mod tests {
             output: None,
             against: None,
         }];
-        let results = run_batch(&engine, &jobs, 4, SimEngine::default());
+        let results = run_batch(&engine, &jobs, 4);
         assert!(results[0]
             .outcome
             .as_ref()
@@ -408,7 +396,7 @@ mod tests {
             ..crate::EngineConfig::default()
         })
         .unwrap();
-        let results = run_batch(&engine, &jobs, 2, SimEngine::default());
+        let results = run_batch(&engine, &jobs, 2);
         let spans = tracer.finish();
         assert!(spans.spans().iter().any(|s| s.name == "isl.parse"));
         assert!(results[0].outcome.is_ok(), "{:?}", results[0].outcome);

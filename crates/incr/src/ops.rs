@@ -134,7 +134,7 @@ pub struct Op {
     pub raw: bool,
     /// `sim`: cycle budget; `None` = [`Op::cycles`]'s default.
     pub cycles: Option<u64>,
-    /// `sim`: engine override; `None` defers to the front-end's default.
+    /// `sim`: which engine; `None` = [`Op::sim_engine`]'s default.
     pub engine: Option<SimEngine>,
     /// `pnr`, `verify`: routing stack; `None` = [`Op::stack`]'s default.
     pub stack: Option<String>,
@@ -157,9 +157,9 @@ impl Op {
         self.stack.as_deref().unwrap_or(RouteStack::KNOWN[0])
     }
 
-    /// The simulation engine: the op's own, else the front-end's.
-    pub fn sim_engine(&self, default_engine: SimEngine) -> SimEngine {
-        self.engine.unwrap_or(default_engine)
+    /// The simulation engine, defaulted.
+    pub fn sim_engine(&self) -> SimEngine {
+        self.engine.unwrap_or_default()
     }
 }
 
@@ -312,14 +312,9 @@ pub const ARGS: [Arg; 15] = [
         CLI,
         |a| Slot::Count(&mut a.jobs),
     ),
-    arg(
-        "--engine",
-        "compiled|interp",
-        "a name",
-        &[Sim, Batch, Serve],
-        ALL,
-        |a| Slot::Engine(&mut a.op.engine),
-    ),
+    arg("--engine", "compiled|interp", "a name", &[Sim], ALL, |a| {
+        Slot::Engine(&mut a.op.engine)
+    }),
     Arg {
         help: "per-stage timing and counter summary on stderr",
         ..arg("--stats", "", "", EVERY, CLI, |a| {
@@ -515,8 +510,7 @@ impl VerifySnapshot {
 
 /// Runs one op against `engine` over texts already in memory: `source`
 /// is the SIL, ISL or PLA input, `against` the PLA table a `verify`
-/// checks it against instead of its own specification. `default_engine`
-/// simulates when the op names no engine of its own.
+/// checks it against instead of its own specification.
 ///
 /// # Errors
 ///
@@ -528,7 +522,6 @@ pub fn run(
     op: &Op,
     source: &str,
     against: Option<&str>,
-    default_engine: SimEngine,
     stats: &mut JobStats,
 ) -> Result<Outcome, String> {
     let machine = || {
@@ -551,7 +544,7 @@ pub fn run(
         }
         Sim => {
             let machine = machine()?;
-            let sim_engine = op.sim_engine(default_engine);
+            let sim_engine = op.sim_engine();
             let sim = sim_results(engine, &machine, op.cycles(), sim_engine, stats)?;
             Outcome::Sim {
                 machine: machine.name,

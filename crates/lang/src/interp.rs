@@ -281,12 +281,22 @@ struct Interp {
     /// under it reaches in the cell's own frame (at most [`MAX_COORD`]).
     reach: HashMap<CellId, i128>,
     elab_stack: Vec<String>,
-    call_depth: usize,
+    /// Evaluator frames live right now; see [`MAX_FRAMES`].
+    frames: usize,
     cells_elaborated: u64,
     memo_hits: u64,
 }
 
 type CellSlot<'a, 'b> = Option<&'a mut Cell>;
+
+/// How many `eval` and `exec_block` frames may be live at once. Every
+/// call of a `fn` enters an `exec_block`, so this bounds recursion by
+/// the stack it takes (a call costs as many frames as its body nests)
+/// rather than by the number of calls. The parser lets one tree reach
+/// 64 levels, so only a recursive `fn` gets here. Sized for the 2 MiB
+/// stack of a `silc serve` worker: a frame and the `exec_stmt` under it
+/// measure up to 1.2 KiB optimised and 13.4 KiB in a debug build.
+const MAX_FRAMES: usize = if cfg!(debug_assertions) { 96 } else { 1024 };
 
 impl Interp {
     fn new() -> Interp {
@@ -298,7 +308,7 @@ impl Interp {
             memo: HashMap::new(),
             reach: HashMap::new(),
             elab_stack: Vec::new(),
-            call_depth: 0,
+            frames: 0,
             cells_elaborated: 0,
             memo_hits: 0,
         }
@@ -415,19 +425,30 @@ impl Interp {
         body: &[Stmt],
         env: &mut Env,
         cell: &mut CellSlot<'_, '_>,
+        line: usize,
     ) -> Result<Flow, LangError> {
+        self.enter(line)?;
         env.push();
+        let mut flow = Flow::Normal;
         for stmt in body {
-            match self.exec_stmt(stmt, env, cell)? {
-                Flow::Normal => {}
-                ret @ Flow::Return(_) => {
-                    env.pop();
-                    return Ok(ret);
-                }
+            flow = self.exec_stmt(stmt, env, cell)?;
+            if let Flow::Return(_) = flow {
+                break;
             }
         }
         env.pop();
-        Ok(Flow::Normal)
+        self.frames -= 1;
+        Ok(flow)
+    }
+
+    /// Takes one frame of the budget. An error abandons the compile, so
+    /// only the paths that return a value give their frame back.
+    fn enter(&mut self, line: usize) -> Result<(), LangError> {
+        if self.frames >= MAX_FRAMES {
+            return Err(LangError::eval(line, "function recursion too deep"));
+        }
+        self.frames += 1;
+        Ok(())
     }
 
     fn exec_stmt(
@@ -619,7 +640,7 @@ impl Interp {
                 for i in from..to {
                     env.push();
                     env.define(var, Value::Int(i));
-                    let flow = self.exec_block(body, env, cell)?;
+                    let flow = self.exec_block(body, env, cell, line)?;
                     env.pop();
                     if let Flow::Return(_) = flow {
                         return Ok(flow);
@@ -641,9 +662,9 @@ impl Interp {
                     )
                 })?;
                 if c {
-                    self.exec_block(then_body, env, cell)
+                    self.exec_block(then_body, env, cell, line)
                 } else {
-                    self.exec_block(else_body, env, cell)
+                    self.exec_block(else_body, env, cell, line)
                 }
             }
             Stmt::Return { value, .. } => {
@@ -675,6 +696,13 @@ impl Interp {
     // ---------------------------------------------------------------
 
     fn eval(&mut self, e: &Expr, env: &mut Env, line: usize) -> Result<Value, LangError> {
+        self.enter(line)?;
+        let value = self.eval_expr(e, env, line)?;
+        self.frames -= 1;
+        Ok(value)
+    }
+
+    fn eval_expr(&mut self, e: &Expr, env: &mut Env, line: usize) -> Result<Value, LangError> {
         match e {
             Expr::Int(v) => Ok(Value::Int(*v)),
             Expr::Bool(b) => Ok(Value::Bool(*b)),
@@ -818,9 +846,6 @@ impl Interp {
 
     fn call(&mut self, name: &str, args: Vec<Value>, line: usize) -> Result<Value, LangError> {
         if let Some(def) = self.fns.get(name).cloned() {
-            if self.call_depth >= 256 {
-                return Err(LangError::eval(line, "function recursion too deep"));
-            }
             if args.len() != def.params.len() {
                 // Allow defaults on trailing params.
                 if args.len() > def.params.len() {
@@ -848,10 +873,7 @@ impl Interp {
                 };
                 env.define(&param.name, v);
             }
-            self.call_depth += 1;
-            let flow = self.exec_block(&def.body, &mut env, &mut None);
-            self.call_depth -= 1;
-            match flow? {
+            match self.exec_block(&def.body, &mut env, &mut None, line)? {
                 Flow::Return(v) => Ok(v),
                 Flow::Normal => Ok(Value::Int(0)),
             }

@@ -71,3 +71,31 @@ fn nesting_up_to_the_bound_fits_a_worker_stack() {
         "{compiled} / {refused}"
     );
 }
+
+/// A recursive `fn` whose body nests 28 expression levels took 59 frames
+/// a call and overflowed even an 8 MiB stack inside the old 256-call
+/// bound. Recursion is budgeted by evaluator frames, so on a worker's
+/// 2 MiB it ends in the ordinary line-numbered error, whatever the body
+/// nests: expressions, blocks, or nothing at all.
+#[test]
+fn runaway_recursion_is_a_line_numbered_error_on_a_worker_stack() {
+    let deep = format!("{}f(n + 1){}", "-(0 + ".repeat(28), ")".repeat(28));
+    let blocks = format!(
+        "{}return f(n + 1);{}",
+        "if n >= 0 { ".repeat(28),
+        " }".repeat(28)
+    );
+    let sources = [
+        format!("fn f(n) {{\n if n > 250 {{ return 0; }}\n return {deep};\n}}\nlet x = f(0);"),
+        format!("fn f(n) {{\n {blocks}\n return 0;\n}}\nlet x = f(0);"),
+        "fn f(n) {\n return f(n + 1);\n}\nlet x = f(0);".to_string(),
+    ];
+    let worker = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || sources.map(|source| Compiler::new().compile(&source)));
+    for result in worker.expect("spawns").join().expect("no overflow") {
+        let message = result.expect_err("unbounded recursion").to_string();
+        assert!(message.contains("line "), "{message}");
+        assert!(message.contains("function recursion too deep"), "{message}");
+    }
+}

@@ -200,16 +200,6 @@ impl RomSpec {
         let spec = self.to_pla_spec(Minimize::None)?;
         Ok(generate_layout(&spec, lib, name)?)
     }
-
-    /// Generates with word-line minimization.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MemError`] from spec building and layout generation.
-    pub fn generate_minimized(&self, lib: &mut Library, name: &str) -> Result<CellId, MemError> {
-        let spec = self.to_pla_spec(Minimize::Heuristic)?;
-        Ok(generate_layout(&spec, lib, name)?)
-    }
 }
 
 /// A static RAM cell array: `words` poly word lines crossing

@@ -98,8 +98,6 @@ pub struct ServerConfig {
     /// Accept the test-only `sleep` op. Never set by the CLI; protocol
     /// tests use it to hold workers for a known duration.
     pub enable_test_ops: bool,
-    /// Engine servicing `sim` requests that name none themselves.
-    pub default_engine: SimEngine,
 }
 
 impl ServerConfig {
@@ -116,7 +114,6 @@ impl ServerConfig {
             mem_entries: EngineConfig::default().mem_entries,
             tracer: Tracer::disabled(),
             enable_test_ops: false,
-            default_engine: SimEngine::default(),
         }
     }
 }
@@ -412,16 +409,15 @@ fn execute(
     let text = |value: &str| Json::Str(value.to_string());
     let mut fields = match request.to_op() {
         Some((op, source, against)) => {
-            let default_engine = shared.config.default_engine;
             if op.verb == Verb::Sim {
-                let counter = match op.sim_engine(default_engine) {
+                let counter = match op.sim_engine() {
                     SimEngine::Compiled => &shared.stats.sim_compiled,
                     SimEngine::Interp => &shared.stats.sim_interp,
                 };
                 counter.fetch_add(1, Ordering::SeqCst);
             }
             let engine = &shared.engine;
-            match ops::run(engine, &op, source, against, default_engine, &mut stats)? {
+            match ops::run(engine, &op, source, against, &mut stats)? {
                 Outcome::Compile(out) => {
                     // Mirror the CLI: violations fail the request and
                     // withhold CIF (`no_drc` skips the check entirely).

@@ -1,6 +1,7 @@
 //! Prints every experiment table from EXPERIMENTS.md in one run — the
-//! reproduction driver. Timing curves come from `cargo bench`; this
-//! binary reports the structural results.
+//! reproduction driver. Timings come from the ledger
+//! (`crates/bench/src/bin/ledger/run.sh`); this binary reports the
+//! structural results.
 //!
 //! Run with: `cargo run --release --example experiments_report`
 

@@ -13,7 +13,6 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use silc::exec::SimEngine;
 use silc::incr::ops::{self, Args, Front, Outcome, Verb};
 use silc::incr::{default_parallelism, parse_manifest, run_batch, Engine, EngineConfig, JobStats};
 use silc::serve::{install_sigint_handler, Server, ServerConfig};
@@ -103,16 +102,8 @@ fn run_op(args: &Args, tracer: &Tracer) -> Result<(), String> {
     let input = args.input.as_deref().unwrap_or_default();
     let source = read(input)?;
     let against = args.against.as_deref().map(read).transpose()?;
-    let (against, default_engine) = (against.as_deref(), SimEngine::default());
     let mut stats = JobStats::default();
-    let outcome = ops::run(
-        &engine,
-        &args.op,
-        &source,
-        against,
-        default_engine,
-        &mut stats,
-    )?;
+    let outcome = ops::run(&engine, &args.op, &source, against.as_deref(), &mut stats)?;
     let cif = match &outcome {
         Outcome::Compile(out) => {
             eprintln!(
@@ -208,7 +199,6 @@ fn run_batch_cmd(args: &Args, tracer: &Tracer) -> Result<(), String> {
         &engine,
         &jobs,
         args.jobs.unwrap_or_else(default_parallelism),
-        args.op.sim_engine(SimEngine::default()),
     );
     let label_width = results
         .iter()
@@ -250,7 +240,6 @@ fn run_serve(args: &Args, tracer: &Tracer) -> Result<(), String> {
     let mut config = ServerConfig {
         cache_dir: args.cache.as_ref().map(PathBuf::from),
         tracer: tracer.clone(),
-        default_engine: args.op.sim_engine(SimEngine::default()),
         ..ServerConfig::for_jobs(args.jobs.unwrap_or_else(default_parallelism))
     };
     if let Some(addr) = &args.addr {

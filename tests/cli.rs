@@ -225,15 +225,25 @@ fn flags_are_validated_per_subcommand() {
         .expect("runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("-o"));
-    // `--engine` belongs to sim/batch/serve.
-    let out = silc()
-        .args(["compile", sil.to_str().unwrap(), "--engine", "compiled"])
-        .output()
-        .expect("runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--engine"), "{stderr}");
-    assert!(stderr.contains("silc sim"), "{stderr}");
+    // `--engine` belongs to `sim` only: a batch job or a served request
+    // names its own (`sim m.isl --engine interp`, `"engine":"interp"`).
+    for words in [
+        vec!["compile", sil.to_str().unwrap()],
+        vec!["batch", "jobs.txt"],
+        vec!["serve"],
+    ] {
+        let out = silc()
+            .args(&words)
+            .args(["--engine", "interp"])
+            .output()
+            .expect("runs");
+        assert!(!out.status.success(), "{words:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("`--engine` is only valid for `silc sim`, not"),
+            "{words:?}: {stderr}"
+        );
+    }
     // Unknown engine names are rejected with the valid set.
     let out = silc()
         .args(["sim", isl.to_str().unwrap(), "--engine", "turbo"])

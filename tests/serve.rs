@@ -289,6 +289,24 @@ fn nesting_bombs_are_error_replies_and_the_server_lives_on() {
         Some("bad_request"),
         "{reply:?}"
     );
+    // The run-time shape: every call of `f` evaluates 28 nested operands
+    // again, 59 frames a call, which overflowed inside the old bound of
+    // 256 calls.
+    let recursion = format!(
+        "fn f(n) {{\n if n > 250 {{ return 0; }}\n return {}f(n + 1){};\n}}\nlet x = f(0);",
+        "-(0 + ".repeat(28),
+        ")".repeat(28)
+    );
+    let reply = Client::connect(addr).request(&format!(
+        r#"{{"op":"compile","source":{}}}"#,
+        quoted(&recursion)
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    let message = reply.to_string();
+    assert!(
+        message.contains("line 3") && message.contains("function recursion too deep"),
+        "{message}"
+    );
     // What the bound admits runs on a worker's 2 MiB stack, here in a
     // debug build: nested blocks in SIL, nested operands in ISL.
     let mut client = Client::connect(addr);
