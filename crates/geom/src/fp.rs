@@ -78,9 +78,16 @@ impl fmt::Display for Fp {
 /// FNV-1a is fully specified (offset basis and prime are published
 /// constants), byte-order independent, and needs only `u128` arithmetic,
 /// so digests are identical on every platform and toolchain.
+///
+/// The same sink also *keeps* the stream instead of hashing it
+/// ([`FpHasher::buffer`]): the bytes a value is stored under in the
+/// persistent cache are exactly the bytes its [`Fingerprint::fp_hash`]
+/// feeds the hash, so the two can never drift apart.
 #[derive(Debug, Clone)]
 pub struct FpHasher {
     state: u128,
+    /// `Some` in buffering mode: bytes are appended here, not hashed.
+    kept: Option<Vec<u8>>,
 }
 
 /// FNV-1a 128-bit offset basis.
@@ -91,12 +98,35 @@ const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
 impl FpHasher {
     /// A fresh hasher at the FNV offset basis.
     pub fn new() -> FpHasher {
-        FpHasher { state: FNV_OFFSET }
+        FpHasher {
+            state: FNV_OFFSET,
+            kept: None,
+        }
+    }
+
+    /// A sink that keeps every absorbed byte for [`FpHasher::into_bytes`]
+    /// and pays no hashing arithmetic while doing so.
+    pub fn buffer() -> FpHasher {
+        FpHasher {
+            state: FNV_OFFSET,
+            kept: Some(Vec::new()),
+        }
+    }
+
+    /// The bytes a [`FpHasher::buffer`] sink absorbed (empty for a
+    /// hashing one).
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.kept.unwrap_or_default()
     }
 
     /// Absorbs raw bytes (no length prefix — callers that hash
     /// variable-length data should write the length first).
+    #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
+        if let Some(kept) = &mut self.kept {
+            kept.extend_from_slice(bytes);
+            return;
+        }
         for &b in bytes {
             self.state ^= u128::from(b);
             self.state = self.state.wrapping_mul(FNV_PRIME);
@@ -119,6 +149,7 @@ impl FpHasher {
     }
 
     /// Absorbs an `i64` (little-endian two's complement).
+    #[inline]
     pub fn write_i64(&mut self, v: i64) {
         self.write(&v.to_le_bytes());
     }
@@ -134,7 +165,8 @@ impl FpHasher {
         self.write(s.as_bytes());
     }
 
-    /// The digest of everything absorbed so far.
+    /// The digest of everything hashed so far (a buffering sink hashes
+    /// nothing).
     pub fn finish(&self) -> Fp {
         Fp(self.state)
     }
@@ -262,6 +294,7 @@ impl<A: Fingerprint, B: Fingerprint, C: Fingerprint> Fingerprint for (A, B, C) {
 }
 
 impl Fingerprint for Point {
+    #[inline]
     fn fp_hash(&self, h: &mut FpHasher) {
         h.write_i64(self.x);
         h.write_i64(self.y);
@@ -276,6 +309,7 @@ impl Fingerprint for Vector {
 }
 
 impl Fingerprint for Rect {
+    #[inline]
     fn fp_hash(&self, h: &mut FpHasher) {
         self.min().fp_hash(h);
         self.max().fp_hash(h);
@@ -333,6 +367,22 @@ mod tests {
         let mut h = FpHasher::new();
         h.write(b"a");
         assert_eq!(h.finish().to_hex(), "d228cb696f1a8caf78912b704e4a8964");
+    }
+
+    #[test]
+    fn buffering_sink_keeps_the_stream_it_would_have_hashed() {
+        let value = (
+            Rect::new(Point::new(-3, 2), Point::new(7, 9)).unwrap(),
+            "name",
+        );
+        let mut kept = FpHasher::buffer();
+        value.fp_hash(&mut kept);
+        let bytes = kept.into_bytes();
+        assert_eq!(bytes.len(), 4 * 8 + 8 + 4); // four coordinates, a length, "name"
+        let mut h = FpHasher::new();
+        h.write(&bytes);
+        assert_eq!(h.finish(), value.fingerprint());
+        assert!(FpHasher::new().into_bytes().is_empty());
     }
 
     #[test]

@@ -1,60 +1,41 @@
-//! A small hand-rolled binary codec for cache payloads.
+//! The binary codec for cache payloads: the fingerprint stream, kept.
 //!
 //! The workspace has no serialization dependency, and the cache format
-//! must stay stable across builds anyway, so every persisted type spells
-//! out its layout explicitly through [`Persist`]. All integers are
-//! little-endian; variable-length data carries a length prefix. Decoding
-//! is **total**: any malformed input yields `Err`, never a panic, so a
-//! corrupted cache entry degrades to a recompute.
+//! must stay stable across builds anyway. A persisted type describes its
+//! canonical byte form **once**, as its [`Fingerprint::fp_hash`]:
+//! [`Persist::encode`] runs that traversal into a byte buffer instead of
+//! into the hash, so a value cannot be stored under bytes it was not
+//! hashed by, and the only thing a type adds to be cacheable is
+//! [`Persist::decode`]. All integers are little-endian; variable-length
+//! data carries a length prefix. Decoding is **total**: any malformed
+//! input yields `Err`, never a panic, so a corrupted cache entry degrades
+//! to a recompute.
 
-use silc_geom::{Orientation, Path, Point, Polygon, Rect, Transform};
+use silc_geom::{Fingerprint, FpHasher, Orientation, Path, Point, Polygon, Rect, Transform};
 
-/// Encoder: appends fields to a byte buffer.
-#[derive(Debug, Default)]
+/// Encoder: the buffering form of the fingerprint sink.
+#[derive(Debug)]
 pub struct Enc {
-    buf: Vec<u8>,
+    sink: FpHasher,
+}
+
+impl Default for Enc {
+    fn default() -> Enc {
+        Enc::new()
+    }
 }
 
 impl Enc {
     /// A fresh empty encoder.
     pub fn new() -> Enc {
-        Enc::default()
+        Enc {
+            sink: FpHasher::buffer(),
+        }
     }
 
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u32`, little-endian.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`, little-endian.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `i64`, little-endian two's complement.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `usize` widened to 64 bits.
-    pub fn len(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.len(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.sink.into_bytes()
     }
 }
 
@@ -133,9 +114,11 @@ impl<'a> Dec<'a> {
 ///
 /// `decode(encode(x)) == x` must hold for every value the pipeline
 /// produces, and `decode` must reject (not panic on) arbitrary bytes.
-pub trait Persist: Sized {
-    /// Appends this value to `e`.
-    fn encode(&self, e: &mut Enc);
+pub trait Persist: Fingerprint + Sized {
+    /// Appends this value to `e`: its fingerprint stream, byte for byte.
+    fn encode(&self, e: &mut Enc) {
+        self.fp_hash(&mut e.sink);
+    }
     /// Reads a value back.
     ///
     /// # Errors
@@ -145,18 +128,12 @@ pub trait Persist: Sized {
 }
 
 impl Persist for u64 {
-    fn encode(&self, e: &mut Enc) {
-        e.u64(*self);
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         d.u64()
     }
 }
 
 impl Persist for bool {
-    fn encode(&self, e: &mut Enc) {
-        e.u8(u8::from(*self));
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         match d.u8()? {
             0 => Ok(false),
@@ -167,21 +144,12 @@ impl Persist for bool {
 }
 
 impl Persist for String {
-    fn encode(&self, e: &mut Enc) {
-        e.str(self);
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         d.str()
     }
 }
 
 impl<T: Persist> Persist for Vec<T> {
-    fn encode(&self, e: &mut Enc) {
-        e.len(self.len());
-        for item in self {
-            item.encode(e);
-        }
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         let n = d.len()?;
         let mut out = Vec::with_capacity(n);
@@ -193,15 +161,6 @@ impl<T: Persist> Persist for Vec<T> {
 }
 
 impl<T: Persist> Persist for Option<T> {
-    fn encode(&self, e: &mut Enc) {
-        match self {
-            None => e.u8(0),
-            Some(v) => {
-                e.u8(1);
-                v.encode(e);
-            }
-        }
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         match d.u8()? {
             0 => Ok(None),
@@ -212,30 +171,18 @@ impl<T: Persist> Persist for Option<T> {
 }
 
 impl<A: Persist, B: Persist> Persist for (A, B) {
-    fn encode(&self, e: &mut Enc) {
-        self.0.encode(e);
-        self.1.encode(e);
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         Ok((A::decode(d)?, B::decode(d)?))
     }
 }
 
 impl Persist for Point {
-    fn encode(&self, e: &mut Enc) {
-        e.i64(self.x);
-        e.i64(self.y);
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         Ok(Point::new(d.i64()?, d.i64()?))
     }
 }
 
 impl Persist for Rect {
-    fn encode(&self, e: &mut Enc) {
-        self.min().encode(e);
-        self.max().encode(e);
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         let min = Point::decode(d)?;
         let max = Point::decode(d)?;
@@ -244,13 +191,6 @@ impl Persist for Rect {
 }
 
 impl Persist for Orientation {
-    fn encode(&self, e: &mut Enc) {
-        let idx = Orientation::ALL
-            .iter()
-            .position(|o| o == self)
-            .expect("ALL lists every orientation") as u8;
-        e.u8(idx);
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         let idx = d.u8()? as usize;
         Orientation::ALL
@@ -261,10 +201,6 @@ impl Persist for Orientation {
 }
 
 impl Persist for Transform {
-    fn encode(&self, e: &mut Enc) {
-        self.orientation.encode(e);
-        self.offset.encode(e);
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         Ok(Transform {
             orientation: Orientation::decode(d)?,
@@ -274,9 +210,6 @@ impl Persist for Transform {
 }
 
 impl Persist for Polygon {
-    fn encode(&self, e: &mut Enc) {
-        self.vertices().to_vec().encode(e);
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         let vertices = Vec::<Point>::decode(d)?;
         Polygon::new(vertices).map_err(|err| format!("invalid polygon: {err}"))
@@ -284,10 +217,6 @@ impl Persist for Polygon {
 }
 
 impl Persist for Path {
-    fn encode(&self, e: &mut Enc) {
-        e.i64(self.width());
-        self.points().to_vec().encode(e);
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         let width = d.i64()?;
         let points = Vec::<Point>::decode(d)?;
@@ -346,7 +275,7 @@ mod tests {
     #[test]
     fn absurd_length_rejected_without_allocating() {
         let mut e = Enc::new();
-        e.u64(u64::MAX);
+        u64::MAX.encode(&mut e);
         let bytes = e.into_bytes();
         assert!(Vec::<u64>::decode(&mut Dec::new(&bytes)).is_err());
         assert!(String::decode(&mut Dec::new(&bytes)).is_err());

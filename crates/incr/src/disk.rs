@@ -28,8 +28,9 @@ const MAGIC: &[u8; 8] = b"SILCINCR";
 
 /// Bump on any incompatible change to the entry layout **or** to any
 /// persisted type's [`crate::Persist`] encoding. Old entries are then
-/// ignored (and overwritten), not misread.
-pub const FORMAT_VERSION: u32 = 1;
+/// ignored (and overwritten), not misread. Version 2: a `Design` no
+/// longer carries a raw id before each cell (ids are dense).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Handle to a cache directory.
 #[derive(Debug)]

@@ -11,24 +11,14 @@
 //!
 //! The engine is `Sync`: batch workers and serve workers on separate
 //! threads share one engine (and therefore one cache) through
-//! `&Engine`. The memory tier is **lock-striped**: entries are spread
-//! across [`STRIPES`] shards selected by fingerprint bits, each behind
-//! its own mutex with its own recency order, so concurrent warm queries
-//! on different shards never contend. Shard locks are held only for
-//! lookups and insertions, never across a compute or a disk read.
+//! `&Engine`. The memory tier is one LRU behind one mutex, held only
+//! for a map lookup or an insertion, never across a compute or a disk
+//! read.
 //!
-//! The entry budget is **globally pooled**: a lock-free occupancy
-//! counter tracks the total across shards, and an inserting shard
-//! evicts its own least-recent entries while the *global* total is over
-//! budget. Victim selection stays shard-local (no cross-shard locking)
-//! but a shard whose fingerprints happen to carry more than their share
-//! of the hot set may outgrow `mem_entries / STRIPES` — the eviction
-//! pressure lands wherever the cold inserts land, instead of thrashing
-//! whichever shard lost the hash lottery.
-//!
-//! Eviction is touch-on-hit LRU and nothing else: a memory hit
-//! refreshes the entry, so hot entries survive capacity pressure, and
-//! an entry read back from the disk tier re-enters as the most recent.
+//! Eviction is exact touch-on-hit LRU and nothing else: the store never
+//! holds more than `mem_entries` entries, a memory hit refreshes the
+//! entry, so hot entries survive capacity pressure, and an entry read
+//! back from the disk tier re-enters as the most recent.
 
 use crate::codec::{Dec, Enc, Persist};
 use crate::disk::DiskCache;
@@ -38,7 +28,6 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One pipeline stage, identifying a query family. The tag goes into
@@ -105,10 +94,6 @@ impl Stage {
     };
 }
 
-/// Lock stripes in the memory tier (a power of two: the stripe is
-/// picked by masking fingerprint bits).
-const STRIPES: usize = 8;
-
 /// The default worker-thread count for parallel front-ends (`silc
 /// batch` job workers, `silc serve` compute workers): the machine's
 /// available parallelism clamped to at most 8, falling back to 2 when
@@ -122,9 +107,7 @@ pub fn default_parallelism() -> usize {
 pub struct EngineConfig {
     /// Directory for the persistent cache; `None` = in-memory only.
     pub cache_dir: Option<PathBuf>,
-    /// Total in-memory entry budget, pooled across shards: any one
-    /// shard may outgrow its even share as long as the global total
-    /// stays under budget.
+    /// In-memory entry budget.
     pub mem_entries: usize,
     /// Receives `incr.*` counters (hits, misses, bytes, evictions).
     pub tracer: Tracer,
@@ -156,15 +139,14 @@ type MemKey = (u8, u128);
 struct Slot {
     value: Arc<dyn Any + Send + Sync>,
     /// Last-touch sequence number; identifies this entry's one live
-    /// record in the shard's recency queue.
+    /// record in the recency queue.
     stamp: u64,
 }
 
-/// One lock stripe of the memory tier. The recency queue is
-/// *lazy-stamped*: touching an entry pushes a fresh `(stamp, key)`
-/// record and bumps the entry's stamp, leaving the old record behind as
-/// a tombstone that eviction skips. The queue is compacted when
-/// tombstones dominate.
+/// The memory tier. The recency queue is *lazy-stamped*: touching an
+/// entry pushes a fresh `(stamp, key)` record and bumps the entry's
+/// stamp, leaving the old record behind as a tombstone that eviction
+/// skips. The queue is compacted when tombstones dominate.
 #[derive(Default)]
 struct Shard {
     entries: HashMap<MemKey, Slot>,
@@ -184,39 +166,20 @@ impl Shard {
     }
 
     /// Inserts (or replaces) an entry as the most recent, then evicts
-    /// this shard's least-recent entries while the *global* occupancy
-    /// is over budget. Returns the number of evictions.
-    ///
-    /// The shard never evicts the entry it is inserting: if its own
-    /// oldest live entry is `key`, the excess lives on some other shard
-    /// and the overshoot (bounded by the shard count) is reclaimed by
-    /// the next insert that lands there.
-    fn insert(
-        &mut self,
-        key: MemKey,
-        value: Arc<dyn Any + Send + Sync>,
-        occupancy: &AtomicUsize,
-        global_budget: usize,
-    ) -> u64 {
+    /// the least-recent entries while more than `budget` are held.
+    /// Returns the number of evictions.
+    fn insert(&mut self, key: MemKey, value: Arc<dyn Any + Send + Sync>, budget: usize) -> u64 {
         self.seq += 1;
         let stamp = self.seq;
-        if self.entries.insert(key, Slot { value, stamp }).is_none() {
-            occupancy.fetch_add(1, Ordering::Relaxed);
-        }
+        self.entries.insert(key, Slot { value, stamp });
         self.order.push_back((stamp, key));
         let mut evicted = 0;
-        while occupancy.load(Ordering::Relaxed) > global_budget {
-            let Some(&(stamp, old)) = self.order.front() else {
+        while self.entries.len() > budget {
+            let Some((stamp, old)) = self.order.pop_front() else {
                 break;
             };
-            let live = self.entries.get(&old).is_some_and(|s| s.stamp == stamp);
-            if live && old == key {
-                break;
-            }
-            self.order.pop_front();
-            if live {
+            if self.entries.get(&old).is_some_and(|s| s.stamp == stamp) {
                 self.entries.remove(&old);
-                occupancy.fetch_sub(1, Ordering::Relaxed);
                 evicted += 1;
             }
         }
@@ -235,13 +198,9 @@ impl Shard {
 
 /// The memoizing query engine. See the module docs.
 pub struct Engine {
-    shards: [Mutex<Shard>; STRIPES],
-    /// Global entry budget, pooled across shards.
+    mem: Mutex<Shard>,
+    /// In-memory entry budget.
     budget: usize,
-    /// Total live entries across all shards; lets an inserting shard
-    /// evict against the global budget without touching other shards'
-    /// locks.
-    occupancy: AtomicUsize,
     disk: Option<DiskCache>,
     tracer: Tracer,
 }
@@ -268,9 +227,8 @@ impl Engine {
             None => None,
         };
         Ok(Engine {
-            shards: std::array::from_fn(|_| Mutex::default()),
+            mem: Mutex::default(),
             budget: config.mem_entries.max(1),
-            occupancy: AtomicUsize::new(0),
             disk,
             tracer: config.tracer,
         })
@@ -295,19 +253,9 @@ impl Engine {
         self.disk.is_some()
     }
 
-    /// The number of lock stripes in the memory tier.
-    pub fn shard_count(&self) -> usize {
-        STRIPES
-    }
-
-    /// Entries currently held in the memory tier, over all shards.
+    /// Entries currently held in the memory tier.
     pub fn mem_entries(&self) -> usize {
-        self.occupancy.load(Ordering::Relaxed)
-    }
-
-    fn shard_index((tag, raw): MemKey) -> usize {
-        let folded = (raw as u64) ^ ((raw >> 64) as u64) ^ (u64::from(tag) << 56);
-        (folded as usize) & (STRIPES - 1)
+        self.mem.lock().expect("engine memory tier").entries.len()
     }
 
     /// Answers the query `(stage, key)`, computing (and caching) on
@@ -333,13 +281,12 @@ impl Engine {
         F: FnOnce() -> Result<T, String>,
     {
         let mem_key: MemKey = (stage.tag, key.raw());
-        let shard = &self.shards[Self::shard_index(mem_key)];
         {
-            let mut shard = shard.lock().expect("engine shard");
-            if let Some(slot) = shard.entries.get(&mem_key) {
+            let mut mem = self.mem.lock().expect("engine memory tier");
+            if let Some(slot) = mem.entries.get(&mem_key) {
                 if let Ok(value) = Arc::clone(&slot.value).downcast::<T>() {
-                    shard.touch(mem_key);
-                    drop(shard);
+                    mem.touch(mem_key);
+                    drop(mem);
                     stats.hits += 1;
                     self.tracer.add(names::INCR_HIT, 1);
                     self.tracer.add(names::INCR_MEM_HIT, 1);
@@ -353,7 +300,7 @@ impl Engine {
                 match T::decode(&mut d) {
                     Ok(value) if d.is_done() => {
                         let value = Arc::new(value);
-                        self.insert_mem(shard, mem_key, Arc::clone(&value) as _);
+                        self.insert_mem(mem_key, Arc::clone(&value) as _);
                         stats.hits += 1;
                         self.tracer.add(names::INCR_HIT, 1);
                         self.tracer.add(names::INCR_DISK_HIT, 1);
@@ -373,7 +320,7 @@ impl Engine {
         let value = Arc::new(compute().map_err(|e| format!("{}: {e}", stage.name))?);
         stats.misses += 1;
         self.tracer.add(names::INCR_MISS, 1);
-        self.insert_mem(shard, mem_key, Arc::clone(&value) as _);
+        self.insert_mem(mem_key, Arc::clone(&value) as _);
         if let Some(disk) = &self.disk {
             let mut e = Enc::new();
             value.encode(&mut e);
@@ -383,12 +330,12 @@ impl Engine {
         Ok(value)
     }
 
-    fn insert_mem(&self, shard: &Mutex<Shard>, key: MemKey, value: Arc<dyn Any + Send + Sync>) {
-        let evicted =
-            shard
-                .lock()
-                .expect("engine shard")
-                .insert(key, value, &self.occupancy, self.budget);
+    fn insert_mem(&self, key: MemKey, value: Arc<dyn Any + Send + Sync>) {
+        let evicted = self
+            .mem
+            .lock()
+            .expect("engine memory tier")
+            .insert(key, value, self.budget);
         if evicted > 0 {
             self.tracer.add(names::INCR_EVICTIONS, evicted);
         }
@@ -445,7 +392,7 @@ mod tests {
     fn engine_is_shareable_across_threads() {
         // The serve daemon and batch workers hand `&Engine` to many
         // threads at once; the engine must stay `Send + Sync` (the
-        // shard locks are the only interior mutability, held
+        // memory-tier lock is the only interior mutability, held
         // per-operation).
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Engine>();
@@ -465,11 +412,6 @@ mod tests {
         assert_eq!(*ok, 5);
     }
 
-    /// `key(n)` lands on stripe `n % STRIPES`; multiples of it share one.
-    fn same_stripe(n: u64) -> Fp {
-        key(n * STRIPES as u64)
-    }
-
     #[test]
     fn eviction_respects_capacity() {
         let tracer = Tracer::enabled();
@@ -482,13 +424,13 @@ mod tests {
         let mut stats = JobStats::default();
         for n in 0..5 {
             engine
-                .query(Stage::SIM, same_stripe(10 + n), &mut stats, || Ok(n))
+                .query(Stage::SIM, key(10 + n), &mut stats, || Ok(n))
                 .unwrap();
         }
         // Oldest entries were evicted: re-querying them recomputes (and
         // that re-insert evicts once more).
         engine
-            .query(Stage::SIM, same_stripe(10), &mut stats, || Ok(0u64))
+            .query(Stage::SIM, key(10), &mut stats, || Ok(0u64))
             .unwrap();
         assert_eq!(stats.misses, 6);
         let report = tracer.finish();
@@ -509,7 +451,7 @@ mod tests {
         let mut stats = JobStats::default();
         let query_hot = |stats: &mut JobStats| {
             engine
-                .query(Stage::SIM, same_stripe(1000), stats, || {
+                .query(Stage::SIM, key(1000), stats, || {
                     hot_computes.fetch_add(1, Ordering::Relaxed);
                     Ok(42u64)
                 })
@@ -518,54 +460,12 @@ mod tests {
         query_hot(&mut stats);
         for n in 0..6 {
             engine
-                .query(Stage::SIM, same_stripe(2000 + n), &mut stats, || Ok(n))
+                .query(Stage::SIM, key(2000 + n), &mut stats, || Ok(n))
                 .unwrap();
             query_hot(&mut stats);
         }
         assert_eq!(hot_computes.load(Ordering::Relaxed), 1);
         assert_eq!(engine.mem_entries(), 2);
-    }
-
-    /// The budget is pooled: when the hash lottery concentrates the
-    /// working set on one shard, that shard may hold more than its even
-    /// share (here: the whole budget) instead of thrashing, and a fresh
-    /// insert on an *empty* shard is never its own eviction victim.
-    #[test]
-    fn shard_may_outgrow_its_even_share_under_a_pooled_budget() {
-        let engine = Engine::new(EngineConfig {
-            mem_entries: 4,
-            ..EngineConfig::default()
-        })
-        .unwrap();
-        assert_eq!(engine.shard_count(), STRIPES);
-        let mut stats = JobStats::default();
-        for n in 0..4 {
-            engine
-                .query(Stage::SIM, same_stripe(n), &mut stats, || Ok(n))
-                .unwrap();
-        }
-        assert_eq!(engine.mem_entries(), 4);
-        // A fifth key on that shard evicts its oldest; the survivors — a
-        // full global budget on one shard — still hit.
-        engine
-            .query(Stage::SIM, same_stripe(4), &mut stats, || Ok(4u64))
-            .unwrap();
-        assert_eq!(engine.mem_entries(), 4);
-        for n in 1..5 {
-            engine
-                .query(Stage::SIM, same_stripe(n), &mut stats, || Ok(0u64))
-                .unwrap();
-        }
-        assert_eq!(stats, JobStats { hits: 4, misses: 5 });
-        // key(1)'s shard is empty and the pool is full: its first insert
-        // must survive (bounded overshoot), not evict itself.
-        engine
-            .query(Stage::SIM, key(1), &mut stats, || Ok(1u64))
-            .unwrap();
-        engine
-            .query(Stage::SIM, key(1), &mut stats, || Ok(0u64))
-            .unwrap();
-        assert_eq!(stats, JobStats { hits: 5, misses: 6 });
     }
 
     #[test]

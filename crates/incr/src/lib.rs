@@ -11,15 +11,16 @@
 //!
 //! The three layers, bottom up:
 //!
-//! - [`codec`]: an explicit little-endian binary codec ([`Persist`])
-//!   with total, panic-free decoding.
+//! - [`codec`]: the little-endian binary codec ([`Persist`]): a value
+//!   is stored as its own fingerprint stream, so a type describes its
+//!   bytes once and adds only a total, panic-free `decode`.
 //! - [`disk`]: one self-describing file per entry — magic, format
 //!   version, stage tag, key, length, payload, checksum. Any damage
 //!   warns and degrades to a recompute; it can never break a build.
-//! - [`engine`]: the memo table itself — lock-striped into a fixed
-//!   number of shards, touch-on-hit LRU eviction under one pooled entry
-//!   budget — shared by concurrent batch and serve workers, reporting
-//!   `incr.*` counters through `silc-trace`.
+//! - [`engine`]: the memo table itself — one touch-on-hit LRU behind
+//!   one lock, exact under its entry budget — shared by concurrent
+//!   batch and serve workers, reporting `incr.*` counters through
+//!   `silc-trace`.
 //!
 //! On top sit the [`pipeline`] stage queries, the [`ops`] table that
 //! defines every operation once for all three front-ends, and the

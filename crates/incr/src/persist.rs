@@ -1,24 +1,19 @@
-//! [`Persist`] implementations for pipeline types owned by other crates.
+//! [`Persist`] implementations for pipeline types owned by other crates:
+//! each is `decode` only — the byte form is the type's own `fp_hash`.
 //!
-//! The layout [`Library`] is the only subtle case: `CellId`s are opaque
-//! handles minted by [`Library::add_cell`], so entries are written in
-//! insertion order together with their original raw ids, and decoding
-//! rebuilds the library through the public API while remapping instance
-//! targets old-id → new-id. Because a library is a DAG and insertion
-//! order respects definition order, every target has already been
-//! remapped when its instance is read back.
+//! The layout [`Library`] is the only subtle case. `CellId`s are dense:
+//! [`Library::add_cell`] hands out the next index, so a library read
+//! back in insertion order mints the ids it was written with, and
+//! `add_cell` itself rejects an instance that points at a cell not yet
+//! added (a damaged entry is an error, never a dangling handle).
 
-use crate::codec::{Dec, DecodeError, Enc, Persist};
+use crate::codec::{Dec, DecodeError, Persist};
 use silc_drc::{Report, RuleKind, Violation};
-use silc_geom::{Path, Polygon, Rect, Transform};
+use silc_geom::{Path, Point, Polygon, Rect, Transform};
 use silc_lang::Design;
 use silc_layout::{Cell, CellId, Element, Instance, Layer, Library, Port, Shape};
-use std::collections::HashMap;
 
 impl Persist for Layer {
-    fn encode(&self, e: &mut Enc) {
-        e.u8(self.index() as u8);
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         let idx = d.u8()? as usize;
         Layer::ALL
@@ -29,22 +24,6 @@ impl Persist for Layer {
 }
 
 impl Persist for Shape {
-    fn encode(&self, e: &mut Enc) {
-        match self {
-            Shape::Rect(r) => {
-                e.u8(0);
-                r.encode(e);
-            }
-            Shape::Polygon(p) => {
-                e.u8(1);
-                p.encode(e);
-            }
-            Shape::Wire(w) => {
-                e.u8(2);
-                w.encode(e);
-            }
-        }
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         match d.u8()? {
             0 => Ok(Shape::Rect(Rect::decode(d)?)),
@@ -56,10 +35,6 @@ impl Persist for Shape {
 }
 
 impl Persist for Element {
-    fn encode(&self, e: &mut Enc) {
-        self.layer.encode(e);
-        self.shape.encode(e);
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         Ok(Element {
             layer: Layer::decode(d)?,
@@ -68,117 +43,69 @@ impl Persist for Element {
     }
 }
 
-fn encode_cell(cell: &Cell, e: &mut Enc) {
-    e.str(cell.name());
-    cell.elements().to_vec().encode(e);
-    e.len(cell.instances().len());
-    for inst in cell.instances() {
-        e.u32(inst.cell.raw());
-        inst.transform.encode(e);
-        e.u32(inst.cols);
-        e.u32(inst.rows);
-        e.i64(inst.dx);
-        e.i64(inst.dy);
-    }
-    e.len(cell.ports().len());
-    for port in cell.ports() {
-        e.str(&port.name);
-        port.layer.encode(e);
-        port.at.encode(e);
+impl Persist for CellId {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(CellId::from_raw(d.u32()?))
     }
 }
 
-fn decode_cell(d: &mut Dec<'_>, map: &HashMap<u32, CellId>) -> Result<Cell, DecodeError> {
-    let name = d.str()?;
-    let mut cell = Cell::new(name);
-    for element in Vec::<Element>::decode(d)? {
-        cell.push_element(element);
-    }
-    let n_inst = d.len()?;
-    for _ in 0..n_inst {
-        let target_raw = d.u32()?;
+impl Persist for Instance {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let target = CellId::decode(d)?;
         let transform = Transform::decode(d)?;
-        let cols = d.u32()?;
-        let rows = d.u32()?;
-        let dx = d.i64()?;
-        let dy = d.i64()?;
-        let target = map
-            .get(&target_raw)
-            .copied()
-            .ok_or_else(|| format!("instance references unknown cell id {target_raw}"))?;
-        let instance = Instance::array(target, transform, cols, rows, dx, dy)
-            .map_err(|err| format!("invalid instance: {err}"))?;
-        cell.push_instance(instance);
+        let (cols, rows) = (d.u32()?, d.u32()?);
+        let (dx, dy) = (d.i64()?, d.i64()?);
+        Instance::array(target, transform, cols, rows, dx, dy)
+            .map_err(|err| format!("invalid instance: {err}"))
     }
-    let n_ports = d.len()?;
-    for _ in 0..n_ports {
-        let name = d.str()?;
-        let layer = Layer::decode(d)?;
-        let at = silc_geom::Point::decode(d)?;
-        cell.push_port(Port::new(name, layer, at));
+}
+
+impl Persist for Port {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(Port::new(d.str()?, Layer::decode(d)?, Point::decode(d)?))
     }
-    Ok(cell)
+}
+
+impl Persist for Cell {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let mut cell = Cell::new(d.str()?);
+        for element in Vec::<Element>::decode(d)? {
+            cell.push_element(element);
+        }
+        for instance in Vec::<Instance>::decode(d)? {
+            cell.push_instance(instance);
+        }
+        for port in Vec::<Port>::decode(d)? {
+            cell.push_port(port);
+        }
+        Ok(cell)
+    }
+}
+
+impl Persist for Library {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let mut library = Library::new();
+        for _ in 0..d.len()? {
+            library
+                .add_cell(Cell::decode(d)?)
+                .map_err(|err| format!("cannot rebuild library: {err}"))?;
+        }
+        Ok(library)
+    }
 }
 
 impl Persist for Design {
-    fn encode(&self, e: &mut Enc) {
-        e.len(self.library.len());
-        for (id, cell) in self.library.iter() {
-            e.u32(id.raw());
-            encode_cell(cell, e);
-        }
-        e.u32(self.top.raw());
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let n = d.len()?;
-        let mut library = Library::new();
-        let mut map: HashMap<u32, CellId> = HashMap::new();
-        for _ in 0..n {
-            let old_raw = d.u32()?;
-            let cell = decode_cell(d, &map)?;
-            let new_id = library
-                .add_cell(cell)
-                .map_err(|err| format!("cannot rebuild library: {err}"))?;
-            map.insert(old_raw, new_id);
+        let library = Library::decode(d)?;
+        let top = CellId::decode(d)?;
+        if library.cell(top).is_none() {
+            return Err(format!("top cell id {} not in library", top.raw()));
         }
-        let top_raw = d.u32()?;
-        let top = map
-            .get(&top_raw)
-            .copied()
-            .ok_or_else(|| format!("top cell id {top_raw} not in library"))?;
         Ok(Design { library, top })
     }
 }
 
 impl Persist for RuleKind {
-    fn encode(&self, e: &mut Enc) {
-        match *self {
-            RuleKind::MinWidth { layer, required } => {
-                e.u8(0);
-                layer.encode(e);
-                e.i64(required);
-            }
-            RuleKind::MinSpacing { a, b, required } => {
-                e.u8(1);
-                a.encode(e);
-                b.encode(e);
-                e.i64(required);
-            }
-            RuleKind::ContactMetalSurround { required } => {
-                e.u8(2);
-                e.i64(required);
-            }
-            RuleKind::ContactLowerSurround { required } => {
-                e.u8(3);
-                e.i64(required);
-            }
-            RuleKind::GateOverhang { poly, diff } => {
-                e.u8(4);
-                e.i64(poly);
-                e.i64(diff);
-            }
-        }
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         Ok(match d.u8()? {
             0 => RuleKind::MinWidth {
@@ -202,10 +129,6 @@ impl Persist for RuleKind {
 }
 
 impl Persist for Violation {
-    fn encode(&self, e: &mut Enc) {
-        self.rule.encode(e);
-        self.at.encode(e);
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         Ok(Violation {
             rule: RuleKind::decode(d)?,
@@ -215,11 +138,6 @@ impl Persist for Violation {
 }
 
 impl Persist for Report {
-    fn encode(&self, e: &mut Enc) {
-        e.str(&self.rules);
-        self.violations.encode(e);
-        e.u64(self.rects_checked as u64);
-    }
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         Ok(Report {
             rules: d.str()?,
@@ -232,7 +150,8 @@ impl Persist for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use silc_geom::{Fingerprint, Point};
+    use crate::codec::Enc;
+    use silc_geom::Fingerprint;
     use silc_lang::Compiler;
 
     fn round_trip<T: Persist>(v: &T) -> T {

@@ -18,12 +18,12 @@
 //! Parsing ISL is likewise always live, so simulation results are keyed
 //! by the *machine*, making them immune to formatting edits.
 
-use crate::codec::{Dec, DecodeError, Enc, Persist};
+use crate::codec::{Dec, DecodeError, Persist};
 use crate::engine::{Engine, JobStats, Stage};
 use silc_cif::CifWriter;
 use silc_drc::{check_flat_traced, Report, RuleSet};
 use silc_exec::{CompiledSim, SimEngine};
-use silc_geom::{Fingerprint, Rect};
+use silc_geom::{Fingerprint, FpHasher, Rect};
 use silc_lang::{Compiler, Design, PRELUDE};
 use silc_logic::TruthTable;
 use silc_netlist::Netlist;
@@ -51,12 +51,15 @@ pub struct FlatSnapshot {
     pub bbox: Option<Rect>,
 }
 
-impl Persist for FlatSnapshot {
-    fn encode(&self, e: &mut Enc) {
-        self.layers.encode(e);
-        e.u64(self.flat_elements);
-        self.bbox.encode(e);
+impl Fingerprint for FlatSnapshot {
+    fn fp_hash(&self, h: &mut FpHasher) {
+        self.layers.fp_hash(h);
+        h.write_u64(self.flat_elements);
+        self.bbox.fp_hash(h);
     }
+}
+
+impl Persist for FlatSnapshot {
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         Ok(FlatSnapshot {
             layers: Vec::<Vec<Rect>>::decode(d)?,
@@ -77,12 +80,15 @@ pub struct ExtractSnapshot {
     pub nets: u64,
 }
 
-impl Persist for ExtractSnapshot {
-    fn encode(&self, e: &mut Enc) {
-        self.signature.encode(e);
-        e.u64(self.transistors);
-        e.u64(self.nets);
+impl Fingerprint for ExtractSnapshot {
+    fn fp_hash(&self, h: &mut FpHasher) {
+        self.signature.fp_hash(h);
+        h.write_u64(self.transistors);
+        h.write_u64(self.nets);
     }
+}
+
+impl Persist for ExtractSnapshot {
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         Ok(ExtractSnapshot {
             signature: Vec::<String>::decode(d)?,
@@ -108,14 +114,17 @@ pub struct SimSnapshot {
     pub outputs: Vec<(String, u64)>,
 }
 
-impl Persist for SimSnapshot {
-    fn encode(&self, e: &mut Enc) {
-        e.u64(self.cycles);
-        self.halted.encode(e);
-        e.str(&self.state);
-        self.regs.encode(e);
-        self.outputs.encode(e);
+impl Fingerprint for SimSnapshot {
+    fn fp_hash(&self, h: &mut FpHasher) {
+        h.write_u64(self.cycles);
+        self.halted.fp_hash(h);
+        h.write_str(&self.state);
+        self.regs.fp_hash(h);
+        self.outputs.fp_hash(h);
     }
+}
+
+impl Persist for SimSnapshot {
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         Ok(SimSnapshot {
             cycles: d.u64()?,
@@ -137,14 +146,17 @@ pub struct SynthSnapshot {
     pub control: (u32, u32, u32, u32),
 }
 
-impl Persist for SynthSnapshot {
-    fn encode(&self, e: &mut Enc) {
-        e.str(&self.display);
-        e.u32(self.control.0);
-        e.u32(self.control.1);
-        e.u32(self.control.2);
-        e.u32(self.control.3);
+impl Fingerprint for SynthSnapshot {
+    fn fp_hash(&self, h: &mut FpHasher) {
+        h.write_str(&self.display);
+        h.write_u32(self.control.0);
+        h.write_u32(self.control.1);
+        h.write_u32(self.control.2);
+        h.write_u32(self.control.3);
     }
+}
+
+impl Persist for SynthSnapshot {
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         Ok(SynthSnapshot {
             display: d.str()?,
@@ -164,12 +176,15 @@ pub struct PlaSnapshot {
     pub cif: String,
 }
 
-impl Persist for PlaSnapshot {
-    fn encode(&self, e: &mut Enc) {
-        e.str(&self.personality);
-        self.report.encode(e);
-        e.str(&self.cif);
+impl Fingerprint for PlaSnapshot {
+    fn fp_hash(&self, h: &mut FpHasher) {
+        h.write_str(&self.personality);
+        self.report.fp_hash(h);
+        h.write_str(&self.cif);
     }
+}
+
+impl Persist for PlaSnapshot {
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         Ok(PlaSnapshot {
             personality: d.str()?,
@@ -206,19 +221,22 @@ pub struct PnrSnapshot {
     pub cif: String,
 }
 
-impl Persist for PnrSnapshot {
-    fn encode(&self, e: &mut Enc) {
-        e.u64(self.cells);
-        e.u64(self.nets);
-        e.u64(self.routed);
-        e.u64(self.wirelength);
-        e.u64(self.vias);
-        e.u64(self.rounds);
-        e.u64(self.ripup_rounds);
-        self.drc.encode(e);
-        self.lvs_ok.encode(e);
-        e.str(&self.cif);
+impl Fingerprint for PnrSnapshot {
+    fn fp_hash(&self, h: &mut FpHasher) {
+        h.write_u64(self.cells);
+        h.write_u64(self.nets);
+        h.write_u64(self.routed);
+        h.write_u64(self.wirelength);
+        h.write_u64(self.vias);
+        h.write_u64(self.rounds);
+        h.write_u64(self.ripup_rounds);
+        self.drc.fp_hash(h);
+        self.lvs_ok.fp_hash(h);
+        h.write_str(&self.cif);
     }
+}
+
+impl Persist for PnrSnapshot {
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         Ok(PnrSnapshot {
             cells: d.u64()?,
@@ -637,17 +655,20 @@ impl VerifySnapshot {
     }
 }
 
-impl Persist for VerifySnapshot {
-    fn encode(&self, e: &mut Enc) {
-        e.str(&self.check);
-        self.equivalent.encode(e);
-        e.u64(self.outputs);
-        e.u64(self.strash_merged);
-        e.u64(self.sim_rounds);
-        e.u64(self.sim_refuted);
-        e.u64(self.exact_decided);
-        self.mismatches.encode(e);
+impl Fingerprint for VerifySnapshot {
+    fn fp_hash(&self, h: &mut FpHasher) {
+        h.write_str(&self.check);
+        self.equivalent.fp_hash(h);
+        h.write_u64(self.outputs);
+        h.write_u64(self.strash_merged);
+        h.write_u64(self.sim_rounds);
+        h.write_u64(self.sim_refuted);
+        h.write_u64(self.exact_decided);
+        self.mismatches.fp_hash(h);
     }
+}
+
+impl Persist for VerifySnapshot {
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         Ok(VerifySnapshot {
             check: d.str()?,
@@ -675,15 +696,30 @@ fn verify_snapshot(check: &str, report: silc_verify::Report) -> VerifySnapshot {
     }
 }
 
-/// The single-level network realizing `spec`'s output covers.
-fn realized_network(spec: &PlaSpec) -> Result<Network, String> {
+/// The one table check behind `verify_pla`, `verify_isl` and
+/// `verify_against`: `impl_table` realized as a PLA under `mode`, its
+/// output covers lifted to a single-level network, checked against
+/// `spec_table`.
+fn check_table(
+    engine: &Engine,
+    check: &str,
+    impl_table: &TruthTable,
+    mode: Minimize,
+    spec_table: &TruthTable,
+) -> Result<VerifySnapshot, String> {
+    let tracer = engine.tracer();
+    let spec =
+        PlaSpec::from_truth_table_traced(impl_table, mode, tracer).map_err(|e| e.to_string())?;
     let outputs: Vec<(String, silc_logic::Cover)> = spec
         .output_names()
         .iter()
         .enumerate()
         .map(|(o, n)| (n.clone(), spec.output_cover(o)))
         .collect();
-    Network::from_covers(spec.input_names(), &outputs).map_err(|e| e.to_string())
+    let net = Network::from_covers(spec.input_names(), &outputs).map_err(|e| e.to_string())?;
+    let report = check_against_table_traced(&net, spec_table, &VerifyOptions::default(), tracer)
+        .map_err(|e| e.to_string())?;
+    Ok(verify_snapshot(check, report))
 }
 
 /// Check 2: minimized PLA vs. its own truth table. The implementation
@@ -703,14 +739,8 @@ pub fn verify_pla(
 ) -> Result<Arc<VerifySnapshot>, String> {
     let key = ("verify-pla", source).fingerprint();
     engine.query(Stage::VERIFY, key, stats, || {
-        let tracer = engine.tracer();
         let table = TruthTable::parse_pla(source).map_err(|e| e.to_string())?;
-        let spec = PlaSpec::from_truth_table_traced(&table, Minimize::Heuristic, tracer)
-            .map_err(|e| e.to_string())?;
-        let net = realized_network(&spec)?;
-        let report = check_against_table_traced(&net, &table, &VerifyOptions::default(), tracer)
-            .map_err(|e| e.to_string())?;
-        Ok(verify_snapshot("pla", report))
+        check_table(engine, "pla", &table, Minimize::Heuristic, &table)
     })
 }
 
@@ -733,15 +763,8 @@ pub fn verify_isl(
     let machine = silc_rtl::parse(source).map_err(|e| e.to_string())?;
     let key = ("verify-isl", &machine).fingerprint();
     engine.query(Stage::VERIFY, key, stats, || {
-        let tracer = engine.tracer();
-        let control = silc_synth::control_table(&machine);
-        let spec = PlaSpec::from_truth_table_traced(&control.table, Minimize::Heuristic, tracer)
-            .map_err(|e| e.to_string())?;
-        let net = realized_network(&spec)?;
-        let report =
-            check_against_table_traced(&net, &control.table, &VerifyOptions::default(), tracer)
-                .map_err(|e| e.to_string())?;
-        Ok(verify_snapshot("isl", report))
+        let table = silc_synth::control_table(&machine).table;
+        check_table(engine, "isl", &table, Minimize::Heuristic, &table)
     })
 }
 
@@ -800,16 +823,9 @@ pub fn verify_against(
 ) -> Result<Arc<VerifySnapshot>, String> {
     let key = ("verify-against", impl_source, spec_source).fingerprint();
     engine.query(Stage::VERIFY, key, stats, || {
-        let tracer = engine.tracer();
         let impl_table = TruthTable::parse_pla(impl_source).map_err(|e| format!("impl: {e}"))?;
         let spec_table = TruthTable::parse_pla(spec_source).map_err(|e| format!("spec: {e}"))?;
-        let spec = PlaSpec::from_truth_table_traced(&impl_table, Minimize::None, tracer)
-            .map_err(|e| e.to_string())?;
-        let net = realized_network(&spec)?;
-        let report =
-            check_against_table_traced(&net, &spec_table, &VerifyOptions::default(), tracer)
-                .map_err(|e| e.to_string())?;
-        Ok(verify_snapshot("against", report))
+        check_table(engine, "against", &impl_table, Minimize::None, &spec_table)
     })
 }
 

@@ -12,6 +12,7 @@
 //! during routing; other nets' routes are the router's own soft state.
 
 use crate::stack::RouteStack;
+use silc_drc::RuleSet;
 use silc_geom::{Coord, Rect, RectIndex};
 use silc_layout::Layer;
 
@@ -80,7 +81,8 @@ impl ObstructionMap {
             layers,
             cuts,
             diff: RectIndex::build(&diff_rects),
-            poly_diff_spacing: 1,
+            poly_diff_spacing: RuleSet::mead_conway_nmos()
+                .min_spacing(Layer::Poly, Layer::Diffusion),
         }
     }
 

@@ -7,6 +7,8 @@
 //! not a different router. Stacks join incremental cache keys through
 //! [`Fingerprint`], so editing the stack invalidates routed results.
 
+use crate::PnrError;
+use silc_drc::RuleSet;
 use silc_geom::{Coord, Fingerprint, FpHasher, Point, Rect};
 use silc_layout::Layer;
 use std::fmt;
@@ -38,7 +40,7 @@ pub struct RouteLayer {
     pub dir: Dir,
     /// Drawn wire width in lambda.
     pub wire_width: Coord,
-    /// Same-layer spacing rule in lambda (mirrors the DRC rule set).
+    /// Same-layer spacing rule in lambda.
     pub spacing: Coord,
 }
 
@@ -83,36 +85,63 @@ pub struct RouteStack {
 }
 
 impl RouteStack {
-    /// The Mead–Conway nMOS stack the rest of the workspace targets:
-    /// poly runs vertically, metal horizontally, contact cuts join
-    /// them. Pitch 7 leaves one lambda of slack between adjacent-track
-    /// 4x4 via pads under the 3-lambda metal spacing rule.
-    pub fn mead_conway_nmos() -> RouteStack {
-        RouteStack {
-            name: "mead-conway-nmos".to_string(),
-            layers: vec![
-                RouteLayer {
-                    layer: Layer::Poly,
-                    dir: Dir::Vert,
-                    wire_width: 2,
-                    spacing: 2,
-                },
-                RouteLayer {
-                    layer: Layer::Metal,
-                    dir: Dir::Horiz,
-                    wire_width: 3,
-                    spacing: 3,
-                },
-            ],
-            via: ViaRule {
-                cut_layer: Layer::Contact,
-                cut: 2,
-                surround: 1,
-                spacing: 2,
-            },
-            pitch: 7,
-            origin: Point::new(2, 4),
+    /// The stack a lambda rule deck induces: poly runs vertically, metal
+    /// horizontally, contact cuts join them, and every width, spacing
+    /// and the via rule are read from `rules`, so the router cannot
+    /// disagree with the checker. The pitch is the via pad plus the
+    /// widest same-layer spacing: adjacent-track pads clear every rule.
+    ///
+    /// # Errors
+    ///
+    /// [`PnrError::BadStack`] when the deck gives a wire or the cut no
+    /// width, or that pitch would put cuts on adjacent tracks closer
+    /// than the deck's cut spacing.
+    pub fn from_rules(rules: &RuleSet) -> Result<RouteStack, PnrError> {
+        let layer = |layer, dir| RouteLayer {
+            layer,
+            dir,
+            wire_width: rules.min_width(layer),
+            spacing: rules.min_spacing(layer, layer),
+        };
+        let layers = vec![
+            layer(Layer::Poly, Dir::Vert),
+            layer(Layer::Metal, Dir::Horiz),
+        ];
+        let via = ViaRule {
+            cut_layer: Layer::Contact,
+            cut: rules.min_width(Layer::Contact),
+            surround: rules
+                .contact_metal_surround
+                .max(rules.contact_lower_surround),
+            spacing: rules.min_spacing(Layer::Contact, Layer::Contact),
+        };
+        let pitch = via.pad() + layers.iter().map(|l| l.spacing).max().unwrap_or(0);
+        let drawable = via.cut > 0 && layers.iter().all(|l| l.wire_width > 0);
+        if !drawable || pitch < via.cut + via.spacing {
+            return Err(PnrError::BadStack {
+                stack: rules.name.clone(),
+                missing: "widths and a pitch that clear its own spacing rules",
+            });
         }
+        Ok(RouteStack {
+            name: rules.name.clone(),
+            layers,
+            via,
+            pitch,
+            origin: Point::new(2, 4),
+        })
+    }
+
+    /// The Mead–Conway nMOS stack the rest of the workspace targets,
+    /// derived from [`RuleSet::mead_conway_nmos`]: 4x4 via pads under
+    /// the 3-lambda metal spacing rule give pitch 7.
+    ///
+    /// # Panics
+    ///
+    /// Never — the Mead–Conway deck induces a legal stack.
+    pub fn mead_conway_nmos() -> RouteStack {
+        RouteStack::from_rules(&RuleSet::mead_conway_nmos())
+            .expect("the Mead-Conway deck induces a legal stack")
     }
 
     /// Looks up a stack by CLI name.
@@ -121,10 +150,10 @@ impl RouteStack {
     ///
     /// [`crate::PnrError::UnknownStack`] naming the unknown stack and
     /// the known ones.
-    pub fn by_name(name: &str) -> Result<RouteStack, crate::PnrError> {
+    pub fn by_name(name: &str) -> Result<RouteStack, PnrError> {
         match name {
             "mead-conway-nmos" | "nmos" => Ok(RouteStack::mead_conway_nmos()),
-            _ => Err(crate::PnrError::UnknownStack {
+            _ => Err(PnrError::UnknownStack {
                 name: name.to_string(),
             }),
         }
@@ -220,6 +249,46 @@ mod tests {
         // Adjacent-track via pads keep the metal spacing rule.
         let gap = s.pitch - s.via.pad();
         assert!(gap >= s.layers[1].spacing);
+    }
+
+    /// The derived default is the stack the literals used to spell, to
+    /// the cache key: routed results cached before the derivation hit.
+    #[test]
+    fn default_stack_keeps_its_numbers_and_its_fingerprint() {
+        let s = RouteStack::mead_conway_nmos();
+        let widths_and_spacings: Vec<_> =
+            s.layers.iter().map(|l| (l.wire_width, l.spacing)).collect();
+        assert_eq!(widths_and_spacings, [(2, 2), (3, 3)]);
+        assert_eq!((s.via.cut, s.via.surround, s.via.spacing), (2, 1, 2));
+        assert_eq!(s.pitch, 7);
+        assert_eq!(s.fingerprint().to_hex(), "3edd1efb315da0ceadaefa89ffbccced");
+    }
+
+    /// One edit to the rule deck moves the checker's verdict and the
+    /// router's pitch together.
+    #[test]
+    fn one_deck_edit_moves_the_drc_verdict_and_the_pitch() {
+        let bar = |x| Rect::from_origin_size(Point::new(x, 0), 3, 10).unwrap();
+        let mut layers = vec![Vec::new(); Layer::ALL.len()];
+        layers[Layer::Metal.index()] = vec![bar(0), bar(6)]; // a 3-lambda gap
+        let mut rules = RuleSet::mead_conway_nmos();
+        assert!(silc_drc::check_flat(&layers, &rules).is_clean());
+        assert_eq!(RouteStack::from_rules(&rules).unwrap().pitch, 7);
+
+        rules.set_min_spacing(Layer::Metal, Layer::Metal, 4);
+        assert!(!silc_drc::check_flat(&layers, &rules).is_clean());
+        let wide = RouteStack::from_rules(&rules).unwrap();
+        assert_eq!((wide.layers[1].spacing, wide.pitch), (4, 8));
+    }
+
+    #[test]
+    fn decks_that_cannot_clear_their_own_rules_are_refused() {
+        let err = RouteStack::from_rules(&RuleSet::permissive("off")).unwrap_err();
+        assert!(matches!(err, PnrError::BadStack { .. }), "{err}");
+        let mut rules = RuleSet::mead_conway_nmos();
+        rules.set_min_spacing(Layer::Contact, Layer::Contact, 9); // pitch 7 leaves cuts 5 apart
+        let err = RouteStack::from_rules(&rules).unwrap_err();
+        assert!(err.to_string().contains("pitch"), "{err}");
     }
 
     #[test]

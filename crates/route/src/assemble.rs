@@ -60,53 +60,6 @@ pub fn stack_assemble(
     pitch: Coord,
     name: &str,
 ) -> Result<(CellId, AssemblyStats), RouteError> {
-    stack_assemble_traced(
-        lib,
-        slices,
-        wire_layer,
-        wire_width,
-        pitch,
-        name,
-        &silc_trace::Tracer::disabled(),
-    )
-}
-
-/// [`stack_assemble`] with a [`silc_trace::Tracer`]: records a
-/// `route.assemble` span plus `route.channels`, `route.tracks` and
-/// `route.wire_length` counters.
-///
-/// # Errors
-///
-/// Same as [`stack_assemble`].
-#[allow(clippy::too_many_arguments)]
-pub fn stack_assemble_traced(
-    lib: &mut Library,
-    slices: &[Slice],
-    wire_layer: Layer,
-    wire_width: Coord,
-    pitch: Coord,
-    name: &str,
-    tracer: &silc_trace::Tracer,
-) -> Result<(CellId, AssemblyStats), RouteError> {
-    let _s = silc_trace::span!(tracer, "route.assemble");
-    let (id, stats) = stack_assemble_impl(lib, slices, wire_layer, wire_width, pitch, name)?;
-    tracer.add("route.channels", stats.channel_tracks.len() as u64);
-    tracer.add(
-        "route.tracks",
-        stats.channel_tracks.iter().sum::<usize>() as u64,
-    );
-    tracer.add("route.wire_length", stats.wire_length.unsigned_abs());
-    Ok((id, stats))
-}
-
-fn stack_assemble_impl(
-    lib: &mut Library,
-    slices: &[Slice],
-    wire_layer: Layer,
-    wire_width: Coord,
-    pitch: Coord,
-    name: &str,
-) -> Result<(CellId, AssemblyStats), RouteError> {
     let mut assembled = Cell::new(name);
     let mut y_cursor: Coord = 0;
     let mut wire_length: Coord = 0;

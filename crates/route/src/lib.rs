@@ -33,7 +33,7 @@ mod channel;
 mod error;
 mod river;
 
-pub use assemble::{stack_assemble, stack_assemble_traced, AssemblyStats, Slice};
+pub use assemble::{stack_assemble, AssemblyStats, Slice};
 pub use channel::{channel_density, channel_route, ChannelProblem, ChannelRoute, NetId};
 pub use error::RouteError;
 pub use river::{paths_cross, river_route, RiverRoute};

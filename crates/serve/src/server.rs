@@ -20,8 +20,8 @@
 //!   deadlines.
 //! * **Per-client fairness** — a worker avoids serving the same
 //!   connection twice in a row when another client's job waits within
-//!   the first [`FAIRNESS_SCAN`] of a lane, so one chatty connection
-//!   cannot starve its neighbours.
+//!   the first four of a lane, so one chatty connection cannot starve
+//!   its neighbours.
 //! * **Exact backpressure** — at most `queue_capacity` jobs wait; the
 //!   test and the enqueue are one critical section, so no number of
 //!   racing connections overshoots it. Past it requests answer
@@ -699,10 +699,8 @@ fn stats_fields(shared: &Shared, queue: &Queue) -> Vec<(String, Json)> {
             "workers".into(),
             Json::Int(shared.config.jobs.max(1) as i128),
         ),
-        (
-            "shards".into(),
-            Json::Int(shared.engine.shard_count() as i128),
-        ),
+        // The memory tier is one LRU behind one lock.
+        ("shards".into(), Json::Int(1)),
         (
             "queue_capacity".into(),
             Json::Int(shared.config.queue_capacity.max(1) as i128),
@@ -972,7 +970,7 @@ mod tests {
         let stats = request(addr, r#"{"op":"stats"}"#);
         assert_eq!(stats.get("batch"), Some(&Json::Int(1)));
         assert_eq!(stats.get("interactive"), Some(&Json::Int(1)));
-        assert_eq!(stats.get("shards"), Some(&Json::Int(8)));
+        assert_eq!(stats.get("shards"), Some(&Json::Int(1)));
         assert!(stats.get("mem_entries").is_some());
         handle.shutdown();
         join.join().expect("clean exit");

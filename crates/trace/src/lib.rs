@@ -5,9 +5,9 @@
 //! and area go. This crate is the measurement substrate for the whole
 //! SILC pipeline: lightweight hierarchical **spans** (RAII wall-time
 //! guards named like `"drc.spacing"`), monotonic **counters** (rects
-//! indexed, PLA terms, cells elaborated, DRC violations, …), and
-//! pluggable **sinks** that render a finished trace as a human summary
-//! table or as a machine-readable JSONL event stream.
+//! indexed, PLA terms, cells elaborated, DRC violations, …), and two
+//! renderings of a finished trace: a human summary table and a
+//! machine-readable JSONL event stream.
 //!
 //! Design constraints, in order:
 //!
@@ -41,7 +41,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -247,7 +246,8 @@ impl Drop for Span<'_> {
 }
 
 /// A finished, immutable trace: ordered span events plus final counter
-/// values. Produced by [`Tracer::finish`], consumed by [`Sink`]s.
+/// values. Produced by [`Tracer::finish`]; rendered by
+/// [`TraceReport::stats_table`] and [`TraceReport::to_jsonl`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceReport {
     spans: Vec<SpanEvent>,
@@ -349,15 +349,6 @@ impl TraceReport {
         }
         out
     }
-
-    /// Streams this report into `sink`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sink's I/O error.
-    pub fn emit(&self, sink: &mut dyn Sink) -> io::Result<()> {
-        sink.emit(self)
-    }
 }
 
 fn fmt_us(us: u64) -> String {
@@ -367,54 +358,6 @@ fn fmt_us(us: u64) -> String {
         format!("{:.2} ms", us as f64 / 1e3)
     } else {
         format!("{us} us")
-    }
-}
-
-/// A destination for a finished trace. Implementations decide the
-/// rendering; [`StatsSink`] and [`JsonlSink`] cover the CLI's `--stats`
-/// and `--trace` flags, and tests plug in their own.
-pub trait Sink {
-    /// Writes the report to the sink's destination.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error, if any.
-    fn emit(&mut self, report: &TraceReport) -> io::Result<()>;
-}
-
-/// Human-readable summary-table sink (the `--stats` format).
-pub struct StatsSink<W: io::Write> {
-    writer: W,
-}
-
-impl<W: io::Write> StatsSink<W> {
-    /// Wraps a writer.
-    pub fn new(writer: W) -> StatsSink<W> {
-        StatsSink { writer }
-    }
-}
-
-impl<W: io::Write> Sink for StatsSink<W> {
-    fn emit(&mut self, report: &TraceReport) -> io::Result<()> {
-        self.writer.write_all(report.stats_table().as_bytes())
-    }
-}
-
-/// JSONL event-stream sink (the `--trace <file>` format).
-pub struct JsonlSink<W: io::Write> {
-    writer: W,
-}
-
-impl<W: io::Write> JsonlSink<W> {
-    /// Wraps a writer.
-    pub fn new(writer: W) -> JsonlSink<W> {
-        JsonlSink { writer }
-    }
-}
-
-impl<W: io::Write> Sink for JsonlSink<W> {
-    fn emit(&mut self, report: &TraceReport) -> io::Result<()> {
-        self.writer.write_all(report.to_jsonl().as_bytes())
     }
 }
 
@@ -519,19 +462,6 @@ mod tests {
         assert!(jsonl.contains("\"stage\":\"lang.parse\""), "{jsonl}");
         assert!(jsonl.contains("\"tokens\":99"), "{jsonl}");
         assert!(jsonl.contains("\"event\":\"counter\""), "{jsonl}");
-    }
-
-    #[test]
-    fn sinks_write_their_formats() {
-        let t = Tracer::enabled();
-        drop(span!(t, "stage.one"));
-        let report = t.finish();
-        let mut stats = Vec::new();
-        StatsSink::new(&mut stats).emit(&report).unwrap();
-        assert!(String::from_utf8(stats).unwrap().contains("stage.one"));
-        let mut jsonl = Vec::new();
-        JsonlSink::new(&mut jsonl).emit(&report).unwrap();
-        assert!(String::from_utf8(jsonl).unwrap().starts_with('{'));
     }
 
     #[test]

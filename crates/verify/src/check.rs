@@ -1,31 +1,35 @@
 //! The decision engine: structural hashing, simulation-guided partition
 //! refinement, and exact cube-cover containment.
 //!
-//! Both entry points run the same three-tier procedure:
+//! Both entry points state what they want proved as a list of
+//! *obligations* `lo ⊆ f ⊆ hi`, one per output — a spec *node* gives
+//! `lo = hi =` that node, a truth-table column gives `lo = ON ∖ DC`,
+//! `hi = ON ∪ DC` — and hand it to one three-tier procedure, `decide`:
 //!
 //! 1. **Structural hashing** — the two sides are spliced into one
 //!    network over shared primary inputs and [`Network::strash`]ed;
-//!    output pairs that collapse to the same node are equivalent with no
+//!    an output that collapses onto its spec node is equivalent with no
 //!    further work.
 //! 2. **Simulation refinement** — rounds of 64-lane bit-packed random
-//!    vectors partition the surviving nodes into candidate-equivalence
-//!    classes; an output pair whose words ever differ is *refuted*, and
-//!    the differing lane is decoded into a concrete counterexample.
-//!    Rounds stop early once the partition is stable.
-//! 3. **Exact fallback** — pairs still candidate-equivalent are decided
-//!    by flattening both sides to ON/OFF covers over the primary inputs
-//!    and asking [`Cover::covers`] in both directions. Simulation can
-//!    only refute; this tier is what makes a *pass* a proof.
+//!    vectors evaluate every node; an output whose word ever leaves
+//!    `[lo, hi]` is *refuted*, and the offending lane is decoded into a
+//!    concrete counterexample. Rounds stop early once nothing more can
+//!    be told apart.
+//! 3. **Exact fallback** — outputs still unrefuted are decided by
+//!    flattening to ON/OFF covers over the primary inputs and asking
+//!    [`Cover::covers`] in both directions. Simulation can only refute;
+//!    this tier is what makes a *pass* a proof.
 //!
 //! There is no SAT solver anywhere: the exact tier is the same cube
 //! calculus (`cofactor`-until-tautology) that `minimize` is built on.
 
-use crate::network::Network;
+use crate::network::{complement_cover, cover_word, Network, NodeId};
 use crate::{Report, VerifyError};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use silc_logic::{Cover, Cube, Lit, TruthTable};
 use silc_trace::{span, Tracer};
+use std::collections::HashMap;
 
 /// Tuning knobs for the decision engine.
 #[derive(Debug, Clone)]
@@ -99,12 +103,25 @@ fn render_cube(names: &[String], cube: &Cube) -> String {
     }
 }
 
-/// One output pair awaiting a verdict.
-struct Pair {
+/// What an implementation output `f` must satisfy: `lo ⊆ f ⊆ hi`.
+enum Spec {
+    /// `lo = hi =` this output of the combined network: the other side
+    /// of an equivalence, spliced in beside the implementation.
+    Node(usize),
+    /// One truth-table column over the primary inputs: `lo = on ∖ dc`,
+    /// `hi = on ∪ dc`. A minterm listed both ON and DC counts as a
+    /// don't-care — the same convention `minimize` uses (its IRREDUNDANT
+    /// step may drop any cube inside the DC set).
+    Table { on: Cover, dc: Cover },
+}
+
+/// One proof obligation: output `f` of the combined network (an index
+/// into [`Network::outputs`], so it survives strash renumbering)
+/// against its specification.
+struct Obligation {
     name: String,
-    impl_node: crate::network::NodeId,
-    spec_node: crate::network::NodeId,
-    refuted: Option<String>,
+    f: usize,
+    spec: Spec,
 }
 
 /// Splices `spec` into `impl_net` over shared primary inputs (matched
@@ -113,7 +130,7 @@ struct Pair {
 fn splice(
     impl_net: &Network,
     spec: &Network,
-) -> Result<(Network, Vec<(String, crate::network::NodeId)>), VerifyError> {
+) -> Result<(Network, Vec<(String, NodeId)>), VerifyError> {
     let mut combined = impl_net.clone();
     // Spec inputs must be exactly the impl inputs (any order).
     let mut missing: Vec<&str> = Vec::new();
@@ -142,6 +159,29 @@ fn splice(
     Ok((combined, spec_outputs))
 }
 
+/// Pairs every output the `side` (`spec` or `table`) names with the
+/// implementation output of the same name, as an index into
+/// `impl_net.outputs()`; both sides must expose the same name set.
+fn pair_outputs(
+    impl_net: &Network,
+    names: &[String],
+    side: &str,
+) -> Result<Vec<usize>, VerifyError> {
+    let mut paired = Vec::with_capacity(names.len());
+    for name in names {
+        let f = impl_net.outputs().iter().position(|(n, _)| n == name);
+        paired.push(f.ok_or_else(|| VerifyError::InputMismatch {
+            detail: format!("{side} output `{name}` has no impl counterpart"),
+        })?);
+    }
+    if let Some((extra, _)) = impl_net.outputs().iter().find(|(n, _)| !names.contains(n)) {
+        return Err(VerifyError::InputMismatch {
+            detail: format!("impl output `{extra}` has no {side} counterpart"),
+        });
+    }
+    Ok(paired)
+}
+
 /// Checks two completely specified networks for functional equivalence,
 /// output by output. Outputs are paired by name; both sides must expose
 /// the same output and input name sets.
@@ -159,163 +199,22 @@ pub fn check_equivalence_traced(
     tracer: &Tracer,
 ) -> Result<Report, VerifyError> {
     let (mut combined, spec_outputs) = splice(impl_net, spec_net)?;
-
-    // Pair outputs by name.
-    let mut pairs: Vec<Pair> = Vec::new();
-    for (name, spec_node) in &spec_outputs {
-        let impl_node = combined
-            .outputs()
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, id)| id)
-            .ok_or_else(|| VerifyError::InputMismatch {
-                detail: format!("spec output `{name}` has no impl counterpart"),
-            })?;
-        pairs.push(Pair {
-            name: name.clone(),
-            impl_node,
-            spec_node: *spec_node,
-            refuted: None,
-        });
+    let names: Vec<String> = spec_outputs.iter().map(|(n, _)| n.clone()).collect();
+    let paired = pair_outputs(impl_net, &names, "spec")?;
+    let mut obligations = Vec::with_capacity(paired.len());
+    for (f, (name, node)) in paired.into_iter().zip(spec_outputs) {
+        // An unnamed output keeps the spec node live through strash.
+        let spec = Spec::Node(combined.outputs().len());
+        combined.mark_output("", node);
+        obligations.push(Obligation { name, f, spec });
     }
-    if let Some((extra, _)) = impl_net
-        .outputs()
-        .iter()
-        .find(|(n, _)| !spec_outputs.iter().any(|(s, _)| s == n))
-    {
-        return Err(VerifyError::InputMismatch {
-            detail: format!("impl output `{extra}` has no spec counterpart"),
-        });
-    }
-    for (_, node) in &spec_outputs {
-        combined.mark_output("", *node); // keep spec nodes live through strash
-    }
-
-    let strash_merged = {
-        let mut s = span!(tracer, "verify.strash");
-        let merged = combined.strash();
-        s.attr("merged", merged as u64);
-        merged
-    };
-    // Re-read node ids after strash remapping: outputs were appended in
-    // pair order after the impl outputs.
-    let impl_out_count = impl_net.outputs().len();
-    for (i, pair) in pairs.iter_mut().enumerate() {
-        pair.spec_node = combined.outputs()[impl_out_count + i].1;
-        pair.impl_node = combined
-            .outputs()
-            .iter()
-            .find(|(n, _)| n == &pair.name)
-            .map(|&(_, id)| id)
-            .expect("impl output survives strash");
-    }
-
-    // Tier 2: simulation-guided partition refinement.
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    let names: Vec<String> = combined.input_names().to_vec();
-    let mut classes: Vec<u32> = vec![0; combined.len()];
-    let mut class_count = 1usize;
-    let mut rounds = 0usize;
-    let mut refuted = 0usize;
-    {
-        let mut s = span!(tracer, "verify.sim");
-        for round in 0..options.sim_rounds {
-            rounds = round + 1;
-            let words = input_words(names.len(), round, &mut rng);
-            let values = combined.eval64(&words);
-            for pair in pairs.iter_mut().filter(|p| p.refuted.is_none()) {
-                let a = values[pair.impl_node.index()];
-                let b = values[pair.spec_node.index()];
-                if a != b {
-                    let lane = (a ^ b).trailing_zeros();
-                    pair.refuted = Some(format!(
-                        "output `{}`: impl={} spec={} under {}",
-                        pair.name,
-                        (a >> lane) & 1,
-                        (b >> lane) & 1,
-                        render_lane(&names, &words, lane)
-                    ));
-                    refuted += 1;
-                }
-            }
-            // Refine the candidate partition: nodes stay together only
-            // while their signatures agree.
-            let mut next: std::collections::HashMap<(u32, u64), u32> =
-                std::collections::HashMap::new();
-            let mut changed = false;
-            for (i, &v) in values.iter().enumerate() {
-                let len = next.len() as u32;
-                let class = *next.entry((classes[i], v)).or_insert(len);
-                if class != classes[i] {
-                    changed = true;
-                }
-                classes[i] = class;
-            }
-            class_count = next.len();
-            if !changed && round > 0 {
-                break; // partition stable: more vectors refine nothing
-            }
-        }
-        s.attr("rounds", rounds as u64);
-        s.attr("classes", class_count as u64);
-    }
-    tracer.add("verify.sim_refuted", refuted as u64);
-
-    // Tier 3: exact decision for the surviving candidates.
-    let mut exact_decided = 0usize;
-    let mut mismatches: Vec<String> = pairs.iter().filter_map(|p| p.refuted.clone()).collect();
-    let undecided: Vec<&Pair> = pairs
-        .iter()
-        .filter(|p| p.refuted.is_none() && p.impl_node != p.spec_node)
-        .collect();
-    if !undecided.is_empty() {
-        let mut s = span!(tracer, "verify.exact");
-        let phases = combined.flatten_phases(options.cube_cap)?;
-        for pair in undecided {
-            exact_decided += 1;
-            let (on_a, off_a) = &phases[pair.impl_node.index()];
-            let (on_b, off_b) = &phases[pair.spec_node.index()];
-            if on_a.equivalent(on_b) {
-                continue;
-            }
-            // Build a witness: a cube where exactly one side is ON.
-            let witness = intersect_covers(on_a, off_b)
-                .cubes()
-                .first()
-                .cloned()
-                .or_else(|| intersect_covers(off_a, on_b).cubes().first().cloned());
-            let place = witness
-                .map(|c| render_cube(&names, &c))
-                .unwrap_or_else(|| "unknown input".to_string());
-            mismatches.push(format!(
-                "output `{}`: impl and spec differ (e.g. under {place})",
-                pair.name
-            ));
-        }
-        s.attr("decided", exact_decided as u64);
-    }
-
-    mismatches.sort();
-    finish_report(
-        tracer,
-        Report {
-            equivalent: mismatches.is_empty(),
-            outputs: pairs.len(),
-            strash_merged,
-            sim_rounds: rounds,
-            sim_refuted: refuted,
-            exact_decided,
-            mismatches,
-        },
-    )
+    decide(combined, &obligations, options, tracer)
 }
 
 /// Checks an implementation network against a [`TruthTable`]
 /// specification with don't-cares: for every output, the implementation
-/// must sit between ON ∖ DC and ON ∪ DC. A minterm listed both ON and
-/// DC counts as a don't-care — the same convention `minimize` uses (its
-/// IRREDUNDANT step may drop any cube inside the DC set). A fully
-/// specified table (no `-` outputs) degenerates to plain equivalence.
+/// must sit between ON ∖ DC and ON ∪ DC. A fully specified table (no
+/// `-` outputs) degenerates to plain equivalence.
 ///
 /// # Errors
 ///
@@ -336,173 +235,173 @@ pub fn check_against_table_traced(
             ),
         });
     }
-    let mut spec: Vec<(String, Cover, Cover)> = Vec::new(); // (name, on, dc)
-    for (o, name) in table.output_names().iter().enumerate() {
-        if !impl_net.outputs().iter().any(|(n, _)| n == name) {
-            return Err(VerifyError::InputMismatch {
-                detail: format!("table output `{name}` has no impl counterpart"),
-            });
-        }
-        let on = table.on_cover(o).map_err(VerifyError::Logic)?;
-        let dc = table.dc_cover(o).map_err(VerifyError::Logic)?;
-        spec.push((name.clone(), on, dc));
-    }
-    if let Some((extra, _)) = impl_net
-        .outputs()
-        .iter()
-        .find(|(n, _)| !table.output_names().contains(n))
-    {
-        return Err(VerifyError::InputMismatch {
-            detail: format!("impl output `{extra}` has no table counterpart"),
+    let paired = pair_outputs(impl_net, table.output_names(), "table")?;
+    let mut obligations = Vec::with_capacity(paired.len());
+    for (o, (name, f)) in table.output_names().iter().zip(paired).enumerate() {
+        let (on, dc) = (table.on_cover(o)?, table.dc_cover(o)?);
+        obligations.push(Obligation {
+            name: name.clone(),
+            f,
+            spec: Spec::Table { on, dc },
         });
     }
+    decide(impl_net.clone(), &obligations, options, tracer)
+}
 
-    let mut combined = impl_net.clone();
+/// The decision procedure: strash, simulate, decide exactly, report.
+/// `combined` holds every node any obligation names.
+fn decide(
+    mut combined: Network,
+    obligations: &[Obligation],
+    options: &Options,
+    tracer: &Tracer,
+) -> Result<Report, VerifyError> {
     let strash_merged = {
         let mut s = span!(tracer, "verify.strash");
         let merged = combined.strash();
         s.attr("merged", merged as u64);
         merged
     };
+    let node = |output: usize| combined.outputs()[output].1.index();
+    let names = combined.input_names();
 
-    // Tier 2: word-parallel refutation against the table's covers.
+    // Tier 2: word-parallel refutation. Candidate-equivalence classes
+    // only mean something when some spec is itself a node; then rounds
+    // stop once the partition is stable. Against tables alone they stop
+    // once nothing is left to refute.
+    let refine = obligations
+        .iter()
+        .any(|ob| matches!(ob.spec, Spec::Node(_)));
     let mut rng = StdRng::seed_from_u64(options.seed);
-    let names: Vec<String> = combined.input_names().to_vec();
-    let mut refuted_by: Vec<Option<String>> = vec![None; spec.len()];
+    let mut refuted: Vec<Option<String>> = vec![None; obligations.len()];
+    let mut classes: Vec<u32> = vec![0; combined.len()];
+    let mut class_count = 1usize;
     let mut rounds = 0usize;
-    let mut refuted = 0usize;
     {
         let mut s = span!(tracer, "verify.sim");
         for round in 0..options.sim_rounds {
             rounds = round + 1;
             let words = input_words(names.len(), round, &mut rng);
             let values = combined.eval64(&words);
-            for (i, (name, on, dc)) in spec.iter().enumerate() {
-                if refuted_by[i].is_some() {
+            for (ob, verdict) in obligations.iter().zip(&mut refuted) {
+                if verdict.is_some() {
                     continue;
                 }
-                let node = combined
-                    .outputs()
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|&(_, id)| id)
-                    .expect("validated above");
-                let impl_w = values[node.index()];
-                let on_w = eval_cover64(on, &words);
-                let dc_w = eval_cover64(dc, &words);
-                // Wrong when the spec demands ON (outside DC) and the
-                // impl is low, or the impl is high outside ON ∪ DC.
-                let bad = (on_w & !dc_w & !impl_w) | (impl_w & !(on_w | dc_w));
+                let f = values[node(ob.f)];
+                let (lo, hi) = match &ob.spec {
+                    Spec::Node(spec) => (values[node(*spec)], values[node(*spec)]),
+                    Spec::Table { on, dc } => {
+                        let on = cover_word(on, |i| words[i]);
+                        let dc = cover_word(dc, |i| words[i]);
+                        (on & !dc, on | dc)
+                    }
+                };
+                let bad = (lo & !f) | (f & !hi);
                 if bad != 0 {
+                    // In a bad lane the spec demands the opposite bit.
                     let lane = bad.trailing_zeros();
-                    refuted_by[i] = Some(format!(
-                        "output `{name}`: impl={} spec={} under {}",
-                        (impl_w >> lane) & 1,
-                        (on_w >> lane) & 1,
-                        render_lane(&names, &words, lane)
+                    let bit = (f >> lane) & 1;
+                    *verdict = Some(format!(
+                        "output `{}`: impl={bit} spec={} under {}",
+                        ob.name,
+                        bit ^ 1,
+                        render_lane(names, &words, lane)
                     ));
-                    refuted += 1;
                 }
             }
-            if refuted_by.iter().all(|r| r.is_some()) {
+            let settled = if refine {
+                // Nodes stay together only while their signatures agree.
+                let mut next: HashMap<(u32, u64), u32> = HashMap::new();
+                let mut changed = false;
+                for (class, &v) in classes.iter_mut().zip(&values) {
+                    let len = next.len() as u32;
+                    let refined = *next.entry((*class, v)).or_insert(len);
+                    changed |= refined != *class;
+                    *class = refined;
+                }
+                class_count = next.len();
+                !changed && round > 0
+            } else {
+                refuted.iter().all(Option::is_some)
+            };
+            if settled {
                 break;
             }
         }
         s.attr("rounds", rounds as u64);
+        if refine {
+            s.attr("classes", class_count as u64);
+        }
     }
-    tracer.add("verify.sim_refuted", refuted as u64);
+    let sim_refuted = refuted.iter().flatten().count();
+    tracer.add("verify.sim_refuted", sim_refuted as u64);
 
-    // Tier 3: exact containment for outputs simulation could not refute.
-    let mut exact_decided = 0usize;
-    let mut mismatches: Vec<String> = refuted_by.iter().flatten().cloned().collect();
-    if refuted_by.iter().any(|r| r.is_none()) {
+    // Tier 3: exact containment for whatever simulation could not
+    // refute and strash did not already merge with its spec.
+    let undecided: Vec<&Obligation> = obligations
+        .iter()
+        .zip(&refuted)
+        .filter(|(ob, refuted)| {
+            refuted.is_none() && !matches!(ob.spec, Spec::Node(spec) if node(spec) == node(ob.f))
+        })
+        .map(|(ob, _)| ob)
+        .collect();
+    let mut mismatches: Vec<String> = refuted.iter().flatten().cloned().collect();
+    if !undecided.is_empty() {
         let mut s = span!(tracer, "verify.exact");
         let phases = combined.flatten_phases(options.cube_cap)?;
-        for (i, (name, on, dc)) in spec.iter().enumerate() {
-            if refuted_by[i].is_some() {
-                continue;
-            }
-            exact_decided += 1;
-            let node = combined
-                .outputs()
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|&(_, id)| id)
-                .expect("validated above");
-            let (impl_on, impl_off) = &phases[node.index()];
-            let required = intersect_covers(on, &complement(dc));
-            if !impl_on.covers(&required) {
-                let witness = intersect_covers(&required, impl_off)
-                    .cubes()
-                    .first()
-                    .cloned();
-                let place = witness
-                    .map(|c| render_cube(&names, &c))
-                    .unwrap_or_else(|| "unknown input".to_string());
-                mismatches.push(format!(
-                    "output `{name}`: impl drops required ON-set (e.g. under {place})"
-                ));
-                continue;
-            }
-            let mut allowed = on.clone();
-            for cube in dc.cubes() {
-                allowed.push(cube.clone()).map_err(VerifyError::Logic)?;
-            }
-            if !allowed.covers(impl_on) {
-                let witness = intersect_covers(impl_on, &complement(&allowed))
-                    .cubes()
-                    .first()
-                    .cloned();
-                let place = witness
-                    .map(|c| render_cube(&names, &c))
-                    .unwrap_or_else(|| "unknown input".to_string());
-                mismatches.push(format!(
-                    "output `{name}`: impl asserts outside ON \u{222a} DC (e.g. under {place})"
-                ));
+        for ob in &undecided {
+            let (f_on, f_off) = &phases[node(ob.f)];
+            // A failure is a cube where `f` leaves `[lo, hi]`.
+            let failure = match &ob.spec {
+                Spec::Node(spec) => {
+                    let (on, off) = &phases[node(*spec)];
+                    (!f_on.equivalent(on)).then(|| {
+                        let cube = witness(f_on, off).or_else(|| witness(f_off, on));
+                        ("impl and spec differ", cube)
+                    })
+                }
+                Spec::Table { on, dc } => {
+                    let lo = intersect_covers(on, &complement_cover(dc));
+                    let mut hi = on.clone();
+                    for cube in dc.cubes() {
+                        hi.push(cube.clone())?;
+                    }
+                    if !f_on.covers(&lo) {
+                        Some(("impl drops required ON-set", witness(&lo, f_off)))
+                    } else if !hi.covers(f_on) {
+                        let cube = witness(f_on, &complement_cover(&hi));
+                        Some(("impl asserts outside ON \u{222a} DC", cube))
+                    } else {
+                        None
+                    }
+                }
+            };
+            if let Some((what, cube)) = failure {
+                let place = cube.map_or_else(
+                    || "unknown input".to_string(),
+                    |cube| render_cube(names, &cube),
+                );
+                mismatches.push(format!("output `{}`: {what} (e.g. under {place})", ob.name));
             }
         }
-        s.attr("decided", exact_decided as u64);
+        s.attr("decided", undecided.len() as u64);
     }
 
     mismatches.sort();
-    finish_report(
-        tracer,
-        Report {
-            equivalent: mismatches.is_empty(),
-            outputs: spec.len(),
-            strash_merged,
-            sim_rounds: rounds,
-            sim_refuted: refuted,
-            exact_decided,
-            mismatches,
-        },
-    )
-}
-
-fn finish_report(tracer: &Tracer, report: Report) -> Result<Report, VerifyError> {
-    tracer.add("verify.outputs", report.outputs as u64);
-    tracer.add("verify.strash_merged", report.strash_merged as u64);
-    tracer.add("verify.exact_decided", report.exact_decided as u64);
-    tracer.add("verify.mismatches", report.mismatches.len() as u64);
-    Ok(report)
-}
-
-/// Evaluates a cover over 64 packed input vectors (same convention as
-/// [`Network::eval64`]).
-fn eval_cover64(cover: &Cover, words: &[u64]) -> u64 {
-    let mut sum = 0u64;
-    for cube in cover.cubes() {
-        let mut product = u64::MAX;
-        for (i, &lit) in cube.lits().iter().enumerate() {
-            product &= match lit {
-                Lit::One => words[i],
-                Lit::Zero => !words[i],
-                Lit::DontCare => u64::MAX,
-            };
-        }
-        sum |= product;
-    }
-    sum
+    tracer.add("verify.outputs", obligations.len() as u64);
+    tracer.add("verify.strash_merged", strash_merged as u64);
+    tracer.add("verify.exact_decided", undecided.len() as u64);
+    tracer.add("verify.mismatches", mismatches.len() as u64);
+    Ok(Report {
+        equivalent: mismatches.is_empty(),
+        outputs: obligations.len(),
+        strash_merged,
+        sim_rounds: rounds,
+        sim_refuted,
+        exact_decided: undecided.len(),
+        mismatches,
+    })
 }
 
 /// Pairwise cube intersection of two covers (the AND of the functions).
@@ -516,8 +415,9 @@ fn intersect_covers(a: &Cover, b: &Cover) -> Cover {
     Cover::from_cubes(n, cubes).expect("widths agree")
 }
 
-fn complement(cover: &Cover) -> Cover {
-    crate::network::complement_cover(cover)
+/// Some cube inside both `a` and `b`, if they meet.
+fn witness(a: &Cover, b: &Cover) -> Option<Cube> {
+    intersect_covers(a, b).cubes().first().cloned()
 }
 
 #[cfg(test)]
@@ -621,6 +521,39 @@ mod tests {
         let r = check_against_table_traced(&wrong, &spec, &opts, &t).unwrap();
         assert!(!r.equivalent);
         assert!(r.mismatches[0].contains("f"), "{}", r.mismatches[0]);
+    }
+
+    /// With simulation off every output reaches the exact tier, whose
+    /// three mismatch texts front-ends print verbatim.
+    #[test]
+    fn exact_tier_mismatch_texts_are_pinned() {
+        let net = |cubes: &[&str]| {
+            let cubes = cubes.iter().map(|c| Cube::parse(c).unwrap()).collect();
+            let f = Cover::from_cubes(2, cubes).unwrap();
+            Network::from_covers(&["a".into(), "b".into()], &[("f".into(), f)]).unwrap()
+        };
+        let exact = Options {
+            sim_rounds: 0,
+            ..Options::default()
+        };
+        let t = Tracer::disabled();
+        let r = check_equivalence_traced(&net(&["11"]), &net(&["1-"]), &exact, &t).unwrap();
+        assert_eq!((r.sim_rounds, r.exact_decided), (0, 1));
+        assert_eq!(
+            r.mismatches,
+            ["output `f`: impl and spec differ (e.g. under a=1 b=0)"]
+        );
+        let spec = TruthTable::parse_pla(".i 2\n.o 1\n.ilb a b\n.ob f\n11 1\n10 -\n.e\n").unwrap();
+        let r = check_against_table_traced(&net(&["0-"]), &spec, &exact, &t).unwrap();
+        assert_eq!(
+            r.mismatches,
+            ["output `f`: impl drops required ON-set (e.g. under a=1 b=1)"]
+        );
+        let r = check_against_table_traced(&net(&["1-", "-1"]), &spec, &exact, &t).unwrap();
+        assert_eq!(
+            r.mismatches,
+            ["output `f`: impl asserts outside ON \u{222a} DC (e.g. under a=0 b=1)"]
+        );
     }
 
     #[test]

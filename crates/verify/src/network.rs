@@ -302,19 +302,7 @@ impl Network {
                     cover,
                     complement,
                 } => {
-                    let mut sum = 0u64;
-                    for cube in cover.cubes() {
-                        let mut product = u64::MAX;
-                        for (pos, &lit) in cube.lits().iter().enumerate() {
-                            let word = values[fanins[pos].index()];
-                            product &= match lit {
-                                Lit::One => word,
-                                Lit::Zero => !word,
-                                Lit::DontCare => u64::MAX,
-                            };
-                        }
-                        sum |= product;
-                    }
+                    let sum = cover_word(cover, |pos| values[fanins[pos].index()]);
                     if *complement {
                         !sum
                     } else {
@@ -373,6 +361,25 @@ impl Network {
         }
         Ok(phases)
     }
+}
+
+/// Evaluates `cover` over 64 packed vectors: `word(pos)` is the word
+/// feeding cover position `pos`. A product term is an AND of (possibly
+/// negated) words, the cover the OR of its terms.
+pub(crate) fn cover_word(cover: &Cover, word: impl Fn(usize) -> u64) -> u64 {
+    let mut sum = 0u64;
+    for cube in cover.cubes() {
+        let mut product = u64::MAX;
+        for (pos, &lit) in cube.lits().iter().enumerate() {
+            product &= match lit {
+                Lit::One => word(pos),
+                Lit::Zero => !word(pos),
+                Lit::DontCare => u64::MAX,
+            };
+        }
+        sum |= product;
+    }
+    sum
 }
 
 /// Substitutes fanin phase covers into `cover`'s product terms: a `1`

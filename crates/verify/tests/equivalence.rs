@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use silc_logic::{Cover, Cube, Lit, OutBit, TruthTable};
 use silc_pla::{Minimize, PlaSpec};
 use silc_trace::Tracer;
-use silc_verify::{check_against_table_traced, Network, Options};
+use silc_verify::{check_against_table_traced, check_equivalence_traced, Network, Options};
 
 /// A random truth table with don't-care outputs.
 fn random_table(rng: &mut StdRng, ni: usize, no: usize) -> TruthTable {
@@ -171,6 +171,46 @@ fn check_table_pair(seed: u64) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The two entry points are one procedure: a function with an empty DC
+/// set checked as a table and the same function checked as a network
+/// agree on the verdict, the output count, the outputs simulation
+/// refutes (up to five inputs round 0 sweeps every minterm) and the
+/// counterexample printed for each.
+fn check_entry_points_agree(seed: u64) -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ni = rng.gen_range(2..6usize);
+    let no = rng.gen_range(1..4usize);
+    let mut table = TruthTable::new(ni, no);
+    for (cube, outs) in random_table(&mut rng, ni, no).rows() {
+        let outs = outs.iter().map(|&b| match b {
+            OutBit::DontCare => OutBit::Off,
+            b => b,
+        });
+        table.push_row(cube.clone(), outs.collect()).unwrap();
+    }
+    let named = |covers: &[Cover]| -> Vec<(String, Cover)> {
+        let names = table.output_names().iter().cloned();
+        names.zip(covers.iter().cloned()).collect()
+    };
+    let mut covers: Vec<Cover> = (0..no).map(|o| table.on_cover(o).unwrap()).collect();
+    let spec_net = Network::from_covers(table.input_names(), &named(&covers)).unwrap();
+    if rng.gen_range(0..3u32) > 0 {
+        mutate(&mut rng, &mut covers);
+    }
+    let impl_net = Network::from_covers(table.input_names(), &named(&covers)).unwrap();
+
+    let (opts, tracer) = (Options::default(), Tracer::disabled());
+    let by_table = check_against_table_traced(&impl_net, &table, &opts, &tracer).unwrap();
+    let by_net = check_equivalence_traced(&impl_net, &spec_net, &opts, &tracer).unwrap();
+    prop_assert_eq!(by_table.equivalent, by_net.equivalent);
+    prop_assert_eq!(by_table.equivalent, oracle_ok(&table, &covers));
+    prop_assert_eq!(by_table.outputs, by_net.outputs);
+    prop_assert_eq!(by_table.sim_refuted, by_net.sim_refuted);
+    // Same first bad lane of the same round-0 words: same counterexamples.
+    prop_assert_eq!(by_table.mismatches, by_net.mismatches);
+    Ok(())
+}
+
 /// A small random-but-valid ISL machine.
 fn random_machine_source(rng: &mut StdRng) -> String {
     let n_states = rng.gen_range(2..5usize);
@@ -261,6 +301,12 @@ proptest! {
     #[test]
     fn minimized_tables_verify_and_mutations_are_caught(seed in 0u64..u64::MAX) {
         check_table_pair(seed)?;
+    }
+
+    /// A table without don't-cares gets one verdict from both entries.
+    #[test]
+    fn table_entry_and_network_entry_agree(seed in 0u64..u64::MAX) {
+        check_entry_points_agree(seed)?;
     }
 
     /// (RTL → synthesized control store) pairs verify; mutations match

@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use silc::incr::ops::{self, Args, Front, Outcome, Verb};
 use silc::incr::{default_parallelism, parse_manifest, run_batch, Engine, EngineConfig, JobStats};
 use silc::serve::{install_sigint_handler, Server, ServerConfig};
-use silc::trace::{JsonlSink, StatsSink, Tracer};
+use silc::trace::Tracer;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -64,17 +64,15 @@ fn emit_trace(args: &Args, tracer: &Tracer) -> Result<(), String> {
     let report = tracer.finish();
     if args.stats {
         let mut stderr = std::io::stderr().lock();
-        report
-            .emit(&mut StatsSink::new(&mut stderr))
+        stderr
+            .write_all(report.stats_table().as_bytes())
             .and_then(|()| stderr.flush())
             .map_err(|e| format!("cannot write stats: {e}"))?;
     }
     if let Some(path) = &args.trace {
-        let file = fs::File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
-        let mut writer = std::io::BufWriter::new(file);
-        report
-            .emit(&mut JsonlSink::new(&mut writer))
-            .and_then(|()| writer.flush())
+        let mut file =
+            fs::File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
+        file.write_all(report.to_jsonl().as_bytes())
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
     }
     Ok(())

@@ -654,6 +654,57 @@ fn corrupted_cache_entry_degrades_to_recompute_with_warning() {
     );
 }
 
+/// `tests/fixtures/cache-v1` is the cache directory the last format-1
+/// binary (the commit before PR 21) wrote for `d.sil`, raw cell ids in
+/// its `Design` payload included. Format 2 must refuse every entry by
+/// its version — never decode a v1 `Design` — recompute, print what a
+/// cold run prints, and leave a cache the next run hits.
+#[test]
+fn format_1_cache_directory_is_a_warned_recompute() {
+    let dir = temp_dir("format1");
+    let cache = dir.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/cache-v1");
+    let mut entries = 0;
+    for entry in std::fs::read_dir(&fixture).expect("fixture dir") {
+        let path = entry.expect("entry").path();
+        let to = if path.extension().is_some_and(|e| e == "bin") {
+            entries += 1;
+            cache.join(path.file_name().unwrap())
+        } else {
+            dir.join(path.file_name().unwrap())
+        };
+        std::fs::copy(&path, to).expect("copy fixture");
+    }
+    assert_eq!(entries, 4, "elaborate, flatten, drc, cif");
+    let sil = dir.join("d.sil");
+    let run = |extra: &[&str]| {
+        let out = silc()
+            .args(["compile", sil.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "{out:?}");
+        (
+            out.stdout,
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let cached = ["--cache", cache.to_str().unwrap()];
+    let (cold_out, cold_err) = run(&["--no-cache"]);
+    let (out, err) = run(&cached);
+    assert_eq!(out, cold_out);
+    assert_eq!(
+        err.matches("format version 1, expected 2").count(),
+        4,
+        "{err}"
+    );
+    assert!(err.ends_with(&cold_err), "{err}");
+    // The entries were overwritten as format 2: warm, silent, identical.
+    let (warm_out, warm_err) = run(&cached);
+    assert_eq!((warm_out, warm_err), (cold_out, cold_err));
+}
+
 #[test]
 fn batch_runs_jobs_concurrently_against_a_shared_cache() {
     let dir = temp_dir("batch");
