@@ -1,169 +1,192 @@
-/// A SIL program: a list of top-level items.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Program {
-    pub items: Vec<Item>,
+//! The syntax tree. Every name is a slice of the source and every node
+//! lives in one of three vectors owned by the [`Program`], addressed by
+//! index: parsing allocates per program, not per node, and nothing in
+//! the tree needs copying or a recursive `Drop`.
+
+use silc_geom::Orientation;
+
+/// Index of an expression in its [`Program`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExprId(u32);
+
+/// Consecutive nodes in one of the vectors of a [`Program`]: a body, an
+/// argument list, the fields of a record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Run {
+    start: u32,
+    end: u32,
+}
+
+impl Run {
+    /// The expressions of an argument list, one by one.
+    pub fn ids(self) -> impl Iterator<Item = ExprId> {
+        (self.start..self.end).map(ExprId)
+    }
+}
+
+/// A SIL program: a list of top-level items over the nodes they index.
+/// [`lex`](crate::lexer::lex) refuses a source past 4 GiB and a node takes
+/// at least a byte of it, so an index always fits `u32`.
+#[derive(Debug)]
+pub struct Program<'a> {
+    pub items: Vec<Item<'a>>,
+    exprs: Vec<Expr<'a>>,
+    stmts: Vec<Stmt<'a>>,
+    bindings: Vec<Binding<'a>>,
+}
+
+/// Moves the nodes parsed since `mark` from the parser's `pending` stack
+/// to the end of `nodes`, where they sit side by side whatever was
+/// parsed between them.
+fn seal<T>(nodes: &mut Vec<T>, pending: &mut Vec<T>, mark: usize) -> Run {
+    let start = nodes.len() as u32;
+    nodes.extend(pending.drain(mark..));
+    Run {
+        start,
+        end: nodes.len() as u32,
+    }
+}
+
+impl<'a> Program<'a> {
+    /// An empty tree with room for what `tokens` tokens usually parse to.
+    pub fn with_capacity(tokens: usize) -> Program<'a> {
+        Program {
+            items: Vec::new(),
+            exprs: Vec::with_capacity(tokens / 2),
+            stmts: Vec::with_capacity(tokens / 16),
+            bindings: Vec::with_capacity(tokens / 16),
+        }
+    }
+
+    pub fn alloc(&mut self, expr: Expr<'a>) -> ExprId {
+        self.exprs.push(expr);
+        ExprId(self.exprs.len() as u32 - 1)
+    }
+
+    pub fn seal_exprs(&mut self, pending: &mut Vec<Expr<'a>>, mark: usize) -> Run {
+        seal(&mut self.exprs, pending, mark)
+    }
+
+    pub fn seal_stmts(&mut self, pending: &mut Vec<Stmt<'a>>, mark: usize) -> Run {
+        seal(&mut self.stmts, pending, mark)
+    }
+
+    pub fn seal_bindings(&mut self, pending: &mut Vec<Binding<'a>>, mark: usize) -> Run {
+        seal(&mut self.bindings, pending, mark)
+    }
+
+    pub fn expr(&self, id: ExprId) -> &Expr<'a> {
+        &self.exprs[id.0 as usize]
+    }
+
+    pub fn stmts(&self, run: Run) -> &[Stmt<'a>] {
+        &self.stmts[run.start as usize..run.end as usize]
+    }
+
+    pub fn bindings(&self, run: Run) -> &[Binding<'a>] {
+        &self.bindings[run.start as usize..run.end as usize]
+    }
 }
 
 /// A top-level item.
-///
-/// `Stmt` is by far the largest variant, but items live in one short
-/// `Vec` per program, so boxing would buy nothing.
-#[derive(Debug, Clone, PartialEq)]
-#[allow(clippy::large_enum_variant)]
-pub enum Item {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Item<'a> {
     /// `cell name(params) { body }` — a parameterised layout generator.
-    Cell(CellDef),
+    Cell(Def<'a>),
     /// `fn name(params) { body }` — a value-returning procedure.
-    Fn(FnDef),
-    /// `type name { field, ... }` — a record type (data-type extension).
-    Type(TypeDef),
+    Fn(Def<'a>),
+    /// `type name { field, ... }` — a record type (data-type extension);
+    /// the fields are its `params`, the body is empty.
+    Type(Def<'a>),
     /// A statement executed in the implicit top cell.
-    Stmt(Stmt),
+    Stmt(Stmt<'a>),
 }
 
-/// A parameter: name plus optional default.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Param {
-    pub name: String,
-    pub default: Option<Expr>,
+/// A name and the expression that goes with it, if any: a parameter and
+/// its default, a field of a record literal and its value, a field of a
+/// `type` (no expression).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Binding<'a> {
+    pub name: &'a str,
+    pub value: Option<ExprId>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellDef {
-    pub name: String,
-    pub params: Vec<Param>,
-    pub body: Vec<Stmt>,
-    pub line: usize,
+/// A `cell`, `fn` or `type` definition.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Def<'a> {
+    pub name: &'a str,
+    pub params: Run,
+    pub body: Run,
+    pub line: u32,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-pub struct FnDef {
-    pub name: String,
-    pub params: Vec<Param>,
-    pub body: Vec<Stmt>,
-    pub line: usize,
+/// A statement with its source line for diagnostics.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Stmt<'a> {
+    pub kind: StmtKind<'a>,
+    pub line: u32,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-pub struct TypeDef {
-    pub name: String,
-    pub fields: Vec<String>,
-    pub line: usize,
-}
-
-/// Orientation modifiers on a placement, applied in source order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OrientMod {
-    Rot90,
-    Rot180,
-    Rot270,
-    MirrorX,
-    MirrorY,
-}
-
-/// A statement. Every statement carries its source line for diagnostics.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum StmtKind<'a> {
     /// `box layer (x0,y0) (x1,y1);`
-    Box {
-        layer: Expr,
-        a: Expr,
-        b: Expr,
-        line: usize,
-    },
+    Box { layer: ExprId, a: ExprId, b: ExprId },
     /// `wire layer width (x,y) (x,y) ...;`
     Wire {
-        layer: Expr,
-        width: Expr,
-        points: Vec<Expr>,
-        line: usize,
+        layer: ExprId,
+        width: ExprId,
+        points: Run,
     },
     /// `polygon layer (x,y) (x,y) (x,y) ...;`
-    Polygon {
-        layer: Expr,
-        points: Vec<Expr>,
-        line: usize,
-    },
+    Polygon { layer: ExprId, points: Run },
     /// `port name layer (x,y);` — `name` may be a parenthesized string
     /// expression for computed names: `port ("b" + str(i)) metal (x,y);`
     Port {
-        name: Expr,
-        layer: Expr,
-        at: Expr,
-        line: usize,
+        name: ExprId,
+        layer: ExprId,
+        at: ExprId,
     },
-    /// `place cell(args) at (x,y) [orientation...];`
+    /// `place cell(args) at (x,y) [orientation...];` — the orientation
+    /// modifiers are composed in source order as they are read.
     Place {
-        cell: String,
-        args: Vec<Expr>,
-        at: Expr,
-        orient: Vec<OrientMod>,
-        line: usize,
+        cell: &'a str,
+        args: Run,
+        at: ExprId,
+        orient: Orientation,
     },
     /// `array cell(args) at (x,y) step (dx,dy) [(dx2,dy2)] count n [m]
     /// [orientation...];`
     ArrayPlace {
-        cell: String,
-        args: Vec<Expr>,
-        at: Expr,
-        step: Expr,
-        step2: Option<Expr>,
-        count: Expr,
-        count2: Option<Expr>,
-        orient: Vec<OrientMod>,
-        line: usize,
+        cell: &'a str,
+        args: Run,
+        at: ExprId,
+        step: ExprId,
+        step2: Option<ExprId>,
+        count: ExprId,
+        count2: Option<ExprId>,
+        orient: Orientation,
     },
     /// `let name = expr;`
-    Let {
-        name: String,
-        value: Expr,
-        line: usize,
-    },
+    Let { name: &'a str, value: ExprId },
     /// `name = expr;`
-    Assign {
-        name: String,
-        value: Expr,
-        line: usize,
-    },
+    Assign { name: &'a str, value: ExprId },
     /// `for i in a .. b { body }`
     For {
-        var: String,
-        from: Expr,
-        to: Expr,
-        body: Vec<Stmt>,
-        line: usize,
+        var: &'a str,
+        from: ExprId,
+        to: ExprId,
+        body: Run,
     },
     /// `if cond { ... } else { ... }`
     If {
-        cond: Expr,
-        then_body: Vec<Stmt>,
-        else_body: Vec<Stmt>,
-        line: usize,
+        cond: ExprId,
+        then_body: Run,
+        else_body: Run,
     },
     /// `return expr;` (functions only).
-    Return { value: Option<Expr>, line: usize },
+    Return { value: Option<ExprId> },
     /// A bare expression (evaluated for effect, e.g. a function call).
-    Expr { value: Expr, line: usize },
-}
-
-impl Stmt {
-    /// The statement's source line.
-    pub fn line(&self) -> usize {
-        match self {
-            Stmt::Box { line, .. }
-            | Stmt::Wire { line, .. }
-            | Stmt::Polygon { line, .. }
-            | Stmt::Port { line, .. }
-            | Stmt::Place { line, .. }
-            | Stmt::ArrayPlace { line, .. }
-            | Stmt::Let { line, .. }
-            | Stmt::Assign { line, .. }
-            | Stmt::For { line, .. }
-            | Stmt::If { line, .. }
-            | Stmt::Return { line, .. }
-            | Stmt::Expr { line, .. } => *line,
-        }
-    }
+    Expr { value: ExprId },
 }
 
 /// Binary operators.
@@ -185,44 +208,44 @@ pub enum BinOp {
 }
 
 /// An expression.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Expr<'a> {
     Int(i64),
     Bool(bool),
-    Str(String),
+    Str(&'a str),
     /// `(x, y)` — a point literal.
-    Point(Box<Expr>, Box<Expr>),
+    Point(ExprId, ExprId),
     /// `[a, b, c]` — a list literal.
-    List(Vec<Expr>),
-    Ident(String),
+    List(Run),
+    Ident(&'a str),
     /// `name { field: value, ... }` — record construction.
     Record {
-        type_name: String,
-        fields: Vec<(String, Expr)>,
+        type_name: &'a str,
+        fields: Run,
     },
     /// `f(args)` — function call.
     Call {
-        name: String,
-        args: Vec<Expr>,
+        name: &'a str,
+        args: Run,
     },
     /// `expr.field` — record field access (also `.x`/`.y` on points).
     Field {
-        base: Box<Expr>,
-        field: String,
+        base: ExprId,
+        field: &'a str,
     },
     /// `expr[index]` — list indexing.
     Index {
-        base: Box<Expr>,
-        index: Box<Expr>,
+        base: ExprId,
+        index: ExprId,
     },
     Unary {
         op: UnOp,
-        expr: Box<Expr>,
+        expr: ExprId,
     },
     Binary {
         op: BinOp,
-        lhs: Box<Expr>,
-        rhs: Box<Expr>,
+        lhs: ExprId,
+        rhs: ExprId,
     },
 }
 

@@ -1,14 +1,13 @@
 use crate::ast::*;
 use crate::lexer::lex;
-use crate::parser::{parse, parse_tokens};
+use crate::parser::{parse, parse_tokens, MAX_DEPTH};
 use crate::value::Value;
 use crate::LangError;
-use silc_geom::{
-    Coord, Fingerprint, FpHasher, Orientation, Path, Point, Polygon, Rect, Transform, MAX_COORD,
-};
+use silc_geom::{Coord, Fingerprint, FpHasher, Path, Point, Polygon, Rect, Transform, MAX_COORD};
 use silc_layout::{Cell, CellId, Element, Instance, Layer, Library, Port};
 use silc_trace::{span, Tracer};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// The result of compiling a SIL program: a layout library plus the id of
 /// the implicit top cell (named `main`) holding the program's top-level
@@ -151,54 +150,40 @@ impl Compiler {
             program
         };
         let elab_span = span!(self.tracer, "lang.elaborate");
-        let mut interp = Interp::new();
+        let mut interp = Interp::default();
 
-        // The standard-cell prelude is always in scope.
-        let prelude = parse(PRELUDE).expect("the prelude is valid SIL");
-        for item in &prelude.items {
-            if let Item::Cell(c) = item {
-                interp.cells.insert(c.name.clone(), c.clone());
-            }
-        }
-
-        // Register definitions first so order of items is free.
+        // Register definitions first so order of items is free. The
+        // standard-cell prelude is always in scope.
         let mut top_stmts: Vec<&Stmt> = Vec::new();
-        for item in &program.items {
-            match item {
-                Item::Cell(c) => {
-                    if interp.cells.insert(c.name.clone(), c.clone()).is_some() {
-                        return Err(LangError::eval(
-                            c.line,
-                            format!("cell `{}` is defined twice", c.name),
-                        ));
+        for tree in [prelude(), &program] {
+            for item in &tree.items {
+                let (defs, what, def) = match item {
+                    Item::Cell(def) => (&mut interp.cells, "cell", def),
+                    Item::Fn(def) => (&mut interp.fns, "fn", def),
+                    Item::Type(def) => (&mut interp.types, "type", def),
+                    Item::Stmt(s) => {
+                        top_stmts.push(s);
+                        continue;
                     }
+                };
+                if defs.insert(def.name, (tree, def)).is_some() {
+                    return Err(LangError::eval(
+                        def.line as usize,
+                        format!("{what} `{}` is defined twice", def.name),
+                    ));
                 }
-                Item::Fn(f) => {
-                    if interp.fns.insert(f.name.clone(), f.clone()).is_some() {
-                        return Err(LangError::eval(
-                            f.line,
-                            format!("fn `{}` is defined twice", f.name),
-                        ));
-                    }
-                }
-                Item::Type(t) => {
-                    if interp.types.insert(t.name.clone(), t.clone()).is_some() {
-                        return Err(LangError::eval(
-                            t.line,
-                            format!("type `{}` is defined twice", t.name),
-                        ));
-                    }
-                }
-                Item::Stmt(s) => top_stmts.push(s),
             }
         }
 
-        let mut env = Env::new();
+        let mut env = Env::new(&program);
         let mut top = Cell::new("main");
         for stmt in top_stmts {
             let flow = interp.exec_stmt(stmt, &mut env, &mut Some(&mut top))?;
             if let Flow::Return(_) = flow {
-                return Err(LangError::eval(stmt.line(), "return outside a function"));
+                return Err(LangError::eval(
+                    stmt.line as usize,
+                    "return outside a function",
+                ));
             }
         }
         let top_id = interp
@@ -217,17 +202,28 @@ impl Compiler {
     }
 }
 
+/// The parsed [`PRELUDE`]: it borrows a `'static` source, so one parse
+/// serves every compile of the process.
+fn prelude() -> &'static Program<'static> {
+    static TREE: OnceLock<Program<'static>> = OnceLock::new();
+    TREE.get_or_init(|| parse(PRELUDE).expect("the prelude is valid SIL"))
+}
+
 // -------------------------------------------------------------------
 // Environment
 // -------------------------------------------------------------------
 
-struct Env {
-    scopes: Vec<HashMap<String, Value>>,
+/// The variables in scope, and the tree the running code indexes: the
+/// program's or the prelude's. Both change together, at a call.
+struct Env<'p> {
+    tree: &'p Program<'p>,
+    scopes: Vec<HashMap<&'p str, Value>>,
 }
 
-impl Env {
-    fn new() -> Env {
+impl<'p> Env<'p> {
+    fn new(tree: &'p Program<'p>) -> Env<'p> {
         Env {
+            tree,
             scopes: vec![HashMap::new()],
         }
     }
@@ -240,11 +236,11 @@ impl Env {
         self.scopes.pop();
     }
 
-    fn define(&mut self, name: &str, value: Value) {
+    fn define(&mut self, name: &'p str, value: Value) {
         self.scopes
             .last_mut()
             .expect("at least one scope")
-            .insert(name.to_string(), value);
+            .insert(name, value);
     }
 
     fn assign(&mut self, name: &str, value: Value) -> bool {
@@ -271,15 +267,22 @@ enum Flow {
 // Interpreter
 // -------------------------------------------------------------------
 
-struct Interp {
-    cells: HashMap<String, CellDef>,
-    fns: HashMap<String, FnDef>,
-    types: HashMap<String, TypeDef>,
+/// A definition and the tree it indexes.
+type Found<'p> = (&'p Program<'p>, &'p Def<'p>);
+
+/// The evaluator. `'p` is the parsed program and the prelude: definitions
+/// are registered and run by reference, never copied.
+#[derive(Default)]
+struct Interp<'p> {
+    cells: HashMap<&'p str, Found<'p>>,
+    fns: HashMap<&'p str, Found<'p>>,
+    types: HashMap<&'p str, Found<'p>>,
     lib: Library,
     memo: HashMap<String, CellId>,
     /// Per elaborated cell, the largest coordinate magnitude anything
     /// under it reaches in the cell's own frame (at most [`MAX_COORD`]).
     reach: HashMap<CellId, i128>,
+    /// Memo keys of the cells under elaboration, outermost first.
     elab_stack: Vec<String>,
     /// Evaluator frames live right now; see [`MAX_FRAMES`].
     frames: usize,
@@ -293,30 +296,56 @@ type CellSlot<'a, 'b> = Option<&'a mut Cell>;
 /// call of a `fn` enters an `exec_block`, so this bounds recursion by
 /// the stack it takes (a call costs as many frames as its body nests)
 /// rather than by the number of calls. The parser lets one tree reach
-/// 64 levels, so only a recursive `fn` gets here. Sized for the 2 MiB
-/// stack of a `silc serve` worker: a frame and the `exec_stmt` under it
-/// measure up to 1.2 KiB optimised and 13.4 KiB in a debug build.
+/// 64 levels, so only a recursive `fn` or a chain of cells each placing
+/// the next gets here. Sized for the 2 MiB stack of a `silc serve`
+/// worker: a frame and the `exec_stmt` under it measure up to 1.2 KiB
+/// optimised and 13.4 KiB in a debug build.
 const MAX_FRAMES: usize = if cfg!(debug_assertions) { 96 } else { 1024 };
 
-impl Interp {
-    fn new() -> Interp {
-        Interp {
-            cells: HashMap::new(),
-            fns: HashMap::new(),
-            types: HashMap::new(),
-            lib: Library::new(),
-            memo: HashMap::new(),
-            reach: HashMap::new(),
-            elab_stack: Vec::new(),
-            frames: 0,
-            cells_elaborated: 0,
-            memo_hits: 0,
-        }
-    }
-
+impl<'p> Interp<'p> {
     // ---------------------------------------------------------------
     // Cell elaboration
     // ---------------------------------------------------------------
+
+    /// Binds `args` to the parameters of a `cell` or `fn`, defaults
+    /// filling in for missing trailing arguments.
+    fn bind(
+        &mut self,
+        what: &str,
+        counted: &str,
+        (tree, def): Found<'p>,
+        args: Vec<Value>,
+        line: usize,
+    ) -> Result<Vec<(&'p str, Value)>, LangError> {
+        let name = def.name;
+        let params = tree.bindings(def.params);
+        if args.len() > params.len() {
+            return Err(LangError::eval(
+                line,
+                format!(
+                    "{what} `{name}` takes {} {counted}(s), got {}",
+                    params.len(),
+                    args.len()
+                ),
+            ));
+        }
+        let mut args = args.into_iter();
+        let mut bound = Vec::with_capacity(params.len());
+        for param in params {
+            let value = match (args.next(), param.value) {
+                (Some(value), _) => value,
+                (None, Some(default)) => self.eval(default, &mut Env::new(tree), line)?,
+                (None, None) => {
+                    return Err(LangError::eval(
+                        line,
+                        format!("{what} `{name}` missing argument `{}`", param.name),
+                    ))
+                }
+            };
+            bound.push((param.name, value));
+        }
+        Ok(bound)
+    }
 
     fn elaborate_cell(
         &mut self,
@@ -324,48 +353,15 @@ impl Interp {
         args: Vec<Value>,
         line: usize,
     ) -> Result<CellId, LangError> {
-        let def = self
+        let found @ (tree, def) = *self
             .cells
             .get(name)
-            .cloned()
             .ok_or_else(|| LangError::eval(line, format!("cell `{name}` is not defined")))?;
-
-        // Bind parameters (defaults for missing trailing arguments).
-        if args.len() > def.params.len() {
-            return Err(LangError::eval(
-                line,
-                format!(
-                    "cell `{name}` takes {} parameter(s), got {}",
-                    def.params.len(),
-                    args.len()
-                ),
-            ));
-        }
-        let mut bound: Vec<(String, Value)> = Vec::new();
-        for (i, param) in def.params.iter().enumerate() {
-            let value = if i < args.len() {
-                args[i].clone()
-            } else if let Some(default) = &param.default {
-                let mut env = Env::new();
-                self.eval(default, &mut env, line)?
-            } else {
-                return Err(LangError::eval(
-                    line,
-                    format!("cell `{name}` missing argument `{}`", param.name),
-                ));
-            };
-            bound.push((param.name.clone(), value));
-        }
+        let bound = self.bind("cell", "parameter", found, args, line)?;
 
         // Memoization key from the bound argument tuple.
-        let key = format!(
-            "{name}({})",
-            bound
-                .iter()
-                .map(|(_, v)| v.memo_key())
-                .collect::<Vec<_>>()
-                .join(",")
-        );
+        let keys: Vec<String> = bound.iter().map(|(_, v)| v.memo_key()).collect();
+        let key = format!("{name}({})", keys.join(","));
         if let Some(&id) = self.memo.get(&key) {
             self.memo_hits += 1;
             return Ok(id);
@@ -375,41 +371,46 @@ impl Interp {
                 name: name.to_string(),
             });
         }
-        self.elab_stack.push(key.clone());
+        // Cells nest on the machine stack as calls do: this frame and the
+        // `exec_stmt` under it take 1.9 KiB optimised and 15.4 KiB in a
+        // debug build, two frames' worth. The body is owed what its deepest
+        // statement can need, so a `fn` is never blamed for running out.
+        if self.frames + 2 + MAX_DEPTH > MAX_FRAMES {
+            return Err(LangError::eval(line, "cell nesting too deep"));
+        }
+        self.frames += 2;
+        self.elab_stack.push(key);
 
         // Unique library name per variant.
-        let lib_name = if bound.is_empty() {
+        let lib_name = if keys.is_empty() {
             name.to_string()
         } else {
-            let suffix: String = bound
-                .iter()
-                .map(|(_, v)| sanitize(&v.memo_key()))
-                .collect::<Vec<_>>()
-                .join("_");
-            format!("{name}${suffix}")
+            let suffix: Vec<String> = keys.iter().map(|k| sanitize(k)).collect();
+            format!("{name}${}", suffix.join("_"))
         };
 
-        let mut env = Env::new();
-        for (pname, value) in &bound {
-            env.define(pname, value.clone());
+        let mut env = Env::new(tree);
+        for (pname, value) in bound {
+            env.define(pname, value);
         }
         let mut cell = Cell::new(lib_name);
-        for stmt in &def.body {
+        for stmt in tree.stmts(def.body) {
             let flow = self.exec_stmt(stmt, &mut env, &mut Some(&mut cell))?;
             if let Flow::Return(_) = flow {
                 return Err(LangError::eval(
-                    stmt.line(),
+                    stmt.line as usize,
                     "return is not allowed in a cell body",
                 ));
             }
         }
-        self.elab_stack.pop();
+        self.frames -= 2;
+        let key = self.elab_stack.pop().expect("pushed above");
 
         let reach = self.cell_reach(&cell);
         let id = self
             .lib
             .add_cell(cell)
-            .map_err(|e| LangError::eval(def.line, e.to_string()))?;
+            .map_err(|e| LangError::eval(def.line as usize, e.to_string()))?;
         self.reach.insert(id, reach);
         self.memo.insert(key, id);
         self.cells_elaborated += 1;
@@ -422,15 +423,15 @@ impl Interp {
 
     fn exec_block(
         &mut self,
-        body: &[Stmt],
-        env: &mut Env,
+        body: Run,
+        env: &mut Env<'p>,
         cell: &mut CellSlot<'_, '_>,
         line: usize,
     ) -> Result<Flow, LangError> {
         self.enter(line)?;
         env.push();
         let mut flow = Flow::Normal;
-        for stmt in body {
+        for stmt in env.tree.stmts(body) {
             flow = self.exec_stmt(stmt, env, cell)?;
             if let Flow::Return(_) = flow {
                 break;
@@ -453,53 +454,41 @@ impl Interp {
 
     fn exec_stmt(
         &mut self,
-        stmt: &Stmt,
-        env: &mut Env,
+        stmt: &Stmt<'p>,
+        env: &mut Env<'p>,
         cell: &mut CellSlot<'_, '_>,
     ) -> Result<Flow, LangError> {
-        let line = stmt.line();
-        match stmt {
-            Stmt::Box { layer, a, b, .. } => {
+        let line = stmt.line as usize;
+        match stmt.kind {
+            StmtKind::Box { layer, a, b } => {
                 let layer = self.eval_layer(layer, env, line)?;
                 let pa = self.eval_point(a, env, line)?;
                 let pb = self.eval_point(b, env, line)?;
                 let rect = Rect::new(pa, pb).map_err(|e| LangError::eval(line, e.to_string()))?;
                 self.target(cell, line)?
                     .push_element(Element::rect(layer, rect));
-                Ok(Flow::Normal)
             }
-            Stmt::Wire {
+            StmtKind::Wire {
                 layer,
                 width,
                 points,
-                ..
             } => {
                 let layer = self.eval_layer(layer, env, line)?;
                 let w = self.eval_int(width, env, line)?;
-                let pts = points
-                    .iter()
-                    .map(|p| self.eval_point(p, env, line))
-                    .collect::<Result<Vec<_>, _>>()?;
+                let pts = self.eval_points(points, env, line)?;
                 let path = Path::new(w, pts).map_err(|e| LangError::eval(line, e.to_string()))?;
                 let wire = Element::new(layer, path);
                 in_range(far_corner(wire.bbox()), line)?;
                 self.target(cell, line)?.push_element(wire);
-                Ok(Flow::Normal)
             }
-            Stmt::Polygon { layer, points, .. } => {
+            StmtKind::Polygon { layer, points } => {
                 let layer = self.eval_layer(layer, env, line)?;
-                let pts = points
-                    .iter()
-                    .map(|p| self.eval_point(p, env, line))
-                    .collect::<Result<Vec<_>, _>>()?;
+                let pts = self.eval_points(points, env, line)?;
                 let poly = Polygon::new(pts).map_err(|e| LangError::eval(line, e.to_string()))?;
                 self.target(cell, line)?
                     .push_element(Element::new(layer, poly));
-                Ok(Flow::Normal)
             }
-            Stmt::Port {
-                name, layer, at, ..
-            } => {
+            StmtKind::Port { name, layer, at } => {
                 let name_value = self.eval(name, env, line)?;
                 let Value::Str(port_name) = name_value else {
                     return Err(LangError::eval(
@@ -511,27 +500,21 @@ impl Interp {
                 let p = self.eval_point(at, env, line)?;
                 self.target(cell, line)?
                     .push_port(Port::new(port_name, layer, p));
-                Ok(Flow::Normal)
             }
-            Stmt::Place {
+            StmtKind::Place {
                 cell: child,
                 args,
                 at,
                 orient,
-                ..
             } => {
-                let arg_values = args
-                    .iter()
-                    .map(|a| self.eval(a, env, line))
-                    .collect::<Result<Vec<_>, _>>()?;
+                let arg_values = self.eval_all(args, env, line)?;
                 let at = self.eval_point(at, env, line)?;
                 let child_id = self.elaborate_cell(child, arg_values, line)?;
-                let inst = Instance::place(child_id, Transform::new(orientation_of(orient), at));
+                let inst = Instance::place(child_id, Transform::new(orient, at));
                 in_range(self.instance_reach(&inst), line)?;
                 self.target(cell, line)?.push_instance(inst);
-                Ok(Flow::Normal)
             }
-            Stmt::ArrayPlace {
+            StmtKind::ArrayPlace {
                 cell: child,
                 args,
                 at,
@@ -540,21 +523,13 @@ impl Interp {
                 count,
                 count2,
                 orient,
-                ..
             } => {
-                let arg_values = args
-                    .iter()
-                    .map(|a| self.eval(a, env, line))
-                    .collect::<Result<Vec<_>, _>>()?;
+                let arg_values = self.eval_all(args, env, line)?;
                 let at = self.eval_point(at, env, line)?;
                 let step = self.eval_point(step, env, line)?;
-                let step2 = step2
-                    .as_ref()
-                    .map(|s| self.eval_point(s, env, line))
-                    .transpose()?;
+                let step2 = step2.map(|s| self.eval_point(s, env, line)).transpose()?;
                 let count = self.eval_int(count, env, line)?;
                 let count2 = count2
-                    .as_ref()
                     .map(|c| self.eval_int(c, env, line))
                     .transpose()?
                     .unwrap_or(1);
@@ -562,7 +537,6 @@ impl Interp {
                     return Err(LangError::eval(line, "array count must be at least 1"));
                 }
                 let child_id = self.elaborate_cell(child, arg_values, line)?;
-                let orientation = orientation_of(orient);
                 // The copies farthest out sit at the corners of the array.
                 let along = |axis: fn(Point) -> Coord, i: i64, j: i64| {
                     let step2 = step2.map_or(0, axis);
@@ -589,7 +563,7 @@ impl Interp {
                     let dy = step2.map_or(0, |s| s.y);
                     let inst = Instance::array(
                         child_id,
-                        Transform::new(orientation, at),
+                        Transform::new(orient, at),
                         count as u32,
                         count2 as u32,
                         step.x,
@@ -606,19 +580,17 @@ impl Interp {
                             );
                             target.push_instance(Instance::place(
                                 child_id,
-                                Transform::new(orientation, offset),
+                                Transform::new(orient, offset),
                             ));
                         }
                     }
                 }
-                Ok(Flow::Normal)
             }
-            Stmt::Let { name, value, .. } => {
+            StmtKind::Let { name, value } => {
                 let v = self.eval(value, env, line)?;
                 env.define(name, v);
-                Ok(Flow::Normal)
             }
-            Stmt::Assign { name, value, .. } => {
+            StmtKind::Assign { name, value } => {
                 let v = self.eval(value, env, line)?;
                 if !env.assign(name, v) {
                     return Err(LangError::eval(
@@ -626,14 +598,12 @@ impl Interp {
                         format!("assignment to undefined variable `{name}`"),
                     ));
                 }
-                Ok(Flow::Normal)
             }
-            Stmt::For {
+            StmtKind::For {
                 var,
                 from,
                 to,
                 body,
-                ..
             } => {
                 let from = self.eval_int(from, env, line)?;
                 let to = self.eval_int(to, env, line)?;
@@ -646,13 +616,11 @@ impl Interp {
                         return Ok(flow);
                     }
                 }
-                Ok(Flow::Normal)
             }
-            Stmt::If {
+            StmtKind::If {
                 cond,
                 then_body,
                 else_body,
-                ..
             } => {
                 let c = self.eval(cond, env, line)?;
                 let c = c.as_bool().ok_or_else(|| {
@@ -661,24 +629,21 @@ impl Interp {
                         format!("if condition must be bool, got {}", c.type_name()),
                     )
                 })?;
-                if c {
-                    self.exec_block(then_body, env, cell, line)
-                } else {
-                    self.exec_block(else_body, env, cell, line)
-                }
+                let body = if c { then_body } else { else_body };
+                return self.exec_block(body, env, cell, line);
             }
-            Stmt::Return { value, .. } => {
+            StmtKind::Return { value } => {
                 let v = match value {
                     Some(e) => self.eval(e, env, line)?,
                     None => Value::Int(0),
                 };
-                Ok(Flow::Return(v))
+                return Ok(Flow::Return(v));
             }
-            Stmt::Expr { value, .. } => {
+            StmtKind::Expr { value } => {
                 self.eval(value, env, line)?;
-                Ok(Flow::Normal)
             }
         }
+        Ok(Flow::Normal)
     }
 
     fn target<'a>(
@@ -695,75 +660,78 @@ impl Interp {
     // Expressions
     // ---------------------------------------------------------------
 
-    fn eval(&mut self, e: &Expr, env: &mut Env, line: usize) -> Result<Value, LangError> {
+    fn eval(&mut self, e: ExprId, env: &mut Env<'p>, line: usize) -> Result<Value, LangError> {
         self.enter(line)?;
         let value = self.eval_expr(e, env, line)?;
         self.frames -= 1;
         Ok(value)
     }
 
-    fn eval_expr(&mut self, e: &Expr, env: &mut Env, line: usize) -> Result<Value, LangError> {
-        match e {
-            Expr::Int(v) => Ok(Value::Int(*v)),
-            Expr::Bool(b) => Ok(Value::Bool(*b)),
-            Expr::Str(s) => Ok(Value::Str(s.clone())),
+    /// The values of an argument list or a list literal, in order.
+    fn eval_all(
+        &mut self,
+        run: Run,
+        env: &mut Env<'p>,
+        line: usize,
+    ) -> Result<Vec<Value>, LangError> {
+        run.ids().map(|e| self.eval(e, env, line)).collect()
+    }
+
+    fn eval_expr(&mut self, e: ExprId, env: &mut Env<'p>, line: usize) -> Result<Value, LangError> {
+        match *env.tree.expr(e) {
+            Expr::Int(v) => Ok(Value::Int(v)),
+            Expr::Bool(b) => Ok(Value::Bool(b)),
+            Expr::Str(s) => Ok(Value::Str(s.to_string())),
             Expr::Point(x, y) => {
                 let px = self.eval_int(x, env, line)?;
                 let py = self.eval_int(y, env, line)?;
                 Ok(Value::Point(Point::new(px, py)))
             }
-            Expr::List(items) => {
-                let vs = items
-                    .iter()
-                    .map(|i| self.eval(i, env, line))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Value::List(vs))
-            }
+            Expr::List(items) => Ok(Value::List(self.eval_all(items, env, line)?)),
             Expr::Ident(name) => env
                 .get(name)
                 .cloned()
                 .ok_or_else(|| LangError::eval(line, format!("`{name}` is not defined"))),
             Expr::Record { type_name, fields } => {
-                let def = self.types.get(type_name).cloned().ok_or_else(|| {
+                let &(type_tree, def) = self.types.get(type_name).ok_or_else(|| {
                     LangError::eval(line, format!("type `{type_name}` is not defined"))
                 })?;
-                let mut out: Vec<(String, Value)> = Vec::new();
-                for fname in &def.fields {
-                    let fexpr = fields
+                let declared = type_tree.bindings(def.params);
+                let given = env.tree.bindings(fields);
+                let mut out: Vec<(String, Value)> = Vec::with_capacity(declared.len());
+                for Binding { name, .. } in declared {
+                    let value = given
                         .iter()
-                        .find(|(n, _)| n == fname)
-                        .map(|(_, e)| e)
+                        .find(|g| g.name == *name)
+                        .and_then(|g| g.value)
                         .ok_or_else(|| {
                             LangError::eval(
                                 line,
-                                format!("missing field `{fname}` of type `{type_name}`"),
+                                format!("missing field `{name}` of type `{type_name}`"),
                             )
                         })?;
-                    out.push((fname.clone(), self.eval(fexpr, env, line)?));
+                    out.push((name.to_string(), self.eval(value, env, line)?));
                 }
-                for (n, _) in fields {
-                    if !def.fields.contains(n) {
+                for Binding { name, .. } in given {
+                    if !declared.iter().any(|d| d.name == *name) {
                         return Err(LangError::eval(
                             line,
-                            format!("type `{type_name}` has no field `{n}`"),
+                            format!("type `{type_name}` has no field `{name}`"),
                         ));
                     }
                 }
                 Ok(Value::Record {
-                    type_name: type_name.clone(),
+                    type_name: type_name.to_string(),
                     fields: out,
                 })
             }
             Expr::Call { name, args } => {
-                let arg_values = args
-                    .iter()
-                    .map(|a| self.eval(a, env, line))
-                    .collect::<Result<Vec<_>, _>>()?;
+                let arg_values = self.eval_all(args, env, line)?;
                 self.call(name, arg_values, line)
             }
             Expr::Field { base, field } => {
                 let base = self.eval(base, env, line)?;
-                match (&base, field.as_str()) {
+                match (&base, field) {
                     (Value::Point(p), "x") => Ok(Value::Int(p.x)),
                     (Value::Point(p), "y") => Ok(Value::Int(p.y)),
                     (Value::Record { fields, .. }, _) => fields
@@ -839,64 +807,56 @@ impl Interp {
                 }
                 let l = self.eval(lhs, env, line)?;
                 let r = self.eval(rhs, env, line)?;
-                binary(op, l, r, line)
+                binary(&op, l, r, line)
             }
         }
     }
 
     fn call(&mut self, name: &str, args: Vec<Value>, line: usize) -> Result<Value, LangError> {
-        if let Some(def) = self.fns.get(name).cloned() {
-            if args.len() != def.params.len() {
-                // Allow defaults on trailing params.
-                if args.len() > def.params.len() {
-                    return Err(LangError::eval(
-                        line,
-                        format!(
-                            "fn `{name}` takes {} argument(s), got {}",
-                            def.params.len(),
-                            args.len()
-                        ),
-                    ));
-                }
-            }
-            let mut env = Env::new();
-            for (i, param) in def.params.iter().enumerate() {
-                let v = if i < args.len() {
-                    args[i].clone()
-                } else if let Some(default) = &param.default {
-                    self.eval(default, &mut Env::new(), line)?
-                } else {
-                    return Err(LangError::eval(
-                        line,
-                        format!("fn `{name}` missing argument `{}`", param.name),
-                    ));
-                };
-                env.define(&param.name, v);
-            }
-            match self.exec_block(&def.body, &mut env, &mut None, line)? {
-                Flow::Return(v) => Ok(v),
-                Flow::Normal => Ok(Value::Int(0)),
-            }
-        } else {
-            builtin(name, &args, line)
+        let Some(&found) = self.fns.get(name) else {
+            return builtin(name, &args, line);
+        };
+        let (tree, def) = found;
+        let mut env = Env::new(tree);
+        for (pname, value) in self.bind("fn", "argument", found, args, line)? {
+            env.define(pname, value);
+        }
+        match self.exec_block(def.body, &mut env, &mut None, line)? {
+            Flow::Return(v) => Ok(v),
+            Flow::Normal => Ok(Value::Int(0)),
         }
     }
 
     // Typed evaluation helpers.
 
-    fn eval_int(&mut self, e: &Expr, env: &mut Env, line: usize) -> Result<i64, LangError> {
+    fn eval_int(&mut self, e: ExprId, env: &mut Env<'p>, line: usize) -> Result<i64, LangError> {
         let v = self.eval(e, env, line)?;
         v.as_int()
             .ok_or_else(|| LangError::eval(line, format!("expected an int, got {}", v.type_name())))
     }
 
-    fn eval_point(&mut self, e: &Expr, env: &mut Env, line: usize) -> Result<Point, LangError> {
+    fn eval_point(
+        &mut self,
+        e: ExprId,
+        env: &mut Env<'p>,
+        line: usize,
+    ) -> Result<Point, LangError> {
         let v = self.eval(e, env, line)?;
         let p = v.as_point().ok_or_else(|| {
             LangError::eval(line, format!("expected a point, got {}", v.type_name()))
         })?;
         in_range(far(p), line)?;
         Ok(p)
+    }
+
+    /// The vertices of a wire or a polygon.
+    fn eval_points(
+        &mut self,
+        run: Run,
+        env: &mut Env<'p>,
+        line: usize,
+    ) -> Result<Vec<Point>, LangError> {
+        run.ids().map(|e| self.eval_point(e, env, line)).collect()
     }
 
     /// How far from its parent's origin `inst` puts anything. The child's
@@ -918,7 +878,12 @@ impl Interp {
         own.chain(placed).max().unwrap_or(0)
     }
 
-    fn eval_layer(&mut self, e: &Expr, env: &mut Env, line: usize) -> Result<Layer, LangError> {
+    fn eval_layer(
+        &mut self,
+        e: ExprId,
+        env: &mut Env<'p>,
+        line: usize,
+    ) -> Result<Layer, LangError> {
         let v = self.eval(e, env, line)?;
         match &v {
             Value::Str(s) => s
@@ -1036,21 +1001,6 @@ fn builtin(name: &str, args: &[Value], line: usize) -> Result<Value, LangError> 
             format!("`{name}` is not a function (or wrong argument count)"),
         )),
     }
-}
-
-fn orientation_of(mods: &[OrientMod]) -> Orientation {
-    let mut total = Orientation::R0;
-    for m in mods {
-        let step = match m {
-            OrientMod::Rot90 => Orientation::R90,
-            OrientMod::Rot180 => Orientation::R180,
-            OrientMod::Rot270 => Orientation::R270,
-            OrientMod::MirrorX => Orientation::MX,
-            OrientMod::MirrorY => Orientation::MX180,
-        };
-        total = step.compose(total);
-    }
-    total
 }
 
 fn sanitize(s: &str) -> String {

@@ -1,18 +1,20 @@
 use crate::LangError;
 
-/// A lexical token with its source position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
-    pub kind: Tok,
-    pub line: usize,
-    pub col: usize,
+/// A lexical token with its source position. Names and strings are
+/// slices of the source; positions fit `u32` because [`lex`] refuses a
+/// source they could not address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
+    pub kind: Tok<'a>,
+    pub line: u32,
+    pub col: u32,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
-    Str(String),
+    Str(&'a str),
     // Keywords.
     Cell,
     Fn,
@@ -68,7 +70,7 @@ pub enum Tok {
     Eof,
 }
 
-impl Tok {
+impl Tok<'_> {
     pub fn describe(&self) -> String {
         match self {
             Tok::Ident(s) => format!("identifier `{s}`"),
@@ -137,12 +139,24 @@ impl Tok {
 }
 
 /// Tokenizes SIL source. Comments run from `//` to end of line.
-pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, LangError> {
+    let syntax = |line: u32, col: u32, message: String| LangError::Syntax {
+        line: line as usize,
+        col: col as usize,
+        message,
+    };
+    if u32::try_from(source.len()).is_err() {
+        return Err(syntax(1, 1, "source is larger than 4 GiB".into()));
+    }
     let bytes = source.as_bytes();
+    // Two bytes a token is what punctuation-heavy SIL comes to; memory
+    // reserved past the last token is never touched, and a reservation
+    // the system refuses is only a vector that grows as it fills.
     let mut out = Vec::new();
+    let _ = out.try_reserve_exact(source.len() / 2 + 1);
     let mut i = 0;
-    let mut line = 1;
-    let mut col = 1;
+    let mut line = 1u32;
+    let mut col = 1u32;
 
     macro_rules! push {
         ($kind:expr, $len:expr) => {{
@@ -152,7 +166,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
                 col,
             });
             i += $len;
-            col += $len;
+            col += $len as u32;
         }};
     }
 
@@ -208,15 +222,11 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
                     j += 1;
                 }
                 if bytes.get(j) != Some(&b'"') {
-                    return Err(LangError::Syntax {
-                        line,
-                        col,
-                        message: "unterminated string literal".into(),
-                    });
+                    return Err(syntax(line, col, "unterminated string literal".into()));
                 }
-                let text = String::from_utf8_lossy(&bytes[start..j]).into_owned();
+                // Both delimiters are ASCII, so the slice is whole characters.
                 let len = j + 1 - i;
-                push!(Tok::Str(text), len);
+                push!(Tok::Str(&source[start..j]), len);
             }
             c if c.is_ascii_digit() => {
                 let start = i;
@@ -225,11 +235,9 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
                     j += 1;
                 }
                 let text = &source[start..j];
-                let value: i64 = text.parse().map_err(|_| LangError::Syntax {
-                    line,
-                    col,
-                    message: "number too large".into(),
-                })?;
+                let value: i64 = text
+                    .parse()
+                    .map_err(|_| syntax(line, col, "number too large".into()))?;
                 let len = j - i;
                 push!(Tok::Int(value), len);
             }
@@ -264,17 +272,17 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
                     "mirrory" => Tok::MirrorY,
                     "true" => Tok::True,
                     "false" => Tok::False,
-                    _ => Tok::Ident(word.to_string()),
+                    _ => Tok::Ident(word),
                 };
                 let len = j - i;
                 push!(kind, len);
             }
             other => {
-                return Err(LangError::Syntax {
+                return Err(syntax(
                     line,
                     col,
-                    message: format!("unexpected character `{}`", other as char),
-                });
+                    format!("unexpected character `{}`", other as char),
+                ));
             }
         }
     }
@@ -290,7 +298,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok> {
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -298,13 +306,13 @@ mod tests {
     fn keywords_vs_idents() {
         assert_eq!(
             kinds("cell inv place"),
-            vec![Tok::Cell, Tok::Ident("inv".into()), Tok::Place, Tok::Eof]
+            vec![Tok::Cell, Tok::Ident("inv"), Tok::Place, Tok::Eof]
         );
         // `poly` the layer stays an identifier; `polygon` is the shape
         // statement keyword.
         assert_eq!(
             kinds("poly polygon"),
-            vec![Tok::Ident("poly".into()), Tok::Poly, Tok::Eof]
+            vec![Tok::Ident("poly"), Tok::Poly, Tok::Eof]
         );
     }
 
@@ -316,9 +324,9 @@ mod tests {
                 Tok::Int(0),
                 Tok::DotDot,
                 Tok::Int(4),
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::Dot,
-                Tok::Ident("b".into()),
+                Tok::Ident("b"),
                 Tok::Arrow,
                 Tok::Minus,
                 Tok::Assign,
@@ -331,7 +339,7 @@ mod tests {
     fn strings() {
         assert_eq!(
             kinds(r#""hello" x"#),
-            vec![Tok::Str("hello".into()), Tok::Ident("x".into()), Tok::Eof]
+            vec![Tok::Str("hello"), Tok::Ident("x"), Tok::Eof]
         );
         assert!(lex("\"unterminated").is_err());
     }

@@ -1,6 +1,7 @@
 use crate::ast::*;
 use crate::lexer::{lex, Tok, Token};
 use crate::LangError;
+use silc_geom::Orientation;
 
 /// Parses a SIL program.
 ///
@@ -8,67 +9,86 @@ use crate::LangError;
 ///
 /// Returns [`LangError::Syntax`] with source position on any lexical or
 /// grammatical problem.
-pub fn parse(source: &str) -> Result<Program, LangError> {
+pub fn parse(source: &str) -> Result<Program<'_>, LangError> {
     parse_tokens(lex(source)?)
 }
 
 /// Parses an already-lexed token stream (lets the compiler time lexing
 /// and parsing as separate pipeline stages).
-pub(crate) fn parse_tokens(tokens: Vec<Token>) -> Result<Program, LangError> {
+pub(crate) fn parse_tokens(tokens: Vec<Token<'_>>) -> Result<Program<'_>, LangError> {
+    // Sized from the token count, so the tree takes a handful of
+    // allocations: an expression is two tokens or more on average, a
+    // statement a dozen.
+    let tree = Program::with_capacity(tokens.len());
     let mut p = Parser {
         tokens,
         pos: 0,
         open: 0,
         height: 0,
+        tree,
+        exprs: Vec::new(),
+        stmts: Vec::new(),
+        bindings: Vec::new(),
     };
-    let mut items = Vec::new();
-    while *p.peek() != Tok::Eof {
-        items.push(p.item()?);
+    while p.peek() != Tok::Eof {
+        let item = p.item()?;
+        p.tree.items.push(item);
     }
-    Ok(Program { items })
+    Ok(p.tree)
 }
 
-/// Deepest nesting accepted. The parser, the evaluator and `Drop` recurse
-/// once per level of the tree, and a `silc serve` worker runs them on a
-/// 2 MiB stack.
-const MAX_DEPTH: usize = 64;
+/// Deepest nesting accepted. The parser and the evaluator recurse once
+/// per level of the tree, and a `silc serve` worker runs them on a 2 MiB
+/// stack.
+pub(crate) const MAX_DEPTH: usize = 64;
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     /// Statements and operands open around the current token.
     open: usize,
     /// Height of the expression tree parsed last. Operator chains grow a
     /// tree without recursing, so depth is counted on the tree.
     height: usize,
+    tree: Program<'a>,
+    /// Members of the lists still open — arguments, bodies, fields — each
+    /// waiting for its list to close and move into `tree` as one run.
+    exprs: Vec<Expr<'a>>,
+    stmts: Vec<Stmt<'a>>,
+    bindings: Vec<Binding<'a>>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.pos].kind
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Tok<'a> {
+        self.tokens[self.pos].kind
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
+    fn peek2(&self) -> Tok<'a> {
+        self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
     }
 
-    fn line(&self) -> usize {
-        self.tokens[self.pos].line
-    }
-
-    fn advance(&mut self) -> Tok {
-        let t = self.tokens[self.pos].kind.clone();
+    fn advance(&mut self) -> Tok<'a> {
+        let t = self.tokens[self.pos].kind;
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
     }
 
+    /// Consumes the current token if it is `kind`.
+    fn eat(&mut self, kind: Tok<'a>) -> bool {
+        let found = self.peek() == kind;
+        if found {
+            self.advance();
+        }
+        found
+    }
+
     fn err(&self, message: impl Into<String>) -> LangError {
-        let t = &self.tokens[self.pos];
+        let t = self.tokens[self.pos];
         LangError::Syntax {
-            line: t.line,
-            col: t.col,
+            line: t.line as usize,
+            col: t.col as usize,
             message: message.into(),
         }
     }
@@ -83,21 +103,19 @@ impl Parser {
         Ok(())
     }
 
-    fn expect(&mut self, kind: Tok) -> Result<(), LangError> {
-        if *self.peek() == kind {
-            self.advance();
-            Ok(())
-        } else {
-            Err(self.err(format!(
-                "expected {}, found {}",
-                kind.describe(),
-                self.peek().describe()
-            )))
+    fn expect(&mut self, kind: Tok<'a>) -> Result<(), LangError> {
+        if self.eat(kind) {
+            return Ok(());
         }
+        Err(self.err(format!(
+            "expected {}, found {}",
+            kind.describe(),
+            self.peek().describe()
+        )))
     }
 
-    fn ident(&mut self) -> Result<String, LangError> {
-        match self.peek().clone() {
+    fn ident(&mut self) -> Result<&'a str, LangError> {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.advance();
                 Ok(s)
@@ -108,135 +126,109 @@ impl Parser {
 
     // ---------------------------------------------------------------
 
-    fn item(&mut self) -> Result<Item, LangError> {
-        match self.peek() {
-            Tok::Cell => {
-                let line = self.line();
-                self.advance();
-                let name = self.ident()?;
-                let params = self.params()?;
-                let body = self.block()?;
-                Ok(Item::Cell(CellDef {
-                    name,
-                    params,
-                    body,
-                    line,
-                }))
-            }
-            Tok::Fn => {
-                let line = self.line();
-                self.advance();
-                let name = self.ident()?;
-                let params = self.params()?;
-                // Optional result annotation, ignored (documentation).
-                if *self.peek() == Tok::Arrow {
-                    self.advance();
-                    self.ident()?;
-                }
-                let body = self.block()?;
-                Ok(Item::Fn(FnDef {
-                    name,
-                    params,
-                    body,
-                    line,
-                }))
-            }
-            Tok::Type => {
-                let line = self.line();
-                self.advance();
-                let name = self.ident()?;
-                self.expect(Tok::LBrace)?;
-                let mut fields = Vec::new();
-                while *self.peek() != Tok::RBrace {
-                    fields.push(self.ident()?);
-                    // Optional type annotation, ignored.
-                    if *self.peek() == Tok::Colon {
-                        self.advance();
-                        self.ident()?;
-                    }
-                    if *self.peek() == Tok::Comma {
-                        self.advance();
-                    } else {
-                        break;
-                    }
-                }
-                self.expect(Tok::RBrace)?;
-                Ok(Item::Type(TypeDef { name, fields, line }))
-            }
-            _ => Ok(Item::Stmt(self.stmt()?)),
+    fn item(&mut self) -> Result<Item<'a>, LangError> {
+        let line = self.tokens[self.pos].line;
+        let kind = self.peek();
+        if !matches!(kind, Tok::Cell | Tok::Fn | Tok::Type) {
+            return Ok(Item::Stmt(self.stmt()?));
         }
+        self.advance();
+        let name = self.ident()?;
+        let params = self.params(kind)?;
+        // Optional result annotation, ignored (documentation).
+        if kind == Tok::Fn && self.eat(Tok::Arrow) {
+            self.ident()?;
+        }
+        let body = match kind {
+            Tok::Type => Run::default(),
+            _ => self.block()?,
+        };
+        let def = Def {
+            name,
+            params,
+            body,
+            line,
+        };
+        Ok(match kind {
+            Tok::Cell => Item::Cell(def),
+            Tok::Fn => Item::Fn(def),
+            _ => Item::Type(def),
+        })
     }
 
-    fn params(&mut self) -> Result<Vec<Param>, LangError> {
-        self.expect(Tok::LParen)?;
-        let mut params = Vec::new();
-        while *self.peek() != Tok::RParen {
+    /// The parameters of a `cell` or `fn` in parentheses, or the fields of
+    /// a `type` in braces, which take no defaults.
+    fn params(&mut self, kind: Tok<'a>) -> Result<Run, LangError> {
+        let (open, close) = match kind {
+            Tok::Type => (Tok::LBrace, Tok::RBrace),
+            _ => (Tok::LParen, Tok::RParen),
+        };
+        self.expect(open)?;
+        let mark = self.bindings.len();
+        while self.peek() != close {
             let name = self.ident()?;
-            if *self.peek() == Tok::Colon {
-                self.advance();
+            if self.eat(Tok::Colon) {
                 self.ident()?; // annotation, documentation only
             }
-            let default = if *self.peek() == Tok::Assign {
-                self.advance();
-                Some(self.expr()?)
+            let value = if kind != Tok::Type && self.eat(Tok::Assign) {
+                Some(self.expr_id()?)
             } else {
                 None
             };
-            params.push(Param { name, default });
-            if *self.peek() == Tok::Comma {
-                self.advance();
-            } else {
+            self.bindings.push(Binding { name, value });
+            if !self.eat(Tok::Comma) {
                 break;
             }
         }
-        self.expect(Tok::RParen)?;
-        Ok(params)
+        self.expect(close)?;
+        Ok(self.tree.seal_bindings(&mut self.bindings, mark))
     }
 
-    fn block(&mut self) -> Result<Vec<Stmt>, LangError> {
+    fn block(&mut self) -> Result<Run, LangError> {
         self.expect(Tok::LBrace)?;
-        let mut body = Vec::new();
-        while *self.peek() != Tok::RBrace {
-            body.push(self.stmt()?);
+        let mark = self.stmts.len();
+        while self.peek() != Tok::RBrace {
+            let stmt = self.stmt()?;
+            self.stmts.push(stmt);
         }
         self.advance();
-        Ok(body)
+        Ok(self.tree.seal_stmts(&mut self.stmts, mark))
     }
 
-    fn orient_mods(&mut self) -> Result<Vec<OrientMod>, LangError> {
-        let mut mods = Vec::new();
+    /// Orientation modifiers, composed in source order.
+    fn orient_mods(&mut self) -> Result<Orientation, LangError> {
+        let mut total = Orientation::R0;
         loop {
-            match self.peek() {
+            let step = match self.peek() {
                 Tok::Rot => {
                     self.advance();
-                    let angle = match self.advance() {
-                        Tok::Int(90) => OrientMod::Rot90,
-                        Tok::Int(180) => OrientMod::Rot180,
-                        Tok::Int(270) => OrientMod::Rot270,
+                    match self.advance() {
+                        Tok::Int(90) => Orientation::R90,
+                        Tok::Int(180) => Orientation::R180,
+                        Tok::Int(270) => Orientation::R270,
                         _ => return Err(self.err("rot must be 90, 180 or 270")),
-                    };
-                    mods.push(angle);
+                    }
                 }
                 Tok::MirrorX => {
                     self.advance();
-                    mods.push(OrientMod::MirrorX);
+                    Orientation::MX
                 }
                 Tok::MirrorY => {
                     self.advance();
-                    mods.push(OrientMod::MirrorY);
+                    Orientation::MX180
                 }
-                _ => break,
-            }
+                _ => return Ok(total),
+            };
+            total = step.compose(total);
         }
-        Ok(mods)
     }
 
-    fn stmt(&mut self) -> Result<Stmt, LangError> {
+    fn stmt(&mut self) -> Result<Stmt<'a>, LangError> {
         // Every cycle in the statement grammar comes through here.
         self.open += 1;
         self.grown(0)?;
-        let line = self.line();
-        let stmt = match self.peek() {
+        let line = self.tokens[self.pos].line;
+        let kind = match self.peek() {
             Tok::For => {
                 self.advance();
                 let var = self.ident()?;
@@ -245,149 +237,119 @@ impl Parser {
                 self.expect(Tok::DotDot)?;
                 let to = self.expr_no_record()?;
                 let body = self.block()?;
-                Ok(Stmt::For {
+                StmtKind::For {
                     var,
                     from,
                     to,
                     body,
-                    line,
-                })
+                }
             }
             Tok::If => {
                 self.advance();
                 let cond = self.expr_no_record()?;
                 let then_body = self.block()?;
-                let else_body = if *self.peek() == Tok::Else {
-                    self.advance();
-                    if *self.peek() == Tok::If {
-                        vec![self.stmt()?]
-                    } else {
-                        self.block()?
-                    }
+                let else_body = if !self.eat(Tok::Else) {
+                    Run::default()
+                } else if self.peek() == Tok::If {
+                    let mark = self.stmts.len();
+                    let nested = self.stmt()?;
+                    self.stmts.push(nested);
+                    self.tree.seal_stmts(&mut self.stmts, mark)
                 } else {
-                    Vec::new()
+                    self.block()?
                 };
-                Ok(Stmt::If {
+                StmtKind::If {
                     cond,
                     then_body,
                     else_body,
-                    line,
-                })
+                }
             }
             // Nested blocks stack this frame up once per level, so the
             // statements that cannot nest keep their locals out of it.
-            _ => self.simple_stmt(line),
-        }?;
+            _ => self.simple_stmt()?,
+        };
         self.open -= 1;
-        Ok(stmt)
+        Ok(Stmt { kind, line })
     }
 
-    fn simple_stmt(&mut self, line: usize) -> Result<Stmt, LangError> {
-        match self.peek().clone() {
+    fn simple_stmt(&mut self) -> Result<StmtKind<'a>, LangError> {
+        let kind = match self.peek() {
             Tok::Box_ => {
                 self.advance();
-                let layer = self.layer_expr()?;
-                let a = self.expr()?;
-                let b = self.expr()?;
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::Box { layer, a, b, line })
+                StmtKind::Box {
+                    layer: self.layer_expr()?,
+                    a: self.expr_id()?,
+                    b: self.expr_id()?,
+                }
             }
             Tok::Wire => {
                 self.advance();
-                let layer = self.layer_expr()?;
-                let width = self.expr_no_point()?;
-                let mut points = vec![self.expr()?];
-                while *self.peek() == Tok::LParen {
-                    points.push(self.expr()?);
+                StmtKind::Wire {
+                    layer: self.layer_expr()?,
+                    // A scalar followed by a point: `2 (0,0)` parses 2
+                    // and stops at `(`.
+                    width: self.expr_id()?,
+                    points: self.points(1)?,
                 }
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::Wire {
-                    layer,
-                    width,
-                    points,
-                    line,
-                })
             }
             Tok::Poly => {
                 self.advance();
-                let layer = self.layer_expr()?;
-                let mut points = Vec::new();
-                while *self.peek() == Tok::LParen {
-                    points.push(self.expr()?);
+                StmtKind::Polygon {
+                    layer: self.layer_expr()?,
+                    points: self.points(0)?,
                 }
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::Polygon {
-                    layer,
-                    points,
-                    line,
-                })
             }
             Tok::Port => {
                 self.advance();
-                let name = match self.peek().clone() {
+                let name = match self.peek() {
                     Tok::Ident(n) => {
                         self.advance();
-                        Expr::Str(n)
+                        self.tree.alloc(Expr::Str(n))
                     }
-                    Tok::LParen => self.expr()?,
+                    Tok::LParen => self.expr_id()?,
                     other => {
                         return Err(
                             self.err(format!("expected a port name, found {}", other.describe()))
                         )
                     }
                 };
-                let layer = self.layer_expr()?;
-                let at = self.expr()?;
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::Port {
+                StmtKind::Port {
                     name,
-                    layer,
-                    at,
-                    line,
-                })
+                    layer: self.layer_expr()?,
+                    at: self.expr_id()?,
+                }
             }
             Tok::Place => {
                 self.advance();
                 let cell = self.ident()?;
                 let args = self.call_args()?;
                 self.expect(Tok::At)?;
-                let at = self.expr()?;
-                let orient = self.orient_mods()?;
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::Place {
+                StmtKind::Place {
                     cell,
                     args,
-                    at,
-                    orient,
-                    line,
-                })
+                    at: self.expr_id()?,
+                    orient: self.orient_mods()?,
+                }
             }
             Tok::Array => {
                 self.advance();
                 let cell = self.ident()?;
                 let args = self.call_args()?;
                 self.expect(Tok::At)?;
-                let at = self.expr()?;
+                let at = self.expr_id()?;
                 self.expect(Tok::Step)?;
-                let step = self.expr()?;
-                let step2 = if *self.peek() == Tok::LParen {
-                    Some(self.expr()?)
-                } else {
-                    None
-                };
-                self.expect(Tok::Count)?;
-                let count = self.expr_no_point()?;
-                let count2 = match self.peek() {
-                    Tok::Int(_) | Tok::Ident(_) | Tok::LParen
-                        if step2.is_some() && !matches!(self.peek(), Tok::LParen) =>
-                    {
-                        Some(self.expr_no_point()?)
-                    }
+                let step = self.expr_id()?;
+                let step2 = match self.peek() {
+                    Tok::LParen => Some(self.expr_id()?),
                     _ => None,
                 };
-                let orient = self.orient_mods()?;
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::ArrayPlace {
+                self.expect(Tok::Count)?;
+                let count = self.expr_id()?;
+                let count2 = match self.peek() {
+                    Tok::Int(_) | Tok::Ident(_) if step2.is_some() => Some(self.expr_id()?),
+                    _ => None,
+                };
+                StmtKind::ArrayPlace {
                     cell,
                     args,
                     at,
@@ -395,100 +357,109 @@ impl Parser {
                     step2,
                     count,
                     count2,
-                    orient,
-                    line,
-                })
+                    orient: self.orient_mods()?,
+                }
             }
             Tok::Let => {
                 self.advance();
                 let name = self.ident()?;
                 self.expect(Tok::Assign)?;
-                let value = self.expr()?;
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::Let { name, value, line })
+                StmtKind::Let {
+                    name,
+                    value: self.expr_id()?,
+                }
             }
             Tok::Return => {
                 self.advance();
-                let value = if *self.peek() == Tok::Semi {
-                    None
-                } else {
-                    Some(self.expr()?)
+                let value = match self.peek() {
+                    Tok::Semi => None,
+                    _ => Some(self.expr_id()?),
                 };
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::Return { value, line })
+                StmtKind::Return { value }
             }
-            Tok::Ident(name) if *self.peek2() == Tok::Assign => {
+            Tok::Ident(name) if self.peek2() == Tok::Assign => {
                 self.advance();
                 self.advance();
-                let value = self.expr()?;
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::Assign { name, value, line })
+                StmtKind::Assign {
+                    name,
+                    value: self.expr_id()?,
+                }
             }
-            _ => {
-                let value = self.expr()?;
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::Expr { value, line })
-            }
-        }
+            _ => StmtKind::Expr {
+                value: self.expr_id()?,
+            },
+        };
+        self.expect(Tok::Semi)?;
+        Ok(kind)
     }
 
     /// A layer position: an identifier (the usual case) or a
     /// parenthesized expression computing a layer name string.
-    fn layer_expr(&mut self) -> Result<Expr, LangError> {
-        match self.peek().clone() {
+    fn layer_expr(&mut self) -> Result<ExprId, LangError> {
+        match self.peek() {
             Tok::Ident(name) => {
                 self.advance();
-                Ok(Expr::Str(name))
+                Ok(self.tree.alloc(Expr::Str(name)))
             }
-            Tok::LParen => self.expr(),
+            Tok::LParen => self.expr_id(),
             other => Err(self.err(format!("expected a layer name, found {}", other.describe()))),
         }
     }
 
-    /// The arguments of a call or a placement, counted as one node over them.
-    fn call_args(&mut self) -> Result<Vec<Expr>, LangError> {
-        self.expect(Tok::LParen)?;
-        let mut args = Vec::new();
+    /// The points of a wire or polygon: `first` of them whatever comes,
+    /// then one for every `(` that follows.
+    fn points(&mut self, first: usize) -> Result<Run, LangError> {
+        let mark = self.exprs.len();
+        while self.exprs.len() < mark + first || self.peek() == Tok::LParen {
+            let point = self.expr()?;
+            self.exprs.push(point);
+        }
+        Ok(self.tree.seal_exprs(&mut self.exprs, mark))
+    }
+
+    /// Expressions separated by commas up to `close`, counted as one node
+    /// over them: the arguments of a call or a placement, a list literal.
+    fn expr_list(&mut self, close: Tok<'a>) -> Result<Run, LangError> {
+        let mark = self.exprs.len();
         let mut below = 0;
-        while *self.peek() != Tok::RParen {
-            args.push(self.expr()?);
+        while self.peek() != close {
+            let item = self.expr()?;
+            self.exprs.push(item);
             below = below.max(self.height);
-            if *self.peek() == Tok::Comma {
-                self.advance();
-            } else {
+            if !self.eat(Tok::Comma) {
                 break;
             }
         }
-        self.expect(Tok::RParen)?;
+        self.expect(close)?;
         self.grown(below + 1)?;
-        Ok(args)
+        Ok(self.tree.seal_exprs(&mut self.exprs, mark))
+    }
+
+    fn call_args(&mut self) -> Result<Run, LangError> {
+        self.expect(Tok::LParen)?;
+        self.expr_list(Tok::RParen)
     }
 
     // Expression parsing (precedence climbing). `allow_record` guards the
     // `ident { ... }` record literal, which would swallow statement
-    // blocks after `if`/`for`; `allow_point` guards treating `(a, b)` as
-    // a point (always on — the flag exists for widths/counts that are
-    // followed by a point literal).
+    // blocks after `if`/`for`.
 
-    fn expr(&mut self) -> Result<Expr, LangError> {
+    fn expr(&mut self) -> Result<Expr<'a>, LangError> {
         self.binary_expr(0, true)
     }
 
-    fn expr_no_record(&mut self) -> Result<Expr, LangError> {
-        self.binary_expr(0, false)
+    /// An expression, stored.
+    fn expr_id(&mut self) -> Result<ExprId, LangError> {
+        let e = self.expr()?;
+        Ok(self.tree.alloc(e))
     }
 
-    /// An expression that must not be a bare point literal — used where a
-    /// scalar is followed by a point (`wire metal 2 (0,0)...`). A
-    /// parenthesized scalar is still fine.
-    fn expr_no_point(&mut self) -> Result<Expr, LangError> {
-        // Same grammar; points only arise from the `(a, b)` primary and
-        // widths are scalars, so the normal parser does the right thing:
-        // `2 (0,0)` parses 2 then stops at `(`.
-        self.binary_expr(0, true)
+    fn expr_no_record(&mut self) -> Result<ExprId, LangError> {
+        let e = self.binary_expr(0, false)?;
+        Ok(self.tree.alloc(e))
     }
 
-    fn binary_expr(&mut self, min_prec: u8, allow_record: bool) -> Result<Expr, LangError> {
+    fn binary_expr(&mut self, min_prec: u8, allow_record: bool) -> Result<Expr<'a>, LangError> {
         let mut lhs = self.unary_expr(allow_record)?;
         loop {
             let (op, prec) = match self.peek() {
@@ -516,14 +487,14 @@ impl Parser {
             self.grown(left.max(self.height) + 1)?;
             lhs = Expr::Binary {
                 op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+                lhs: self.tree.alloc(lhs),
+                rhs: self.tree.alloc(rhs),
             };
         }
         Ok(lhs)
     }
 
-    fn unary_expr(&mut self, allow_record: bool) -> Result<Expr, LangError> {
+    fn unary_expr(&mut self, allow_record: bool) -> Result<Expr<'a>, LangError> {
         // Every cycle in the expression grammar comes through here, and
         // a new tree starts.
         self.open += 1;
@@ -535,9 +506,12 @@ impl Parser {
         };
         let e = if let Some(op) = op {
             self.advance();
-            let expr = Box::new(self.unary_expr(allow_record)?);
+            let operand = self.unary_expr(allow_record)?;
             self.grown(self.height + 1)?;
-            Expr::Unary { op, expr }
+            Expr::Unary {
+                op,
+                expr: self.tree.alloc(operand),
+            }
         } else {
             self.postfix_expr(allow_record)?
         };
@@ -545,7 +519,7 @@ impl Parser {
         Ok(e)
     }
 
-    fn postfix_expr(&mut self, allow_record: bool) -> Result<Expr, LangError> {
+    fn postfix_expr(&mut self, allow_record: bool) -> Result<Expr<'a>, LangError> {
         let mut e = self.primary_expr(allow_record)?;
         loop {
             match self.peek() {
@@ -554,7 +528,7 @@ impl Parser {
                     let field = self.ident()?;
                     self.grown(self.height + 1)?;
                     e = Expr::Field {
-                        base: Box::new(e),
+                        base: self.tree.alloc(e),
                         field,
                     };
                 }
@@ -565,8 +539,8 @@ impl Parser {
                     self.expect(Tok::RBracket)?;
                     self.grown(base.max(self.height) + 1)?;
                     e = Expr::Index {
-                        base: Box::new(e),
-                        index: Box::new(index),
+                        base: self.tree.alloc(e),
+                        index: self.tree.alloc(index),
                     };
                 }
                 _ => break,
@@ -575,79 +549,47 @@ impl Parser {
         Ok(e)
     }
 
-    fn primary_expr(&mut self, allow_record: bool) -> Result<Expr, LangError> {
-        match self.peek().clone() {
-            Tok::Int(v) => {
-                self.advance();
-                Ok(Expr::Int(v))
-            }
-            Tok::True => {
-                self.advance();
-                Ok(Expr::Bool(true))
-            }
-            Tok::False => {
-                self.advance();
-                Ok(Expr::Bool(false))
-            }
-            Tok::Str(s) => {
-                self.advance();
-                Ok(Expr::Str(s))
-            }
-            Tok::LBracket => {
-                self.advance();
-                let mut items = Vec::new();
-                let mut below = 0;
-                while *self.peek() != Tok::RBracket {
-                    items.push(self.expr()?);
-                    below = below.max(self.height);
-                    if *self.peek() == Tok::Comma {
-                        self.advance();
-                    } else {
-                        break;
-                    }
-                }
-                self.expect(Tok::RBracket)?;
-                self.grown(below + 1)?;
-                Ok(Expr::List(items))
-            }
+    fn primary_expr(&mut self, allow_record: bool) -> Result<Expr<'a>, LangError> {
+        let at = self.pos;
+        match self.advance() {
+            Tok::Int(v) => Ok(Expr::Int(v)),
+            Tok::True => Ok(Expr::Bool(true)),
+            Tok::False => Ok(Expr::Bool(false)),
+            Tok::Str(s) => Ok(Expr::Str(s)),
+            Tok::LBracket => Ok(Expr::List(self.expr_list(Tok::RBracket)?)),
             Tok::LParen => {
-                self.advance();
                 let first = self.expr()?;
-                if *self.peek() == Tok::Comma {
-                    self.advance();
+                if self.eat(Tok::Comma) {
                     let below = self.height;
                     let second = self.expr()?;
                     self.expect(Tok::RParen)?;
                     self.grown(below.max(self.height) + 1)?;
-                    Ok(Expr::Point(Box::new(first), Box::new(second)))
+                    Ok(Expr::Point(self.tree.alloc(first), self.tree.alloc(second)))
                 } else {
                     self.expect(Tok::RParen)?;
                     Ok(first)
                 }
             }
             Tok::Ident(name) => {
-                self.advance();
-                if *self.peek() == Tok::LParen {
-                    let args = self.call_args()?;
+                if self.eat(Tok::LParen) {
+                    let args = self.expr_list(Tok::RParen)?;
                     Ok(Expr::Call { name, args })
-                } else if allow_record && *self.peek() == Tok::LBrace {
-                    self.advance();
-                    let mut fields = Vec::new();
+                } else if allow_record && self.eat(Tok::LBrace) {
+                    let mark = self.bindings.len();
                     let mut below = 0;
-                    while *self.peek() != Tok::RBrace {
-                        let fname = self.ident()?;
+                    while self.peek() != Tok::RBrace {
+                        let name = self.ident()?;
                         self.expect(Tok::Colon)?;
-                        let value = self.expr()?;
+                        let value = Some(self.expr_id()?);
                         below = below.max(self.height);
-                        fields.push((fname, value));
-                        if *self.peek() == Tok::Comma {
-                            self.advance();
-                        } else {
+                        self.bindings.push(Binding { name, value });
+                        if !self.eat(Tok::Comma) {
                             break;
                         }
                     }
                     self.expect(Tok::RBrace)?;
                     self.grown(below + 1)?;
+                    let fields = self.tree.seal_bindings(&mut self.bindings, mark);
                     Ok(Expr::Record {
                         type_name: name,
                         fields,
@@ -656,10 +598,13 @@ impl Parser {
                     Ok(Expr::Ident(name))
                 }
             }
-            other => Err(self.err(format!(
-                "expected an expression, found {}",
-                other.describe()
-            ))),
+            other => {
+                self.pos = at;
+                Err(self.err(format!(
+                    "expected an expression, found {}",
+                    other.describe()
+                )))
+            }
         }
     }
 }
@@ -667,6 +612,25 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The one definition of `source` and the statements of its body.
+    fn body_of<'p>(p: &'p Program<'p>) -> (&'p Def<'p>, Vec<StmtKind<'p>>) {
+        match &p.items[0] {
+            Item::Cell(def) | Item::Fn(def) => {
+                (def, p.stmts(def.body).iter().map(|s| s.kind).collect())
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// The top-level statements of `source`.
+    fn top_of<'p>(p: &'p Program<'p>) -> Vec<StmtKind<'p>> {
+        let kind = |item: &Item<'p>| match item {
+            Item::Stmt(s) => s.kind,
+            other => panic!("unexpected {other:?}"),
+        };
+        p.items.iter().map(kind).collect()
+    }
 
     #[test]
     fn parses_cell_with_geometry() {
@@ -680,13 +644,18 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.items.len(), 1);
-        match &p.items[0] {
-            Item::Cell(c) => {
-                assert_eq!(c.name, "inv");
-                assert_eq!(c.params.len(), 1);
-                assert!(c.params[0].default.is_some());
-                assert_eq!(c.body.len(), 4);
-            }
+        let (def, body) = body_of(&p);
+        assert_eq!(def.name, "inv");
+        let params = p.bindings(def.params);
+        assert_eq!(params.len(), 1);
+        assert!(params[0].value.is_some());
+        assert_eq!(body.len(), 4);
+        match body[1] {
+            StmtKind::Wire { points, .. } => assert_eq!(points.ids().count(), 2),
+            other => panic!("unexpected {other:?}"),
+        }
+        match body[2] {
+            StmtKind::Polygon { points, .. } => assert_eq!(points.ids().count(), 3),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -699,21 +668,38 @@ mod tests {
              array bit() at (0,0) step (6,0) (0, 10) count 4 2;",
         )
         .unwrap();
-        assert_eq!(p.items.len(), 3);
-        match &p.items[0] {
-            Item::Stmt(Stmt::Place { cell, orient, .. }) => {
+        let top = top_of(&p);
+        assert_eq!(top.len(), 3);
+        match top[0] {
+            StmtKind::Place { cell, orient, .. } => {
                 assert_eq!(cell, "inv");
-                assert_eq!(orient, &[OrientMod::Rot90, OrientMod::MirrorX]);
+                assert_eq!(orient, Orientation::MX.compose(Orientation::R90));
             }
             other => panic!("unexpected {other:?}"),
         }
-        match &p.items[2] {
-            Item::Stmt(Stmt::ArrayPlace { step2, count2, .. }) => {
+        match top[2] {
+            StmtKind::ArrayPlace { step2, count2, .. } => {
                 assert!(step2.is_some());
                 assert!(count2.is_some());
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn lists_sit_side_by_side_whatever_nests_inside_them() {
+        let p = parse("let l = [f(1, [2, 3]), [4], g(5)[6]];").unwrap();
+        let StmtKind::Let { value, .. } = top_of(&p)[0] else {
+            panic!("a let");
+        };
+        let Expr::List(items) = *p.expr(value) else {
+            panic!("a list");
+        };
+        let items: Vec<&Expr> = items.ids().map(|id| p.expr(id)).collect();
+        assert!(matches!(items[0], Expr::Call { name: "f", .. }));
+        assert!(matches!(items[1], Expr::List(inner) if inner.ids().count() == 1));
+        assert!(matches!(items[2], Expr::Index { .. }));
+        assert_eq!(items.len(), 3);
     }
 
     #[test]
@@ -726,8 +712,18 @@ mod tests {
             }",
         )
         .unwrap();
-        match &p.items[0] {
-            Item::Cell(c) => assert!(matches!(c.body[0], Stmt::For { .. })),
+        let StmtKind::For { body, .. } = body_of(&p).1[0] else {
+            panic!("a for");
+        };
+        match p.stmts(body)[0].kind {
+            StmtKind::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                assert_eq!(p.stmts(then_body).len(), 1);
+                assert!(p.stmts(else_body).is_empty());
+            }
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -741,10 +737,21 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.items.len(), 3);
-        match &p.items[1] {
-            Item::Stmt(Stmt::Let { value, .. }) => {
-                assert!(matches!(value, Expr::Record { .. }));
+        match &p.items[0] {
+            Item::Type(def) => {
+                let fields: Vec<&str> = p.bindings(def.params).iter().map(|b| b.name).collect();
+                assert_eq!(fields, ["x", "y"]);
             }
+            other => panic!("unexpected {other:?}"),
+        }
+        match &p.items[1] {
+            Item::Stmt(Stmt {
+                kind: StmtKind::Let { value, .. },
+                ..
+            }) => match p.expr(*value) {
+                Expr::Record { fields, .. } => assert_eq!(p.bindings(*fields).len(), 2),
+                other => panic!("unexpected {other:?}"),
+            },
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -753,47 +760,37 @@ mod tests {
     fn record_literal_not_confused_with_if_block() {
         // `if n { ... }` must treat `{` as the block, not a record.
         let p = parse("cell c(n) { if n > 0 { box metal (0,0) (1,1); } }").unwrap();
-        match &p.items[0] {
-            Item::Cell(c) => assert!(matches!(c.body[0], Stmt::If { .. })),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(matches!(body_of(&p).1[0], StmtKind::If { .. }));
     }
 
     #[test]
     fn parses_functions() {
         let p = parse("fn double(n) -> int { return n * 2; }").unwrap();
-        match &p.items[0] {
-            Item::Fn(f) => {
-                assert_eq!(f.name, "double");
-                assert!(matches!(f.body[0], Stmt::Return { .. }));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let (def, body) = body_of(&p);
+        assert_eq!(def.name, "double");
+        assert!(matches!(body[0], StmtKind::Return { .. }));
     }
 
     #[test]
     fn point_vs_paren() {
         let p = parse("let a = (1 + 2) * 3; let b = (1, 2);").unwrap();
-        match &p.items[0] {
-            Item::Stmt(Stmt::Let { value, .. }) => {
-                assert!(matches!(value, Expr::Binary { op: BinOp::Mul, .. }));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match &p.items[1] {
-            Item::Stmt(Stmt::Let { value, .. }) => {
-                assert!(matches!(value, Expr::Point(..)));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let values: Vec<&Expr> = top_of(&p)
+            .iter()
+            .map(|kind| match kind {
+                StmtKind::Let { value, .. } => p.expr(*value),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert!(matches!(values[0], Expr::Binary { op: BinOp::Mul, .. }));
+        assert!(matches!(values[1], Expr::Point(..)));
     }
 
     #[test]
     fn lists_and_indexing() {
         let p = parse("let l = [1, 2, 3]; let x = l[1];").unwrap();
-        match &p.items[1] {
-            Item::Stmt(Stmt::Let { value, .. }) => {
-                assert!(matches!(value, Expr::Index { .. }));
+        match top_of(&p)[1] {
+            StmtKind::Let { value, .. } => {
+                assert!(matches!(p.expr(value), Expr::Index { .. }));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -802,13 +799,9 @@ mod tests {
     #[test]
     fn assignment_vs_expression_statement() {
         let p = parse("cell c() { let x = 1; x = x + 1; noop(); }").unwrap();
-        match &p.items[0] {
-            Item::Cell(c) => {
-                assert!(matches!(c.body[1], Stmt::Assign { .. }));
-                assert!(matches!(c.body[2], Stmt::Expr { .. }));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let body = body_of(&p).1;
+        assert!(matches!(body[1], StmtKind::Assign { .. }));
+        assert!(matches!(body[2], StmtKind::Expr { .. }));
     }
 
     #[test]

@@ -307,8 +307,29 @@ fn nesting_bombs_are_error_replies_and_the_server_lives_on() {
         message.contains("line 3") && message.contains("function recursion too deep"),
         "{message}"
     );
+    // A chain of cells each placing the next: 75 KB, under the line cap,
+    // and it recursed with no budget at all.
+    let chain = |n: usize| {
+        let cells = (1..n).map(|i| format!("cell c{i}() {{ place c{}() at (0,0); }}\n", i - 1));
+        format!(
+            "cell c0() {{ box metal (0,0) (4,4); }}\n{}place c{}() at (0,0);",
+            cells.collect::<String>(),
+            n - 1
+        )
+    };
+    let reply = Client::connect(addr).request(&format!(
+        r#"{{"op":"compile","source":{}}}"#,
+        quoted(&chain(1_500))
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    let message = reply.to_string();
+    assert!(
+        message.contains("on line ") && message.contains("cell nesting too deep"),
+        "{message}"
+    );
     // What the bound admits runs on a worker's 2 MiB stack, here in a
-    // debug build: nested blocks in SIL, nested operands in ISL.
+    // debug build: nested blocks and nested cells in SIL, nested operands
+    // in ISL.
     let mut client = Client::connect(addr);
     let blocks = format!(
         "let c = true; {}box metal (0,0) (4,4);{}",
@@ -320,7 +341,8 @@ fn nesting_bombs_are_error_replies_and_the_server_lives_on() {
         "1+(".repeat(55),
         ")".repeat(55)
     );
-    for (op, source) in [("compile", blocks), ("sim", operands)] {
+    let cells = chain(if cfg!(debug_assertions) { 16 } else { 200 });
+    for (op, source) in [("compile", blocks), ("compile", cells), ("sim", operands)] {
         let reply = client.request(&format!(r#"{{"op":"{op}","source":{}}}"#, quoted(&source)));
         assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
     }
