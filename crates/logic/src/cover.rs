@@ -1,4 +1,5 @@
-use crate::{Cube, Lit, LogicError};
+use crate::cube::cofactor_words;
+use crate::{Cube, LogicError};
 use std::fmt;
 
 /// A sum of products: a set of [`Cube`]s over a fixed number of inputs.
@@ -17,7 +18,7 @@ use std::fmt;
 /// assert!(!f.eval(0b00));
 /// # Ok::<(), silc_logic::LogicError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cover {
     num_inputs: usize,
     cubes: Vec<Cube>,
@@ -105,6 +106,24 @@ impl Cover {
         Ok(())
     }
 
+    /// The OR of two functions: this cover's cubes, then `other`'s.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LogicError::WidthMismatch`] on width disagreement.
+    pub fn union(&self, other: &Cover) -> Result<Cover, LogicError> {
+        if other.num_inputs != self.num_inputs {
+            return Err(LogicError::WidthMismatch {
+                expected: self.num_inputs,
+                found: other.num_inputs,
+            });
+        }
+        Ok(Cover {
+            num_inputs: self.num_inputs,
+            cubes: [&self.cubes[..], &other.cubes[..]].concat(),
+        })
+    }
+
     /// Total specified literals across all cubes — proportional to PLA
     /// AND-plane transistor count.
     pub fn literal_count(&self) -> usize {
@@ -120,78 +139,35 @@ impl Cover {
     /// restricted to the subspace where `cube`'s literals hold, expressed
     /// over the remaining (freed) inputs.
     pub fn cofactor(&self, cube: &Cube) -> Cover {
-        let mut out = Vec::new();
-        'next: for c in &self.cubes {
-            let mut lits = Vec::with_capacity(self.num_inputs);
-            for i in 0..self.num_inputs {
-                let (a, b) = (c.lit(i), cube.lit(i));
-                match (a, b) {
-                    (Lit::Zero, Lit::One) | (Lit::One, Lit::Zero) => continue 'next,
-                    (_, Lit::Zero) | (_, Lit::One) => lits.push(Lit::DontCare),
-                    (x, Lit::DontCare) => lits.push(x),
-                }
+        let mut words = Vec::new();
+        let mut cubes = Vec::new();
+        for c in &self.cubes {
+            if cofactor_words(c.words(), cube.words(), &mut words) {
+                cubes.push(Cube::from_words(self.num_inputs, &words));
+                words.clear();
             }
-            out.push(Cube::from_lits(lits));
         }
         Cover {
             num_inputs: self.num_inputs,
-            cubes: out,
+            cubes,
         }
     }
 
-    /// True when the cover is a tautology (covers every minterm), by
-    /// recursive Shannon expansion on the most binate variable with unate
-    /// short-cuts.
+    /// True when the cover is a tautology (covers every minterm).
     pub fn is_tautology(&self) -> bool {
-        // Quick exits.
-        if self.cubes.iter().any(|c| c.literal_count() == 0) {
-            return true;
-        }
-        if self.cubes.is_empty() {
-            return false;
-        }
-        match self.most_binate_variable() {
-            Some(i) => {
-                let one = self.cofactor(&Cube::universe(self.num_inputs).with_lit(i, Lit::One));
-                if !one.is_tautology() {
-                    return false;
-                }
-                let zero = self.cofactor(&Cube::universe(self.num_inputs).with_lit(i, Lit::Zero));
-                zero.is_tautology()
-            }
-            None => {
-                // Unate cover: tautology iff it contains the universal
-                // cube, which the quick exit above already checked.
-                false
-            }
-        }
-    }
-
-    /// The variable appearing most often in both polarities, if any.
-    fn most_binate_variable(&self) -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None; // (count, index)
-        for i in 0..self.num_inputs {
-            let zeros = self.cubes.iter().filter(|c| c.lit(i) == Lit::Zero).count();
-            let ones = self.cubes.iter().filter(|c| c.lit(i) == Lit::One).count();
-            if zeros > 0 && ones > 0 {
-                let count = zeros + ones;
-                if best.is_none_or(|(c, _)| count > c) {
-                    best = Some((count, i));
-                }
-            }
-        }
-        best.map(|(_, i)| i)
+        self.covers_cube(&Cube::universe(self.num_inputs))
     }
 
     /// True when the cover covers every minterm of `cube` (single-cube
     /// containment): the cofactor with respect to the cube is a tautology.
+    /// Asking many cubes of one cover is cheaper through one [`Scratch`].
     pub fn covers_cube(&self, cube: &Cube) -> bool {
-        self.cofactor(cube).is_tautology()
+        Scratch::default().covers_cube(self, cube)
     }
 
     /// True when `self` covers every minterm of `other`.
     pub fn covers(&self, other: &Cover) -> bool {
-        other.cubes.iter().all(|c| self.covers_cube(c))
+        Scratch::default().covers(self, other)
     }
 
     /// Functional equivalence.
@@ -202,17 +178,14 @@ impl Cover {
     /// Removes cubes contained in a single other cube (cheap cleanup, not
     /// full irredundancy).
     pub fn remove_single_cube_contained(&mut self) {
-        let cubes = std::mem::take(&mut self.cubes);
-        let mut kept: Vec<Cube> = Vec::with_capacity(cubes.len());
         // Larger cubes first so small ones get absorbed.
-        let mut sorted = cubes;
-        sorted.sort_by_key(|c| c.literal_count());
+        let mut sorted = std::mem::take(&mut self.cubes);
+        sorted.sort_by_key(Cube::literal_count);
         for c in sorted {
-            if !kept.iter().any(|k| k.covers_cube(&c)) {
-                kept.push(c);
+            if !self.cubes.iter().any(|k| k.covers_cube(&c)) {
+                self.cubes.push(c);
             }
         }
-        self.cubes = kept;
     }
 
     /// All minterms of the function, for small `n`.
@@ -247,15 +220,139 @@ impl fmt::Display for Cover {
     }
 }
 
-impl FromIterator<Cube> for Cover {
-    /// Collects cubes into a cover, taking the width from the first cube
-    /// (an empty iterator gives a zero-input constant-false cover).
-    fn from_iter<I: IntoIterator<Item = Cube>>(iter: I) -> Self {
-        let cubes: Vec<Cube> = iter.into_iter().collect();
-        let n = cubes.first().map_or(0, Cube::width);
-        Cover {
-            num_inputs: n,
-            cubes,
+/// Working memory for containment questions: the cofactored cubes of
+/// every open level of the Shannon recursion live on one stack of words,
+/// so a question costs no allocation once the stack has grown to the
+/// deepest one asked. Keep one for as long as there are questions.
+///
+/// The answer is yes or no and depends on the function alone; the
+/// shortcuts below decide how fast it arrives, never what it is.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    /// Open frames, innermost last; a cube is one `Cube::words` slice.
+    stack: Vec<u64>,
+    /// Which columns the frame in hand binds to 0 and to 1, laid out as
+    /// a cube's words are.
+    seen: Vec<u64>,
+    /// How many cubes of the frame being split bind each column.
+    counts: Vec<u32>,
+    questions: u64,
+}
+
+impl Scratch {
+    /// True when `cover` covers every minterm of `cube`.
+    pub fn covers_cube(&mut self, cover: &Cover, cube: &Cube) -> bool {
+        self.covered(cover.cubes(), cube)
+    }
+
+    /// True when `cover` covers every minterm of `other`.
+    pub fn covers(&mut self, cover: &Cover, other: &Cover) -> bool {
+        other.cubes().iter().all(|c| self.covers_cube(cover, c))
+    }
+
+    /// How many single-cube questions this scratch has answered.
+    pub fn questions(&self) -> u64 {
+        self.questions
+    }
+
+    /// True when the OR of `cubes` covers every minterm of `cube`.
+    pub(crate) fn covered<'a>(
+        &mut self,
+        cubes: impl IntoIterator<Item = &'a Cube>,
+        cube: &Cube,
+    ) -> bool {
+        self.questions += 1;
+        self.stack.clear();
+        for c in cubes {
+            debug_assert_eq!(c.width(), cube.width());
+            cofactor_words(c.words(), cube.words(), &mut self.stack);
+        }
+        self.tautology(0, cube.words().len())
+    }
+
+    /// True when the cubes of `len` words each on the stack from `start`
+    /// up cover everything. Uses that part of the stack and whatever it
+    /// pushes above it.
+    fn tautology(&mut self, start: usize, len: usize) -> bool {
+        loop {
+            self.seen.clear();
+            self.seen.resize(len, 0);
+            // The share of the space covered if no two cubes met, in
+            // units of 2^-63 and rounded up: below one, some minterm is
+            // left out (an empty frame among them).
+            let mut volume = 0u64;
+            for cube in self.stack[start..].chunks_exact(len) {
+                let mut literals = 0;
+                for (seen, pair) in self.seen.chunks_exact_mut(2).zip(cube.chunks_exact(2)) {
+                    seen[0] |= !pair[1];
+                    seen[1] |= !pair[0];
+                    literals += (pair[0] & pair[1]).count_zeros();
+                }
+                if literals == 0 {
+                    return true;
+                }
+                volume = volume.saturating_add(1 << 63u32.saturating_sub(literals));
+            }
+            if volume < 1 << 63 {
+                return false;
+            }
+            // A column bound one way only: setting it the other way
+            // removes the cubes that bind it and narrows no other, so
+            // the frame is a tautology exactly when the rest is.
+            if self.seen.chunks_exact(2).any(|s| s[0] != s[1]) {
+                let unate = |seen: &[u64], cube: &[u64]| {
+                    let mut pairs = seen.chunks_exact(2).zip(cube.chunks_exact(2));
+                    pairs.any(|(s, c)| !(c[0] & c[1]) & (s[0] ^ s[1]) != 0)
+                };
+                let mut kept = start;
+                for at in (start..self.stack.len()).step_by(len) {
+                    if !unate(&self.seen, &self.stack[at..at + len]) {
+                        self.stack.copy_within(at..at + len, kept);
+                        kept += len;
+                    }
+                }
+                self.stack.truncate(kept);
+                continue;
+            }
+            // Every bound column is bound both ways: split on the one
+            // most cubes bind, `x = 1` on a frame of its own above this
+            // one, then `x = 0` in place.
+            self.counts.clear();
+            self.counts.resize(32 * len, 0);
+            for cube in self.stack[start..].chunks_exact(len) {
+                for (w, pair) in cube.chunks_exact(2).enumerate() {
+                    let mut bound = !(pair[0] & pair[1]);
+                    while bound != 0 {
+                        self.counts[64 * w + bound.trailing_zeros() as usize] += 1;
+                        bound &= bound - 1;
+                    }
+                }
+            }
+            let busiest = self.counts.iter().enumerate().max_by_key(|(_, &c)| c);
+            let (column, _) = busiest.expect("a cube has at least one word pair");
+            let (z, bit) = (2 * (column / 64), 1u64 << (column % 64));
+            let top = self.stack.len();
+            for at in (start..top).step_by(len) {
+                if self.stack[at + z + 1] & bit != 0 {
+                    self.stack.extend_from_within(at..at + len);
+                    let copy = self.stack.len() - len;
+                    self.stack[copy + z] |= bit;
+                }
+            }
+            let holds = self.tautology(top, len);
+            self.stack.truncate(top);
+            if !holds {
+                return false;
+            }
+            let mut kept = start;
+            for at in (start..top).step_by(len) {
+                if self.stack[at + z] & bit != 0 {
+                    self.stack.copy_within(at..at + len, kept);
+                    self.stack[kept + z + 1] |= bit;
+                    kept += len;
+                }
+            }
+            self.stack.truncate(kept);
         }
     }
 }
@@ -263,6 +360,7 @@ impl FromIterator<Cube> for Cover {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Lit;
     use proptest::prelude::*;
 
     fn cover(n: usize, cubes: &[&str]) -> Cover {
@@ -357,27 +455,14 @@ mod tests {
         assert_eq!(Cover::empty(2).to_string(), "0");
     }
 
+    const LITS: [Lit; 3] = [Lit::Zero, Lit::One, Lit::DontCare];
+
     fn arb_cover(n: usize, max_cubes: usize) -> impl Strategy<Value = Cover> {
         prop::collection::vec(prop::collection::vec(0u8..3, n), 0..max_cubes).prop_map(
             move |cubes| {
-                Cover::from_cubes(
-                    n,
-                    cubes
-                        .into_iter()
-                        .map(|v| {
-                            Cube::from_lits(
-                                v.into_iter()
-                                    .map(|x| match x {
-                                        0 => Lit::Zero,
-                                        1 => Lit::One,
-                                        _ => Lit::DontCare,
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                )
-                .unwrap()
+                let cubes = cubes.into_iter();
+                let lits = |v: Vec<u8>| Cube::from_lits(v.into_iter().map(|x| LITS[x as usize]));
+                Cover::from_cubes(n, cubes.map(lits).collect()).unwrap()
             },
         )
     }

@@ -42,6 +42,16 @@ impl Lit {
 /// Cubes are the atoms of two-level logic: a PLA row is a cube, and a
 /// cover (sum of products) is a set of cubes.
 ///
+/// Stored in positional-cube notation: per input one bit in each of two
+/// planes, "may be 0" and "may be 1", so `0` is `(1, 0)`, `1` is `(0, 1)`
+/// and `-` is `(1, 1)`; `(0, 0)` is the empty set and is never stored.
+/// Input `i` (column `i` of the text form, bit `n-1-i` of a minterm) is
+/// bit `i % 64` of word pair `i / 64`; bits past the width read `-`. The
+/// planes are interleaved — `[z0, o0, z1, o1, …]` — so intersection and
+/// supercube are one AND or OR over the whole slice. Up to 64 inputs the
+/// pair sits inline and a clone copies four words; wider cubes box the
+/// same slice, and every operation below reads it the same way.
+///
 /// # Example
 ///
 /// ```
@@ -54,36 +64,94 @@ impl Lit {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cube {
-    lits: Vec<Lit>,
+    width: usize,
+    words: Words,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Words {
+    /// `width <= 64`.
+    Inline([u64; 2]),
+    /// `width > 64`: `2 * width.div_ceil(64)` words.
+    Wide(Box<[u64]>),
+}
+
+/// The inputs `64 * w ..` of `minterm` over `n` inputs (input 0 = MSB) as
+/// one plane word: bit `b` is the value of input `64 * w + b`, zero past
+/// the width and for inputs above the minterm's 64 bits.
+fn minterm_word(n: usize, minterm: u64, w: usize) -> u64 {
+    let top = n - 1 - 64 * w; // minterm bit of this word's bit 0
+    let aligned = if top >= 63 {
+        minterm.checked_shr((top - 63) as u32).unwrap_or(0)
+    } else {
+        minterm << (63 - top)
+    };
+    aligned.reverse_bits()
+}
+
+/// Appends the cofactor of the cube `a` against the cube `c` (both word
+/// slices of one width) to `out`: `a` with every input `c` binds freed.
+/// Appends nothing and returns false when the two do not meet.
+pub(crate) fn cofactor_words(a: &[u64], c: &[u64], out: &mut Vec<u64>) -> bool {
+    let start = out.len();
+    for (a, c) in a.chunks_exact(2).zip(c.chunks_exact(2)) {
+        if (a[0] & c[0]) | (a[1] & c[1]) != u64::MAX {
+            out.truncate(start);
+            return false;
+        }
+        let bound = !(c[0] & c[1]);
+        out.extend([a[0] | bound, a[1] | bound]);
+    }
+    true
 }
 
 impl Cube {
     /// The universal cube (all don't-cares) over `n` inputs.
     pub fn universe(n: usize) -> Cube {
-        Cube {
-            lits: vec![Lit::DontCare; n],
-        }
+        let words = if n <= 64 {
+            Words::Inline([u64::MAX; 2])
+        } else {
+            Words::Wide(vec![u64::MAX; 2 * n.div_ceil(64)].into())
+        };
+        Cube { width: n, words }
     }
 
     /// Creates a cube from explicit literals.
-    pub fn from_lits(lits: Vec<Lit>) -> Cube {
-        Cube { lits }
+    pub fn from_lits<I>(lits: I) -> Cube
+    where
+        I: IntoIterator<Item = Lit>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let lits = lits.into_iter();
+        let mut cube = Cube::universe(lits.len());
+        for (i, lit) in lits.enumerate() {
+            cube.set_lit(i, lit);
+        }
+        cube
     }
 
-    /// The cube matching exactly one minterm. Bit `n-1-i` of `minterm`...
-    /// no: input 0 is the **most significant** bit, matching the PLA text
-    /// convention where the leftmost column is input 0.
+    /// The cube matching exactly one minterm. Input 0 is the **most
+    /// significant** bit, matching the PLA text convention where the
+    /// leftmost column is input 0; inputs above the 64 bits of `minterm`
+    /// read 0.
     pub fn from_minterm(n: usize, minterm: u64) -> Cube {
-        let lits = (0..n)
-            .map(|i| {
-                if (minterm >> (n - 1 - i)) & 1 == 1 {
-                    Lit::One
-                } else {
-                    Lit::Zero
-                }
-            })
-            .collect();
-        Cube { lits }
+        let mut cube = Cube::universe(n);
+        for (w, pair) in cube.words_mut().chunks_exact_mut(2).enumerate() {
+            if 64 * w < n {
+                let ones = minterm_word(n, minterm, w);
+                let past = u64::MAX.checked_shl((n - 64 * w) as u32).unwrap_or(0);
+                pair[0] = !ones;
+                pair[1] = ones | past;
+            }
+        }
+        cube
+    }
+
+    /// A cube over `width` inputs from its word slice.
+    pub(crate) fn from_words(width: usize, words: &[u64]) -> Cube {
+        let mut cube = Cube::universe(width);
+        cube.words_mut().copy_from_slice(words);
+        cube
     }
 
     /// Parses the PLA text form, e.g. `"1-0"`.
@@ -92,13 +160,48 @@ impl Cube {
     ///
     /// Returns [`LogicError::ParseCube`] for invalid characters.
     pub fn parse(s: &str) -> Result<Cube, LogicError> {
-        let lits = s.chars().map(Lit::from_char).collect::<Result<_, _>>()?;
-        Ok(Cube { lits })
+        let mut cube = Cube::universe(s.chars().count());
+        for (i, c) in s.chars().enumerate() {
+            cube.set_lit(i, Lit::from_char(c)?);
+        }
+        Ok(cube)
     }
 
     /// Number of inputs.
     pub fn width(&self) -> usize {
-        self.lits.len()
+        self.width
+    }
+
+    /// The interleaved bit-planes, `[z0, o0, z1, o1, …]`.
+    pub(crate) fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(pair) => pair,
+            Words::Wide(words) => words,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(pair) => pair,
+            Words::Wide(words) => words,
+        }
+    }
+
+    /// The `(z, o)` word pairs of two cubes of one width, side by side.
+    fn pairs<'a>(&'a self, other: &'a Cube) -> impl Iterator<Item = (&'a [u64], &'a [u64])> {
+        debug_assert_eq!(self.width, other.width);
+        let pairs = |c: &'a Cube| c.words().chunks_exact(2);
+        pairs(self).zip(pairs(other))
+    }
+
+    /// A copy with every word combined with the matching word of `other`.
+    fn zip_words(&self, other: &Cube, f: impl Fn(u64, u64) -> u64) -> Cube {
+        debug_assert_eq!(self.width, other.width);
+        let mut out = self.clone();
+        for (a, &b) in out.words_mut().iter_mut().zip(other.words()) {
+            *a = f(*a, b);
+        }
+        out
     }
 
     /// The literal at input `i`.
@@ -107,12 +210,54 @@ impl Cube {
     ///
     /// Panics if `i >= width()`.
     pub fn lit(&self, i: usize) -> Lit {
-        self.lits[i]
+        assert!(i < self.width, "input {i} of a {}-input cube", self.width);
+        let pair = &self.words()[2 * (i / 64)..];
+        match (pair[0] >> (i % 64) & 1, pair[1] >> (i % 64) & 1) {
+            (1, 0) => Lit::Zero,
+            (0, 1) => Lit::One,
+            _ => Lit::DontCare,
+        }
     }
 
-    /// All literals.
-    pub fn lits(&self) -> &[Lit] {
-        &self.lits
+    /// All literals, input 0 first.
+    pub fn lits(&self) -> impl ExactSizeIterator<Item = Lit> + '_ {
+        (0..self.width).map(|i| self.lit(i))
+    }
+
+    /// The specified literals as `(input, value)`, input 0 first: one step
+    /// per set bit, however wide the cube.
+    pub fn bound(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+        self.words()
+            .chunks_exact(2)
+            .enumerate()
+            .flat_map(|(w, pair)| {
+                let (mut left, ones) = (!(pair[0] & pair[1]), pair[1]);
+                std::iter::from_fn(move || {
+                    (left != 0).then(|| {
+                        let bit = left.trailing_zeros();
+                        left &= left - 1;
+                        (64 * w + bit as usize, ones >> bit & 1 == 1)
+                    })
+                })
+            })
+    }
+
+    /// Sets input `i` to `lit`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= width()`.
+    pub fn set_lit(&mut self, i: usize, lit: Lit) {
+        assert!(i < self.width, "input {i} of a {}-input cube", self.width);
+        let bit = 1u64 << (i % 64);
+        let pair = &mut self.words_mut()[2 * (i / 64)..];
+        for (plane, excluded) in [(0, Lit::One), (1, Lit::Zero)] {
+            if lit == excluded {
+                pair[plane] &= !bit;
+            } else {
+                pair[plane] |= bit;
+            }
+        }
     }
 
     /// Returns a copy with input `i` set to `lit`.
@@ -121,26 +266,25 @@ impl Cube {
     ///
     /// Panics if `i >= width()`.
     pub fn with_lit(&self, i: usize, lit: Lit) -> Cube {
-        let mut lits = self.lits.clone();
-        lits[i] = lit;
-        Cube { lits }
+        let mut cube = self.clone();
+        cube.set_lit(i, lit);
+        cube
     }
 
     /// Number of specified (non-don't-care) literals — the number of
     /// transistors the term costs in a PLA AND plane.
     pub fn literal_count(&self) -> usize {
-        self.lits.iter().filter(|&&l| l != Lit::DontCare).count()
+        let pairs = self.words().chunks_exact(2);
+        pairs.map(|p| (p[0] & p[1]).count_zeros() as usize).sum()
     }
 
     /// True when the cube accepts the given minterm (input 0 = MSB).
     pub fn covers_minterm(&self, minterm: u64) -> bool {
-        let n = self.lits.len();
-        self.lits.iter().enumerate().all(|(i, &l)| {
-            let bit = (minterm >> (n - 1 - i)) & 1;
-            match l {
-                Lit::Zero => bit == 0,
-                Lit::One => bit == 1,
-                Lit::DontCare => true,
+        let mut pairs = self.words().chunks_exact(2).enumerate();
+        pairs.all(|(w, pair)| {
+            64 * w >= self.width || {
+                let ones = minterm_word(self.width, minterm, w);
+                (ones & !pair[1]) | (!ones & !pair[0]) == 0
             }
         })
     }
@@ -148,103 +292,66 @@ impl Cube {
     /// True when every minterm of `other` is also in `self`.
     pub fn covers_cube(&self, other: &Cube) -> bool {
         debug_assert_eq!(self.width(), other.width());
-        self.lits
-            .iter()
-            .zip(&other.lits)
-            .all(|(&a, &b)| a == Lit::DontCare || a == b)
+        let mut words = self.words().iter().zip(other.words());
+        words.all(|(&a, &b)| b & !a == 0)
     }
 
     /// Intersection of two cubes, or `None` when they conflict in some
     /// literal.
     pub fn intersect(&self, other: &Cube) -> Option<Cube> {
-        debug_assert_eq!(self.width(), other.width());
-        let mut lits = Vec::with_capacity(self.lits.len());
-        for (&a, &b) in self.lits.iter().zip(&other.lits) {
-            let l = match (a, b) {
-                (Lit::DontCare, x) => x,
-                (x, Lit::DontCare) => x,
-                (x, y) if x == y => x,
-                _ => return None,
-            };
-            lits.push(l);
-        }
-        Some(Cube { lits })
+        let meet = self.zip_words(other, |a, b| a & b);
+        let mut pairs = meet.words().chunks_exact(2);
+        pairs.all(|p| p[0] | p[1] == u64::MAX).then_some(meet)
     }
 
     /// The number of inputs where the cubes require opposite values.
     pub fn conflict_count(&self, other: &Cube) -> usize {
-        debug_assert_eq!(self.width(), other.width());
-        self.lits
-            .iter()
-            .zip(&other.lits)
-            .filter(|(&a, &b)| matches!((a, b), (Lit::Zero, Lit::One) | (Lit::One, Lit::Zero)))
-            .count()
+        let neither = |(a, b): (&[u64], &[u64])| !((a[0] & b[0]) | (a[1] & b[1]));
+        self.pairs(other)
+            .map(|p| neither(p).count_ones() as usize)
+            .sum()
     }
 
     /// Quine–McCluskey merge: if the cubes differ in exactly one input
     /// where both are specified and opposite, and agree everywhere else,
     /// returns the merged cube with that input freed.
     pub fn merge_adjacent(&self, other: &Cube) -> Option<Cube> {
-        debug_assert_eq!(self.width(), other.width());
-        let mut diff = None;
-        for (i, (&a, &b)) in self.lits.iter().zip(&other.lits).enumerate() {
-            if a == b {
-                continue;
+        let mut opposite = 0;
+        for (a, b) in self.pairs(other) {
+            // `0` against `1` differs in both planes, anything against
+            // `-` in one.
+            if a[0] ^ b[0] != a[1] ^ b[1] {
+                return None;
             }
-            match (a, b) {
-                (Lit::Zero, Lit::One) | (Lit::One, Lit::Zero) => {
-                    if diff.is_some() {
-                        return None;
-                    }
-                    diff = Some(i);
-                }
-                _ => return None, // one specified, one don't-care: no merge
-            }
+            opposite += (a[0] ^ b[0]).count_ones();
         }
-        diff.map(|i| self.with_lit(i, Lit::DontCare))
+        (opposite == 1).then(|| self.supercube(other))
     }
 
     /// Smallest cube containing both (the supercube).
     pub fn supercube(&self, other: &Cube) -> Cube {
-        debug_assert_eq!(self.width(), other.width());
-        let lits = self
-            .lits
-            .iter()
-            .zip(&other.lits)
-            .map(|(&a, &b)| if a == b { a } else { Lit::DontCare })
-            .collect();
-        Cube { lits }
+        self.zip_words(other, |a, b| a | b)
     }
 
     /// Iterates over every minterm the cube covers (exponential in free
     /// literals; callers gate on width).
     pub fn minterms(&self) -> Vec<u64> {
-        let n = self.lits.len();
-        let free: Vec<usize> = (0..n).filter(|&i| self.lits[i] == Lit::DontCare).collect();
-        let base: u64 = (0..n)
-            .filter(|&i| self.lits[i] == Lit::One)
-            .map(|i| 1u64 << (n - 1 - i))
-            .sum();
-        (0..(1u64 << free.len()))
-            .map(|mask| {
-                let mut m = base;
-                for (j, &i) in free.iter().enumerate() {
-                    if (mask >> j) & 1 == 1 {
-                        m |= 1u64 << (n - 1 - i);
-                    }
-                }
-                m
-            })
-            .collect()
+        let bit = |i: usize| 1u64 << (self.width - 1 - i);
+        let free = (0..self.width).filter(|&i| self.lit(i) == Lit::DontCare);
+        let free: Vec<u64> = free.map(bit).collect();
+        let ones = self.bound().filter(|&(_, one)| one);
+        let base: u64 = ones.map(|(i, _)| bit(i)).sum();
+        let spread = |mask: u64| {
+            let set = free.iter().enumerate().filter(|(j, _)| mask >> j & 1 == 1);
+            set.fold(base, |m, (_, b)| m | b)
+        };
+        (0..1u64 << free.len()).map(spread).collect()
     }
 }
 
 impl fmt::Display for Cube {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for &l in &self.lits {
-            write!(f, "{}", l.to_char())?;
-        }
-        Ok(())
+        self.lits().try_for_each(|l| write!(f, "{}", l.to_char()))
     }
 }
 
@@ -343,18 +450,11 @@ mod tests {
     }
 
     fn arb_cube(n: usize) -> impl Strategy<Value = Cube> {
-        prop::collection::vec(0u8..3, n).prop_map(|v| {
-            Cube::from_lits(
-                v.into_iter()
-                    .map(|x| match x {
-                        0 => Lit::Zero,
-                        1 => Lit::One,
-                        _ => Lit::DontCare,
-                    })
-                    .collect(),
-            )
-        })
+        prop::collection::vec(0u8..3, n)
+            .prop_map(|v| Cube::from_lits(v.into_iter().map(|x| LITS[x as usize])))
     }
+
+    const LITS: [Lit; 3] = [Lit::Zero, Lit::One, Lit::DontCare];
 
     proptest! {
         #[test]

@@ -6,7 +6,16 @@
 //! programmed planes small. This crate provides:
 //!
 //! * [`Cube`] and [`Cover`] — the cube calculus: cofactors, tautology
-//!   checking, containment, single-cube containment.
+//!   checking, containment, single-cube containment. A cube is
+//!   positional-cube notation — two bit-planes, *may be 0* and *may be
+//!   1*, in machine words, inline up to 64 inputs and the same word slice
+//!   boxed beyond — so intersection, supercube and containment are AND,
+//!   OR and a mask test; column `i` of the text form is input `i` is bit
+//!   `n-1-i` of a minterm.
+//! * [`Scratch`] — the one stack of words every containment question
+//!   (`cofactor` until tautology, with the unate and minterm-count
+//!   shortcuts) runs on; keep one across many questions. The answers
+//!   depend on the functions alone (DESIGN.md §17).
 //! * [`TruthTable`] — multi-output function specifications, with a reader
 //!   and writer for the Berkeley/espresso PLA text format.
 //! * [`minimize_exact`] — Quine–McCluskey prime generation plus
@@ -38,7 +47,7 @@ pub mod functions;
 mod minimize;
 mod truth_table;
 
-pub use cover::Cover;
+pub use cover::{Cover, Scratch};
 pub use cube::{Cube, Lit};
 pub use error::LogicError;
 pub use minimize::{minimize_exact, minimize_heuristic, prime_implicants};

@@ -1,4 +1,4 @@
-use crate::{Cover, Cube, LogicError};
+use crate::{Cover, Cube, Lit, LogicError, Scratch};
 use std::collections::HashSet;
 
 /// Maximum input count accepted by the exact (minterm-enumerating)
@@ -221,40 +221,41 @@ pub fn minimize_heuristic(on: &Cover, dc: &Cover) -> Result<Cover, LogicError> {
         });
     }
     // The permissible function: anything inside on ∪ dc.
-    let mut permitted = on.clone();
-    for c in dc.cubes() {
-        permitted.push(c.clone())?;
-    }
+    let permitted = on.union(dc)?;
+    let mut scratch = Scratch::default();
 
     let mut current = on.clone();
     current.remove_single_cube_contained();
     let mut last_len = usize::MAX;
     while current.len() < last_len {
         last_len = current.len();
-        current = expand(&current, &permitted);
-        current = irredundant(&current, dc, on)?;
+        current = expand(&current, &permitted, &mut scratch);
+        current = irredundant(&current, dc, &mut scratch);
+        debug_assert!(current.union(dc)?.covers(on));
     }
     Ok(current)
 }
 
 /// EXPAND: grow each cube literal-by-literal while it remains inside the
 /// permitted function, then drop cubes newly contained in a grown one.
-fn expand(cover: &Cover, permitted: &Cover) -> Cover {
+fn expand(cover: &Cover, permitted: &Cover, scratch: &mut Scratch) -> Cover {
     let n = cover.num_inputs();
     let mut cubes: Vec<Cube> = cover.cubes().to_vec();
     // Expand small cubes first: they benefit most.
     cubes.sort_by_key(|c| std::cmp::Reverse(c.literal_count()));
     let mut out: Vec<Cube> = Vec::with_capacity(cubes.len());
-    for cube in cubes {
-        let mut grown = cube;
+    for mut grown in cubes {
         for i in 0..n {
-            if grown.lit(i) == crate::Lit::DontCare {
-                continue;
-            }
-            let candidate = grown.with_lit(i, crate::Lit::DontCare);
-            if permitted.covers_cube(&candidate) {
-                grown = candidate;
-            }
+            // The cube is inside already, so freeing a literal stays
+            // inside exactly when the half it adds is.
+            let (lit, other) = match grown.lit(i) {
+                Lit::Zero => (Lit::Zero, Lit::One),
+                Lit::One => (Lit::One, Lit::Zero),
+                Lit::DontCare => continue,
+            };
+            grown.set_lit(i, other);
+            let inside = scratch.covers_cube(permitted, &grown);
+            grown.set_lit(i, if inside { Lit::DontCare } else { lit });
         }
         if !out.iter().any(|k: &Cube| k.covers_cube(&grown)) {
             out.retain(|k| !grown.covers_cube(k));
@@ -267,46 +268,19 @@ fn expand(cover: &Cover, permitted: &Cover) -> Cover {
 /// IRREDUNDANT: remove cubes that the rest of the cover plus the don't-care
 /// set already covers. Scans cubes largest-first so big redundant cubes go
 /// before the small ones they shadow.
-fn irredundant(cover: &Cover, dc: &Cover, on: &Cover) -> Result<Cover, LogicError> {
-    let n = cover.num_inputs();
+fn irredundant(cover: &Cover, dc: &Cover, scratch: &mut Scratch) -> Cover {
     let mut cubes: Vec<Cube> = cover.cubes().to_vec();
     cubes.sort_by_key(Cube::literal_count);
     let mut keep = vec![true; cubes.len()];
     for i in 0..cubes.len() {
+        // The cube is redundant only if removing it still covers it.
         keep[i] = false;
-        let mut rest = Cover::empty(n);
-        for (j, c) in cubes.iter().enumerate() {
-            if keep[j] {
-                rest.push(c.clone())?;
-            }
-        }
-        for c in dc.cubes() {
-            rest.push(c.clone())?;
-        }
-        // The cube is redundant only if removing it still covers ON.
-        if !rest.covers_cube(&cubes[i]) {
-            keep[i] = true;
-        }
+        let rest = cubes.iter().zip(&keep).filter(|(_, &k)| k).map(|(c, _)| c);
+        keep[i] = !scratch.covered(rest.chain(dc.cubes()), &cubes[i]);
     }
-    let kept: Vec<Cube> = cubes
-        .into_iter()
-        .zip(keep)
-        .filter(|(_, k)| *k)
-        .map(|(c, _)| c)
-        .collect();
-    let result = Cover::from_cubes(n, kept)?;
-    debug_assert!(result_covers_on(&result, dc, on));
-    Ok(result)
-}
-
-fn result_covers_on(result: &Cover, dc: &Cover, on: &Cover) -> bool {
-    let mut with_dc = result.clone();
-    for c in dc.cubes() {
-        if with_dc.push(c.clone()).is_err() {
-            return false;
-        }
-    }
-    with_dc.covers(on)
+    let mut keep = keep.into_iter();
+    cubes.retain(|_| keep.next().expect("one flag a cube"));
+    Cover::from_cubes(cover.num_inputs(), cubes).expect("widths preserved")
 }
 
 #[cfg(test)]

@@ -157,11 +157,9 @@ impl PlaSpec {
     /// Panics when `o` is out of range.
     pub fn output_cover(&self, o: usize) -> Cover {
         assert!(o < self.num_outputs());
-        self.terms
-            .iter()
-            .filter(|(_, taps)| taps[o])
-            .map(|(c, _)| c.clone())
-            .collect::<Cover>()
+        let tapped = self.terms.iter().filter(|(_, taps)| taps[o]);
+        Cover::from_cubes(self.num_inputs(), tapped.map(|(c, _)| c.clone()).collect())
+            .expect("every term has one cube column an input")
     }
 
     /// Area estimate (width, height) in lambda of the generated layout,

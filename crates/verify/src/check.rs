@@ -15,19 +15,23 @@
 //!    `[lo, hi]` is *refuted*, and the offending lane is decoded into a
 //!    concrete counterexample. Rounds stop early once nothing more can
 //!    be told apart.
-//! 3. **Exact fallback** — outputs still unrefuted are decided by
-//!    flattening to ON/OFF covers over the primary inputs and asking
-//!    [`Cover::covers`] in both directions. Simulation can only refute;
-//!    this tier is what makes a *pass* a proof.
+//! 3. **Exact fallback** — outputs still unrefuted are decided by two
+//!    containments between ON covers over the primary inputs, neither of
+//!    which needs a complement: `(f ∪ dc) ⊇ on` and `(on ∪ dc) ⊇ f` for a
+//!    table, [`Cover::covers`] both ways for a node. Phases are flattened
+//!    per `(node, polarity)` on demand, so an OFF phase is built only
+//!    where a `0` literal or a complemented cone reads it — or where an
+//!    obligation failed and its report wants a witness cube. Simulation
+//!    can only refute; this tier is what makes a *pass* a proof.
 //!
 //! There is no SAT solver anywhere: the exact tier is the same cube
 //! calculus (`cofactor`-until-tautology) that `minimize` is built on.
 
-use crate::network::{complement_cover, cover_word, Network, NodeId};
+use crate::network::{complement_cover, cover_word, Network, NodeId, Phases};
 use crate::{Report, VerifyError};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use silc_logic::{Cover, Cube, Lit, TruthTable};
+use silc_logic::{Cover, Cube, Scratch, TruthTable};
 use silc_trace::{span, Tracer};
 use std::collections::HashMap;
 
@@ -90,11 +94,9 @@ fn render_lane(names: &[String], words: &[u64], lane: u32) -> String {
 
 /// Renders a witness cube (`1-0` over named inputs) as `a=1 c=0`.
 fn render_cube(names: &[String], cube: &Cube) -> String {
-    let bound: Vec<String> = names
-        .iter()
-        .zip(cube.lits())
-        .filter(|(_, &l)| l != Lit::DontCare)
-        .map(|(n, &l)| format!("{n}={}", if l == Lit::One { 1 } else { 0 }))
+    let bound: Vec<String> = cube
+        .bound()
+        .map(|(i, one)| format!("{}={}", names[i], u8::from(one)))
         .collect();
     if bound.is_empty() {
         "any input".to_string()
@@ -349,28 +351,41 @@ fn decide(
     let mut mismatches: Vec<String> = refuted.iter().flatten().cloned().collect();
     if !undecided.is_empty() {
         let mut s = span!(tracer, "verify.exact");
-        let phases = combined.flatten_phases(options.cube_cap)?;
+        let mut phases = Phases::new(&combined, options.cube_cap);
+        let mut scratch = Scratch::default();
+        // Complements taken here, all of them to word a failure.
+        let mut complements = 0;
         for ob in &undecided {
-            let (f_on, f_off) = &phases[node(ob.f)];
-            // A failure is a cube where `f` leaves `[lo, hi]`.
+            let f = node(ob.f);
+            // A failure is a cube where `f` leaves `[lo, hi]`. Whether
+            // there is one takes two containments and no complement; the
+            // OFF phases and complements are for finding the cube.
             let failure = match &ob.spec {
                 Spec::Node(spec) => {
-                    let (on, off) = &phases[node(*spec)];
-                    (!f_on.equivalent(on)).then(|| {
-                        let cube = witness(f_on, off).or_else(|| witness(f_off, on));
-                        ("impl and spec differ", cube)
-                    })
+                    let g = node(*spec);
+                    phases.demand(&[(f, true), (g, true)])?;
+                    let (f_on, on) = (phases.get(f, true), phases.get(g, true));
+                    if scratch.covers(f_on, on) && scratch.covers(on, f_on) {
+                        None
+                    } else {
+                        phases.demand(&[(f, false), (g, false)])?;
+                        let cube = witness(phases.get(f, true), phases.get(g, false))
+                            .or_else(|| witness(phases.get(f, false), phases.get(g, true)));
+                        Some(("impl and spec differ", cube))
+                    }
                 }
                 Spec::Table { on, dc } => {
-                    let lo = intersect_covers(on, &complement_cover(dc));
-                    let mut hi = on.clone();
-                    for cube in dc.cubes() {
-                        hi.push(cube.clone())?;
-                    }
-                    if !f_on.covers(&lo) {
-                        Some(("impl drops required ON-set", witness(&lo, f_off)))
-                    } else if !hi.covers(f_on) {
-                        let cube = witness(f_on, &complement_cover(&hi));
+                    phases.demand(&[(f, true)])?;
+                    let hi = on.union(dc)?;
+                    if !scratch.covers(&phases.get(f, true).union(dc)?, on) {
+                        phases.demand(&[(f, false)])?;
+                        complements += 1;
+                        let lo = intersect_covers(on, &complement_cover(dc));
+                        let cube = witness(&lo, phases.get(f, false));
+                        Some(("impl drops required ON-set", cube))
+                    } else if !scratch.covers(&hi, phases.get(f, true)) {
+                        complements += 1;
+                        let cube = witness(phases.get(f, true), &complement_cover(&hi));
                         Some(("impl asserts outside ON \u{222a} DC", cube))
                     } else {
                         None
@@ -386,6 +401,8 @@ fn decide(
             }
         }
         s.attr("decided", undecided.len() as u64);
+        s.attr("tautology_calls", scratch.questions());
+        s.attr("complements", phases.complements + complements);
     }
 
     mismatches.sort();
@@ -554,6 +571,52 @@ mod tests {
             r.mismatches,
             ["output `f`: impl asserts outside ON \u{222a} DC (e.g. under a=0 b=1)"]
         );
+    }
+
+    /// Whether `f` sits in `[lo, hi]` is two containments; a complement
+    /// is taken only to find the cube a failure names.
+    #[test]
+    fn exact_tier_complements_only_to_word_a_failure() {
+        let spec = TruthTable::parse_pla(
+            ".i 4\n.o 2\n.ilb a b c d\n.ob f g\n11-- 10\n1-1- 1-\n-011 01\n0000 -1\n.e\n",
+        )
+        .unwrap();
+        let exact = Options {
+            sim_rounds: 0,
+            ..Options::default()
+        };
+        let attrs = |net: &Network| {
+            let tracer = Tracer::enabled();
+            let report = check_against_table_traced(net, &spec, &exact, &tracer).unwrap();
+            let spans = tracer.finish();
+            let span = spans.spans().iter().find(|s| s.name == "verify.exact");
+            let attr = |key| {
+                span.unwrap()
+                    .attrs
+                    .iter()
+                    .find(|(k, _)| *k == key)
+                    .unwrap()
+                    .1
+            };
+            (
+                report.equivalent,
+                attr("tautology_calls"),
+                attr("complements"),
+            )
+        };
+        let (equivalent, calls, complements) = attrs(&table_network(&spec));
+        assert!(equivalent);
+        // One question a cube: ON against f ∪ DC, then f against ON ∪ DC.
+        assert_eq!((calls, complements), (2 + 2 + 2 + 2, 0));
+        let broken = TruthTable::parse_pla(
+            ".i 4\n.o 2\n.ilb a b c d\n.ob f g\n11-- 10\n1-1- 10\n-011 01\n0-0- 01\n.e\n",
+        )
+        .unwrap();
+        let (equivalent, _, complements) = attrs(&table_network(&broken));
+        assert!(!equivalent);
+        // `f` stands; `g` asserts outside ON ∪ DC, and the complement of
+        // that bound is where the witness is looked for.
+        assert_eq!(complements, 1);
     }
 
     #[test]

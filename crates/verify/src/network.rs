@@ -140,15 +140,12 @@ impl Network {
 
     /// Builds a single-level network: one cone per output, every cone
     /// reading all `inputs` positionally (exactly a PLA's realized
-    /// output covers). An *empty* cover of any width is accepted as the
-    /// constant-false output — `Cover`'s `FromIterator` gives empty
-    /// collections width 0, so realized covers of constant outputs
-    /// arrive that way.
+    /// output covers).
     ///
     /// # Errors
     ///
-    /// [`VerifyError::Malformed`] when a non-empty cover's width
-    /// disagrees with the input count.
+    /// [`VerifyError::Malformed`] when a cover's width disagrees with
+    /// the input count.
     pub fn from_covers(
         inputs: &[String],
         outputs: &[(String, Cover)],
@@ -156,12 +153,7 @@ impl Network {
         let mut net = Network::new();
         let fanins: Vec<NodeId> = inputs.iter().map(|n| net.add_input(n.clone())).collect();
         for (name, cover) in outputs {
-            let cover = if cover.is_empty() {
-                Cover::empty(inputs.len())
-            } else {
-                cover.clone()
-            };
-            let id = net.add_cone(fanins.clone(), cover, false)?;
+            let id = net.add_cone(fanins.clone(), cover.clone(), false)?;
             net.mark_output(name.clone(), id);
         }
         Ok(net)
@@ -232,7 +224,7 @@ impl Network {
     pub fn strash(&mut self) -> usize {
         let mut remap: Vec<NodeId> = Vec::with_capacity(self.nodes.len());
         let mut kept: Vec<Node> = Vec::with_capacity(self.nodes.len());
-        let mut seen: HashMap<String, NodeId> = HashMap::new();
+        let mut seen: HashMap<(bool, Vec<NodeId>, &Cover), NodeId> = HashMap::new();
         let mut merged = 0usize;
         for node in &self.nodes {
             match node {
@@ -247,30 +239,20 @@ impl Network {
                     complement,
                 } => {
                     let fanins: Vec<NodeId> = fanins.iter().map(|f| remap[f.index()]).collect();
-                    let mut key = String::new();
-                    key.push(if *complement { '!' } else { '+' });
-                    for f in &fanins {
-                        key.push_str(&f.raw().to_string());
-                        key.push(',');
-                    }
-                    key.push(';');
-                    for cube in cover.cubes() {
-                        key.push_str(&cube.to_string());
-                        key.push('|');
-                    }
-                    if let Some(&existing) = seen.get(&key) {
-                        merged += 1;
-                        remap.push(existing);
-                    } else {
-                        let id = NodeId(kept.len() as u32);
+                    let id = NodeId(kept.len() as u32);
+                    let first = *seen
+                        .entry((*complement, fanins.clone(), cover))
+                        .or_insert(id);
+                    if first == id {
                         kept.push(Node::Cone {
                             fanins,
                             cover: cover.clone(),
                             complement: *complement,
                         });
-                        seen.insert(key, id);
-                        remap.push(id);
+                    } else {
+                        merged += 1;
                     }
+                    remap.push(first);
                 }
             }
         }
@@ -313,53 +295,119 @@ impl Network {
         }
         values
     }
+}
 
-    /// Flattens every node to a pair of covers *over the primary
-    /// inputs*: `(on, off)`, where cover position `i` is input `i`. The
-    /// two phases of each node partition the input space, so exact
-    /// containment questions reduce to [`Cover::covers`]. Cones are
-    /// composed bottom-up by substituting fanin phases into each product
-    /// term; the complemented local phase comes from a Shannon-expansion
-    /// cover complement.
+/// Every node flattened to covers *over the primary inputs* (cover
+/// position `i` is input `i`), one polarity at a time and only where
+/// somebody asks: the ON phase of an uncomplemented cone is its cover
+/// with each `1` literal replaced by the fanin's ON phase and each `0`
+/// by its OFF phase, and it is only an OFF phase — of a `0` literal's
+/// fanin, of a complemented cone's own cover, or of an output whose
+/// failure wants a witness — that costs a cover complement. The two
+/// phases of a node partition the input space.
+pub(crate) struct Phases<'a> {
+    net: &'a Network,
+    /// Bound on any intermediate cover's cube count.
+    cube_cap: usize,
+    /// `[off, on]` of each node, once built.
+    built: Vec<[Option<Cover>; 2]>,
+    /// The complement of each cone's own cover, once some phase read it.
+    local_off: Vec<Option<Cover>>,
+    /// Cover complements taken so far.
+    pub(crate) complements: u64,
+}
+
+impl<'a> Phases<'a> {
+    pub(crate) fn new(net: &'a Network, cube_cap: usize) -> Phases<'a> {
+        Phases {
+            net,
+            cube_cap,
+            built: vec![[None, None]; net.nodes.len()],
+            local_off: vec![None; net.nodes.len()],
+            complements: 0,
+        }
+    }
+
+    /// The phase of `node` that a `1` (`on`) or `0` literal reads.
     ///
-    /// `cube_cap` bounds any intermediate cover's cube count.
+    /// # Panics
+    ///
+    /// Panics unless [`Phases::demand`] was asked for it.
+    pub(crate) fn get(&self, node: usize, on: bool) -> &Cover {
+        self.built[node][usize::from(on)]
+            .as_ref()
+            .expect("phase was demanded")
+    }
+
+    /// Builds the named `(node, on)` phases and whatever they read: one
+    /// sweep down the topological order to mark, one up to compose.
     ///
     /// # Errors
     ///
-    /// [`VerifyError::TooLarge`] when composition exceeds `cube_cap`
-    /// cubes.
-    pub fn flatten_phases(&self, cube_cap: usize) -> Result<Vec<(Cover, Cover)>, VerifyError> {
-        let n = self.input_names.len();
-        let mut phases: Vec<(Cover, Cover)> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let pair = match node {
-                Node::Input(idx) => {
-                    let mut on = Cover::empty(n);
-                    let mut off = Cover::empty(n);
-                    on.push(Cube::universe(n).with_lit(*idx, Lit::One))
-                        .expect("width matches");
-                    off.push(Cube::universe(n).with_lit(*idx, Lit::Zero))
-                        .expect("width matches");
-                    (on, off)
-                }
-                Node::Cone {
-                    fanins,
-                    cover,
-                    complement,
-                } => {
-                    let local_off = complement_cover(cover);
-                    let pos = compose(cover, fanins, &phases, n, cube_cap)?;
-                    let neg = compose(&local_off, fanins, &phases, n, cube_cap)?;
-                    if *complement {
-                        (neg, pos)
-                    } else {
-                        (pos, neg)
-                    }
-                }
-            };
-            phases.push(pair);
+    /// [`VerifyError::TooLarge`] when a composition exceeds the cube cap.
+    pub(crate) fn demand(&mut self, roots: &[(usize, bool)]) -> Result<(), VerifyError> {
+        let net = self.net;
+        let n = net.input_names.len();
+        let mut wanted = vec![[false; 2]; net.nodes.len()];
+        for &(node, on) in roots {
+            wanted[node][usize::from(on)] = true;
         }
-        Ok(phases)
+        for (idx, node) in net.nodes.iter().enumerate().rev() {
+            let Node::Cone {
+                fanins,
+                cover,
+                complement,
+            } = node
+            else {
+                continue;
+            };
+            for on in [false, true] {
+                if !wanted[idx][usize::from(on)] || self.built[idx][usize::from(on)].is_some() {
+                    continue;
+                }
+                if on == *complement && self.local_off[idx].is_none() {
+                    self.local_off[idx] = Some(complement_cover(cover));
+                    self.complements += 1;
+                }
+                let local = self.local(idx, cover, on != *complement);
+                for (pos, one) in local.cubes().iter().flat_map(Cube::bound) {
+                    wanted[fanins[pos].index()][usize::from(one)] = true;
+                }
+            }
+        }
+        for (idx, node) in net.nodes.iter().enumerate() {
+            for on in [false, true] {
+                if !wanted[idx][usize::from(on)] || self.built[idx][usize::from(on)].is_some() {
+                    continue;
+                }
+                let phase = match node {
+                    Node::Input(input) => {
+                        let lit = if on { Lit::One } else { Lit::Zero };
+                        let cube = Cube::universe(n).with_lit(*input, lit);
+                        Cover::from_cubes(n, vec![cube]).expect("width matches")
+                    }
+                    Node::Cone {
+                        fanins,
+                        cover,
+                        complement,
+                    } => {
+                        let local = self.local(idx, cover, on != *complement);
+                        compose(local, fanins, &self.built, n, self.cube_cap)?
+                    }
+                };
+                self.built[idx][usize::from(on)] = Some(phase);
+            }
+        }
+        Ok(())
+    }
+
+    /// Cone `idx`'s own cover, or its complement once taken.
+    fn local<'c>(&'c self, idx: usize, cover: &'c Cover, plain: bool) -> &'c Cover {
+        if plain {
+            cover
+        } else {
+            self.local_off[idx].as_ref().expect("complement was taken")
+        }
     }
 }
 
@@ -367,19 +415,12 @@ impl Network {
 /// feeding cover position `pos`. A product term is an AND of (possibly
 /// negated) words, the cover the OR of its terms.
 pub(crate) fn cover_word(cover: &Cover, word: impl Fn(usize) -> u64) -> u64 {
-    let mut sum = 0u64;
-    for cube in cover.cubes() {
-        let mut product = u64::MAX;
-        for (pos, &lit) in cube.lits().iter().enumerate() {
-            product &= match lit {
-                Lit::One => word(pos),
-                Lit::Zero => !word(pos),
-                Lit::DontCare => u64::MAX,
-            };
-        }
-        sum |= product;
-    }
-    sum
+    let literal = |product, (pos, one)| product & if one { word(pos) } else { !word(pos) };
+    let products = cover
+        .cubes()
+        .iter()
+        .map(|c| c.bound().fold(u64::MAX, literal));
+    products.fold(0, |sum, product| sum | product)
 }
 
 /// Substitutes fanin phase covers into `cover`'s product terms: a `1`
@@ -388,44 +429,40 @@ pub(crate) fn cover_word(cover: &Cover, word: impl Fn(usize) -> u64) -> u64 {
 fn compose(
     cover: &Cover,
     fanins: &[NodeId],
-    phases: &[(Cover, Cover)],
+    phases: &[[Option<Cover>; 2]],
     n: usize,
     cube_cap: usize,
 ) -> Result<Cover, VerifyError> {
+    let too_large = |cubes: usize| VerifyError::TooLarge {
+        cubes,
+        cap: cube_cap,
+    };
     let mut result: Vec<Cube> = Vec::new();
+    let (mut term, mut next): (Vec<Cube>, Vec<Cube>) = (Vec::new(), Vec::new());
     for cube in cover.cubes() {
-        let mut term: Vec<Cube> = vec![Cube::universe(n)];
-        for (pos, &lit) in cube.lits().iter().enumerate() {
-            let substitute = match lit {
-                Lit::One => &phases[fanins[pos].0 as usize].0,
-                Lit::Zero => &phases[fanins[pos].0 as usize].1,
-                Lit::DontCare => continue,
-            };
-            let mut next: Vec<Cube> = Vec::new();
+        term.clear();
+        term.push(Cube::universe(n));
+        for (pos, one) in cube.bound() {
+            let substitute = phases[fanins[pos].index()][usize::from(one)]
+                .as_ref()
+                .expect("fanin phases are built first");
+            next.clear();
             for a in &term {
                 for b in substitute.cubes() {
-                    if let Some(c) = a.intersect(b) {
-                        next.push(c);
-                    }
+                    next.extend(a.intersect(b));
                     if next.len() > cube_cap {
-                        return Err(VerifyError::TooLarge {
-                            cubes: next.len(),
-                            cap: cube_cap,
-                        });
+                        return Err(too_large(next.len()));
                     }
                 }
             }
-            term = next;
+            std::mem::swap(&mut term, &mut next);
             if term.is_empty() {
                 break;
             }
         }
-        result.extend(term);
+        result.append(&mut term);
         if result.len() > cube_cap {
-            return Err(VerifyError::TooLarge {
-                cubes: result.len(),
-                cap: cube_cap,
-            });
+            return Err(too_large(result.len()));
         }
     }
     let mut out = Cover::from_cubes(n, result).map_err(|e| VerifyError::Malformed {
@@ -443,17 +480,16 @@ pub(crate) fn complement_cover(cover: &Cover) -> Cover {
         return Cover::tautology_cover(n);
     }
     // A cube with no bound literal covers everything.
-    if cover
+    let first_bound = |c: &Cube| c.bound().next().map(|(i, _)| i);
+    let Some(var) = cover
         .cubes()
         .iter()
-        .any(|c| c.lits().iter().all(|&l| l == Lit::DontCare))
-    {
+        .map(first_bound)
+        .min()
+        .expect("not empty")
+    else {
         return Cover::empty(n);
-    }
-    // Pick the first variable bound anywhere in the cover.
-    let var = (0..n)
-        .find(|&i| cover.cubes().iter().any(|c| c.lit(i) != Lit::DontCare))
-        .expect("a non-tautology cube binds some variable");
+    };
     let lo = complement_cover(&cover.cofactor(&Cube::universe(n).with_lit(var, Lit::Zero)));
     let hi = complement_cover(&cover.cofactor(&Cube::universe(n).with_lit(var, Lit::One)));
     let mut cubes: Vec<Cube> = Vec::with_capacity(lo.len() + hi.len());
@@ -492,16 +528,41 @@ mod tests {
         assert_eq!(out & 0b1111, 0b0110);
     }
 
+    /// Complements against minterm enumeration at up to 12 inputs; then
+    /// the same functions over two to four words of mostly unused inputs,
+    /// where the complement must be the narrow one, cube for cube, moved
+    /// to the same columns.
     #[test]
     fn complement_is_exact() {
-        let cover = Cover::from_cubes(
-            3,
-            vec![Cube::parse("1-0").unwrap(), Cube::parse("011").unwrap()],
-        )
-        .unwrap();
-        let neg = complement_cover(&cover);
-        for m in 0..8u64 {
-            assert_eq!(cover.eval(m), !neg.eval(m), "minterm {m}");
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const LITS: [Lit; 3] = [Lit::Zero, Lit::One, Lit::DontCare];
+        let spread = |cover: &Cover, width: usize, columns: &[usize]| {
+            let place = |c: &Cube| {
+                let mut wide = Cube::universe(width);
+                for (i, one) in c.bound() {
+                    wide.set_lit(columns[i], if one { Lit::One } else { Lit::Zero });
+                }
+                wide
+            };
+            Cover::from_cubes(width, cover.cubes().iter().map(place).collect()).unwrap()
+        };
+        let mut rng = StdRng::seed_from_u64(24);
+        for round in 0..200 {
+            let n = 1 + round % 12;
+            let dashes = 3 + rng.gen_range(0..n);
+            let mut cube =
+                || Cube::from_lits((0..n).map(|_| LITS[rng.gen_range(0..dashes).min(2)]));
+            let cubes = (0..1 + round % 7).map(|_| cube()).collect();
+            let cover = Cover::from_cubes(n, cubes).unwrap();
+            let neg = complement_cover(&cover);
+            for m in 0..1u64 << n {
+                assert_eq!(cover.eval(m), !neg.eval(m), "{cover}, minterm {m}");
+            }
+            for width in [70, 129, 200] {
+                let columns: Vec<usize> = (0..n).map(|i| i * (width - 1) / n.max(2)).collect();
+                let wide = complement_cover(&spread(&cover, width, &columns));
+                assert_eq!(wide, spread(&neg, width, &columns), "{cover}");
+            }
         }
     }
 
@@ -518,8 +579,14 @@ mod tests {
         let and2 = Cover::from_cubes(2, vec![Cube::parse("11").unwrap()]).unwrap();
         let g = net.add_cone(vec![nand, c], and2, false).unwrap();
         net.mark_output("g", g);
-        let phases = net.flatten_phases(10_000).unwrap();
-        let (on, off) = &phases[g.index()];
+        let mut phases = Phases::new(&net, 10_000);
+        phases
+            .demand(&[(g.index(), true), (g.index(), false)])
+            .unwrap();
+        // One complement a cone: the NAND's ON phase and `g`'s OFF phase
+        // each compose the complement of the cone's own cover.
+        assert_eq!(phases.complements, 2);
+        let (on, off) = (phases.get(g.index(), true), phases.get(g.index(), false));
         for m in 0..8u64 {
             let a_v = (m >> 2) & 1 == 1;
             let b_v = (m >> 1) & 1 == 1;

@@ -40,18 +40,10 @@ fn random_table(rng: &mut StdRng, ni: usize, no: usize) -> TruthTable {
     t
 }
 
-/// `spec`'s realized output covers, with constant-0 outputs widened
-/// from the width-0 covers `FromIterator` hands back.
+/// `spec`'s realized output covers.
 fn realized_covers(spec: &PlaSpec) -> Vec<Cover> {
     (0..spec.num_outputs())
-        .map(|o| {
-            let c = spec.output_cover(o);
-            if c.is_empty() {
-                Cover::empty(spec.num_inputs())
-            } else {
-                c
-            }
-        })
+        .map(|o| spec.output_cover(o))
         .collect()
 }
 

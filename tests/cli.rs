@@ -852,6 +852,75 @@ fn verify_passes_clean_pla_and_refutes_mutant() {
     assert!(stderr.contains("output `x`"), "counterexample: {stderr}");
 }
 
+/// An output no row asserts is a constant false: a cover with no cubes,
+/// which must still be as wide as the table.
+#[test]
+fn constant_false_output_compiles_and_verifies() {
+    let pla = write_temp(
+        "constant-false.pla",
+        ".i 3\n.o 2\n.ilb a b c\n.ob x never\n11- 10\n1-1 10\n",
+    );
+    let out = silc().arg("pla").arg(&pla).output().expect("runs");
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("2 terms (4 AND + 2 OR devices)"),
+        "{stderr}"
+    );
+    let out = silc().arg("verify").arg(&pla).output().expect("runs");
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("equivalent: 2 outputs"), "{stderr}");
+}
+
+/// A 200-input table — four words a bit-plane, literals either side of
+/// every word boundary — through `silc pla` and `silc verify`, and a
+/// mutant of it refuted.
+#[test]
+fn two_hundred_input_table_compiles_and_verifies() {
+    let row = |lits: &[(usize, char)], outs: &str| {
+        let mut cube = vec!['-'; 200];
+        lits.iter().for_each(|&(i, v)| cube[i] = v);
+        format!("{} {outs}\n", cube.into_iter().collect::<String>())
+    };
+    let table = |last: &str| {
+        [
+            ".i 200\n.o 2\n",
+            &row(&[(0, '1'), (63, '0'), (64, '1')], "10"),
+            &row(&[(0, '1'), (63, '0'), (64, '0')], "10"),
+            &row(&[(65, '1'), (127, '1'), (128, '0')], "01"),
+            &row(&[(65, '1'), (127, '1'), (128, '1'), (199, '0')], "01"),
+            &row(&[(128, '1'), (199, '1')], "11"),
+            &row(&[(5, '0'), (199, '1')], last),
+        ]
+        .concat()
+    };
+    let pla = write_temp("wide.pla", &table("1-"));
+    let out = silc().arg("pla").arg(&pla).output().expect("runs");
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    // The first two rows merge across the word boundary.
+    assert!(
+        stderr.contains("4 terms (8 AND + 5 OR devices)"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("0 violation"), "{stderr}");
+    let out = silc().arg("verify").arg(&pla).output().expect("runs");
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("equivalent: 2 outputs"), "{stderr}");
+
+    let mutant = write_temp("wide-mutant.pla", &table("0-"));
+    let out = silc()
+        .args(["verify", mutant.to_str().unwrap(), "--against"])
+        .arg(&pla)
+        .output()
+        .expect("runs");
+    assert!(!out.status.success(), "mutant must be refuted: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("output `y0`"), "{stderr}");
+}
+
 #[test]
 fn verify_flags_are_validated() {
     let pla = write_temp("verify-flags.pla", VERIFY_PLA);
