@@ -6,12 +6,12 @@
 //! direction, pitch, via rules), a greedy row-based placer legalizing
 //! transistor netlists onto grid-aligned sites, and a per-net gridded
 //! maze router — A* over track crossings, layer changes via vias —
-//! running against a `RectIndex`-backed obstruction and congestion map
-//! with bounded rip-up-and-reroute.
+//! running against a site-access table painted once per run from the
+//! cell geometry, with bounded rip-up-and-reroute.
 //!
 //! The output is ordinary [`silc_layout`] geometry: it flows into DRC,
 //! extraction and CIF emission unchanged, and the round-trip is closed
-//! by construction — a routed layout is DRC-clean (the obstruction map
+//! by construction — a routed layout is DRC-clean (the site table
 //! evaluates the exact spacing predicates) and extracts back to a
 //! netlist that [`silc_netlist::Netlist::structurally_matches`] the
 //! source (proptest-enforced).
@@ -235,5 +235,9 @@ mod tests {
         assert!(report.counter("pnr.nets").is_some());
         assert!(report.counter("pnr.routed").is_some());
         assert!(report.stage_us("pnr.place") > 0 || report.stage_us("pnr.route") > 0);
+        // The site table is built once, apart from the searches it serves.
+        assert!(report.spans().iter().any(|s| s.name == "pnr.sites"));
+        let searches = report.counter("pnr.searches").unwrap();
+        assert!(searches > 0 && searches <= report.counter("pnr.nodes_expanded").unwrap());
     }
 }

@@ -6,57 +6,36 @@
 //! can only ever conflict by claiming the *same* crossing on the same
 //! stack layer. Routing therefore reduces to node-disjoint path search
 //! over the `(layer, col, row)` grid: cell geometry statically blocks
-//! nodes (checked against the exact DRC predicates via the
-//! [`ObstructionMap`]), while other nets' routes are *soft* obstacles —
-//! usable at a congestion cost that escalates each round, plus a
-//! history cost on every node that stays contested.
+//! nodes (the [`Sites`] table, built once from the exact DRC
+//! predicates), while other nets' routes are *soft* obstacles — usable
+//! at a congestion cost that escalates each round, plus a history cost
+//! on every node that stays contested.
 //!
 //! Rounds proceed PathFinder-style: every net that is unrouted or
 //! shares a node re-searches against the round-start usage map; the
 //! round ends by recomputing sharing and deepening history on contested
 //! nodes. The process converges when no node is shared. All bookkeeping
 //! is in net-id order, so a netlist always routes to the same bytes.
+//! Congestion is one vector entry per node, and every search of a run
+//! reuses one [`Search`] scratch.
 //!
 //! A net whose pins are disconnected by cell geometry alone fails its
 //! search outright; a stuck negotiation runs out of rounds. Both
 //! report [`PnrError::Unroutable`] with the net, layer and track where
 //! routing gave up.
 
-use crate::grid::ObstructionMap;
+use crate::grid::{admits, Grid, Sites, FREE};
 use crate::place::Placement;
-use crate::stack::RouteStack;
+use crate::stack::{Dir, RouteStack};
 use crate::PnrError;
 use silc_geom::Rect;
 use silc_layout::Layer;
 use silc_trace::Tracer;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Negotiation rounds allowed before routing is declared stuck.
 pub const MAX_RIPUP_ROUNDS: u64 = 256;
-
-/// The routing grid's node space: `(layer, col, row)` packed to `u32`.
-#[derive(Debug, Clone, Copy)]
-struct Grid {
-    cols: i64,
-    rows: i64,
-    layers: usize,
-}
-
-impl Grid {
-    fn len(&self) -> usize {
-        self.layers * (self.cols * self.rows) as usize
-    }
-    fn idx(&self, l: usize, c: i64, r: i64) -> u32 {
-        ((l as i64 * self.rows + r) * self.cols + c) as u32
-    }
-    fn decode(&self, idx: u32) -> (usize, i64, i64) {
-        let idx = idx as i64;
-        let c = idx % self.cols;
-        let r = (idx / self.cols) % self.rows;
-        let l = idx / (self.cols * self.rows);
-        (l as usize, c, r)
-    }
-}
 
 /// One net to route.
 #[derive(Debug, Clone)]
@@ -74,9 +53,9 @@ struct NetTask {
 struct NetRoute {
     /// One node path per pin-to-tree connection.
     segments: Vec<Vec<(usize, i64, i64)>>,
-    /// Every node the tree occupies; via sites occupy both layers.
-    nodes: BTreeSet<u32>,
-    nodes_expanded: u64,
+    /// Every node the tree occupies, sorted; via sites occupy both
+    /// layers.
+    nodes: Vec<u32>,
 }
 
 /// Where a failed search gave up (its most promising frontier node).
@@ -85,6 +64,13 @@ struct FailInfo {
     layer: usize,
     col: i64,
     row: i64,
+}
+
+impl FailInfo {
+    fn at(grid: Grid, node: u32) -> FailInfo {
+        let (layer, col, row) = grid.decode(node);
+        FailInfo { layer, col, row }
+    }
 }
 
 /// Routed tree geometry: per-mask-layer rects plus counters.
@@ -145,16 +131,55 @@ pub(crate) fn net_geometry(stack: &RouteStack, segments: &[Vec<(usize, i64, i64)
     }
 }
 
-/// Per-round congestion state the searches read.
+/// Per-round congestion state the searches read, one entry per node.
 struct Congestion {
-    /// Node → nets currently routed through it (id order).
-    users: HashMap<u32, Vec<u32>>,
-    /// Node → accumulated rounds it has spent contested.
-    history: HashMap<u32, u64>,
+    /// Nets currently routed through each node. A net is ripped out
+    /// before it searches, so every user a search sees is another net.
+    users: Vec<u32>,
+    /// Accumulated rounds each node has spent contested.
+    history: Vec<u64>,
     /// Escalating weight applied to present sharing this round.
     pressure: u64,
-    /// Node → the only net allowed on it (forced pin accesses).
-    reserved: HashMap<u32, u32>,
+    /// The only net allowed on each node (forced pin accesses), or
+    /// [`FREE`].
+    reserved: Vec<u32>,
+}
+
+impl Congestion {
+    /// Congestion surcharge for standing on `node`.
+    fn penalty(&self, node: u32) -> u64 {
+        self.users[node as usize] as u64 * self.pressure + self.history[node as usize]
+    }
+
+    /// Whether `net` may stand on `node` at all (reservation check).
+    fn allows(&self, node: u32, net: u32) -> bool {
+        admits(self.reserved[node as usize], net)
+    }
+
+    /// Whether more than one net stands on `node`.
+    fn shared(&self, node: u32) -> bool {
+        self.users[node as usize] > 1
+    }
+}
+
+/// The in-grid nodes one track step from `(l, c, r)` along the layer's
+/// direction, west/south first, with their column and row.
+fn track_steps(
+    grid: Grid,
+    stack: &RouteStack,
+    l: usize,
+    c: i64,
+    r: i64,
+) -> impl Iterator<Item = (u32, i64, i64)> {
+    let (dc, dr) = match stack.layers[l].dir {
+        Dir::Horiz => (1i64, 0i64),
+        Dir::Vert => (0, 1),
+    };
+    [-1i64, 1].into_iter().filter_map(move |sign| {
+        let (nc, nr) = (c + dc * sign, r + dr * sign);
+        let inside = (0..grid.cols).contains(&nc) && (0..grid.rows).contains(&nr);
+        inside.then(|| (grid.idx(l, nc, nr), nc, nr))
+    })
 }
 
 /// Whether `node` has any legal move leading somewhere other than
@@ -165,33 +190,15 @@ struct Congestion {
 fn has_onward(
     grid: Grid,
     stack: &RouteStack,
-    obs: &ObstructionMap,
+    sites: &Sites,
     net: u32,
     node: u32,
     pin: u32,
 ) -> bool {
     let (l, c, r) = grid.decode(node);
-    let (dc, dr) = match stack.layers[l].dir {
-        crate::stack::Dir::Horiz => (1i64, 0i64),
-        crate::stack::Dir::Vert => (0, 1),
-    };
-    for sign in [-1i64, 1] {
-        let (nc, nr) = (c + dc * sign, r + dr * sign);
-        if nc < 0 || nc >= grid.cols || nr < 0 || nr >= grid.rows {
-            continue;
-        }
-        if grid.idx(l, nc, nr) != pin && obs.can_occupy(stack, l, nc, nr, net) {
-            return true;
-        }
-    }
-    if obs.can_via(stack, c, r, net) {
-        for l2 in 0..grid.layers {
-            if l2 != l && grid.idx(l2, c, r) != pin {
-                return true;
-            }
-        }
-    }
-    false
+    track_steps(grid, stack, l, c, r).any(|(m, _, _)| m != pin && sites.occupy(m, net))
+        || sites.via(grid, node, net)
+            && (0..grid.layers).any(|l2| l2 != l && grid.idx(l2, c, r) != pin)
 }
 
 /// Legal moves for `net` out of `cur`, skipping nodes already walked,
@@ -199,43 +206,27 @@ fn has_onward(
 fn open_moves(
     grid: Grid,
     stack: &RouteStack,
-    obs: &ObstructionMap,
+    sites: &Sites,
     net: u32,
     cur: u32,
-    visited: &BTreeSet<u32>,
-    reserved: &HashMap<u32, u32>,
+    visited: &[u32],
+    reserved: &[u32],
 ) -> Vec<u32> {
     let (l, c, r) = grid.decode(cur);
-    let mut moves = Vec::new();
-    let mut consider = |m: u32, legal: bool| {
-        if legal
-            && !visited.contains(&m)
-            && reserved.get(&m).is_none_or(|&owner| owner == net)
-            && has_onward(grid, stack, obs, net, m, cur)
-        {
-            moves.push(m);
-        }
-    };
-    let (dc, dr) = match stack.layers[l].dir {
-        crate::stack::Dir::Horiz => (1i64, 0i64),
-        crate::stack::Dir::Vert => (0, 1),
-    };
-    for sign in [-1i64, 1] {
-        let (nc, nr) = (c + dc * sign, r + dr * sign);
-        if nc < 0 || nc >= grid.cols || nr < 0 || nr >= grid.rows {
-            continue;
-        }
-        let legal = obs.can_occupy(stack, l, nc, nr, net);
-        consider(grid.idx(l, nc, nr), legal);
-    }
-    if obs.can_via(stack, c, r, net) {
-        for l2 in 0..grid.layers {
-            if l2 != l {
-                consider(grid.idx(l2, c, r), true);
-            }
-        }
-    }
-    moves
+    let steps = track_steps(grid, stack, l, c, r)
+        .map(|(m, _, _)| m)
+        .filter(|&m| sites.occupy(m, net));
+    let vias = (0..grid.layers)
+        .filter(|&l2| l2 != l && sites.via(grid, cur, net))
+        .map(|l2| grid.idx(l2, c, r));
+    steps
+        .chain(vias)
+        .filter(|&m| {
+            !visited.contains(&m)
+                && admits(reserved[m as usize], net)
+                && has_onward(grid, stack, sites, net, m, cur)
+        })
+        .collect()
 }
 
 /// Reserves each pin's sole access node for its net.
@@ -253,10 +244,10 @@ fn open_moves(
 fn reserve_pin_accesses(
     grid: Grid,
     stack: &RouteStack,
-    obs: &ObstructionMap,
+    sites: &Sites,
     tasks: &BTreeMap<u32, NetTask>,
-) -> Result<HashMap<u32, u32>, (u32, FailInfo)> {
-    let mut reserved: HashMap<u32, u32> = HashMap::new();
+) -> Result<Vec<u32>, (u32, FailInfo)> {
+    let mut reserved = vec![FREE; grid.len()];
     // One net's forced chain can shrink another pin's choices to a
     // single move, so walk all pins repeatedly until nothing new is
     // claimed.
@@ -265,29 +256,21 @@ fn reserve_pin_accesses(
         for task in tasks.values() {
             for &(c, r) in &task.pins {
                 let pin = grid.idx(task.pin_layer, c, r);
-                let mut visited = BTreeSet::from([pin]);
+                let mut visited = vec![pin];
                 let mut cur = pin;
                 // Follow the chain of sole moves; a tree leaving this
                 // pin must traverse every node on it.
                 while let [only] =
-                    open_moves(grid, stack, obs, task.net, cur, &visited, &reserved)[..]
+                    open_moves(grid, stack, sites, task.net, cur, &visited, &reserved)[..]
                 {
-                    match reserved.insert(only, task.net) {
-                        None => changed = true,
-                        Some(prev) if prev != task.net => {
-                            let (l, c, r) = grid.decode(only);
-                            return Err((
-                                task.net,
-                                FailInfo {
-                                    layer: l,
-                                    col: c,
-                                    row: r,
-                                },
-                            ));
-                        }
-                        Some(_) => {}
+                    let owner = &mut reserved[only as usize];
+                    if *owner == FREE {
+                        *owner = task.net;
+                        changed = true;
+                    } else if *owner != task.net {
+                        return Err((task.net, FailInfo::at(grid, only)));
                     }
-                    visited.insert(only);
+                    visited.push(only);
                     cur = only;
                 }
             }
@@ -299,166 +282,175 @@ fn reserve_pin_accesses(
     Ok(reserved)
 }
 
-impl Congestion {
-    /// Congestion surcharge for `net` standing on `node`.
-    fn penalty(&self, node: u32, net: u32) -> u64 {
-        let others = self
-            .users
-            .get(&node)
-            .map(|u| u.iter().filter(|&&n| n != net).count() as u64)
-            .unwrap_or(0);
-        let hist = self.history.get(&node).copied().unwrap_or(0);
-        others * self.pressure + hist
-    }
-
-    /// Whether `net` may stand on `node` at all (reservation check).
-    fn allows(&self, node: u32, net: u32) -> bool {
-        self.reserved.get(&node).is_none_or(|&owner| owner == net)
-    }
+/// One node's search state, live only while `stamp` is the current
+/// search's.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    stamp: u32,
+    parent: u32,
+    dist: u64,
 }
 
-/// Multi-source A* from `tree` to `target` for `task.net`.
-///
-/// Moves are direction-legal steps along a layer's tracks plus vias at
-/// crossings; every move is validated against the *static* obstruction
-/// map (cell geometry), while other nets' routes only surcharge the
-/// cost via [`Congestion::penalty`]. The heuristic (grid manhattan
-/// distance plus one via if on the wrong layer) never exceeds the real
-/// base cost, so it stays admissible under the surcharges.
-#[allow(clippy::too_many_arguments)]
-fn astar(
-    grid: Grid,
-    stack: &RouteStack,
-    obs: &ObstructionMap,
-    congestion: &Congestion,
-    net: u32,
-    tree: &BTreeSet<u32>,
-    target: u32,
-    expanded: &mut u64,
-) -> Result<Vec<(usize, i64, i64)>, FailInfo> {
-    const UNSEEN: u64 = u64::MAX;
-    let via_cost = (stack.pitch + 5) as u64;
-    let (tl, tc, tr) = grid.decode(target);
-    let h = |l: usize, c: i64, r: i64| -> u64 {
-        let manhattan = ((c - tc).abs() + (r - tr).abs()) as u64 * stack.pitch as u64;
-        manhattan + if l != tl { via_cost } else { 0 }
-    };
+/// The buffers every search of one run shares: slots and tree
+/// membership are validated by generation stamps instead of being
+/// refilled, and the heap is cleared, not rebuilt.
+struct Search {
+    slots: Vec<Slot>,
+    stamp: u32,
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// The found path, target first, before it is decoded.
+    chain: Vec<u32>,
+    /// Per node, the stamp of the last tree that took it.
+    tree: Vec<u32>,
+    tree_stamp: u32,
+    searches: u64,
+    expanded: u64,
+}
 
-    let mut dist = vec![UNSEEN; grid.len()];
-    let mut parent = vec![u32::MAX; grid.len()];
-    // Static-legality caches: -1 unknown, else the answer.
-    let mut occ_ok = vec![-1i8; grid.len()];
-    let mut via_ok = vec![-1i8; (grid.cols * grid.rows) as usize];
-    let mut can_occupy = |obs: &ObstructionMap, idx: u32| -> bool {
-        let cached = occ_ok[idx as usize];
-        if cached >= 0 {
-            return cached == 1;
+impl Search {
+    fn new(len: usize) -> Search {
+        Search {
+            slots: vec![Slot::default(); len],
+            stamp: 0,
+            heap: BinaryHeap::new(),
+            chain: Vec::new(),
+            tree: vec![0; len],
+            tree_stamp: 0,
+            searches: 0,
+            expanded: 0,
         }
-        let (l, c, r) = grid.decode(idx);
-        let ok = obs.can_occupy(stack, l, c, r, net);
-        occ_ok[idx as usize] = ok as i8;
-        ok
-    };
-
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-    for &n in tree {
-        let (l, c, r) = grid.decode(n);
-        dist[n as usize] = 0;
-        heap.push(std::cmp::Reverse((h(l, c, r), 0, n)));
     }
 
-    // Most promising frontier node seen, for failure context.
-    let mut best = (u64::MAX, tl, tc, tr);
+    /// Whether `node` is on the tree being grown.
+    fn in_tree(&self, node: u32) -> bool {
+        self.tree[node as usize] == self.tree_stamp
+    }
 
-    while let Some(std::cmp::Reverse((_, g, node))) = heap.pop() {
-        if dist[node as usize] < g {
-            continue;
-        }
-        if node == target {
-            // Walk parents back to the tree.
-            let mut path = vec![grid.decode(node)];
-            let mut cur = node;
-            while parent[cur as usize] != u32::MAX {
-                cur = parent[cur as usize];
-                path.push(grid.decode(cur));
-            }
-            path.reverse();
-            return Ok(path);
-        }
-        *expanded += 1;
-        let (l, c, r) = grid.decode(node);
-        let hn = h(l, c, r);
-        if hn < best.0 {
-            best = (hn, l, c, r);
-        }
+    /// Puts `node` on the tree being grown; false if it already was.
+    fn grow(&mut self, node: u32) -> bool {
+        let fresh = !self.in_tree(node);
+        self.tree[node as usize] = self.tree_stamp;
+        fresh
+    }
 
-        let relax = |heap: &mut BinaryHeap<std::cmp::Reverse<(u64, u64, u32)>>,
-                     dist: &mut Vec<u64>,
-                     parent: &mut Vec<u32>,
-                     next: u32,
-                     cost: u64| {
-            let g2 = g + cost;
-            if g2 < dist[next as usize] {
-                dist[next as usize] = g2;
-                parent[next as usize] = node;
-                let (nl, nc, nr) = grid.decode(next);
-                heap.push(std::cmp::Reverse((g2 + h(nl, nc, nr), g2, next)));
-            }
+    /// Multi-source A* from `tree` to `target` for `net`.
+    ///
+    /// Moves are direction-legal steps along a layer's tracks plus vias
+    /// at crossings; every move is validated against the static
+    /// [`Sites`] table (cell geometry), while other nets' routes only
+    /// surcharge the cost via [`Congestion::penalty`]. The heuristic
+    /// (grid manhattan distance plus one via if on the wrong layer)
+    /// never exceeds the real base cost, so it stays admissible under
+    /// the surcharges. Heap entries are `(f, g, node)`, a total order,
+    /// so the pop sequence does not depend on push order.
+    #[allow(clippy::too_many_arguments)]
+    fn astar(
+        &mut self,
+        grid: Grid,
+        stack: &RouteStack,
+        sites: &Sites,
+        congestion: &Congestion,
+        net: u32,
+        tree: &[u32],
+        target: u32,
+    ) -> Result<Vec<(usize, i64, i64)>, FailInfo> {
+        self.stamp += 1;
+        self.searches += 1;
+        let Search {
+            slots,
+            stamp,
+            heap,
+            chain,
+            expanded,
+            ..
+        } = self;
+        let stamp = *stamp;
+        heap.clear();
+        let via_cost = (stack.pitch + 5) as u64;
+        let (tl, tc, tr) = grid.decode(target);
+        let h = |l: usize, c: i64, r: i64| -> u64 {
+            let manhattan = ((c - tc).abs() + (r - tr).abs()) as u64 * stack.pitch as u64;
+            manhattan + if l != tl { via_cost } else { 0 }
         };
 
-        // Track steps along the layer's direction.
-        let (dc, dr) = match stack.layers[l].dir {
-            crate::stack::Dir::Horiz => (1i64, 0i64),
-            crate::stack::Dir::Vert => (0, 1),
-        };
-        for sign in [-1i64, 1] {
-            let (nc, nr) = (c + dc * sign, r + dr * sign);
-            if nc < 0 || nc >= grid.cols || nr < 0 || nr >= grid.rows {
-                continue;
-            }
-            let next = grid.idx(l, nc, nr);
-            if !can_occupy(obs, next) || !congestion.allows(next, net) {
-                continue;
-            }
-            let cost = stack.pitch as u64 + congestion.penalty(next, net);
-            relax(&mut heap, &mut dist, &mut parent, next, cost);
-        }
-        // Vias to adjacent stack layers. A via occupies the crossing on
-        // both layers, but each node's surcharge is paid exactly once
-        // along a path: entering charged this node, the transition
-        // charges the partner only. (Charging the current node again
-        // here would make every detour that vias next to a contested
-        // node strictly pricier than routing through it, and
-        // negotiation would never converge.)
-        for l2 in [l.wrapping_sub(1), l + 1] {
-            if l2 >= grid.layers {
-                continue;
-            }
-            let flat = (r * grid.cols + c) as usize;
-            let ok = if via_ok[flat] >= 0 {
-                via_ok[flat] == 1
-            } else {
-                let ok = obs.can_via(stack, c, r, net);
-                via_ok[flat] = ok as i8;
-                ok
+        for &n in tree {
+            slots[n as usize] = Slot {
+                stamp,
+                parent: u32::MAX,
+                dist: 0,
             };
-            if !ok {
-                continue;
-            }
-            let next = grid.idx(l2, c, r);
-            if !congestion.allows(next, net) {
-                continue;
-            }
-            let cost = via_cost + congestion.penalty(next, net);
-            relax(&mut heap, &mut dist, &mut parent, next, cost);
+            let (l, c, r) = grid.decode(n);
+            heap.push(Reverse((h(l, c, r), 0, n)));
         }
-    }
 
-    Err(FailInfo {
-        layer: best.1,
-        col: best.2,
-        row: best.3,
-    })
+        // Most promising frontier node seen, for failure context.
+        let mut best = (u64::MAX, target);
+
+        while let Some(Reverse((_, g, node))) = heap.pop() {
+            if slots[node as usize].dist < g {
+                continue;
+            }
+            if node == target {
+                // Walk parents back to the tree.
+                chain.clear();
+                chain.push(node);
+                let mut cur = node;
+                while slots[cur as usize].parent != u32::MAX {
+                    cur = slots[cur as usize].parent;
+                    chain.push(cur);
+                }
+                return Ok(chain.iter().rev().map(|&n| grid.decode(n)).collect());
+            }
+            *expanded += 1;
+            let (l, c, r) = grid.decode(node);
+            let hn = h(l, c, r);
+            if hn < best.0 {
+                best = (hn, node);
+            }
+
+            let mut relax = |next: u32, (nl, nc, nr), cost: u64| {
+                let g2 = g + cost;
+                let slot = &mut slots[next as usize];
+                if slot.stamp != stamp || g2 < slot.dist {
+                    *slot = Slot {
+                        stamp,
+                        parent: node,
+                        dist: g2,
+                    };
+                    heap.push(Reverse((g2 + h(nl, nc, nr), g2, next)));
+                }
+            };
+
+            // Track steps along the layer's direction.
+            for (next, nc, nr) in track_steps(grid, stack, l, c, r) {
+                if sites.occupy(next, net) && congestion.allows(next, net) {
+                    let cost = stack.pitch as u64 + congestion.penalty(next);
+                    relax(next, (l, nc, nr), cost);
+                }
+            }
+            // Vias to adjacent stack layers. A via occupies the crossing
+            // on both layers, but each node's surcharge is paid exactly
+            // once along a path: entering charged this node, the
+            // transition charges the partner only. (Charging the current
+            // node again here would make every detour that vias next to
+            // a contested node strictly pricier than routing through it,
+            // and negotiation would never converge.)
+            if !sites.via(grid, node, net) {
+                continue;
+            }
+            for l2 in [l.wrapping_sub(1), l + 1] {
+                if l2 >= grid.layers {
+                    continue;
+                }
+                let next = grid.idx(l2, c, r);
+                if congestion.allows(next, net) {
+                    relax(next, (l2, c, r), via_cost + congestion.penalty(next));
+                }
+            }
+        }
+
+        Err(FailInfo::at(grid, best.1))
+    }
 }
 
 /// Routes one net completely: connects each pin in turn to the growing
@@ -466,50 +458,37 @@ fn astar(
 fn route_net(
     grid: Grid,
     stack: &RouteStack,
-    obs: &ObstructionMap,
+    sites: &Sites,
     congestion: &Congestion,
+    search: &mut Search,
     task: &NetTask,
 ) -> Result<NetRoute, FailInfo> {
-    let mut nodes = BTreeSet::new();
+    search.tree_stamp += 1;
     let first = grid.idx(task.pin_layer, task.pins[0].0, task.pins[0].1);
-    nodes.insert(first);
+    search.grow(first);
+    let mut nodes = vec![first];
     let mut segments = Vec::new();
-    let mut expanded = 0u64;
     for &(pc, pr) in &task.pins[1..] {
         let target = grid.idx(task.pin_layer, pc, pr);
-        if nodes.contains(&target) {
+        if search.in_tree(target) {
             continue;
         }
-        let path = astar(
-            grid,
-            stack,
-            obs,
-            congestion,
-            task.net,
-            &nodes,
-            target,
-            &mut expanded,
-        )?;
-        for &(l, c, r) in &path {
-            nodes.insert(grid.idx(l, c, r));
-        }
+        let path = search.astar(grid, stack, sites, congestion, task.net, &nodes, target)?;
         // Via sites occupy both layers even when the path only names
         // one: mark the partner node so sharing detection sees the
         // full footprint.
-        for w in path.windows(2) {
-            if w[0].0 != w[1].0 {
-                for l in 0..grid.layers {
-                    nodes.insert(grid.idx(l, w[0].1, w[0].2));
-                }
+        let vias = path.windows(2).filter(|w| w[0].0 != w[1].0);
+        let partners = vias.flat_map(|w| (0..grid.layers).map(move |l| (l, w[0].1, w[0].2)));
+        for (l, c, r) in path.iter().copied().chain(partners) {
+            let n = grid.idx(l, c, r);
+            if search.grow(n) {
+                nodes.push(n);
             }
         }
         segments.push(path);
     }
-    Ok(NetRoute {
-        segments,
-        nodes,
-        nodes_expanded: expanded,
-    })
+    nodes.sort_unstable();
+    Ok(NetRoute { segments, nodes })
 }
 
 /// Routes every multi-pin net of `netlist` over `placement`.
@@ -521,7 +500,7 @@ pub(crate) fn route_all(
 ) -> Result<RouteOutcome, PnrError> {
     let _span = tracer.span("pnr.route");
     let pin_layer = stack
-        .layer_for_dir(crate::stack::Dir::Horiz)
+        .layer_for_dir(Dir::Horiz)
         .ok_or_else(|| PnrError::BadStack {
             stack: stack.name.clone(),
             missing: "no horizontal routing layer for pins",
@@ -532,66 +511,58 @@ pub(crate) fn route_all(
         layers: stack.layers.len(),
     };
 
-    // Gather pins per net.
-    let mut pins_of: BTreeMap<u32, Vec<(i64, i64)>> = BTreeMap::new();
-    let mut name_of: HashMap<u32, String> = HashMap::new();
-    for cell in &placement.cells {
-        for pin in &cell.pins {
-            pins_of.entry(pin.net).or_default().push((pin.col, pin.row));
-            name_of
-                .entry(pin.net)
-                .or_insert_with(|| pin.net_name.clone());
-        }
-    }
+    // Gather pins per net; a net is named by its first pin.
     let mut tasks: BTreeMap<u32, NetTask> = BTreeMap::new();
-    for (net, mut pins) in pins_of {
-        pins.sort_unstable();
-        pins.dedup();
-        if pins.len() < 2 {
-            continue;
-        }
-        tasks.insert(
-            net,
-            NetTask {
-                net,
-                name: name_of[&net].clone(),
-                pins,
-                pin_layer,
-            },
-        );
+    for pin in placement.cells.iter().flat_map(|cell| &cell.pins) {
+        let task = tasks.entry(pin.net).or_insert_with(|| NetTask {
+            net: pin.net,
+            name: pin.net_name.clone(),
+            pins: Vec::new(),
+            pin_layer,
+        });
+        task.pins.push((pin.col, pin.row));
     }
+    tasks.retain(|_, task| {
+        task.pins.sort_unstable();
+        task.pins.dedup();
+        task.pins.len() >= 2
+    });
 
-    // Cell geometry never changes during routing: one static map serves
-    // every round.
-    let obs = ObstructionMap::build(stack, cell_rects);
-    let reserved = reserve_pin_accesses(grid, stack, &obs, &tasks)
+    // Cell geometry never changes during routing: one static table
+    // serves every round.
+    let sites = {
+        let _span = tracer.span("pnr.sites");
+        Sites::build(stack, grid, cell_rects)
+    };
+    let reserved = reserve_pin_accesses(grid, stack, &sites, &tasks)
         .map_err(|(net, fail)| unroutable(&tasks[&net], stack, fail, 0))?;
 
-    let mut routes: BTreeMap<u32, NetRoute> = BTreeMap::new();
     let mut congestion = Congestion {
-        users: HashMap::new(),
-        history: HashMap::new(),
+        users: vec![0; grid.len()],
+        history: vec![0; grid.len()],
         pressure: 0,
         reserved,
     };
+    let mut search = Search::new(grid.len());
     let mut rounds = 1u64;
     let mut ripup_rounds = 0u64;
-    let mut nodes_expanded = 0u64;
 
     // Round 1: every net searches against the empty usage map, and only
     // then are the routes committed. A failure here means cell geometry
     // alone disconnects the pins, which no amount of negotiation can fix.
-    let results: Vec<_> = tasks
+    let first: Vec<NetRoute> = tasks
         .values()
-        .map(|task| route_net(grid, stack, &obs, &congestion, task))
-        .collect();
-    for (task, result) in tasks.values().zip(results) {
-        let route = result.map_err(|fail| unroutable(task, stack, fail, 0))?;
-        nodes_expanded += route.nodes_expanded;
+        .map(|task| {
+            route_net(grid, stack, &sites, &congestion, &mut search, task)
+                .map_err(|fail| unroutable(task, stack, fail, 0))
+        })
+        .collect::<Result<_, _>>()?;
+    let mut routes: BTreeMap<u32, NetRoute> = BTreeMap::new();
+    for (&net, route) in tasks.keys().zip(first) {
         for &n in &route.nodes {
-            congestion.users.entry(n).or_default().push(task.net);
+            congestion.users[n as usize] += 1;
         }
-        routes.insert(task.net, route);
+        routes.insert(net, route);
     }
 
     // Negotiation rounds: serially re-route every net standing on a
@@ -602,11 +573,7 @@ pub(crate) fn route_all(
     loop {
         let mut contested: Vec<u32> = routes
             .iter()
-            .filter(|(_, r)| {
-                r.nodes
-                    .iter()
-                    .any(|n| congestion.users.get(n).is_some_and(|u| u.len() > 1))
-            })
+            .filter(|(_, r)| r.nodes.iter().any(|&n| congestion.shared(n)))
             .map(|(&net, _)| net)
             .collect();
         if contested.is_empty() {
@@ -620,15 +587,8 @@ pub(crate) fn route_all(
             let fail = routes[&contested[0]]
                 .nodes
                 .iter()
-                .find(|n| congestion.users.get(n).is_some_and(|u| u.len() > 1))
-                .map(|&n| {
-                    let (l, c, r) = grid.decode(n);
-                    FailInfo {
-                        layer: l,
-                        col: c,
-                        row: r,
-                    }
-                })
+                .find(|&&n| congestion.shared(n))
+                .map(|&n| FailInfo::at(grid, n))
                 .unwrap_or(FailInfo {
                     layer: pin_layer,
                     col: task.pins[0].0,
@@ -660,35 +620,23 @@ pub(crate) fn route_all(
             // Rip this net out of the usage map, re-search, put the new
             // route in.
             let old = routes.remove(&net).expect("contested nets are routed");
-            for n in &old.nodes {
-                if let Some(users) = congestion.users.get_mut(n) {
-                    users.retain(|&u| u != net);
-                }
+            for &n in &old.nodes {
+                congestion.users[n as usize] -= 1;
             }
             let task = &tasks[&net];
-            match route_net(grid, stack, &obs, &congestion, task) {
-                Ok(route) => {
-                    nodes_expanded += route.nodes_expanded;
-                    for &n in &route.nodes {
-                        congestion.users.entry(n).or_default().push(net);
-                    }
-                    routes.insert(net, route);
-                }
-                Err(fail) => return Err(unroutable(task, stack, fail, ripup_rounds)),
+            let route = route_net(grid, stack, &sites, &congestion, &mut search, task)
+                .map_err(|fail| unroutable(task, stack, fail, ripup_rounds))?;
+            for &n in &route.nodes {
+                congestion.users[n as usize] += 1;
             }
+            routes.insert(net, route);
         }
 
-        // Deepen history wherever sharing survived this round. Bumps
-        // are per-node and independent, so map iteration order does
-        // not matter.
-        let contested_nodes: Vec<u32> = congestion
-            .users
-            .iter()
-            .filter(|(_, u)| u.len() > 1)
-            .map(|(&n, _)| n)
-            .collect();
-        for n in contested_nodes {
-            *congestion.history.entry(n).or_insert(0) += stack.pitch as u64;
+        // Deepen history wherever sharing survived this round.
+        for (history, &users) in congestion.history.iter_mut().zip(&congestion.users) {
+            if users > 1 {
+                *history += stack.pitch as u64;
+            }
         }
     }
 
@@ -698,12 +646,13 @@ pub(crate) fn route_all(
         .collect();
     tracer.add("pnr.rounds", rounds);
     tracer.add("pnr.ripup_rounds", ripup_rounds);
-    tracer.add("pnr.nodes_expanded", nodes_expanded);
+    tracer.add("pnr.searches", search.searches);
+    tracer.add("pnr.nodes_expanded", search.expanded);
     Ok(RouteOutcome {
         committed,
         rounds,
         ripup_rounds,
-        nodes_expanded,
+        nodes_expanded: search.expanded,
     })
 }
 
