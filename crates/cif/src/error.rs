@@ -5,13 +5,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CifError {
-    /// The writer was configured with an odd physical scale; the doubled-
-    /// coordinate convention requires an even number of centimicrons per
-    /// lambda.
-    OddScale {
-        /// The rejected scale.
-        centimicrons_per_lambda: i64,
-    },
     /// The requested root cell is not in the library.
     UnknownRoot,
     /// Unexpected end of input while parsing.
@@ -59,12 +52,6 @@ pub enum CifError {
 impl fmt::Display for CifError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CifError::OddScale {
-                centimicrons_per_lambda,
-            } => write!(
-                f,
-                "scale must be an even number of centimicrons per lambda, got {centimicrons_per_lambda}"
-            ),
             CifError::UnknownRoot => write!(f, "root cell is not in the library"),
             CifError::UnexpectedEnd => write!(f, "unexpected end of CIF text"),
             CifError::Syntax { offset, message } => {
@@ -80,7 +67,10 @@ impl fmt::Display for CifError {
                 write!(f, "rotation ({a}, {b}) is not a multiple of 90 degrees")
             }
             CifError::InexactScale { value, a, b } => {
-                write!(f, "coordinate {value} times scale {a}/{b} is not an integer")
+                write!(
+                    f,
+                    "coordinate {value} times scale {a}/{b} is not an integer"
+                )
             }
             CifError::BadGeometry { message } => write!(f, "bad geometry: {message}"),
         }

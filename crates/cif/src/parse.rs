@@ -43,7 +43,7 @@ impl Fingerprint for CifDesign {
 ///
 /// # Errors
 ///
-/// Any [`CifError`] variant other than `OddScale`/`UnknownRoot`; offsets in
+/// Any [`CifError`] variant other than `UnknownRoot`; offsets in
 /// [`CifError::Syntax`] are byte positions into `text`.
 ///
 /// # Example

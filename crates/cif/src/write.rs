@@ -14,9 +14,8 @@ use std::fmt::Write as _;
 /// Coordinates: cell geometry is in lambda; the writer doubles every
 /// coordinate and halves the symbol scale factor (`DS n scale/2 1`) so that
 /// box centres are exact integers even for odd-lambda rectangles. The
-/// physical meaning is `centimicrons_per_lambda` centimicrons per lambda
-/// (default 250 = 2.5 µm, the generous late-seventies lambda the
-/// Mead–Conway text uses in examples).
+/// physical meaning is 250 centimicrons (2.5 µm) per lambda, the generous
+/// late-seventies lambda the Mead–Conway text uses in examples.
 ///
 /// # Example
 ///
@@ -35,28 +34,19 @@ use std::fmt::Write as _;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CifWriter {
-    centimicrons_per_lambda: i64,
-    emit_names: bool,
     tracer: Tracer,
 }
 
-impl Default for CifWriter {
-    fn default() -> Self {
-        CifWriter::new()
-    }
-}
+/// The physical scale every written file declares; even, so the
+/// doubled-coordinate convention's `scale/2` is exact.
+const CENTIMICRONS_PER_LAMBDA: i64 = 250;
 
 impl CifWriter {
-    /// Creates a writer at the default scale of 250 centimicrons (2.5 µm)
-    /// per lambda.
+    /// Creates a writer at 250 centimicrons (2.5 µm) per lambda.
     pub fn new() -> CifWriter {
-        CifWriter {
-            centimicrons_per_lambda: 250,
-            emit_names: true,
-            tracer: Tracer::disabled(),
-        }
+        CifWriter::default()
     }
 
     /// Attaches a [`Tracer`]: writes record a `cif.write` span plus
@@ -64,29 +54,6 @@ impl CifWriter {
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> CifWriter {
         self.tracer = tracer;
-        self
-    }
-
-    /// Sets the physical scale.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CifError::OddScale`] when the scale is not a positive even
-    /// integer (the doubled-coordinate convention needs `scale/2` exact).
-    pub fn with_scale(mut self, centimicrons_per_lambda: i64) -> Result<CifWriter, CifError> {
-        if centimicrons_per_lambda <= 0 || centimicrons_per_lambda % 2 != 0 {
-            return Err(CifError::OddScale {
-                centimicrons_per_lambda,
-            });
-        }
-        self.centimicrons_per_lambda = centimicrons_per_lambda;
-        Ok(self)
-    }
-
-    /// Disables `9 name;` symbol-name extension commands, for consumers
-    /// that reject user extensions.
-    pub fn without_names(mut self) -> CifWriter {
-        self.emit_names = false;
         self
     }
 
@@ -106,8 +73,7 @@ impl CifWriter {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "( SILC silicon compiler output, {} centimicrons per lambda );",
-            self.centimicrons_per_lambda
+            "( SILC silicon compiler output, {CENTIMICRONS_PER_LAMBDA} centimicrons per lambda );"
         );
         let mut symbols = 0u64;
         for id in lib.topological_order() {
@@ -128,11 +94,9 @@ impl CifWriter {
 
     fn write_symbol(&self, lib: &Library, id: CellId, out: &mut String) {
         let cell = lib.cell(id).expect("reachable cells exist");
-        let half_scale = self.centimicrons_per_lambda / 2;
+        let half_scale = CENTIMICRONS_PER_LAMBDA / 2;
         let _ = writeln!(out, "DS {} {} 1;", symbol_number(id), half_scale);
-        if self.emit_names {
-            let _ = writeln!(out, "9 {};", cell.name());
-        }
+        let _ = writeln!(out, "9 {};", cell.name());
         // Group elements by layer to minimise L commands.
         let mut by_layer: Vec<(silc_layout::Layer, Vec<&Shape>)> = Vec::new();
         for e in cell.elements() {
@@ -149,17 +113,15 @@ impl CifWriter {
         }
         // Ports as `94` point labels (the standard CIF label extension),
         // in doubled coordinates like all other symbol geometry.
-        if self.emit_names {
-            for port in cell.ports() {
-                let _ = writeln!(
-                    out,
-                    "94 {} {} {} {};",
-                    port.name,
-                    2 * port.at.x,
-                    2 * port.at.y,
-                    port.layer.cif_name()
-                );
-            }
+        for port in cell.ports() {
+            let _ = writeln!(
+                out,
+                "94 {} {} {} {};",
+                port.name,
+                2 * port.at.x,
+                2 * port.at.y,
+                port.layer.cif_name()
+            );
         }
         for inst in cell.instances() {
             for t in inst.placements() {
@@ -267,6 +229,7 @@ mod tests {
         let (lib, id) = one_cell_lib();
         let text = CifWriter::new().write_to_string(&lib, id).unwrap();
         assert!(text.starts_with("( SILC"));
+        assert!(text.contains("9 unit;"), "{text}");
         assert!(text.trim_end().ends_with('E'));
     }
 
@@ -288,26 +251,6 @@ mod tests {
         let id = lib.add_cell(c).unwrap();
         let text = CifWriter::new().write_to_string(&lib, id).unwrap();
         assert!(text.contains("B 6 10 3 5;"), "{text}");
-    }
-
-    #[test]
-    fn names_emitted_and_suppressed() {
-        let (lib, id) = one_cell_lib();
-        let with = CifWriter::new().write_to_string(&lib, id).unwrap();
-        assert!(with.contains("9 unit;"));
-        let without = CifWriter::new()
-            .without_names()
-            .write_to_string(&lib, id)
-            .unwrap();
-        assert!(!without.contains("9 unit;"));
-    }
-
-    #[test]
-    fn scale_validation() {
-        assert!(CifWriter::new().with_scale(0).is_err());
-        assert!(CifWriter::new().with_scale(-2).is_err());
-        assert!(CifWriter::new().with_scale(251).is_err());
-        assert!(CifWriter::new().with_scale(200).is_ok());
     }
 
     #[test]

@@ -46,67 +46,18 @@ pub use bytecode::{CompileStats, CompiledMachine};
 pub use compile::compile;
 pub use run::CompiledSim;
 
-use std::fmt;
-use std::str::FromStr;
-
-/// Which simulation engine services a `sim` request. The compiled
-/// engine is the default everywhere; the interpreter remains available
-/// as the oracle and for debugging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// The one simulation engine. A shim for the frozen ledger, which names
+/// its cache-key tag; the product PR after ROADMAP's benchmark-only PR
+/// drops it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEngine {
     /// Bytecode execution via [`CompiledSim`].
-    #[default]
     Compiled,
-    /// Tree-walking interpretation via [`silc_rtl::Simulator`].
-    Interp,
 }
 
 impl SimEngine {
-    /// Stable tag for fingerprint keying (cache entries must not alias
-    /// across engines).
+    /// The tag the `sim` cache key has always carried: `0`.
     pub fn tag(self) -> u8 {
-        match self {
-            SimEngine::Compiled => 0,
-            SimEngine::Interp => 1,
-        }
-    }
-
-    /// The canonical names, as accepted by `--engine`.
-    pub const NAMES: &'static str = "`compiled` or `interp`";
-}
-
-impl fmt::Display for SimEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SimEngine::Compiled => "compiled",
-            SimEngine::Interp => "interp",
-        })
-    }
-}
-
-impl FromStr for SimEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<SimEngine, String> {
-        match s {
-            "compiled" => Ok(SimEngine::Compiled),
-            "interp" => Ok(SimEngine::Interp),
-            other => Err(format!("unknown engine `{other}` (use {})", Self::NAMES)),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engine_names_round_trip() {
-        for e in [SimEngine::Compiled, SimEngine::Interp] {
-            assert_eq!(e.to_string().parse::<SimEngine>(), Ok(e));
-        }
-        assert!("fast".parse::<SimEngine>().unwrap_err().contains("fast"));
-        assert_eq!(SimEngine::default(), SimEngine::Compiled);
-        assert_ne!(SimEngine::Compiled.tag(), SimEngine::Interp.tag());
+        0
     }
 }

@@ -679,4 +679,20 @@ mod tests {
         assert_eq!(s.reg("q"), Some(0));
         assert_eq!(s.reg("t"), Some(0x503));
     }
+
+    #[test]
+    fn constant_memory_index_is_a_word_write_on_both_engines() {
+        // `m[128] := w` once parsed as a bit select and was refused; it
+        // means what `m[128 + 0] := w` means.
+        for index in ["128", "128 + 0"] {
+            let src = format!(
+                "machine boot {{ reg w[12] init 1234; reg back[12]; mem m[256][12];
+                   state load {{ m[{index}] := w; goto read; }}
+                   state read {{ back := m[128]; halt; }} }}"
+            );
+            let s = agree(&src, 2);
+            assert_eq!(s.reg("back"), Some(1234), "{index}");
+            assert_eq!(s.mem_word("m", 128), Some(1234), "{index}");
+        }
+    }
 }

@@ -68,14 +68,6 @@ impl Interval {
             None
         }
     }
-
-    /// Smallest interval covering both.
-    pub fn hull(&self, other: Interval) -> Interval {
-        Interval {
-            lo: self.lo.min(other.lo),
-            hi: self.hi.max(other.hi),
-        }
-    }
 }
 
 impl fmt::Display for Interval {
@@ -227,11 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn intersection_and_hull() {
+    fn intersection_of_closed_intervals() {
         let a = iv(0, 5);
         let b = iv(3, 9);
         assert_eq!(a.intersection(b), Some(iv(3, 5)));
-        assert_eq!(a.hull(b), iv(0, 9));
         assert_eq!(iv(0, 1).intersection(iv(3, 4)), None);
     }
 

@@ -86,15 +86,6 @@ impl Orientation {
         unreachable!("every group element has an inverse")
     }
 
-    /// True if the orientation swaps the x and y axes (odd quarter-turns),
-    /// i.e. widths and heights exchange.
-    pub fn swaps_axes(self) -> bool {
-        matches!(
-            self,
-            Orientation::R90 | Orientation::R270 | Orientation::MX90 | Orientation::MX270
-        )
-    }
-
     /// True for the four reflected (improper) elements.
     pub fn is_mirrored(self) -> bool {
         matches!(
@@ -128,12 +119,6 @@ impl Orientation {
             (true, 3) => Orientation::MX270,
             _ => unreachable!(),
         }
-    }
-
-    /// The CIF direction vector of the rotated +x axis, for the `R` clause
-    /// of a CIF `C` (call) command.
-    pub fn cif_direction(self) -> Vector {
-        self.apply(Vector::new(1, 0))
     }
 }
 
@@ -296,8 +281,6 @@ mod tests {
     fn mirror_elements_flagged() {
         assert!(!Orientation::R90.is_mirrored());
         assert!(Orientation::MX90.is_mirrored());
-        assert!(Orientation::R90.swaps_axes());
-        assert!(!Orientation::MX.swaps_axes());
     }
 
     #[test]
@@ -330,13 +313,6 @@ mod tests {
             assert_eq!(t.inverse().apply(t.apply(p)), p);
             assert_eq!(t.apply(t.inverse().apply(p)), p);
         }
-    }
-
-    #[test]
-    fn cif_direction_of_rotations() {
-        assert_eq!(Orientation::R0.cif_direction(), Vector::new(1, 0));
-        assert_eq!(Orientation::R90.cif_direction(), Vector::new(0, 1));
-        assert_eq!(Orientation::R180.cif_direction(), Vector::new(-1, 0));
     }
 
     #[test]

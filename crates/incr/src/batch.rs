@@ -7,8 +7,7 @@
 //! compile counter.sil -o counter.cif
 //! compile alu.sil --no-drc
 //! sim traffic.isl --cycles 500
-//! sim cpu.isl --cycles 100000 --engine interp
-//! pnr adder.sil -o adder_routed.cif --stack mead-conway-nmos
+//! pnr adder.sil -o adder_routed.cif
 //! verify control.pla
 //! verify decoder.pla --against decoder_golden.pla
 //! ```
@@ -194,8 +193,7 @@ mod tests {
         let base = Path::new("/designs");
         let jobs = parse_manifest(
             "# header\n\ncompile a.sil -o a.cif\ncompile b.sil --no-drc\nsim m.isl --cycles 42\n\
-             pnr c.sil -o c.cif --stack nmos\nverify d.pla --against gold.pla\n\
-             verify e.sil --stack nmos\n",
+             pnr c.sil -o c.cif\nverify d.pla --against gold.pla\nverify e.sil\n",
             base,
         )
         .unwrap();
@@ -219,25 +217,17 @@ mod tests {
             jobs[2].op,
             Op {
                 cycles: Some(42),
-                engine: None,
                 ..op(Verb::Sim)
             }
         );
         assert_eq!(jobs[2].line, 5);
-        assert_eq!(
-            jobs[3].op,
-            Op {
-                stack: Some("nmos".into()),
-                ..op(Verb::Pnr)
-            }
-        );
+        assert_eq!(jobs[3].op, op(Verb::Pnr));
         assert_eq!(jobs[3].output, Some(base.join("c.cif")));
         assert_eq!(jobs[3].label(), "pnr /designs/c.sil");
         assert_eq!(
             jobs[4].op,
             Op {
                 lang: Some("pla".into()),
-                stack: None,
                 ..op(Verb::Verify)
             }
         );
@@ -247,7 +237,6 @@ mod tests {
             jobs[5].op,
             Op {
                 lang: Some("sil".into()),
-                stack: Some("nmos".into()),
                 ..op(Verb::Verify)
             }
         );
@@ -265,16 +254,12 @@ mod tests {
             ("compile a.sil --fast", "unknown compile flag"),
             ("compile a.sil b.sil", "extra argument"),
             ("sim m.isl --cycles many", "invalid cycle count"),
-            ("sim m.isl --engine", "needs a name"),
-            ("sim m.isl --engine turbo", "unknown engine `turbo`"),
             ("sim a.isl --cycles 5 --cycles 7", "duplicate `--cycles`"),
-            (
-                "sim a.isl --engine interp --engine interp",
-                "duplicate `--engine`",
-            ),
+            // The CLI's `--engine compiled` no-op is not a manifest flag,
+            // and there is one routing stack to name.
+            ("sim m.isl --engine compiled", "unknown sim flag `--engine`"),
             ("pnr", "needs an input"),
-            ("pnr a.sil --stack", "needs a name"),
-            ("pnr a.sil --stack x --stack y", "duplicate `--stack`"),
+            ("pnr a.sil --stack nmos", "unknown pnr flag `--stack`"),
             ("pnr a.sil --fast", "unknown pnr flag"),
             ("pnr a.sil b.sil", "extra argument"),
             ("verify", "needs an input"),
@@ -283,7 +268,7 @@ mod tests {
                 "verify a.pla --against x --against y",
                 "duplicate `--against`",
             ),
-            ("verify a.sil --stack x --stack y", "duplicate `--stack`"),
+            ("verify a.sil --stack nmos", "unknown verify flag `--stack`"),
             ("verify a.pla --fast", "unknown verify flag"),
             ("verify a.pla b.pla", "extra argument"),
         ] {

@@ -58,4 +58,3 @@ pub use pipeline::{
     verify_sil, CompileOptions, CompileOutput, ExtractSnapshot, FlatSnapshot, PlaSnapshot,
     PnrSnapshot, SimSnapshot, SynthSnapshot, VerifySnapshot,
 };
-pub use silc_exec::SimEngine;

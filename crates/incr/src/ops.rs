@@ -22,8 +22,6 @@ use crate::pipeline::{
     CompileOutput, PlaSnapshot, PnrSnapshot, SimSnapshot, SynthSnapshot, VerifySnapshot,
 };
 use silc_drc::{Report, RuleSet};
-use silc_exec::SimEngine;
-use silc_pnr::RouteStack;
 use silc_trace::span;
 use std::path::Path;
 use std::sync::Arc;
@@ -134,10 +132,6 @@ pub struct Op {
     pub raw: bool,
     /// `sim`: cycle budget; `None` = [`Op::cycles`]'s default.
     pub cycles: Option<u64>,
-    /// `sim`: which engine; `None` = [`Op::sim_engine`]'s default.
-    pub engine: Option<SimEngine>,
-    /// `pnr`, `verify`: routing stack; `None` = [`Op::stack`]'s default.
-    pub stack: Option<String>,
     /// `verify`: source language, one of [`LANGS`] (the input file's
     /// extension where there is a file, a field on the wire).
     pub lang: Option<String>,
@@ -150,16 +144,6 @@ impl Op {
     /// The cycle budget, defaulted.
     pub fn cycles(&self) -> u64 {
         self.cycles.unwrap_or(10_000)
-    }
-
-    /// The routing stack name, defaulted.
-    pub fn stack(&self) -> &str {
-        self.stack.as_deref().unwrap_or(RouteStack::KNOWN[0])
-    }
-
-    /// The simulation engine, defaulted.
-    pub fn sim_engine(&self) -> SimEngine {
-        self.engine.unwrap_or_default()
     }
 }
 
@@ -188,6 +172,10 @@ pub struct Args {
     pub stats: bool,
     /// `--trace`: JSONL event stream.
     pub trace: Option<String>,
+    /// `--engine`: `compiled`, the one simulator, or nothing. A no-op
+    /// kept for the frozen ledger; the product PR after ROADMAP's
+    /// benchmark-only PR drops it.
+    pub engine: Option<String>,
 }
 
 /// Where an argument's value lands in [`Args`]; the variant is the
@@ -202,8 +190,6 @@ pub enum Slot<'a> {
     Cycles(&'a mut Option<u64>),
     /// A count of at least one.
     Count(&'a mut Option<usize>),
-    /// A simulation engine name.
-    Engine(&'a mut Option<SimEngine>),
 }
 
 /// One row of [`ARGS`].
@@ -268,7 +254,7 @@ const fn arg(
 }
 
 /// The argument table. Row order is usage order.
-pub const ARGS: [Arg; 15] = [
+pub const ARGS: [Arg; 14] = [
     Arg {
         alias: "--output",
         ..arg(
@@ -298,9 +284,6 @@ pub const ARGS: [Arg; 15] = [
     arg("--against", "FILE", "a path", &[Verify], ALL, |a| {
         Slot::Text(&mut a.against)
     }),
-    arg("--stack", "NAME", "a name", &[Pnr, Verify], ALL, |a| {
-        Slot::Text(&mut a.op.stack)
-    }),
     arg("--addr", "HOST:PORT", "a HOST:PORT", &[Serve], CLI, |a| {
         Slot::Text(&mut a.addr)
     }),
@@ -312,8 +295,8 @@ pub const ARGS: [Arg; 15] = [
         CLI,
         |a| Slot::Count(&mut a.jobs),
     ),
-    arg("--engine", "compiled|interp", "a name", &[Sim], ALL, |a| {
-        Slot::Engine(&mut a.op.engine)
+    arg("--engine", "compiled", "a name", &[Sim], CLI, |a| {
+        Slot::Text(&mut a.engine)
     }),
     Arg {
         help: "per-stage timing and counter summary on stderr",
@@ -403,7 +386,6 @@ pub fn parse_words<S: AsRef<str>>(
                 let count = value()?.parse().ok().filter(|&n| n >= 1);
                 slot.replace(count.ok_or_else(needs)?).is_some()
             }
-            Slot::Engine(slot) => slot.replace(value()?.parse()?).is_some(),
         };
         if repeated {
             return Err(format!("duplicate `{word}`"));
@@ -411,6 +393,9 @@ pub fn parse_words<S: AsRef<str>>(
     }
     if args.no_cache && args.cache.is_some() {
         return Err("`--no-cache` conflicts with `--cache`".into());
+    }
+    if let Some(engine) = args.engine.as_deref().filter(|&e| e != "compiled") {
+        return Err(format!("unknown engine `{engine}` (use `compiled`)"));
     }
     if !spec.input.is_empty() && args.input.is_none() {
         return Err(format!("{} needs an input file", spec.name));
@@ -460,8 +445,6 @@ pub enum Outcome {
     Sim {
         /// The machine's declared name.
         machine: String,
-        /// The engine that ran it.
-        engine: SimEngine,
         /// Final architectural state.
         sim: Arc<SimSnapshot>,
     },
@@ -544,17 +527,15 @@ pub fn run(
         }
         Sim => {
             let machine = machine()?;
-            let sim_engine = op.sim_engine();
-            let sim = sim_results(engine, &machine, op.cycles(), sim_engine, stats)?;
+            let sim = sim_results(engine, &machine, op.cycles(), stats)?;
             Outcome::Sim {
                 machine: machine.name,
-                engine: sim_engine,
                 sim,
             }
         }
         Synth => Outcome::Synth(synth_allocation(engine, &machine()?, stats)?),
         Pla => Outcome::Pla(pla_products(engine, source, op.raw, stats)?),
-        Pnr => Outcome::Pnr(pnr_sil(engine, source, op.stack(), stats)?),
+        Pnr => Outcome::Pnr(pnr_sil(engine, source, stats)?),
         Verify => Outcome::Verify(match (against, op.lang.as_deref()) {
             (Some(spec), Some("pla")) => verify_against(engine, source, spec, stats)?,
             (Some(_), lang) => {
@@ -565,7 +546,7 @@ pub fn run(
             }
             (None, Some("pla")) => verify_pla(engine, source, stats)?,
             (None, Some("isl")) => verify_isl(engine, source, stats)?,
-            (None, Some("sil")) => verify_sil(engine, source, op.stack(), stats)?,
+            (None, Some("sil")) => verify_sil(engine, source, stats)?,
             (None, lang) => {
                 let lang = lang.unwrap_or_default();
                 return Err(format!("verify: unsupported lang `{lang}`"));
@@ -584,10 +565,9 @@ mod tests {
     fn spell(arg: &Arg) -> Vec<&'static str> {
         let value = match (arg.slot)(&mut Args::default()) {
             Slot::Switch(_) => None,
-            Slot::Text(_) => Some("nmos"),
+            Slot::Text(_) => Some("compiled"),
             Slot::Cycles(_) => Some("7"),
             Slot::Count(_) => Some("3"),
-            Slot::Engine(_) => Some("interp"),
         };
         std::iter::once(arg.flag).chain(value).collect()
     }
@@ -626,7 +606,6 @@ mod tests {
                         (Slot::Text(slot), v) => *slot = v.map(str::to_string),
                         (Slot::Cycles(slot), v) => *slot = v.and_then(|v| v.parse().ok()),
                         (Slot::Count(slot), v) => *slot = v.and_then(|v| v.parse().ok()),
-                        (Slot::Engine(slot), v) => *slot = v.and_then(|v| v.parse().ok()),
                     }
                     assert_ne!(want, bare, "{tag}");
                     assert_eq!(parsed, Ok(want.clone()), "{tag}");

@@ -22,14 +22,14 @@ use crate::codec::{Dec, DecodeError, Persist};
 use crate::engine::{Engine, JobStats, Stage};
 use silc_cif::CifWriter;
 use silc_drc::{check_flat_traced, Report, RuleSet};
-use silc_exec::{CompiledSim, SimEngine};
+use silc_exec::CompiledSim;
 use silc_geom::{Fingerprint, FpHasher, Rect};
 use silc_lang::{Compiler, Design, PRELUDE};
 use silc_logic::TruthTable;
 use silc_netlist::Netlist;
 use silc_pla::{generate_layout_traced, Minimize, PlaSpec};
 use silc_pnr::{place_and_route_traced, Floorplan, RouteStack};
-use silc_rtl::{Machine, RunReport, Simulator};
+use silc_rtl::Machine;
 use silc_synth::{synthesize_traced, Sharing, SynthOptions};
 use silc_trace::span;
 use silc_verify::{
@@ -357,40 +357,10 @@ pub fn extract_signature(
     })
 }
 
-/// Reads the final architectural state out of whichever engine ran.
-fn sim_snapshot(
-    machine: &Machine,
-    report: RunReport,
-    state: &str,
-    reg: impl Fn(&str) -> Option<u64>,
-    output: impl Fn(&str) -> Option<u64>,
-) -> Result<SimSnapshot, String> {
-    let mut regs = Vec::with_capacity(machine.regs.len());
-    for r in &machine.regs {
-        let value =
-            reg(&r.name).ok_or_else(|| format!("simulator has no register `{}`", r.name))?;
-        regs.push((r.name.clone(), value));
-    }
-    let mut outputs = Vec::with_capacity(machine.outputs.len());
-    for p in &machine.outputs {
-        let value =
-            output(&p.name).ok_or_else(|| format!("simulator has no output `{}`", p.name))?;
-        outputs.push((p.name.clone(), value));
-    }
-    Ok(SimSnapshot {
-        cycles: report.cycles,
-        halted: report.halted,
-        state: state.to_string(),
-        regs,
-        outputs,
-    })
-}
-
-/// Machine + cycle budget + engine choice → simulation results. Keyed by
-/// the parsed machine, so formatting-only ISL edits hit the cache; the
-/// engine tag joins the key so a warm `compiled` entry is never served to
-/// an `interp` query (even though both produce byte-identical snapshots —
-/// that identity is what the exec proptests enforce).
+/// Machine + cycle budget → simulation results on the compiled engine.
+/// Keyed by the parsed machine, so formatting-only ISL edits hit the
+/// cache. The key's trailing `0u8` once named the engine; it stays so
+/// caches written when there were two still hit.
 ///
 /// # Errors
 ///
@@ -399,57 +369,51 @@ pub fn sim_results(
     engine: &Engine,
     machine: &Machine,
     cycles: u64,
-    sim_engine: SimEngine,
     stats: &mut JobStats,
 ) -> Result<Arc<SimSnapshot>, String> {
-    let key = (machine, cycles, sim_engine.tag()).fingerprint();
+    let key = (machine, cycles, 0u8).fingerprint();
     engine.query(Stage::SIM, key, stats, || {
         let tracer = engine.tracer();
-        match sim_engine {
-            SimEngine::Interp => {
-                let mut sim = Simulator::new(machine);
-                let report = {
-                    let _s = span!(tracer, "sim.run");
-                    sim.run(cycles).map_err(|e| e.to_string())?
-                };
-                tracer.add("sim.cycles", report.cycles);
-                sim_snapshot(
-                    machine,
-                    report,
-                    sim.state_name(),
-                    |n| sim.reg(n),
-                    |n| sim.output(n),
-                )
-            }
-            SimEngine::Compiled => {
-                let compiled = {
-                    let mut s = span!(tracer, "exec.compile");
-                    let compiled = silc_exec::compile(machine);
-                    s.attr("ops", compiled.stats().ops);
-                    compiled
-                };
-                let st = compiled.stats();
-                tracer.add("exec.states", st.states);
-                tracer.add("exec.ops", st.ops);
-                tracer.add("exec.folded", st.folded);
-                tracer.add("exec.cse", st.cse);
-                tracer.add("exec.dead", st.dead);
-                let mut sim = CompiledSim::new(&compiled);
-                let report = {
-                    let _s = span!(tracer, "sim.run");
-                    sim.run(cycles).map_err(|e| e.to_string())?
-                };
-                tracer.add("sim.cycles", report.cycles);
-                tracer.add("exec.fast_forward", sim.fast_forwarded());
-                sim_snapshot(
-                    machine,
-                    report,
-                    sim.state_name(),
-                    |n| sim.reg(n),
-                    |n| sim.output(n),
-                )
-            }
+        let compiled = {
+            let mut s = span!(tracer, "exec.compile");
+            let compiled = silc_exec::compile(machine);
+            s.attr("ops", compiled.stats().ops);
+            compiled
+        };
+        let st = compiled.stats();
+        tracer.add("exec.states", st.states);
+        tracer.add("exec.ops", st.ops);
+        tracer.add("exec.folded", st.folded);
+        tracer.add("exec.cse", st.cse);
+        tracer.add("exec.dead", st.dead);
+        let mut sim = CompiledSim::new(&compiled);
+        let report = {
+            let _s = span!(tracer, "sim.run");
+            sim.run(cycles).map_err(|e| e.to_string())?
+        };
+        tracer.add("sim.cycles", report.cycles);
+        tracer.add("exec.fast_forward", sim.fast_forwarded());
+        let mut regs = Vec::with_capacity(machine.regs.len());
+        for r in &machine.regs {
+            let value = sim
+                .reg(&r.name)
+                .ok_or_else(|| format!("simulator has no register `{}`", r.name))?;
+            regs.push((r.name.clone(), value));
         }
+        let mut outputs = Vec::with_capacity(machine.outputs.len());
+        for p in &machine.outputs {
+            let value = sim
+                .output(&p.name)
+                .ok_or_else(|| format!("simulator has no output `{}`", p.name))?;
+            outputs.push((p.name.clone(), value));
+        }
+        Ok(SimSnapshot {
+            cycles: report.cycles,
+            halted: report.halted,
+            state: sim.state_name().to_string(),
+            regs,
+            outputs,
+        })
     })
 }
 
@@ -577,10 +541,10 @@ pub fn pnr_products(
 
 /// The full `silc pnr` pipeline over SIL source: elaborate, extract the
 /// transistor netlist, place it into a [`Floorplan::squarish`]
-/// floorplan on the named stack, and route — every front-end (CLI,
-/// batch `pnr` jobs, serve `pnr` requests) runs through here, so they
-/// share cache entries. Elaboration and extraction are themselves
-/// queries; the routed products come from [`pnr_products`].
+/// floorplan on [`RouteStack::mead_conway_nmos`], and route — every
+/// front-end (CLI, batch `pnr` jobs, serve `pnr` requests) runs through
+/// here, so they share cache entries. Elaboration and extraction are
+/// themselves queries; the routed products come from [`pnr_products`].
 ///
 /// # Errors
 ///
@@ -590,10 +554,9 @@ pub fn pnr_products(
 pub fn pnr_sil(
     engine: &Engine,
     source: &str,
-    stack_name: &str,
     stats: &mut JobStats,
 ) -> Result<Arc<PnrSnapshot>, String> {
-    let stack = RouteStack::by_name(stack_name).map_err(|e| format!("pnr: {e}"))?;
+    let stack = RouteStack::mead_conway_nmos();
     let design = elaborate(engine, source, stats)?;
     let extracted = silc_extract::extract_traced(&design.library, design.top, engine.tracer())
         .map_err(|e| format!("extract: {e}"))?;
@@ -783,10 +746,9 @@ pub fn verify_isl(
 pub fn verify_sil(
     engine: &Engine,
     source: &str,
-    stack_name: &str,
     stats: &mut JobStats,
 ) -> Result<Arc<VerifySnapshot>, String> {
-    let stack = RouteStack::by_name(stack_name).map_err(|e| format!("verify: {e}"))?;
+    let stack = RouteStack::mead_conway_nmos();
     let design = elaborate(engine, source, stats)?;
     let extracted = silc_extract::extract_traced(&design.library, design.top, engine.tracer())
         .map_err(|e| format!("extract: {e}"))?;

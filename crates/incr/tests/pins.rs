@@ -5,10 +5,11 @@
 //! it used to write before each cell.
 
 use silc_drc::RuleSet;
+use silc_exec::SimEngine;
 use silc_geom::{Fingerprint, FpHasher};
 use silc_incr::{
     compile_sil, extract_signature, pla_products, pnr_products, sim_results, synth_allocation,
-    verify_pla, CompileOptions, Enc, Engine, JobStats, Persist, SimEngine, FORMAT_VERSION,
+    verify_pla, CompileOptions, Enc, Engine, JobStats, Persist, FORMAT_VERSION,
 };
 use silc_pnr::{gen::random_netlist, Floorplan, RouteStack};
 
@@ -68,6 +69,11 @@ fn keys_and_payloads_are_the_parents_but_for_the_design() {
         (stack.fingerprint(), "3edd1efb315da0ceadaefa89ffbccced"),
         (netlist.fingerprint(), "698b8e8fe17ad05861af19452e68228e"),
         (machine.fingerprint(), "6b2eebbceb50093d011be6e2150660db"),
+        // The SIM key as a whole, its engine tag included.
+        (
+            (&machine, 100u64, SimEngine::Compiled.tag()).fingerprint(),
+            "f0b5f999098c4e22815b309054c76e65",
+        ),
     ];
     for (key, pinned) in keys {
         assert_eq!(key.to_hex(), pinned);
@@ -79,7 +85,7 @@ fn keys_and_payloads_are_the_parents_but_for_the_design() {
     let drc = out.drc.as_ref().unwrap();
     assert_eq!(drc.violations.len(), 9);
     let extract = extract_signature(&engine, &out.design, stats).unwrap();
-    let sim = sim_results(&engine, &machine, 100, SimEngine::Compiled, stats).unwrap();
+    let sim = sim_results(&engine, &machine, 100, stats).unwrap();
     let synth = synth_allocation(&engine, &machine, stats).unwrap();
     let pla = pla_products(&engine, PLA, false, stats).unwrap();
     let verify = verify_pla(&engine, PLA, stats).unwrap();

@@ -61,12 +61,12 @@ fn isl_verify_confirms_the_synthesized_control_store() {
 fn sil_verify_proves_the_routed_layout_functionally_equivalent() {
     let engine = Engine::in_memory();
     let mut stats = JobStats::default();
-    let snap = verify_sil(&engine, SIL, "nmos", &mut stats).expect("verifies");
+    let snap = verify_sil(&engine, SIL, &mut stats).expect("verifies");
     assert!(snap.equivalent, "{:?}", snap.mismatches);
     assert_eq!(snap.check, "sil");
 
     let mut warm = JobStats::default();
-    let again = verify_sil(&engine, SIL, "nmos", &mut warm).expect("verifies");
+    let again = verify_sil(&engine, SIL, &mut warm).expect("verifies");
     assert_eq!(*again, *snap);
     assert_eq!(warm.misses, 0, "warm sil verify recomputed");
 }

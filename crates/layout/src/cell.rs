@@ -1,5 +1,5 @@
 use crate::{CellId, Element, Layer, LayoutError};
-use silc_geom::{Coord, Point, Rect, Transform};
+use silc_geom::{Coord, Point, Transform};
 use std::fmt;
 
 /// A named connection point on a cell boundary.
@@ -191,14 +191,6 @@ impl Cell {
     pub fn port(&self, name: &str) -> Option<&Port> {
         self.ports.iter().find(|p| p.name == name)
     }
-
-    /// Bounding box of the cell's **own** artwork (instances excluded —
-    /// see [`crate::CellStats`] for the deep bbox).
-    pub fn local_bbox(&self) -> Option<Rect> {
-        let mut it = self.elements.iter().map(Element::bbox);
-        let first = it.next()?;
-        Some(it.fold(first, |acc, b| acc.union(b)))
-    }
 }
 
 impl fmt::Display for Cell {
@@ -253,22 +245,6 @@ mod tests {
         let i = Instance::place(id, Transform::IDENTITY);
         assert_eq!(i.count(), 1);
         assert_eq!(i.placements().count(), 1);
-    }
-
-    #[test]
-    fn local_bbox_unions_elements() {
-        let mut c = Cell::new("t");
-        assert_eq!(c.local_bbox(), None);
-        c.push_element(Element::rect(
-            Layer::Poly,
-            Rect::from_origin_size(Point::new(0, 0), 2, 2).unwrap(),
-        ));
-        c.push_element(Element::rect(
-            Layer::Metal,
-            Rect::from_origin_size(Point::new(10, 10), 2, 2).unwrap(),
-        ));
-        let bb = c.local_bbox().unwrap();
-        assert_eq!(bb, Rect::new(Point::new(0, 0), Point::new(12, 12)).unwrap());
     }
 
     #[test]

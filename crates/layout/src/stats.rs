@@ -137,30 +137,6 @@ impl CellStats {
                 .collect(),
         })
     }
-
-    /// Total conducting-layer area (diff + poly + metal).
-    pub fn conducting_area(&self) -> Coord {
-        Layer::ALL
-            .iter()
-            .filter(|l| l.is_conducting())
-            .map(|l| self.area_by_layer[l.index()])
-            .sum()
-    }
-
-    /// Die area: bounding-box area, 0 for an empty design.
-    pub fn die_area(&self) -> Coord {
-        self.bbox.map_or(0, |b| b.area())
-    }
-
-    /// The leverage ratio measured in experiment E2: expanded artwork per
-    /// item of source description. Returns `None` for an empty definition.
-    pub fn expansion_ratio(&self) -> Option<f64> {
-        if self.flat_elements == 0 {
-            None
-        } else {
-            Some(self.flat_elements as f64 / self.local_elements.max(1) as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -222,9 +198,8 @@ mod tests {
         assert_eq!(stats.flat_elements, 8);
         // 3-wide boxes on a 4 pitch: disjoint, 8 * 9 = 72.
         assert_eq!(stats.area_by_layer[Layer::Metal.index()], 72);
-        assert_eq!(stats.conducting_area(), 72);
+        assert_eq!(stats.area_by_layer.iter().sum::<Coord>(), 72);
         assert_eq!(stats.bbox.unwrap(), rect(0, 0, 4 * 7 + 3, 3));
-        assert!(stats.expansion_ratio().unwrap() >= 8.0);
     }
 
     #[test]
@@ -233,8 +208,8 @@ mod tests {
         let id = lib.add_cell(Cell::new("void")).unwrap();
         let stats = CellStats::compute(&lib, id).unwrap();
         assert_eq!(stats.bbox, None);
-        assert_eq!(stats.die_area(), 0);
-        assert_eq!(stats.expansion_ratio(), None);
+        assert_eq!(stats.flat_elements, 0);
+        assert!(stats.area_by_layer.iter().all(|&a| a == 0));
     }
 
     /// Brute-force union area on a small grid for cross-checking.

@@ -26,7 +26,7 @@
 //! ```
 
 use silc_geom::{Fingerprint, FpHasher};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Opaque handle to a net within a [`Netlist`].
@@ -205,16 +205,6 @@ impl Netlist {
             .flat_map(|i| &i.connections)
             .filter(|(_, n)| *n == net)
             .count()
-    }
-
-    /// Instance count per kind, sorted by kind name — the "module count"
-    /// measure of experiment E1.
-    pub fn kind_histogram(&self) -> BTreeMap<String, usize> {
-        let mut h = BTreeMap::new();
-        for i in &self.instances {
-            *h.entry(i.kind.clone()).or_insert(0) += 1;
-        }
-        h
     }
 
     /// A canonical signature for structural comparison (LVS-lite): labels
@@ -429,14 +419,6 @@ mod tests {
         assert_eq!(n.fanout(mid), 3);
         let vdd = n.net_by_name("vdd").unwrap();
         assert_eq!(n.fanout(vdd), 2);
-    }
-
-    #[test]
-    fn histogram_by_kind() {
-        let n = inverter_pair(["a", "mid", "q", "vdd"]);
-        let h = n.kind_histogram();
-        assert_eq!(h["pullup"], 2);
-        assert_eq!(h["enh"], 2);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! unfolded form — see `DESIGN.md`'s substitution table.
 
 use crate::PlaSpec;
-use silc_geom::Coord;
 use silc_logic::Lit;
 use std::fmt;
 
@@ -45,12 +44,6 @@ impl FoldPlan {
         } else {
             self.columns_saved() as f64 / self.original_columns as f64
         }
-    }
-
-    /// AND-plane width in lambda after folding, at the generator's column
-    /// pitch.
-    pub fn folded_and_plane_width(&self) -> Coord {
-        self.folded_columns as Coord * crate::layout_gen::COL_PITCH
     }
 }
 
@@ -210,7 +203,6 @@ mod tests {
         // The exact personality is sparse enough that something folds or
         // at least unused polarities vanish.
         assert!(plan.folded_columns < plan.original_columns, "{plan}");
-        assert!(plan.folded_and_plane_width() < 2 * 5 * crate::layout_gen::COL_PITCH);
     }
 
     #[test]

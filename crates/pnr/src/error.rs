@@ -10,11 +10,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PnrError {
-    /// `--stack` named a stack this build does not know.
-    UnknownStack {
-        /// The unrecognized name.
-        name: String,
-    },
     /// The netlist contains an instance kind the cell library cannot
     /// place.
     UnsupportedKind {
@@ -58,11 +53,6 @@ pub enum PnrError {
 impl fmt::Display for PnrError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PnrError::UnknownStack { name } => write!(
-                f,
-                "unknown routing stack `{name}` (known: {})",
-                crate::RouteStack::KNOWN.join(", ")
-            ),
             PnrError::UnsupportedKind { instance, kind } => write!(
                 f,
                 "instance `{instance}` has kind `{kind}`; the cell library only places `enh` and `dep` transistors"

@@ -144,24 +144,6 @@ impl RouteStack {
             .expect("the Mead-Conway deck induces a legal stack")
     }
 
-    /// Looks up a stack by CLI name.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::PnrError::UnknownStack`] naming the unknown stack and
-    /// the known ones.
-    pub fn by_name(name: &str) -> Result<RouteStack, PnrError> {
-        match name {
-            "mead-conway-nmos" | "nmos" => Ok(RouteStack::mead_conway_nmos()),
-            _ => Err(PnrError::UnknownStack {
-                name: name.to_string(),
-            }),
-        }
-    }
-
-    /// Names of the stacks [`RouteStack::by_name`] accepts.
-    pub const KNOWN: &'static [&'static str] = &["mead-conway-nmos", "nmos"];
-
     /// Router layer id carrying `dir`, if any.
     pub fn layer_for_dir(&self, dir: Dir) -> Option<usize> {
         self.layers.iter().position(|l| l.dir == dir)
@@ -289,17 +271,6 @@ mod tests {
         rules.set_min_spacing(Layer::Contact, Layer::Contact, 9); // pitch 7 leaves cuts 5 apart
         let err = RouteStack::from_rules(&rules).unwrap_err();
         assert!(err.to_string().contains("pitch"), "{err}");
-    }
-
-    #[test]
-    fn by_name_rejects_unknown() {
-        let err = RouteStack::by_name("cmos9").unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("cmos9"), "message names the stack: {msg}");
-        assert!(
-            msg.contains("mead-conway-nmos"),
-            "message lists known stacks: {msg}"
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! # Requests
 //!
 //! ```json
-//! {"op":"sim","source":"machine m {...}","cycles":10000,"engine":"compiled"}
+//! {"op":"sim","source":"machine m {...}","cycles":10000}
 //! {"op":"stats"}
 //! {"op":"shutdown"}
 //! ```
@@ -13,7 +13,9 @@
 //! wire exposes and carries its `source` text; its other fields are the
 //! rows of [`silc_incr::ops::ARGS`] for that verb, each named after the
 //! flag without its dashes (`--no-drc` is `"no_drc"`). `stats` and
-//! `shutdown` are control ops with no fields.
+//! `shutdown` are control ops with no fields. A field none of these
+//! names is refused as a `bad_request` naming it, as the word lists
+//! refuse an unknown flag.
 //!
 //! Every request may carry `"id"` (any scalar, echoed verbatim in the
 //! response so clients can pipeline), `"deadline_ms"` (per-request
@@ -31,7 +33,6 @@
 //! names the failing stage).
 
 use crate::json::{parse, Json};
-use silc_exec::SimEngine;
 use silc_incr::ops::{self, Args, Front, Op, Slot, Verb};
 
 /// Failure kinds carried in the `error` field of a failure response.
@@ -65,8 +66,6 @@ pub enum Request {
         source: String,
         /// Cycle budget (the CLI default is 10 000).
         cycles: u64,
-        /// Engine override; `None` uses the server's default.
-        engine: Option<SimEngine>,
     },
     /// Elaborate + flatten + DRC only; report violations without CIF.
     Drc {
@@ -78,8 +77,6 @@ pub enum Request {
     Pnr {
         /// SIL source text.
         source: String,
-        /// Routing stack name; `None` uses the default stack.
-        stack: Option<String>,
     },
     /// Equivalence-check an artifact against its specification; mirrors
     /// `silc verify`.
@@ -92,8 +89,6 @@ pub enum Request {
         /// PLA spec text to check a `"pla"` source against instead of
         /// its own minimized realization.
         against: Option<String>,
-        /// Routing stack for `"sil"` sources; `None` uses the default.
-        stack: Option<String>,
     },
     /// Server statistics; answered inline, never queued.
     Stats,
@@ -134,13 +129,6 @@ impl Request {
         }
     }
 
-    /// True for ops answered on the connection thread (no worker, no
-    /// queue, no deadline): `stats` and `shutdown` must keep answering
-    /// even when every worker is busy.
-    pub fn is_control(&self) -> bool {
-        matches!(self, Request::Stats | Request::Shutdown)
-    }
-
     /// The one conversion from the wire form into the op the table
     /// defines plus the `source` and `against` texts it reads; `None`
     /// for control and test ops.
@@ -156,29 +144,24 @@ impl Request {
                 (op.verb, op.no_drc, op.extract) = (Verb::Compile, *no_drc, *extract);
                 source
             }
-            Request::Sim {
-                source,
-                cycles,
-                engine,
-            } => {
-                (op.verb, op.cycles, op.engine) = (Verb::Sim, Some(*cycles), *engine);
+            Request::Sim { source, cycles } => {
+                (op.verb, op.cycles) = (Verb::Sim, Some(*cycles));
                 source
             }
             Request::Drc { source } => {
                 op.verb = Verb::Drc;
                 source
             }
-            Request::Pnr { source, stack } => {
-                (op.verb, op.stack) = (Verb::Pnr, stack.clone());
+            Request::Pnr { source } => {
+                op.verb = Verb::Pnr;
                 source
             }
             Request::Verify {
                 source,
                 lang,
                 against: spec,
-                stack,
             } => {
-                (op.verb, op.lang, op.stack) = (Verb::Verify, Some(lang.clone()), stack.clone());
+                (op.verb, op.lang) = (Verb::Verify, Some(lang.clone()));
                 against = spec.as_deref();
                 source
             }
@@ -244,7 +227,6 @@ fn decode_op(obj: &Json, name: &str) -> Result<Request, String> {
         match (arg.slot)(&mut args) {
             Slot::Switch(on) => *on = value.as_bool().ok_or_else(|| must("a boolean"))?,
             Slot::Text(slot) => *slot = Some(text()?.to_string()),
-            Slot::Engine(slot) => *slot = Some(text()?.parse()?),
             Slot::Cycles(slot) => *slot = Some(number(0, "a non-negative integer")?),
             Slot::Count(slot) => *slot = usize::try_from(number(1, "a positive integer")?).ok(),
         }
@@ -263,13 +245,9 @@ fn decode_op(obj: &Json, name: &str) -> Result<Request, String> {
         Verb::Sim => Request::Sim {
             source,
             cycles: op.cycles(),
-            engine: op.engine,
         },
         Verb::Drc => Request::Drc { source },
-        Verb::Pnr => Request::Pnr {
-            source,
-            stack: op.stack,
-        },
+        Verb::Pnr => Request::Pnr { source },
         Verb::Verify => {
             let lang = op.lang.ok_or("`verify` needs a string `lang` field")?;
             if !ops::LANGS.contains(&lang.as_str()) {
@@ -281,11 +259,25 @@ fn decode_op(obj: &Json, name: &str) -> Result<Request, String> {
                 source,
                 lang,
                 against,
-                stack: op.stack,
             }
         }
         _ => return Err(unknown()),
     })
+}
+
+/// The fields any request may carry besides its verb's own.
+const ENVELOPE: [&str; 5] = ["op", "id", "source", "deadline_ms", "priority"];
+
+/// True when a request naming op `name` may carry field `key`: an
+/// envelope field, the test-only `sleep`'s `ms`, or a row of
+/// [`ops::ARGS`] the wire exposes for that verb.
+fn takes_field(name: &str, key: &str) -> bool {
+    ENVELOPE.contains(&key)
+        || (name == "sleep" && key == "ms")
+        || ops::verb(Front::Wire, name).is_some_and(|spec| {
+            let exposed = |a: &ops::Arg| a.accepted(Front::Wire, spec.verb);
+            ops::ARGS.iter().any(|a| exposed(a) && a.field() == key)
+        })
 }
 
 /// Decodes one request line.
@@ -293,15 +285,16 @@ fn decode_op(obj: &Json, name: &str) -> Result<Request, String> {
 /// # Errors
 ///
 /// A message suitable for the `detail` field of a `bad_request`
-/// response: JSON syntax errors, a missing/unknown `op`, or wrongly
-/// typed fields.
+/// response: JSON syntax errors, a missing/unknown `op`, unknown or
+/// wrongly typed fields.
 pub fn parse_request(line: &str, allow_test_ops: bool) -> Result<Envelope, String> {
     let obj = parse(line)?;
-    if !matches!(obj, Json::Obj(_)) {
+    let Json::Obj(members) = &obj else {
         return Err("request must be a JSON object".into());
-    }
+    };
     let op = obj.get("op").and_then(Json::as_str);
-    let request = match op.ok_or("request needs a string `op` field")? {
+    let name = op.ok_or("request needs a string `op` field")?;
+    let request = match name {
         "stats" => Request::Stats,
         "shutdown" => Request::Shutdown,
         "sleep" if allow_test_ops => Request::Sleep {
@@ -309,6 +302,9 @@ pub fn parse_request(line: &str, allow_test_ops: bool) -> Result<Envelope, Strin
         },
         name => decode_op(&obj, name)?,
     };
+    if let Some((key, _)) = members.iter().find(|(key, _)| !takes_field(name, key)) {
+        return Err(format!("unknown field `{key}` for `{name}`"));
+    }
     Ok(Envelope {
         id: obj.get("id").cloned(),
         deadline_ms: optional_u64(&obj, "deadline_ms")?,
@@ -363,7 +359,6 @@ mod tests {
                 extract: false,
             }
         );
-        assert!(!e.request.is_control());
 
         let e = parse_request(r#"{"op":"sim","source":"machine m {}"}"#, false).unwrap();
         assert_eq!(
@@ -371,21 +366,6 @@ mod tests {
             Request::Sim {
                 source: "machine m {}".into(),
                 cycles: 10_000,
-                engine: None,
-            }
-        );
-
-        let e = parse_request(
-            r#"{"op":"sim","source":"machine m {}","engine":"interp"}"#,
-            false,
-        )
-        .unwrap();
-        assert_eq!(
-            e.request,
-            Request::Sim {
-                source: "machine m {}".into(),
-                cycles: 10_000,
-                engine: Some(SimEngine::Interp),
             }
         );
 
@@ -397,15 +377,6 @@ mod tests {
             e.request,
             Request::Pnr {
                 source: "cell a() {}".into(),
-                stack: None,
-            }
-        );
-        let e = parse_request(r#"{"op":"pnr","source":"x","stack":"nmos"}"#, false).unwrap();
-        assert_eq!(
-            e.request,
-            Request::Pnr {
-                source: "x".into(),
-                stack: Some("nmos".into()),
             }
         );
 
@@ -416,7 +387,6 @@ mod tests {
                 source: ".i 1".into(),
                 lang: "pla".into(),
                 against: None,
-                stack: None,
             }
         );
         let e = parse_request(
@@ -430,14 +400,13 @@ mod tests {
                 source: ".i 1".into(),
                 lang: "pla".into(),
                 against: Some(".i 1".into()),
-                stack: None,
             }
         );
 
         for op in ["stats", "shutdown"] {
             let e = parse_request(&format!(r#"{{"op":"{op}"}}"#), false).unwrap();
-            assert!(e.request.is_control(), "{op}");
             assert_eq!(e.request.op(), op);
+            assert!(e.request.to_op().is_none(), "{op}");
         }
     }
 
@@ -491,7 +460,7 @@ mod tests {
         assert!(
             parse_request(r#"{"op":"pnr","source":"x","stack":7}"#, false)
                 .unwrap_err()
-                .contains("`stack` must be a string")
+                .contains("unknown field `stack` for `pnr`")
         );
         assert!(parse_request(r#"{"op":"verify","source":"x"}"#, false)
             .unwrap_err()
@@ -509,13 +478,54 @@ mod tests {
         assert!(
             parse_request(r#"{"op":"sim","source":"m","engine":"warp"}"#, false)
                 .unwrap_err()
-                .contains("unknown engine `warp`")
+                .contains("unknown field `engine` for `sim`")
         );
         assert!(
             parse_request(r#"{"op":"sim","source":"m","engine":7}"#, false)
                 .unwrap_err()
-                .contains("`engine` must be a string")
+                .contains("unknown field `engine` for `sim`")
         );
+    }
+
+    /// A field no row gives the verb is refused by name, not ignored: a
+    /// misspelt or retired flag must not quietly run the default.
+    #[test]
+    fn unknown_fields_are_refused_by_name() {
+        for (line, field) in [
+            (r#"{"op":"compile","source":"x","cycles":5}"#, "cycles"),
+            (r#"{"op":"sim","source":"m","engine":"interp"}"#, "engine"),
+            (r#"{"op":"pnr","source":"x","stack":"x"}"#, "stack"),
+            (
+                r#"{"op":"verify","source":"x","lang":"sil","stack":"x"}"#,
+                "stack",
+            ),
+            (r#"{"op":"drc","source":"x","no_drc":true}"#, "no_drc"),
+            (
+                r#"{"op":"compile","source":"x","output":"a.cif"}"#,
+                "output",
+            ),
+            (r#"{"op":"sim","source":"m","ms":5}"#, "ms"),
+            (r#"{"op":"stats","verbose":true}"#, "verbose"),
+            (r#"{"op":"compile","source":"x","noDrc":null}"#, "noDrc"),
+        ] {
+            let e = parse_request(line, true).unwrap_err();
+            let op = line.split('"').nth(3).unwrap();
+            assert!(
+                e.contains(&format!("unknown field `{field}` for `{op}`")),
+                "{line}: {e}"
+            );
+        }
+        // What the envelope, the verb's rows and the test-only `sleep`
+        // name is taken.
+        for line in [
+            r#"{"op":"compile","source":"x","no_drc":true,"extract":true,"id":1,"deadline_ms":9,"priority":"batch"}"#,
+            r#"{"op":"sim","source":"m","cycles":5}"#,
+            r#"{"op":"verify","source":"x","lang":"pla","against":"y"}"#,
+            r#"{"op":"sleep","ms":5,"id":"s"}"#,
+            r#"{"op":"stats","id":2}"#,
+        ] {
+            assert!(parse_request(line, true).is_ok(), "{line}");
+        }
     }
 
     #[test]
@@ -542,10 +552,9 @@ mod tests {
                 let (value, json) = match arg.map(|a| (a.slot)(&mut scratch)) {
                     None => (None, String::new()),
                     Some(Slot::Switch(_)) => (None, "true".to_string()),
-                    Some(Slot::Text(_)) => (Some("nmos"), "\"nmos\"".to_string()),
+                    Some(Slot::Text(_)) => (Some("compiled"), "\"compiled\"".to_string()),
                     Some(Slot::Cycles(_)) => (Some("7"), "7".to_string()),
                     Some(Slot::Count(_)) => (Some("3"), "3".to_string()),
-                    Some(Slot::Engine(_)) => (Some("interp"), "\"interp\"".to_string()),
                 };
                 let mut decoded = Vec::new();
                 for front in [Front::Cli, Front::Manifest, Front::Wire] {

@@ -53,8 +53,7 @@ use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use silc_exec::SimEngine;
-use silc_incr::ops::{self, Outcome, Verb};
+use silc_incr::ops::{self, Outcome};
 use silc_incr::{default_parallelism, Engine, EngineConfig, JobStats};
 use silc_trace::{names, Tracer};
 
@@ -135,8 +134,6 @@ struct ServeStats {
     busy_workers: AtomicU64,
     lane_interactive: AtomicU64,
     lane_batch: AtomicU64,
-    sim_compiled: AtomicU64,
-    sim_interp: AtomicU64,
 }
 
 /// State shared by the accept loop, connection threads and workers.
@@ -409,13 +406,6 @@ fn execute(
     let text = |value: &str| Json::Str(value.to_string());
     let mut fields = match request.to_op() {
         Some((op, source, against)) => {
-            if op.verb == Verb::Sim {
-                let counter = match op.sim_engine() {
-                    SimEngine::Compiled => &shared.stats.sim_compiled,
-                    SimEngine::Interp => &shared.stats.sim_interp,
-                };
-                counter.fetch_add(1, Ordering::SeqCst);
-            }
             let engine = &shared.engine;
             match ops::run(engine, &op, source, against, &mut stats)? {
                 Outcome::Compile(out) => {
@@ -437,17 +427,12 @@ fn execute(
                     fields.push(("cif", text(out.cif.as_ref().map_or("", |c| c.as_str()))));
                     fields
                 }
-                Outcome::Sim {
-                    machine,
-                    engine,
-                    sim,
-                } => {
+                Outcome::Sim { machine, sim } => {
                     let render = |pairs: &[(String, u64)]| {
                         Json::Obj(pairs.iter().map(|(n, v)| (n.clone(), int(*v))).collect())
                     };
                     vec![
                         ("machine", Json::Str(machine)),
-                        ("engine", text(&engine.to_string())),
                         ("cycles", int(sim.cycles)),
                         ("halted", Json::Bool(sim.halted)),
                         ("state", text(&sim.state)),
@@ -693,14 +678,10 @@ fn stats_fields(shared: &Shared, queue: &Queue) -> Vec<(String, Json)> {
         ("affinity_hits".into(), Json::Int(0)),
         ("interactive".into(), count(&s.lane_interactive)),
         ("batch".into(), count(&s.lane_batch)),
-        ("sim.compiled".into(), count(&s.sim_compiled)),
-        ("sim.interp".into(), count(&s.sim_interp)),
         (
             "workers".into(),
             Json::Int(shared.config.jobs.max(1) as i128),
         ),
-        // The memory tier is one LRU behind one lock.
-        ("shards".into(), Json::Int(1)),
         (
             "queue_capacity".into(),
             Json::Int(shared.config.queue_capacity.max(1) as i128),
@@ -888,7 +869,7 @@ mod tests {
         assert_eq!(response.get("nets"), response.get("routed"));
         let cif = response.get("cif").and_then(Json::as_str).expect("cif");
         assert!(cif.contains("DS"), "{cif}");
-        // An unknown stack is a pipeline error naming the stack.
+        // There is one routing stack: naming one is an unknown field.
         let bad = request(
             addr,
             &format!(
@@ -896,9 +877,12 @@ mod tests {
                 Json::Str(source.into())
             ),
         );
-        assert_eq!(bad.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(
+            bad.get("error").and_then(Json::as_str),
+            Some(kind::BAD_REQUEST)
+        );
         let detail = bad.get("detail").and_then(Json::as_str).expect("detail");
-        assert!(detail.contains("cmos9"), "{detail}");
+        assert!(detail.contains("unknown field `stack`"), "{detail}");
         handle.shutdown();
         join.join().expect("clean exit");
     }
@@ -928,35 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_sims_per_engine_and_responses_agree() {
-        let (addr, handle, join) = start(test_config());
-        let source = Json::Str("machine m { reg a[4]; state s { a := a + 1; } }".into());
-        let compiled = request(
-            addr,
-            &format!(r#"{{"op":"sim","source":{source},"cycles":5}}"#),
-        );
-        assert_eq!(compiled.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(
-            compiled.get("engine").and_then(Json::as_str),
-            Some("compiled")
-        );
-        let interp = request(
-            addr,
-            &format!(r#"{{"op":"sim","source":{source},"cycles":5,"engine":"interp"}}"#),
-        );
-        assert_eq!(interp.get("engine").and_then(Json::as_str), Some("interp"));
-        // The engines must agree on every architectural field.
-        assert_eq!(compiled.get("regs"), interp.get("regs"));
-        assert_eq!(compiled.get("cycles"), interp.get("cycles"));
-        assert_eq!(compiled.get("state"), interp.get("state"));
-        let stats = request(addr, r#"{"op":"stats"}"#);
-        assert_eq!(stats.get("sim.compiled"), Some(&Json::Int(1)));
-        assert_eq!(stats.get("sim.interp"), Some(&Json::Int(1)));
-        handle.shutdown();
-        join.join().expect("clean exit");
-    }
-
-    #[test]
     fn priority_lanes_show_in_stats() {
         let (addr, handle, join) = start(test_config());
         let source = r#""cell a() { box metal (0,0) (8,4); } place a() at (0,0);""#;
@@ -970,8 +925,10 @@ mod tests {
         let stats = request(addr, r#"{"op":"stats"}"#);
         assert_eq!(stats.get("batch"), Some(&Json::Int(1)));
         assert_eq!(stats.get("interactive"), Some(&Json::Int(1)));
-        assert_eq!(stats.get("shards"), Some(&Json::Int(1)));
         assert!(stats.get("mem_entries").is_some());
+        for gone in ["shards", "sim.compiled", "sim.interp"] {
+            assert_eq!(stats.get(gone), None, "{gone}");
+        }
         handle.shutdown();
         join.join().expect("clean exit");
     }

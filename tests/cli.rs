@@ -130,33 +130,17 @@ fn pnr_routes_and_emits_cif() {
 fn pnr_flags_are_validated() {
     let sil = write_temp("pnr-flags.sil", PNR_SIL);
     let path = sil.to_str().unwrap();
-    // `--stack` belongs to `pnr` only.
-    let out = silc()
-        .args(["compile", path, "--stack", "nmos"])
-        .output()
-        .expect("runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--stack"), "{stderr}");
-    assert!(stderr.contains("silc pnr"), "{stderr}");
-    // Duplicates are rejected by name.
-    let out = silc()
-        .args(["pnr", path, "--stack", "nmos", "--stack", "nmos"])
-        .output()
-        .expect("runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("duplicate"), "{stderr}");
-    assert!(stderr.contains("--stack"), "{stderr}");
-    // An unknown stack fails with the valid set.
-    let out = silc()
-        .args(["pnr", path, "--stack", "cmos9"])
-        .output()
-        .expect("runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("cmos9"), "{stderr}");
-    assert!(stderr.contains("mead-conway-nmos"), "{stderr}");
+    // There is one routing stack: no verb takes `--stack`.
+    for verb in ["pnr", "compile", "verify"] {
+        let out = silc()
+            .args([verb, path, "--stack", "nmos"])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(1), "{verb}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let unknown = format!("unknown {verb} flag `--stack`");
+        assert!(stderr.contains(&unknown), "{verb}: {stderr}");
+    }
     // `--no-drc` stays a compile flag.
     let out = silc()
         .args(["pnr", path, "--no-drc"])
@@ -227,8 +211,7 @@ fn flags_are_validated_per_subcommand() {
         .expect("runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("-o"));
-    // `--engine` belongs to `sim` only: a batch job or a served request
-    // names its own (`sim m.isl --engine interp`, `"engine":"interp"`).
+    // `--engine` belongs to `sim` only, and only on the command line.
     for words in [
         vec!["compile", sil.to_str().unwrap()],
         vec!["batch", "jobs.txt"],
@@ -236,7 +219,7 @@ fn flags_are_validated_per_subcommand() {
     ] {
         let out = silc()
             .args(&words)
-            .args(["--engine", "interp"])
+            .args(["--engine", "compiled"])
             .output()
             .expect("runs");
         assert!(!out.status.success(), "{words:?}");
@@ -246,45 +229,48 @@ fn flags_are_validated_per_subcommand() {
             "{words:?}: {stderr}"
         );
     }
-    // Unknown engine names are rejected with the valid set.
-    let out = silc()
-        .args(["sim", isl.to_str().unwrap(), "--engine", "turbo"])
-        .output()
-        .expect("runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown engine `turbo`"), "{stderr}");
-    assert!(stderr.contains("compiled"), "{stderr}");
-    assert!(stderr.contains("interp"), "{stderr}");
 }
 
+/// There is one simulator. `--engine compiled` still names it, as a
+/// no-op; any other engine is refused, naming the one there is.
 #[test]
-fn sim_engines_print_identical_reports() {
+fn engine_compiled_is_a_no_op_and_nothing_else_is_an_engine() {
     let isl = write_temp(
         "engines.isl",
         "machine m { reg n[8]; port output o[8]; state s { n := n + 3; o := n; if n == 30 { halt; } } }",
     );
-    let mut outputs = Vec::new();
-    for engine in ["compiled", "interp"] {
-        let out = silc()
-            .args(["sim", isl.to_str().unwrap(), "--engine", engine])
+    let path = isl.to_str().unwrap();
+    let sim = |extra: &[&str]| {
+        silc()
+            .args(["sim", path])
+            .args(extra)
             .output()
-            .expect("runs");
-        assert!(out.status.success(), "{engine}: {out:?}");
-        outputs.push(out.stdout);
+            .expect("runs")
+    };
+    let bare = sim(&[]);
+    assert!(bare.status.success(), "{bare:?}");
+    assert!(String::from_utf8_lossy(&bare.stdout).contains("halted"));
+    let named = sim(&["--engine", "compiled"]);
+    assert!(named.status.success(), "{named:?}");
+    assert_eq!(named.stdout, bare.stdout);
+    assert_eq!(named.stderr, bare.stderr);
+    for other in ["interp", "turbo"] {
+        let out = sim(&["--engine", other]);
+        assert_eq!(out.status.code(), Some(1), "{other}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown engine `{other}`")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("`compiled`"), "{stderr}");
     }
-    assert_eq!(
-        outputs[0], outputs[1],
-        "engines must print byte-identical reports"
-    );
-    let text = String::from_utf8_lossy(&outputs[0]);
-    assert!(text.contains("halted"), "{text}");
 }
 
 #[test]
-fn constant_memory_index_is_a_word_write_on_both_engines() {
+fn constant_memory_index_is_a_word_write() {
     // `m[128] := w` used to parse as a bit select and be refused; it must
-    // mean what `m[128 + 0] := w` means, whichever engine runs it.
+    // mean what `m[128 + 0] := w` means. `crates/exec/src/run.rs` checks
+    // the compiled engine against the interpreter on both spellings.
     let machine = |index: &str| {
         format!(
             "machine boot {{ reg w[12] init 1234; reg back[12]; mem m[256][12];
@@ -295,16 +281,14 @@ fn constant_memory_index_is_a_word_write_on_both_engines() {
     let mut outputs = Vec::new();
     for (tag, index) in [("const", "128"), ("sum", "128 + 0")] {
         let isl = write_temp(&format!("memidx-{tag}.isl"), &machine(index));
-        for engine in ["compiled", "interp"] {
-            let out = silc()
-                .args(["sim", isl.to_str().unwrap(), "--engine", engine])
-                .output()
-                .expect("runs");
-            assert!(out.status.success(), "{index} on {engine}: {out:?}");
-            outputs.push(out.stdout);
-        }
+        let out = silc()
+            .args(["sim", isl.to_str().unwrap()])
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "{index}: {out:?}");
+        outputs.push(out.stdout);
     }
-    assert!(outputs.iter().all(|o| *o == outputs[0]), "{outputs:?}");
+    assert_eq!(outputs[0], outputs[1]);
     let text = String::from_utf8_lossy(&outputs[0]);
     assert!(text.contains("back = 0o2322"), "{text}");
 }
@@ -549,7 +533,7 @@ fn duplicate_flags_are_rejected_by_name() {
         vec!["compile", path, "--trace", "a", "--trace", "b"],
         vec!["compile", path, "--cache", "a", "--cache", "b"],
         vec!["sim", path, "--cycles", "5", "--cycles", "9"],
-        vec!["sim", path, "--engine", "interp", "--engine", "compiled"],
+        vec!["sim", path, "--engine", "compiled", "--engine", "compiled"],
     ] {
         let flag = args[2];
         let out = silc().args(&args).output().expect("runs");

@@ -166,6 +166,7 @@ fn eight_concurrent_clients_match_the_cli_byte_for_byte() {
                     ));
                     assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
                     assert_eq!(reply.get("halted"), Some(&Json::Bool(true)));
+                    assert_eq!(reply.get("engine"), None, "one simulator, no tag");
                     assert_eq!(
                         reply.get("regs").and_then(|r| r.get("n")),
                         Some(&Json::Int(6))
@@ -510,11 +511,13 @@ fn job_that_expires_in_the_queue_is_skipped_not_run() {
         "{:?}",
         begin.elapsed()
     );
-    // ... and no simulation ever ran.
+    // ... and no simulation ever ran: the same machine is still a miss.
     let stats = stats_client.request(r#"{"op":"stats"}"#);
     assert_eq!(stats.get("timeouts"), Some(&Json::Int(1)), "{stats:?}");
-    assert_eq!(stats.get("sim.compiled"), Some(&Json::Int(0)), "{stats:?}");
     assert_eq!(stats.get("queue_depth"), Some(&Json::Int(0)), "{stats:?}");
+    let sim = Client::connect(addr).request(&format!(r#"{{"op":"sim","source":{}}}"#, quoted(isl)));
+    assert_eq!(sim.get("cache_hits"), Some(&Json::Int(0)), "{sim:?}");
+    assert_eq!(sim.get("cache_misses"), Some(&Json::Int(1)), "{sim:?}");
     handle.shutdown();
 }
 
