@@ -205,8 +205,8 @@ pub fn extraction_lvs() -> VerifyRow {
     }
 }
 
-/// Layout -> extraction -> switch-level simulation: the drawn inverter
-/// must actually invert.
+/// Layout -> extraction -> equivalence check: the drawn inverter's
+/// extracted netlist must compute `out = NOT in`.
 pub fn extraction_functional() -> VerifyRow {
     use silc_layout::{Cell, Element, Port};
     let rect = |x0, y0, x1, y1| Rect::new(Point::new(x0, y0), Point::new(x1, y1)).expect("rect");
@@ -226,18 +226,22 @@ pub fn extraction_functional() -> VerifyRow {
     let id = lib.add_cell(c).expect("cell");
     let extracted = silc_extract::extract(&lib, id).expect("extracts");
 
-    let low = silc_extract::switch_level_eval(&extracted.netlist, &[("in", false)], "vdd", "gnd");
-    let high = silc_extract::switch_level_eval(&extracted.netlist, &[("in", true)], "vdd", "gnd");
-    let pass = matches!(
-        (low, high),
-        (Ok(l), Ok(h))
-            if l["out"] == silc_extract::Level::One
-            && h["out"] == silc_extract::Level::Zero
-    );
+    let table = silc_logic::TruthTable::parse_pla(".i 1\n.o 1\n.ilb in\n.ob out\n0 1\n.e\n")
+        .expect("table");
+    let pass = silc_verify::network_from_netlist(&extracted.netlist)
+        .and_then(|net| {
+            silc_verify::check_against_table_traced(
+                &net,
+                &table,
+                &silc_verify::Options::default(),
+                &silc_trace::Tracer::disabled(),
+            )
+        })
+        .is_ok_and(|report| report.equivalent);
     VerifyRow {
-        check: "extract:inverter-switch-sim".into(),
+        check: "extract:inverter-verify".into(),
         pass,
-        detail: "layout inverts at switch level".into(),
+        detail: "layout proven out = NOT in".into(),
     }
 }
 

@@ -371,7 +371,12 @@ mod tests {
             let rects: Vec<_> = specs.iter().map(|&(x, y, w, h)| rect(x, y, w, h)).collect();
             let regions = merge_rects(&rects);
             let merged_area: i64 = regions.iter().map(Region::area).sum();
-            prop_assert_eq!(merged_area, silc_layout::union_area(&rects));
+            // The union's area, one unit square at a time.
+            let grid_area = (0i64..40)
+                .flat_map(|x| (0i64..40).map(move |y| rect(x, y, 1, 1)))
+                .filter(|&unit| rects.iter().any(|r| r.contains_rect(unit)))
+                .count();
+            prop_assert_eq!(merged_area, grid_area as i64);
             // All rects across all regions are pairwise disjoint.
             let all: Vec<Rect> = regions.iter().flat_map(|r| r.rects().to_vec()).collect();
             for (i, a) in all.iter().enumerate() {

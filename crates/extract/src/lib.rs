@@ -46,10 +46,6 @@
 //! # }
 //! ```
 
-mod switch;
-
-pub use switch::{switch_level_eval, Level, SwitchError};
-
 use silc_drc::{covered, merge_rects, Cover, Region};
 use silc_geom::{Fingerprint, FpHasher, Point, Rect, RectIndex};
 use silc_layout::{CellId, Layer, LayoutError, Library};

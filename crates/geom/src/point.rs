@@ -78,9 +78,6 @@ impl Point {
 }
 
 impl Vector {
-    /// The zero displacement.
-    pub const ZERO: Vector = Vector { x: 0, y: 0 };
-
     /// Creates a vector `(x, y)`.
     pub const fn new(x: Coord, y: Coord) -> Self {
         Vector { x, y }
@@ -222,7 +219,7 @@ mod tests {
         assert_eq!(p + v, Point::new(7, 2));
         assert_eq!(p - v, Point::new(-3, 4));
         assert_eq!((p + v) - p, v);
-        assert_eq!(p + Vector::ZERO, p);
+        assert_eq!(p + Vector::new(0, 0), p);
     }
 
     #[test]
@@ -267,7 +264,7 @@ mod tests {
     fn axis_alignment() {
         assert!(Vector::new(0, 5).is_axis_aligned());
         assert!(Vector::new(5, 0).is_axis_aligned());
-        assert!(Vector::ZERO.is_axis_aligned());
+        assert!(Vector::new(0, 0).is_axis_aligned());
         assert!(!Vector::new(1, 1).is_axis_aligned());
     }
 

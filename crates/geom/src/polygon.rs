@@ -97,11 +97,6 @@ impl Polygon {
         acc
     }
 
-    /// True when the vertex loop is counter-clockwise.
-    pub fn is_counter_clockwise(&self) -> bool {
-        self.signed_double_area() > 0
-    }
-
     /// Axis-aligned bounding box.
     pub fn bbox(&self) -> Rect {
         let mut min = self.vertices[0];
@@ -238,13 +233,13 @@ mod tests {
     fn triangle_area() {
         let t = Polygon::new(vec![p(0, 0), p(4, 0), p(0, 4)]).unwrap();
         assert_eq!(t.double_area(), 16);
-        assert!(t.is_counter_clockwise());
+        assert!(t.signed_double_area() > 0);
     }
 
     #[test]
     fn clockwise_winding_detected() {
         let t = Polygon::new(vec![p(0, 0), p(0, 4), p(4, 0)]).unwrap();
-        assert!(!t.is_counter_clockwise());
+        assert!(t.signed_double_area() < 0);
         assert_eq!(t.double_area(), 16);
     }
 
@@ -274,7 +269,7 @@ mod tests {
         assert_eq!(poly.double_area(), 2 * r.area());
         assert_eq!(poly.bbox(), r);
         assert!(poly.is_rectilinear());
-        assert!(poly.is_counter_clockwise());
+        assert!(poly.signed_double_area() > 0);
     }
 
     #[test]
@@ -309,10 +304,10 @@ mod tests {
         let moved = t.transform(Transform::new(Orientation::R90, p(10, 10)));
         assert_eq!(moved.double_area(), t.double_area());
         // R90 is a proper rotation: winding preserved.
-        assert_eq!(moved.is_counter_clockwise(), t.is_counter_clockwise());
+        assert_eq!(moved.signed_double_area(), t.signed_double_area());
         // Mirroring reverses winding.
         let mirrored = t.transform(Transform::new(Orientation::MX, Point::ORIGIN));
-        assert_ne!(mirrored.is_counter_clockwise(), t.is_counter_clockwise());
+        assert_eq!(mirrored.signed_double_area(), -t.signed_double_area());
     }
 
     #[test]

@@ -539,6 +539,22 @@ pub fn pnr_products(
     })
 }
 
+/// What `pnr_sil` and `verify_sil` both start from: the design's
+/// transistor netlist (elaborated, then extracted uncached), the one
+/// routing stack, and a [`Floorplan::squarish`] floorplan sized for it.
+fn pnr_inputs(
+    engine: &Engine,
+    source: &str,
+    stats: &mut JobStats,
+) -> Result<(Netlist, RouteStack, Floorplan), String> {
+    let stack = RouteStack::mead_conway_nmos();
+    let design = elaborate(engine, source, stats)?;
+    let extracted = silc_extract::extract_traced(&design.library, design.top, engine.tracer())
+        .map_err(|e| format!("extract: {e}"))?;
+    let floorplan = Floorplan::squarish(extracted.netlist.instances().len());
+    Ok((extracted.netlist, stack, floorplan))
+}
+
 /// The full `silc pnr` pipeline over SIL source: elaborate, extract the
 /// transistor netlist, place it into a [`Floorplan::squarish`]
 /// floorplan on [`RouteStack::mead_conway_nmos`], and route — every
@@ -556,12 +572,8 @@ pub fn pnr_sil(
     source: &str,
     stats: &mut JobStats,
 ) -> Result<Arc<PnrSnapshot>, String> {
-    let stack = RouteStack::mead_conway_nmos();
-    let design = elaborate(engine, source, stats)?;
-    let extracted = silc_extract::extract_traced(&design.library, design.top, engine.tracer())
-        .map_err(|e| format!("extract: {e}"))?;
-    let floorplan = Floorplan::squarish(extracted.netlist.instances().len());
-    let out = pnr_products(engine, &extracted.netlist, &stack, &floorplan, false, stats)?;
+    let (netlist, stack, floorplan) = pnr_inputs(engine, source, stats)?;
+    let out = pnr_products(engine, &netlist, &stack, &floorplan, false, stats)?;
     if !out.drc.is_clean() {
         return Err(format!(
             "drc: routed layout has {} violation(s)",
@@ -748,20 +760,16 @@ pub fn verify_sil(
     source: &str,
     stats: &mut JobStats,
 ) -> Result<Arc<VerifySnapshot>, String> {
-    let stack = RouteStack::mead_conway_nmos();
-    let design = elaborate(engine, source, stats)?;
-    let extracted = silc_extract::extract_traced(&design.library, design.top, engine.tracer())
-        .map_err(|e| format!("extract: {e}"))?;
-    let floorplan = Floorplan::squarish(extracted.netlist.instances().len());
-    let key = (("verify-sil", &extracted.netlist), (&stack, &floorplan)).fingerprint();
+    let (netlist, stack, floorplan) = pnr_inputs(engine, source, stats)?;
+    let key = (("verify-sil", &netlist), (&stack, &floorplan)).fingerprint();
     engine.query(Stage::VERIFY, key, stats, || {
         let tracer = engine.tracer();
-        let out = place_and_route_traced(&extracted.netlist, &stack, &floorplan, tracer)
+        let out = place_and_route_traced(&netlist, &stack, &floorplan, tracer)
             .map_err(|e| e.to_string())?;
         let back = silc_extract::extract_traced(&out.library, out.root, tracer)
             .map_err(|e| e.to_string())?;
         let impl_net = network_from_netlist(&back.netlist).map_err(|e| e.to_string())?;
-        let spec_net = network_from_netlist(&extracted.netlist).map_err(|e| e.to_string())?;
+        let spec_net = network_from_netlist(&netlist).map_err(|e| e.to_string())?;
         let report =
             check_equivalence_traced(&impl_net, &spec_net, &VerifyOptions::default(), tracer)
                 .map_err(|e| e.to_string())?;

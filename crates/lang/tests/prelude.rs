@@ -24,21 +24,67 @@ fn every_prelude_cell_is_drc_clean() {
     }
 }
 
-#[test]
-fn prelude_inverter_extracts_and_inverts() {
+/// The extracted `std_inv` cell (whose ports name the nets), lowered
+/// by the verify engine.
+fn std_inv_network() -> silc_verify::Network {
     let design = Compiler::new()
         .compile("place std_inv() at (0, 0);")
         .expect("compiles");
-    // Extract the *cell*, whose ports name the nets.
     let cell_id = design.library.cell_by_name("std_inv").expect("in library");
     let extracted = silc_extract::extract(&design.library, cell_id).expect("extracts");
     assert_eq!(extracted.transistor_count(), 2);
-    let low = silc_extract::switch_level_eval(&extracted.netlist, &[("inp", false)], "vdd", "gnd")
-        .expect("settles");
-    assert_eq!(low["out"], silc_extract::Level::One);
-    let high = silc_extract::switch_level_eval(&extracted.netlist, &[("inp", true)], "vdd", "gnd")
-        .expect("settles");
-    assert_eq!(high["out"], silc_extract::Level::Zero);
+    silc_verify::network_from_netlist(&extracted.netlist).expect("lowers")
+}
+
+fn check_inv(net: &silc_verify::Network, rows: &str) -> silc_verify::Report {
+    let table =
+        silc_logic::TruthTable::parse_pla(&format!(".i 1\n.o 1\n.ilb inp\n.ob out\n{rows}.e\n"))
+            .expect("table");
+    silc_verify::check_against_table_traced(
+        net,
+        &table,
+        &silc_verify::Options::default(),
+        &silc_trace::Tracer::disabled(),
+    )
+    .expect("decides")
+}
+
+#[test]
+fn prelude_inverter_extracts_and_inverts() {
+    let net = std_inv_network();
+    assert_eq!(net.input_names(), ["inp"]);
+    let report = check_inv(&net, "0 1\n");
+    assert!(report.equivalent, "{}", report.summary());
+    assert_eq!(report.exact_decided, 1);
+}
+
+#[test]
+fn prelude_inverter_inverts_on_every_input_pattern() {
+    let net = std_inv_network();
+    // Both patterns listed with their outputs are proven; flipping either
+    // one's output is refuted.
+    let rows = [("0", '1'), ("1", '0')];
+    for flip in [None, Some(0), Some(1)] {
+        let table: String = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(inp, out))| {
+                let out = match (Some(i) == flip, out) {
+                    (true, '1') => '0',
+                    (true, _) => '1',
+                    (false, o) => o,
+                };
+                format!("{inp} {out}\n")
+            })
+            .collect();
+        let report = check_inv(&net, &table);
+        assert_eq!(
+            report.equivalent,
+            flip.is_none(),
+            "flip {flip:?}: {}",
+            report.summary()
+        );
+    }
 }
 
 #[test]

@@ -30,12 +30,6 @@ pub enum LayoutError {
         /// Requested rows.
         rows: u32,
     },
-    /// The cell (after flattening) contains no geometry, so a bounding box
-    /// or area query has no answer.
-    EmptyCell {
-        /// Name of the empty cell.
-        name: String,
-    },
 }
 
 impl fmt::Display for LayoutError {
@@ -51,9 +45,6 @@ impl fmt::Display for LayoutError {
             ),
             LayoutError::BadArray { cols, rows } => {
                 write!(f, "array replication must be >= 1, got {cols} x {rows}")
-            }
-            LayoutError::EmptyCell { name } => {
-                write!(f, "cell `{name}` contains no geometry")
             }
         }
     }

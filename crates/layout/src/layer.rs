@@ -59,13 +59,6 @@ impl Layer {
         }
     }
 
-    /// True for layers that carry signals (participate in connectivity):
-    /// diffusion, poly and metal. Contacts join conducting layers but are
-    /// not themselves routing layers; implant and glass are modifiers.
-    pub const fn is_conducting(self) -> bool {
-        matches!(self, Layer::Diffusion | Layer::Poly | Layer::Metal)
-    }
-
     /// A stable small index, useful for per-layer tables.
     pub const fn index(self) -> usize {
         match self {
@@ -170,15 +163,5 @@ mod tests {
     fn unknown_layer_rejected() {
         let err = "metal2".parse::<Layer>().unwrap_err();
         assert!(err.to_string().contains("metal2"));
-    }
-
-    #[test]
-    fn conducting_layers() {
-        assert!(Layer::Diffusion.is_conducting());
-        assert!(Layer::Poly.is_conducting());
-        assert!(Layer::Metal.is_conducting());
-        assert!(!Layer::Contact.is_conducting());
-        assert!(!Layer::Implant.is_conducting());
-        assert!(!Layer::Glass.is_conducting());
     }
 }

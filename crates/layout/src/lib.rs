@@ -51,4 +51,4 @@ pub use flatten::{flat_bbox, flatten, flatten_to_rects, rects_by_layer, FlatElem
 pub use layer::Layer;
 pub use library::{CellId, Library};
 pub use shape::{Element, Shape};
-pub use stats::{layer_area, union_area, CellStats};
+pub use stats::{union_area, CellStats};

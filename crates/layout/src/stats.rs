@@ -1,8 +1,9 @@
-use crate::{flat_bbox, flatten, rects_by_layer, CellId, Layer, LayoutError, Library};
-use silc_geom::{Coord, Rect};
+use crate::{flat_bbox, flatten, rects_by_layer, CellId, LayoutError, Library};
+use silc_geom::{band_decompose, Coord, Rect};
 
-/// Exact area of the union of a set of rectangles (overlaps counted once),
-/// by plane sweep with coordinate compression.
+/// Exact area of the union of a set of rectangles (overlaps counted once):
+/// the summed area of the disjoint rectangles [`band_decompose`] cuts the
+/// union into.
 ///
 /// This is how mask-level area is measured: generators routinely overlap
 /// rectangles (wire joints, contact surrounds) and double-counting would
@@ -21,81 +22,7 @@ use silc_geom::{Coord, Rect};
 /// # }
 /// ```
 pub fn union_area(rects: &[Rect]) -> Coord {
-    if rects.is_empty() {
-        return 0;
-    }
-    // Events: at x = left, +1 over [bottom, top); at x = right, -1.
-    let mut ys: Vec<Coord> = Vec::with_capacity(rects.len() * 2);
-    for r in rects {
-        ys.push(r.bottom());
-        ys.push(r.top());
-    }
-    ys.sort_unstable();
-    ys.dedup();
-
-    #[derive(Clone, Copy)]
-    struct Event {
-        x: Coord,
-        y0: usize,
-        y1: usize,
-        delta: i32,
-    }
-    let yindex = |y: Coord| ys.binary_search(&y).expect("y was inserted");
-    let mut events: Vec<Event> = Vec::with_capacity(rects.len() * 2);
-    for r in rects {
-        let y0 = yindex(r.bottom());
-        let y1 = yindex(r.top());
-        events.push(Event {
-            x: r.left(),
-            y0,
-            y1,
-            delta: 1,
-        });
-        events.push(Event {
-            x: r.right(),
-            y0,
-            y1,
-            delta: -1,
-        });
-    }
-    events.sort_by_key(|e| e.x);
-
-    // coverage[i] counts rectangles covering band ys[i]..ys[i+1].
-    let mut coverage = vec![0i32; ys.len().saturating_sub(1)];
-    let covered_length = |cov: &[i32]| -> Coord {
-        cov.iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, _)| ys[i + 1] - ys[i])
-            .sum()
-    };
-
-    let mut area: Coord = 0;
-    let mut prev_x = events[0].x;
-    let mut i = 0;
-    while i < events.len() {
-        let x = events[i].x;
-        area += covered_length(&coverage) * (x - prev_x);
-        while i < events.len() && events[i].x == x {
-            let e = events[i];
-            for cov in coverage.iter_mut().take(e.y1).skip(e.y0) {
-                *cov += e.delta;
-            }
-            i += 1;
-        }
-        prev_x = x;
-    }
-    area
-}
-
-/// Union area of a single layer of a flattened design.
-///
-/// # Errors
-///
-/// Returns [`LayoutError::UnknownCell`] if `root` is not in the library.
-pub fn layer_area(lib: &Library, root: CellId, layer: Layer) -> Result<Coord, LayoutError> {
-    let layers = crate::flatten_to_rects(lib, root)?;
-    Ok(union_area(&layers[layer.index()]))
+    band_decompose(rects).rects.iter().map(Rect::area).sum()
 }
 
 /// Summary statistics for a cell hierarchy — the measurements experiments
@@ -110,7 +37,7 @@ pub struct CellStats {
     pub flat_elements: usize,
     /// Bounding box of the expanded design (None for an empty cell).
     pub bbox: Option<Rect>,
-    /// Union area per layer, indexed by [`Layer::index`].
+    /// Union area per layer, indexed by [`Layer::index`](crate::Layer::index).
     pub area_by_layer: Vec<Coord>,
 }
 
@@ -142,7 +69,7 @@ impl CellStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cell, Element, Instance};
+    use crate::{Cell, Element, Instance, Layer};
     use proptest::prelude::*;
     use silc_geom::{Point, Transform};
 

@@ -68,11 +68,6 @@ pub enum RtlError {
         /// Number of words.
         words: u64,
     },
-    /// Simulation exceeded its cycle budget without halting.
-    CycleLimit {
-        /// The budget that was exhausted.
-        limit: u64,
-    },
 }
 
 impl fmt::Display for RtlError {
@@ -100,9 +95,6 @@ impl fmt::Display for RtlError {
             RtlError::NoStates => write!(f, "machine has no states"),
             RtlError::AddressOutOfRange { name, addr, words } => {
                 write!(f, "address {addr} outside `{name}` ({words} words)")
-            }
-            RtlError::CycleLimit { limit } => {
-                write!(f, "simulation exceeded {limit} cycles without halting")
             }
         }
     }

@@ -158,6 +158,9 @@ impl Report {
 }
 
 #[cfg(test)]
+mod switch;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -12,10 +12,10 @@
 //! standard decision engine applies.
 //!
 //! Primary inputs are nets that only drive gates; `vdd`/`gnd` are
-//! recognised by name, matching `silc_extract::switch_level_eval`'s
-//! convention. Every pulled-up net becomes an output (extraction
-//! preserves net names through place-and-route, so both sides of an
-//! LVS-style comparison expose the same names).
+//! recognised by name, the names the cells' rail ports give their nets.
+//! Every pulled-up net becomes an output (extraction preserves net names
+//! through place-and-route, so both sides of an LVS-style comparison
+//! expose the same names).
 
 use crate::network::{Network, NodeId};
 use crate::VerifyError;
@@ -369,29 +369,18 @@ mod tests {
         n.add_instance("s2", "enh", &[("gate", b), ("src", gnd), ("drn", mid)])
             .unwrap();
         let net = network_from_netlist(&n).unwrap();
-        // Truth check against the switch-level oracle on all 4 patterns.
+        assert_eq!(net.input_names(), ["a", "b"]);
+        assert_eq!(net.outputs().len(), 2);
         for m in 0..4u64 {
-            let a_v = m & 2 != 0;
-            let b_v = m & 1 != 0;
-            let levels =
-                silc_extract::switch_level_eval(&n, &[("a", a_v), ("b", b_v)], "vdd", "gnd")
-                    .unwrap();
-            let words: Vec<u64> = net
-                .input_names()
-                .iter()
-                .map(|name| {
-                    let v = if name == "a" { a_v } else { b_v };
-                    if v {
-                        1
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            let values = net.eval64(&words);
+            let (a_v, b_v) = (m & 2 != 0, m & 1 != 0);
+            let values = net.eval64(&[u64::from(a_v), u64::from(b_v)]);
             for (name, id) in net.outputs() {
+                let want = match name.as_str() {
+                    "nor" => !(a_v || b_v),
+                    "nand" => !(a_v && b_v),
+                    other => panic!("unexpected output `{other}`"),
+                };
                 let got = values[id.index()] & 1 == 1;
-                let want = levels[name].as_bool().unwrap();
                 assert_eq!(got, want, "net {name} at a={a_v} b={b_v}");
             }
         }
@@ -464,6 +453,23 @@ mod tests {
         let err = check_equivalence_traced(&got, &spec, &Options::default(), &Tracer::disabled())
             .unwrap_err();
         assert!(matches!(err, VerifyError::InputMismatch { .. }));
+    }
+
+    #[test]
+    fn missing_ground_rail_rejected() {
+        // The inverter with its ground net named otherwise.
+        let mut n = Netlist::new("inv");
+        let (inn, out) = (n.add_net("in"), n.add_net("out"));
+        let (vdd, vss) = (n.add_net("vdd"), n.add_net("vss"));
+        n.add_instance("pu", "dep", &[("gate", out), ("src", out), ("drn", vdd)])
+            .unwrap();
+        n.add_instance("pd", "enh", &[("gate", inn), ("src", vss), ("drn", out)])
+            .unwrap();
+        let err = network_from_netlist(&n).unwrap_err();
+        assert!(
+            matches!(&err, VerifyError::Malformed { detail } if detail.contains("`gnd`")),
+            "{err}"
+        );
     }
 
     #[test]
