@@ -16,6 +16,9 @@ pub struct ScalingRow {
     pub n: usize,
     /// Flattened artwork elements.
     pub flat_elements: usize,
+    /// Rectangles the flat DRC passes examined: one tile's, once the
+    /// hierarchy proves the array clean.
+    pub rects_examined: usize,
     /// Bytes of emitted CIF.
     pub cif_bytes: usize,
     /// DRC violations (expected 0 — the generator is clean).
@@ -37,8 +40,9 @@ pub fn compile_design(n: usize) -> Design {
 /// workload times it).
 ///
 /// The row is read back from the pipeline's own [`silc_trace`] counters
-/// (`cif.bytes`, `drc.violations`) rather than recomputed here, so the
-/// table reports exactly what `silc compile --stats` reports.
+/// (`cif.bytes`, `drc.rects_examined`, `drc.violations`) rather than
+/// recomputed here, so the table reports exactly what `silc compile
+/// --stats` reports.
 pub fn measure(n: usize) -> ScalingRow {
     let tracer = Tracer::enabled();
     let design = compile_design(n);
@@ -59,6 +63,7 @@ pub fn measure(n: usize) -> ScalingRow {
     ScalingRow {
         n,
         flat_elements: stats.flat_elements,
+        rects_examined: counter("drc.rects_examined"),
         cif_bytes: counter("cif.bytes"),
         drc_violations: counter("drc.violations"),
     }
@@ -76,6 +81,7 @@ pub fn table(rows: &[ScalingRow]) -> Vec<Vec<String>> {
             vec![
                 r.n.to_string(),
                 r.flat_elements.to_string(),
+                r.rects_examined.to_string(),
                 r.cif_bytes.to_string(),
                 r.drc_violations.to_string(),
             ]
@@ -101,6 +107,33 @@ mod tests {
             growth < flat_growth / 2.0,
             "CIF grew {growth:.1}x vs geometry {flat_growth:.1}x"
         );
+    }
+
+    /// The lever hierarchy gives the checker: geometry grows fourfold a
+    /// step, the rectangles the flat passes see stay one tile's.
+    #[test]
+    fn rects_examined_stay_constant_while_geometry_grows() {
+        let rows = run(&[4, 8, 16]);
+        for pair in rows.windows(2) {
+            assert_eq!(pair[1].flat_elements, 4 * pair[0].flat_elements);
+            assert_eq!(pair[1].rects_examined, pair[0].rects_examined);
+        }
+        assert_eq!(rows[0].rects_examined, 4);
+    }
+
+    /// Every E6 size: the proven report is the flat checker's report.
+    #[test]
+    fn hierarchical_check_is_the_flat_check() {
+        let rules = RuleSet::mead_conway_nmos();
+        for n in [2, 4, 8, 16, 32] {
+            let design = compile_design(n);
+            let layers = silc_layout::flatten_to_rects(&design.library, design.top).unwrap();
+            assert_eq!(
+                silc_drc::check(&design.library, design.top, &rules).unwrap(),
+                silc_drc::check_flat(&layers, &rules),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

@@ -169,7 +169,8 @@ struct Scratch {
     cover: Cover,
 }
 
-/// Runs the design-rule checker on the flattened hierarchy under `root`.
+/// Runs the design-rule checker on the hierarchy under `root`: the
+/// report is the one the flat checker gives the flattened design.
 ///
 /// # Errors
 ///
@@ -178,8 +179,12 @@ pub fn check(lib: &Library, root: CellId, rules: &RuleSet) -> Result<Report, Lay
     check_traced(lib, root, rules, &Tracer::disabled())
 }
 
-/// [`check`] with a [`Tracer`]: records a `layout.flatten` span plus the
-/// per-pass `drc.*` spans and counters of [`check_flat_traced`].
+/// [`check`] with a [`Tracer`]. A design holding an array is first offered
+/// to the hierarchy proof (a `drc.prove` span). When that gives up, the
+/// design is flattened (a `layout.flatten` span) and
+/// checked by [`check_flat_traced`] with its per-pass spans and counters.
+/// Either way the run counts `drc.rects_checked` (the flattened
+/// rectangles) and `drc.rects_examined` (those the flat passes saw).
 ///
 /// # Errors
 ///
@@ -190,6 +195,9 @@ pub fn check_traced(
     rules: &RuleSet,
     tracer: &Tracer,
 ) -> Result<Report, LayoutError> {
+    if let Some(report) = crate::hier::prove_clean(lib, root, rules, tracer) {
+        return Ok(report);
+    }
     let layers = {
         let mut s = span!(tracer, "layout.flatten");
         let layers = silc_layout::flatten_to_rects(lib, root)?;
@@ -200,7 +208,9 @@ pub fn check_traced(
 }
 
 /// Runs the checker on pre-flattened per-layer rectangles (indexed by
-/// [`Layer::index`]).
+/// [`Layer::index`]). The product reaches it through [`check_traced`];
+/// this untraced form stays for the benchmark ledger and as the oracle
+/// the hierarchy proof is tested against.
 ///
 /// Every pass looks rectangles up in a [`RectIndex`] — one over each
 /// layer's drawn rectangles, one over its merged rectangles, each built
@@ -248,13 +258,26 @@ impl Run<'_> {
 
 /// [`check_flat`] with a [`Tracer`]: each rule pass records a
 /// `drc.{merge,width,spacing,contact,gate}` span, and the run flushes
-/// `drc.rects_checked`, `drc.violations`, `drc.index.rects` (rectangles
-/// inserted into spatial indexes) and `drc.index.bins` (grid bins built)
-/// counters.
+/// `drc.rects_checked`, `drc.rects_examined`, `drc.violations`,
+/// `drc.index.rects` (rectangles inserted into spatial indexes) and
+/// `drc.index.bins` (grid bins built) counters.
 pub fn check_flat_traced(layers: &[Vec<Rect>], rules: &RuleSet, tracer: &Tracer) -> Report {
+    let rects_checked = layers.iter().map(Vec::len).sum();
+    let violations = violations(layers, rules, tracer);
+    tracer.add("drc.rects_checked", rects_checked as u64);
+    tracer.add("drc.rects_examined", rects_checked as u64);
+    tracer.add("drc.violations", violations.len() as u64);
+    Report {
+        rules: rules.name.clone(),
+        violations,
+        rects_checked,
+    }
+}
+
+/// Every rule pass over `layers`, in report order.
+pub(crate) fn violations(layers: &[Vec<Rect>], rules: &RuleSet, tracer: &Tracer) -> Vec<Violation> {
     let mut violations = Vec::new();
     let mut scratch = Scratch::default();
-    let rects_checked = layers.iter().map(Vec::len).sum();
 
     let merged: Vec<Merged> = {
         let _s = span!(tracer, "drc.merge");
@@ -286,15 +309,7 @@ pub fn check_flat_traced(layers: &[Vec<Rect>], rules: &RuleSet, tracer: &Tracer)
         let _s = span!(tracer, "drc.gate");
         gate_checks(&run, &mut scratch, &mut violations);
     }
-
-    tracer.add("drc.rects_checked", rects_checked as u64);
-    tracer.add("drc.violations", violations.len() as u64);
-
-    Report {
-        rules: rules.name.clone(),
-        violations,
-        rects_checked,
-    }
+    violations
 }
 
 /// Width: every *drawn* rectangle must meet the minimum width unless it is

@@ -2,8 +2,8 @@
 //!
 //! The Mead–Conway design style the paper builds on expresses all process
 //! tolerances as multiples of a single scalable length λ. This crate
-//! implements a checker for those **lambda rules** over the flattened
-//! layout database:
+//! implements a checker for those **lambda rules** over the layout
+//! database:
 //!
 //! * **minimum width** per layer (with redundant-rectangle exemption);
 //! * **minimum spacing** per layer pair, measured between *merged* regions
@@ -18,6 +18,13 @@
 //! The default [`RuleSet::mead_conway_nmos`] encodes the textbook nMOS
 //! rules (diff 2λ/3λ, poly 2λ/2λ, metal 3λ/3λ, poly–diff separation 1λ,
 //! 2×2λ contacts with 1λ surround, 2λ gate overhangs).
+//!
+//! The checker proper is flat: [`check_flat`] runs every rule over one
+//! layer-indexed rectangle list. [`check`] first tries to prove a design
+//! with arrays clean from its hierarchy — each distinct cell's artwork
+//! checked once, tiles shown apart from their lattice neighbours — and
+//! flattens only when that proof gives up; the report is the flat
+//! checker's either way.
 //!
 //! # Example
 //!
@@ -39,6 +46,7 @@
 //! ```
 
 mod check;
+mod hier;
 mod region;
 mod rules;
 

@@ -91,6 +91,20 @@ impl RuleSet {
         self.min_spacing[b.index()][a.index()] = spacing;
     }
 
+    /// The L∞ gap that must separate layer-`a` geometry of one piece of a
+    /// hierarchy from layer-`b` geometry of another for the flat checker
+    /// to find nothing between them: the spacing rule, raised to 1 on one
+    /// layer (touching geometry would merge) and between poly and
+    /// diffusion (crossing would make a gate).
+    pub(crate) fn clearance(&self, a: Layer, b: Layer) -> Coord {
+        let joins = a == b
+            || matches!(
+                (a, b),
+                (Layer::Poly, Layer::Diffusion) | (Layer::Diffusion, Layer::Poly)
+            );
+        self.min_spacing(a, b).max(Coord::from(joins))
+    }
+
     /// The layer pairs with an active spacing rule.
     pub fn active_spacing_pairs(&self) -> Vec<(Layer, Layer)> {
         let mut out = Vec::new();
@@ -165,6 +179,38 @@ mod tests {
             .filter(|(a, b)| *a != *b && (*a == Layer::Poly || *b == Layer::Poly))
             .collect();
         assert_eq!(cross.len(), 1);
+    }
+
+    /// The clearance table, written out for both decks, in layer order
+    /// (diff, poly, metal, contact, implant, buried, glass).
+    #[test]
+    fn clearance_tables() {
+        let table = |r: &RuleSet| -> Vec<Vec<Coord>> {
+            Layer::ALL
+                .iter()
+                .map(|&a| Layer::ALL.iter().map(|&b| r.clearance(a, b)).collect())
+                .collect()
+        };
+        let permissive = vec![
+            vec![1, 1, 0, 0, 0, 0, 0],
+            vec![1, 1, 0, 0, 0, 0, 0],
+            vec![0, 0, 1, 0, 0, 0, 0],
+            vec![0, 0, 0, 1, 0, 0, 0],
+            vec![0, 0, 0, 0, 1, 0, 0],
+            vec![0, 0, 0, 0, 0, 1, 0],
+            vec![0, 0, 0, 0, 0, 0, 1],
+        ];
+        assert_eq!(table(&RuleSet::permissive("off")), permissive);
+        let mead_conway = vec![
+            vec![3, 1, 0, 0, 0, 0, 0],
+            vec![1, 2, 0, 0, 0, 0, 0],
+            vec![0, 0, 3, 0, 0, 0, 0],
+            vec![0, 0, 0, 2, 0, 0, 0],
+            vec![0, 0, 0, 0, 1, 0, 0],
+            vec![0, 0, 0, 0, 0, 1, 0],
+            vec![0, 0, 0, 0, 0, 0, 1],
+        ];
+        assert_eq!(table(&RuleSet::mead_conway_nmos()), mead_conway);
     }
 
     #[test]

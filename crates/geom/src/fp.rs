@@ -245,6 +245,13 @@ impl Fingerprint for String {
     }
 }
 
+/// A digest stands for its value in a larger key.
+impl Fingerprint for Fp {
+    fn fp_hash(&self, h: &mut FpHasher) {
+        h.write(&self.to_le_bytes());
+    }
+}
+
 impl<T: Fingerprint + ?Sized> Fingerprint for &T {
     fn fp_hash(&self, h: &mut FpHasher) {
         (**self).fp_hash(h);

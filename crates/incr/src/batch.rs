@@ -122,8 +122,8 @@ fn run_one(engine: &Engine, job: &JobSpec, stats: &mut JobStats) -> Result<Strin
             if let Some(cif) = &out.cif {
                 write(cif)?;
             }
-            let (w, h) = out.flat.bbox.map_or((0, 0), |b| (b.width(), b.height()));
-            let (cells, elements) = (out.design.library.len(), out.flat.flat_elements);
+            let (w, h) = out.die.bbox.map_or((0, 0), |b| (b.width(), b.height()));
+            let (cells, elements) = (out.design.library.len(), out.die.flat_elements);
             format!("{cells} cells, {elements} elements, die {w}x{h}")
         }
         Outcome::Sim { sim, .. } => {

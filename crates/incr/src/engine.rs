@@ -47,12 +47,13 @@ impl Stage {
         name: "elaborate",
         tag: 0,
     };
-    /// Design → flattened per-layer geometry + die statistics.
+    /// Design → flattened per-layer geometry + die statistics. No product
+    /// stage asks it any more; the benchmark ledger still replays it.
     pub const FLATTEN: Stage = Stage {
         name: "flatten",
         tag: 1,
     };
-    /// Flattened geometry + rules → DRC report.
+    /// Design + rules → DRC report.
     pub const DRC: Stage = Stage {
         name: "drc",
         tag: 2,
@@ -91,6 +92,11 @@ impl Stage {
     pub const VERIFY: Stage = Stage {
         name: "verify",
         tag: 9,
+    };
+    /// Design → what it expands to (element count, die), from the hierarchy.
+    pub const DIE: Stage = Stage {
+        name: "die",
+        tag: 10,
     };
 }
 

@@ -53,8 +53,8 @@ pub use disk::{DiskCache, FORMAT_VERSION};
 pub use engine::{default_parallelism, Engine, EngineConfig, JobStats, Stage};
 pub use ops::{Args, Front, Op, Outcome, Verb};
 pub use pipeline::{
-    cif_text, compile_sil, drc_report, elaborate, extract_signature, flat_regions, pla_products,
+    cif_text, compile_sil, die_summary, drc_report, elaborate, extract_signature, pla_products,
     pnr_products, pnr_sil, sim_results, synth_allocation, verify_against, verify_isl, verify_pla,
-    verify_sil, CompileOptions, CompileOutput, ExtractSnapshot, FlatSnapshot, PlaSnapshot,
-    PnrSnapshot, SimSnapshot, SynthSnapshot, VerifySnapshot,
+    verify_sil, CompileOptions, CompileOutput, DieSummary, Elaborated, ExtractSnapshot,
+    FlatSnapshot, PlaSnapshot, PnrSnapshot, SimSnapshot, SynthSnapshot, VerifySnapshot,
 };

@@ -17,7 +17,7 @@
 
 use crate::engine::{Engine, JobStats};
 use crate::pipeline::{
-    compile_sil, drc_report, elaborate, flat_regions, pla_products, pnr_sil, sim_results,
+    compile_sil, die_summary, drc_report, elaborate, pla_products, pnr_sil, sim_results,
     synth_allocation, verify_against, verify_isl, verify_pla, verify_sil, CompileOptions,
     CompileOutput, PlaSnapshot, PnrSnapshot, SimSnapshot, SynthSnapshot, VerifySnapshot,
 };
@@ -520,10 +520,12 @@ pub fn run(
             Outcome::Compile(compile_sil(engine, source, &options, stats)?)
         }
         Verb::Drc => {
+            // Compile's prefix, die included, so a `drc` after a
+            // `compile` of the same source is all hits.
             let design = elaborate(engine, source, stats)?;
-            let flat = flat_regions(engine, &design, stats)?;
+            die_summary(engine, &design, stats)?;
             let rules = RuleSet::mead_conway_nmos();
-            Outcome::Drc(drc_report(engine, &flat, &rules, stats)?)
+            Outcome::Drc(drc_report(engine, &design, &rules, stats)?)
         }
         Sim => {
             let machine = machine()?;

@@ -5,25 +5,28 @@
 //! **outputs**, not sources, which yields early cutoff:
 //!
 //! ```text
-//! source ──elaborate──▶ Design ──flatten──▶ FlatSnapshot ──drc──▶ Report
-//!                         │  └──────────────extract──▶ ExtractSnapshot
-//!                         └──cif──▶ String
+//! source ──elaborate──▶ Design ──die──▶ DieSummary
+//!                         ├──drc (+ rules)──▶ Report
+//!                         ├──cif──▶ String
+//!                         └──extract──▶ ExtractSnapshot
 //! ISL source ─parse─▶ Machine ──sim──▶ SimSnapshot
 //!                        └──synth──▶ SynthSnapshot
 //! PLA table ──pla──▶ PlaSnapshot
 //! ```
 //!
 //! A comment-only SIL edit re-elaborates (cheap), finds the design
-//! fingerprint unchanged, and serves flatten/DRC/CIF/extract from cache.
+//! fingerprint unchanged, and serves die/DRC/CIF/extract from cache. The
+//! die comes from the hierarchy, and DRC expands only a design it cannot
+//! prove clean from its hierarchy; no stage here expands one itself.
 //! Parsing ISL is likewise always live, so simulation results are keyed
 //! by the *machine*, making them immune to formatting edits.
 
 use crate::codec::{Dec, DecodeError, Persist};
 use crate::engine::{Engine, JobStats, Stage};
 use silc_cif::CifWriter;
-use silc_drc::{check_flat_traced, Report, RuleSet};
+use silc_drc::{check_traced, Report, RuleSet};
 use silc_exec::CompiledSim;
-use silc_geom::{Fingerprint, FpHasher, Rect};
+use silc_geom::{Fingerprint, Fp, FpHasher, Orientation, Rect};
 use silc_lang::{Compiler, Design, PRELUDE};
 use silc_logic::TruthTable;
 use silc_netlist::Netlist;
@@ -36,11 +39,38 @@ use silc_verify::{
     check_against_table_traced, check_equivalence_traced, network_from_netlist, Network,
     Options as VerifyOptions,
 };
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
-/// Flattened geometry plus the die statistics the CLI summarises —
-/// cached together so a warm run reproduces the summary byte-for-byte
-/// without flattening.
+/// What a design expands to, as the CLI summarises it: computed from the
+/// hierarchy ([`silc_layout::Extents`]), never by expanding it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DieSummary {
+    /// Flattened element count ([`silc_layout::CellStats::flat_elements`]).
+    pub flat_elements: u64,
+    /// Die bounding box ([`silc_layout::CellStats::bbox`]).
+    pub bbox: Option<Rect>,
+}
+
+impl Fingerprint for DieSummary {
+    fn fp_hash(&self, h: &mut FpHasher) {
+        h.write_u64(self.flat_elements);
+        self.bbox.fp_hash(h);
+    }
+}
+
+impl Persist for DieSummary {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(DieSummary {
+            flat_elements: d.u64()?,
+            bbox: Option::<Rect>::decode(d)?,
+        })
+    }
+}
+
+/// Flattened geometry plus the die statistics, as [`Stage::FLATTEN`]
+/// cached them. No product stage builds one any more; the type stays for
+/// the benchmark ledger, which replays that stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatSnapshot {
     /// Merged per-layer rectangles, indexed by [`silc_layout::Layer::index`].
@@ -253,6 +283,30 @@ impl Persist for PnrSnapshot {
     }
 }
 
+/// An elaborated design (it derefs to [`Design`]) and its fingerprint,
+/// taken at most once for every stage keyed by the design: hashing a
+/// large library costs about what summarising it does.
+#[derive(Debug, Clone)]
+pub struct Elaborated {
+    design: Arc<Design>,
+    key: OnceLock<Fp>,
+}
+
+impl Elaborated {
+    /// The design's fingerprint: the key of the stages that read it.
+    pub fn key(&self) -> Fp {
+        *self.key.get_or_init(|| self.design.fingerprint())
+    }
+}
+
+impl Deref for Elaborated {
+    type Target = Design;
+
+    fn deref(&self) -> &Design {
+        &self.design
+    }
+}
+
 /// SIL source → elaborated design, keyed by the source *and* the
 /// standard-cell prelude (a prelude change must invalidate).
 ///
@@ -263,56 +317,58 @@ pub fn elaborate(
     engine: &Engine,
     source: &str,
     stats: &mut JobStats,
-) -> Result<Arc<Design>, String> {
+) -> Result<Elaborated, String> {
     let key = (source, PRELUDE).fingerprint();
-    engine.query(Stage::ELABORATE, key, stats, || {
+    let design = engine.query(Stage::ELABORATE, key, stats, || {
         Compiler::new()
             .with_tracer(engine.tracer().clone())
             .compile(source)
             .map_err(|e| e.to_string())
+    })?;
+    Ok(Elaborated {
+        design,
+        key: OnceLock::new(),
     })
 }
 
-/// Design → flattened per-layer geometry and die statistics.
+/// Design → element count and die, from the hierarchy.
 ///
 /// # Errors
 ///
 /// Layout errors (unknown root cell), rendered to strings.
-pub fn flat_regions(
+pub fn die_summary(
     engine: &Engine,
-    design: &Design,
+    design: &Elaborated,
     stats: &mut JobStats,
-) -> Result<Arc<FlatSnapshot>, String> {
-    let key = design.fingerprint();
-    engine.query(Stage::FLATTEN, key, stats, || {
-        // One flattening serves the geometry and the die summary.
-        let mut s = span!(engine.tracer(), "layout.flatten");
-        let flat = silc_layout::flatten(&design.library, design.top).map_err(|e| e.to_string())?;
-        let layers = silc_layout::rects_by_layer(&flat);
-        s.attr("rects", layers.iter().map(Vec::len).sum::<usize>() as u64);
-        Ok(FlatSnapshot {
-            layers,
-            flat_elements: flat.len() as u64,
-            bbox: silc_layout::flat_bbox(&flat),
+) -> Result<Arc<DieSummary>, String> {
+    engine.query(Stage::DIE, design.key(), stats, || {
+        let _s = span!(engine.tracer(), "layout.extent");
+        let extent = silc_layout::Extents::new(&design.library)
+            .of(design.top, Orientation::R0)
+            .map_err(|e| e.to_string())?;
+        Ok(DieSummary {
+            flat_elements: extent.elements,
+            bbox: extent.bbox(),
         })
     })
 }
 
-/// Flattened geometry + rule set → DRC report. Keyed by the *geometry*,
-/// so a hierarchy refactor that flattens identically reuses the report.
+/// Design + rule set → DRC report ([`silc_drc::check_traced`]: proven
+/// from the hierarchy when it can be, the expanded design checked when
+/// not).
 ///
 /// # Errors
 ///
-/// Never fails today; the `Result` mirrors the other stages.
+/// Layout errors (unknown root cell), rendered to strings.
 pub fn drc_report(
     engine: &Engine,
-    flat: &FlatSnapshot,
+    design: &Elaborated,
     rules: &RuleSet,
     stats: &mut JobStats,
 ) -> Result<Arc<Report>, String> {
-    let key = (&flat.layers, rules).fingerprint();
+    let key = (design.key(), rules).fingerprint();
     engine.query(Stage::DRC, key, stats, || {
-        Ok(check_flat_traced(&flat.layers, rules, engine.tracer()))
+        check_traced(&design.library, design.top, rules, engine.tracer()).map_err(|e| e.to_string())
     })
 }
 
@@ -323,11 +379,10 @@ pub fn drc_report(
 /// CIF writer errors (e.g. unnameable cells), rendered to strings.
 pub fn cif_text(
     engine: &Engine,
-    design: &Design,
+    design: &Elaborated,
     stats: &mut JobStats,
 ) -> Result<Arc<String>, String> {
-    let key = design.fingerprint();
-    engine.query(Stage::CIF, key, stats, || {
+    engine.query(Stage::CIF, design.key(), stats, || {
         CifWriter::new()
             .with_tracer(engine.tracer().clone())
             .write_to_string(&design.library, design.top)
@@ -342,11 +397,10 @@ pub fn cif_text(
 /// Extraction errors (malformed transistors), rendered to strings.
 pub fn extract_signature(
     engine: &Engine,
-    design: &Design,
+    design: &Elaborated,
     stats: &mut JobStats,
 ) -> Result<Arc<ExtractSnapshot>, String> {
-    let key = design.fingerprint();
-    engine.query(Stage::EXTRACT, key, stats, || {
+    engine.query(Stage::EXTRACT, design.key(), stats, || {
         let extracted = silc_extract::extract_traced(&design.library, design.top, engine.tracer())
             .map_err(|e| e.to_string())?;
         Ok(ExtractSnapshot {
@@ -478,7 +532,7 @@ pub fn pla_products(
         let mut lib = silc_layout::Library::new();
         let id =
             generate_layout_traced(&spec, &mut lib, "pla", tracer).map_err(|e| e.to_string())?;
-        let report = silc_drc::check_traced(&lib, id, &RuleSet::mead_conway_nmos(), tracer)
+        let report = check_traced(&lib, id, &RuleSet::mead_conway_nmos(), tracer)
             .map_err(|e| e.to_string())?;
         let cif = CifWriter::new()
             .with_tracer(tracer.clone())
@@ -514,9 +568,8 @@ pub fn pnr_products(
         let tracer = engine.tracer();
         let out =
             place_and_route_traced(netlist, stack, floorplan, tracer).map_err(|e| e.to_string())?;
-        let drc =
-            silc_drc::check_traced(&out.library, out.root, &RuleSet::mead_conway_nmos(), tracer)
-                .map_err(|e| e.to_string())?;
+        let drc = check_traced(&out.library, out.root, &RuleSet::mead_conway_nmos(), tracer)
+            .map_err(|e| e.to_string())?;
         let extracted = silc_extract::extract_traced(&out.library, out.root, tracer)
             .map_err(|e| e.to_string())?;
         let lvs_ok = extracted.netlist.structurally_matches(netlist);
@@ -822,9 +875,9 @@ impl Default for CompileOptions {
 #[derive(Debug, Clone)]
 pub struct CompileOutput {
     /// The elaborated design.
-    pub design: Arc<Design>,
-    /// Flattened geometry and die statistics.
-    pub flat: Arc<FlatSnapshot>,
+    pub design: Elaborated,
+    /// Element count and die.
+    pub die: Arc<DieSummary>,
     /// DRC report, when requested.
     pub drc: Option<Arc<Report>>,
     /// CIF text, when the layout is clean (or unchecked).
@@ -848,10 +901,10 @@ pub fn compile_sil(
     stats: &mut JobStats,
 ) -> Result<CompileOutput, String> {
     let design = elaborate(engine, source, stats)?;
-    let flat = flat_regions(engine, &design, stats)?;
+    let die = die_summary(engine, &design, stats)?;
     let drc = if options.check_drc {
         let rules = RuleSet::mead_conway_nmos();
-        Some(drc_report(engine, &flat, &rules, stats)?)
+        Some(drc_report(engine, &design, &rules, stats)?)
     } else {
         None
     };
@@ -868,7 +921,7 @@ pub fn compile_sil(
     };
     Ok(CompileOutput {
         design,
-        flat,
+        die,
         drc,
         cif,
         extract,

@@ -53,27 +53,32 @@ fn observe(
     ))
 }
 
-/// `FLATTEN` flattens once; the snapshot must still hold exactly what
-/// `flatten_to_rects` and `CellStats::compute` say, wires included.
+/// `DIE` never flattens; it must still hold exactly what flattening
+/// measures, wires (with their odd-width pens) and rotations included.
 #[test]
-fn flat_snapshot_matches_the_layout_crates_own_answers() {
+fn die_summary_matches_what_flattening_measures() {
     let source = format!(
-        "{}cell top() {{ place sr_array(3) at (5, 7); wire metal 4 (0, -20) (40, -20) (40, -9); }}
-         place top() at (1, 1);",
+        "{}cell top() {{ place sr_array(3) at (5, 7); wire metal 3 (0, -20) (40, -20) (40, -9); }}
+         place top() at (1, 1);
+         place top() at (200, 1) rot 90;
+         place top() at (-200, 1) mirrorx;",
         shift_array(3).replace("place sr_array(3) at (0, 0);", "")
     );
     let engine = Engine::in_memory();
     let mut stats = JobStats::default();
     let design = silc_incr::elaborate(&engine, &source, &mut stats).expect("elaborates");
-    let flat = silc_incr::flat_regions(&engine, &design, &mut stats).expect("flattens");
+    let die = silc_incr::die_summary(&engine, &design, &mut stats).expect("summarises");
+    let flat = silc_layout::flatten(&design.library, design.top).expect("root");
+    assert_eq!(die.flat_elements, flat.len() as u64);
+    let bbox = flat
+        .iter()
+        .map(|f| f.element.bbox())
+        .reduce(|a, b| a.union(b));
+    assert_eq!(die.bbox, bbox);
+    assert!(die.bbox.is_some());
     let cell_stats = silc_layout::CellStats::compute(&design.library, design.top).expect("root");
-    assert_eq!(
-        flat.layers,
-        silc_layout::flatten_to_rects(&design.library, design.top).expect("root")
-    );
-    assert_eq!(flat.flat_elements, cell_stats.flat_elements as u64);
-    assert_eq!(flat.bbox, cell_stats.bbox);
-    assert!(flat.bbox.is_some());
+    assert_eq!(die.flat_elements, cell_stats.flat_elements as u64);
+    assert_eq!(die.bbox, cell_stats.bbox);
 }
 
 #[test]

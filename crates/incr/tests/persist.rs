@@ -11,8 +11,8 @@ use rand::{Rng, SeedableRng};
 use silc_drc::{Report, RuleKind, Violation};
 use silc_geom::{FpHasher, Orientation, Path, Point, Polygon, Rect, Transform};
 use silc_incr::{
-    Dec, Enc, ExtractSnapshot, FlatSnapshot, Persist, PlaSnapshot, PnrSnapshot, SimSnapshot,
-    SynthSnapshot, VerifySnapshot,
+    Dec, DieSummary, Enc, ExtractSnapshot, FlatSnapshot, Persist, PlaSnapshot, PnrSnapshot,
+    SimSnapshot, SynthSnapshot, VerifySnapshot,
 };
 use silc_layout::{Cell, CellId, Element, Instance, Layer, Library, Port, Shape};
 
@@ -180,6 +180,7 @@ proptest! {
         check(&report(rng))?;
         let layers = list(rng, |rng| list(rng, rect));
         check(&FlatSnapshot { layers, flat_elements: n[0], bbox: flag.then(|| rect(rng)) })?;
+        check(&DieSummary { flat_elements: n[1], bbox: flag.then(|| rect(rng)) })?;
         check(&ExtractSnapshot { signature: list(rng, text), transistors: n[0], nets: n[1] })?;
         let (state, regs, outputs) = (text(rng), list(rng, named), list(rng, named));
         check(&SimSnapshot { cycles: n[0], halted: flag, state, regs, outputs })?;

@@ -38,6 +38,7 @@
 
 mod cell;
 mod error;
+mod extent;
 mod flatten;
 mod fp;
 mod layer;
@@ -47,7 +48,8 @@ mod stats;
 
 pub use cell::{Cell, Instance, Port};
 pub use error::LayoutError;
-pub use flatten::{flat_bbox, flatten, flatten_to_rects, rects_by_layer, FlatElement};
+pub use extent::{Extent, Extents};
+pub use flatten::{flatten, flatten_to_rects, rects_by_layer, FlatElement};
 pub use layer::Layer;
 pub use library::{CellId, Library};
 pub use shape::{Element, Shape};

@@ -1,5 +1,5 @@
-use crate::{flat_bbox, flatten, rects_by_layer, CellId, LayoutError, Library};
-use silc_geom::{band_decompose, Coord, Rect};
+use crate::{flatten_to_rects, CellId, Extents, LayoutError, Library};
+use silc_geom::{band_decompose, Coord, Orientation, Rect};
 
 /// Exact area of the union of a set of rectangles (overlaps counted once):
 /// the summed area of the disjoint rectangles [`band_decompose`] cuts the
@@ -52,13 +52,14 @@ impl CellStats {
         let cell = lib
             .cell(root)
             .ok_or(LayoutError::UnknownCell { id: root })?;
-        let flat = flatten(lib, root)?;
+        // Counts and the die come from the hierarchy; only area flattens.
+        let extent = Extents::new(lib).of(root, Orientation::R0)?;
         Ok(CellStats {
             name: cell.name().to_string(),
             local_elements: cell.elements().len(),
-            flat_elements: flat.len(),
-            bbox: flat_bbox(&flat),
-            area_by_layer: rects_by_layer(&flat)
+            flat_elements: extent.elements as usize,
+            bbox: extent.bbox(),
+            area_by_layer: flatten_to_rects(lib, root)?
                 .iter()
                 .map(|v| union_area(v))
                 .collect(),

@@ -412,11 +412,11 @@ fn execute(
                     // Mirror the CLI: violations fail the request and
                     // withhold CIF (`no_drc` skips the check entirely).
                     out.gate()?;
-                    let (w, h) = out.flat.bbox.map_or((0, 0), |b| (b.width(), b.height()));
+                    let (w, h) = out.die.bbox.map_or((0, 0), |b| (b.width(), b.height()));
                     let die = [w, h].map(|side| Json::Int(i128::from(side)));
                     let mut fields = vec![
                         ("cells", int(out.design.library.len() as u64)),
-                        ("flat_elements", int(out.flat.flat_elements)),
+                        ("flat_elements", int(out.die.flat_elements)),
                         ("die", Json::Arr(die.to_vec())),
                     ];
                     if let Some(ex) = &out.extract {

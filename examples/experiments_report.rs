@@ -83,7 +83,13 @@ fn main() {
         "{}",
         render_table(
             "E6: compilation scaling",
-            &["n", "flat elems", "cif bytes", "drc violations"],
+            &[
+                "n",
+                "flat elems",
+                "rects examined",
+                "cif bytes",
+                "drc violations"
+            ],
             &e6::table(&rows),
         )
     );

@@ -107,9 +107,9 @@ fn run_op(args: &Args, tracer: &Tracer) -> Result<(), String> {
             eprintln!(
                 "compiled `{input}`: {} cells, {} flattened elements, die {}x{} lambda",
                 out.design.library.len(),
-                out.flat.flat_elements,
-                out.flat.bbox.map_or(0, |b| b.width()),
-                out.flat.bbox.map_or(0, |b| b.height()),
+                out.die.flat_elements,
+                out.die.bbox.map_or(0, |b| b.width()),
+                out.die.bbox.map_or(0, |b| b.height()),
             );
             if let Some(report) = &out.drc {
                 eprint!("{report}");

@@ -334,6 +334,8 @@ fn stat(stderr: &str, name: &str) -> u64 {
 fn stats_show_indexes_sized_by_the_geometry_not_the_extent() {
     // A crossbar: long thin wires over a wide die, the shape that made a
     // grid sized from the feature width alone run to millions of bins.
+    // Placed rotated, so the hierarchy proof steps aside and the flat
+    // checker indexes the whole die.
     let sil = write_temp(
         "xbar.sil",
         "cell tap() { box diff (-3, -2) (3, 2); box contact (-1, -1) (1, 1); }
@@ -345,7 +347,7 @@ fn stats_show_indexes_sized_by_the_geometry_not_the_extent() {
            for i in 0..k { place tap() at (i * 12 + 6, i * 12); }
          }
          cell xbar(k, n, m) { array xtile(k) at (0, 0) step (207, 0) (0, 207) count n m; }
-         place xbar(16, 6, 6) at (17, 40);",
+         place xbar(16, 6, 6) at (17, 40) rot 90;",
     );
     let out = silc()
         .args(["compile", sil.to_str().unwrap(), "--stats", "--no-cache"])
@@ -366,6 +368,69 @@ fn stats_show_indexes_sized_by_the_geometry_not_the_extent() {
     assert!(bins <= 4 * rects, "{bins} bins for {rects} indexed rects");
     // Each layer is indexed at most twice: as drawn and as merged.
     assert!(rects <= 2 * checked + gates, "{rects} indexed of {checked}");
+}
+
+/// True when the `--stats` stage table has a row for `stage`.
+fn has_stage(stderr: &str, stage: &str) -> bool {
+    stderr
+        .lines()
+        .any(|l| l.split_whitespace().next() == Some(stage))
+}
+
+#[test]
+fn a_clean_array_is_checked_from_one_tile_and_a_dirty_one_flat() {
+    // The 96×96 shift-register array: proven clean from its tile and the
+    // lattice, with nothing flattened and no flat merge.
+    let shift = write_temp(
+        "shift96.sil",
+        "cell sr_bit() { box diff (0, 0) (2, 12); box poly (-2, 3) (4, 5);
+                         box poly (-2, 7) (4, 9); box metal (4, 0) (7, 12); }
+         cell sr_row(n) { array sr_bit() at (0, 0) step (12, 0) count n; }
+         cell sr_block(n, m) { array sr_row(n) at (0, 0) step (0, 0) (0, 16) count 1 m; }
+         place sr_block(96, 96) at (3, 5);",
+    );
+    let out = silc()
+        .args(["compile", shift.to_str().unwrap(), "--stats", "--no-cache"])
+        .arg("-o")
+        .arg(shift.with_extension("cif"))
+        .output()
+        .expect("runs");
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("checked 36864 rects: 0 violation(s)"),
+        "{stderr}"
+    );
+    assert!(has_stage(&stderr, "drc.prove"), "{stderr}");
+    for stage in ["layout.flatten", "drc.merge"] {
+        assert!(!has_stage(&stderr, stage), "`{stage}` ran: {stderr}");
+    }
+    assert_eq!(stat(&stderr, "drc.rects_examined"), 4);
+    assert_eq!(stat(&stderr, "drc.rects_checked"), 36_864);
+    assert_eq!(stat(&stderr, "drc.cells_proved"), 4);
+
+    // A tile narrow on its own: the proof finds it, gives up, and the
+    // flattened design reports every copy.
+    let dirty = write_temp(
+        "dirty_tile.sil",
+        "cell t() { box poly (0, 0) (1, 6); box metal (3, 0) (6, 6); }
+         cell grid() { array t() at (0, 0) step (10, 0) (0, 12) count 4 3; }
+         place grid() at (2, 2);",
+    );
+    let out = silc()
+        .args(["compile", dirty.to_str().unwrap(), "--stats", "--no-cache"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("checked 24 rects: 12 violation(s)"),
+        "{stderr}"
+    );
+    for stage in ["drc.prove", "layout.flatten", "drc.merge"] {
+        assert!(has_stage(&stderr, stage), "`{stage}` missing: {stderr}");
+    }
+    assert_eq!(stat(&stderr, "drc.rects_examined"), 2 + 24);
 }
 
 #[test]
@@ -680,9 +745,12 @@ fn format_1_cache_directory_is_a_warned_recompute() {
     let (cold_out, cold_err) = run(&["--no-cache"]);
     let (out, err) = run(&cached);
     assert_eq!(out, cold_out);
+    // A compile still asks for the elaborate and cif entries under their
+    // old keys. DRC is keyed by the design now, and nothing flattens, so
+    // the other two are orphans and never read.
     assert_eq!(
         err.matches("format version 1, expected 2").count(),
-        4,
+        2,
         "{err}"
     );
     assert!(err.ends_with(&cold_err), "{err}");
