@@ -43,5 +43,5 @@ mod parse;
 mod write;
 
 pub use error::CifError;
-pub use parse::{parse, parse_traced, CifDesign};
+pub use parse::{parse, CifDesign};
 pub use write::CifWriter;

@@ -55,22 +55,7 @@ impl Fingerprint for CifDesign {
 /// # Ok::<(), silc_cif::CifError>(())
 /// ```
 pub fn parse(text: &str) -> Result<CifDesign, CifError> {
-    parse_traced(text, &silc_trace::Tracer::disabled())
-}
-
-/// [`parse`] with a [`Tracer`](silc_trace::Tracer): records a `cif.parse` span with byte and
-/// symbol counts. With a disabled tracer this is exactly [`parse`].
-///
-/// # Errors
-///
-/// Same as [`parse`].
-pub fn parse_traced(text: &str, tracer: &silc_trace::Tracer) -> Result<CifDesign, CifError> {
-    let mut s = silc_trace::span!(tracer, "cif.parse");
-    s.attr("bytes", text.len() as u64);
-    let design = Parser::new(text).run()?;
-    s.attr("symbols", design.symbol_count() as u64);
-    tracer.add("cif.parsed_symbols", design.symbol_count() as u64);
-    Ok(design)
+    Parser::new(text).run()
 }
 
 /// A symbol definition being accumulated.
@@ -582,29 +567,11 @@ impl<'a> Parser<'a> {
 
     fn build(self) -> Result<CifDesign, CifError> {
         let Parser { symbols, top, .. } = self;
-
-        // Validate call targets and detect recursion via DFS.
-        for (&id, body) in &symbols {
-            for &(callee, _) in &body.calls {
-                if !symbols.contains_key(&callee) {
-                    return Err(CifError::UndefinedSymbol { symbol: callee });
-                }
-            }
-            check_acyclic(id, &symbols)?;
-        }
+        let order = callees_first(&symbols)?;
         for &(callee, _) in &top.calls {
             if !symbols.contains_key(&callee) {
                 return Err(CifError::UndefinedSymbol { symbol: callee });
             }
-        }
-
-        // Topologically order symbols (children first) and insert.
-        let mut order: Vec<u64> = Vec::new();
-        let mut state: HashMap<u64, u8> = HashMap::new();
-        let mut ids: Vec<u64> = symbols.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            topo(id, &symbols, &mut state, &mut order);
         }
 
         let mut library = Library::new();
@@ -659,46 +626,57 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn check_acyclic(start: u64, symbols: &HashMap<u64, SymbolBody>) -> Result<(), CifError> {
-    // Iterative DFS with an explicit path set.
-    fn visit(
-        id: u64,
-        symbols: &HashMap<u64, SymbolBody>,
-        path: &mut Vec<u64>,
-        done: &mut Vec<u64>,
-    ) -> Result<(), CifError> {
-        if done.contains(&id) {
-            return Ok(());
-        }
-        if path.contains(&id) {
-            return Err(CifError::RecursiveSymbol { symbol: id });
-        }
-        path.push(id);
-        for &(callee, _) in &symbols[&id].calls {
-            visit(callee, symbols, path, done)?;
-        }
-        path.pop();
-        done.push(id);
-        Ok(())
+/// The symbols in post-order, every callee before its callers: one
+/// iterative depth-first walk from each symbol in ascending number, calls
+/// followed in file order. A symbol is unmarked (white) until entered,
+/// `Open` (grey) while on the walk's stack and `Done` (black) once
+/// emitted, so the first call back into an open symbol names the
+/// recursion, and no input is deep enough to exhaust the thread's stack.
+///
+/// # Errors
+///
+/// [`CifError::UndefinedSymbol`] for a call to a symbol never defined,
+/// [`CifError::RecursiveSymbol`] for the first back edge found.
+fn callees_first(symbols: &HashMap<u64, SymbolBody>) -> Result<Vec<u64>, CifError> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mark {
+        Open,
+        Done,
     }
-    visit(start, symbols, &mut Vec::new(), &mut Vec::new())
-}
-
-fn topo(
-    id: u64,
-    symbols: &HashMap<u64, SymbolBody>,
-    state: &mut HashMap<u64, u8>,
-    out: &mut Vec<u64>,
-) {
-    if state.get(&id).copied().unwrap_or(0) != 0 {
-        return;
+    let mut ids: Vec<u64> = symbols.keys().copied().collect();
+    ids.sort_unstable();
+    let mut marks: HashMap<u64, Mark> = HashMap::with_capacity(ids.len());
+    let mut order = Vec::with_capacity(ids.len());
+    // The walk's path: each open symbol and the next of its calls to follow.
+    let mut path: Vec<(u64, &[(u64, Transform)])> = Vec::new();
+    for root in ids {
+        if marks.contains_key(&root) {
+            continue;
+        }
+        marks.insert(root, Mark::Open);
+        path.push((root, &symbols[&root].calls));
+        while let Some((id, calls)) = path.last_mut() {
+            let Some((&(callee, _), rest)) = calls.split_first() else {
+                marks.insert(*id, Mark::Done);
+                order.push(*id);
+                path.pop();
+                continue;
+            };
+            *calls = rest;
+            match marks.get(&callee) {
+                Some(Mark::Done) => {}
+                Some(Mark::Open) => return Err(CifError::RecursiveSymbol { symbol: callee }),
+                None => {
+                    let body = symbols
+                        .get(&callee)
+                        .ok_or(CifError::UndefinedSymbol { symbol: callee })?;
+                    marks.insert(callee, Mark::Open);
+                    path.push((callee, &body.calls));
+                }
+            }
+        }
     }
-    state.insert(id, 1);
-    for &(callee, _) in &symbols[&id].calls {
-        topo(callee, symbols, state, out);
-    }
-    state.insert(id, 2);
-    out.push(id);
+    Ok(order)
 }
 
 #[cfg(test)]
@@ -748,6 +726,42 @@ mod tests {
     fn recursive_symbol_rejected() {
         let text = "DS 1; C 2 T 0 0; DF; DS 2; C 1 T 0 0; DF; E";
         assert!(matches!(parse(text), Err(CifError::RecursiveSymbol { .. })));
+    }
+
+    #[test]
+    fn first_back_edge_in_symbol_order_is_reported() {
+        // Two disjoint cycles: the walk starts at symbol 1 on every run.
+        let text = "DS 3; C 4; DF; DS 4; C 3; DF; DS 2; C 1; DF; DS 1; C 2; DF; E";
+        for _ in 0..32 {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.to_string(), "symbol 1 is defined recursively");
+        }
+        let err = parse("DS 5; C 5; DF; E").unwrap_err();
+        assert_eq!(err, CifError::RecursiveSymbol { symbol: 5 });
+    }
+
+    #[test]
+    fn cells_come_callees_first_in_walk_order() {
+        let text = "DS 2; C 3; DF; DS 1; C 3; C 2; C 4; DF; DS 4; DF; DS 3; DF; E";
+        let d = parse(text).unwrap();
+        let names: Vec<&str> = d.library.iter().map(|(_, c)| c.name()).collect();
+        assert_eq!(names, ["S3", "S2", "S4", "S1", "__top__"]);
+    }
+
+    #[test]
+    fn deep_symbol_chain_parses_on_a_small_stack() {
+        const DEPTH: u64 = 50_000;
+        let mut text: String = (1..DEPTH)
+            .map(|i| format!("DS {i}; C {};DF;\n", i + 1))
+            .collect();
+        text.push_str(&format!("DS {DEPTH}; L NM; B 2 2 1 1; DF; C 1; E"));
+        let symbols = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&text).map(|d| d.symbol_count()))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(symbols, Ok(DEPTH as usize));
     }
 
     #[test]

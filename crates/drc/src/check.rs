@@ -1,6 +1,8 @@
 use crate::region::{covered, merge_flat, Cover, Merged};
 use crate::RuleSet;
-use silc_geom::{Coord, Fingerprint, FpHasher, Rect, RectIndex};
+use silc_geom::{
+    persist, Coord, Dec, DecodeError, Fingerprint, FpHasher, Persist, Rect, RectIndex,
+};
 use silc_layout::{CellId, Layer, LayoutError, Library};
 use silc_trace::{span, Tracer};
 use std::cell::OnceCell;
@@ -112,20 +114,36 @@ impl Fingerprint for RuleKind {
     }
 }
 
-impl Fingerprint for Violation {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        self.rule.fp_hash(h);
-        self.at.fp_hash(h);
+impl Persist for RuleKind {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(match d.u8()? {
+            0 => RuleKind::MinWidth {
+                layer: Layer::decode(d)?,
+                required: d.i64()?,
+            },
+            1 => RuleKind::MinSpacing {
+                a: Layer::decode(d)?,
+                b: Layer::decode(d)?,
+                required: d.i64()?,
+            },
+            2 => RuleKind::ContactMetalSurround { required: d.i64()? },
+            3 => RuleKind::ContactLowerSurround { required: d.i64()? },
+            4 => RuleKind::GateOverhang {
+                poly: d.i64()?,
+                diff: d.i64()?,
+            },
+            t => return Err(format!("invalid rule kind tag {t}")),
+        })
     }
 }
 
-impl Fingerprint for Report {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        h.write_str(&self.rules);
-        self.violations.fp_hash(h);
-        h.write_len(self.rects_checked);
-    }
-}
+persist!(Violation { rule, at });
+
+persist!(Report {
+    rules,
+    violations,
+    rects_checked
+});
 
 /// The result of a DRC run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,7 +200,7 @@ pub fn check(lib: &Library, root: CellId, rules: &RuleSet) -> Result<Report, Lay
 /// [`check`] with a [`Tracer`]. A design holding an array is first offered
 /// to the hierarchy proof (a `drc.prove` span). When that gives up, the
 /// design is flattened (a `layout.flatten` span) and
-/// checked by [`check_flat_traced`] with its per-pass spans and counters.
+/// checked by the flat checker with its per-pass spans and counters.
 /// Either way the run counts `drc.rects_checked` (the flattened
 /// rectangles) and `drc.rects_examined` (those the flat passes saw).
 ///
@@ -261,7 +279,7 @@ impl Run<'_> {
 /// `drc.rects_checked`, `drc.rects_examined`, `drc.violations`,
 /// `drc.index.rects` (rectangles inserted into spatial indexes) and
 /// `drc.index.bins` (grid bins built) counters.
-pub fn check_flat_traced(layers: &[Vec<Rect>], rules: &RuleSet, tracer: &Tracer) -> Report {
+pub(crate) fn check_flat_traced(layers: &[Vec<Rect>], rules: &RuleSet, tracer: &Tracer) -> Report {
     let rects_checked = layers.iter().map(Vec::len).sum();
     let violations = violations(layers, rules, tracer);
     tracer.add("drc.rects_checked", rects_checked as u64);
@@ -653,6 +671,33 @@ mod tests {
 
     fn rules() -> RuleSet {
         RuleSet::mead_conway_nmos()
+    }
+
+    #[test]
+    fn report_round_trips() {
+        let report = Report {
+            rules: "mead-conway-nmos".into(),
+            violations: vec![
+                Violation {
+                    rule: RuleKind::MinWidth {
+                        layer: Layer::Poly,
+                        required: 2,
+                    },
+                    at: rect(0, 0, 1, 4),
+                },
+                Violation {
+                    rule: RuleKind::GateOverhang { poly: 2, diff: 2 },
+                    at: rect(5, 5, 4, 4),
+                },
+            ],
+            rects_checked: 123,
+        };
+        let mut e = silc_geom::Enc::new();
+        report.encode(&mut e);
+        let bytes = e.into_bytes();
+        let mut d = Dec::new(&bytes);
+        assert_eq!(Report::decode(&mut d).unwrap(), report);
+        assert!(d.is_done());
     }
 
     #[test]

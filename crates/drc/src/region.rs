@@ -79,16 +79,47 @@ impl Merged {
     }
 }
 
-/// Representative of `i`'s set, compressing the path walked.
-fn find(parent: &mut [u32], mut i: u32) -> u32 {
-    let mut root = i;
-    while parent[root as usize] != root {
-        root = parent[root as usize];
+/// Disjoint sets over `0..n`, for grouping what touches into regions and
+/// nets. [`UnionFind::union`] makes the second set's representative the
+/// merged set's, so the representatives, and any numbering derived from
+/// them, depend only on the order of the unions.
+#[derive(Debug)]
+pub struct UnionFind {
+    parent: Vec<u32>,
+}
+
+impl UnionFind {
+    /// `n` singleton sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` does not fit in a `u32`.
+    pub fn new(n: usize) -> UnionFind {
+        let n = u32::try_from(n).expect("at most 2^32 elements");
+        UnionFind {
+            parent: (0..n).collect(),
+        }
     }
-    while parent[i as usize] != root {
-        i = std::mem::replace(&mut parent[i as usize], root);
+
+    /// Representative of `i`'s set, compressing the path walked.
+    pub fn find(&mut self, mut i: usize) -> usize {
+        let mut root = i;
+        while self.parent[root] as usize != root {
+            root = self.parent[root] as usize;
+        }
+        while self.parent[i] as usize != root {
+            i = std::mem::replace(&mut self.parent[i], root as u32) as usize;
+        }
+        root
     }
-    root
+
+    /// Merges the sets of `a` and `b`, under `b`'s representative.
+    pub fn union(&mut self, a: usize, b: usize) {
+        let (a, b) = (self.find(a), self.find(b));
+        if a != b {
+            self.parent[a] = b as u32;
+        }
+    }
 }
 
 /// [`merge_rects`] as a flat list.
@@ -101,18 +132,13 @@ pub(crate) fn merge_flat(rects: &[Rect]) -> Merged {
     // Union-find over the touching pairs in ascending (i, j) order — the
     // order decides each region's representative, which breaks ties in
     // the sort below.
-    let mut parent: Vec<u32> = (0..bands.len() as u32).collect();
+    let mut sets = UnionFind::new(bands.len());
     for (i, j) in touching {
-        let (a, b) = (find(&mut parent, i), find(&mut parent, j));
-        if a != b {
-            parent[a as usize] = b;
-        }
+        sets.union(i as usize, j as usize);
     }
 
     // Each region's bounding-box corner, kept at its representative.
-    let roots: Vec<u32> = (0..bands.len() as u32)
-        .map(|i| find(&mut parent, i))
-        .collect();
+    let roots: Vec<u32> = (0..bands.len()).map(|i| sets.find(i) as u32).collect();
     let mut corner = vec![(Coord::MAX, Coord::MAX); bands.len()];
     for (&root, rect) in roots.iter().zip(&bands) {
         let (left, bottom) = corner[root as usize];

@@ -46,7 +46,7 @@
 //! # }
 //! ```
 
-use silc_drc::{covered, merge_rects, Cover, Region};
+use silc_drc::{covered, merge_rects, Cover, Region, UnionFind};
 use silc_geom::{Fingerprint, FpHasher, Point, Rect, RectIndex};
 use silc_layout::{CellId, Layer, LayoutError, Library};
 use silc_netlist::{Netlist, NetlistError};
@@ -447,33 +447,6 @@ fn subtract_rects(base: &[Rect], cuts: &[Rect]) -> Vec<Rect> {
         out.extend_from_slice(&slabs);
     }
     out
-}
-
-struct UnionFind {
-    parent: Vec<usize>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> UnionFind {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, i: usize) -> usize {
-        if self.parent[i] != i {
-            let root = self.find(self.parent[i]);
-            self.parent[i] = root;
-        }
-        self.parent[i]
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra] = rb;
-        }
-    }
 }
 
 /// The all-pairs reference extractor: every geometric resolution is a

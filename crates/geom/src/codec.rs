@@ -1,17 +1,19 @@
-//! The binary codec for cache payloads: the fingerprint stream, kept.
+//! The persistent cache's binary codec — a value's fingerprint stream,
+//! read back.
 //!
 //! The workspace has no serialization dependency, and the cache format
-//! must stay stable across builds anyway. A persisted type describes its
-//! canonical byte form **once**, as its [`Fingerprint::fp_hash`]:
+//! must stay stable across builds anyway, so a cached type's canonical
+//! byte form **is** its [`Fingerprint::fp_hash`] stream:
 //! [`Persist::encode`] runs that traversal into a byte buffer instead of
-//! into the hash, so a value cannot be stored under bytes it was not
-//! hashed by, and the only thing a type adds to be cacheable is
-//! [`Persist::decode`]. All integers are little-endian; variable-length
-//! data carries a length prefix. Decoding is **total**: any malformed
-//! input yields `Err`, never a panic, so a corrupted cache entry degrades
-//! to a recompute.
+//! into the hash, and a value cannot be stored under bytes it was not
+//! hashed by. All integers are little-endian; variable-length data
+//! carries a length prefix. What a type adds is [`Persist::decode`],
+//! written in the crate that owns the type, next to its `fp_hash`. For a
+//! plain record, [`persist!`](crate::persist) writes both from one field
+//! list. Decoding is **total**: any malformed input yields `Err`, never a
+//! panic, so a corrupted cache entry degrades to a recompute.
 
-use silc_geom::{Fingerprint, FpHasher, Orientation, Path, Point, Polygon, Rect, Transform};
+use crate::{Fingerprint, FpHasher};
 
 /// Encoder: the buffering form of the fingerprint sink.
 #[derive(Debug)]
@@ -60,7 +62,8 @@ impl<'a> Dec<'a> {
         self.pos == self.data.len()
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    #[inline]
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         let end = self
             .pos
             .checked_add(n)
@@ -72,41 +75,45 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("took 4 bytes"),
+        ))
     }
 
     /// Reads a `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("took 8 bytes"),
+        ))
     }
 
     /// Reads an `i64`.
+    #[inline]
     pub fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(
+            self.take(8)?.try_into().expect("took 8 bytes"),
+        ))
     }
 
     /// Reads a length, bounds-checked against the remaining input so a
     /// corrupted prefix cannot trigger a huge allocation.
     #[allow(clippy::len_without_is_empty)] // reads a length field; not a container
+    #[inline]
     pub fn len(&mut self) -> Result<usize, DecodeError> {
         let v = self.u64()?;
         if v > self.data.len() as u64 {
             return Err(format!("length {v} exceeds entry size"));
         }
         Ok(v as usize)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, DecodeError> {
-        let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "invalid UTF-8".to_string())
     }
 }
 
@@ -127,106 +134,55 @@ pub trait Persist: Fingerprint + Sized {
     fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError>;
 }
 
-impl Persist for u64 {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        d.u64()
-    }
-}
-
-impl Persist for bool {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        match d.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(format!("invalid bool tag {v}")),
+/// Both halves of a plain record's byte form from one list of its
+/// fields: [`Fingerprint`] hashes each field in list order, and
+/// [`Persist::decode`] reads them back in the same order into a struct
+/// literal, so the compiler checks that the list names every field.
+///
+/// ```
+/// use silc_geom::{persist, Dec, Enc, Persist, Point};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Pin {
+///     name: String,
+///     at: Point,
+/// }
+/// persist!(Pin { name, at });
+///
+/// let pin = Pin { name: "q".into(), at: Point::new(3, -4) };
+/// let mut e = Enc::new();
+/// pin.encode(&mut e);
+/// let bytes = e.into_bytes();
+/// assert_eq!(Pin::decode(&mut Dec::new(&bytes)).unwrap(), pin);
+/// ```
+///
+/// Types with variant tags, or whose decoder validates through a
+/// constructor, write the two halves by hand.
+#[macro_export]
+macro_rules! persist {
+    ($record:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::Fingerprint for $record {
+            fn fp_hash(&self, h: &mut $crate::FpHasher) {
+                $($crate::Fingerprint::fp_hash(&self.$field, h);)+
+            }
         }
-    }
-}
 
-impl Persist for String {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        d.str()
-    }
-}
-
-impl<T: Persist> Persist for Vec<T> {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let n = d.len()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::decode(d)?);
+        impl $crate::Persist for $record {
+            fn decode(
+                d: &mut $crate::Dec<'_>,
+            ) -> ::core::result::Result<Self, $crate::DecodeError> {
+                ::core::result::Result::Ok($record {
+                    $($field: $crate::Persist::decode(d)?,)+
+                })
+            }
         }
-        Ok(out)
-    }
-}
-
-impl<T: Persist> Persist for Option<T> {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        match d.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(d)?)),
-            v => Err(format!("invalid option tag {v}")),
-        }
-    }
-}
-
-impl<A: Persist, B: Persist> Persist for (A, B) {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok((A::decode(d)?, B::decode(d)?))
-    }
-}
-
-impl Persist for Point {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(Point::new(d.i64()?, d.i64()?))
-    }
-}
-
-impl Persist for Rect {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let min = Point::decode(d)?;
-        let max = Point::decode(d)?;
-        Rect::new(min, max).map_err(|err| format!("invalid rect: {err}"))
-    }
-}
-
-impl Persist for Orientation {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let idx = d.u8()? as usize;
-        Orientation::ALL
-            .get(idx)
-            .copied()
-            .ok_or_else(|| format!("invalid orientation index {idx}"))
-    }
-}
-
-impl Persist for Transform {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(Transform {
-            orientation: Orientation::decode(d)?,
-            offset: Point::decode(d)?,
-        })
-    }
-}
-
-impl Persist for Polygon {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let vertices = Vec::<Point>::decode(d)?;
-        Polygon::new(vertices).map_err(|err| format!("invalid polygon: {err}"))
-    }
-}
-
-impl Persist for Path {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let width = d.i64()?;
-        let points = Vec::<Point>::decode(d)?;
-        Path::new(width, points).map_err(|err| format!("invalid path: {err}"))
-    }
+    };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Orientation, Path, Point, Polygon, Rect, Transform};
 
     fn round_trip<T: Persist + PartialEq + std::fmt::Debug>(v: &T) {
         let mut e = Enc::new();
@@ -240,12 +196,15 @@ mod tests {
     #[test]
     fn primitives_round_trip() {
         round_trip(&42u64);
+        round_trip(&7u32);
+        round_trip(&usize::MAX);
         round_trip(&true);
         round_trip(&"héllo".to_string());
         round_trip(&vec!["a".to_string(), String::new()]);
         round_trip(&Some(7u64));
         round_trip(&Option::<u64>::None);
         round_trip(&("k".to_string(), 9u64));
+        round_trip(&(1u32, 2u32, 3u32, u32::MAX));
     }
 
     #[test]

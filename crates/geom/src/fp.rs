@@ -15,6 +15,10 @@
 //! `netlist`) can implement it for its own types without depending on
 //! the engine.
 //!
+//! So does the cache's codec ([`crate::Persist`]), which stores a value
+//! as exactly this stream; the decoder of each type here sits next to
+//! its `fp_hash`.
+//!
 //! # Example
 //!
 //! ```
@@ -26,7 +30,8 @@
 //! assert_ne!(a.fingerprint(), Point::new(0, 0).fingerprint());
 //! ```
 
-use crate::{Interval, Path, Point, Polygon, Rect, Transform, Vector};
+use crate::codec::{Dec, DecodeError, Persist};
+use crate::{persist, Interval, Orientation, Path, Point, Polygon, Rect, Transform, Vector};
 use std::fmt;
 
 /// A 128-bit stable content hash.
@@ -209,9 +214,21 @@ impl Fingerprint for u32 {
     }
 }
 
+impl Persist for u32 {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        d.u32()
+    }
+}
+
 impl Fingerprint for u64 {
     fn fp_hash(&self, h: &mut FpHasher) {
         h.write_u64(*self);
+    }
+}
+
+impl Persist for u64 {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        d.u64()
     }
 }
 
@@ -227,9 +244,27 @@ impl Fingerprint for usize {
     }
 }
 
+/// A count, not a length: it is not bounded by the entry's size.
+impl Persist for usize {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let v = d.u64()?;
+        usize::try_from(v).map_err(|_| format!("count {v} exceeds usize"))
+    }
+}
+
 impl Fingerprint for bool {
     fn fp_hash(&self, h: &mut FpHasher) {
         h.write_u8(u8::from(*self));
+    }
+}
+
+impl Persist for bool {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        match d.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            v => Err(format!("invalid bool tag {v}")),
+        }
     }
 }
 
@@ -242,6 +277,13 @@ impl Fingerprint for str {
 impl Fingerprint for String {
     fn fp_hash(&self, h: &mut FpHasher) {
         h.write_str(self);
+    }
+}
+
+impl Persist for String {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let n = d.len()?;
+        String::from_utf8(d.take(n)?.to_vec()).map_err(|_| "invalid UTF-8".to_string())
     }
 }
 
@@ -273,6 +315,17 @@ impl<T: Fingerprint> Fingerprint for Vec<T> {
     }
 }
 
+impl<T: Persist> Persist for Vec<T> {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let n = d.len()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::decode(d)?);
+        }
+        Ok(out)
+    }
+}
+
 impl<T: Fingerprint> Fingerprint for Option<T> {
     fn fp_hash(&self, h: &mut FpHasher) {
         match self {
@@ -285,10 +338,26 @@ impl<T: Fingerprint> Fingerprint for Option<T> {
     }
 }
 
+impl<T: Persist> Persist for Option<T> {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        match d.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::decode(d)?)),
+            v => Err(format!("invalid option tag {v}")),
+        }
+    }
+}
+
 impl<A: Fingerprint, B: Fingerprint> Fingerprint for (A, B) {
     fn fp_hash(&self, h: &mut FpHasher) {
         self.0.fp_hash(h);
         self.1.fp_hash(h);
+    }
+}
+
+impl<A: Persist, B: Persist> Persist for (A, B) {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok((A::decode(d)?, B::decode(d)?))
     }
 }
 
@@ -300,11 +369,32 @@ impl<A: Fingerprint, B: Fingerprint, C: Fingerprint> Fingerprint for (A, B, C) {
     }
 }
 
+impl<A: Fingerprint, B: Fingerprint, C: Fingerprint, D: Fingerprint> Fingerprint for (A, B, C, D) {
+    fn fp_hash(&self, h: &mut FpHasher) {
+        self.0.fp_hash(h);
+        self.1.fp_hash(h);
+        self.2.fp_hash(h);
+        self.3.fp_hash(h);
+    }
+}
+
+impl<A: Persist, B: Persist, C: Persist, D: Persist> Persist for (A, B, C, D) {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok((A::decode(d)?, B::decode(d)?, C::decode(d)?, D::decode(d)?))
+    }
+}
+
 impl Fingerprint for Point {
     #[inline]
     fn fp_hash(&self, h: &mut FpHasher) {
         h.write_i64(self.x);
         h.write_i64(self.y);
+    }
+}
+
+impl Persist for Point {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(Point::new(d.i64()?, d.i64()?))
     }
 }
 
@@ -323,9 +413,17 @@ impl Fingerprint for Rect {
     }
 }
 
-impl Fingerprint for crate::Orientation {
+impl Persist for Rect {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let min = Point::decode(d)?;
+        let max = Point::decode(d)?;
+        Rect::new(min, max).map_err(|err| format!("invalid rect: {err}"))
+    }
+}
+
+impl Fingerprint for Orientation {
     fn fp_hash(&self, h: &mut FpHasher) {
-        let idx = crate::Orientation::ALL
+        let idx = Orientation::ALL
             .iter()
             .position(|o| o == self)
             .expect("ALL lists every orientation") as u8;
@@ -333,12 +431,20 @@ impl Fingerprint for crate::Orientation {
     }
 }
 
-impl Fingerprint for Transform {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        self.orientation.fp_hash(h);
-        self.offset.fp_hash(h);
+impl Persist for Orientation {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let idx = d.u8()? as usize;
+        Orientation::ALL
+            .get(idx)
+            .copied()
+            .ok_or_else(|| format!("invalid orientation index {idx}"))
     }
 }
+
+persist!(Transform {
+    orientation,
+    offset
+});
 
 impl Fingerprint for Polygon {
     fn fp_hash(&self, h: &mut FpHasher) {
@@ -346,10 +452,25 @@ impl Fingerprint for Polygon {
     }
 }
 
+impl Persist for Polygon {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let vertices = Vec::<Point>::decode(d)?;
+        Polygon::new(vertices).map_err(|err| format!("invalid polygon: {err}"))
+    }
+}
+
 impl Fingerprint for Path {
     fn fp_hash(&self, h: &mut FpHasher) {
         h.write_i64(self.width());
         self.points().fp_hash(h);
+    }
+}
+
+impl Persist for Path {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let width = d.i64()?;
+        let points = Vec::<Point>::decode(d)?;
+        Path::new(width, points).map_err(|err| format!("invalid path: {err}"))
     }
 }
 
@@ -363,7 +484,6 @@ impl Fingerprint for Interval {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Orientation;
 
     #[test]
     fn digest_is_stable_across_runs() {

@@ -19,7 +19,10 @@
 //! * [`Interval`] and [`IntervalSet`] — one-dimensional interval algebra used
 //!   by the design-rule checker and the routers.
 //! * [`Fingerprint`], [`Fp`], [`FpHasher`] — stable 128-bit content hashing,
-//!   the key substrate of the `silc-incr` incremental compilation engine.
+//!   the key substrate of the `silc-incr` incremental compilation engine,
+//!   and [`Persist`], [`Enc`], [`Dec`] — the cache's codec, which stores a
+//!   value as its fingerprint stream ([`persist!`] writes both for a plain
+//!   record).
 //!
 //! # Example
 //!
@@ -36,6 +39,7 @@
 //! # }
 //! ```
 
+mod codec;
 mod error;
 mod fp;
 mod index;
@@ -46,6 +50,7 @@ mod polygon;
 mod rect;
 mod transform;
 
+pub use codec::{Dec, DecodeError, Enc, Persist};
 pub use error::GeomError;
 pub use fp::{Fingerprint, Fp, FpHasher};
 pub use index::{band_decompose, Bands, RectIndex};

@@ -20,9 +20,8 @@
 //! entry, so hot entries survive capacity pressure, and an entry read
 //! back from the disk tier re-enters as the most recent.
 
-use crate::codec::{Dec, Enc, Persist};
 use crate::disk::DiskCache;
-use silc_geom::Fp;
+use silc_geom::{Dec, Enc, Fp, Persist};
 use silc_trace::{names, Tracer};
 use std::any::Any;
 use std::collections::HashMap;

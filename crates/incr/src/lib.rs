@@ -11,9 +11,11 @@
 //!
 //! The three layers, bottom up:
 //!
-//! - [`codec`]: the little-endian binary codec ([`Persist`]): a value
-//!   is stored as its own fingerprint stream, so a type describes its
-//!   bytes once and adds only a total, panic-free `decode`.
+//! - the codec, [`Persist`], which comes from `silc-geom` and is
+//!   re-exported here: a value is stored as its own fingerprint stream,
+//!   and the crate that owns a type writes its total, panic-free
+//!   `decode` next to its `fp_hash` (one field list for both, via
+//!   [`silc_geom::persist!`], for a plain record).
 //! - [`disk`]: one self-describing file per entry — magic, format
 //!   version, stage tag, key, length, payload, checksum. Any damage
 //!   warns and degrades to a recompute; it can never break a build.
@@ -40,15 +42,12 @@
 //! ```
 
 pub mod batch;
-pub mod codec;
 pub mod disk;
 pub mod engine;
 pub mod ops;
-mod persist;
 pub mod pipeline;
 
 pub use batch::{parse_manifest, run_batch, JobResult, JobSpec};
-pub use codec::{Dec, DecodeError, Enc, Persist};
 pub use disk::{DiskCache, FORMAT_VERSION};
 pub use engine::{default_parallelism, Engine, EngineConfig, JobStats, Stage};
 pub use ops::{Args, Front, Op, Outcome, Verb};
@@ -58,3 +57,4 @@ pub use pipeline::{
     verify_sil, CompileOptions, CompileOutput, DieSummary, Elaborated, ExtractSnapshot,
     FlatSnapshot, PlaSnapshot, PnrSnapshot, SimSnapshot, SynthSnapshot, VerifySnapshot,
 };
+pub use silc_geom::{Dec, DecodeError, Enc, Persist};

@@ -21,12 +21,11 @@
 //! Parsing ISL is likewise always live, so simulation results are keyed
 //! by the *machine*, making them immune to formatting edits.
 
-use crate::codec::{Dec, DecodeError, Persist};
 use crate::engine::{Engine, JobStats, Stage};
 use silc_cif::CifWriter;
 use silc_drc::{check_traced, Report, RuleSet};
 use silc_exec::CompiledSim;
-use silc_geom::{Fingerprint, Fp, FpHasher, Orientation, Rect};
+use silc_geom::{persist, Fingerprint, Fp, Orientation, Rect};
 use silc_lang::{Compiler, Design, PRELUDE};
 use silc_logic::TruthTable;
 use silc_netlist::Netlist;
@@ -52,21 +51,10 @@ pub struct DieSummary {
     pub bbox: Option<Rect>,
 }
 
-impl Fingerprint for DieSummary {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        h.write_u64(self.flat_elements);
-        self.bbox.fp_hash(h);
-    }
-}
-
-impl Persist for DieSummary {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(DieSummary {
-            flat_elements: d.u64()?,
-            bbox: Option::<Rect>::decode(d)?,
-        })
-    }
-}
+persist!(DieSummary {
+    flat_elements,
+    bbox
+});
 
 /// Flattened geometry plus the die statistics, as [`Stage::FLATTEN`]
 /// cached them. No product stage builds one any more; the type stays for
@@ -81,23 +69,11 @@ pub struct FlatSnapshot {
     pub bbox: Option<Rect>,
 }
 
-impl Fingerprint for FlatSnapshot {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        self.layers.fp_hash(h);
-        h.write_u64(self.flat_elements);
-        self.bbox.fp_hash(h);
-    }
-}
-
-impl Persist for FlatSnapshot {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(FlatSnapshot {
-            layers: Vec::<Vec<Rect>>::decode(d)?,
-            flat_elements: d.u64()?,
-            bbox: Option::<Rect>::decode(d)?,
-        })
-    }
-}
+persist!(FlatSnapshot {
+    layers,
+    flat_elements,
+    bbox
+});
 
 /// Extraction summary: everything LVS needs, without the full netlist.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,23 +86,11 @@ pub struct ExtractSnapshot {
     pub nets: u64,
 }
 
-impl Fingerprint for ExtractSnapshot {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        self.signature.fp_hash(h);
-        h.write_u64(self.transistors);
-        h.write_u64(self.nets);
-    }
-}
-
-impl Persist for ExtractSnapshot {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(ExtractSnapshot {
-            signature: Vec::<String>::decode(d)?,
-            transistors: d.u64()?,
-            nets: d.u64()?,
-        })
-    }
-}
+persist!(ExtractSnapshot {
+    signature,
+    transistors,
+    nets
+});
 
 /// Simulation results: the final machine state the CLI prints, in
 /// declaration order.
@@ -144,27 +108,13 @@ pub struct SimSnapshot {
     pub outputs: Vec<(String, u64)>,
 }
 
-impl Fingerprint for SimSnapshot {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        h.write_u64(self.cycles);
-        self.halted.fp_hash(h);
-        h.write_str(&self.state);
-        self.regs.fp_hash(h);
-        self.outputs.fp_hash(h);
-    }
-}
-
-impl Persist for SimSnapshot {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(SimSnapshot {
-            cycles: d.u64()?,
-            halted: bool::decode(d)?,
-            state: d.str()?,
-            regs: Vec::<(String, u64)>::decode(d)?,
-            outputs: Vec::<(String, u64)>::decode(d)?,
-        })
-    }
-}
+persist!(SimSnapshot {
+    cycles,
+    halted,
+    state,
+    regs,
+    outputs
+});
 
 /// Synthesis results: the rendered allocation plus the control-PLA
 /// dimensions the CLI prints.
@@ -176,24 +126,7 @@ pub struct SynthSnapshot {
     pub control: (u32, u32, u32, u32),
 }
 
-impl Fingerprint for SynthSnapshot {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        h.write_str(&self.display);
-        h.write_u32(self.control.0);
-        h.write_u32(self.control.1);
-        h.write_u32(self.control.2);
-        h.write_u32(self.control.3);
-    }
-}
-
-impl Persist for SynthSnapshot {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(SynthSnapshot {
-            display: d.str()?,
-            control: (d.u32()?, d.u32()?, d.u32()?, d.u32()?),
-        })
-    }
-}
+persist!(SynthSnapshot { display, control });
 
 /// PLA products: personality summary, DRC report and CIF text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,23 +139,11 @@ pub struct PlaSnapshot {
     pub cif: String,
 }
 
-impl Fingerprint for PlaSnapshot {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        h.write_str(&self.personality);
-        self.report.fp_hash(h);
-        h.write_str(&self.cif);
-    }
-}
-
-impl Persist for PlaSnapshot {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(PlaSnapshot {
-            personality: d.str()?,
-            report: Report::decode(d)?,
-            cif: d.str()?,
-        })
-    }
-}
+persist!(PlaSnapshot {
+    personality,
+    report,
+    cif
+});
 
 /// Place-and-route products: run counters, the DRC report over the
 /// routed geometry, the extract-back verdict and the CIF text.
@@ -251,37 +172,18 @@ pub struct PnrSnapshot {
     pub cif: String,
 }
 
-impl Fingerprint for PnrSnapshot {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        h.write_u64(self.cells);
-        h.write_u64(self.nets);
-        h.write_u64(self.routed);
-        h.write_u64(self.wirelength);
-        h.write_u64(self.vias);
-        h.write_u64(self.rounds);
-        h.write_u64(self.ripup_rounds);
-        self.drc.fp_hash(h);
-        self.lvs_ok.fp_hash(h);
-        h.write_str(&self.cif);
-    }
-}
-
-impl Persist for PnrSnapshot {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(PnrSnapshot {
-            cells: d.u64()?,
-            nets: d.u64()?,
-            routed: d.u64()?,
-            wirelength: d.u64()?,
-            vias: d.u64()?,
-            rounds: d.u64()?,
-            ripup_rounds: d.u64()?,
-            drc: Report::decode(d)?,
-            lvs_ok: bool::decode(d)?,
-            cif: d.str()?,
-        })
-    }
-}
+persist!(PnrSnapshot {
+    cells,
+    nets,
+    routed,
+    wirelength,
+    vias,
+    rounds,
+    ripup_rounds,
+    drc,
+    lvs_ok,
+    cif
+});
 
 /// An elaborated design (it derefs to [`Design`]) and its fingerprint,
 /// taken at most once for every stage keyed by the design: hashing a
@@ -683,33 +585,16 @@ impl VerifySnapshot {
     }
 }
 
-impl Fingerprint for VerifySnapshot {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        h.write_str(&self.check);
-        self.equivalent.fp_hash(h);
-        h.write_u64(self.outputs);
-        h.write_u64(self.strash_merged);
-        h.write_u64(self.sim_rounds);
-        h.write_u64(self.sim_refuted);
-        h.write_u64(self.exact_decided);
-        self.mismatches.fp_hash(h);
-    }
-}
-
-impl Persist for VerifySnapshot {
-    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(VerifySnapshot {
-            check: d.str()?,
-            equivalent: bool::decode(d)?,
-            outputs: d.u64()?,
-            strash_merged: d.u64()?,
-            sim_rounds: d.u64()?,
-            sim_refuted: d.u64()?,
-            exact_decided: d.u64()?,
-            mismatches: Vec::<String>::decode(d)?,
-        })
-    }
-}
+persist!(VerifySnapshot {
+    check,
+    equivalent,
+    outputs,
+    strash_merged,
+    sim_rounds,
+    sim_refuted,
+    exact_decided,
+    mismatches
+});
 
 fn verify_snapshot(check: &str, report: silc_verify::Report) -> VerifySnapshot {
     VerifySnapshot {

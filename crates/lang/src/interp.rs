@@ -3,7 +3,10 @@ use crate::lexer::lex;
 use crate::parser::{parse, parse_tokens, MAX_DEPTH};
 use crate::value::Value;
 use crate::LangError;
-use silc_geom::{Coord, Fingerprint, FpHasher, Path, Point, Polygon, Rect, Transform, MAX_COORD};
+use silc_geom::{
+    Coord, Dec, DecodeError, Fingerprint, FpHasher, Path, Persist, Point, Polygon, Rect, Transform,
+    MAX_COORD,
+};
 use silc_layout::{Cell, CellId, Element, Instance, Layer, Library, Port};
 use silc_trace::{span, Tracer};
 use std::collections::HashMap;
@@ -24,6 +27,17 @@ impl Fingerprint for Design {
     fn fp_hash(&self, h: &mut FpHasher) {
         self.library.fp_hash(h);
         self.top.fp_hash(h);
+    }
+}
+
+impl Persist for Design {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let library = Library::decode(d)?;
+        let top = CellId::decode(d)?;
+        if library.cell(top).is_none() {
+            return Err(format!("top cell id {} not in library", top.raw()));
+        }
+        Ok(Design { library, top })
     }
 }
 
@@ -1020,6 +1034,46 @@ mod tests {
 
     fn compile_err(src: &str) -> LangError {
         Compiler::new().compile(src).unwrap_err()
+    }
+
+    fn encode(design: &Design) -> Vec<u8> {
+        let mut e = silc_geom::Enc::new();
+        design.encode(&mut e);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn design_round_trips_by_fingerprint() {
+        let design = compile(
+            "cell pair() {
+                 box metal (0,0) (8,4);
+                 wire poly 2 (0,0) (10,0) (10,6);
+                 port a metal (1,1);
+             }
+             cell top2() { place pair() at (0,0); place pair() at (30,0) rot 90; }
+             array top2() at (0,0) step (80, 0) count 2;",
+        );
+        let bytes = encode(&design);
+        let mut d = Dec::new(&bytes);
+        let back = Design::decode(&mut d).unwrap();
+        assert!(d.is_done());
+        assert_eq!(back.fingerprint(), design.fingerprint());
+        assert_eq!(back.library.len(), design.library.len());
+    }
+
+    #[test]
+    fn dangling_instance_target_is_an_error_not_a_panic() {
+        // Bump every byte in turn, cell id references included: decode
+        // must either succeed or error cleanly, never panic.
+        let mut bytes = encode(&compile(
+            "cell a() { box metal (0,0) (4,4); } place a() at (0,0);",
+        ));
+        for i in 0..bytes.len() {
+            let saved = bytes[i];
+            bytes[i] = bytes[i].wrapping_add(1);
+            let _ = Design::decode(&mut Dec::new(&bytes));
+            bytes[i] = saved;
+        }
     }
 
     #[test]

@@ -132,10 +132,10 @@ impl Instance {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cell {
-    name: String,
-    elements: Vec<Element>,
-    instances: Vec<Instance>,
-    ports: Vec<Port>,
+    pub(crate) name: String,
+    pub(crate) elements: Vec<Element>,
+    pub(crate) instances: Vec<Instance>,
+    pub(crate) ports: Vec<Port>,
 }
 
 impl Cell {

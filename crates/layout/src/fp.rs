@@ -1,13 +1,22 @@
-//! [`Fingerprint`] implementations for the layout database.
+//! [`Fingerprint`] and [`Persist`] implementations for the layout
+//! database: each type's byte form, and the decoder that reads it back.
 //!
 //! A [`Library`] fingerprint covers every cell in insertion order — name,
 //! artwork, ports and instances — so any edit anywhere in the hierarchy
 //! changes the digest, while an elaboration that reproduces the same
 //! library byte-for-byte reproduces the same digest (the early-cutoff
 //! property `silc-incr` relies on).
+//!
+//! Reading a library back is the one subtle case. `CellId`s are dense:
+//! [`Library::add_cell`] hands out the next index, so a library read back
+//! in insertion order mints the ids it was written with, and `add_cell`
+//! itself rejects an instance that points at a cell not yet added (a
+//! damaged entry is an error, never a dangling handle).
 
 use crate::{Cell, CellId, Element, FlatElement, Instance, Layer, Library, Port, Shape};
-use silc_geom::{Fingerprint, FpHasher};
+use silc_geom::{
+    persist, Dec, DecodeError, Fingerprint, FpHasher, Path, Persist, Polygon, Rect, Transform,
+};
 
 impl Fingerprint for Layer {
     fn fp_hash(&self, h: &mut FpHasher) {
@@ -15,9 +24,25 @@ impl Fingerprint for Layer {
     }
 }
 
+impl Persist for Layer {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let idx = d.u8()? as usize;
+        Layer::ALL
+            .get(idx)
+            .copied()
+            .ok_or_else(|| format!("invalid layer index {idx}"))
+    }
+}
+
 impl Fingerprint for CellId {
     fn fp_hash(&self, h: &mut FpHasher) {
         h.write_u32(self.raw());
+    }
+}
+
+impl Persist for CellId {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(CellId::from_raw(d.u32()?))
     }
 }
 
@@ -40,20 +65,20 @@ impl Fingerprint for Shape {
     }
 }
 
-impl Fingerprint for Element {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        self.layer.fp_hash(h);
-        self.shape.fp_hash(h);
+impl Persist for Shape {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        match d.u8()? {
+            0 => Ok(Shape::Rect(Rect::decode(d)?)),
+            1 => Ok(Shape::Polygon(Polygon::decode(d)?)),
+            2 => Ok(Shape::Wire(Path::decode(d)?)),
+            t => Err(format!("invalid shape tag {t}")),
+        }
     }
 }
 
-impl Fingerprint for Port {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        h.write_str(&self.name);
-        self.layer.fp_hash(h);
-        self.at.fp_hash(h);
-    }
-}
+persist!(Element { layer, shape });
+
+persist!(Port { name, layer, at });
 
 impl Fingerprint for Instance {
     fn fp_hash(&self, h: &mut FpHasher) {
@@ -66,14 +91,23 @@ impl Fingerprint for Instance {
     }
 }
 
-impl Fingerprint for Cell {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        h.write_str(self.name());
-        self.elements().fp_hash(h);
-        self.instances().fp_hash(h);
-        self.ports().fp_hash(h);
+impl Persist for Instance {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let target = CellId::decode(d)?;
+        let transform = Transform::decode(d)?;
+        let (cols, rows) = (d.u32()?, d.u32()?);
+        let (dx, dy) = (d.i64()?, d.i64()?);
+        Instance::array(target, transform, cols, rows, dx, dy)
+            .map_err(|err| format!("invalid instance: {err}"))
     }
 }
+
+persist!(Cell {
+    name,
+    elements,
+    instances,
+    ports
+});
 
 impl Fingerprint for Library {
     fn fp_hash(&self, h: &mut FpHasher) {
@@ -81,6 +115,18 @@ impl Fingerprint for Library {
         for (_, cell) in self.iter() {
             cell.fp_hash(h);
         }
+    }
+}
+
+impl Persist for Library {
+    fn decode(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        let mut library = Library::new();
+        for _ in 0..d.len()? {
+            library
+                .add_cell(Cell::decode(d)?)
+                .map_err(|err| format!("cannot rebuild library: {err}"))?;
+        }
+        Ok(library)
     }
 }
 
@@ -94,7 +140,7 @@ impl Fingerprint for FlatElement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use silc_geom::{Point, Rect, Transform};
+    use silc_geom::Point;
 
     fn leaf(name: &str, w: i64) -> Cell {
         let mut c = Cell::new(name);

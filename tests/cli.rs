@@ -705,17 +705,16 @@ fn corrupted_cache_entry_degrades_to_recompute_with_warning() {
     );
 }
 
-/// `tests/fixtures/cache-v1` is the cache directory the last format-1
-/// binary (the commit before PR 21) wrote for `d.sil`, raw cell ids in
-/// its `Design` payload included. Format 2 must refuse every entry by
-/// its version — never decode a v1 `Design` — recompute, print what a
-/// cold run prints, and leave a cache the next run hits.
-#[test]
-fn format_1_cache_directory_is_a_warned_recompute() {
-    let dir = temp_dir("format1");
+/// Copies `tests/fixtures/<fixture>` into a fresh directory: its `.bin`
+/// entries into `cache/`, the rest beside it. Returns the directory and
+/// the number of entries.
+fn fixture_cache(fixture: &str) -> (std::path::PathBuf, usize) {
+    let dir = temp_dir(fixture);
     let cache = dir.join("cache");
     std::fs::create_dir_all(&cache).unwrap();
-    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/cache-v1");
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(fixture);
     let mut entries = 0;
     for entry in std::fs::read_dir(&fixture).expect("fixture dir") {
         let path = entry.expect("entry").path();
@@ -727,23 +726,37 @@ fn format_1_cache_directory_is_a_warned_recompute() {
         };
         std::fs::copy(&path, to).expect("copy fixture");
     }
+    (dir, entries)
+}
+
+/// `silc compile <dir>/d.sil <extra>`, which must succeed: its stdout and
+/// stderr.
+fn compile_fixture(dir: &std::path::Path, extra: &[&str]) -> (Vec<u8>, String) {
+    let out = silc()
+        .args(["compile", dir.join("d.sil").to_str().unwrap()])
+        .args(extra)
+        .output()
+        .expect("runs");
+    assert!(out.status.success(), "{out:?}");
+    (
+        out.stdout,
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// `tests/fixtures/cache-v1` is the cache directory the last format-1
+/// binary wrote for `d.sil`, raw cell ids in its `Design` payload
+/// included. Format 2 must refuse every entry by
+/// its version — never decode a v1 `Design` — recompute, print what a
+/// cold run prints, and leave a cache the next run hits.
+#[test]
+fn format_1_cache_directory_is_a_warned_recompute() {
+    let (dir, entries) = fixture_cache("cache-v1");
     assert_eq!(entries, 4, "elaborate, flatten, drc, cif");
-    let sil = dir.join("d.sil");
-    let run = |extra: &[&str]| {
-        let out = silc()
-            .args(["compile", sil.to_str().unwrap()])
-            .args(extra)
-            .output()
-            .expect("runs");
-        assert!(out.status.success(), "{out:?}");
-        (
-            out.stdout,
-            String::from_utf8_lossy(&out.stderr).into_owned(),
-        )
-    };
+    let cache = dir.join("cache");
     let cached = ["--cache", cache.to_str().unwrap()];
-    let (cold_out, cold_err) = run(&["--no-cache"]);
-    let (out, err) = run(&cached);
+    let (cold_out, cold_err) = compile_fixture(&dir, &["--no-cache"]);
+    let (out, err) = compile_fixture(&dir, &cached);
     assert_eq!(out, cold_out);
     // A compile still asks for the elaborate and cif entries under their
     // old keys. DRC is keyed by the design now, and nothing flattens, so
@@ -755,8 +768,29 @@ fn format_1_cache_directory_is_a_warned_recompute() {
     );
     assert!(err.ends_with(&cold_err), "{err}");
     // The entries were overwritten as format 2: warm, silent, identical.
-    let (warm_out, warm_err) = run(&cached);
+    let (warm_out, warm_err) = compile_fixture(&dir, &cached);
     assert_eq!((warm_out, warm_err), (cold_out, cold_err));
+}
+
+/// `tests/fixtures/cache-v2` is the cache directory a format-2 binary
+/// wrote for `d.sil` with every decoder hand-written in `silc-incr`. The
+/// decoders that sit with their types, most of them generated from one
+/// field list, must read every entry back: four hits, no warning, what a
+/// cold run prints.
+#[test]
+fn format_2_cache_directory_is_warm() {
+    let (dir, entries) = fixture_cache("cache-v2");
+    assert_eq!(entries, 4, "elaborate, die, drc, cif");
+    let cache = dir.join("cache");
+    let (cold_out, cold_err) = compile_fixture(&dir, &["--no-cache"]);
+    let (out, err) = compile_fixture(&dir, &["--cache", cache.to_str().unwrap(), "--stats"]);
+    assert_eq!(out, cold_out);
+    let stats = err
+        .strip_prefix(&cold_err)
+        .expect("no warning before the stats");
+    assert!(!stats.contains("incr.miss"), "{stats}");
+    let hits = stats.lines().find(|l| l.starts_with("incr.disk_hit"));
+    assert_eq!(hits.map(|l| l.split_whitespace().last()), Some(Some("4")));
 }
 
 #[test]
