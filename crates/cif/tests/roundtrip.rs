@@ -15,14 +15,8 @@ fn signature(lib: &Library, root: CellId) -> Vec<(usize, i64, i64, i64, i64)> {
         .unwrap()
         .into_iter()
         .map(|f| {
-            let b = f.element.bbox();
-            (
-                f.element.layer.index(),
-                b.left(),
-                b.bottom(),
-                b.right(),
-                b.top(),
-            )
+            let b = f.bbox();
+            (f.layer.index(), b.left(), b.bottom(), b.right(), b.top())
         })
         .collect();
     v.sort_unstable();

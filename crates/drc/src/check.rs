@@ -1,4 +1,4 @@
-use crate::region::{covered, merge_flat, Cover, Merged};
+use crate::region::{covered, merge_rects, Cover, Merged};
 use crate::RuleSet;
 use silc_geom::{
     persist, Coord, Dec, DecodeError, Fingerprint, FpHasher, Persist, Rect, RectIndex,
@@ -270,7 +270,7 @@ impl Run<'_> {
     /// The index over `layer`'s merged rectangles, ids in region order.
     fn merged(&self, layer: Layer) -> &RectIndex {
         let l = layer.index();
-        self.index(&self.merged_index[l], &self.merged[l].rects)
+        self.index(&self.merged_index[l], self.merged[l].rects())
     }
 }
 
@@ -299,7 +299,7 @@ pub(crate) fn violations(layers: &[Vec<Rect>], rules: &RuleSet, tracer: &Tracer)
 
     let merged: Vec<Merged> = {
         let _s = span!(tracer, "drc.merge");
-        layers.iter().map(|v| merge_flat(v)).collect()
+        layers.iter().map(|v| merge_rects(v)).collect()
     };
     let slots = || layers.iter().map(|_| OnceCell::new()).collect();
     let run = Run {
@@ -363,7 +363,7 @@ fn width_checks(run: &Run<'_>, scratch: &mut Scratch, out: &mut Vec<Violation>) 
 fn spacing_checks(run: &Run<'_>, scratch: &mut Scratch, out: &mut Vec<Violation>) {
     for (a, b) in run.rules.active_spacing_pairs() {
         let s = run.rules.min_spacing(a, b);
-        let ra = &run.merged[a.index()].rects;
+        let ra = run.merged[a.index()].rects();
         let index = run.merged(b);
         run.tracer.add("drc.queries", ra.len() as u64);
         for (i, &x) in (0u32..).zip(ra) {
@@ -443,10 +443,10 @@ fn contact_checks(run: &Run<'_>, scratch: &mut Scratch, out: &mut Vec<Violation>
 /// index per poly rect.
 fn gate_checks(run: &Run<'_>, scratch: &mut Scratch, out: &mut Vec<Violation>) {
     let (pv, dv) = (run.rules.gate_poly_overhang, run.rules.gate_diff_overhang);
-    let poly = &run.merged[Layer::Poly.index()].rects;
+    let poly = run.merged[Layer::Poly.index()].rects();
     if (pv == 0 && dv == 0)
         || poly.is_empty()
-        || run.merged[Layer::Diffusion.index()].rects.is_empty()
+        || run.merged[Layer::Diffusion.index()].rects().is_empty()
     {
         return;
     }
@@ -464,8 +464,8 @@ fn gate_checks(run: &Run<'_>, scratch: &mut Scratch, out: &mut Vec<Violation>) {
     let cuts = run.drawn(Layer::Contact);
     let poly_index = run.merged(Layer::Poly);
     run.tracer.add("drc.queries", poly.len() as u64);
-    let gates = merge_flat(&crossings);
-    run.tracer.add("drc.gates", gates.regions().count() as u64);
+    let gates = merge_rects(&crossings);
+    run.tracer.add("drc.gates", gates.region_count() as u64);
     for rects in gates.regions() {
         let g = rects
             .iter()
@@ -500,7 +500,10 @@ fn check_flat_brute(layers: &[Vec<Rect>], rules: &RuleSet) -> Report {
     let mut violations = Vec::new();
     let rects_checked = layers.iter().map(Vec::len).sum();
 
-    let merged: Vec<Vec<Rect>> = layers.iter().map(|v| merge_flat(v).rects).collect();
+    let merged: Vec<Vec<Rect>> = layers
+        .iter()
+        .map(|v| merge_rects(v).rects().to_vec())
+        .collect();
 
     brute::width_checks(layers, rules, &mut violations);
     brute::spacing_checks(&merged, rules, &mut violations);
@@ -517,7 +520,7 @@ fn check_flat_brute(layers: &[Vec<Rect>], rules: &RuleSet) -> Report {
 #[cfg(test)]
 mod brute {
     use super::*;
-    use crate::{merge_rects, region_contains_rect};
+    use crate::region_contains_rect;
 
     pub fn width_checks(layers: &[Vec<Rect>], rules: &RuleSet, out: &mut Vec<Violation>) {
         for layer in Layer::ALL {
@@ -632,8 +635,9 @@ mod brute {
             }
         }
         let cuts = &layers[Layer::Contact.index()];
-        for gate_region in merge_rects(&crossings) {
-            let g = gate_region.bbox();
+        for gate_region in merge_rects(&crossings).regions() {
+            let g = gate_region.iter().copied().reduce(|a, b| a.union(b));
+            let g = g.expect("regions are non-empty");
             if region_contains_rect(cuts, g) {
                 continue;
             }

@@ -90,7 +90,7 @@ pub(crate) fn prove_clean(
         return None;
     }
     let mut examined = 0;
-    let clean = prover.parts(root).iter().all(|layers| {
+    let clean = prover.parts(root)?.iter().all(|layers| {
         examined += layers.iter().map(Vec::len).sum::<usize>();
         violations(layers, rules, &Tracer::disabled()).is_empty()
     });
@@ -150,7 +150,8 @@ impl Prover<'_> {
     /// layer-indexed rectangles: the artwork of every cell reached through
     /// split cells alone, and each whole cell so reached, but nothing
     /// inside one (a tile's contact may lean on its parent's metal).
-    fn parts(&self, root: CellId) -> Vec<Vec<Vec<Rect>>> {
+    /// `None` when a whole cell cannot be flattened.
+    fn parts(&self, root: CellId) -> Option<Vec<Vec<Vec<Rect>>>> {
         let mut seen = vec![false; self.verdicts.len()];
         let (mut stack, mut out) = (vec![root], Vec::new());
         while let Some(id) = stack.pop() {
@@ -164,8 +165,7 @@ impl Prover<'_> {
                 .cell(id)
                 .filter(|_| self.verdicts[at] == Some(Verdict::Split))
             else {
-                let whole = flatten_to_rects(self.lib, id);
-                out.push(whole.expect("instances name cells of the library"));
+                out.push(flatten_to_rects(self.lib, id).ok()?);
                 continue;
             };
             if !cell.elements().is_empty() {
@@ -173,7 +173,7 @@ impl Prover<'_> {
             }
             stack.extend(cell.instances().iter().map(|i| i.cell));
         }
-        out
+        Some(out)
     }
 
     /// True when `id`'s parts are all translations of provable cells and

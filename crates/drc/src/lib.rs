@@ -54,5 +54,5 @@ mod rules;
 #[doc(hidden)]
 pub use check::check_flat as check_flat_serial;
 pub use check::{check, check_flat, check_traced, Report, RuleKind, Violation};
-pub use region::{covered, merge_rects, region_contains_rect, Cover, Region, UnionFind};
+pub use region::{covered, merge_rects, region_contains_rect, Cover, Merged, UnionFind};
 pub use rules::RuleSet;

@@ -1,81 +1,33 @@
-use silc_geom::{band_decompose, Bands, Coord, Point, Rect, RectIndex};
+use silc_geom::{band_decompose, Bands, Coord, Rect, RectIndex};
 
-/// A connected group of merged rectangles on one layer — one electrical
-/// region of mask geometry.
-///
-/// The bounding box is computed once at construction and used as a cheap
-/// prefilter by [`touches_rect`](Region::touches_rect) and
-/// [`contains_point`](Region::contains_point): most probes miss the bbox
-/// and never scan the rectangle list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Region {
-    /// Disjoint rectangles covering the region exactly.
-    rects: Vec<Rect>,
-    /// Union of all rects, cached at construction.
-    bbox: Rect,
-}
-
-impl Region {
-    /// Builds a region from its covering rectangles.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty rectangle list, which [`merge_rects`] never
-    /// produces.
-    pub fn new(rects: Vec<Rect>) -> Region {
-        let bbox = rects
-            .iter()
-            .copied()
-            .reduce(|a, b| a.union(b))
-            .expect("regions are non-empty");
-        Region { rects, bbox }
-    }
-
-    /// Bounding box of the region (cached; O(1)).
-    pub fn bbox(&self) -> Rect {
-        self.bbox
-    }
-
-    /// The disjoint rectangles covering the region.
-    pub fn rects(&self) -> &[Rect] {
-        &self.rects
-    }
-
-    /// Total area (rects are disjoint, so a plain sum).
-    pub fn area(&self) -> Coord {
-        self.rects.iter().map(Rect::area).sum()
-    }
-
-    /// True when the region touches `r` (shares at least a boundary
-    /// point). Bbox prefilter first, then the rect list.
-    pub fn touches_rect(&self, r: Rect) -> bool {
-        self.bbox.touches(r) && self.rects.iter().any(|a| a.touches(r))
-    }
-
-    /// True when `p` lies on or inside the region.
-    pub fn contains_point(&self, p: Point) -> bool {
-        self.bbox.contains_point(p) && self.rects.iter().any(|a| a.contains_point(p))
-    }
-}
-
-/// A layer's merged geometry as one flat list: the disjoint maximal-band
-/// rectangles of every region, regions in [`merge_rects`] order, each
-/// region's rectangles contiguous. This is what the checker iterates and
-/// indexes; [`merge_rects`] is the same data grouped into [`Region`]s.
+/// A layer's merged geometry: the disjoint maximal-band rectangles of
+/// every connected region, regions in [`merge_rects`] order, each
+/// region's rectangles contiguous. The checker iterates and indexes the
+/// flat list; extraction numbers nets by region.
 #[derive(Debug, Default)]
-pub(crate) struct Merged {
-    pub(crate) rects: Vec<Rect>,
+pub struct Merged {
+    rects: Vec<Rect>,
     /// End offset of each region in `rects`.
     ends: Vec<u32>,
 }
 
 impl Merged {
+    /// Every region's rectangles, in region order.
+    pub fn rects(&self) -> &[Rect] {
+        &self.rects
+    }
+
     /// The rectangles of each region, in region order.
-    pub(crate) fn regions(&self) -> impl Iterator<Item = &[Rect]> {
+    pub fn regions(&self) -> impl Iterator<Item = &[Rect]> {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
         starts
             .zip(&self.ends)
             .map(|(start, &end)| &self.rects[start as usize..end as usize])
+    }
+
+    /// Number of regions.
+    pub fn region_count(&self) -> usize {
+        self.ends.len()
     }
 }
 
@@ -122,8 +74,18 @@ impl UnionFind {
     }
 }
 
-/// [`merge_rects`] as a flat list.
-pub(crate) fn merge_flat(rects: &[Rect]) -> Merged {
+/// Canonicalises a bag of (possibly overlapping) rectangles into disjoint
+/// maximal-band rectangles, grouped into connected regions.
+///
+/// The decomposition ([`band_decompose`]) sweeps the union bottom to top
+/// into maximal horizontal spans, fused vertically while a span persists.
+/// Two rects belong to the same region when they touch (edge or corner);
+/// the sweep reports the touching pairs, so no rect is ever compared with
+/// one that is not its neighbour.
+///
+/// Output is deterministic: regions sorted by `(bbox.left, bbox.bottom,
+/// first-rect order)`, rects within a region in band order.
+pub fn merge_rects(rects: &[Rect]) -> Merged {
     let Bands {
         rects: bands,
         touching,
@@ -156,22 +118,6 @@ pub(crate) fn merge_flat(rects: &[Rect]) -> Merged {
         rects: order.iter().map(|&i| bands[i]).collect(),
         ends,
     }
-}
-
-/// Canonicalises a bag of (possibly overlapping) rectangles into disjoint
-/// maximal-band rectangles, grouped into connected [`Region`]s.
-///
-/// The decomposition ([`band_decompose`]) sweeps the union bottom to top
-/// into maximal horizontal spans, fused vertically while a span persists.
-/// Two rects belong to the same region when they touch (edge or corner);
-/// the sweep reports the touching pairs, so no rect is ever compared with
-/// one that is not its neighbour.
-///
-/// Output is deterministic: regions sorted by `(bbox.left, bbox.bottom,
-/// first-rect order)`, rects within a region in band order.
-pub fn merge_rects(rects: &[Rect]) -> Vec<Region> {
-    let merged = merge_flat(rects);
-    merged.regions().map(|r| Region::new(r.to_vec())).collect()
 }
 
 /// True when the union of `rects` fully contains `r`: the all-rects
@@ -223,24 +169,34 @@ pub fn covered(index: &RectIndex, needed: Rect, cover: &mut Cover) -> bool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use silc_geom::Point;
 
     fn rect(x: i64, y: i64, w: i64, h: i64) -> Rect {
         Rect::from_origin_size(Point::new(x, y), w, h).unwrap()
     }
 
+    /// [`merge_rects`]'s regions, one list each.
+    fn regions(rects: &[Rect]) -> Vec<Vec<Rect>> {
+        merge_rects(rects).regions().map(<[Rect]>::to_vec).collect()
+    }
+
+    fn area(region: &[Rect]) -> Coord {
+        region.iter().map(Rect::area).sum()
+    }
+
     #[test]
     fn disjoint_rects_are_separate_regions() {
-        let regions = merge_rects(&[rect(0, 0, 2, 2), rect(10, 0, 2, 2)]);
+        let regions = regions(&[rect(0, 0, 2, 2), rect(10, 0, 2, 2)]);
         assert_eq!(regions.len(), 2);
     }
 
     #[test]
     fn overlapping_rects_merge() {
-        let regions = merge_rects(&[rect(0, 0, 4, 4), rect(2, 2, 4, 4)]);
+        let regions = regions(&[rect(0, 0, 4, 4), rect(2, 2, 4, 4)]);
         assert_eq!(regions.len(), 1);
-        assert_eq!(regions[0].area(), 28);
+        assert_eq!(area(&regions[0]), 28);
         // Rects inside a region are disjoint.
-        let rs = regions[0].rects();
+        let rs = &regions[0];
         for (i, a) in rs.iter().enumerate() {
             for b in &rs[i + 1..] {
                 assert!(!a.overlaps(*b));
@@ -251,40 +207,30 @@ mod tests {
     #[test]
     fn abutting_rects_merge_into_one_rect() {
         // Two abutting halves become a single rect after vertical merging.
-        let regions = merge_rects(&[rect(0, 0, 4, 2), rect(0, 2, 4, 2)]);
+        let regions = regions(&[rect(0, 0, 4, 2), rect(0, 2, 4, 2)]);
         assert_eq!(regions.len(), 1);
-        assert_eq!(regions[0].rects(), &[rect(0, 0, 4, 4)]);
+        assert_eq!(regions[0], [rect(0, 0, 4, 4)]);
     }
 
     #[test]
     fn corner_touching_rects_same_region() {
-        let regions = merge_rects(&[rect(0, 0, 2, 2), rect(2, 2, 2, 2)]);
+        let regions = regions(&[rect(0, 0, 2, 2), rect(2, 2, 2, 2)]);
         assert_eq!(regions.len(), 1);
-        assert_eq!(regions[0].rects().len(), 2);
+        assert_eq!(regions[0].len(), 2);
     }
 
     #[test]
     fn identical_rects_deduplicate() {
-        let regions = merge_rects(&[rect(0, 0, 5, 5), rect(0, 0, 5, 5)]);
+        let regions = regions(&[rect(0, 0, 5, 5), rect(0, 0, 5, 5)]);
         assert_eq!(regions.len(), 1);
-        assert_eq!(regions[0].area(), 25);
+        assert_eq!(area(&regions[0]), 25);
     }
 
     #[test]
     fn empty_input() {
-        assert!(merge_rects(&[]).is_empty());
-    }
-
-    #[test]
-    fn bbox_is_cached_and_correct() {
-        let region = Region::new(vec![rect(0, 0, 2, 2), rect(8, 6, 2, 2)]);
-        assert_eq!(region.bbox(), rect(0, 0, 10, 8));
-        // Prefilter rejects probes outside the bbox, accepts touching.
-        assert!(!region.touches_rect(rect(20, 20, 2, 2)));
-        assert!(region.touches_rect(rect(2, 2, 2, 2))); // corner of first rect
-        assert!(!region.touches_rect(rect(4, 0, 1, 1))); // inside bbox, off both rects
-        assert!(region.contains_point(Point::new(9, 7)));
-        assert!(!region.contains_point(Point::new(5, 5)));
+        let merged = merge_rects(&[]);
+        assert!(merged.rects().is_empty());
+        assert_eq!(merged.region_count(), 0);
     }
 
     #[test]
@@ -311,7 +257,7 @@ mod tests {
 
     /// Brute-force oracle: the pre-index merge algorithm, kept verbatim
     /// (modulo hashing → first-member grouping) for equivalence testing.
-    fn merge_rects_brute(rects: &[Rect]) -> Vec<Region> {
+    fn merge_rects_brute(rects: &[Rect]) -> Vec<Vec<Rect>> {
         if rects.is_empty() {
             return Vec::new();
         }
@@ -380,9 +326,13 @@ mod tests {
             let root = find(&mut parent, i);
             groups.entry(root).or_default().push(r);
         }
-        let mut regions: Vec<Region> = groups.into_values().map(Region::new).collect();
+        let mut regions: Vec<Vec<Rect>> = groups.into_values().collect();
         regions.sort_by_key(|r| {
-            let b = r.bbox();
+            let b = r
+                .iter()
+                .copied()
+                .reduce(|a, b| a.union(b))
+                .expect("non-empty");
             (b.left(), b.bottom())
         });
         regions
@@ -395,8 +345,8 @@ mod tests {
             specs in prop::collection::vec((0i64..30, 0i64..30, 1i64..10, 1i64..10), 1..12),
         ) {
             let rects: Vec<_> = specs.iter().map(|&(x, y, w, h)| rect(x, y, w, h)).collect();
-            let regions = merge_rects(&rects);
-            let merged_area: i64 = regions.iter().map(Region::area).sum();
+            let regions = regions(&rects);
+            let merged_area: i64 = regions.iter().map(|r| area(r)).sum();
             // The union's area, one unit square at a time.
             let grid_area = (0i64..40)
                 .flat_map(|x| (0i64..40).map(move |y| rect(x, y, 1, 1)))
@@ -404,7 +354,7 @@ mod tests {
                 .count();
             prop_assert_eq!(merged_area, grid_area as i64);
             // All rects across all regions are pairwise disjoint.
-            let all: Vec<Rect> = regions.iter().flat_map(|r| r.rects().to_vec()).collect();
+            let all: Vec<Rect> = regions.concat();
             for (i, a) in all.iter().enumerate() {
                 for b in &all[i + 1..] {
                     prop_assert!(!a.overlaps(*b), "{a} overlaps {b}");
@@ -413,8 +363,8 @@ mod tests {
             // Different regions never touch.
             for (i, ra) in regions.iter().enumerate() {
                 for rb in &regions[i + 1..] {
-                    for a in ra.rects() {
-                        prop_assert!(!rb.touches_rect(*a));
+                    for a in ra {
+                        prop_assert!(!rb.iter().any(|b| b.touches(*a)));
                     }
                 }
             }
@@ -428,7 +378,7 @@ mod tests {
                 (0i64..3, 0i64..3, 0i64..24, 0i64..24, 1i64..8, 1i64..8), 16..60),
         ) {
             let rects: Vec<_> = specs.iter().map(|&(x, y, w, h)| rect(x, y, w, h)).collect();
-            prop_assert_eq!(merge_rects(&rects), merge_rects_brute(&rects));
+            prop_assert_eq!(regions(&rects), merge_rects_brute(&rects));
             // Decoder-like: L-shaped wires, every one at its own y.
             let rects: Vec<_> = (0i64..)
                 .zip(&wires)
@@ -437,13 +387,13 @@ mod tests {
                     [rect(x, y, width, 12 - y), rect(-10, y, x + 10 + width, width)]
                 })
                 .collect();
-            prop_assert_eq!(merge_rects(&rects), merge_rects_brute(&rects));
+            prop_assert_eq!(regions(&rects), merge_rects_brute(&rects));
             // Sparse: clusters a million lambda and more apart.
             let rects: Vec<_> = clusters
                 .iter()
                 .map(|&(cx, cy, x, y, w, h)| rect(cx * 1_000_000 + x, cy * 3_000_000 + y, w, h))
                 .collect();
-            prop_assert_eq!(merge_rects(&rects), merge_rects_brute(&rects));
+            prop_assert_eq!(regions(&rects), merge_rects_brute(&rects));
         }
     }
 }

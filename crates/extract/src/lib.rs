@@ -46,7 +46,7 @@
 //! # }
 //! ```
 
-use silc_drc::{covered, merge_rects, Cover, Region, UnionFind};
+use silc_drc::{covered, merge_rects, Cover, Merged, UnionFind};
 use silc_geom::{Fingerprint, FpHasher, Point, Rect, RectIndex};
 use silc_layout::{CellId, Layer, LayoutError, Library};
 use silc_netlist::{Netlist, NetlistError};
@@ -130,13 +130,14 @@ impl Fingerprint for Extracted {
     }
 }
 
-/// Spatially indexed membership lookup over a list of [`Region`]s.
+/// Spatially indexed membership lookup over one layer's [`Merged`]
+/// regions.
 ///
-/// Region rects are concatenated in region order, so indexed rect ids are
+/// The index holds the merged list itself, whose rect ids are
 /// non-decreasing in region id — the first (lowest-id) candidate a query
 /// returns belongs to the first region a linear
-/// `regions.iter().position(..)` scan would find, which keeps every
-/// lookup equivalent to the brute-force scan it replaces.
+/// `regions().position(..)` scan would find, which keeps every lookup
+/// equivalent to the brute-force scan it replaces.
 struct RegionLookup {
     index: RectIndex,
     /// Indexed rect id → region id (non-decreasing).
@@ -144,23 +145,17 @@ struct RegionLookup {
 }
 
 impl RegionLookup {
-    fn build(regions: &[Region]) -> RegionLookup {
-        let mut rects = Vec::new();
-        let mut owner = Vec::new();
-        for (i, region) in regions.iter().enumerate() {
-            for &r in region.rects() {
-                rects.push(r);
-                owner.push(i as u32);
-            }
-        }
+    fn build(merged: &Merged) -> RegionLookup {
+        let owner = merged.regions().enumerate();
+        let owner = owner.flat_map(|(i, rects)| std::iter::repeat_n(i as u32, rects.len()));
         RegionLookup {
-            index: RectIndex::build(&rects),
-            owner,
+            index: RectIndex::build(merged.rects()),
+            owner: owner.collect(),
         }
     }
 
     /// Index of the first region touching `probe` — equivalent to
-    /// `regions.iter().position(|r| r.touches_rect(probe))`.
+    /// `regions().position(|r| r.iter().any(|a| a.touches(probe)))`.
     fn first_touching(&self, probe: Rect) -> Option<usize> {
         // Rect ids are non-decreasing in region id: the lowest id wins.
         let mut first = u32::MAX;
@@ -255,13 +250,12 @@ pub fn extract_traced(
             }
         }
     }
-    let gates: Vec<Region> = merge_rects(&crossings);
+    let gates = merge_rects(&crossings);
     drop(channel_span);
 
     let region_span = span!(tracer, "extract.regions");
     // Source/drain diffusion: diffusion minus channels.
-    let gate_rects: Vec<Rect> = gates.iter().flat_map(|g| g.rects().to_vec()).collect();
-    let sd_rects = subtract_rects(diff_rects, &gate_rects);
+    let sd_rects = subtract_rects(diff_rects, gates.rects());
 
     // Conducting regions.
     let diff_regions = merge_rects(&sd_rects);
@@ -270,16 +264,12 @@ pub fn extract_traced(
     let diff_lookup = RegionLookup::build(&diff_regions);
     let poly_lookup = RegionLookup::build(&poly_regions);
     let metal_lookup = RegionLookup::build(&metal_regions);
-    tracer.add(
-        "extract.regions",
-        (diff_regions.len() + poly_regions.len() + metal_regions.len()) as u64,
-    );
+    let (nd, np) = (diff_regions.region_count(), poly_regions.region_count());
+    let total = nd + np + metal_regions.region_count();
+    tracer.add("extract.regions", total as u64);
     drop(region_span);
 
     // Node indexing: diff | poly | metal.
-    let nd = diff_regions.len();
-    let np = poly_regions.len();
-    let total = nd + np + metal_regions.len();
     let mut uf = UnionFind::new(total);
     let diff_node = |i: usize| i;
     let poly_node = |i: usize| nd + i;
@@ -330,17 +320,15 @@ pub fn extract_traced(
 
     let netlist_span = span!(tracer, "extract.netlist");
     let implant_index = RectIndex::build(implant_rects);
-    let resolved = gates.iter().map(|gate| {
-        let gbox = gate.bbox();
-        let gp = poly_lookup
-            .touching_any(gate.rects())
-            .first()
-            .copied()
-            .ok_or(ExtractError::MalformedTransistor {
+    let resolved = gates.regions().map(|gate| {
+        let gbox = bbox(gate);
+        let gp = poly_lookup.touching_any(gate).first().copied().ok_or(
+            ExtractError::MalformedTransistor {
                 at: gbox,
                 diffusions: 0,
-            })?;
-        let sd = diff_lookup.touching_any(gate.rects());
+            },
+        )?;
+        let sd = diff_lookup.touching_any(gate);
         if sd.len() != 2 {
             return Err(ExtractError::MalformedTransistor {
                 at: gbox,
@@ -360,6 +348,12 @@ pub fn extract_traced(
     tracer.add("extract.transistors", extracted.transistors.len() as u64);
     tracer.add("extract.nets", extracted.nets as u64);
     Ok(extracted)
+}
+
+/// Bounding box of a region's rectangles.
+fn bbox(region: &[Rect]) -> Rect {
+    let bbox = region.iter().copied().reduce(|a, b| a.union(b));
+    bbox.expect("regions are non-empty")
 }
 
 /// What one gate's geometry resolves to: its box, its poly region, its
@@ -472,14 +466,16 @@ fn extract_brute(lib: &Library, root: CellId) -> Result<Extracted, ExtractError>
             }
         }
     }
-    let gates: Vec<Region> = merge_rects(&crossings);
+    let gates = merge_rects(&crossings);
+    let sd_rects = brute_subtract_rects(diff_rects, gates.rects());
 
-    let gate_rects: Vec<Rect> = gates.iter().flat_map(|g| g.rects().to_vec()).collect();
-    let sd_rects = brute_subtract_rects(diff_rects, &gate_rects);
-
-    let diff_regions = merge_rects(&sd_rects);
-    let poly_regions = merge_rects(poly_rects);
-    let metal_regions = merge_rects(metal_rects);
+    let regions = |rects: &[Rect]| -> Vec<Vec<Rect>> {
+        merge_rects(rects).regions().map(<[Rect]>::to_vec).collect()
+    };
+    let diff_regions = regions(&sd_rects);
+    let poly_regions = regions(poly_rects);
+    let metal_regions = regions(metal_rects);
+    let touches = |region: &[Rect], probe: Rect| region.iter().any(|a| a.touches(probe));
 
     let nd = diff_regions.len();
     let np = poly_regions.len();
@@ -490,9 +486,9 @@ fn extract_brute(lib: &Library, root: CellId) -> Result<Extracted, ExtractError>
     let metal_node = |i: usize| nd + np + i;
 
     for cut in cut_rects {
-        let m = metal_regions.iter().position(|r| r.touches_rect(*cut));
-        let p = poly_regions.iter().position(|r| r.touches_rect(*cut));
-        let d = diff_regions.iter().position(|r| r.touches_rect(*cut));
+        let m = metal_regions.iter().position(|r| touches(r, *cut));
+        let p = poly_regions.iter().position(|r| touches(r, *cut));
+        let d = diff_regions.iter().position(|r| touches(r, *cut));
         if let (Some(m), Some(p)) = (m, p) {
             uf.union(metal_node(m), poly_node(p));
         }
@@ -504,8 +500,8 @@ fn extract_brute(lib: &Library, root: CellId) -> Result<Extracted, ExtractError>
         }
     }
     for buried in buried_rects {
-        let p = poly_regions.iter().position(|r| r.touches_rect(*buried));
-        let d = diff_regions.iter().position(|r| r.touches_rect(*buried));
+        let p = poly_regions.iter().position(|r| touches(r, *buried));
+        let d = diff_regions.iter().position(|r| touches(r, *buried));
         if let (Some(p), Some(d)) = (p, d) {
             uf.union(poly_node(p), diff_node(d));
         }
@@ -516,14 +512,11 @@ fn extract_brute(lib: &Library, root: CellId) -> Result<Extracted, ExtractError>
         .ok_or_else(|| ExtractError::Layout("no root".into()))?;
     let mut net_names: HashMap<usize, String> = HashMap::new();
     for port in root_cell.ports() {
-        let covers = |r: &&Region| r.contains_point(port.at);
+        let covers = |r: &Vec<Rect>| r.iter().any(|a| a.contains_point(port.at));
         let region_node = match port.layer {
-            Layer::Diffusion => diff_regions.iter().position(|r| covers(&r)).map(diff_node),
-            Layer::Poly => poly_regions.iter().position(|r| covers(&r)).map(poly_node),
-            Layer::Metal => metal_regions
-                .iter()
-                .position(|r| covers(&r))
-                .map(metal_node),
+            Layer::Diffusion => diff_regions.iter().position(covers).map(diff_node),
+            Layer::Poly => poly_regions.iter().position(covers).map(poly_node),
+            Layer::Metal => metal_regions.iter().position(covers).map(metal_node),
             _ => None,
         };
         if let Some(node) = region_node {
@@ -533,17 +526,17 @@ fn extract_brute(lib: &Library, root: CellId) -> Result<Extracted, ExtractError>
 
     let resolved: Vec<Gate> =
         gates
-            .iter()
+            .regions()
             .map(|gate| {
-                let gbox = gate.bbox();
-                let touches = |r: &Region| gate.rects().iter().any(|g| r.touches_rect(*g));
-                let gp = poly_regions.iter().position(touches).ok_or(
+                let gbox = bbox(gate);
+                let meets = |r: &Vec<Rect>| gate.iter().any(|&g| touches(r, g));
+                let gp = poly_regions.iter().position(meets).ok_or(
                     ExtractError::MalformedTransistor {
                         at: gbox,
                         diffusions: 0,
                     },
                 )?;
-                let sd: Vec<usize> = (0..nd).filter(|&i| touches(&diff_regions[i])).collect();
+                let sd: Vec<usize> = (0..nd).filter(|&i| meets(&diff_regions[i])).collect();
                 if sd.len() != 2 {
                     return Err(ExtractError::MalformedTransistor {
                         at: gbox,

@@ -26,13 +26,6 @@ pub enum GeomError {
         /// Requested wire width.
         width: i64,
     },
-    /// An interval's low bound exceeded its high bound.
-    InvalidInterval {
-        /// Low bound supplied.
-        lo: i64,
-        /// High bound supplied.
-        hi: i64,
-    },
 }
 
 impl fmt::Display for GeomError {
@@ -49,9 +42,6 @@ impl fmt::Display for GeomError {
             }
             GeomError::DegeneratePath { points, width } => {
                 write!(f, "path is degenerate ({points} points, width {width})")
-            }
-            GeomError::InvalidInterval { lo, hi } => {
-                write!(f, "interval low bound {lo} exceeds high bound {hi}")
             }
         }
     }
@@ -76,7 +66,6 @@ mod tests {
                 points: 0,
                 width: 2,
             },
-            GeomError::InvalidInterval { lo: 5, hi: 1 },
         ];
         for e in errs {
             let s = e.to_string();

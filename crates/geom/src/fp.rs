@@ -31,7 +31,7 @@
 //! ```
 
 use crate::codec::{Dec, DecodeError, Persist};
-use crate::{persist, Interval, Orientation, Path, Point, Polygon, Rect, Transform, Vector};
+use crate::{persist, Orientation, Path, Point, Polygon, Rect, Transform, Vector};
 use std::fmt;
 
 /// A 128-bit stable content hash.
@@ -471,13 +471,6 @@ impl Persist for Path {
         let width = d.i64()?;
         let points = Vec::<Point>::decode(d)?;
         Path::new(width, points).map_err(|err| format!("invalid path: {err}"))
-    }
-}
-
-impl Fingerprint for Interval {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        h.write_i64(self.lo());
-        h.write_i64(self.hi());
     }
 }
 

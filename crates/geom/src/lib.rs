@@ -16,8 +16,6 @@
 //! * [`Orientation`] and [`Transform`] — the eight Manhattan symmetries
 //!   (rotations by multiples of 90° and mirrorings) plus translation, closed
 //!   under composition, as required for hierarchical cell instantiation.
-//! * [`Interval`] and [`IntervalSet`] — one-dimensional interval algebra used
-//!   by the design-rule checker and the routers.
 //! * [`Fingerprint`], [`Fp`], [`FpHasher`] — stable 128-bit content hashing,
 //!   the key substrate of the `silc-incr` incremental compilation engine,
 //!   and [`Persist`], [`Enc`], [`Dec`] — the cache's codec, which stores a
@@ -43,7 +41,6 @@ mod codec;
 mod error;
 mod fp;
 mod index;
-mod interval;
 mod path;
 mod point;
 mod polygon;
@@ -54,7 +51,6 @@ pub use codec::{Dec, DecodeError, Enc, Persist};
 pub use error::GeomError;
 pub use fp::{Fingerprint, Fp, FpHasher};
 pub use index::{band_decompose, Bands, RectIndex};
-pub use interval::{Interval, IntervalSet};
 pub use path::Path;
 pub use point::{Point, Vector};
 pub use polygon::Polygon;

@@ -70,10 +70,7 @@ fn die_summary_matches_what_flattening_measures() {
     let die = silc_incr::die_summary(&engine, &design, &mut stats).expect("summarises");
     let flat = silc_layout::flatten(&design.library, design.top).expect("root");
     assert_eq!(die.flat_elements, flat.len() as u64);
-    let bbox = flat
-        .iter()
-        .map(|f| f.element.bbox())
-        .reduce(|a, b| a.union(b));
+    let bbox = flat.iter().map(|f| f.bbox()).reduce(|a, b| a.union(b));
     assert_eq!(die.bbox, bbox);
     assert!(die.bbox.is_some());
     let cell_stats = silc_layout::CellStats::compute(&design.library, design.top).expect("root");

@@ -1164,7 +1164,7 @@ mod tests {
         assert!(d.library.cell_by_name("inv").is_some());
         let flat = flatten(&d.library, d.top).unwrap();
         assert_eq!(flat.len(), 1);
-        assert_eq!(flat[0].element.bbox().min(), Point::new(10, 20));
+        assert_eq!(flat[0].bbox().min(), Point::new(10, 20));
     }
 
     #[test]
@@ -1189,7 +1189,7 @@ mod tests {
              place pad(12) at (20,0);",
         );
         let flat = flatten(&d.library, d.top).unwrap();
-        let mut widths: Vec<i64> = flat.iter().map(|f| f.element.bbox().width()).collect();
+        let mut widths: Vec<i64> = flat.iter().map(|f| f.bbox().width()).collect();
         widths.sort_unstable();
         assert_eq!(widths, vec![8, 12]);
     }
@@ -1225,9 +1225,7 @@ mod tests {
         let top = d.library.cell(d.top).unwrap();
         assert_eq!(top.instances().len(), 3);
         let flat = flatten(&d.library, d.top).unwrap();
-        assert!(flat
-            .iter()
-            .any(|f| f.element.bbox().min() == Point::new(10, 10)));
+        assert!(flat.iter().any(|f| f.bbox().min() == Point::new(10, 10)));
     }
 
     #[test]
@@ -1313,7 +1311,7 @@ mod tests {
              place mark() at (0,0) rot 90;",
         );
         let flat = flatten(&d.library, d.top).unwrap();
-        let b = flat[0].element.bbox();
+        let b = flat[0].bbox();
         assert_eq!((b.width(), b.height()), (1, 4));
     }
 

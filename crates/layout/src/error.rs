@@ -30,6 +30,14 @@ pub enum LayoutError {
         /// Requested rows.
         rows: u32,
     },
+    /// The design expands to more elements than flattening takes.
+    TooLarge {
+        /// Elements the design expands to.
+        elements: u64,
+        /// The most that flattening takes
+        /// ([`MAX_FLAT_ELEMENTS`](crate::MAX_FLAT_ELEMENTS)).
+        limit: usize,
+    },
 }
 
 impl fmt::Display for LayoutError {
@@ -46,6 +54,10 @@ impl fmt::Display for LayoutError {
             LayoutError::BadArray { cols, rows } => {
                 write!(f, "array replication must be >= 1, got {cols} x {rows}")
             }
+            LayoutError::TooLarge { elements, limit } => write!(
+                f,
+                "design expands to {elements} elements; at most {limit} can be flattened"
+            ),
         }
     }
 }
@@ -62,6 +74,11 @@ mod tests {
         assert!(e.to_string().contains("inv"));
         let e = LayoutError::BadArray { cols: 0, rows: 3 };
         assert!(e.to_string().contains('0'));
+        let e = LayoutError::TooLarge {
+            elements: 10_000_000_000,
+            limit: 1 << 22,
+        };
+        assert!(e.to_string().contains("10000000000") && e.to_string().contains("4194304"));
     }
 
     #[test]

@@ -112,14 +112,12 @@ impl<'a> Extents<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{flatten, flatten_to_rects, Cell, Element, FlatElement, Instance};
+    use crate::{flatten, flatten_to_rects, Cell, Element, Instance};
     use proptest::prelude::*;
     use silc_geom::Path;
 
-    fn flat_bbox(flat: &[FlatElement]) -> Option<Rect> {
-        flat.iter()
-            .map(|f| f.element.bbox())
-            .reduce(|a, b| a.union(b))
+    fn flat_bbox(flat: &[Element]) -> Option<Rect> {
+        flat.iter().map(Element::bbox).reduce(|a, b| a.union(b))
     }
 
     fn rect(x: i64, y: i64, w: i64, h: i64) -> Rect {
@@ -174,8 +172,8 @@ mod tests {
             let layers = flatten_to_rects(&lib, top).unwrap();
             prop_assert_eq!(extent.rects, layers.iter().map(Vec::len).sum::<usize>() as u64);
             for layer in Layer::ALL {
-                let on_layer = flat.iter().filter(|f| f.element.layer == layer);
-                let want = on_layer.map(|f| f.element.bbox()).reduce(|a, b| a.union(b));
+                let on_layer = flat.iter().filter(|f| f.layer == layer);
+                let want = on_layer.map(Element::bbox).reduce(|a, b| a.union(b));
                 prop_assert_eq!(extent.layers[layer.index()], want);
             }
             // Under an outer orientation: what a parent placing `top` so sees.

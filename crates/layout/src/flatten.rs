@@ -1,15 +1,12 @@
-use crate::{CellId, Element, Layer, LayoutError, Library};
-use silc_geom::{Rect, Transform};
+use crate::{CellId, Element, Extents, Layer, LayoutError, Library};
+use silc_geom::{Orientation, Rect, Transform};
 
-/// One piece of artwork after flattening: the element in root coordinates,
-/// plus the id of the leaf cell it came from (for diagnostics).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlatElement {
-    /// The transformed artwork.
-    pub element: Element,
-    /// The cell whose definition contained the artwork.
-    pub source: CellId,
-}
+/// Most elements [`flatten`] expands one design into: 2²², over a
+/// hundred times the largest design any test, example or benchmark
+/// workload flattens (36 980 elements). A design past it is refused
+/// rather than allowed to exhaust memory; one that large is still
+/// checked from its hierarchy when its arrays keep apart.
+pub const MAX_FLAT_ELEMENTS: usize = 1 << 22;
 
 /// Flattens the hierarchy under `root` into a list of elements in root
 /// coordinates, expanding instance arrays.
@@ -21,7 +18,9 @@ pub struct FlatElement {
 ///
 /// # Errors
 ///
-/// Returns [`LayoutError::UnknownCell`] if `root` is not in the library.
+/// Returns [`LayoutError::UnknownCell`] if `root` is not in the library,
+/// and [`LayoutError::TooLarge`] if the design expands to more than
+/// [`MAX_FLAT_ELEMENTS`].
 ///
 /// # Example
 ///
@@ -40,28 +39,34 @@ pub struct FlatElement {
 /// # Ok(())
 /// # }
 /// ```
-pub fn flatten(lib: &Library, root: CellId) -> Result<Vec<FlatElement>, LayoutError> {
+pub fn flatten(lib: &Library, root: CellId) -> Result<Vec<Element>, LayoutError> {
     if lib.cell(root).is_none() {
         return Err(LayoutError::UnknownCell { id: root });
     }
     let mut out = Vec::new();
-    flatten_into(lib, root, Transform::IDENTITY, &mut out);
+    if flatten_into(lib, root, Transform::IDENTITY, &mut out).is_none() {
+        return Err(LayoutError::TooLarge {
+            elements: Extents::new(lib).of(root, Orientation::R0)?.elements,
+            limit: MAX_FLAT_ELEMENTS,
+        });
+    }
     Ok(out)
 }
 
-fn flatten_into(lib: &Library, id: CellId, t: Transform, out: &mut Vec<FlatElement>) {
+/// Appends `id`'s artwork under `t` to `out`; `None`, with the walk cut
+/// short, once that would take `out` past [`MAX_FLAT_ELEMENTS`].
+fn flatten_into(lib: &Library, id: CellId, t: Transform, out: &mut Vec<Element>) -> Option<()> {
     let cell = lib.cell(id).expect("validated by caller");
-    for e in cell.elements() {
-        out.push(FlatElement {
-            element: e.transform(t),
-            source: id,
-        });
+    if out.len() + cell.elements().len() > MAX_FLAT_ELEMENTS {
+        return None;
     }
+    out.extend(cell.elements().iter().map(|e| e.transform(t)));
     for inst in cell.instances() {
         for placement in inst.placements() {
-            flatten_into(lib, inst.cell, t.then(placement), out);
+            flatten_into(lib, inst.cell, t.then(placement), out)?;
         }
     }
+    Some(())
 }
 
 /// Flattens and decomposes every element into per-layer rectangles — the
@@ -72,11 +77,9 @@ fn flatten_into(lib: &Library, id: CellId, t: Transform, out: &mut Vec<FlatEleme
 ///
 /// # Errors
 ///
-/// Returns [`LayoutError::UnknownCell`] if `root` is not in the library.
+/// Those of [`flatten`].
 pub fn flatten_to_rects(lib: &Library, root: CellId) -> Result<Vec<Vec<Rect>>, LayoutError> {
-    Ok(rects_by_layer(
-        flatten(lib, root)?.iter().map(|f| &f.element),
-    ))
+    Ok(rects_by_layer(&flatten(lib, root)?))
 }
 
 /// Decomposes elements into per-layer rectangles, indexed by
@@ -113,8 +116,7 @@ mod tests {
         let (lib, bit) = lib_with_bit();
         let flat = flatten(&lib, bit).unwrap();
         assert_eq!(flat.len(), 1);
-        assert_eq!(flat[0].element.bbox(), rect(0, 0, 3, 3));
-        assert_eq!(flat[0].source, bit);
+        assert_eq!(flat[0].bbox(), rect(0, 0, 3, 3));
     }
 
     #[test]
@@ -126,7 +128,7 @@ mod tests {
         let flat = flatten(&lib, word_id).unwrap();
         assert_eq!(flat.len(), 8);
         // Last copy sits at (30, 20).
-        let bboxes: Vec<_> = flat.iter().map(|f| f.element.bbox()).collect();
+        let bboxes: Vec<_> = flat.iter().map(|f| f.bbox()).collect();
         assert!(bboxes.contains(&rect(30, 20, 3, 3)));
     }
 
@@ -150,7 +152,7 @@ mod tests {
         // Composition: R90 then R90 is R180; bit (0..3, 0..3) under
         // mid-transform lands at (7..10, 0..3); under top R90+(0,100) that
         // maps to x in (-3..0), y in (107..110).
-        assert_eq!(flat[0].element.bbox(), rect(-3, 107, 3, 3));
+        assert_eq!(flat[0].bbox(), rect(-3, 107, 3, 3));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! itself rejects an instance that points at a cell not yet added (a
 //! damaged entry is an error, never a dangling handle).
 
-use crate::{Cell, CellId, Element, FlatElement, Instance, Layer, Library, Port, Shape};
+use crate::{Cell, CellId, Element, Instance, Layer, Library, Port, Shape};
 use silc_geom::{
     persist, Dec, DecodeError, Fingerprint, FpHasher, Path, Persist, Polygon, Rect, Transform,
 };
@@ -127,13 +127,6 @@ impl Persist for Library {
                 .map_err(|err| format!("cannot rebuild library: {err}"))?;
         }
         Ok(library)
-    }
-}
-
-impl Fingerprint for FlatElement {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        self.element.fp_hash(h);
-        self.source.fp_hash(h);
     }
 }
 

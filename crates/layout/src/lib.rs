@@ -49,7 +49,7 @@ mod stats;
 pub use cell::{Cell, Instance, Port};
 pub use error::LayoutError;
 pub use extent::{Extent, Extents};
-pub use flatten::{flatten, flatten_to_rects, rects_by_layer, FlatElement};
+pub use flatten::{flatten, flatten_to_rects, rects_by_layer, MAX_FLAT_ELEMENTS};
 pub use layer::Layer;
 pub use library::{CellId, Library};
 pub use shape::{Element, Shape};

@@ -1,5 +1,5 @@
 use crate::RouteError;
-use silc_geom::{Coord, Interval, IntervalSet, Point};
+use silc_geom::{Coord, Point};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A net identifier in a channel problem. Any value is a legal net —
@@ -157,15 +157,16 @@ pub fn channel_route(problem: &ChannelProblem) -> Result<ChannelRoute, RouteErro
                 .collect();
             return Err(RouteError::VerticalConstraintCycle { nets, track });
         }
-        // Left-edge: sort by left end, pack greedily without overlap.
+        // Left-edge: sort by left end, pack greedily with a free column
+        // between neighbours. Left ends only grow, so a net fits exactly
+        // when it starts past the right end of the last net placed.
         eligible.sort_by_key(|n| spans[n].0);
-        let mut occupied = IntervalSet::new();
+        let mut last_right: Option<usize> = None;
         let mut put_this_track: Vec<NetId> = Vec::new();
         for net in eligible {
             let (lo, hi) = spans[&net];
-            let iv = Interval::new(lo as Coord, hi as Coord).expect("lo <= hi");
-            if !occupied.overlaps(iv) {
-                occupied.insert(Interval::new(lo as Coord, (hi + 1) as Coord).expect("non-empty"));
+            if last_right.is_none_or(|right| lo > right + 1) {
+                last_right = Some(hi);
                 put_this_track.push(net);
             }
         }

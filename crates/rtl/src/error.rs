@@ -57,6 +57,14 @@ pub enum RtlError {
         /// The name.
         name: String,
     },
+    /// A memory with no words, or one that takes the machine's memories
+    /// past [`MAX_MEM_WORDS`](crate::MAX_MEM_WORDS) words in all.
+    MemoryWords {
+        /// Memory name.
+        name: String,
+        /// Its declared number of words.
+        words: u64,
+    },
     /// A machine with no states cannot run.
     NoStates,
     /// Simulation read or wrote outside a memory's bounds.
@@ -92,6 +100,14 @@ impl fmt::Display for RtlError {
             RtlError::MemoryMisuse { name } => {
                 write!(f, "memory `{name}` must be used with an index")
             }
+            RtlError::MemoryWords { name, words: 0 } => {
+                write!(f, "memory `{name}` has zero words")
+            }
+            RtlError::MemoryWords { name, words } => write!(
+                f,
+                "memory `{name}` of {words} words takes the machine past {} memory words",
+                crate::MAX_MEM_WORDS
+            ),
             RtlError::NoStates => write!(f, "machine has no states"),
             RtlError::AddressOutOfRange { name, addr, words } => {
                 write!(f, "address {addr} outside `{name}` ({words} words)")

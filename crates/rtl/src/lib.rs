@@ -62,5 +62,5 @@ mod sim;
 
 pub use ast::{BinaryOp, Expr, Machine, MemDecl, PortDecl, RegDecl, State, Stmt, Target, UnaryOp};
 pub use error::RtlError;
-pub use parser::parse;
+pub use parser::{parse, MAX_MEM_WORDS};
 pub use sim::{RunReport, Simulator};

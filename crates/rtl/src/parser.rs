@@ -196,8 +196,9 @@ impl Parser {
         self.expect(TokenKind::RBracket)?;
         self.expect(TokenKind::Semi)?;
         check_width(&name, width)?;
-        if words == 0 {
-            return Err(RtlError::BadWidth { name, width: 0 });
+        let held: u64 = m.mems.iter().map(|mem| mem.words).sum();
+        if words == 0 || words > MAX_MEM_WORDS - held {
+            return Err(RtlError::MemoryWords { name, words });
         }
         m.mems.push(MemDecl {
             name,
@@ -499,6 +500,11 @@ impl Parser {
         }
     }
 }
+
+/// Most words a machine's memories may hold between them: 2²⁰, 256 times
+/// the PDP-8's 4 096. A simulator holds every word, so the bound keeps one
+/// declaration from asking it for the whole of memory.
+pub const MAX_MEM_WORDS: u64 = 1 << 20;
 
 fn check_width(name: &str, width: u64) -> Result<(), RtlError> {
     if width == 0 || width > 64 {
@@ -894,6 +900,26 @@ mod tests {
             parse("machine n { reg a[4]; }"),
             Err(RtlError::NoStates)
         ));
+    }
+
+    #[test]
+    fn memories_hold_at_least_one_word_and_at_most_the_bound_in_all() {
+        let machine = |mems: &str| format!("machine m {{ {mems} state s {{ halt; }} }}");
+        let err = parse(&machine("mem x[0][8];")).unwrap_err();
+        assert_eq!(err.to_string(), "memory `x` has zero words");
+        // Once an allocation the simulator aborted on.
+        let err = parse(&machine("mem x[99999999999][8];")).unwrap_err();
+        assert!(matches!(&err, RtlError::MemoryWords { name, .. } if name == "x"));
+        assert!(err.to_string().contains("1048576"), "{err}");
+        // The bound is on the total: each memory fits, the second does not.
+        let half = MAX_MEM_WORDS / 2;
+        let err = parse(&machine(&format!(
+            "mem a[{half}][8]; mem b[{}][8];",
+            half + 1
+        )));
+        assert!(matches!(err, Err(RtlError::MemoryWords { name, .. }) if name == "b"));
+        let fits = parse(&machine(&format!("mem a[{half}][8]; mem b[{half}][8];")));
+        assert_eq!(fits.unwrap().mems.len(), 2);
     }
 
     #[test]

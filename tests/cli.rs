@@ -468,6 +468,52 @@ fn coordinates_beyond_the_supported_range_are_a_line_numbered_error() {
 }
 
 #[test]
+fn a_design_too_large_to_flatten_is_an_error_and_one_proven_clean_compiles() {
+    // The rows of this nine-million-element design touch, so the
+    // hierarchy proof gives up and the flat check would flatten it. It
+    // once flattened any design whole: at 10¹⁰ elements the allocator
+    // aborted the process (exit 134).
+    let design = |step: i64| {
+        format!(
+            "cell bit() {{ box metal (0,0) (3,3); }}
+             cell row(n) {{ array bit() at (0,0) step ({step},0) count n; }}
+             cell blk() {{ array row(3000) at (0,0) step (0,6) count 3000; }}
+             place blk() at (0,0);"
+        )
+    };
+    let sil = write_temp("too_large.sil", &design(4));
+    let cif = sil.with_extension("cif");
+    let _ = std::fs::remove_file(&cif);
+    let out = silc()
+        .args(["compile", sil.to_str().unwrap(), "--no-cache", "-o"])
+        .arg(&cif)
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("silc:") && stderr.contains("9000000 elements"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("4194304"), "{stderr}");
+    assert!(!cif.exists(), "no CIF for a rejected design");
+    // Rows six apart keep their clearance: the design is proven clean
+    // from its hierarchy and never flattened.
+    let sil = write_temp("too_large_but_clean.sil", &design(6));
+    let out = silc()
+        .args(["compile", sil.to_str().unwrap(), "--no-cache", "-o"])
+        .arg(&cif)
+        .output()
+        .expect("runs");
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("checked 9000000 rects: 0 violation(s)"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn stats_off_by_default() {
     let sil = write_temp(
         "nostats.sil",

@@ -265,6 +265,70 @@ fn out_of_range_geometry_is_an_error_reply_and_the_worker_lives_on() {
 }
 
 #[test]
+fn oversized_memory_is_an_error_reply_and_the_worker_lives_on() {
+    // One worker: the simulator used to ask for 800 GB up front, and the
+    // failed allocation aborted the whole process.
+    let (addr, handle) = start(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr);
+    let isl = "machine m { mem x[99999999999][8]; state s { halt; } }";
+    let reply = client.request(&format!(
+        r#"{{"op":"sim","id":1,"source":{}}}"#,
+        quoted(isl)
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    let message = reply.to_string();
+    assert!(
+        message.contains("`x`") && message.contains("1048576"),
+        "{message}"
+    );
+    let isl = "machine m { mem x[4][8]; reg r[8]; state s { r := x[1]; halt; } }";
+    let reply = client.request(&format!(
+        r#"{{"op":"sim","id":2,"source":{}}}"#,
+        quoted(isl)
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    handle.shutdown();
+}
+
+#[test]
+fn design_too_large_to_flatten_is_an_error_reply_and_the_worker_lives_on() {
+    // Nine million elements whose rows touch: the hierarchy proof gives
+    // up, and both the flat check and extraction would flatten. They once
+    // flattened any design whole, and a big enough one aborted the
+    // process when the allocator gave out.
+    let (addr, handle) = start(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr);
+    let huge = "cell bit() { box metal (0,0) (3,3); }
+         cell row(n) { array bit() at (0,0) step (4,0) count n; }
+         cell blk() { array row(3000) at (0,0) step (0,6) count 3000; }
+         place blk() at (0,0);";
+    for (id, flags) in [(1, ""), (2, r#","no_drc":true,"extract":true"#)] {
+        let reply = client.request(&format!(
+            r#"{{"op":"compile","id":{id},"source":{}{flags}}}"#,
+            quoted(huge)
+        ));
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+        let message = reply.to_string();
+        assert!(
+            message.contains("9000000 elements") && message.contains("4194304"),
+            "{message}"
+        );
+    }
+    let reply = client.request(&format!(
+        r#"{{"op":"compile","id":3,"source":{}}}"#,
+        quoted(&sil_program(7))
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    handle.shutdown();
+}
+
+#[test]
 fn nesting_bombs_are_error_replies_and_the_server_lives_on() {
     // A stack overflow is no panic to catch: one such request used to
     // abort the process, and every connection with it.

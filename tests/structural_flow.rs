@@ -48,9 +48,9 @@ fn cif_roundtrip_preserves_flat_geometry() {
         .expect("flattens")
         .iter()
         .map(|f| {
-            let b = f.element.bbox();
+            let b = f.bbox();
             (
-                f.element.layer.index(),
+                f.layer.index(),
                 b.left() * 250,
                 b.bottom() * 250,
                 b.right() * 250,
@@ -62,14 +62,8 @@ fn cif_roundtrip_preserves_flat_geometry() {
         .expect("flattens")
         .iter()
         .map(|f| {
-            let b = f.element.bbox();
-            (
-                f.element.layer.index(),
-                b.left(),
-                b.bottom(),
-                b.right(),
-                b.top(),
-            )
+            let b = f.bbox();
+            (f.layer.index(), b.left(), b.bottom(), b.right(), b.top())
         })
         .collect();
     original.sort_unstable();
@@ -111,7 +105,7 @@ fn flat_rects_agree_between_paths() {
     let via_elements: usize = flatten(&design.library, design.top)
         .expect("flattens")
         .iter()
-        .map(|f| f.element.shape.to_rects().len())
+        .map(|f| f.shape.to_rects().len())
         .sum();
     assert_eq!(total, via_elements);
     assert!(!by_layer[Layer::Implant.index()].is_empty());
