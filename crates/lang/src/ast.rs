@@ -1,9 +1,15 @@
-//! The syntax tree. Every name is a slice of the source and every node
-//! lives in one of three vectors owned by the [`Program`], addressed by
-//! index: parsing allocates per program, not per node, and nothing in
-//! the tree needs copying or a recursive `Drop`.
+//! The syntax tree. Every name and string is an offset into the source
+//! and every node lives in one of three vectors owned by the [`Program`],
+//! addressed by index: parsing allocates per program, not per node, and
+//! nothing in the tree needs copying or a recursive `Drop`.
 
+use crate::lexer::text_at;
 use silc_geom::Orientation;
+
+/// Where a name or a string literal starts in the source of its
+/// [`Program`], which reads it back ([`Program::text`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sym(pub u32);
 
 /// Index of an expression in its [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,15 +30,17 @@ impl Run {
     }
 }
 
-/// A SIL program: a list of top-level items over the nodes they index.
-/// [`lex`](crate::lexer::lex) refuses a source past 4 GiB and a node takes
-/// at least a byte of it, so an index always fits `u32`.
+/// A SIL program: its source, and a list of top-level items over the
+/// nodes they index. [`lex`](crate::lexer::lex) refuses a source past
+/// 4 GiB and a node takes at least a byte of it, so an index always fits
+/// `u32`.
 #[derive(Debug)]
 pub struct Program<'a> {
-    pub items: Vec<Item<'a>>,
-    exprs: Vec<Expr<'a>>,
-    stmts: Vec<Stmt<'a>>,
-    bindings: Vec<Binding<'a>>,
+    source: &'a str,
+    pub items: Vec<Item>,
+    exprs: Vec<Expr>,
+    stmts: Vec<Stmt>,
+    bindings: Vec<Binding>,
 }
 
 /// Moves the nodes parsed since `mark` from the parser's `pending` stack
@@ -48,9 +56,11 @@ fn seal<T>(nodes: &mut Vec<T>, pending: &mut Vec<T>, mark: usize) -> Run {
 }
 
 impl<'a> Program<'a> {
-    /// An empty tree with room for what `tokens` tokens usually parse to.
-    pub fn with_capacity(tokens: usize) -> Program<'a> {
+    /// An empty tree of `source` with room for what `tokens` tokens
+    /// usually parse to.
+    pub fn with_capacity(source: &'a str, tokens: usize) -> Program<'a> {
         Program {
+            source,
             items: Vec::new(),
             exprs: Vec::with_capacity(tokens / 2),
             stmts: Vec::with_capacity(tokens / 16),
@@ -58,63 +68,68 @@ impl<'a> Program<'a> {
         }
     }
 
-    pub fn alloc(&mut self, expr: Expr<'a>) -> ExprId {
+    /// The text of a name, or what a string literal holds.
+    pub fn text(&self, sym: Sym) -> &'a str {
+        text_at(self.source, sym.0)
+    }
+
+    pub fn alloc(&mut self, expr: Expr) -> ExprId {
         self.exprs.push(expr);
         ExprId(self.exprs.len() as u32 - 1)
     }
 
-    pub fn seal_exprs(&mut self, pending: &mut Vec<Expr<'a>>, mark: usize) -> Run {
+    pub fn seal_exprs(&mut self, pending: &mut Vec<Expr>, mark: usize) -> Run {
         seal(&mut self.exprs, pending, mark)
     }
 
-    pub fn seal_stmts(&mut self, pending: &mut Vec<Stmt<'a>>, mark: usize) -> Run {
+    pub fn seal_stmts(&mut self, pending: &mut Vec<Stmt>, mark: usize) -> Run {
         seal(&mut self.stmts, pending, mark)
     }
 
-    pub fn seal_bindings(&mut self, pending: &mut Vec<Binding<'a>>, mark: usize) -> Run {
+    pub fn seal_bindings(&mut self, pending: &mut Vec<Binding>, mark: usize) -> Run {
         seal(&mut self.bindings, pending, mark)
     }
 
-    pub fn expr(&self, id: ExprId) -> &Expr<'a> {
+    pub fn expr(&self, id: ExprId) -> &Expr {
         &self.exprs[id.0 as usize]
     }
 
-    pub fn stmts(&self, run: Run) -> &[Stmt<'a>] {
+    pub fn stmts(&self, run: Run) -> &[Stmt] {
         &self.stmts[run.start as usize..run.end as usize]
     }
 
-    pub fn bindings(&self, run: Run) -> &[Binding<'a>] {
+    pub fn bindings(&self, run: Run) -> &[Binding] {
         &self.bindings[run.start as usize..run.end as usize]
     }
 }
 
 /// A top-level item.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Item<'a> {
+pub enum Item {
     /// `cell name(params) { body }` — a parameterised layout generator.
-    Cell(Def<'a>),
+    Cell(Def),
     /// `fn name(params) { body }` — a value-returning procedure.
-    Fn(Def<'a>),
+    Fn(Def),
     /// `type name { field, ... }` — a record type (data-type extension);
     /// the fields are its `params`, the body is empty.
-    Type(Def<'a>),
+    Type(Def),
     /// A statement executed in the implicit top cell.
-    Stmt(Stmt<'a>),
+    Stmt(Stmt),
 }
 
 /// A name and the expression that goes with it, if any: a parameter and
 /// its default, a field of a record literal and its value, a field of a
 /// `type` (no expression).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Binding<'a> {
-    pub name: &'a str,
+pub struct Binding {
+    pub name: Sym,
     pub value: Option<ExprId>,
 }
 
 /// A `cell`, `fn` or `type` definition.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Def<'a> {
-    pub name: &'a str,
+pub struct Def {
+    pub name: Sym,
     pub params: Run,
     pub body: Run,
     pub line: u32,
@@ -122,13 +137,13 @@ pub struct Def<'a> {
 
 /// A statement with its source line for diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Stmt<'a> {
-    pub kind: StmtKind<'a>,
+pub struct Stmt {
+    pub kind: StmtKind,
     pub line: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StmtKind<'a> {
+pub enum StmtKind {
     /// `box layer (x0,y0) (x1,y1);`
     Box { layer: ExprId, a: ExprId, b: ExprId },
     /// `wire layer width (x,y) (x,y) ...;`
@@ -149,7 +164,7 @@ pub enum StmtKind<'a> {
     /// `place cell(args) at (x,y) [orientation...];` — the orientation
     /// modifiers are composed in source order as they are read.
     Place {
-        cell: &'a str,
+        cell: Sym,
         args: Run,
         at: ExprId,
         orient: Orientation,
@@ -157,7 +172,7 @@ pub enum StmtKind<'a> {
     /// `array cell(args) at (x,y) step (dx,dy) [(dx2,dy2)] count n [m]
     /// [orientation...];`
     ArrayPlace {
-        cell: &'a str,
+        cell: Sym,
         args: Run,
         at: ExprId,
         step: ExprId,
@@ -167,12 +182,12 @@ pub enum StmtKind<'a> {
         orient: Orientation,
     },
     /// `let name = expr;`
-    Let { name: &'a str, value: ExprId },
+    Let { name: Sym, value: ExprId },
     /// `name = expr;`
-    Assign { name: &'a str, value: ExprId },
+    Assign { name: Sym, value: ExprId },
     /// `for i in a .. b { body }`
     For {
-        var: &'a str,
+        var: Sym,
         from: ExprId,
         to: ExprId,
         body: Run,
@@ -209,29 +224,30 @@ pub enum BinOp {
 
 /// An expression.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Expr<'a> {
+pub enum Expr {
     Int(i64),
     Bool(bool),
-    Str(&'a str),
+    /// A string literal, or a layer or port name written bare.
+    Str(Sym),
     /// `(x, y)` — a point literal.
     Point(ExprId, ExprId),
     /// `[a, b, c]` — a list literal.
     List(Run),
-    Ident(&'a str),
+    Ident(Sym),
     /// `name { field: value, ... }` — record construction.
     Record {
-        type_name: &'a str,
+        type_name: Sym,
         fields: Run,
     },
     /// `f(args)` — function call.
     Call {
-        name: &'a str,
+        name: Sym,
         args: Run,
     },
     /// `expr.field` — record field access (also `.x`/`.y` on points).
     Field {
         base: ExprId,
-        field: &'a str,
+        field: Sym,
     },
     /// `expr[index]` — list indexing.
     Index {
@@ -248,6 +264,8 @@ pub enum Expr<'a> {
         rhs: ExprId,
     },
 }
+
+const _: () = assert!(size_of::<Expr>() == 16);
 
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -159,7 +159,7 @@ impl Compiler {
         };
         let program = {
             let mut s = span!(self.tracer, "lang.parse");
-            let program = parse_tokens(tokens)?;
+            let program = parse_tokens(source, tokens)?;
             s.attr("items", program.items.len() as u64);
             program
         };
@@ -180,10 +180,11 @@ impl Compiler {
                         continue;
                     }
                 };
-                if defs.insert(def.name, (tree, def)).is_some() {
+                let name = tree.text(def.name);
+                if defs.insert(name, (tree, def)).is_some() {
                     return Err(LangError::eval(
                         def.line as usize,
-                        format!("{what} `{}` is defined twice", def.name),
+                        format!("{what} `{name}` is defined twice"),
                     ));
                 }
             }
@@ -282,7 +283,7 @@ enum Flow {
 // -------------------------------------------------------------------
 
 /// A definition and the tree it indexes.
-type Found<'p> = (&'p Program<'p>, &'p Def<'p>);
+type Found<'p> = (&'p Program<'p>, &'p Def);
 
 /// The evaluator. `'p` is the parsed program and the prelude: definitions
 /// are registered and run by reference, never copied.
@@ -300,6 +301,8 @@ struct Interp<'p> {
     elab_stack: Vec<String>,
     /// Evaluator frames live right now; see [`MAX_FRAMES`].
     frames: usize,
+    /// Steps taken so far; see [`MAX_STEPS`].
+    steps: u64,
     cells_elaborated: u64,
     memo_hits: u64,
 }
@@ -316,6 +319,15 @@ type CellSlot<'a, 'b> = Option<&'a mut Cell>;
 /// optimised and 13.4 KiB in a debug build.
 const MAX_FRAMES: usize = if cfg!(debug_assertions) { 96 } else { 1024 };
 
+/// How many frames one compile may enter in all: a step is an
+/// expression evaluated or a block run, so every loop iteration and every
+/// `fn` call takes one at least. [`MAX_FRAMES`] bounds how deep a program
+/// goes, this how long it runs: `for i in 0..1 << 62 { }`, or a `fn` that
+/// calls itself twice, would otherwise hold a `silc serve` worker long
+/// after its reply. The programs of the tests, the examples and the
+/// benchmark take 27 447 steps at most.
+const MAX_STEPS: u64 = 1 << 24;
+
 impl<'p> Interp<'p> {
     // ---------------------------------------------------------------
     // Cell elaboration
@@ -331,7 +343,7 @@ impl<'p> Interp<'p> {
         args: Vec<Value>,
         line: usize,
     ) -> Result<Vec<(&'p str, Value)>, LangError> {
-        let name = def.name;
+        let name = tree.text(def.name);
         let params = tree.bindings(def.params);
         if args.len() > params.len() {
             return Err(LangError::eval(
@@ -346,17 +358,18 @@ impl<'p> Interp<'p> {
         let mut args = args.into_iter();
         let mut bound = Vec::with_capacity(params.len());
         for param in params {
+            let pname = tree.text(param.name);
             let value = match (args.next(), param.value) {
                 (Some(value), _) => value,
                 (None, Some(default)) => self.eval(default, &mut Env::new(tree), line)?,
                 (None, None) => {
                     return Err(LangError::eval(
                         line,
-                        format!("{what} `{name}` missing argument `{}`", param.name),
+                        format!("{what} `{name}` missing argument `{pname}`"),
                     ))
                 }
             };
-            bound.push((param.name, value));
+            bound.push((pname, value));
         }
         Ok(bound)
     }
@@ -456,11 +469,19 @@ impl<'p> Interp<'p> {
         Ok(flow)
     }
 
-    /// Takes one frame of the budget. An error abandons the compile, so
-    /// only the paths that return a value give their frame back.
+    /// Takes one frame and one step of the budgets. An error abandons the
+    /// compile, so only the paths that return a value give their frame
+    /// back.
     fn enter(&mut self, line: usize) -> Result<(), LangError> {
         if self.frames >= MAX_FRAMES {
             return Err(LangError::eval(line, "function recursion too deep"));
+        }
+        self.steps += 1;
+        if self.steps > MAX_STEPS {
+            return Err(LangError::eval(
+                line,
+                format!("the program takes more than {MAX_STEPS} steps"),
+            ));
         }
         self.frames += 1;
         Ok(())
@@ -468,7 +489,7 @@ impl<'p> Interp<'p> {
 
     fn exec_stmt(
         &mut self,
-        stmt: &Stmt<'p>,
+        stmt: &Stmt,
         env: &mut Env<'p>,
         cell: &mut CellSlot<'_, '_>,
     ) -> Result<Flow, LangError> {
@@ -523,7 +544,7 @@ impl<'p> Interp<'p> {
             } => {
                 let arg_values = self.eval_all(args, env, line)?;
                 let at = self.eval_point(at, env, line)?;
-                let child_id = self.elaborate_cell(child, arg_values, line)?;
+                let child_id = self.elaborate_cell(env.tree.text(child), arg_values, line)?;
                 let inst = Instance::place(child_id, Transform::new(orient, at));
                 in_range(self.instance_reach(&inst), line)?;
                 self.target(cell, line)?.push_instance(inst);
@@ -550,7 +571,7 @@ impl<'p> Interp<'p> {
                 if count < 1 || count2 < 1 {
                     return Err(LangError::eval(line, "array count must be at least 1"));
                 }
-                let child_id = self.elaborate_cell(child, arg_values, line)?;
+                let child_id = self.elaborate_cell(env.tree.text(child), arg_values, line)?;
                 // The copies farthest out sit at the corners of the array.
                 let along = |axis: fn(Point) -> Coord, i: i64, j: i64| {
                     let step2 = step2.map_or(0, axis);
@@ -602,10 +623,11 @@ impl<'p> Interp<'p> {
             }
             StmtKind::Let { name, value } => {
                 let v = self.eval(value, env, line)?;
-                env.define(name, v);
+                env.define(env.tree.text(name), v);
             }
             StmtKind::Assign { name, value } => {
                 let v = self.eval(value, env, line)?;
+                let name = env.tree.text(name);
                 if !env.assign(name, v) {
                     return Err(LangError::eval(
                         line,
@@ -621,6 +643,7 @@ impl<'p> Interp<'p> {
             } => {
                 let from = self.eval_int(from, env, line)?;
                 let to = self.eval_int(to, env, line)?;
+                let var = env.tree.text(var);
                 for i in from..to {
                     env.push();
                     env.define(var, Value::Int(i));
@@ -695,18 +718,21 @@ impl<'p> Interp<'p> {
         match *env.tree.expr(e) {
             Expr::Int(v) => Ok(Value::Int(v)),
             Expr::Bool(b) => Ok(Value::Bool(b)),
-            Expr::Str(s) => Ok(Value::Str(s.to_string())),
+            Expr::Str(s) => Ok(Value::Str(env.tree.text(s).to_string())),
             Expr::Point(x, y) => {
                 let px = self.eval_int(x, env, line)?;
                 let py = self.eval_int(y, env, line)?;
                 Ok(Value::Point(Point::new(px, py)))
             }
             Expr::List(items) => Ok(Value::List(self.eval_all(items, env, line)?)),
-            Expr::Ident(name) => env
-                .get(name)
-                .cloned()
-                .ok_or_else(|| LangError::eval(line, format!("`{name}` is not defined"))),
+            Expr::Ident(name) => {
+                let name = env.tree.text(name);
+                env.get(name)
+                    .cloned()
+                    .ok_or_else(|| LangError::eval(line, format!("`{name}` is not defined")))
+            }
             Expr::Record { type_name, fields } => {
+                let type_name = env.tree.text(type_name);
                 let &(type_tree, def) = self.types.get(type_name).ok_or_else(|| {
                     LangError::eval(line, format!("type `{type_name}` is not defined"))
                 })?;
@@ -714,9 +740,10 @@ impl<'p> Interp<'p> {
                 let given = env.tree.bindings(fields);
                 let mut out: Vec<(String, Value)> = Vec::with_capacity(declared.len());
                 for Binding { name, .. } in declared {
+                    let name = type_tree.text(*name);
                     let value = given
                         .iter()
-                        .find(|g| g.name == *name)
+                        .find(|g| env.tree.text(g.name) == name)
                         .and_then(|g| g.value)
                         .ok_or_else(|| {
                             LangError::eval(
@@ -727,7 +754,8 @@ impl<'p> Interp<'p> {
                     out.push((name.to_string(), self.eval(value, env, line)?));
                 }
                 for Binding { name, .. } in given {
-                    if !declared.iter().any(|d| d.name == *name) {
+                    let name = env.tree.text(*name);
+                    if !declared.iter().any(|d| type_tree.text(d.name) == name) {
                         return Err(LangError::eval(
                             line,
                             format!("type `{type_name}` has no field `{name}`"),
@@ -741,10 +769,11 @@ impl<'p> Interp<'p> {
             }
             Expr::Call { name, args } => {
                 let arg_values = self.eval_all(args, env, line)?;
-                self.call(name, arg_values, line)
+                self.call(env.tree.text(name), arg_values, line)
             }
             Expr::Field { base, field } => {
                 let base = self.eval(base, env, line)?;
+                let field = env.tree.text(field);
                 match (&base, field) {
                     (Value::Point(p), "x") => Ok(Value::Int(p.x)),
                     (Value::Point(p), "y") => Ok(Value::Int(p.y)),
@@ -1118,6 +1147,26 @@ mod tests {
         let d =
             compile("let big = 4611686018427387903;\nlet ok = big + big;\nbox metal (0,0) (4,4);");
         assert_eq!(d.library.cell(d.top).unwrap().elements().len(), 1);
+    }
+
+    #[test]
+    fn a_program_that_runs_too_long_is_a_line_numbered_error() {
+        // Each iteration evaluates 257 expressions, so the budget runs out
+        // some 65 000 iterations into a loop of 2^63.
+        let endless = format!(
+            "let a = 1;\nfor i in 0..9223372036854775807 {{\n  let x = [{}];\n}}",
+            vec!["0"; 256].join(", ")
+        );
+        match compile_err(&endless) {
+            LangError::Eval { line, message } => {
+                assert_eq!(line, 3);
+                assert_eq!(
+                    message,
+                    format!("the program takes more than {MAX_STEPS} steps")
+                );
+            }
+            other => panic!("expected Eval error, got {other:?}"),
+        }
     }
 
     #[test]

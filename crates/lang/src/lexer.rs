@@ -1,20 +1,23 @@
 use crate::LangError;
 
-/// A lexical token with its source position. Names and strings are
-/// slices of the source; positions fit `u32` because [`lex`] refuses a
-/// source they could not address.
+/// A lexical token: what it is and the byte offset where it starts. A
+/// name, number or string is read back from the source when the parser
+/// takes it ([`text_at`]), and a line and column are counted from the
+/// offset when something asks ([`position`]). Offsets fit `u32` because
+/// [`lex`] refuses a source they could not address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Token<'a> {
-    pub kind: Tok<'a>,
-    pub line: u32,
-    pub col: u32,
+pub struct Token {
+    pub at: u32,
+    pub kind: Tok,
 }
 
+const _: () = assert!(size_of::<Token>() == 8);
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tok<'a> {
-    Ident(&'a str),
-    Int(i64),
-    Str(&'a str),
+pub enum Tok {
+    Ident,
+    Int,
+    Str,
     // Keywords.
     Cell,
     Fn,
@@ -70,18 +73,10 @@ pub enum Tok<'a> {
     Eof,
 }
 
-impl Tok<'_> {
-    pub fn describe(&self) -> String {
-        match self {
-            Tok::Ident(s) => format!("identifier `{s}`"),
-            Tok::Int(v) => format!("number {v}"),
-            Tok::Str(s) => format!("string {s:?}"),
-            Tok::Eof => "end of input".into(),
-            other => format!("`{}`", other.text()),
-        }
-    }
-
-    fn text(&self) -> &'static str {
+impl Tok {
+    /// The spelling of a keyword or punctuation mark; a name, number,
+    /// string or the end of input has none of its own.
+    pub fn text(self) -> &'static str {
         match self {
             Tok::Cell => "cell",
             Tok::Fn => "fn",
@@ -133,20 +128,85 @@ impl Tok<'_> {
             Tok::Ge => ">=",
             Tok::AndAnd => "&&",
             Tok::OrOr => "||",
-            Tok::Ident(_) | Tok::Int(_) | Tok::Str(_) | Tok::Eof => unreachable!(),
+            Tok::Ident | Tok::Int | Tok::Str | Tok::Eof => "",
         }
     }
 }
 
-/// Tokenizes SIL source. Comments run from `//` to end of line.
-pub fn lex(source: &str) -> Result<Vec<Token<'_>>, LangError> {
-    let syntax = |line: u32, col: u32, message: String| LangError::Syntax {
-        line: line as usize,
-        col: col as usize,
-        message,
-    };
+impl Token {
+    /// How a diagnostic names this token of `source`.
+    pub fn describe(self, source: &str) -> String {
+        match self.kind {
+            Tok::Ident => format!("identifier `{}`", text_at(source, self.at)),
+            Tok::Int => format!("number {}", int_at(source, self.at)),
+            Tok::Str => format!("string {:?}", text_at(source, self.at)),
+            Tok::Eof => "end of input".into(),
+            other => format!("`{}`", other.text()),
+        }
+    }
+}
+
+fn is_word_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// The end of the run of bytes from `i` that `keep` accepts.
+fn run_end(bytes: &[u8], i: usize, keep: impl Fn(u8) -> bool) -> usize {
+    bytes[i..]
+        .iter()
+        .position(|&b| !keep(b))
+        .map_or(bytes.len(), |n| i + n)
+}
+
+/// The text of the name, number or string literal that starts at byte
+/// `at` of a lexed `source`: a string is what stands between its quotes.
+pub fn text_at(source: &str, at: u32) -> &str {
+    let bytes = source.as_bytes();
+    let at = at as usize;
+    match bytes.get(at) {
+        // Both delimiters of a string are ASCII, so the slice is whole
+        // characters.
+        Some(b'"') => &source[at + 1..run_end(bytes, at + 1, |b| b != b'"')],
+        Some(b) if b.is_ascii_digit() => &source[at..run_end(bytes, at, |b| b.is_ascii_digit())],
+        _ => &source[at..run_end(bytes, at, is_word_byte)],
+    }
+}
+
+/// The value of the number at byte `at` of a lexed `source`.
+pub fn int_at(source: &str, at: u32) -> i64 {
+    text_at(source, at)
+        .parse()
+        .expect("`lex` refuses a number past i64")
+}
+
+/// The 1-based line and column of byte `at` of `source`. Columns count
+/// bytes.
+pub fn position(source: &str, at: u32) -> (usize, usize) {
+    let before = &source.as_bytes()[..at as usize];
+    let line_start = before
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |n| n + 1);
+    let lines = before.iter().filter(|&&b| b == b'\n').count();
+    (lines + 1, before.len() - line_start + 1)
+}
+
+/// A syntax error at byte `at` of `source`.
+pub fn syntax_error(source: &str, at: u32, message: String) -> LangError {
+    let (line, col) = position(source, at);
+    LangError::Syntax { line, col, message }
+}
+
+/// Tokenizes SIL source. Comments run from `//` to end of line. Every
+/// name, number and string is checked here, so what the parser reads
+/// back from the source is always whole.
+pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
     if u32::try_from(source.len()).is_err() {
-        return Err(syntax(1, 1, "source is larger than 4 GiB".into()));
+        return Err(syntax_error(
+            source,
+            0,
+            "source is larger than 4 GiB".into(),
+        ));
     }
     let bytes = source.as_bytes();
     // Two bytes a token is what punctuation-heavy SIL comes to; memory
@@ -155,18 +215,17 @@ pub fn lex(source: &str) -> Result<Vec<Token<'_>>, LangError> {
     let mut out = Vec::new();
     let _ = out.try_reserve_exact(source.len() / 2 + 1);
     let mut i = 0;
-    let mut line = 1u32;
-    let mut col = 1u32;
+    // The end of input is the end of the source, or the start of a
+    // comment that runs to it.
+    let mut eof = source.len();
 
     macro_rules! push {
         ($kind:expr, $len:expr) => {{
             out.push(Token {
+                at: i as u32,
                 kind: $kind,
-                line,
-                col,
             });
             i += $len;
-            col += $len as u32;
         }};
     }
 
@@ -174,18 +233,12 @@ pub fn lex(source: &str) -> Result<Vec<Token<'_>>, LangError> {
         let c = bytes[i];
         let next = bytes.get(i + 1).copied().unwrap_or(0);
         match c {
-            b'\n' => {
-                i += 1;
-                line += 1;
-                col = 1;
-            }
-            c if c.is_ascii_whitespace() => {
-                i += 1;
-                col += 1;
-            }
+            c if c.is_ascii_whitespace() => i += 1,
             b'/' if next == b'/' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
+                let start = i;
+                i = run_end(bytes, i, |b| b != b'\n');
+                if i == bytes.len() {
+                    eof = start;
                 }
             }
             b'(' => push!(Tok::LParen, 1),
@@ -216,39 +269,23 @@ pub fn lex(source: &str) -> Result<Vec<Token<'_>>, LangError> {
             b'&' if next == b'&' => push!(Tok::AndAnd, 2),
             b'|' if next == b'|' => push!(Tok::OrOr, 2),
             b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' && bytes[j] != b'\n' {
-                    j += 1;
-                }
+                let j = run_end(bytes, i + 1, |b| b != b'"' && b != b'\n');
                 if bytes.get(j) != Some(&b'"') {
-                    return Err(syntax(line, col, "unterminated string literal".into()));
+                    let message = "unterminated string literal".into();
+                    return Err(syntax_error(source, i as u32, message));
                 }
-                // Both delimiters are ASCII, so the slice is whole characters.
-                let len = j + 1 - i;
-                push!(Tok::Str(&source[start..j]), len);
+                push!(Tok::Str, j + 1 - i);
             }
             c if c.is_ascii_digit() => {
-                let start = i;
-                let mut j = i;
-                while j < bytes.len() && bytes[j].is_ascii_digit() {
-                    j += 1;
+                let j = run_end(bytes, i, |b| b.is_ascii_digit());
+                if source[i..j].parse::<i64>().is_err() {
+                    return Err(syntax_error(source, i as u32, "number too large".into()));
                 }
-                let text = &source[start..j];
-                let value: i64 = text
-                    .parse()
-                    .map_err(|_| syntax(line, col, "number too large".into()))?;
-                let len = j - i;
-                push!(Tok::Int(value), len);
+                push!(Tok::Int, j - i);
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
-                let start = i;
-                let mut j = i;
-                while j < bytes.len() && (bytes[j].is_ascii_alphanumeric() || bytes[j] == b'_') {
-                    j += 1;
-                }
-                let word = &source[start..j];
-                let kind = match word {
+                let j = run_end(bytes, i, is_word_byte);
+                let kind = match &source[i..j] {
                     "cell" => Tok::Cell,
                     "fn" => Tok::Fn,
                     "type" => Tok::Type,
@@ -272,24 +309,19 @@ pub fn lex(source: &str) -> Result<Vec<Token<'_>>, LangError> {
                     "mirrory" => Tok::MirrorY,
                     "true" => Tok::True,
                     "false" => Tok::False,
-                    _ => Tok::Ident(word),
+                    _ => Tok::Ident,
                 };
-                let len = j - i;
-                push!(kind, len);
+                push!(kind, j - i);
             }
             other => {
-                return Err(syntax(
-                    line,
-                    col,
-                    format!("unexpected character `{}`", other as char),
-                ));
+                let message = format!("unexpected character `{}`", other as char);
+                return Err(syntax_error(source, i as u32, message));
             }
         }
     }
     out.push(Token {
+        at: eof as u32,
         kind: Tok::Eof,
-        line,
-        col,
     });
     Ok(out)
 }
@@ -298,57 +330,80 @@ pub fn lex(source: &str) -> Result<Vec<Token<'_>>, LangError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok<'_>> {
-        lex(src).unwrap().into_iter().map(|t| t.kind).collect()
+    /// Each token of `src` as its kind and, for a name, number or
+    /// string, the text it is read back as.
+    fn tokens(src: &str) -> Vec<(Tok, &str)> {
+        let text = |t: Token| match t.kind {
+            Tok::Ident | Tok::Int | Tok::Str => text_at(src, t.at),
+            _ => "",
+        };
+        lex(src)
+            .unwrap()
+            .into_iter()
+            .map(|t| (t.kind, text(t)))
+            .collect()
     }
 
     #[test]
     fn keywords_vs_idents() {
         assert_eq!(
-            kinds("cell inv place"),
-            vec![Tok::Cell, Tok::Ident("inv"), Tok::Place, Tok::Eof]
+            tokens("cell inv place"),
+            vec![
+                (Tok::Cell, ""),
+                (Tok::Ident, "inv"),
+                (Tok::Place, ""),
+                (Tok::Eof, "")
+            ]
         );
         // `poly` the layer stays an identifier; `polygon` is the shape
         // statement keyword.
         assert_eq!(
-            kinds("poly polygon"),
-            vec![Tok::Ident("poly"), Tok::Poly, Tok::Eof]
+            tokens("poly polygon"),
+            vec![(Tok::Ident, "poly"), (Tok::Poly, ""), (Tok::Eof, "")]
         );
     }
 
     #[test]
     fn operators_and_ranges() {
         assert_eq!(
-            kinds("0..4 a.b -> - ="),
+            tokens("0..4 a.b -> - ="),
             vec![
-                Tok::Int(0),
-                Tok::DotDot,
-                Tok::Int(4),
-                Tok::Ident("a"),
-                Tok::Dot,
-                Tok::Ident("b"),
-                Tok::Arrow,
-                Tok::Minus,
-                Tok::Assign,
-                Tok::Eof,
+                (Tok::Int, "0"),
+                (Tok::DotDot, ""),
+                (Tok::Int, "4"),
+                (Tok::Ident, "a"),
+                (Tok::Dot, ""),
+                (Tok::Ident, "b"),
+                (Tok::Arrow, ""),
+                (Tok::Minus, ""),
+                (Tok::Assign, ""),
+                (Tok::Eof, ""),
             ]
+        );
+        // A number stops at its last digit, whatever follows it.
+        assert_eq!(
+            tokens("12ab"),
+            vec![(Tok::Int, "12"), (Tok::Ident, "ab"), (Tok::Eof, "")]
         );
     }
 
     #[test]
     fn strings() {
         assert_eq!(
-            kinds(r#""hello" x"#),
-            vec![Tok::Str("hello"), Tok::Ident("x"), Tok::Eof]
+            tokens(r#""hello" x"#),
+            vec![(Tok::Str, "hello"), (Tok::Ident, "x"), (Tok::Eof, "")]
         );
         assert!(lex("\"unterminated").is_err());
     }
 
     #[test]
     fn comments_and_positions() {
-        let toks = lex("a // comment\n  b").unwrap();
-        assert_eq!(toks[1].line, 2);
-        assert_eq!(toks[1].col, 3);
+        let src = "a // comment\n  b";
+        let toks = lex(src).unwrap();
+        assert_eq!(position(src, toks[1].at), (2, 3));
+        // The end of input sits where a trailing comment starts.
+        let src = "a // comment";
+        assert_eq!(position(src, lex(src).unwrap()[1].at), (1, 3));
     }
 
     #[test]

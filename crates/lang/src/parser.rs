@@ -1,5 +1,5 @@
 use crate::ast::*;
-use crate::lexer::{lex, Tok, Token};
+use crate::lexer::{int_at, lex, syntax_error, Tok, Token};
 use crate::LangError;
 use silc_geom::Orientation;
 
@@ -10,21 +10,24 @@ use silc_geom::Orientation;
 /// Returns [`LangError::Syntax`] with source position on any lexical or
 /// grammatical problem.
 pub fn parse(source: &str) -> Result<Program<'_>, LangError> {
-    parse_tokens(lex(source)?)
+    parse_tokens(source, lex(source)?)
 }
 
-/// Parses an already-lexed token stream (lets the compiler time lexing
-/// and parsing as separate pipeline stages).
-pub(crate) fn parse_tokens(tokens: Vec<Token<'_>>) -> Result<Program<'_>, LangError> {
+/// Parses the tokens [`lex`] made of `source` (lets the compiler time
+/// lexing and parsing as separate pipeline stages).
+pub(crate) fn parse_tokens(source: &str, tokens: Vec<Token>) -> Result<Program<'_>, LangError> {
     // Sized from the token count, so the tree takes a handful of
     // allocations: an expression is two tokens or more on average, a
     // statement a dozen.
-    let tree = Program::with_capacity(tokens.len());
+    let tree = Program::with_capacity(source, tokens.len());
     let mut p = Parser {
+        source,
         tokens,
         pos: 0,
         open: 0,
         height: 0,
+        line_at: 0,
+        line: 1,
         tree,
         exprs: Vec::new(),
         stmts: Vec::new(),
@@ -43,40 +46,65 @@ pub(crate) fn parse_tokens(tokens: Vec<Token<'_>>) -> Result<Program<'_>, LangEr
 pub(crate) const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
-    tokens: Vec<Token<'a>>,
+    source: &'a str,
+    tokens: Vec<Token>,
     pos: usize,
     /// Statements and operands open around the current token.
     open: usize,
     /// Height of the expression tree parsed last. Operator chains grow a
     /// tree without recursing, so depth is counted on the tree.
     height: usize,
+    /// The line of byte `line_at`, the last position whose line was asked.
+    line_at: u32,
+    line: u32,
     tree: Program<'a>,
     /// Members of the lists still open — arguments, bodies, fields — each
     /// waiting for its list to close and move into `tree` as one run.
-    exprs: Vec<Expr<'a>>,
-    stmts: Vec<Stmt<'a>>,
-    bindings: Vec<Binding<'a>>,
+    exprs: Vec<Expr>,
+    stmts: Vec<Stmt>,
+    bindings: Vec<Binding>,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Tok<'a> {
+impl Parser<'_> {
+    fn peek(&self) -> Tok {
         self.tokens[self.pos].kind
     }
 
-    fn peek2(&self) -> Tok<'a> {
+    fn peek2(&self) -> Tok {
         self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
     }
 
-    fn advance(&mut self) -> Tok<'a> {
-        let t = self.tokens[self.pos].kind;
+    /// The current token, consumed.
+    fn take(&mut self) -> Token {
+        let t = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
     }
 
+    fn advance(&mut self) -> Tok {
+        self.take().kind
+    }
+
+    /// The line of the current token, counted on from the last line asked
+    /// for: definitions and statements ask in source order, and the
+    /// parser only steps back to report an error.
+    fn line(&mut self) -> u32 {
+        let at = self.tokens[self.pos].at;
+        let skipped = &self.source.as_bytes()[self.line_at as usize..at as usize];
+        self.line += skipped.iter().filter(|&&b| b == b'\n').count() as u32;
+        self.line_at = at;
+        self.line
+    }
+
+    /// How a diagnostic names the current token.
+    fn found(&self) -> String {
+        self.tokens[self.pos].describe(self.source)
+    }
+
     /// Consumes the current token if it is `kind`.
-    fn eat(&mut self, kind: Tok<'a>) -> bool {
+    fn eat(&mut self, kind: Tok) -> bool {
         let found = self.peek() == kind;
         if found {
             self.advance();
@@ -85,12 +113,7 @@ impl<'a> Parser<'a> {
     }
 
     fn err(&self, message: impl Into<String>) -> LangError {
-        let t = self.tokens[self.pos];
-        LangError::Syntax {
-            line: t.line as usize,
-            col: t.col as usize,
-            message: message.into(),
-        }
+        syntax_error(self.source, self.tokens[self.pos].at, message.into())
     }
 
     /// Records that the tree parsed last now stands `height` high, and
@@ -103,31 +126,28 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn expect(&mut self, kind: Tok<'a>) -> Result<(), LangError> {
+    fn expect(&mut self, kind: Tok) -> Result<(), LangError> {
         if self.eat(kind) {
             return Ok(());
         }
         Err(self.err(format!(
-            "expected {}, found {}",
-            kind.describe(),
-            self.peek().describe()
+            "expected `{}`, found {}",
+            kind.text(),
+            self.found()
         )))
     }
 
-    fn ident(&mut self) -> Result<&'a str, LangError> {
-        match self.peek() {
-            Tok::Ident(s) => {
-                self.advance();
-                Ok(s)
-            }
-            other => Err(self.err(format!("expected identifier, found {}", other.describe()))),
+    fn ident(&mut self) -> Result<Sym, LangError> {
+        if self.peek() != Tok::Ident {
+            return Err(self.err(format!("expected identifier, found {}", self.found())));
         }
+        Ok(Sym(self.take().at))
     }
 
     // ---------------------------------------------------------------
 
-    fn item(&mut self) -> Result<Item<'a>, LangError> {
-        let line = self.tokens[self.pos].line;
+    fn item(&mut self) -> Result<Item, LangError> {
+        let line = self.line();
         let kind = self.peek();
         if !matches!(kind, Tok::Cell | Tok::Fn | Tok::Type) {
             return Ok(Item::Stmt(self.stmt()?));
@@ -158,7 +178,7 @@ impl<'a> Parser<'a> {
 
     /// The parameters of a `cell` or `fn` in parentheses, or the fields of
     /// a `type` in braces, which take no defaults.
-    fn params(&mut self, kind: Tok<'a>) -> Result<Run, LangError> {
+    fn params(&mut self, kind: Tok) -> Result<Run, LangError> {
         let (open, close) = match kind {
             Tok::Type => (Tok::LBrace, Tok::RBrace),
             _ => (Tok::LParen, Tok::RParen),
@@ -202,10 +222,12 @@ impl<'a> Parser<'a> {
             let step = match self.peek() {
                 Tok::Rot => {
                     self.advance();
-                    match self.advance() {
-                        Tok::Int(90) => Orientation::R90,
-                        Tok::Int(180) => Orientation::R180,
-                        Tok::Int(270) => Orientation::R270,
+                    let angle = self.take();
+                    let degrees = (angle.kind == Tok::Int).then(|| int_at(self.source, angle.at));
+                    match degrees {
+                        Some(90) => Orientation::R90,
+                        Some(180) => Orientation::R180,
+                        Some(270) => Orientation::R270,
                         _ => return Err(self.err("rot must be 90, 180 or 270")),
                     }
                 }
@@ -223,11 +245,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn stmt(&mut self) -> Result<Stmt<'a>, LangError> {
+    fn stmt(&mut self) -> Result<Stmt, LangError> {
         // Every cycle in the statement grammar comes through here.
         self.open += 1;
         self.grown(0)?;
-        let line = self.tokens[self.pos].line;
+        let line = self.line();
         let kind = match self.peek() {
             Tok::For => {
                 self.advance();
@@ -272,7 +294,7 @@ impl<'a> Parser<'a> {
         Ok(Stmt { kind, line })
     }
 
-    fn simple_stmt(&mut self) -> Result<StmtKind<'a>, LangError> {
+    fn simple_stmt(&mut self) -> Result<StmtKind, LangError> {
         let kind = match self.peek() {
             Tok::Box_ => {
                 self.advance();
@@ -302,14 +324,14 @@ impl<'a> Parser<'a> {
             Tok::Port => {
                 self.advance();
                 let name = match self.peek() {
-                    Tok::Ident(n) => {
-                        self.advance();
-                        self.tree.alloc(Expr::Str(n))
+                    Tok::Ident => {
+                        let name = Sym(self.take().at);
+                        self.tree.alloc(Expr::Str(name))
                     }
                     Tok::LParen => self.expr_id()?,
-                    other => {
+                    _ => {
                         return Err(
-                            self.err(format!("expected a port name, found {}", other.describe()))
+                            self.err(format!("expected a port name, found {}", self.found()))
                         )
                     }
                 };
@@ -346,7 +368,7 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::Count)?;
                 let count = self.expr_id()?;
                 let count2 = match self.peek() {
-                    Tok::Int(_) | Tok::Ident(_) if step2.is_some() => Some(self.expr_id()?),
+                    Tok::Int | Tok::Ident if step2.is_some() => Some(self.expr_id()?),
                     _ => None,
                 };
                 StmtKind::ArrayPlace {
@@ -377,8 +399,8 @@ impl<'a> Parser<'a> {
                 };
                 StmtKind::Return { value }
             }
-            Tok::Ident(name) if self.peek2() == Tok::Assign => {
-                self.advance();
+            Tok::Ident if self.peek2() == Tok::Assign => {
+                let name = Sym(self.take().at);
                 self.advance();
                 StmtKind::Assign {
                     name,
@@ -397,12 +419,12 @@ impl<'a> Parser<'a> {
     /// parenthesized expression computing a layer name string.
     fn layer_expr(&mut self) -> Result<ExprId, LangError> {
         match self.peek() {
-            Tok::Ident(name) => {
-                self.advance();
+            Tok::Ident => {
+                let name = Sym(self.take().at);
                 Ok(self.tree.alloc(Expr::Str(name)))
             }
             Tok::LParen => self.expr_id(),
-            other => Err(self.err(format!("expected a layer name, found {}", other.describe()))),
+            _ => Err(self.err(format!("expected a layer name, found {}", self.found()))),
         }
     }
 
@@ -419,7 +441,7 @@ impl<'a> Parser<'a> {
 
     /// Expressions separated by commas up to `close`, counted as one node
     /// over them: the arguments of a call or a placement, a list literal.
-    fn expr_list(&mut self, close: Tok<'a>) -> Result<Run, LangError> {
+    fn expr_list(&mut self, close: Tok) -> Result<Run, LangError> {
         let mark = self.exprs.len();
         let mut below = 0;
         while self.peek() != close {
@@ -444,7 +466,7 @@ impl<'a> Parser<'a> {
     // `ident { ... }` record literal, which would swallow statement
     // blocks after `if`/`for`.
 
-    fn expr(&mut self) -> Result<Expr<'a>, LangError> {
+    fn expr(&mut self) -> Result<Expr, LangError> {
         self.binary_expr(0, true)
     }
 
@@ -459,7 +481,7 @@ impl<'a> Parser<'a> {
         Ok(self.tree.alloc(e))
     }
 
-    fn binary_expr(&mut self, min_prec: u8, allow_record: bool) -> Result<Expr<'a>, LangError> {
+    fn binary_expr(&mut self, min_prec: u8, allow_record: bool) -> Result<Expr, LangError> {
         let mut lhs = self.unary_expr(allow_record)?;
         loop {
             let (op, prec) = match self.peek() {
@@ -494,7 +516,7 @@ impl<'a> Parser<'a> {
         Ok(lhs)
     }
 
-    fn unary_expr(&mut self, allow_record: bool) -> Result<Expr<'a>, LangError> {
+    fn unary_expr(&mut self, allow_record: bool) -> Result<Expr, LangError> {
         // Every cycle in the expression grammar comes through here, and
         // a new tree starts.
         self.open += 1;
@@ -519,7 +541,7 @@ impl<'a> Parser<'a> {
         Ok(e)
     }
 
-    fn postfix_expr(&mut self, allow_record: bool) -> Result<Expr<'a>, LangError> {
+    fn postfix_expr(&mut self, allow_record: bool) -> Result<Expr, LangError> {
         let mut e = self.primary_expr(allow_record)?;
         loop {
             match self.peek() {
@@ -549,13 +571,14 @@ impl<'a> Parser<'a> {
         Ok(e)
     }
 
-    fn primary_expr(&mut self, allow_record: bool) -> Result<Expr<'a>, LangError> {
-        let at = self.pos;
-        match self.advance() {
-            Tok::Int(v) => Ok(Expr::Int(v)),
+    fn primary_expr(&mut self, allow_record: bool) -> Result<Expr, LangError> {
+        let pos = self.pos;
+        let token = self.take();
+        match token.kind {
+            Tok::Int => Ok(Expr::Int(int_at(self.source, token.at))),
             Tok::True => Ok(Expr::Bool(true)),
             Tok::False => Ok(Expr::Bool(false)),
-            Tok::Str(s) => Ok(Expr::Str(s)),
+            Tok::Str => Ok(Expr::Str(Sym(token.at))),
             Tok::LBracket => Ok(Expr::List(self.expr_list(Tok::RBracket)?)),
             Tok::LParen => {
                 let first = self.expr()?;
@@ -570,7 +593,8 @@ impl<'a> Parser<'a> {
                     Ok(first)
                 }
             }
-            Tok::Ident(name) => {
+            Tok::Ident => {
+                let name = Sym(token.at);
                 if self.eat(Tok::LParen) {
                     let args = self.expr_list(Tok::RParen)?;
                     Ok(Expr::Call { name, args })
@@ -598,12 +622,9 @@ impl<'a> Parser<'a> {
                     Ok(Expr::Ident(name))
                 }
             }
-            other => {
-                self.pos = at;
-                Err(self.err(format!(
-                    "expected an expression, found {}",
-                    other.describe()
-                )))
+            _ => {
+                self.pos = pos;
+                Err(self.err(format!("expected an expression, found {}", self.found())))
             }
         }
     }
@@ -614,7 +635,7 @@ mod tests {
     use super::*;
 
     /// The one definition of `source` and the statements of its body.
-    fn body_of<'p>(p: &'p Program<'p>) -> (&'p Def<'p>, Vec<StmtKind<'p>>) {
+    fn body_of<'p>(p: &'p Program<'p>) -> (&'p Def, Vec<StmtKind>) {
         match &p.items[0] {
             Item::Cell(def) | Item::Fn(def) => {
                 (def, p.stmts(def.body).iter().map(|s| s.kind).collect())
@@ -624,8 +645,8 @@ mod tests {
     }
 
     /// The top-level statements of `source`.
-    fn top_of<'p>(p: &'p Program<'p>) -> Vec<StmtKind<'p>> {
-        let kind = |item: &Item<'p>| match item {
+    fn top_of(p: &Program) -> Vec<StmtKind> {
+        let kind = |item: &Item| match item {
             Item::Stmt(s) => s.kind,
             other => panic!("unexpected {other:?}"),
         };
@@ -645,7 +666,7 @@ mod tests {
         .unwrap();
         assert_eq!(p.items.len(), 1);
         let (def, body) = body_of(&p);
-        assert_eq!(def.name, "inv");
+        assert_eq!(p.text(def.name), "inv");
         let params = p.bindings(def.params);
         assert_eq!(params.len(), 1);
         assert!(params[0].value.is_some());
@@ -672,7 +693,7 @@ mod tests {
         assert_eq!(top.len(), 3);
         match top[0] {
             StmtKind::Place { cell, orient, .. } => {
-                assert_eq!(cell, "inv");
+                assert_eq!(p.text(cell), "inv");
                 assert_eq!(orient, Orientation::MX.compose(Orientation::R90));
             }
             other => panic!("unexpected {other:?}"),
@@ -696,7 +717,7 @@ mod tests {
             panic!("a list");
         };
         let items: Vec<&Expr> = items.ids().map(|id| p.expr(id)).collect();
-        assert!(matches!(items[0], Expr::Call { name: "f", .. }));
+        assert!(matches!(items[0], Expr::Call { name, .. } if p.text(*name) == "f"));
         assert!(matches!(items[1], Expr::List(inner) if inner.ids().count() == 1));
         assert!(matches!(items[2], Expr::Index { .. }));
         assert_eq!(items.len(), 3);
@@ -739,7 +760,11 @@ mod tests {
         assert_eq!(p.items.len(), 3);
         match &p.items[0] {
             Item::Type(def) => {
-                let fields: Vec<&str> = p.bindings(def.params).iter().map(|b| b.name).collect();
+                let fields: Vec<&str> = p
+                    .bindings(def.params)
+                    .iter()
+                    .map(|b| p.text(b.name))
+                    .collect();
                 assert_eq!(fields, ["x", "y"]);
             }
             other => panic!("unexpected {other:?}"),
@@ -767,7 +792,7 @@ mod tests {
     fn parses_functions() {
         let p = parse("fn double(n) -> int { return n * 2; }").unwrap();
         let (def, body) = body_of(&p);
-        assert_eq!(def.name, "double");
+        assert_eq!(p.text(def.name), "double");
         assert!(matches!(body[0], StmtKind::Return { .. }));
     }
 

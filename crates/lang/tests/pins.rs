@@ -56,6 +56,18 @@ const DIAGNOSTICS: &[(&str, &str)] = &[
         "syntax error at 1:10: expected `;`, found end of input",
     ),
     (
+        "let x = 1 // trailing",
+        "syntax error at 1:11: expected `;`, found end of input",
+    ),
+    (
+        "let x = 1;\nlet y = 2 // cé",
+        "syntax error at 2:11: expected `;`, found end of input",
+    ),
+    (
+        "cell c() {\n  box metal (0,0) (4,4);\n// no close",
+        "syntax error at 3:1: expected an expression, found end of input",
+    ),
+    (
         "box 5 (0,0) (1,1);",
         "syntax error at 1:5: expected a layer name, found number 5",
     ),

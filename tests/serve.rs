@@ -265,6 +265,39 @@ fn out_of_range_geometry_is_an_error_reply_and_the_worker_lives_on() {
 }
 
 #[test]
+fn endless_program_is_an_error_reply_and_the_worker_lives_on() {
+    // One worker: a loop that never ends used to go on elaborating after
+    // its request had timed out, and nothing answered the next one. Each
+    // iteration evaluates 257 expressions, so the step budget runs out in
+    // seconds even in a debug build.
+    let (addr, handle) = start(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr);
+    let endless = format!(
+        "let a = 1;\nfor i in 0..9223372036854775807 {{\n  let x = [{}];\n}}",
+        vec!["0"; 256].join(", ")
+    );
+    let reply = client.request(&format!(
+        r#"{{"op":"compile","id":1,"source":{}}}"#,
+        quoted(&endless)
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    let message = reply.to_string();
+    assert!(
+        message.contains("line 3") && message.contains("16777216 steps"),
+        "{message}"
+    );
+    let reply = client.request(&format!(
+        r#"{{"op":"compile","id":2,"source":{}}}"#,
+        quoted(&sil_program(7))
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    handle.shutdown();
+}
+
+#[test]
 fn oversized_memory_is_an_error_reply_and_the_worker_lives_on() {
     // One worker: the simulator used to ask for 800 GB up front, and the
     // failed allocation aborted the whole process.
