@@ -755,13 +755,22 @@ mod tests {
             .map(|i| format!("DS {i}; C {};DF;\n", i + 1))
             .collect();
         text.push_str(&format!("DS {DEPTH}; L NM; B 2 2 1 1; DF; C 1; E"));
-        let symbols = std::thread::Builder::new()
+        // Writing it back is one sweep too: every symbol plus the
+        // synthesised top, on the same small stack.
+        let (symbols, written) = std::thread::Builder::new()
             .stack_size(2 << 20)
-            .spawn(move || parse(&text).map(|d| d.symbol_count()))
+            .spawn(move || {
+                let d = parse(&text).unwrap();
+                let out = crate::CifWriter::new()
+                    .write_to_string(&d.library, d.top)
+                    .unwrap();
+                (d.symbol_count(), out.matches("DS ").count())
+            })
             .unwrap()
             .join()
             .unwrap();
-        assert_eq!(symbols, Ok(DEPTH as usize));
+        assert_eq!(symbols, DEPTH as usize);
+        assert_eq!(written, DEPTH as usize + 1);
     }
 
     #[test]

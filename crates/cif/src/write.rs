@@ -1,6 +1,6 @@
 use crate::CifError;
 use silc_geom::{Orientation, Transform};
-use silc_layout::{CellId, Library, Shape};
+use silc_layout::{Cell, CellId, Library, Shape};
 use silc_trace::{span, Tracer};
 use std::fmt::Write as _;
 
@@ -67,20 +67,16 @@ impl CifWriter {
         if lib.cell(root).is_none() {
             return Err(CifError::UnknownRoot);
         }
-        // Emit only cells reachable from the root, children first.
-        let mut needed = vec![false; lib.len()];
-        mark_reachable(lib, root, &mut needed);
+        let copies = lib.copies(root);
         let mut out = String::new();
         let _ = writeln!(
             out,
             "( SILC silicon compiler output, {CENTIMICRONS_PER_LAMBDA} centimicrons per lambda );"
         );
+        // Only the cells the design uses, in id order: children first.
         let mut symbols = 0u64;
-        for id in lib.topological_order() {
-            if !needed[id.raw() as usize] {
-                continue;
-            }
-            self.write_symbol(lib, id, &mut out);
+        for (id, cell) in lib.iter().filter(|(id, _)| copies[id.raw() as usize] > 0) {
+            self.write_symbol(id, cell, &mut out);
             symbols += 1;
         }
         let _ = writeln!(out, "C {} T 0 0;", symbol_number(root));
@@ -92,8 +88,7 @@ impl CifWriter {
         Ok(out)
     }
 
-    fn write_symbol(&self, lib: &Library, id: CellId, out: &mut String) {
-        let cell = lib.cell(id).expect("reachable cells exist");
+    fn write_symbol(&self, id: CellId, cell: &Cell, out: &mut String) {
         let half_scale = CENTIMICRONS_PER_LAMBDA / 2;
         let _ = writeln!(out, "DS {} {} 1;", symbol_number(id), half_scale);
         let _ = writeln!(out, "9 {};", cell.name());
@@ -170,17 +165,6 @@ impl CifWriter {
 
 fn symbol_number(id: CellId) -> u64 {
     u64::from(id.raw()) + 1
-}
-
-fn mark_reachable(lib: &Library, id: CellId, needed: &mut [bool]) {
-    let idx = id.raw() as usize;
-    if needed[idx] {
-        return;
-    }
-    needed[idx] = true;
-    for inst in lib.cell(id).expect("valid id").instances() {
-        mark_reachable(lib, inst.cell, needed);
-    }
 }
 
 /// Renders a placement as CIF transformation clauses, applied left to
@@ -309,6 +293,20 @@ mod tests {
         let text = CifWriter::new().write_to_string(&lib, id).unwrap();
         assert!(text.contains("W 6 0 0 14 0;"), "{text}");
         assert!(text.contains("P 0 0 8 0 0 8;"), "{text}");
+    }
+
+    #[test]
+    fn a_cell_placed_zero_times_is_not_emitted() {
+        // `Instance::array` refuses a zero count; only a hand-built
+        // instance has one, and it calls nothing.
+        let (mut lib, unit) = one_cell_lib();
+        let mut top = Cell::new("top");
+        let mut none = Instance::place(unit, Transform::IDENTITY);
+        none.cols = 0;
+        top.push_instance(none);
+        let top = lib.add_cell(top).unwrap();
+        let text = CifWriter::new().write_to_string(&lib, top).unwrap();
+        assert!(!text.contains("unit") && !text.contains("C 1"), "{text}");
     }
 
     #[test]

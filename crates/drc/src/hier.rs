@@ -114,19 +114,10 @@ pub(crate) fn prove_clean(
 /// Copies of each cell in the design under `root`, or `None` when no
 /// array is reachable from it.
 fn copies_if_arrayed(lib: &Library, root: CellId) -> Option<Vec<u64>> {
-    let mut copies = vec![0u64; lib.len()];
-    *copies.get_mut(root.raw() as usize)? = 1;
-    let mut arrayed = false;
-    // Parents before children, so a cell's count is final when read.
-    for id in lib.topological_order().into_iter().rev() {
-        let n = copies[id.raw() as usize];
-        for inst in lib.cell(id)?.instances().iter().filter(|_| n > 0) {
-            arrayed |= inst.count() > 1;
-            let slot = &mut copies[inst.cell.raw() as usize];
-            *slot = slot.saturating_add(n.saturating_mul(inst.count()));
-        }
-    }
-    arrayed.then_some(copies)
+    let copies = lib.copies(root);
+    let reached = lib.iter().filter(|(id, _)| copies[id.raw() as usize] > 0);
+    let mut instances = reached.flat_map(|(_, cell)| cell.instances());
+    instances.any(|inst| inst.count() > 1).then_some(copies)
 }
 
 impl Prover<'_> {

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silc_drc::{check, check_flat, check_traced, Report, RuleSet};
 use silc_geom::{Orientation, Point, Rect, Transform};
-use silc_layout::{flatten_to_rects, Cell, CellId, Element, Instance, Layer, Library};
+use silc_layout::{flatten, flatten_to_rects, Cell, CellId, Element, Instance, Layer, Library};
 use silc_trace::Tracer;
 
 fn rect(x: i64, y: i64, w: i64, h: i64) -> Rect {
@@ -168,6 +168,28 @@ proptest! {
     #[test]
     fn hierarchical_report_is_the_flat_report(seed in 0u64..u64::MAX) {
         agrees(seed).map_err(TestCaseError::fail)?;
+    }
+
+    /// `Library::copies` against the flattening it counts, and against
+    /// reachability by a worklist walk that ignores id order.
+    #[test]
+    fn copies_count_the_flattening(seed in 0u64..u64::MAX) {
+        let (lib, top) = hierarchy(seed);
+        let copies = lib.copies(top);
+        let elements: u64 = lib
+            .iter()
+            .map(|(id, cell)| copies[id.raw() as usize] * cell.elements().len() as u64)
+            .sum();
+        prop_assert_eq!(elements, flatten(&lib, top).unwrap().len() as u64);
+        let mut reached = vec![false; lib.len()];
+        let mut work = vec![top];
+        while let Some(id) = work.pop() {
+            if !std::mem::replace(&mut reached[id.raw() as usize], true) {
+                work.extend(lib.cell(id).unwrap().instances().iter().map(|i| i.cell));
+            }
+        }
+        let used: Vec<bool> = copies.iter().map(|&n| n > 0).collect();
+        prop_assert_eq!(used, reached);
     }
 
     /// The generators of the checker's indexed-against-brute proptest

@@ -7,7 +7,7 @@ use silc_geom::{
     Coord, Dec, DecodeError, Fingerprint, FpHasher, Path, Persist, Point, Polygon, Rect, Transform,
     MAX_COORD,
 };
-use silc_layout::{Cell, CellId, Element, Instance, Layer, Library, Port};
+use silc_layout::{Cell, CellId, Element, Instance, Layer, Library, Port, MAX_FLAT_ELEMENTS};
 use silc_trace::{span, Tracer};
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -328,6 +328,14 @@ const MAX_FRAMES: usize = if cfg!(debug_assertions) { 96 } else { 1024 };
 /// benchmark take 27 447 steps at most.
 const MAX_STEPS: u64 = 1 << 24;
 
+/// The largest value a program may build, by [`Value::size`]: a string
+/// made by `+` or `str()` of at most this many bytes, a list or a record
+/// literal of at most this many values counted deeply. Without it a
+/// value that doubles each trip of a loop asks for 2⁶⁴ bytes long before
+/// [`MAX_STEPS`] runs out. The programs of the tests, the examples and the
+/// benchmark build a list of 257 values and a string of 3 bytes at most.
+const MAX_VALUE_SIZE: usize = 1 << 20;
+
 impl<'p> Interp<'p> {
     // ---------------------------------------------------------------
     // Cell elaboration
@@ -571,6 +579,12 @@ impl<'p> Interp<'p> {
                 if count < 1 || count2 < 1 {
                     return Err(LangError::eval(line, "array count must be at least 1"));
                 }
+                let count_u32 = |n: i64| {
+                    u32::try_from(n).map_err(|_| {
+                        LangError::eval(line, format!("array count {n} is above {}", u32::MAX))
+                    })
+                };
+                let (cols, rows) = (count_u32(count)?, count_u32(count2)?);
                 let child_id = self.elaborate_cell(env.tree.text(child), arg_values, line)?;
                 // The copies farthest out sit at the corners of the array.
                 let along = |axis: fn(Point) -> Coord, i: i64, j: i64| {
@@ -599,14 +613,25 @@ impl<'p> Interp<'p> {
                     let inst = Instance::array(
                         child_id,
                         Transform::new(orient, at),
-                        count as u32,
-                        count2 as u32,
+                        cols,
+                        rows,
                         step.x,
                         dy,
                     )
                     .map_err(|e| LangError::eval(line, e.to_string()))?;
                     target.push_instance(inst);
                 } else {
+                    // Past this many copies flattening refuses the design.
+                    // Two `u32`s multiply exactly in a `u64`.
+                    if u64::from(cols) * u64::from(rows) > MAX_FLAT_ELEMENTS as u64 {
+                        return Err(LangError::eval(
+                            line,
+                            format!(
+                                "a diagonal array of {count} x {count2} copies; \
+                                 at most {MAX_FLAT_ELEMENTS} can be placed"
+                            ),
+                        ));
+                    }
                     for j in 0..count2 {
                         for i in 0..count {
                             let offset = Point::new(
@@ -724,7 +749,7 @@ impl<'p> Interp<'p> {
                 let py = self.eval_int(y, env, line)?;
                 Ok(Value::Point(Point::new(px, py)))
             }
-            Expr::List(items) => Ok(Value::List(self.eval_all(items, env, line)?)),
+            Expr::List(items) => bounded(Value::List(self.eval_all(items, env, line)?), line),
             Expr::Ident(name) => {
                 let name = env.tree.text(name);
                 env.get(name)
@@ -762,10 +787,11 @@ impl<'p> Interp<'p> {
                         ));
                     }
                 }
-                Ok(Value::Record {
+                let record = Value::Record {
                     type_name: type_name.to_string(),
                     fields: out,
-                })
+                };
+                bounded(record, line)
             }
             Expr::Call { name, args } => {
                 let arg_values = self.eval_all(args, env, line)?;
@@ -962,6 +988,26 @@ fn in_range(reach: i128, line: usize) -> Result<(), LangError> {
     ))
 }
 
+/// `value`, if it is within [`MAX_VALUE_SIZE`].
+fn bounded(value: Value, line: usize) -> Result<Value, LangError> {
+    let size = value.size();
+    if size <= MAX_VALUE_SIZE {
+        return Ok(value);
+    }
+    let unit = if matches!(value, Value::Str(_)) {
+        "bytes"
+    } else {
+        "values"
+    };
+    Err(LangError::eval(
+        line,
+        format!(
+            "{} of {size} {unit} is over the value bound of {MAX_VALUE_SIZE}",
+            value.type_name()
+        ),
+    ))
+}
+
 fn binary(op: &BinOp, l: Value, r: Value, line: usize) -> Result<Value, LangError> {
     use BinOp::*;
     let type_err = |l: &Value, r: &Value| {
@@ -1008,7 +1054,7 @@ fn binary(op: &BinOp, l: Value, r: Value, line: usize) -> Result<Value, LangErro
         (Mul, Value::Point(a), Value::Int(k)) | (Mul, Value::Int(k), Value::Point(a)) => {
             Ok(Value::Point(Point::new(mul(a.x, *k)?, mul(a.y, *k)?)))
         }
-        (Add, Value::Str(a), Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
+        (Add, Value::Str(a), Value::Str(b)) => bounded(Value::Str(format!("{a}{b}")), line),
         (Eq, a, b) => Ok(Value::Bool(a == b)),
         (Ne, a, b) => Ok(Value::Bool(a != b)),
         (Lt, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a < b)),
@@ -1038,7 +1084,7 @@ fn builtin(name: &str, args: &[Value], line: usize) -> Result<Value, LangError> 
             )),
         },
         ("pt", 2) => Ok(Value::Point(Point::new(int_arg(0)?, int_arg(1)?))),
-        ("str", 1) => Ok(Value::Str(args[0].to_string())),
+        ("str", 1) => bounded(Value::Str(args[0].to_string()), line),
         _ => Err(LangError::eval(
             line,
             format!("`{name}` is not a function (or wrong argument count)"),
@@ -1275,6 +1321,58 @@ mod tests {
         assert_eq!(top.instances().len(), 3);
         let flat = flatten(&d.library, d.top).unwrap();
         assert!(flat.iter().any(|f| f.bbox().min() == Point::new(10, 10)));
+    }
+
+    #[test]
+    fn array_count_past_u32_is_an_error_not_a_wrap() {
+        for src in [
+            "cell a() { box metal (0,0) (3,3); }
+             array a() at (0,0) step (4,0) count 4294967297;",
+            "cell a() { box metal (0,0) (3,3); }
+             array a() at (0,0) step (4,0) (0,4) count 2 4294967296;",
+        ] {
+            let e = compile_err(src);
+            assert!(matches!(e, LangError::Eval { line: 2, .. }), "{e}");
+            assert!(e.to_string().contains("array count 42949672"), "{e}");
+        }
+    }
+
+    #[test]
+    fn diagonal_array_past_the_flattening_cap_is_an_error() {
+        let e = compile_err(
+            "cell a() { box metal (0,0) (3,3); }
+             array a() at (0,0) step (4,4) (4,-4) count 20000 20000;",
+        );
+        assert!(matches!(e, LangError::Eval { line: 2, .. }), "{e}");
+        assert!(e.to_string().contains("20000 x 20000"), "{e}");
+    }
+
+    #[test]
+    fn doubling_values_stop_at_the_value_bound() {
+        for (src, what) in [
+            (
+                "let s = \"ab\";\nfor i in 0..64 { s = s + s; }",
+                "string of 2097152 bytes",
+            ),
+            (
+                "let l = [1, 2];\nfor i in 0..64 { l = [l, l]; }",
+                "list of 2097151 values",
+            ),
+            (
+                "type p { a, b }\nlet r = 1; for i in 0..64 { r = p { a: r, b: r }; }",
+                "p of 2097151 values",
+            ),
+            // A list within the bound can still print past it.
+            (
+                "let l = [1000000000000000000];\nfor i in 0..16 { l = [l, l]; } let s = str(l);",
+                "string of 1638396 bytes",
+            ),
+        ] {
+            let e = compile_err(src);
+            assert!(matches!(e, LangError::Eval { line: 2, .. }), "{e}");
+            assert!(e.to_string().contains(what), "{e}");
+            assert!(e.to_string().contains("value bound of 1048576"), "{e}");
+        }
     }
 
     #[test]

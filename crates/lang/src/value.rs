@@ -59,6 +59,18 @@ impl Value {
         }
     }
 
+    /// What a value weighs against the interpreter's value bound: a
+    /// string its bytes, a list or a record one plus the weight of
+    /// everything in it, anything else one.
+    pub(crate) fn size(&self) -> usize {
+        match self {
+            Value::Str(s) => s.len().max(1),
+            Value::List(items) => 1 + items.iter().map(Value::size).sum::<usize>(),
+            Value::Record { fields, .. } => 1 + fields.iter().map(|(_, v)| v.size()).sum::<usize>(),
+            _ => 1,
+        }
+    }
+
     /// True if the value is truthy (`if` condition semantics: only a bool
     /// is accepted, this helper reports the check).
     pub fn as_bool(&self) -> Option<bool> {

@@ -174,10 +174,8 @@ impl Cell {
         self.elements.push(e);
     }
 
-    /// Adds a sub-cell placement. Prefer [`crate::Library::add_instance`],
-    /// which also validates against hierarchy cycles; this unchecked form
-    /// exists for building cells *before* they are inserted into a library
-    /// (at which point insertion re-validates).
+    /// Adds a sub-cell placement, unchecked: [`crate::Library::add_cell`]
+    /// validates it when the cell is added.
     pub fn push_instance(&mut self, i: Instance) {
         self.instances.push(i);
     }

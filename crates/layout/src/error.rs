@@ -16,13 +16,6 @@ pub enum LayoutError {
         /// The dangling id.
         id: CellId,
     },
-    /// Adding the instance would make the hierarchy cyclic.
-    RecursiveInstance {
-        /// The cell the instance was being added to.
-        parent: CellId,
-        /// The cell the instance refers to.
-        child: CellId,
-    },
     /// Array replication counts must be at least 1.
     BadArray {
         /// Requested columns.
@@ -47,10 +40,6 @@ impl fmt::Display for LayoutError {
                 write!(f, "cell name `{name}` is already defined")
             }
             LayoutError::UnknownCell { id } => write!(f, "unknown cell id {id:?}"),
-            LayoutError::RecursiveInstance { parent, child } => write!(
-                f,
-                "placing {child:?} inside {parent:?} would create a cycle"
-            ),
             LayoutError::BadArray { cols, rows } => {
                 write!(f, "array replication must be >= 1, got {cols} x {rows}")
             }

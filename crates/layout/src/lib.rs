@@ -7,8 +7,11 @@
 //! graphics language: **repetition** (arrays), **parameterisation** (cells
 //! are generated by the `silc-lang` compiler), and **hierarchy** (instances).
 //!
-//! The database is deliberately a DAG: [`Library::add_instance`] rejects
-//! recursive instantiation, so flattening ([`flatten`]) always terminates.
+//! The database is a DAG by construction: [`Library::add_cell`] takes a
+//! cell only once every cell it places is in the library, so ids run
+//! children before parents, flattening ([`flatten`]) always terminates,
+//! and one sweep down the ids counts what a design uses
+//! ([`Library::copies`]).
 //!
 //! Layers are the Mead–Conway nMOS set ([`Layer`]), matching the process the
 //! paper's reference \[1\] (Mead & Conway, *Introduction to VLSI Systems*)

@@ -1,4 +1,4 @@
-use crate::{Cell, Instance, LayoutError};
+use crate::{Cell, LayoutError};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -20,15 +20,15 @@ impl CellId {
     }
 }
 
-/// An arena of cells forming a design hierarchy (a DAG).
+/// An arena of cells forming a design hierarchy.
 ///
 /// The library owns all cells; instances refer to cells by [`CellId`].
 /// Structural invariants maintained:
 ///
 /// * cell names are unique ([`LayoutError::DuplicateCellName`]);
-/// * every instance refers to an existing cell
-///   ([`LayoutError::UnknownCell`]);
-/// * the instance graph is acyclic ([`LayoutError::RecursiveInstance`]).
+/// * ids run children before parents: a cell may only place cells added
+///   before it ([`LayoutError::UnknownCell`]), so the hierarchy is a DAG
+///   and ascending id order is a bottom-up order.
 #[derive(Debug, Clone, Default)]
 pub struct Library {
     cells: Vec<Cell>,
@@ -87,56 +87,8 @@ impl Library {
         self.by_name.get(name).copied()
     }
 
-    /// Adds an instance to an existing cell, re-validating the DAG
-    /// property (needed because, unlike [`Library::add_cell`], this can
-    /// point "forward" to cells added later).
-    ///
-    /// # Errors
-    ///
-    /// * [`LayoutError::UnknownCell`] for a dangling parent or child.
-    /// * [`LayoutError::RecursiveInstance`] if the child (transitively)
-    ///   instantiates the parent.
-    pub fn add_instance(&mut self, parent: CellId, inst: Instance) -> Result<(), LayoutError> {
-        if self.cell(parent).is_none() {
-            return Err(LayoutError::UnknownCell { id: parent });
-        }
-        if self.cell(inst.cell).is_none() {
-            return Err(LayoutError::UnknownCell { id: inst.cell });
-        }
-        if inst.cell == parent || self.reaches(inst.cell, parent) {
-            return Err(LayoutError::RecursiveInstance {
-                parent,
-                child: inst.cell,
-            });
-        }
-        self.cells[parent.raw() as usize].push_instance(inst);
-        Ok(())
-    }
-
-    /// True when `from` transitively instantiates `target`.
-    fn reaches(&self, from: CellId, target: CellId) -> bool {
-        let mut stack = vec![from];
-        let mut seen = vec![false; self.cells.len()];
-        while let Some(id) = stack.pop() {
-            if id == target {
-                return true;
-            }
-            let idx = id.raw() as usize;
-            if seen[idx] {
-                continue;
-            }
-            seen[idx] = true;
-            for inst in self.cells[idx].instances() {
-                stack.push(inst.cell);
-            }
-        }
-        false
-    }
-
-    /// Iterates over `(id, cell)` pairs in insertion order — which is a
-    /// valid bottom-up (children-before-parents) order for cells built via
-    /// [`Library::add_cell`] alone. When [`Library::add_instance`] has
-    /// introduced forward references, use [`Library::topological_order`].
+    /// Iterates over `(id, cell)` pairs in id order: children before
+    /// parents.
     pub fn iter(&self) -> impl Iterator<Item = (CellId, &Cell)> {
         self.cells
             .iter()
@@ -144,27 +96,26 @@ impl Library {
             .map(|(i, c)| (CellId(i as u32), c))
     }
 
-    /// Returns all cell ids in children-before-parents order.
-    pub fn topological_order(&self) -> Vec<CellId> {
-        let n = self.cells.len();
-        let mut order = Vec::with_capacity(n);
-        let mut state = vec![0u8; n]; // 0 unvisited, 1 in progress, 2 done
-        for start in 0..n {
-            self.topo_visit(start, &mut state, &mut order);
+    /// How many copies of each cell, indexed by raw id, the design under
+    /// `root` flattens to; 0 for a cell the design does not use. One sweep
+    /// from `root` down to id 0 finds them: a parent's id is above its
+    /// children's, so its count is final before it is passed on. Counts
+    /// saturate at `u64::MAX`; all are 0 when `root` is not in the library.
+    pub fn copies(&self, root: CellId) -> Vec<u64> {
+        let root = root.raw() as usize;
+        let mut copies = vec![0u64; self.cells.len()];
+        let Some(n) = copies.get_mut(root) else {
+            return copies;
+        };
+        *n = 1;
+        for id in (0..=root).rev() {
+            let n = copies[id];
+            for inst in self.cells[id].instances().iter().filter(|_| n > 0) {
+                let slot = &mut copies[inst.cell.raw() as usize];
+                *slot = slot.saturating_add(n.saturating_mul(inst.count()));
+            }
         }
-        order
-    }
-
-    fn topo_visit(&self, idx: usize, state: &mut [u8], order: &mut Vec<CellId>) {
-        if state[idx] != 0 {
-            return;
-        }
-        state[idx] = 1;
-        for inst in self.cells[idx].instances() {
-            self.topo_visit(inst.cell.raw() as usize, state, order);
-        }
-        state[idx] = 2;
-        order.push(CellId(idx as u32));
+        copies
     }
 
     /// Imports every cell of `other` into this library, returning the id
@@ -174,10 +125,8 @@ impl Library {
     /// This is how generator output (a PLA, a ROM) is composed into a
     /// SIL-compiled design: build in separate libraries, import, place.
     pub fn import(&mut self, other: &Library) -> Vec<CellId> {
-        let order = other.topological_order();
-        let mut mapping: Vec<Option<CellId>> = vec![None; other.len()];
-        for id in order {
-            let cell = other.cell(id).expect("topological ids are valid");
+        let mut mapping = Vec::with_capacity(other.len());
+        for cell in &other.cells {
             let mut name = cell.name().to_string();
             let mut n = 0;
             while self.by_name.contains_key(&name) {
@@ -192,37 +141,14 @@ impl Library {
                 copy.push_port(p.clone());
             }
             for inst in cell.instances() {
-                let child = mapping[inst.cell.raw() as usize]
-                    .expect("children precede parents in topological order");
                 let mut remapped = inst.clone();
-                remapped.cell = child;
+                remapped.cell = mapping[inst.cell.raw() as usize];
                 copy.push_instance(remapped);
             }
-            let new_id = self
-                .add_cell(copy)
-                .expect("name uniquified and children already present");
-            mapping[id.raw() as usize] = Some(new_id);
+            let id = self.add_cell(copy);
+            mapping.push(id.expect("name uniquified and children already present"));
         }
         mapping
-            .into_iter()
-            .map(|m| m.expect("all visited"))
-            .collect()
-    }
-
-    /// Cells that no other cell instantiates (design roots).
-    pub fn roots(&self) -> Vec<CellId> {
-        let mut referenced = vec![false; self.cells.len()];
-        for cell in &self.cells {
-            for inst in cell.instances() {
-                referenced[inst.cell.raw() as usize] = true;
-            }
-        }
-        referenced
-            .iter()
-            .enumerate()
-            .filter(|&(_, &r)| !r)
-            .map(|(i, _)| CellId(i as u32))
-            .collect()
     }
 }
 
@@ -235,7 +161,7 @@ impl fmt::Display for Library {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Element, Layer};
+    use crate::{Element, Instance, Layer};
     use silc_geom::{Point, Rect, Transform};
 
     fn leaf(name: &str) -> Cell {
@@ -280,65 +206,25 @@ mod tests {
     }
 
     #[test]
-    fn cycles_rejected() {
+    fn copies_count_every_use_and_skip_the_unused() {
         let mut lib = Library::new();
-        let a = lib.add_cell(leaf("a")).unwrap();
-        let b = lib.add_cell(leaf("b")).unwrap();
-        lib.add_instance(a, Instance::place(b, Transform::IDENTITY))
-            .unwrap();
-        // b -> a would close the loop a -> b -> a.
-        assert!(matches!(
-            lib.add_instance(b, Instance::place(a, Transform::IDENTITY)),
-            Err(LayoutError::RecursiveInstance { .. })
-        ));
-        // Self-instantiation is also a cycle.
-        assert!(matches!(
-            lib.add_instance(a, Instance::place(a, Transform::IDENTITY)),
-            Err(LayoutError::RecursiveInstance { .. })
-        ));
-    }
-
-    #[test]
-    fn deep_cycle_rejected() {
-        let mut lib = Library::new();
-        let ids: Vec<_> = (0..5)
-            .map(|i| lib.add_cell(leaf(&format!("c{i}"))).unwrap())
-            .collect();
-        for w in ids.windows(2) {
-            lib.add_instance(w[0], Instance::place(w[1], Transform::IDENTITY))
-                .unwrap();
-        }
-        // c4 -> c0 closes a length-5 loop.
-        assert!(lib
-            .add_instance(ids[4], Instance::place(ids[0], Transform::IDENTITY))
-            .is_err());
-    }
-
-    #[test]
-    fn topological_order_is_children_first() {
-        let mut lib = Library::new();
-        let a = lib.add_cell(leaf("a")).unwrap();
-        let b = lib.add_cell(leaf("b")).unwrap();
-        let top = lib.add_cell(leaf("top")).unwrap();
-        lib.add_instance(top, Instance::place(a, Transform::IDENTITY))
-            .unwrap();
-        lib.add_instance(a, Instance::place(b, Transform::IDENTITY))
-            .unwrap();
-        let order = lib.topological_order();
-        let pos = |id: CellId| order.iter().position(|&x| x == id).unwrap();
-        assert!(pos(b) < pos(a));
-        assert!(pos(a) < pos(top));
-        assert_eq!(order.len(), 3);
-    }
-
-    #[test]
-    fn roots_found() {
-        let mut lib = Library::new();
-        let a = lib.add_cell(leaf("a")).unwrap();
-        let top = lib.add_cell(leaf("top")).unwrap();
-        lib.add_instance(top, Instance::place(a, Transform::IDENTITY))
-            .unwrap();
-        assert_eq!(lib.roots(), vec![top]);
+        let bit = lib.add_cell(leaf("bit")).unwrap();
+        let unused = lib.add_cell(leaf("unused")).unwrap();
+        let mut row = leaf("row");
+        row.push_instance(Instance::array(bit, Transform::IDENTITY, 4, 2, 3, 3).unwrap());
+        let row = lib.add_cell(row).unwrap();
+        let mut top = leaf("top");
+        top.push_instance(Instance::place(row, Transform::IDENTITY));
+        top.push_instance(Instance::place(row, Transform::IDENTITY));
+        top.push_instance(Instance::place(bit, Transform::IDENTITY));
+        let top = lib.add_cell(top).unwrap();
+        let copies = lib.copies(top);
+        assert_eq!(copies[bit.raw() as usize], 17);
+        assert_eq!(copies[unused.raw() as usize], 0);
+        assert_eq!(copies[row.raw() as usize], 2);
+        assert_eq!(copies[top.raw() as usize], 1);
+        assert_eq!(lib.copies(row), vec![8, 0, 1, 0]);
+        assert_eq!(lib.copies(CellId::from_raw(4)), vec![0; 4]);
     }
 
     #[test]

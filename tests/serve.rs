@@ -362,6 +362,36 @@ fn design_too_large_to_flatten_is_an_error_reply_and_the_worker_lives_on() {
 }
 
 #[test]
+fn huge_diagonal_array_is_an_error_reply_and_the_worker_lives_on() {
+    // One worker: 400 million placements once asked for 7.5 GB, and the
+    // failed allocation aborted the whole process.
+    let (addr, handle) = start(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr);
+    let huge = "cell a() { box metal (0,0) (3,3); }
+         cell r() { array a() at (0,0) step (4,4) (4,-4) count 20000 20000; }
+         place r() at (0,0);";
+    let reply = client.request(&format!(
+        r#"{{"op":"compile","id":1,"source":{}}}"#,
+        quoted(huge)
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    let message = reply.to_string();
+    assert!(
+        message.contains("line 2") && message.contains("4194304"),
+        "{message}"
+    );
+    let reply = client.request(&format!(
+        r#"{{"op":"compile","id":2,"source":{}}}"#,
+        quoted(&sil_program(7))
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    handle.shutdown();
+}
+
+#[test]
 fn nesting_bombs_are_error_replies_and_the_server_lives_on() {
     // A stack overflow is no panic to catch: one such request used to
     // abort the process, and every connection with it.
