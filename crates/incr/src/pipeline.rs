@@ -474,7 +474,10 @@ pub fn pnr_products(
             .map_err(|e| e.to_string())?;
         let extracted = silc_extract::extract_traced(&out.library, out.root, tracer)
             .map_err(|e| e.to_string())?;
-        let lvs_ok = extracted.netlist.structurally_matches(netlist);
+        let lvs_ok = {
+            let _s = span!(tracer, "netlist.lvs");
+            extracted.netlist.structurally_matches(netlist)
+        };
         let cif = CifWriter::new()
             .with_tracer(tracer.clone())
             .write_to_string(&out.library, out.root)

@@ -222,38 +222,28 @@ impl Netlist {
     /// Label refinement driving [`isomorphic_signature`]. Each round
     /// relabels instances from their nets' labels and nets from their
     /// instances' labels, chaining the previous label so classes only
-    /// ever split; labels are compressed to fixed-size content hashes so
-    /// round cost stays linear. With `rounds: None` refinement runs until
-    /// the partition stops splitting (at most `nets + instances` rounds);
-    /// `Some(k)` stops after exactly `k` rounds (used by tests to pin the
+    /// ever split; labels are compressed to fixed-size content hashes and
+    /// each net's pins are listed once, up front, so round cost stays
+    /// linear. With `rounds: None` refinement runs until the partition
+    /// stops splitting (at most `nets + instances` rounds); `Some(k)`
+    /// stops after exactly `k` rounds (used by tests to pin the
     /// shallow-refinement failure mode).
     ///
     /// [`isomorphic_signature`]: Netlist::isomorphic_signature
     fn refined_signature(&self, rounds: Option<usize>) -> Vec<String> {
-        fn compress(raw: &str) -> String {
-            let mut h = FpHasher::new();
-            h.write_str(raw);
-            h.finish().to_hex()
-        }
-        fn class_count(labels: &[String]) -> usize {
-            labels.iter().collect::<HashSet<_>>().len()
-        }
+        let pins = self.pins_per_net();
         // Initial net labels: sorted multiset of (kind, port) pins.
-        let mut net_labels: Vec<String> = vec![String::new(); self.nets.len()];
-        for (ni, label) in net_labels.iter_mut().enumerate() {
-            let mut pins: Vec<String> = self
-                .instances
-                .iter()
-                .flat_map(|inst| {
-                    inst.connections
-                        .iter()
-                        .filter(|(_, n)| n.raw() as usize == ni)
-                        .map(|(p, _)| format!("{}:{}", inst.kind, p))
-                })
-                .collect();
-            pins.sort();
-            *label = compress(&pins.join(","));
-        }
+        let mut net_labels: Vec<String> = pins
+            .iter()
+            .map(|on_net| {
+                let mut labels: Vec<String> = on_net
+                    .iter()
+                    .map(|&(ii, p)| format!("{}:{}", self.instances[ii].kind, p))
+                    .collect();
+                labels.sort();
+                compress(&labels.join(","))
+            })
+            .collect();
         let max_rounds = rounds.unwrap_or(self.nets.len() + self.instances.len() + 1);
         let mut inst_labels: Vec<String> = vec![String::new(); self.instances.len()];
         let mut prev_classes = 0;
@@ -268,20 +258,14 @@ impl Netlist {
                 let raw = format!("{}|{}({})", inst_labels[ii], inst.kind, parts.join(";"));
                 inst_labels[ii] = compress(&raw);
             }
-            let mut next_nets = net_labels.clone();
-            for (ni, label) in next_nets.iter_mut().enumerate() {
-                let mut pins: Vec<String> = Vec::new();
-                for (ii, inst) in self.instances.iter().enumerate() {
-                    for (p, n) in &inst.connections {
-                        if n.raw() as usize == ni {
-                            pins.push(format!("{}@{}", p, inst_labels[ii]));
-                        }
-                    }
-                }
-                pins.sort();
-                *label = compress(&format!("{}|{}", net_labels[ni], pins.join(",")));
+            for (label, on_net) in net_labels.iter_mut().zip(&pins) {
+                let mut labels: Vec<String> = on_net
+                    .iter()
+                    .map(|&(ii, p)| format!("{p}@{}", inst_labels[ii]))
+                    .collect();
+                labels.sort();
+                *label = compress(&format!("{label}|{}", labels.join(",")));
             }
-            net_labels = next_nets;
             if rounds.is_none() {
                 // Chained labels mean classes only split; an unchanged
                 // count is therefore a stable partition, and a stable
@@ -297,6 +281,17 @@ impl Netlist {
         inst_labels
     }
 
+    /// Each net's pins as `(instance index, port)`, in instance order.
+    fn pins_per_net(&self) -> Vec<Vec<(usize, &str)>> {
+        let mut pins = vec![Vec::new(); self.nets.len()];
+        for (ii, inst) in self.instances.iter().enumerate() {
+            for (p, n) in &inst.connections {
+                pins[n.raw() as usize].push((ii, p.as_str()));
+            }
+        }
+        pins
+    }
+
     /// Structural equality up to renaming, via
     /// [`isomorphic_signature`](Netlist::isomorphic_signature).
     pub fn structurally_matches(&self, other: &Netlist) -> bool {
@@ -306,10 +301,24 @@ impl Netlist {
     }
 
     fn nets_with_pins(&self) -> usize {
-        (0..self.nets.len())
-            .filter(|&ni| self.fanout(NetId(ni as u32)) > 0)
-            .count()
+        let mut used = vec![false; self.nets.len()];
+        for (_, n) in self.instances.iter().flat_map(|i| &i.connections) {
+            used[n.raw() as usize] = true;
+        }
+        used.into_iter().filter(|&u| u).count()
     }
+}
+
+/// A label's fixed-size content hash.
+fn compress(raw: &str) -> String {
+    let mut h = FpHasher::new();
+    h.write_str(raw);
+    h.finish().to_hex()
+}
+
+/// Distinct labels in `labels`.
+fn class_count(labels: &[String]) -> usize {
+    labels.iter().collect::<HashSet<_>>().len()
 }
 
 impl Fingerprint for Netlist {
@@ -491,6 +500,126 @@ mod tests {
         let a = buf_chains(&[8, 12]);
         let b = buf_chains(&[12, 8]);
         assert!(a.structurally_matches(&b));
+    }
+
+    /// The per-net scan `refined_signature` replaced: every net looks
+    /// through every instance's connections, once per round. Kept as the
+    /// oracle for the pin lists built once.
+    fn scanned_signature(n: &Netlist, rounds: Option<usize>) -> Vec<String> {
+        let mut net_labels: Vec<String> = vec![String::new(); n.nets.len()];
+        for (ni, label) in net_labels.iter_mut().enumerate() {
+            let mut pins: Vec<String> = n
+                .instances
+                .iter()
+                .flat_map(|inst| {
+                    inst.connections
+                        .iter()
+                        .filter(|(_, net)| net.raw() as usize == ni)
+                        .map(|(p, _)| format!("{}:{}", inst.kind, p))
+                })
+                .collect();
+            pins.sort();
+            *label = compress(&pins.join(","));
+        }
+        let max_rounds = rounds.unwrap_or(n.nets.len() + n.instances.len() + 1);
+        let mut inst_labels: Vec<String> = vec![String::new(); n.instances.len()];
+        let mut prev_classes = 0;
+        for _ in 0..max_rounds {
+            for (ii, inst) in n.instances.iter().enumerate() {
+                let mut parts: Vec<String> = inst
+                    .connections
+                    .iter()
+                    .map(|(p, net)| format!("{p}={}", net_labels[net.raw() as usize]))
+                    .collect();
+                parts.sort();
+                let raw = format!("{}|{}({})", inst_labels[ii], inst.kind, parts.join(";"));
+                inst_labels[ii] = compress(&raw);
+            }
+            let mut next_nets = net_labels.clone();
+            for (ni, label) in next_nets.iter_mut().enumerate() {
+                let mut pins: Vec<String> = Vec::new();
+                for (ii, inst) in n.instances.iter().enumerate() {
+                    for (p, net) in &inst.connections {
+                        if net.raw() as usize == ni {
+                            pins.push(format!("{}@{}", p, inst_labels[ii]));
+                        }
+                    }
+                }
+                pins.sort();
+                *label = compress(&format!("{}|{}", net_labels[ni], pins.join(",")));
+            }
+            net_labels = next_nets;
+            if rounds.is_none() {
+                let classes = class_count(&inst_labels) + class_count(&net_labels);
+                if classes == prev_classes {
+                    break;
+                }
+                prev_classes = classes;
+            }
+        }
+        inst_labels.sort();
+        inst_labels
+    }
+
+    fn scanned_nets_with_pins(n: &Netlist) -> usize {
+        (0..n.nets.len())
+            .filter(|&ni| n.fanout(NetId(ni as u32)) > 0)
+            .count()
+    }
+
+    /// A random netlist: some nets unused, some pins sharing a net with
+    /// another pin of the same instance.
+    fn seeded_netlist(seed: u64) -> Netlist {
+        let mut state = seed;
+        let mut next = |below: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % below
+        };
+        let mut n = Netlist::new(format!("seed{seed}"));
+        let nets: Vec<NetId> = (0..1 + next(24))
+            .map(|i| n.add_net(format!("n{i}")))
+            .collect();
+        for i in 0..1 + next(40) {
+            let kind = ["enh", "dep", "buf", "pullup"][next(4) as usize];
+            let pins: Vec<(&str, NetId)> = ["gate", "src", "drn", "out"][..1 + next(4) as usize]
+                .iter()
+                .map(|&p| (p, nets[next(nets.len() as u64) as usize]))
+                .collect();
+            n.add_instance(format!("i{i}"), kind, &pins).unwrap();
+        }
+        n
+    }
+
+    #[test]
+    fn pins_listed_once_label_as_the_per_net_scan_does() {
+        for seed in 0..200 {
+            let n = seeded_netlist(seed);
+            assert_eq!(
+                n.nets_with_pins(),
+                scanned_nets_with_pins(&n),
+                "seed {seed}"
+            );
+            for rounds in [None, Some(0), Some(1), Some(3)] {
+                assert_eq!(
+                    n.refined_signature(rounds),
+                    scanned_signature(&n, rounds),
+                    "seed {seed}, rounds {rounds:?}"
+                );
+            }
+        }
+        // A long chain refines for about half its length before the
+        // partition settles; the quadratic oracle runs a few rounds.
+        let chain = buf_chains(&[2000]);
+        assert_eq!(chain.nets_with_pins(), scanned_nets_with_pins(&chain));
+        for rounds in [Some(1), Some(4)] {
+            assert_eq!(
+                chain.refined_signature(rounds),
+                scanned_signature(&chain, rounds)
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! transistor netlists onto grid-aligned sites, and a per-net gridded
 //! maze router — A* over track crossings, layer changes via vias —
 //! running against a site-access table painted once per run from the
-//! cell geometry, with bounded rip-up-and-reroute.
+//! cell geometry, with bounded rip-up-and-reroute. The heuristic is
+//! consistent, so the A* pops from a monotone radix queue rather than a
+//! binary heap, in the same `(f, g, node)` order.
 //!
 //! The output is ordinary [`silc_layout`] geometry: it flows into DRC,
 //! extraction and CIF emission unchanged, and the round-trip is closed
@@ -33,6 +35,7 @@ mod error;
 pub mod gen;
 mod grid;
 mod place;
+mod queue;
 mod route;
 mod stack;
 

@@ -26,13 +26,13 @@
 
 use crate::grid::{admits, Grid, Sites, FREE};
 use crate::place::Placement;
+use crate::queue::RadixQueue;
 use crate::stack::{Dir, RouteStack};
 use crate::PnrError;
 use silc_geom::Rect;
 use silc_layout::Layer;
 use silc_trace::Tracer;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Negotiation rounds allowed before routing is declared stuck.
 pub const MAX_RIPUP_ROUNDS: u64 = 256;
@@ -293,11 +293,11 @@ struct Slot {
 
 /// The buffers every search of one run shares: slots and tree
 /// membership are validated by generation stamps instead of being
-/// refilled, and the heap is cleared, not rebuilt.
+/// refilled, and the queue is cleared, not rebuilt.
 struct Search {
     slots: Vec<Slot>,
     stamp: u32,
-    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    queue: RadixQueue,
     /// The found path, target first, before it is decoded.
     chain: Vec<u32>,
     /// Per node, the stamp of the last tree that took it.
@@ -312,7 +312,7 @@ impl Search {
         Search {
             slots: vec![Slot::default(); len],
             stamp: 0,
-            heap: BinaryHeap::new(),
+            queue: RadixQueue::new(),
             chain: Vec::new(),
             tree: vec![0; len],
             tree_stamp: 0,
@@ -341,8 +341,11 @@ impl Search {
     /// surcharge the cost via [`Congestion::penalty`]. The heuristic
     /// (grid manhattan distance plus one via if on the wrong layer)
     /// never exceeds the real base cost, so it stays admissible under
-    /// the surcharges. Heap entries are `(f, g, node)`, a total order,
-    /// so the pop sequence does not depend on push order.
+    /// the surcharges. It is also consistent: a step's base cost is at
+    /// least the change it makes to the heuristic, so no node is queued
+    /// below the entry just popped, and the monotone [`RadixQueue`]
+    /// serves. Entries are `(f, g, node)`, a total order, so the pop
+    /// sequence does not depend on push order.
     #[allow(clippy::too_many_arguments)]
     fn astar(
         &mut self,
@@ -359,13 +362,13 @@ impl Search {
         let Search {
             slots,
             stamp,
-            heap,
+            queue,
             chain,
             expanded,
             ..
         } = self;
         let stamp = *stamp;
-        heap.clear();
+        queue.clear();
         let via_cost = (stack.pitch + 5) as u64;
         let (tl, tc, tr) = grid.decode(target);
         let h = |l: usize, c: i64, r: i64| -> u64 {
@@ -380,13 +383,13 @@ impl Search {
                 dist: 0,
             };
             let (l, c, r) = grid.decode(n);
-            heap.push(Reverse((h(l, c, r), 0, n)));
+            queue.push(h(l, c, r), 0, n);
         }
 
         // Most promising frontier node seen, for failure context.
         let mut best = (u64::MAX, target);
 
-        while let Some(Reverse((_, g, node))) = heap.pop() {
+        while let Some((_, g, node)) = queue.pop() {
             if slots[node as usize].dist < g {
                 continue;
             }
@@ -417,7 +420,7 @@ impl Search {
                         parent: node,
                         dist: g2,
                     };
-                    heap.push(Reverse((g2 + h(nl, nc, nr), g2, next)));
+                    queue.push(g2 + h(nl, nc, nr), g2, next);
                 }
             };
 
