@@ -31,12 +31,14 @@ impl Run {
 }
 
 /// A SIL program: its source, and a list of top-level items over the
-/// nodes they index. [`lex`](crate::lexer::lex) refuses a source past
-/// 4 GiB and a node takes at least a byte of it, so an index always fits
-/// `u32`.
+/// nodes they index. The [`Lexer`](crate::lexer::Lexer) refuses a source
+/// past 4 GiB and a node takes at least a byte of it, so an index always
+/// fits `u32`.
 #[derive(Debug)]
 pub struct Program<'a> {
     source: &'a str,
+    /// How many tokens the parser read, the end of input included.
+    pub tokens: u64,
     pub items: Vec<Item>,
     exprs: Vec<Expr>,
     stmts: Vec<Stmt>,
@@ -56,16 +58,23 @@ fn seal<T>(nodes: &mut Vec<T>, pending: &mut Vec<T>, mark: usize) -> Run {
 }
 
 impl<'a> Program<'a> {
-    /// An empty tree of `source` with room for what `tokens` tokens
-    /// usually parse to.
-    pub fn with_capacity(source: &'a str, tokens: usize) -> Program<'a> {
-        Program {
+    /// An empty tree of `source` with room for what SIL of its length
+    /// usually parses to: an expression every four bytes, a statement or a
+    /// binding every thirty-two. A reservation the system refuses leaves a
+    /// vector that grows as it fills.
+    pub fn new(source: &'a str) -> Program<'a> {
+        let mut tree = Program {
             source,
+            tokens: 0,
             items: Vec::new(),
-            exprs: Vec::with_capacity(tokens / 2),
-            stmts: Vec::with_capacity(tokens / 16),
-            bindings: Vec::with_capacity(tokens / 16),
-        }
+            exprs: Vec::new(),
+            stmts: Vec::new(),
+            bindings: Vec::new(),
+        };
+        let _ = tree.exprs.try_reserve_exact(source.len() / 4);
+        let _ = tree.stmts.try_reserve_exact(source.len() / 32);
+        let _ = tree.bindings.try_reserve_exact(source.len() / 32);
+        tree
     }
 
     /// The text of a name, or what a string literal holds.

@@ -1,6 +1,5 @@
 use crate::ast::*;
-use crate::lexer::lex;
-use crate::parser::{parse, parse_tokens, MAX_DEPTH};
+use crate::parser::{parse, MAX_DEPTH};
 use crate::value::Value;
 use crate::LangError;
 use silc_geom::{
@@ -135,9 +134,9 @@ impl Compiler {
         Compiler::default()
     }
 
-    /// Attaches a [`Tracer`]: lexing, parsing and elaboration record
-    /// `lang.*` spans and counters on it. The default (disabled) tracer
-    /// costs nothing.
+    /// Attaches a [`Tracer`]: parsing (the lexer runs inside it) and
+    /// elaboration record `lang.*` spans and counters on it. The default
+    /// (disabled) tracer costs nothing.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Compiler {
         self.tracer = tracer;
@@ -151,15 +150,10 @@ impl Compiler {
     /// Returns [`LangError`] for syntax errors (with position) and for
     /// elaboration errors (with the offending statement's line).
     pub fn compile(&self, source: &str) -> Result<Design, LangError> {
-        let tokens = {
-            let mut s = span!(self.tracer, "lang.lex");
-            let tokens = lex(source)?;
-            s.attr("tokens", tokens.len() as u64);
-            tokens
-        };
         let program = {
             let mut s = span!(self.tracer, "lang.parse");
-            let program = parse_tokens(source, tokens)?;
+            let program = parse(source)?;
+            s.attr("tokens", program.tokens);
             s.attr("items", program.items.len() as u64);
             program
         };
@@ -319,13 +313,16 @@ type CellSlot<'a, 'b> = Option<&'a mut Cell>;
 /// optimised and 13.4 KiB in a debug build.
 const MAX_FRAMES: usize = if cfg!(debug_assertions) { 96 } else { 1024 };
 
-/// How many frames one compile may enter in all: a step is an
-/// expression evaluated or a block run, so every loop iteration and every
-/// `fn` call takes one at least. [`MAX_FRAMES`] bounds how deep a program
-/// goes, this how long it runs: `for i in 0..1 << 62 { }`, or a `fn` that
-/// calls itself twice, would otherwise hold a `silc serve` worker long
-/// after its reply. The programs of the tests, the examples and the
-/// benchmark take 27 447 steps at most.
+/// How many steps one compile may take in all: a step is an expression
+/// evaluated or a block run, so every loop iteration and every `fn` call
+/// takes one at least, and a value read out of a variable, a list or a
+/// record takes one more for every value in it past the first.
+/// [`MAX_FRAMES`] bounds how deep a program goes, this how long it runs:
+/// `for i in 0..1 << 62 { }`, a `fn` that calls itself twice, or `l = [l]`
+/// in a loop would otherwise hold a `silc serve` worker long after its
+/// reply. The programs of the tests, the examples and the benchmark
+/// (seeds 5, 11 and 23) take 27 854 steps at most, the tests of this
+/// budget, of the value bound and of random soups aside.
 const MAX_STEPS: u64 = 1 << 24;
 
 /// The largest value a program may build, by [`Value::size`]: a string
@@ -369,7 +366,7 @@ impl<'p> Interp<'p> {
             let pname = tree.text(param.name);
             let value = match (args.next(), param.value) {
                 (Some(value), _) => value,
-                (None, Some(default)) => self.eval(default, &mut Env::new(tree), line)?,
+                (None, Some(default)) => self.eval(default, &Env::new(tree), line)?,
                 (None, None) => {
                     return Err(LangError::eval(
                         line,
@@ -395,8 +392,14 @@ impl<'p> Interp<'p> {
         let bound = self.bind("cell", "parameter", found, args, line)?;
 
         // Memoization key from the bound argument tuple.
-        let keys: Vec<String> = bound.iter().map(|(_, v)| v.memo_key()).collect();
-        let key = format!("{name}({})", keys.join(","));
+        let mut key = String::with_capacity(name.len() + 16);
+        key.push_str(name);
+        key.push('(');
+        for (i, (_, value)) in bound.iter().enumerate() {
+            key.push_str(if i > 0 { "," } else { "" });
+            value.write_memo_key(&mut key);
+        }
+        key.push(')');
         if let Some(&id) = self.memo.get(&key) {
             self.memo_hits += 1;
             return Ok(id);
@@ -413,16 +416,20 @@ impl<'p> Interp<'p> {
         if self.frames + 2 + MAX_DEPTH > MAX_FRAMES {
             return Err(LangError::eval(line, "cell nesting too deep"));
         }
+        // Unique library name per variant: the key's arguments, with
+        // everything but letters and digits an underscore.
+        let mut lib_name = String::with_capacity(key.len());
+        lib_name.push_str(name);
+        if !bound.is_empty() {
+            lib_name.push('$');
+            let args = &key[name.len() + 1..key.len() - 1];
+            lib_name.extend(
+                args.chars()
+                    .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }),
+            );
+        }
         self.frames += 2;
         self.elab_stack.push(key);
-
-        // Unique library name per variant.
-        let lib_name = if keys.is_empty() {
-            name.to_string()
-        } else {
-            let suffix: Vec<String> = keys.iter().map(|k| sanitize(k)).collect();
-            format!("{name}${}", suffix.join("_"))
-        };
 
         let mut env = Env::new(tree);
         for (pname, value) in bound {
@@ -484,15 +491,49 @@ impl<'p> Interp<'p> {
         if self.frames >= MAX_FRAMES {
             return Err(LangError::eval(line, "function recursion too deep"));
         }
-        self.steps += 1;
+        self.step(1, line)?;
+        self.frames += 1;
+        Ok(())
+    }
+
+    /// Takes `n` steps of the budget. Copying a value out of a variable,
+    /// a list or a record takes `size() - 1`: a list or a record costs
+    /// what it weighs, a scalar nothing.
+    fn step(&mut self, n: usize, line: usize) -> Result<(), LangError> {
+        self.steps += n as u64;
         if self.steps > MAX_STEPS {
             return Err(LangError::eval(
                 line,
                 format!("the program takes more than {MAX_STEPS} steps"),
             ));
         }
-        self.frames += 1;
         Ok(())
+    }
+
+    /// What an [`eval`](Self::eval) of a leaf takes of the budgets, for a
+    /// leaf read in place.
+    fn leaf(&mut self, line: usize) -> Result<(), LangError> {
+        self.enter(line)?;
+        self.frames -= 1;
+        Ok(())
+    }
+
+    /// The value of `e`, read in place if `e` names a variable (the base of
+    /// `name.field` or `name[i]`), else evaluated into `owned`.
+    fn operand<'e>(
+        &mut self,
+        e: ExprId,
+        env: &'e Env<'p>,
+        owned: &'e mut Option<Value>,
+        line: usize,
+    ) -> Result<&'e Value, LangError> {
+        match *env.tree.expr(e) {
+            Expr::Ident(name) => {
+                self.leaf(line)?;
+                read(name, env, line)
+            }
+            _ => Ok(owned.insert(self.eval(e, env, line)?)),
+        }
     }
 
     fn exec_stmt(
@@ -722,7 +763,7 @@ impl<'p> Interp<'p> {
     // Expressions
     // ---------------------------------------------------------------
 
-    fn eval(&mut self, e: ExprId, env: &mut Env<'p>, line: usize) -> Result<Value, LangError> {
+    fn eval(&mut self, e: ExprId, env: &Env<'p>, line: usize) -> Result<Value, LangError> {
         self.enter(line)?;
         let value = self.eval_expr(e, env, line)?;
         self.frames -= 1;
@@ -730,16 +771,11 @@ impl<'p> Interp<'p> {
     }
 
     /// The values of an argument list or a list literal, in order.
-    fn eval_all(
-        &mut self,
-        run: Run,
-        env: &mut Env<'p>,
-        line: usize,
-    ) -> Result<Vec<Value>, LangError> {
+    fn eval_all(&mut self, run: Run, env: &Env<'p>, line: usize) -> Result<Vec<Value>, LangError> {
         run.ids().map(|e| self.eval(e, env, line)).collect()
     }
 
-    fn eval_expr(&mut self, e: ExprId, env: &mut Env<'p>, line: usize) -> Result<Value, LangError> {
+    fn eval_expr(&mut self, e: ExprId, env: &Env<'p>, line: usize) -> Result<Value, LangError> {
         match *env.tree.expr(e) {
             Expr::Int(v) => Ok(Value::Int(v)),
             Expr::Bool(b) => Ok(Value::Bool(b)),
@@ -751,10 +787,9 @@ impl<'p> Interp<'p> {
             }
             Expr::List(items) => bounded(Value::List(self.eval_all(items, env, line)?), line),
             Expr::Ident(name) => {
-                let name = env.tree.text(name);
-                env.get(name)
-                    .cloned()
-                    .ok_or_else(|| LangError::eval(line, format!("`{name}` is not defined")))
+                let value = read(name, env, line)?;
+                self.step(value.size() - 1, line)?;
+                Ok(value.clone())
             }
             Expr::Record { type_name, fields } => {
                 let type_name = env.tree.text(type_name);
@@ -798,45 +833,43 @@ impl<'p> Interp<'p> {
                 self.call(env.tree.text(name), arg_values, line)
             }
             Expr::Field { base, field } => {
-                let base = self.eval(base, env, line)?;
+                let mut owned = None;
+                let base = self.operand(base, env, &mut owned, line)?;
                 let field = env.tree.text(field);
-                match (&base, field) {
-                    (Value::Point(p), "x") => Ok(Value::Int(p.x)),
-                    (Value::Point(p), "y") => Ok(Value::Int(p.y)),
-                    (Value::Record { fields, .. }, _) => fields
-                        .iter()
-                        .find(|(n, _)| n == field)
-                        .map(|(_, v)| v.clone())
-                        .ok_or_else(|| {
-                            LangError::eval(
-                                line,
-                                format!("{} has no field `{field}`", base.type_name()),
-                            )
-                        }),
-                    _ => Err(LangError::eval(
-                        line,
-                        format!("{} has no field `{field}`", base.type_name()),
-                    )),
-                }
+                let value = match (base, field) {
+                    (Value::Point(p), "x") => return Ok(Value::Int(p.x)),
+                    (Value::Point(p), "y") => return Ok(Value::Int(p.y)),
+                    (Value::Record { fields, .. }, _) => {
+                        fields.iter().find(|(n, _)| n == field).map(|(_, v)| v)
+                    }
+                    _ => None,
+                };
+                let value = value.ok_or_else(|| {
+                    LangError::eval(line, format!("{} has no field `{field}`", base.type_name()))
+                })?;
+                self.step(value.size() - 1, line)?;
+                Ok(value.clone())
             }
             Expr::Index { base, index } => {
-                let b = self.eval(base, env, line)?;
+                let mut owned = None;
+                let base = self.operand(base, env, &mut owned, line)?;
                 let i = self.eval_int(index, env, line)?;
-                match b {
-                    Value::List(items) => items
-                        .get(usize::try_from(i).unwrap_or(usize::MAX))
-                        .cloned()
-                        .ok_or_else(|| {
-                            LangError::eval(
-                                line,
-                                format!("index {i} out of range (len {})", items.len()),
-                            )
-                        }),
-                    other => Err(LangError::eval(
+                let Value::List(items) = base else {
+                    return Err(LangError::eval(
                         line,
-                        format!("cannot index a {}", other.type_name()),
-                    )),
-                }
+                        format!("cannot index a {}", base.type_name()),
+                    ));
+                };
+                let item = items
+                    .get(usize::try_from(i).unwrap_or(usize::MAX))
+                    .ok_or_else(|| {
+                        LangError::eval(
+                            line,
+                            format!("index {i} out of range (len {})", items.len()),
+                        )
+                    })?;
+                self.step(item.size() - 1, line)?;
+                Ok(item.clone())
             }
             Expr::Unary { op, expr } => {
                 let v = self.eval(expr, env, line)?;
@@ -898,18 +931,13 @@ impl<'p> Interp<'p> {
 
     // Typed evaluation helpers.
 
-    fn eval_int(&mut self, e: ExprId, env: &mut Env<'p>, line: usize) -> Result<i64, LangError> {
+    fn eval_int(&mut self, e: ExprId, env: &Env<'p>, line: usize) -> Result<i64, LangError> {
         let v = self.eval(e, env, line)?;
         v.as_int()
             .ok_or_else(|| LangError::eval(line, format!("expected an int, got {}", v.type_name())))
     }
 
-    fn eval_point(
-        &mut self,
-        e: ExprId,
-        env: &mut Env<'p>,
-        line: usize,
-    ) -> Result<Point, LangError> {
+    fn eval_point(&mut self, e: ExprId, env: &Env<'p>, line: usize) -> Result<Point, LangError> {
         let v = self.eval(e, env, line)?;
         let p = v.as_point().ok_or_else(|| {
             LangError::eval(line, format!("expected a point, got {}", v.type_name()))
@@ -922,7 +950,7 @@ impl<'p> Interp<'p> {
     fn eval_points(
         &mut self,
         run: Run,
-        env: &mut Env<'p>,
+        env: &Env<'p>,
         line: usize,
     ) -> Result<Vec<Point>, LangError> {
         run.ids().map(|e| self.eval_point(e, env, line)).collect()
@@ -947,23 +975,35 @@ impl<'p> Interp<'p> {
         own.chain(placed).max().unwrap_or(0)
     }
 
-    fn eval_layer(
-        &mut self,
-        e: ExprId,
-        env: &mut Env<'p>,
-        line: usize,
-    ) -> Result<Layer, LangError> {
-        let v = self.eval(e, env, line)?;
-        match &v {
-            Value::Str(s) => s
-                .parse()
-                .map_err(|_| LangError::eval(line, format!("unknown layer `{s}`"))),
-            other => Err(LangError::eval(
-                line,
-                format!("expected a layer name, got {}", other.type_name()),
-            )),
-        }
+    fn eval_layer(&mut self, e: ExprId, env: &Env<'p>, line: usize) -> Result<Layer, LangError> {
+        // A name written bare is parsed from the source.
+        let owned;
+        let name = match *env.tree.expr(e) {
+            Expr::Str(name) => {
+                self.leaf(line)?;
+                env.tree.text(name)
+            }
+            _ => {
+                owned = self.eval(e, env, line)?;
+                let Value::Str(name) = &owned else {
+                    return Err(LangError::eval(
+                        line,
+                        format!("expected a layer name, got {}", owned.type_name()),
+                    ));
+                };
+                name
+            }
+        };
+        name.parse()
+            .map_err(|_| LangError::eval(line, format!("unknown layer `{name}`")))
     }
+}
+
+/// The variable `name`, read in place.
+fn read<'e>(name: Sym, env: &'e Env<'_>, line: usize) -> Result<&'e Value, LangError> {
+    let name = env.tree.text(name);
+    env.get(name)
+        .ok_or_else(|| LangError::eval(line, format!("`{name}` is not defined")))
 }
 
 /// The larger coordinate magnitude of `p`.
@@ -1092,12 +1132,6 @@ fn builtin(name: &str, args: &[Value], line: usize) -> Result<Value, LangError> 
     }
 }
 
-fn sanitize(s: &str) -> String {
-    s.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1216,6 +1250,48 @@ mod tests {
     }
 
     #[test]
+    fn copying_a_value_is_charged_by_its_weight() {
+        // Each trip copies the list built so far, one value deeper than the
+        // last: the budget runs out some 5 800 trips in, in the statement
+        // that copies. Copying, weighing and dropping a value recurse once
+        // a level; at that depth an optimised build needs 1 MiB of stack,
+        // a debug build up to 8.
+        let nest = "let l = [];\nfor i in 0..30000 {\n  l = [l];\n}";
+        let start = std::time::Instant::now();
+        let run = std::thread::Builder::new()
+            .stack_size(16 << 20)
+            .spawn(move || Compiler::new().compile(nest).map(|_| ()))
+            .expect("a thread");
+        match run.join().expect("no panic").unwrap_err() {
+            LangError::Eval { line, message } => {
+                assert_eq!(line, 3);
+                assert_eq!(
+                    message,
+                    format!("the program takes more than {MAX_STEPS} steps")
+                );
+            }
+            other => panic!("expected Eval error, got {other:?}"),
+        }
+        assert!(start.elapsed().as_secs() < 30, "{:?}", start.elapsed());
+        // A variable indexed or a field read in place is not copied: a
+        // list of 10 000 indexed 10 000 times, and a field beside it read
+        // as often, stay far inside the budget. What such a read takes out
+        // is copied: a list of 10 000 taken out 2 000 times is not.
+        let setup = format!(
+            "type r {{ a, b }}\nlet l = [{}0];\nlet g = r {{ a: l, b: 1 }};\nlet m = [l];\n",
+            "0, ".repeat(9_999)
+        );
+        compile(&format!(
+            "{setup}let s = 0;\nfor i in 0..10000 {{ s = s + l[i] + g.b; }}"
+        ));
+        for read in ["m[0]", "g.a"] {
+            let e = compile_err(&format!("{setup}for i in 0..2000 {{ let x = {read}; }}"));
+            assert!(matches!(e, LangError::Eval { line: 5, .. }), "{read}: {e}");
+            assert!(e.to_string().contains("16777216 steps"), "{read}: {e}");
+        }
+    }
+
+    #[test]
     fn tracer_records_compile_stages() {
         use silc_trace::Tracer;
         let tracer = Tracer::enabled();
@@ -1228,13 +1304,18 @@ mod tests {
             )
             .unwrap();
         let report = tracer.finish();
-        for stage in ["lang.lex", "lang.parse", "lang.elaborate"] {
+        for stage in ["lang.parse", "lang.elaborate"] {
             assert!(
                 report.spans().iter().any(|s| s.name == stage),
                 "missing {stage}: {:?}",
                 report.spans()
             );
         }
+        // The lexer runs inside the parse, which counts its tokens.
+        let parse = report.spans().iter().find(|s| s.name == "lang.parse");
+        let attrs = &parse.expect("a parse span").attrs;
+        assert!(attrs.contains(&("tokens", 42)), "{attrs:?}");
+        assert!(attrs.contains(&("items", 3)), "{attrs:?}");
         // bit elaborated once, memo hit on the second placement.
         assert_eq!(report.counter("lang.cells_elaborated"), Some(1));
         assert_eq!(report.counter("lang.memo_hits"), Some(1));

@@ -4,7 +4,7 @@ use crate::LangError;
 /// name, number or string is read back from the source when the parser
 /// takes it ([`text_at`]), and a line and column are counted from the
 /// offset when something asks ([`position`]). Offsets fit `u32` because
-/// [`lex`] refuses a source they could not address.
+/// [`Lexer::new`] refuses a source they could not address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     pub at: u32,
@@ -176,7 +176,7 @@ pub fn text_at(source: &str, at: u32) -> &str {
 pub fn int_at(source: &str, at: u32) -> i64 {
     text_at(source, at)
         .parse()
-        .expect("`lex` refuses a number past i64")
+        .expect("the lexer refuses a number past i64")
 }
 
 /// The 1-based line and column of byte `at` of `source`. Columns count
@@ -197,133 +197,156 @@ pub fn syntax_error(source: &str, at: u32, message: String) -> LangError {
     LangError::Syntax { line, col, message }
 }
 
-/// Tokenizes SIL source. Comments run from `//` to end of line. Every
-/// name, number and string is checked here, so what the parser reads
-/// back from the source is always whole.
-pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
-    if u32::try_from(source.len()).is_err() {
-        return Err(syntax_error(
-            source,
-            0,
-            "source is larger than 4 GiB".into(),
-        ));
-    }
-    let bytes = source.as_bytes();
-    // Two bytes a token is what punctuation-heavy SIL comes to; memory
-    // reserved past the last token is never touched, and a reservation
-    // the system refuses is only a vector that grows as it fills.
-    let mut out = Vec::new();
-    let _ = out.try_reserve_exact(source.len() / 2 + 1);
-    let mut i = 0;
-    // The end of input is the end of the source, or the start of a
-    // comment that runs to it.
-    let mut eof = source.len();
+/// Tokenizes SIL source on demand: the parser pulls one token a call of
+/// [`Lexer::next_token`], and no token is stored. Comments run from `//`
+/// to end of line. Every name, number and string is checked here, so what
+/// the parser reads back from the source is always whole.
+pub struct Lexer<'a> {
+    source: &'a str,
+    /// Where the next token is looked for.
+    at: usize,
+}
 
-    macro_rules! push {
-        ($kind:expr, $len:expr) => {{
-            out.push(Token {
-                at: i as u32,
-                kind: $kind,
-            });
-            i += $len;
-        }};
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `source`, which offsets must be able to
+    /// address.
+    pub fn new(source: &'a str) -> Result<Lexer<'a>, LangError> {
+        if u32::try_from(source.len()).is_err() {
+            return Err(syntax_error(
+                source,
+                0,
+                "source is larger than 4 GiB".into(),
+            ));
+        }
+        Ok(Lexer { source, at: 0 })
     }
 
-    while i < bytes.len() {
-        let c = bytes[i];
-        let next = bytes.get(i + 1).copied().unwrap_or(0);
-        match c {
-            c if c.is_ascii_whitespace() => i += 1,
-            b'/' if next == b'/' => {
-                let start = i;
-                i = run_end(bytes, i, |b| b != b'\n');
-                if i == bytes.len() {
-                    eof = start;
+    /// The next token. The end of input is the end of the source, or the
+    /// start of a comment that runs to it; a caller stops at the first
+    /// [`Tok::Eof`]. An error leaves the lexer where it is, so every later
+    /// call reports it again.
+    pub fn next_token(&mut self) -> Result<Token, LangError> {
+        let (source, bytes) = (self.source, self.source.as_bytes());
+        loop {
+            let i = self.at;
+            let Some(&c) = bytes.get(i) else {
+                return Ok(Token {
+                    at: i as u32,
+                    kind: Tok::Eof,
+                });
+            };
+            let next = bytes.get(i + 1).copied().unwrap_or(0);
+            let (kind, len) = match c {
+                c if c.is_ascii_whitespace() => {
+                    self.at += 1;
+                    continue;
                 }
-            }
-            b'(' => push!(Tok::LParen, 1),
-            b')' => push!(Tok::RParen, 1),
-            b'{' => push!(Tok::LBrace, 1),
-            b'}' => push!(Tok::RBrace, 1),
-            b'[' => push!(Tok::LBracket, 1),
-            b']' => push!(Tok::RBracket, 1),
-            b',' => push!(Tok::Comma, 1),
-            b';' => push!(Tok::Semi, 1),
-            b':' => push!(Tok::Colon, 1),
-            b'.' if next == b'.' => push!(Tok::DotDot, 2),
-            b'.' => push!(Tok::Dot, 1),
-            b'-' if next == b'>' => push!(Tok::Arrow, 2),
-            b'-' => push!(Tok::Minus, 1),
-            b'+' => push!(Tok::Plus, 1),
-            b'*' => push!(Tok::Star, 1),
-            b'/' => push!(Tok::Slash, 1),
-            b'%' => push!(Tok::Percent, 1),
-            b'=' if next == b'=' => push!(Tok::EqEq, 2),
-            b'=' => push!(Tok::Assign, 1),
-            b'!' if next == b'=' => push!(Tok::NotEq, 2),
-            b'!' => push!(Tok::Bang, 1),
-            b'<' if next == b'=' => push!(Tok::Le, 2),
-            b'<' => push!(Tok::Lt, 1),
-            b'>' if next == b'=' => push!(Tok::Ge, 2),
-            b'>' => push!(Tok::Gt, 1),
-            b'&' if next == b'&' => push!(Tok::AndAnd, 2),
-            b'|' if next == b'|' => push!(Tok::OrOr, 2),
-            b'"' => {
-                let j = run_end(bytes, i + 1, |b| b != b'"' && b != b'\n');
-                if bytes.get(j) != Some(&b'"') {
-                    let message = "unterminated string literal".into();
+                b'/' if next == b'/' => {
+                    self.at = run_end(bytes, i, |b| b != b'\n');
+                    if self.at == bytes.len() {
+                        return Ok(Token {
+                            at: i as u32,
+                            kind: Tok::Eof,
+                        });
+                    }
+                    continue;
+                }
+                b'(' => (Tok::LParen, 1),
+                b')' => (Tok::RParen, 1),
+                b'{' => (Tok::LBrace, 1),
+                b'}' => (Tok::RBrace, 1),
+                b'[' => (Tok::LBracket, 1),
+                b']' => (Tok::RBracket, 1),
+                b',' => (Tok::Comma, 1),
+                b';' => (Tok::Semi, 1),
+                b':' => (Tok::Colon, 1),
+                b'.' if next == b'.' => (Tok::DotDot, 2),
+                b'.' => (Tok::Dot, 1),
+                b'-' if next == b'>' => (Tok::Arrow, 2),
+                b'-' => (Tok::Minus, 1),
+                b'+' => (Tok::Plus, 1),
+                b'*' => (Tok::Star, 1),
+                b'/' => (Tok::Slash, 1),
+                b'%' => (Tok::Percent, 1),
+                b'=' if next == b'=' => (Tok::EqEq, 2),
+                b'=' => (Tok::Assign, 1),
+                b'!' if next == b'=' => (Tok::NotEq, 2),
+                b'!' => (Tok::Bang, 1),
+                b'<' if next == b'=' => (Tok::Le, 2),
+                b'<' => (Tok::Lt, 1),
+                b'>' if next == b'=' => (Tok::Ge, 2),
+                b'>' => (Tok::Gt, 1),
+                b'&' if next == b'&' => (Tok::AndAnd, 2),
+                b'|' if next == b'|' => (Tok::OrOr, 2),
+                b'"' => {
+                    let j = run_end(bytes, i + 1, |b| b != b'"' && b != b'\n');
+                    if bytes.get(j) != Some(&b'"') {
+                        let message = "unterminated string literal".into();
+                        return Err(syntax_error(source, i as u32, message));
+                    }
+                    (Tok::Str, j + 1 - i)
+                }
+                c if c.is_ascii_digit() => {
+                    let j = run_end(bytes, i, |b| b.is_ascii_digit());
+                    if source[i..j].parse::<i64>().is_err() {
+                        return Err(syntax_error(source, i as u32, "number too large".into()));
+                    }
+                    (Tok::Int, j - i)
+                }
+                c if c.is_ascii_alphabetic() || c == b'_' => {
+                    let j = run_end(bytes, i, is_word_byte);
+                    let kind = match &source[i..j] {
+                        "cell" => Tok::Cell,
+                        "fn" => Tok::Fn,
+                        "type" => Tok::Type,
+                        "let" => Tok::Let,
+                        "for" => Tok::For,
+                        "in" => Tok::In,
+                        "if" => Tok::If,
+                        "else" => Tok::Else,
+                        "return" => Tok::Return,
+                        "box" => Tok::Box_,
+                        "wire" => Tok::Wire,
+                        "polygon" => Tok::Poly,
+                        "port" => Tok::Port,
+                        "place" => Tok::Place,
+                        "array" => Tok::Array,
+                        "at" => Tok::At,
+                        "step" => Tok::Step,
+                        "count" => Tok::Count,
+                        "rot" => Tok::Rot,
+                        "mirrorx" => Tok::MirrorX,
+                        "mirrory" => Tok::MirrorY,
+                        "true" => Tok::True,
+                        "false" => Tok::False,
+                        _ => Tok::Ident,
+                    };
+                    (kind, j - i)
+                }
+                other => {
+                    let message = format!("unexpected character `{}`", other as char);
                     return Err(syntax_error(source, i as u32, message));
                 }
-                push!(Tok::Str, j + 1 - i);
-            }
-            c if c.is_ascii_digit() => {
-                let j = run_end(bytes, i, |b| b.is_ascii_digit());
-                if source[i..j].parse::<i64>().is_err() {
-                    return Err(syntax_error(source, i as u32, "number too large".into()));
-                }
-                push!(Tok::Int, j - i);
-            }
-            c if c.is_ascii_alphabetic() || c == b'_' => {
-                let j = run_end(bytes, i, is_word_byte);
-                let kind = match &source[i..j] {
-                    "cell" => Tok::Cell,
-                    "fn" => Tok::Fn,
-                    "type" => Tok::Type,
-                    "let" => Tok::Let,
-                    "for" => Tok::For,
-                    "in" => Tok::In,
-                    "if" => Tok::If,
-                    "else" => Tok::Else,
-                    "return" => Tok::Return,
-                    "box" => Tok::Box_,
-                    "wire" => Tok::Wire,
-                    "polygon" => Tok::Poly,
-                    "port" => Tok::Port,
-                    "place" => Tok::Place,
-                    "array" => Tok::Array,
-                    "at" => Tok::At,
-                    "step" => Tok::Step,
-                    "count" => Tok::Count,
-                    "rot" => Tok::Rot,
-                    "mirrorx" => Tok::MirrorX,
-                    "mirrory" => Tok::MirrorY,
-                    "true" => Tok::True,
-                    "false" => Tok::False,
-                    _ => Tok::Ident,
-                };
-                push!(kind, j - i);
-            }
-            other => {
-                let message = format!("unexpected character `{}`", other as char);
-                return Err(syntax_error(source, i as u32, message));
-            }
+            };
+            self.at = i + len;
+            return Ok(Token { at: i as u32, kind });
         }
     }
-    out.push(Token {
-        at: eof as u32,
-        kind: Tok::Eof,
-    });
-    Ok(out)
+}
+
+/// Every token of `source` up to and with the end of input, or the first
+/// lexical error.
+#[cfg(test)]
+pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
+    let mut lexer = Lexer::new(source)?;
+    let mut out = Vec::new();
+    loop {
+        let token = lexer.next_token()?;
+        out.push(token);
+        if token.kind == Tok::Eof {
+            return Ok(out);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,42 +1,46 @@
 use crate::ast::*;
-use crate::lexer::{int_at, lex, syntax_error, Tok, Token};
+use crate::lexer::{int_at, syntax_error, Lexer, Tok, Token};
 use crate::LangError;
 use silc_geom::Orientation;
 
-/// Parses a SIL program.
+/// Parses a SIL program, pulling its tokens from a [`Lexer`] as it goes.
 ///
 /// # Errors
 ///
 /// Returns [`LangError::Syntax`] with source position on any lexical or
-/// grammatical problem.
+/// grammatical problem. A lexical error wins over a syntax error before
+/// it, as if the whole source were lexed first.
 pub fn parse(source: &str) -> Result<Program<'_>, LangError> {
-    parse_tokens(source, lex(source)?)
-}
-
-/// Parses the tokens [`lex`] made of `source` (lets the compiler time
-/// lexing and parsing as separate pipeline stages).
-pub(crate) fn parse_tokens(source: &str, tokens: Vec<Token>) -> Result<Program<'_>, LangError> {
-    // Sized from the token count, so the tree takes a handful of
-    // allocations: an expression is two tokens or more on average, a
-    // statement a dozen.
-    let tree = Program::with_capacity(source, tokens.len());
+    let lexer = Lexer::new(source)?;
+    let end = Token {
+        at: source.len() as u32,
+        kind: Tok::Eof,
+    };
     let mut p = Parser {
         source,
-        tokens,
-        pos: 0,
+        lexer,
+        end,
+        cur: end,
+        ahead: end,
         open: 0,
         height: 0,
         line_at: 0,
         line: 1,
-        tree,
+        tree: Program::new(source),
         exprs: Vec::new(),
         stmts: Vec::new(),
         bindings: Vec::new(),
     };
-    while p.peek() != Tok::Eof {
-        let item = p.item()?;
-        p.tree.items.push(item);
+    p.ahead = p.pull();
+    p.take();
+    let mut parsed = Ok(());
+    while parsed.is_ok() && p.peek() != Tok::Eof {
+        parsed = p.item().map(|item| p.tree.items.push(item));
     }
+    // The lexer reports again the error that ended the stream, or finds
+    // one past the syntax error that stopped the parser.
+    while p.lexer.next_token()?.kind != Tok::Eof {}
+    parsed?;
     Ok(p.tree)
 }
 
@@ -47,8 +51,14 @@ pub(crate) const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
     source: &'a str,
-    tokens: Vec<Token>,
-    pos: usize,
+    lexer: Lexer<'a>,
+    /// The end of the source, where a lexical error leaves the parser: no
+    /// position read before it is further on.
+    end: Token,
+    /// The current token and the one after it, which `peek2` reads. Once
+    /// the end of input is pulled, both stay on it.
+    cur: Token,
+    ahead: Token,
     /// Statements and operands open around the current token.
     open: usize,
     /// Height of the expression tree parsed last. Operator chains grow a
@@ -66,19 +76,27 @@ struct Parser<'a> {
 }
 
 impl Parser<'_> {
+    /// The next token from the lexer, counted.
+    fn pull(&mut self) -> Token {
+        self.tree.tokens += 1;
+        self.lexer.next_token().unwrap_or(self.end)
+    }
+
     fn peek(&self) -> Tok {
-        self.tokens[self.pos].kind
+        self.cur.kind
     }
 
     fn peek2(&self) -> Tok {
-        self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
+        self.ahead.kind
     }
 
-    /// The current token, consumed.
+    /// The current token, consumed. Nothing is pulled past the end of
+    /// input.
     fn take(&mut self) -> Token {
-        let t = self.tokens[self.pos];
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+        let t = self.cur;
+        self.cur = self.ahead;
+        if self.ahead.kind != Tok::Eof {
+            self.ahead = self.pull();
         }
         t
     }
@@ -89,9 +107,9 @@ impl Parser<'_> {
 
     /// The line of the current token, counted on from the last line asked
     /// for: definitions and statements ask in source order, and the
-    /// parser only steps back to report an error.
+    /// parser never steps back.
     fn line(&mut self) -> u32 {
-        let at = self.tokens[self.pos].at;
+        let at = self.cur.at;
         let skipped = &self.source.as_bytes()[self.line_at as usize..at as usize];
         self.line += skipped.iter().filter(|&&b| b == b'\n').count() as u32;
         self.line_at = at;
@@ -100,7 +118,7 @@ impl Parser<'_> {
 
     /// How a diagnostic names the current token.
     fn found(&self) -> String {
-        self.tokens[self.pos].describe(self.source)
+        self.cur.describe(self.source)
     }
 
     /// Consumes the current token if it is `kind`.
@@ -113,7 +131,7 @@ impl Parser<'_> {
     }
 
     fn err(&self, message: impl Into<String>) -> LangError {
-        syntax_error(self.source, self.tokens[self.pos].at, message.into())
+        syntax_error(self.source, self.cur.at, message.into())
     }
 
     /// Records that the tree parsed last now stands `height` high, and
@@ -572,7 +590,6 @@ impl Parser<'_> {
     }
 
     fn primary_expr(&mut self, allow_record: bool) -> Result<Expr, LangError> {
-        let pos = self.pos;
         let token = self.take();
         match token.kind {
             Tok::Int => Ok(Expr::Int(int_at(self.source, token.at))),
@@ -622,10 +639,14 @@ impl Parser<'_> {
                     Ok(Expr::Ident(name))
                 }
             }
-            _ => {
-                self.pos = pos;
-                Err(self.err(format!("expected an expression, found {}", self.found())))
-            }
+            _ => Err(syntax_error(
+                self.source,
+                token.at,
+                format!(
+                    "expected an expression, found {}",
+                    token.describe(self.source)
+                ),
+            )),
         }
     }
 }
@@ -633,6 +654,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
 
     /// The one definition of `source` and the statements of its body.
     fn body_of<'p>(p: &'p Program<'p>) -> (&'p Def, Vec<StmtKind>) {
@@ -841,6 +863,37 @@ mod tests {
     #[test]
     fn bad_rotation_rejected() {
         assert!(parse("place c() at (0,0) rot 45;").is_err());
+    }
+
+    #[test]
+    fn a_lexical_error_wins_over_a_syntax_error_before_it() {
+        // Random soups of SIL pieces, a few of them lexically bad: the
+        // parser stops at its first syntax error, and still reports what
+        // lexing the whole source reports.
+        const PIECES: &str = "cell|c|(|)|{|}|[|]|let|x|=|1|;|,|box|metal|place|at|..|.|+|if|\
+                              for|in|\"s\"|\n|// c\n|-|->|rot|90|#|\"open|99999999999999999999|é";
+        let pieces: Vec<&str> = PIECES.split('|').collect();
+        let mut state = 37_u64;
+        let mut below = |n: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut refused = 0;
+        for _ in 0..256 {
+            // Half the soups start inside a body, after whole statements.
+            let mut soup = vec!["cell c() {"; below(2)];
+            soup.extend(vec!["let a = 1;"; below(3)]);
+            let len = 1 + below(40);
+            soup.extend((0..len).map(|_| pieces[below(pieces.len())]));
+            let soup = soup.join(" ");
+            if let Err(e) = lex(&soup) {
+                refused += 1;
+                assert_eq!(parse(&soup).unwrap_err(), e, "{soup}");
+            }
+        }
+        assert!(refused >= 128, "{refused} of 256 soups fail to lex");
     }
 
     #[test]

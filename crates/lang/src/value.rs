@@ -1,5 +1,5 @@
 use silc_geom::Point;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A SIL runtime value.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,26 +37,32 @@ impl Value {
         }
     }
 
-    /// A canonical key string used to memoize cell elaborations per
-    /// argument tuple.
-    pub fn memo_key(&self) -> String {
-        match self {
-            Value::Int(v) => format!("i{v}"),
-            Value::Bool(b) => format!("b{b}"),
-            Value::Str(s) => format!("s{s}"),
-            Value::Point(p) => format!("p{},{}", p.x, p.y),
+    /// Appends to `out` the canonical key that memoizes cell elaborations
+    /// per argument tuple.
+    pub(crate) fn write_memo_key(&self, out: &mut String) {
+        // Writing to a `String` cannot fail.
+        let _ = match self {
+            Value::Int(v) => write!(out, "i{v}"),
+            Value::Bool(b) => write!(out, "b{b}"),
+            Value::Str(s) => write!(out, "s{s}"),
+            Value::Point(p) => write!(out, "p{},{}", p.x, p.y),
             Value::List(items) => {
-                let inner: Vec<String> = items.iter().map(Value::memo_key).collect();
-                format!("[{}]", inner.join(","))
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    out.push_str(if i > 0 { "," } else { "" });
+                    v.write_memo_key(out);
+                }
+                out.write_char(']')
             }
             Value::Record { type_name, fields } => {
-                let inner: Vec<String> = fields
-                    .iter()
-                    .map(|(n, v)| format!("{n}={}", v.memo_key()))
-                    .collect();
-                format!("{type_name}{{{}}}", inner.join(","))
+                let _ = write!(out, "{type_name}{{");
+                for (i, (n, v)) in fields.iter().enumerate() {
+                    let _ = write!(out, "{}{n}=", if i > 0 { "," } else { "" });
+                    v.write_memo_key(out);
+                }
+                out.write_char('}')
             }
-        }
+        };
     }
 
     /// What a value weighs against the interpreter's value bound: a
@@ -132,24 +138,35 @@ impl fmt::Display for Value {
 mod tests {
     use super::*;
 
+    fn key(v: &Value) -> String {
+        let mut out = String::new();
+        v.write_memo_key(&mut out);
+        out
+    }
+
     #[test]
     fn memo_keys_distinguish_values() {
         let a = Value::Int(4);
         let b = Value::Int(5);
-        assert_ne!(a.memo_key(), b.memo_key());
+        assert_ne!(key(&a), key(&b));
         let l1 = Value::List(vec![Value::Int(1), Value::Int(2)]);
         let l2 = Value::List(vec![Value::Int(12)]);
-        assert_ne!(l1.memo_key(), l2.memo_key());
+        assert_ne!(key(&l1), key(&l2));
+        assert_eq!(key(&l1), "[i1,i2]");
     }
 
     #[test]
     fn memo_keys_stable_for_equal_values() {
         let r1 = Value::Record {
             type_name: "pt".into(),
-            fields: vec![("x".into(), Value::Int(1))],
+            fields: vec![
+                ("x".into(), Value::Int(1)),
+                ("y".into(), Value::Str("é".into())),
+            ],
         };
         let r2 = r1.clone();
-        assert_eq!(r1.memo_key(), r2.memo_key());
+        assert_eq!(key(&r1), key(&r2));
+        assert_eq!(key(&r1), "pt{x=i1,y=sé}");
     }
 
     #[test]

@@ -66,12 +66,13 @@ fn one_compile_allocates_per_program_not_per_node() {
         allocs * 4 <= PARENT.0 && bytes * 2 <= PARENT.1,
         "{allocs} allocations, {bytes} bytes"
     );
-    // Measured 9 741 and 2 832 191: what is left is elaboration, some 48
-    // allocations a placed cell. The bytes are 16.1 a source byte; they
-    // were 33.0 while a token and an expression took 32 bytes each. A
-    // tenth of headroom.
+    // Measured 4 864 and 2 064 200: what is left is elaboration, some 24
+    // allocations a placed cell. They were 9 741 and 2 832 191 while the
+    // lexer filled a token vector and reading a record's field copied the
+    // record. The bytes are 11.7 a source byte; they were 33.0 while a
+    // token and an expression took 32 bytes each. A tenth of headroom.
     assert!(
-        allocs <= 10_700 && bytes <= 3_120_000,
+        allocs <= 5_350 && bytes <= 2_271_000,
         "{allocs} allocations, {bytes} bytes"
     );
     // A thousand more definitions that are never placed cost source-sized

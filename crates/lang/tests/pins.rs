@@ -299,6 +299,40 @@ const DIAGNOSTICS: &[(&str, &str)] = &[
         "box (\"w\" + str(len(\"é☃\"))) (0,0) (1,1);",
         "error on line 1: unknown layer `w5`",
     ),
+    // A lexical error anywhere wins over a syntax error before it.
+    (
+        "let x = 1 y; #",
+        "syntax error at 1:14: unexpected character `#`",
+    ),
+    (
+        "cell a( {\n\"abc",
+        "syntax error at 2:1: unterminated string literal",
+    ),
+    (
+        "place c() at (0,0) rot 45;\nlet n = 99999999999999999999;",
+        "syntax error at 2:9: number too large",
+    ),
+    (
+        "let = 1;\n// é\nlet s = \"ok\" + é;",
+        "syntax error at 3:16: unexpected character `Ã`",
+    ),
+    (
+        "cell c() { box metal (0,0) (1,1) }\nlet t = \"open\n;",
+        "syntax error at 2:9: unterminated string literal",
+    ),
+    // ... and one where a statement would start.
+    (
+        "cell c() { let a = 1; # }",
+        "syntax error at 1:23: unexpected character `#`",
+    ),
+    (
+        "fn f(n) {\n  let a = n;\n  \"open\n}",
+        "syntax error at 3:3: unterminated string literal",
+    ),
+    (
+        "for i in 0..2 { box metal (0,0) (1,1); 99999999999999999999 }",
+        "syntax error at 1:40: number too large",
+    ),
 ];
 
 fn said(source: &str) -> String {
@@ -317,6 +351,10 @@ fn diagnostics_keep_their_text_line_and_column() {
     assert_eq!(
         said(&brackets),
         "syntax error at 2:64: nested more than 64 levels deep"
+    );
+    assert_eq!(
+        said(&format!("{brackets} @")),
+        "syntax error at 2:144: unexpected character `@`"
     );
     let blocks = format!("\n\n  {}{}", "if c { ".repeat(70), "}".repeat(70));
     assert_eq!(
@@ -381,4 +419,32 @@ fn designs_keep_their_fingerprints() {
     ] {
         assert_eq!(said(source), format!("ok {expected}"), "{name}");
     }
+}
+
+/// A field or an index read in place, and a layer named bare, take the
+/// steps their copies took: after them the budget runs out on the same
+/// trip of a loop that takes one step a trip as it did while every read
+/// copied.
+#[test]
+fn reads_in_place_use_up_the_budget_where_copies_did() {
+    let program = |trips: u64| {
+        format!(
+            "type geo {{ w, h }}\nlet g = geo {{ w: 2, h: 3 }};\nlet l = [1, 2, 3];\n\
+             box metal (0, 0) (g.w, l[1]);\nfor i in 0..65000 {{ let x = [{}0]; }}\n\
+             for i in 0..{trips} {{ }}\n",
+            "0, ".repeat(255)
+        )
+    };
+    let (last, one_more) = std::thread::scope(|s| {
+        let last = s.spawn(|| said(&program(7_195)));
+        (last.join(), said(&program(7_196)))
+    });
+    assert_eq!(
+        last.expect("no panic"),
+        "ok 31fdcf7b49d6abd5736dd0f8007debce"
+    );
+    assert_eq!(
+        one_more,
+        "error on line 6: the program takes more than 16777216 steps"
+    );
 }

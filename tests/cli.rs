@@ -306,7 +306,6 @@ fn stats_prints_stage_table() {
     assert!(out.status.success(), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     for stage in [
-        "lang.lex",
         "lang.parse",
         "lang.elaborate",
         "layout.flatten",
@@ -522,7 +521,7 @@ fn stats_off_by_default() {
     let out = silc().arg("compile").arg(&sil).output().expect("runs");
     assert!(out.status.success(), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("lang.lex"), "{stderr}");
+    assert!(!stderr.contains("lang.parse"), "{stderr}");
 }
 
 /// Checks a JSONL line is one flat JSON object: string keys, string or
@@ -570,12 +569,17 @@ fn trace_emits_one_json_object_per_line() {
         assert_flat_json_object(line);
         assert!(line.contains("\"event\":\""), "{line}");
     }
-    for stage in ["lang.lex", "lang.parse", "lang.elaborate", "cif.write"] {
+    for stage in ["lang.parse", "lang.elaborate", "cif.write"] {
         assert!(
             text.contains(&format!("\"stage\":\"{stage}\"")),
             "missing span for `{stage}`: {text}"
         );
     }
+    // The lexer runs inside the parse, which counts its tokens.
+    let parse = text
+        .lines()
+        .find(|l| l.contains("\"stage\":\"lang.parse\""));
+    assert!(parse.is_some_and(|l| l.contains("\"tokens\":")), "{text}");
     assert!(text.contains("\"event\":\"counter\""), "{text}");
 }
 
