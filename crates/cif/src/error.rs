@@ -47,6 +47,14 @@ pub enum CifError {
         /// Description of the defect.
         message: String,
     },
+    /// The design holds more `C` calls than the writer emits.
+    TooManyCalls {
+        /// Calls the cells the design uses hold, one per array copy.
+        calls: u64,
+        /// The most the writer emits
+        /// ([`MAX_FLAT_ELEMENTS`](silc_layout::MAX_FLAT_ELEMENTS)).
+        limit: usize,
+    },
 }
 
 impl fmt::Display for CifError {
@@ -73,6 +81,12 @@ impl fmt::Display for CifError {
                 )
             }
             CifError::BadGeometry { message } => write!(f, "bad geometry: {message}"),
+            CifError::TooManyCalls { calls, limit } => {
+                write!(
+                    f,
+                    "design writes {calls} cell calls; at most {limit} can be written"
+                )
+            }
         }
     }
 }

@@ -307,10 +307,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 self.wire()
             }
-            b'R' => {
-                self.pos += 1;
-                self.roundflash()
-            }
+            b'R' => Err(self.err("R (round flash) is not supported")),
             b'E' => {
                 self.pos += 1;
                 self.ended = true;
@@ -499,28 +496,6 @@ impl<'a> Parser<'a> {
             message: e.to_string(),
         })?;
         self.body().elements.push(Element::new(layer, path));
-        Ok(())
-    }
-
-    /// Round flashes are approximated by their bounding square — SILC never
-    /// emits them, but other tools' CIF may contain them (e.g. pads).
-    fn roundflash(&mut self) -> Result<(), CifError> {
-        let layer = self.need_layer()?;
-        let diameter = self.scaled()?;
-        let cx = self.scaled()?;
-        let cy = self.scaled()?;
-        self.expect_semi()?;
-        if diameter <= 0 || diameter % 2 != 0 {
-            return Err(CifError::BadGeometry {
-                message: format!("round flash with unusable diameter {diameter}"),
-            });
-        }
-        let r = Rect::centered(Point::new(cx, cy), diameter, diameter).map_err(|e| {
-            CifError::BadGeometry {
-                message: e.to_string(),
-            }
-        })?;
-        self.body().elements.push(Element::rect(layer, r));
         Ok(())
     }
 
@@ -785,7 +760,7 @@ mod tests {
 
     #[test]
     fn wire_and_polygon_parse() {
-        let text = "DS 1; L NM; W 4 0 0 20 0 20 20; P 0 0 8 0 0 8; DF; E";
+        let text = "DS 1; L NM; W 4 0 0 20 0 20 20; P 0 0 8 0 8 4 4 4 4 8 0 8; DF; E";
         let d = parse(text).unwrap();
         let cell = d.library.cell(CellId::from_raw(0)).unwrap();
         assert_eq!(cell.elements().len(), 2);
@@ -812,12 +787,23 @@ mod tests {
     }
 
     #[test]
-    fn roundflash_becomes_square() {
-        let text = "DS 1; L NM; R 10 0 0; DF; E";
-        let d = parse(text).unwrap();
-        let bbox = d.library.cell(CellId::from_raw(0)).unwrap().elements()[0].bbox();
-        assert_eq!(bbox.width(), 10);
-        assert_eq!(bbox.height(), 10);
+    fn slanted_geometry_and_round_flashes_rejected() {
+        for (text, said) in [
+            (
+                "DS 1; L NM; W 4 0 0 20 0 30 10; DF; E",
+                "bad geometry: edge (20, 0) -> (30, 10) is neither horizontal nor vertical",
+            ),
+            (
+                "DS 1; L NP; P 0 0 8 0 0 8; DF; E",
+                "bad geometry: edge (8, 0) -> (0, 8) is neither horizontal nor vertical",
+            ),
+            (
+                "DS 1; L NM; R 10 0 0; DF; E",
+                "CIF syntax error at byte 12: R (round flash) is not supported",
+            ),
+        ] {
+            assert_eq!(parse(text).unwrap_err().to_string(), said, "{text}");
+        }
     }
 
     #[test]

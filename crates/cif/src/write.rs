@@ -1,6 +1,6 @@
 use crate::CifError;
 use silc_geom::{Orientation, Transform};
-use silc_layout::{Cell, CellId, Library, Shape};
+use silc_layout::{Cell, CellId, Library, Shape, MAX_FLAT_ELEMENTS};
 use silc_trace::{span, Tracer};
 use std::fmt::Write as _;
 
@@ -61,13 +61,27 @@ impl CifWriter {
     ///
     /// # Errors
     ///
-    /// Returns [`CifError::UnknownRoot`] if `root` is not in `lib`.
+    /// Returns [`CifError::UnknownRoot`] if `root` is not in `lib`, and
+    /// [`CifError::TooManyCalls`] if the used cells hold more than
+    /// [`MAX_FLAT_ELEMENTS`] calls (one a copy of an array), counted
+    /// before anything is written.
     pub fn write_to_string(&self, lib: &Library, root: CellId) -> Result<String, CifError> {
         let mut write_span = span!(self.tracer, "cif.write");
         if lib.cell(root).is_none() {
             return Err(CifError::UnknownRoot);
         }
         let copies = lib.copies(root);
+        let calls = lib
+            .iter()
+            .filter(|(id, _)| copies[id.raw() as usize] > 0)
+            .flat_map(|(_, cell)| cell.instances())
+            .fold(0u64, |n, inst| n.saturating_add(inst.count()));
+        if calls > MAX_FLAT_ELEMENTS as u64 {
+            return Err(CifError::TooManyCalls {
+                calls,
+                limit: MAX_FLAT_ELEMENTS,
+            });
+        }
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -287,12 +301,43 @@ mod tests {
         ));
         c.push_element(Element::new(
             Layer::Poly,
-            Polygon::new(vec![Point::new(0, 0), Point::new(4, 0), Point::new(0, 4)]).unwrap(),
+            Polygon::new(vec![
+                Point::new(0, 0),
+                Point::new(4, 0),
+                Point::new(4, 2),
+                Point::new(0, 2),
+            ])
+            .unwrap(),
         ));
         let id = lib.add_cell(c).unwrap();
         let text = CifWriter::new().write_to_string(&lib, id).unwrap();
         assert!(text.contains("W 6 0 0 14 0;"), "{text}");
-        assert!(text.contains("P 0 0 8 0 0 8;"), "{text}");
+        assert!(text.contains("P 0 0 8 0 8 4 0 4;"), "{text}");
+    }
+
+    #[test]
+    fn calls_past_the_bound_are_refused_before_writing() {
+        let (mut lib, unit) = one_cell_lib();
+        // An unused cell's calls are not written, so they do not count.
+        let mut unused = Cell::new("unused");
+        unused
+            .push_instance(Instance::array(unit, Transform::IDENTITY, 1 << 20, 64, 1, 1).unwrap());
+        lib.add_cell(unused).unwrap();
+        let mut top = Cell::new("top");
+        top.push_instance(Instance::place(unit, Transform::IDENTITY));
+        let top = lib.add_cell(top).unwrap();
+        assert!(CifWriter::new().write_to_string(&lib, top).is_ok());
+        let mut wide = Cell::new("wide");
+        wide.push_instance(
+            Instance::array(unit, Transform::IDENTITY, 1 << 11, 1 << 11, 1, 1).unwrap(),
+        );
+        wide.push_instance(Instance::place(unit, Transform::IDENTITY));
+        let wide = lib.add_cell(wide).unwrap();
+        let err = CifWriter::new().write_to_string(&lib, wide).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "design writes 4194305 cell calls; at most 4194304 can be written"
+        );
     }
 
     #[test]

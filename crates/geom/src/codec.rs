@@ -216,9 +216,39 @@ mod tests {
         }
         round_trip(&Transform::new(Orientation::R90, Point::new(10, -10)));
         round_trip(
-            &Polygon::new(vec![Point::new(0, 0), Point::new(4, 0), Point::new(4, 4)]).unwrap(),
+            &Polygon::new(vec![
+                Point::new(0, 0),
+                Point::new(4, 0),
+                Point::new(4, 4),
+                Point::new(2, 4),
+                Point::new(2, 2),
+                Point::new(0, 2),
+            ])
+            .unwrap(),
         );
         round_trip(&Path::new(2, vec![Point::new(0, 0), Point::new(8, 0)]).unwrap());
+    }
+
+    #[test]
+    fn slanted_geometry_is_undecodable() {
+        // The bytes a wire and a polygon with a slanted edge would be
+        // stored as: such an entry is refused, so it is recomputed.
+        let (a, b, c) = (Point::new(0, 0), Point::new(4, 0), Point::new(0, 4));
+        let mut h = crate::FpHasher::buffer();
+        2i64.fp_hash(&mut h);
+        vec![b, c].fp_hash(&mut h);
+        let err = Path::decode(&mut Dec::new(&h.into_bytes())).unwrap_err();
+        assert_eq!(
+            err,
+            "invalid path: edge (4, 0) -> (0, 4) is neither horizontal nor vertical"
+        );
+        let mut h = crate::FpHasher::buffer();
+        vec![a, b, c].fp_hash(&mut h);
+        let err = Polygon::decode(&mut Dec::new(&h.into_bytes())).unwrap_err();
+        assert_eq!(
+            err,
+            "invalid polygon: edge (4, 0) -> (0, 4) is neither horizontal nor vertical"
+        );
     }
 
     #[test]

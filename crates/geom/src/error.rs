@@ -1,3 +1,4 @@
+use crate::Point;
 use std::error::Error;
 use std::fmt;
 
@@ -26,6 +27,14 @@ pub enum GeomError {
         /// Requested wire width.
         width: i64,
     },
+    /// A wire segment or a polygon edge is neither horizontal nor
+    /// vertical.
+    NotManhattan {
+        /// Where the segment starts.
+        from: Point,
+        /// Where it ends.
+        to: Point,
+    },
 }
 
 impl fmt::Display for GeomError {
@@ -43,6 +52,20 @@ impl fmt::Display for GeomError {
             GeomError::DegeneratePath { points, width } => {
                 write!(f, "path is degenerate ({points} points, width {width})")
             }
+            GeomError::NotManhattan { from, to } => {
+                write!(f, "edge {from} -> {to} is neither horizontal nor vertical")
+            }
+        }
+    }
+}
+
+impl GeomError {
+    /// `Ok` when the segment `from -> to` is horizontal or vertical.
+    pub(crate) fn manhattan(from: Point, to: Point) -> Result<(), GeomError> {
+        if (to - from).is_axis_aligned() {
+            Ok(())
+        } else {
+            Err(GeomError::NotManhattan { from, to })
         }
     }
 }
@@ -65,6 +88,10 @@ mod tests {
             GeomError::DegeneratePath {
                 points: 0,
                 width: 2,
+            },
+            GeomError::NotManhattan {
+                from: Point::new(0, 0),
+                to: Point::new(1, 1),
             },
         ];
         for e in errs {

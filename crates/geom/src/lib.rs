@@ -11,8 +11,8 @@
 //!
 //! * [`Point`] and [`Vector`] — positions and displacements on the grid.
 //! * [`Rect`] — axis-aligned rectangles, the workhorse of Manhattan layout.
-//! * [`Polygon`] — simple polygons for non-rectangular artwork.
-//! * [`Path`] — wires: centre-line point sequences with a width.
+//! * [`Polygon`] — simple rectilinear polygons for non-rectangular artwork.
+//! * [`Path`] — wires: Manhattan centre-line point sequences with a width.
 //! * [`Orientation`] and [`Transform`] — the eight Manhattan symmetries
 //!   (rotations by multiples of 90° and mirrorings) plus translation, closed
 //!   under composition, as required for hierarchical cell instantiation.
@@ -21,6 +21,10 @@
 //!   and [`Persist`], [`Enc`], [`Dec`] — the cache's codec, which stores a
 //!   value as its fingerprint stream ([`persist!`] writes both for a plain
 //!   record).
+//!
+//! Every edge of a polygon and every segment of a wire is horizontal or
+//! vertical ([`GeomError::NotManhattan`] otherwise), so each decomposes
+//! exactly into rectangles: a shape has one meaning.
 //!
 //! # Example
 //!

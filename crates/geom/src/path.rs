@@ -2,11 +2,12 @@ use crate::{Coord, GeomError, Point, Rect, Transform};
 use std::fmt;
 
 /// A wire: a centre-line point sequence swept with a square pen of a given
-/// width (the semantics of the CIF `W` command).
+/// width (the semantics of the CIF `W` command). Every segment is
+/// horizontal or vertical, so [`Path::to_rects`] is exactly the wire's
+/// mask.
 ///
 /// Paths are how routers talk about interconnect before it is decomposed
-/// into boxes for mask making. [`Path::to_rects`] performs that
-/// decomposition for Manhattan (axis-aligned) paths.
+/// into boxes for mask making.
 ///
 /// # Example
 ///
@@ -31,22 +32,23 @@ impl Path {
     ///
     /// # Errors
     ///
-    /// Returns [`GeomError::DegeneratePath`] when `points` is empty, the
-    /// width is not strictly positive, or two consecutive points coincide.
+    /// * [`GeomError::DegeneratePath`] — `points` is empty, the width is
+    ///   not strictly positive, or two consecutive points coincide.
+    /// * [`GeomError::NotManhattan`] — a segment is neither horizontal nor
+    ///   vertical.
     pub fn new(width: Coord, points: Vec<Point>) -> Result<Path, GeomError> {
+        let degenerate = GeomError::DegeneratePath {
+            points: points.len(),
+            width,
+        };
         if points.is_empty() || width <= 0 {
-            return Err(GeomError::DegeneratePath {
-                points: points.len(),
-                width,
-            });
+            return Err(degenerate);
         }
         for w in points.windows(2) {
             if w[0] == w[1] {
-                return Err(GeomError::DegeneratePath {
-                    points: points.len(),
-                    width,
-                });
+                return Err(degenerate);
             }
+            GeomError::manhattan(w[0], w[1])?;
         }
         Ok(Path { width, points })
     }
@@ -61,21 +63,12 @@ impl Path {
         &self.points
     }
 
-    /// Total centre-line length (Manhattan for axis-aligned segments; for a
-    /// diagonal segment, the L1 length of the segment is reported, which
-    /// upper-bounds wire resistance on a Manhattan grid).
+    /// Total centre-line length.
     pub fn length(&self) -> Coord {
         self.points
             .windows(2)
             .map(|w| w[0].manhattan_distance(w[1]))
             .sum()
-    }
-
-    /// True when every segment is horizontal or vertical.
-    pub fn is_manhattan(&self) -> bool {
-        self.points
-            .windows(2)
-            .all(|w| (w[1] - w[0]).is_axis_aligned())
     }
 
     /// Bounding box of the swept wire, including the half-width flange on
@@ -96,17 +89,10 @@ impl Path {
         .expect("wire of positive width has non-empty bbox")
     }
 
-    /// Decomposes a Manhattan path into one rectangle per segment, each
-    /// widened by half the pen width and extended by half the pen width at
-    /// both ends (square-pen semantics, so corners are covered).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the path is not Manhattan — callers should check
-    /// [`is_manhattan`](Path::is_manhattan) first; the routers only ever
-    /// build Manhattan paths.
+    /// Decomposes the path into one rectangle per segment, each widened by
+    /// half the pen width and extended by half the pen width at both ends
+    /// (square-pen semantics, so corners are covered).
     pub fn to_rects(&self) -> Vec<Rect> {
-        assert!(self.is_manhattan(), "to_rects requires a Manhattan path");
         let h = self.width / 2;
         let extra = self.width - h;
         if self.points.len() == 1 {
@@ -174,7 +160,6 @@ mod tests {
     fn length_sums_segments() {
         let w = Path::new(2, vec![p(0, 0), p(10, 0), p(10, 8)]).unwrap();
         assert_eq!(w.length(), 18);
-        assert!(w.is_manhattan());
     }
 
     #[test]
@@ -215,15 +200,13 @@ mod tests {
 
     #[test]
     fn diagonal_detected() {
-        let w = Path::new(2, vec![p(0, 0), p(5, 5)]).unwrap();
-        assert!(!w.is_manhattan());
-    }
-
-    #[test]
-    #[should_panic(expected = "Manhattan")]
-    fn to_rects_panics_on_diagonal() {
-        let w = Path::new(2, vec![p(0, 0), p(5, 5)]).unwrap();
-        let _ = w.to_rects();
+        assert_eq!(
+            Path::new(2, vec![p(0, 0), p(5, 0), p(9, 5)]),
+            Err(GeomError::NotManhattan {
+                from: p(5, 0),
+                to: p(9, 5)
+            })
+        );
     }
 
     #[test]
@@ -233,6 +216,6 @@ mod tests {
         let moved = w.transform(t);
         assert_eq!(moved.length(), w.length());
         assert_eq!(moved.width(), w.width());
-        assert!(moved.is_manhattan());
+        assert_eq!(moved.to_rects().len(), 2);
     }
 }

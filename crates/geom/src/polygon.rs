@@ -1,22 +1,25 @@
 use crate::{Coord, GeomError, Point, Rect, Transform};
 use std::fmt;
 
-/// A simple polygon on the lambda grid.
+/// A simple rectilinear polygon on the lambda grid: every edge is
+/// horizontal or vertical, so [`Polygon::to_rects`] is exactly its mask.
 ///
-/// CIF's `P` command describes arbitrary polygons; most silicon-compiler
-/// output is rectangles, but pads, arrows and a few analogue structures need
-/// polygons. Vertices are stored in the order given (either winding);
-/// [`Polygon::double_area`] is always reported positive.
+/// CIF's `P` command describes polygons; most silicon-compiler output is
+/// rectangles, but L- and U-shaped artwork is one polygon. Vertices are
+/// stored in the order given (either winding); [`Polygon::double_area`]
+/// is always reported positive.
 ///
 /// # Example
 ///
 /// ```
 /// use silc_geom::{Point, Polygon};
 /// # fn main() -> Result<(), silc_geom::GeomError> {
-/// let tri = Polygon::new(vec![
-///     Point::new(0, 0), Point::new(4, 0), Point::new(0, 4),
+/// let l = Polygon::new(vec![
+///     Point::new(0, 0), Point::new(4, 0), Point::new(4, 2),
+///     Point::new(2, 2), Point::new(2, 6), Point::new(0, 6),
 /// ])?;
-/// assert_eq!(tri.double_area(), 16); // area is 8
+/// assert_eq!(l.double_area(), 32); // area is 16
+/// assert_eq!(l.to_rects().len(), 2);
 /// # Ok(())
 /// # }
 /// ```
@@ -33,6 +36,8 @@ impl Polygon {
     ///
     /// * [`GeomError::DegeneratePolygon`] — fewer than three vertices, zero
     ///   area, or repeated consecutive vertices.
+    /// * [`GeomError::NotManhattan`] — an edge is neither horizontal nor
+    ///   vertical.
     /// * [`GeomError::SelfIntersectingPolygon`] — non-adjacent edges cross.
     pub fn new(vertices: Vec<Point>) -> Result<Polygon, GeomError> {
         if vertices.len() < 3 {
@@ -42,9 +47,11 @@ impl Polygon {
         }
         let n = vertices.len();
         for i in 0..n {
-            if vertices[i] == vertices[(i + 1) % n] {
+            let (a, b) = (vertices[i], vertices[(i + 1) % n]);
+            if a == b {
                 return Err(GeomError::DegeneratePolygon { vertices: n });
             }
+            GeomError::manhattan(a, b)?;
         }
         let poly = Polygon { vertices };
         if poly.has_self_intersection() {
@@ -105,51 +112,48 @@ impl Polygon {
             min = min.min(v);
             max = max.max(v);
         }
-        // A polygon that collapses to a horizontal/vertical segment is
-        // rejected at construction (zero area), so this cannot fail — but a
-        // diagonal degenerate could in theory; widen by nothing and rely on
-        // the non-zero-area invariant.
+        // Zero area is refused at construction, so the box is not empty.
         Rect::new(min, max).expect("non-degenerate polygon has non-empty bbox")
     }
 
-    /// True if every edge is horizontal or vertical (rectilinear artwork).
-    pub fn is_rectilinear(&self) -> bool {
-        let n = self.vertices.len();
-        (0..n).all(|i| {
-            let d = self.vertices[(i + 1) % n] - self.vertices[i];
-            d.is_axis_aligned()
-        })
-    }
+    /// Slices the polygon into disjoint rectangles covering exactly its
+    /// interior, by horizontal bands: for each band between consecutive
+    /// distinct vertex y-coordinates, the x-intervals where the interior
+    /// covers the band.
+    pub fn to_rects(&self) -> Vec<Rect> {
+        let verts = &self.vertices;
+        let n = verts.len();
+        let mut ys: Vec<Coord> = verts.iter().map(|v| v.y).collect();
+        ys.sort_unstable();
+        ys.dedup();
 
-    /// Point-in-polygon test (boundary counts as inside), by the winding
-    /// crossing rule.
-    pub fn contains_point(&self, p: Point) -> bool {
-        let n = self.vertices.len();
-        // Boundary check first.
-        for i in 0..n {
-            let a = self.vertices[i];
-            let b = self.vertices[(i + 1) % n];
-            if on_segment(a, b, p) {
-                return true;
+        let mut rects = Vec::new();
+        for band in ys.windows(2) {
+            let (y0, y1) = (band[0], band[1]);
+            // Find vertical edges spanning this band; sort their x.
+            let mut xs: Vec<Coord> = Vec::new();
+            for i in 0..n {
+                let a = verts[i];
+                let b = verts[(i + 1) % n];
+                if a.x == b.x {
+                    let (lo, hi) = (a.y.min(b.y), a.y.max(b.y));
+                    if lo <= y0 && y1 <= hi {
+                        xs.push(a.x);
+                    }
+                }
             }
-        }
-        let mut inside = false;
-        for i in 0..n {
-            let a = self.vertices[i];
-            let b = self.vertices[(i + 1) % n];
-            if (a.y > p.y) != (b.y > p.y) {
-                // Edge straddles the horizontal ray; compare x of crossing.
-                // x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-                let num = (p.y - a.y) * (b.x - a.x);
-                let den = b.y - a.y;
-                // p.x < x_cross  <=>  p.x * den < a.x * den + num  (sign-safe)
-                let lhs = (p.x - a.x) * den;
-                if (den > 0 && lhs < num) || (den < 0 && lhs > num) {
-                    inside = !inside;
+            xs.sort_unstable();
+            // Alternating fill: pairs of crossings bound interior spans.
+            for pair in xs.chunks(2) {
+                if pair.len() == 2 && pair[0] < pair[1] {
+                    rects.push(
+                        Rect::new(Point::new(pair[0], y0), Point::new(pair[1], y1))
+                            .expect("band with distinct bounds is non-empty"),
+                    );
                 }
             }
         }
-        inside
+        rects
     }
 
     /// Returns the polygon mapped through `t`.
@@ -229,35 +233,57 @@ mod tests {
         Point::new(x, y)
     }
 
+    /// An L: a 4x2 foot under a 2x4 upright, area 16.
+    fn l_shape() -> Polygon {
+        Polygon::new(vec![p(0, 0), p(4, 0), p(4, 2), p(2, 2), p(2, 6), p(0, 6)]).unwrap()
+    }
+
     #[test]
     fn triangle_area() {
-        let t = Polygon::new(vec![p(0, 0), p(4, 0), p(0, 4)]).unwrap();
-        assert_eq!(t.double_area(), 16);
+        // The nearest a rectilinear polygon comes to a right triangle: a
+        // staircase of three 1-high steps, 3 + 2 + 1 squares.
+        let t = Polygon::new(vec![
+            p(0, 0),
+            p(3, 0),
+            p(3, 1),
+            p(2, 1),
+            p(2, 2),
+            p(1, 2),
+            p(1, 3),
+            p(0, 3),
+        ])
+        .unwrap();
+        assert_eq!(t.double_area(), 12);
         assert!(t.signed_double_area() > 0);
+        // One band a step, down to the 1-wide top.
+        let widths: Vec<Coord> = t.to_rects().iter().map(Rect::width).collect();
+        assert_eq!(widths, [3, 2, 1]);
     }
 
     #[test]
     fn clockwise_winding_detected() {
-        let t = Polygon::new(vec![p(0, 0), p(0, 4), p(4, 0)]).unwrap();
+        let t = Polygon::new(vec![p(0, 0), p(0, 4), p(4, 4), p(4, 0)]).unwrap();
         assert!(t.signed_double_area() < 0);
-        assert_eq!(t.double_area(), 16);
+        assert_eq!(t.double_area(), 32);
     }
 
     #[test]
     fn rejects_degenerate() {
         assert!(matches!(
-            Polygon::new(vec![p(0, 0), p(1, 1)]),
+            Polygon::new(vec![p(0, 0), p(1, 0)]),
             Err(GeomError::DegeneratePolygon { vertices: 2 })
         ));
         // Collinear points: zero area.
-        assert!(Polygon::new(vec![p(0, 0), p(2, 2), p(4, 4)]).is_err());
+        assert!(Polygon::new(vec![p(0, 0), p(2, 0), p(4, 0)]).is_err());
         // Repeated consecutive vertex.
-        assert!(Polygon::new(vec![p(0, 0), p(0, 0), p(4, 0), p(0, 4)]).is_err());
+        assert!(Polygon::new(vec![p(0, 0), p(0, 0), p(4, 0), p(4, 4), p(0, 4)]).is_err());
     }
 
     #[test]
     fn rejects_self_intersecting_bowtie() {
-        let bowtie = Polygon::new(vec![p(0, 0), p(4, 4), p(4, 0), p(0, 4)]);
+        // The rectilinear bowtie: two squares meeting at the corner (2, 2),
+        // traced as one loop whose edges cross there.
+        let bowtie = Polygon::new(vec![p(0, 0), p(2, 0), p(2, 4), p(4, 4), p(4, 2), p(0, 2)]);
         assert!(matches!(bowtie, Err(GeomError::SelfIntersectingPolygon)));
     }
 
@@ -268,51 +294,58 @@ mod tests {
         assert_eq!(poly.len(), 4);
         assert_eq!(poly.double_area(), 2 * r.area());
         assert_eq!(poly.bbox(), r);
-        assert!(poly.is_rectilinear());
+        assert_eq!(poly.to_rects(), vec![r]);
         assert!(poly.signed_double_area() > 0);
     }
 
     #[test]
     fn l_shape_is_rectilinear() {
-        let l = Polygon::new(vec![p(0, 0), p(4, 0), p(4, 2), p(2, 2), p(2, 6), p(0, 6)]).unwrap();
-        assert!(l.is_rectilinear());
+        let l = l_shape();
         assert_eq!(l.double_area(), 2 * (4 * 2 + 2 * 4));
         assert_eq!(l.bbox(), Rect::from_origin_size(p(0, 0), 4, 6).unwrap());
-    }
-
-    #[test]
-    fn point_containment() {
-        let l = Polygon::new(vec![p(0, 0), p(4, 0), p(4, 2), p(2, 2), p(2, 6), p(0, 6)]).unwrap();
-        assert!(l.contains_point(p(1, 1)));
-        assert!(l.contains_point(p(3, 1)));
-        assert!(l.contains_point(p(1, 5)));
-        assert!(!l.contains_point(p(3, 3))); // in the notch
-        assert!(l.contains_point(p(0, 0))); // corner counts
-        assert!(l.contains_point(p(2, 4))); // on the inner edge
-        assert!(!l.contains_point(p(5, 5)));
+        assert_eq!(
+            l.to_rects(),
+            [
+                Rect::new(p(0, 0), p(4, 2)).unwrap(),
+                Rect::new(p(0, 2), p(2, 6)).unwrap(),
+            ]
+        );
     }
 
     #[test]
     fn non_rectilinear_detected() {
-        let t = Polygon::new(vec![p(0, 0), p(4, 0), p(0, 4)]).unwrap();
-        assert!(!t.is_rectilinear());
+        assert_eq!(
+            Polygon::new(vec![p(0, 0), p(4, 0), p(0, 4)]),
+            Err(GeomError::NotManhattan {
+                from: p(4, 0),
+                to: p(0, 4)
+            })
+        );
+        // The closing edge counts too.
+        assert_eq!(
+            Polygon::new(vec![p(0, 0), p(4, 0), p(4, 4), p(1, 4)]),
+            Err(GeomError::NotManhattan {
+                from: p(1, 4),
+                to: p(0, 0)
+            })
+        );
     }
 
     #[test]
     fn transform_preserves_area() {
-        let t = Polygon::new(vec![p(0, 0), p(4, 0), p(0, 4)]).unwrap();
-        let moved = t.transform(Transform::new(Orientation::R90, p(10, 10)));
-        assert_eq!(moved.double_area(), t.double_area());
+        let l = l_shape();
+        let moved = l.transform(Transform::new(Orientation::R90, p(10, 10)));
+        assert_eq!(moved.double_area(), l.double_area());
         // R90 is a proper rotation: winding preserved.
-        assert_eq!(moved.signed_double_area(), t.signed_double_area());
+        assert_eq!(moved.signed_double_area(), l.signed_double_area());
         // Mirroring reverses winding.
-        let mirrored = t.transform(Transform::new(Orientation::MX, Point::ORIGIN));
-        assert_eq!(mirrored.signed_double_area(), -t.signed_double_area());
+        let mirrored = l.transform(Transform::new(Orientation::MX, Point::ORIGIN));
+        assert_eq!(mirrored.signed_double_area(), -l.signed_double_area());
     }
 
     #[test]
     fn display_lists_vertices() {
-        let t = Polygon::new(vec![p(0, 0), p(1, 0), p(0, 1)]).unwrap();
-        assert_eq!(t.to_string(), "poly[(0, 0) (1, 0) (0, 1)]");
+        let t = Polygon::new(vec![p(0, 0), p(1, 0), p(1, 1), p(0, 1)]).unwrap();
+        assert_eq!(t.to_string(), "poly[(0, 0) (1, 0) (1, 1) (0, 1)]");
     }
 }

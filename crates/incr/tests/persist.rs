@@ -68,10 +68,19 @@ fn shape(rng: R) -> Shape {
         0 => Shape::Rect(rect(rng)),
         1 => Shape::Polygon(Polygon::from_rect(rect(rng))),
         _ => {
-            // Strictly increasing x: no two consecutive points coincide.
+            // A staircase: segments turn between the axes, none empty.
             let width = rng.gen_range(1..6i64);
-            let points = (0..rng.gen_range(1..5i64)).map(|i| Point::new(3 * i, point(rng).y));
-            Shape::Wire(Path::new(width, points.collect()).unwrap())
+            let mut points = vec![point(rng)];
+            for i in 0..rng.gen_range(0..4u32) {
+                let (at, d) = (points[points.len() - 1], rng.gen_range(1..9i64));
+                let d = if rng.gen_range(0..2u32) == 0 { d } else { -d };
+                points.push(if i % 2 == 0 {
+                    Point::new(at.x + d, at.y)
+                } else {
+                    Point::new(at.x, at.y + d)
+                });
+            }
+            Shape::Wire(Path::new(width, points).unwrap())
         }
     }
 }
@@ -145,8 +154,10 @@ proptest! {
         check(&rect(rng))?;
         check(&Orientation::ALL[(seed % 8) as usize])?;
         check(&transform(rng))?;
-        let apex = Point::new(point(rng).x, rng.gen_range(1..50i64));
-        check(&Polygon::new(vec![Point::new(0, 0), Point::new(9, 0), apex]).unwrap())?;
+        let (w, h) = (rng.gen_range(2..50i64), rng.gen_range(2..50i64));
+        let (a, b) = (rng.gen_range(1..w), rng.gen_range(1..h));
+        let l = [(0, 0), (w, 0), (w, b), (a, b), (a, h), (0, h)];
+        check(&Polygon::new(l.map(|(x, y)| Point::new(x, y)).to_vec()).unwrap())?;
         check(&layer(rng))?;
         for shape in list(rng, shape) {
             if let Shape::Wire(path) = &shape {

@@ -297,6 +297,9 @@ struct Interp<'p> {
     frames: usize,
     /// Steps taken so far; see [`MAX_STEPS`].
     steps: u64,
+    /// Copies placed so far by diagonal arrays, which expand to single
+    /// placements: at most [`MAX_FLAT_ELEMENTS`] in one compile.
+    diagonal_copies: u64,
     cells_elaborated: u64,
     memo_hits: u64,
 }
@@ -662,9 +665,12 @@ impl<'p> Interp<'p> {
                     .map_err(|e| LangError::eval(line, e.to_string()))?;
                     target.push_instance(inst);
                 } else {
-                    // Past this many copies flattening refuses the design.
-                    // Two `u32`s multiply exactly in a `u64`.
-                    if u64::from(cols) * u64::from(rows) > MAX_FLAT_ELEMENTS as u64 {
+                    // Past this many copies flattening refuses the design;
+                    // counted over the compile, so a loop cannot repeat
+                    // its way past it. Two `u32`s multiply exactly in a
+                    // `u64`.
+                    self.diagonal_copies += u64::from(cols) * u64::from(rows);
+                    if self.diagonal_copies > MAX_FLAT_ELEMENTS as u64 {
                         return Err(LangError::eval(
                             line,
                             format!(
@@ -1429,6 +1435,21 @@ mod tests {
     }
 
     #[test]
+    fn diagonal_copies_are_counted_across_a_loop() {
+        // One copy, then 2²² more: each statement is within the cap, the
+        // compile is not, and the second trip is refused before it places
+        // anything.
+        let e = compile_err(
+            "cell a() { box metal (0,0) (3,3); }
+             for k in 0..2 {
+               array a() at (0,0) step (4,4) (4,-4) count 1 + k * 2047 1 + k * 2047;
+             }",
+        );
+        assert!(matches!(e, LangError::Eval { line: 3, .. }), "{e}");
+        assert!(e.to_string().contains("2048 x 2048"), "{e}");
+    }
+
+    #[test]
     fn doubling_values_stop_at_the_value_bound() {
         for (src, what) in [
             (
@@ -1555,7 +1576,7 @@ mod tests {
     fn wires_and_polygons() {
         let d = compile(
             "wire metal 3 (0,0) (20,0) (20,15);
-             polygon poly (0,0) (8,0) (0,8);",
+             polygon poly (0,0) (8,0) (8,4) (4,4) (4,8) (0,8);",
         );
         let top = d.library.cell(d.top).unwrap();
         assert_eq!(top.elements().len(), 2);

@@ -333,6 +333,15 @@ const DIAGNOSTICS: &[(&str, &str)] = &[
         "for i in 0..2 { box metal (0,0) (1,1); 99999999999999999999 }",
         "syntax error at 1:40: number too large",
     ),
+    // Wires and polygons are Manhattan: what is checked is what is written.
+    (
+        "cell t() {\n  wire metal 4 (0, 0) (10, 0) (20, 10);\n}\nplace t() at (0, 0);",
+        "error on line 2: edge (10, 0) -> (20, 10) is neither horizontal nor vertical",
+    ),
+    (
+        "polygon poly (0, 0) (20, 0) (20, 8) (0, 20);",
+        "error on line 1: edge (20, 8) -> (0, 20) is neither horizontal nor vertical",
+    ),
 ];
 
 fn said(source: &str) -> String {

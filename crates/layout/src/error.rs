@@ -31,6 +31,14 @@ pub enum LayoutError {
         /// ([`MAX_FLAT_ELEMENTS`](crate::MAX_FLAT_ELEMENTS)).
         limit: usize,
     },
+    /// The design places more cell copies than flattening walks.
+    TooManyCopies {
+        /// Cell copies the design places, the root included.
+        copies: u64,
+        /// The most that flattening walks
+        /// ([`MAX_FLAT_ELEMENTS`](crate::MAX_FLAT_ELEMENTS)).
+        limit: usize,
+    },
 }
 
 impl fmt::Display for LayoutError {
@@ -46,6 +54,10 @@ impl fmt::Display for LayoutError {
             LayoutError::TooLarge { elements, limit } => write!(
                 f,
                 "design expands to {elements} elements; at most {limit} can be flattened"
+            ),
+            LayoutError::TooManyCopies { copies, limit } => write!(
+                f,
+                "design places {copies} cell copies; at most {limit} can be flattened"
             ),
         }
     }
@@ -68,6 +80,11 @@ mod tests {
             limit: 1 << 22,
         };
         assert!(e.to_string().contains("10000000000") && e.to_string().contains("4194304"));
+        let e = LayoutError::TooManyCopies {
+            copies: 9_000_002,
+            limit: 1 << 22,
+        };
+        assert!(e.to_string().contains("9000002 cell copies") && e.to_string().contains("4194304"));
     }
 
     #[test]

@@ -7,9 +7,9 @@ use std::fmt;
 pub enum Shape {
     /// An axis-aligned box — the overwhelmingly common case.
     Rect(Rect),
-    /// An arbitrary simple polygon.
+    /// A simple rectilinear polygon.
     Polygon(Polygon),
-    /// A wire: centre line swept by a square pen (CIF `W`).
+    /// A Manhattan wire: centre line swept by a square pen (CIF `W`).
     Wire(Path),
 }
 
@@ -32,33 +32,16 @@ impl Shape {
         }
     }
 
-    /// Decomposes the shape into rectangles covering exactly the same mask
-    /// area where possible:
-    ///
-    /// * a rect maps to itself;
-    /// * a Manhattan wire maps to one rect per segment;
-    /// * a **rectilinear** polygon is sliced into horizontal trapezoids
-    ///   (exact);
-    /// * a non-rectilinear polygon or diagonal wire is approximated by its
-    ///   bounding box (such artwork is rare and flagged by
-    ///   [`Shape::is_exactly_rectangular`]).
+    /// Decomposes the shape into rectangles covering exactly its mask
+    /// area: a rect maps to itself, a wire to one rect per segment
+    /// ([`Path::to_rects`]), a polygon to horizontal bands
+    /// ([`Polygon::to_rects`]). Wires and polygons are Manhattan by
+    /// construction, so no shape is approximated.
     pub fn to_rects(&self) -> Vec<Rect> {
         match self {
             Shape::Rect(r) => vec![*r],
-            Shape::Wire(w) if w.is_manhattan() => w.to_rects(),
-            Shape::Wire(w) => vec![w.bbox()],
-            Shape::Polygon(p) if p.is_rectilinear() => rectilinear_decompose(p),
-            Shape::Polygon(p) => vec![p.bbox()],
-        }
-    }
-
-    /// True when [`Shape::to_rects`] is exact (no bounding-box
-    /// approximation).
-    pub fn is_exactly_rectangular(&self) -> bool {
-        match self {
-            Shape::Rect(_) => true,
-            Shape::Wire(w) => w.is_manhattan(),
-            Shape::Polygon(p) => p.is_rectilinear(),
+            Shape::Wire(w) => w.to_rects(),
+            Shape::Polygon(p) => p.to_rects(),
         }
     }
 }
@@ -137,46 +120,6 @@ impl fmt::Display for Element {
     }
 }
 
-/// Slices a rectilinear polygon into disjoint rectangles by horizontal
-/// bands: for each band between consecutive distinct vertex y-coordinates,
-/// collect the x-intervals where the polygon interior covers the band.
-fn rectilinear_decompose(poly: &Polygon) -> Vec<Rect> {
-    use silc_geom::Point;
-    let verts = poly.vertices();
-    let n = verts.len();
-    let mut ys: Vec<i64> = verts.iter().map(|v| v.y).collect();
-    ys.sort_unstable();
-    ys.dedup();
-
-    let mut rects = Vec::new();
-    for band in ys.windows(2) {
-        let (y0, y1) = (band[0], band[1]);
-        // Find vertical edges spanning this band; sort their x.
-        let mut xs: Vec<i64> = Vec::new();
-        for i in 0..n {
-            let a = verts[i];
-            let b = verts[(i + 1) % n];
-            if a.x == b.x {
-                let (lo, hi) = (a.y.min(b.y), a.y.max(b.y));
-                if lo <= y0 && y1 <= hi {
-                    xs.push(a.x);
-                }
-            }
-        }
-        xs.sort_unstable();
-        // Alternating fill: pairs of crossings bound interior spans.
-        for pair in xs.chunks(2) {
-            if pair.len() == 2 && pair[0] < pair[1] {
-                rects.push(
-                    Rect::new(Point::new(pair[0], y0), Point::new(pair[1], y1))
-                        .expect("band with distinct bounds is non-empty"),
-                );
-            }
-        }
-    }
-    rects
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,7 +135,6 @@ mod tests {
         let s: Shape = r.into();
         assert_eq!(s.bbox(), r);
         assert_eq!(s.to_rects(), vec![r]);
-        assert!(s.is_exactly_rectangular());
     }
 
     #[test]
@@ -200,15 +142,6 @@ mod tests {
         let w = Path::new(2, vec![p(0, 0), p(10, 0)]).unwrap();
         let s: Shape = w.into();
         assert_eq!(s.to_rects().len(), 1);
-        assert!(s.is_exactly_rectangular());
-    }
-
-    #[test]
-    fn diagonal_wire_approximated() {
-        let w = Path::new(2, vec![p(0, 0), p(5, 5)]).unwrap();
-        let s: Shape = w.into();
-        assert!(!s.is_exactly_rectangular());
-        assert_eq!(s.to_rects(), vec![s.bbox()]);
     }
 
     #[test]
@@ -225,9 +158,11 @@ mod tests {
                 assert!(!a.overlaps(*b), "{a} overlaps {b}");
             }
         }
-        // Every rect lies inside the polygon (check centres).
+        // Every rect lies inside the polygon's bounding box and none
+        // covers the notch above the foot.
+        let notch = Rect::new(p(2, 2), p(4, 6)).unwrap();
         for r in &rects {
-            assert!(l.contains_point(r.center()));
+            assert!(l.bbox().contains_rect(*r) && !r.overlaps(notch), "{r}");
         }
     }
 
@@ -250,14 +185,6 @@ mod tests {
         assert_eq!(total * 2, u.double_area());
         // Some band must produce two spans.
         assert!(rects.len() >= 3);
-    }
-
-    #[test]
-    fn triangle_approximated_by_bbox() {
-        let t = Polygon::new(vec![p(0, 0), p(4, 0), p(0, 4)]).unwrap();
-        let s: Shape = t.into();
-        assert!(!s.is_exactly_rectangular());
-        assert_eq!(s.to_rects().len(), 1);
     }
 
     #[test]

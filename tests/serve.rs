@@ -362,6 +362,68 @@ fn design_too_large_to_flatten_is_an_error_reply_and_the_worker_lives_on() {
 }
 
 #[test]
+fn empty_copies_past_the_bound_are_an_error_reply_and_the_worker_lives_on() {
+    // Nine million copies of an empty cell, in 6 000 calls: nothing to
+    // flatten, but extraction once walked every copy before it could
+    // tell, and a few more rows would have held the worker for minutes.
+    let (addr, handle) = start(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr);
+    let empty = "cell e() { }
+         cell r() { array e() at (0,0) step (0,0) count 3000; }
+         array r() at (0,0) step (0,0) count 3000;";
+    let reply = client.request(&format!(
+        r#"{{"op":"compile","id":1,"source":{},"no_drc":true,"extract":true}}"#,
+        quoted(empty)
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    let message = reply.to_string();
+    assert!(
+        message.contains("9003001 cell copies") && message.contains("4194304"),
+        "{message}"
+    );
+    let reply = client.request(&format!(
+        r#"{{"op":"compile","id":2,"source":{}}}"#,
+        quoted(&sil_program(7))
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    handle.shutdown();
+}
+
+#[test]
+fn cif_calls_past_the_bound_are_an_error_reply_and_the_worker_lives_on() {
+    // A clean array is proven from its hierarchy, but the writer spells
+    // out one `C` line a copy: at four billion copies it asked for about
+    // 70 GB, and the failed allocation aborted the whole process.
+    let (addr, handle) = start(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr);
+    let long = "cell bit() { box metal (0,0) (3,3); }
+         place bit() at (0,0);
+         array bit() at (0,10) step (6,0) count 4000000000;";
+    let reply = client.request(&format!(
+        r#"{{"op":"compile","id":1,"source":{}}}"#,
+        quoted(long)
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    let message = reply.to_string();
+    assert!(
+        message.contains("4000000001 cell calls") && message.contains("4194304"),
+        "{message}"
+    );
+    let reply = client.request(&format!(
+        r#"{{"op":"compile","id":2,"source":{}}}"#,
+        quoted(&sil_program(7))
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    handle.shutdown();
+}
+
+#[test]
 fn huge_diagonal_array_is_an_error_reply_and_the_worker_lives_on() {
     // One worker: 400 million placements once asked for 7.5 GB, and the
     // failed allocation aborted the whole process.
