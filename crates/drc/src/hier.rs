@@ -32,8 +32,10 @@
 
 use crate::check::{violations, Report};
 use crate::RuleSet;
-use silc_geom::{Coord, Orientation, Rect, RectIndex, Vector};
-use silc_layout::{flatten_to_rects, rects_by_layer, CellId, Extents, Instance, Layer, Library};
+use silc_geom::{Coord, Orientation, Rect, RectIndex};
+use silc_layout::{
+    flatten_to_rects, rects_by_layer, Cell, CellId, Extents, Instance, Layer, Library,
+};
 use silc_trace::{span, Tracer};
 
 const LAYERS: usize = Layer::ALL.len();
@@ -55,20 +57,25 @@ enum Verdict {
 
 struct Prover<'a> {
     lib: &'a Library,
-    extents: Extents<'a>,
+    extents: Extents,
     clearance: [[Coord; LAYERS]; LAYERS],
     /// The largest clearance: parts farther apart need no closer look.
     reach: Coord,
-    /// Copies of each cell in the flattened design.
-    copies: Vec<u64>,
-    verdicts: Vec<Option<Verdict>>,
+    /// Each cell's verdict, indexed by raw id; `Tangled` for a cell the
+    /// root does not reach under `R0`.
+    verdicts: Vec<Verdict>,
 }
 
 /// The report of a design proven clean from its hierarchy, or `None`
 /// when the proof gives up (always, for a design without arrays: it has
-/// nothing to gain). Records a `drc.prove` span and the
-/// `drc.rects_examined` counter; on success also `drc.cells_proved`,
-/// `drc.rects_checked` and `drc.violations`.
+/// nothing to gain).
+///
+/// Ids run children before parents, so the verdicts are one ascending
+/// loop over the cells the root reaches under `R0`, each reading its
+/// children's from the table, and never a call stack. Records a
+/// `drc.prove` span and the `drc.rects_examined` counter; on success also
+/// `drc.rects_checked`, `drc.violations` and `drc.cells_proved`: the
+/// cells the proof splits through or hands to the flat checker whole.
 pub(crate) fn prove_clean(
     lib: &Library,
     root: CellId,
@@ -80,17 +87,26 @@ pub(crate) fn prove_clean(
     let clearance = Layer::ALL.map(|a| Layer::ALL.map(|b| rules.clearance(a, b)));
     let mut prover = Prover {
         lib,
-        extents: Extents::new(lib),
+        extents: Extents::new(lib, root).ok()?,
         reach: clearance.iter().flatten().copied().max().unwrap_or(0),
         clearance,
-        copies,
-        verdicts: vec![None; lib.len()],
+        verdicts: vec![Verdict::Tangled; root.raw() as usize + 1],
     };
-    if prover.visit(root) == Verdict::Tangled {
+    for (id, cell) in lib.iter().take(prover.verdicts.len()) {
+        let at = id.raw() as usize;
+        let reached = prover.extents.of(id, Orientation::R0).is_some();
+        prover.verdicts[at] = match (reached && prover.splits(cell), copies[at]) {
+            (true, _) => Verdict::Split,
+            (false, 2..) if reached => Verdict::Whole,
+            _ => Verdict::Tangled,
+        };
+    }
+    if prover.verdicts[root.raw() as usize] == Verdict::Tangled {
         return None;
     }
+    let (parts, proved) = prover.parts(root)?;
     let mut examined = 0;
-    let clean = prover.parts(root)?.iter().all(|layers| {
+    let clean = parts.iter().all(|layers| {
         examined += layers.iter().map(Vec::len).sum::<usize>();
         violations(layers, rules, &Tracer::disabled()).is_empty()
     });
@@ -98,9 +114,7 @@ pub(crate) fn prove_clean(
     if !clean {
         return None;
     }
-    let rects_checked = prover.extents.of(root, Orientation::R0).ok()?.rects as usize;
-    let proved = prover.verdicts.iter().flatten();
-    let proved = proved.filter(|&&v| v != Verdict::Tangled).count();
+    let rects_checked = prover.extents.root().rects as usize;
     tracer.add("drc.cells_proved", proved as u64);
     tracer.add("drc.rects_checked", rects_checked as u64);
     tracer.add("drc.violations", 0);
@@ -121,59 +135,38 @@ fn copies_if_arrayed(lib: &Library, root: CellId) -> Option<Vec<u64>> {
 }
 
 impl Prover<'_> {
-    fn visit(&mut self, id: CellId) -> Verdict {
-        let at = id.raw() as usize;
-        if let Some(verdict) = self.verdicts[at] {
-            return verdict;
-        }
-        let verdict = if self.splits(id) {
-            Verdict::Split
-        } else if self.copies[at] >= 2 {
-            Verdict::Whole
-        } else {
-            Verdict::Tangled
-        };
-        self.verdicts[at] = Some(verdict);
-        verdict
-    }
-
     /// What the flat checker must see of a design whose root splits, as
     /// layer-indexed rectangles: the artwork of every cell reached through
     /// split cells alone, and each whole cell so reached, but nothing
-    /// inside one (a tile's contact may lean on its parent's metal).
-    /// `None` when a whole cell cannot be flattened.
-    fn parts(&self, root: CellId) -> Option<Vec<Vec<Vec<Rect>>>> {
+    /// inside one (a tile's contact may lean on its parent's metal); and
+    /// how many cells that is. `None` when a whole cell cannot be
+    /// flattened.
+    fn parts(&self, root: CellId) -> Option<(Vec<Vec<Vec<Rect>>>, usize)> {
         let mut seen = vec![false; self.verdicts.len()];
-        let (mut stack, mut out) = (vec![root], Vec::new());
+        let (mut stack, mut out, mut cells) = (vec![root], Vec::new(), 0);
         while let Some(id) = stack.pop() {
             let at = id.raw() as usize;
             if std::mem::replace(&mut seen[at], true) {
                 continue;
             }
+            cells += 1;
             // A split cell's children split or are whole.
-            let Some(cell) = self
-                .lib
-                .cell(id)
-                .filter(|_| self.verdicts[at] == Some(Verdict::Split))
-            else {
+            let cell = self.lib.cell(id)?;
+            if self.verdicts[at] != Verdict::Split {
                 out.push(flatten_to_rects(self.lib, id).ok()?);
                 continue;
-            };
+            }
             if !cell.elements().is_empty() {
                 out.push(rects_by_layer(cell.elements()));
             }
             stack.extend(cell.instances().iter().map(|i| i.cell));
         }
-        Some(out)
+        Some((out, cells))
     }
 
-    /// True when `id`'s parts are all translations of provable cells and
-    /// keep their clearances from each other.
-    fn splits(&mut self, id: CellId) -> bool {
-        let lib = self.lib;
-        let Some(cell) = lib.cell(id) else {
-            return false;
-        };
+    /// True when `cell`'s parts are all translations of provable cells
+    /// and keep their clearances from each other.
+    fn splits(&self, cell: &Cell) -> bool {
         let mut own = [None; LAYERS];
         for e in cell.elements() {
             join(&mut own[e.layer.index()], e.bbox());
@@ -182,17 +175,16 @@ impl Prover<'_> {
         for inst in cell.instances() {
             if inst.transform.orientation != Orientation::R0
                 || inst.count() == 0
-                || self.visit(inst.cell) == Verdict::Tangled
+                || self.verdicts[inst.cell.raw() as usize] == Verdict::Tangled
             {
                 return false;
             }
-            let Ok(tile) = self.extents.of(inst.cell, Orientation::R0) else {
-                return false;
-            };
-            if !self.lattice_apart(&tile.layers, inst) {
-                return false;
+            match self.extents.of(inst.cell, Orientation::R0) {
+                Some(tile) if self.lattice_apart(&tile.layers, inst) => {
+                    parts.push(tile.spread(inst, Orientation::R0));
+                }
+                _ => return false,
             }
-            parts.push(tile.layers.map(|r| r.map(|r| spread(r, inst))));
         }
         self.parts_apart(&parts)
     }
@@ -277,16 +269,6 @@ fn steps(lo: Coord, hi: Coord, step: Coord, n: u32) -> Option<(Coord, Coord)> {
     };
     let (min, max) = (min.max(-last), max.min(last));
     (min <= max).then_some((min, max))
-}
-
-/// `r` over every copy of `inst`: from the first to the last.
-fn spread(r: Rect, inst: &Instance) -> Rect {
-    let at = inst.transform.offset.to_vector();
-    let last = Vector::new(
-        at.x + inst.dx * Coord::from(inst.cols - 1),
-        at.y + inst.dy * Coord::from(inst.rows - 1),
-    );
-    r.translate(at).union(r.translate(last))
 }
 
 fn join(slot: &mut Option<Rect>, r: Rect) {

@@ -13,8 +13,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use silc_drc::{check, check_flat, check_traced, Report, RuleSet};
-use silc_geom::{Orientation, Point, Rect, Transform};
-use silc_layout::{flatten, flatten_to_rects, Cell, CellId, Element, Instance, Layer, Library};
+use silc_geom::{Orientation, Path, Point, Rect, Transform};
+use silc_layout::{
+    flatten, flatten_to_rects, Cell, CellId, Element, Extents, Instance, Layer, Library,
+};
 use silc_trace::Tracer;
 
 fn rect(x: i64, y: i64, w: i64, h: i64) -> Rect {
@@ -136,6 +138,18 @@ fn hierarchy(seed: u64) -> (Library, CellId) {
     (lib, top)
 }
 
+/// The recursive walk `flatten` replaced, kept as its oracle: `id`'s
+/// artwork under `t`, then each copy of each instance, row by row.
+fn flatten_into(lib: &Library, id: CellId, t: Transform, out: &mut Vec<Element>) {
+    let cell = lib.cell(id).unwrap();
+    out.extend(cell.elements().iter().map(|e| e.transform(t)));
+    for inst in cell.instances() {
+        for placement in inst.placements() {
+            flatten_into(lib, inst.cell, t.then(placement), out);
+        }
+    }
+}
+
 /// The flat checker's report on the flattened design.
 fn flat(lib: &Library, top: CellId, rules: &RuleSet) -> Report {
     check_flat(&flatten_to_rects(lib, top).unwrap(), rules)
@@ -190,6 +204,16 @@ proptest! {
         }
         let used: Vec<bool> = copies.iter().map(|&n| n > 0).collect();
         prop_assert_eq!(used, reached);
+    }
+
+    /// `flatten`'s stack walk against the recursive walk it replaced:
+    /// the same elements in the same order, which is the flat report's.
+    #[test]
+    fn flatten_keeps_the_recursive_order(seed in 0u64..u64::MAX) {
+        let (lib, top) = hierarchy(seed);
+        let mut want = Vec::new();
+        flatten_into(&lib, top, Transform::IDENTITY, &mut want);
+        prop_assert_eq!(flatten(&lib, top).unwrap(), want);
     }
 
     /// The generators of the checker's indexed-against-brute proptest
@@ -264,40 +288,79 @@ fn clean_array_is_proven_from_one_tile() {
     assert!(trace.spans().iter().all(|s| s.name != "layout.flatten"));
 }
 
-/// The deepest nesting SIL admits (480 cells optimised, 16 in a debug
-/// build, whose frames are ten times the size), with an array at the
-/// bottom so the proof walks the whole depth, fits a serve worker's
-/// 2 MiB stack.
+/// `drc.cells_proved` counts the cells the proof splits through or hands
+/// to the flat checker whole, not the cells inside a whole one: `pair`
+/// is placed upright and turned inside `top2`, so `top2` is checked
+/// whole and `pair`, though it would split, is not counted.
+#[test]
+fn cells_proved_stops_at_a_whole_cell() {
+    let mut lib = Library::new();
+    let mut pair = Cell::new("pair");
+    pair.push_element(Element::rect(Layer::Metal, rect(0, 0, 8, 4)));
+    let wire = Path::new(
+        2,
+        vec![Point::new(0, 0), Point::new(10, 0), Point::new(10, 6)],
+    );
+    pair.push_element(Element::new(Layer::Poly, wire.unwrap()));
+    let pair = lib.add_cell(pair).unwrap();
+    let mut top2 = Cell::new("top2");
+    top2.push_instance(Instance::place(pair, Transform::IDENTITY));
+    let turned = Transform::new(Orientation::R90, Point::new(30, 0));
+    top2.push_instance(Instance::place(pair, turned));
+    let top2 = lib.add_cell(top2).unwrap();
+    let mut top = Cell::new("top");
+    top.push_instance(Instance::array(top2, Transform::IDENTITY, 2, 1, 80, 0).unwrap());
+    let top = lib.add_cell(top).unwrap();
+    let tracer = Tracer::enabled();
+    let rules = RuleSet::mead_conway_nmos();
+    let report = check_traced(&lib, top, &rules, &tracer).unwrap();
+    assert_eq!(report, flat(&lib, top, &rules));
+    assert_eq!(tracer.finish().counter("drc.cells_proved"), Some(2));
+}
+
+/// A library admits any depth (a cached design decodes to one), so the
+/// test chain is 50 000 cells deep, with an array at the bottom so the
+/// proof walks the whole depth, on a serve worker's 2 MiB stack. The
+/// proof, `flatten` and the `Extents` table are loops over ids: depth
+/// costs no thread stack, in a debug build as in an optimised one.
 #[test]
 fn the_deepest_admitted_hierarchy_is_proven_on_a_worker_stack() {
-    let depth = if cfg!(debug_assertions) { 16 } else { 480 };
-    let worker = std::thread::Builder::new()
-        .stack_size(2 << 20)
-        .spawn(move || {
-            let mut lib = Library::new();
-            let mut leaf = Cell::new("c0");
-            leaf.push_element(Element::rect(Layer::Metal, rect(0, 0, 4, 4)));
-            let mut below = lib.add_cell(leaf).unwrap();
-            for i in 1..depth {
-                let mut cell = Cell::new(format!("c{i}"));
-                let t = Transform::translate(Point::new(1, 2));
-                cell.push_instance(match i {
-                    1 => Instance::array(below, t, 3, 2, 10, 10).unwrap(),
-                    _ => Instance::place(below, t),
-                });
-                below = lib.add_cell(cell).unwrap();
-            }
-            let tracer = Tracer::enabled();
-            let rules = RuleSet::mead_conway_nmos();
-            let report = check_traced(&lib, below, &rules, &tracer).unwrap();
-            (
-                report == flat(&lib, below, &rules),
-                tracer.finish().counter("drc.cells_proved"),
-            )
-        });
-    let (agrees, proved) = worker.expect("spawns").join().expect("no overflow");
+    const DEPTH: u32 = 50_000;
+    let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+        let mut lib = Library::new();
+        let mut leaf = Cell::new("c0");
+        leaf.push_element(Element::rect(Layer::Metal, rect(0, 0, 4, 4)));
+        let mut below = lib.add_cell(leaf).unwrap();
+        for i in 1..DEPTH {
+            let mut cell = Cell::new(format!("c{i}"));
+            let t = Transform::translate(Point::new(1, 2));
+            cell.push_instance(match i {
+                1 => Instance::array(below, t, 3, 2, 10, 10).unwrap(),
+                _ => Instance::place(below, t),
+            });
+            below = lib.add_cell(cell).unwrap();
+        }
+        let tracer = Tracer::enabled();
+        let rules = RuleSet::mead_conway_nmos();
+        let report = check_traced(&lib, below, &rules, &tracer).unwrap();
+        let flat_elements = flatten(&lib, below).unwrap();
+        let extent = Extents::new(&lib, below).unwrap().root();
+        let bbox = flat_elements
+            .iter()
+            .map(Element::bbox)
+            .reduce(|a, b| a.union(b));
+        assert_eq!(extent.elements, flat_elements.len() as u64);
+        assert_eq!(extent.bbox(), bbox);
+        (
+            report == flat(&lib, below, &rules),
+            tracer.finish().counter("drc.cells_proved"),
+            flat_elements.len(),
+        )
+    });
+    let (agrees, proved, elements) = worker.expect("spawns").join().expect("no overflow");
     assert!(agrees);
-    assert_eq!(proved, Some(depth as u64));
+    assert_eq!(proved, Some(u64::from(DEPTH)));
+    assert_eq!(elements, 6);
 }
 
 /// The sweep CI runs: 1 600 seeded hierarchies, hierarchical against

@@ -25,7 +25,7 @@ use crate::engine::{Engine, JobStats, Stage};
 use silc_cif::CifWriter;
 use silc_drc::{check_traced, Report, RuleSet};
 use silc_exec::CompiledSim;
-use silc_geom::{persist, Fingerprint, Fp, Orientation, Rect};
+use silc_geom::{persist, Fingerprint, Fp, Rect};
 use silc_lang::{Compiler, Design, PRELUDE};
 use silc_logic::TruthTable;
 use silc_netlist::Netlist;
@@ -245,9 +245,9 @@ pub fn die_summary(
 ) -> Result<Arc<DieSummary>, String> {
     engine.query(Stage::DIE, design.key(), stats, || {
         let _s = span!(engine.tracer(), "layout.extent");
-        let extent = silc_layout::Extents::new(&design.library)
-            .of(design.top, Orientation::R0)
-            .map_err(|e| e.to_string())?;
+        let extent = silc_layout::Extents::new(&design.library, design.top)
+            .map_err(|e| e.to_string())?
+            .root();
         Ok(DieSummary {
             flat_elements: extent.elements,
             bbox: extent.bbox(),

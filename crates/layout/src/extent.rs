@@ -1,5 +1,5 @@
-use crate::{CellId, Layer, LayoutError, Library, Shape};
-use silc_geom::{Orientation, Point, Rect, Transform};
+use crate::{Cell, CellId, Instance, Layer, LayoutError, Library, Shape};
+use silc_geom::{Coord, Orientation, Point, Rect, Transform, Vector};
 
 /// What the hierarchy under a cell expands to — per-layer bounding boxes
 /// and element and rectangle counts — computed without expanding it.
@@ -28,85 +28,122 @@ impl Extent {
             .copied()
             .reduce(|a, b| a.union(b))
     }
-}
 
-/// The [`Extent`]s of one library's cells, each computed once.
-#[derive(Debug)]
-pub struct Extents<'a> {
-    lib: &'a Library,
-    /// Where in `memo` each `(cell, orientation)` sits, at
-    /// `cell · 8 + orientation`; `u32::MAX` until computed.
-    slots: Vec<u32>,
-    memo: Vec<Extent>,
-}
-
-impl<'a> Extents<'a> {
-    /// An empty memo over `lib`.
-    pub fn new(lib: &'a Library) -> Extents<'a> {
-        Extents {
-            lib,
-            slots: vec![u32::MAX; lib.len() * Orientation::ALL.len()],
-            memo: Vec::new(),
-        }
+    /// Each layer's box over every copy of `inst`, as a parent turned by
+    /// `o` sees it, when `self` is one copy's extent under `o`: the copies
+    /// differ by a translation, so a box runs from the first copy to the
+    /// last. `inst` must have a copy.
+    pub fn spread(&self, inst: &Instance, o: Orientation) -> [Option<Rect>; Layer::ALL.len()] {
+        let first = inst.transform.offset.to_vector();
+        let (cols, rows) = (Coord::from(inst.cols - 1), Coord::from(inst.rows - 1));
+        let last = o.apply(first + Vector::new(inst.dx * cols, inst.dy * rows));
+        let first = o.apply(first);
+        let span = |r: Rect| r.translate(first).union(r.translate(last));
+        self.layers.map(|r| r.map(span))
     }
+}
 
-    /// The extent of `id` placed at the origin under `orientation`.
+/// The [`Extent`] of every cell the design under one root reaches, under
+/// every orientation it is reached in.
+///
+/// Ids run children before parents, so the table is two loops over them
+/// and never a call stack: descending ids mark which of the eight
+/// orientations reach each cell, starting from the root's `R0`; ascending
+/// ids then sum each reached pair from the cell's own elements and its
+/// children's entries, which are already in the table. Each cell is
+/// summarised once per orientation it is reached in, however many copies
+/// the design holds, so a 96×96 array costs what one tile does.
+#[derive(Debug)]
+pub struct Extents {
+    /// Each cell's extent under each orientation the root reaches it in,
+    /// indexed by raw id.
+    table: Vec<Vec<(Orientation, Extent)>>,
+}
+
+impl Extents {
+    /// The table of the design under `root`.
     ///
     /// # Errors
     ///
-    /// Returns [`LayoutError::UnknownCell`] if `id` is not in the library.
-    pub fn of(&mut self, id: CellId, orientation: Orientation) -> Result<Extent, LayoutError> {
-        let cell = self.lib.cell(id).ok_or(LayoutError::UnknownCell { id })?;
-        let slot = id.raw() as usize * Orientation::ALL.len() + orientation as usize;
-        if let Some(&extent) = self.memo.get(self.slots[slot] as usize) {
-            return Ok(extent);
-        }
-        let t = Transform::new(orientation, Point::ORIGIN);
-        let mut out = Extent::default();
-        for e in cell.elements() {
-            // A box, by far the common shape, needs no transformed copy.
-            let (bbox, rects) = match &e.shape {
-                Shape::Rect(r) => (t.apply_rect(*r), 1),
-                shape => {
-                    let shape = shape.transform(t);
-                    (shape.bbox(), shape.to_rects().len() as u64)
-                }
-            };
-            let slot = &mut out.layers[e.layer.index()];
-            *slot = Some(slot.map_or(bbox, |b| b.union(bbox)));
-            out.elements += 1;
-            out.rects += rects;
-        }
-        for inst in cell.instances().iter().filter(|i| i.count() > 0) {
-            let child = self.of(inst.cell, orientation.compose(inst.transform.orientation))?;
-            // Copies differ by a translation; the outermost two sit at
-            // opposite corners of the array.
-            let base = inst.transform.offset;
-            let (first, last) = (
-                t.apply(base).to_vector(),
-                t.apply(Point::new(
-                    base.x + inst.dx * i64::from(inst.cols - 1),
-                    base.y + inst.dy * i64::from(inst.rows - 1),
-                ))
-                .to_vector(),
-            );
-            for (slot, r) in out.layers.iter_mut().zip(child.layers) {
-                if let Some(r) = r {
-                    let spread = r.translate(first).union(r.translate(last));
-                    *slot = Some(slot.map_or(spread, |b| b.union(spread)));
+    /// Returns [`LayoutError::UnknownCell`] if `root` is not in the library.
+    pub fn new(lib: &Library, root: CellId) -> Result<Extents, LayoutError> {
+        lib.cell(root)
+            .ok_or(LayoutError::UnknownCell { id: root })?;
+        let n = root.raw() as usize + 1;
+        // Bit `o` of a cell's mask: the root reaches it under `ALL[o]`.
+        let mut reach = vec![0u8; n];
+        reach[n - 1] = 1 << Orientation::R0 as u8;
+        for (id, cell) in lib.iter().take(n).rev() {
+            for o in orientations(reach[id.raw() as usize]) {
+                for i in cell.instances().iter().filter(|i| i.count() > 0) {
+                    reach[i.cell.raw() as usize] |= 1 << o.compose(i.transform.orientation) as u8;
                 }
             }
-            out.elements = out
-                .elements
-                .saturating_add(child.elements.saturating_mul(inst.count()));
-            out.rects = out
-                .rects
-                .saturating_add(child.rects.saturating_mul(inst.count()));
         }
-        self.slots[slot] = self.memo.len() as u32;
-        self.memo.push(out);
-        Ok(out)
+        let mut extents = Extents { table: Vec::new() };
+        for ((_, cell), mask) in lib.iter().zip(reach) {
+            let mut entries = Vec::with_capacity(mask.count_ones() as usize);
+            entries.extend(orientations(mask).map(|o| (o, sum(&extents, cell, o))));
+            extents.table.push(entries);
+        }
+        Ok(extents)
     }
+
+    /// The extent of the root itself.
+    pub fn root(&self) -> Extent {
+        // The root is the last cell, and only `R0` reaches it.
+        self.table[self.table.len() - 1][0].1
+    }
+
+    /// The extent of `id` placed at the origin under `orientation`, or
+    /// `None` when the root does not reach `id` so.
+    pub fn of(&self, id: CellId, orientation: Orientation) -> Option<&Extent> {
+        let entries = self.table.get(id.raw() as usize)?;
+        entries.iter().find(|e| e.0 == orientation).map(|e| &e.1)
+    }
+}
+
+/// `cell`'s extent under `o`, from its own elements and the entries `done`
+/// holds for its children.
+fn sum(done: &Extents, cell: &Cell, o: Orientation) -> Extent {
+    let t = Transform::new(o, Point::ORIGIN);
+    let mut out = Extent::default();
+    for e in cell.elements() {
+        let shape = e.shape.transform(t);
+        let slot = &mut out.layers[e.layer.index()];
+        *slot = Some(slot.map_or(shape.bbox(), |b| b.union(shape.bbox())));
+        out.elements += 1;
+        // A box, by far the common shape, is one rectangle: none is built.
+        out.rects += match shape {
+            Shape::Rect(_) => 1,
+            shape => shape.to_rects().len() as u64,
+        };
+    }
+    for inst in cell.instances().iter().filter(|i| i.count() > 0) {
+        let turned = o.compose(inst.transform.orientation);
+        let child = done
+            .of(inst.cell, turned)
+            .expect("children are summed first");
+        for (slot, r) in out.layers.iter_mut().zip(child.spread(inst, o)) {
+            if let Some(r) = r {
+                *slot = Some(slot.map_or(r, |b| b.union(r)));
+            }
+        }
+        out.elements = out
+            .elements
+            .saturating_add(child.elements.saturating_mul(inst.count()));
+        out.rects = out
+            .rects
+            .saturating_add(child.rects.saturating_mul(inst.count()));
+    }
+    out
+}
+
+/// The orientations whose bits `mask` sets.
+fn orientations(mask: u8) -> impl Iterator<Item = Orientation> {
+    Orientation::ALL
+        .into_iter()
+        .filter(move |&o| mask & (1 << o as u8) != 0)
 }
 
 #[cfg(test)]
@@ -154,6 +191,44 @@ mod tests {
         (lib, top)
     }
 
+    /// The recursive walk `flatten` replaced: the oracle of its order.
+    fn recursive_flatten(lib: &Library, id: CellId, t: Transform, out: &mut Vec<Element>) {
+        let cell = lib.cell(id).unwrap();
+        out.extend(cell.elements().iter().map(|e| e.transform(t)));
+        for inst in cell.instances() {
+            for placement in inst.placements() {
+                recursive_flatten(lib, inst.cell, t.then(placement), out);
+            }
+        }
+    }
+
+    /// `extent` against what flattening the design under `root` measures.
+    fn measures(lib: &Library, root: CellId, extent: Extent) -> Result<(), TestCaseError> {
+        let flat = flatten(lib, root).unwrap();
+        prop_assert_eq!(extent.elements, flat.len() as u64);
+        prop_assert_eq!(extent.bbox(), flat_bbox(&flat));
+        let layers = flatten_to_rects(lib, root).unwrap();
+        prop_assert_eq!(
+            extent.rects,
+            layers.iter().map(Vec::len).sum::<usize>() as u64
+        );
+        for layer in Layer::ALL {
+            let on_layer = flat.iter().filter(|f| f.layer == layer);
+            let want = on_layer.map(Element::bbox).reduce(|a, b| a.union(b));
+            prop_assert_eq!(extent.layers[layer.index()], want);
+        }
+        Ok(())
+    }
+
+    /// `lib` with a cell placing `id` once under `o`, and that cell.
+    fn wrapped(lib: &Library, id: CellId, o: Orientation) -> (Library, CellId) {
+        let mut lib = lib.clone();
+        let mut wrap = Cell::new("wrap");
+        wrap.push_instance(Instance::place(id, Transform::new(o, Point::ORIGIN)));
+        let wrap = lib.add_cell(wrap).unwrap();
+        (lib, wrap)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
@@ -164,34 +239,50 @@ mod tests {
             outer in 0usize..8,
         ) {
             let (lib, top) = library([o.0, o.1, o.2], [a, b]);
-            let mut extents = Extents::new(&lib);
-            let extent = extents.of(top, Orientation::R0).unwrap();
-            let flat = flatten(&lib, top).unwrap();
-            prop_assert_eq!(extent.elements, flat.len() as u64);
-            prop_assert_eq!(extent.bbox(), flat_bbox(&flat));
-            let layers = flatten_to_rects(&lib, top).unwrap();
-            prop_assert_eq!(extent.rects, layers.iter().map(Vec::len).sum::<usize>() as u64);
-            for layer in Layer::ALL {
-                let on_layer = flat.iter().filter(|f| f.layer == layer);
-                let want = on_layer.map(Element::bbox).reduce(|a, b| a.union(b));
-                prop_assert_eq!(extent.layers[layer.index()], want);
-            }
-            // Under an outer orientation: what a parent placing `top` so sees.
-            let mut outer_lib = lib.clone();
-            let mut wrap = Cell::new("wrap");
-            let t = Transform::new(Orientation::ALL[outer], Point::ORIGIN);
-            wrap.push_instance(Instance::place(top, t));
-            let wrap = outer_lib.add_cell(wrap).unwrap();
-            let flat = flatten(&outer_lib, wrap).unwrap();
-            let turned = extents.of(top, Orientation::ALL[outer]).unwrap();
-            prop_assert_eq!(turned.bbox(), flat_bbox(&flat));
+            measures(&lib, top, Extents::new(&lib, top).unwrap().root())?;
+            // Under an outer orientation: the table of a parent placing
+            // `top` so.
+            let (lib, wrap) = wrapped(&lib, top, Orientation::ALL[outer]);
+            measures(&lib, wrap, Extents::new(&lib, wrap).unwrap().root())?;
         }
+
+        #[test]
+        fn flatten_keeps_the_recursive_order(
+            o in (0usize..8, 0usize..8, 0usize..8),
+            a in (1u32..4, 1u32..4, -30i64..30, -30i64..30),
+            b in (1u32..4, 1u32..4, -60i64..60, -60i64..60),
+        ) {
+            let (lib, top) = library([o.0, o.1, o.2], [a, b]);
+            let mut want = Vec::new();
+            recursive_flatten(&lib, top, Transform::IDENTITY, &mut want);
+            prop_assert_eq!(flatten(&lib, top).unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn a_cell_reached_under_two_orientations_holds_both() {
+        // `top` places `leaf` under R90, and `mid` under MX, which places
+        // `leaf` under R90 again: two orientations reach `leaf`, R0 not.
+        let (lib, top) = library([1, 4, 1], [(2, 1, 10, 0), (1, 2, 0, 20)]);
+        let extents = Extents::new(&lib, top).unwrap();
+        let leaf = CellId::from_raw(0);
+        let turned = Orientation::MX.compose(Orientation::R90);
+        for o in Orientation::ALL {
+            let got = extents.of(leaf, o);
+            if o == Orientation::R90 || o == turned {
+                let (lib, wrap) = wrapped(&lib, leaf, o);
+                measures(&lib, wrap, *got.unwrap()).unwrap();
+            } else {
+                assert_eq!(got, None, "{o:?}");
+            }
+        }
+        assert_ne!(turned, Orientation::R90);
     }
 
     #[test]
     fn unknown_cell_rejected() {
         let lib = Library::new();
-        let err = Extents::new(&lib).of(CellId::from_raw(3), Orientation::R0);
+        let err = Extents::new(&lib, CellId::from_raw(3));
         assert!(matches!(err, Err(LayoutError::UnknownCell { .. })));
     }
 }

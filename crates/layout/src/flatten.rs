@@ -1,4 +1,4 @@
-use crate::{CellId, Element, Layer, LayoutError, Library};
+use crate::{CellId, Element, Instance, Layer, LayoutError, Library};
 use silc_geom::{Rect, Transform};
 
 /// Most elements [`flatten`] expands one design into, and most cell
@@ -20,7 +20,10 @@ pub const MAX_FLAT_ELEMENTS: usize = 1 << 22;
 /// Because the library is a DAG by construction, flattening always
 /// terminates; cost is proportional to the *expanded* size of the design,
 /// which is exactly the leverage hierarchical description buys (experiment
-/// E2 measures this ratio).
+/// E2 measures this ratio). The walk keeps its own stack, one frame a
+/// level, never the call stack, so depth costs heap and not thread stack.
+/// Elements come out depth first: a cell's own artwork, then each copy of
+/// each of its instances, row by row. The flat DRC report keeps that order.
 ///
 /// # Errors
 ///
@@ -64,19 +67,27 @@ pub fn flatten(lib: &Library, root: CellId) -> Result<Vec<Element>, LayoutError>
         return Err(LayoutError::TooManyCopies { copies, limit });
     }
     let mut out = Vec::with_capacity(elements as usize);
-    flatten_into(lib, root, Transform::IDENTITY, &mut out);
+    // One frame a level: a transform and the copies still to come under it.
+    let top = [Instance::place(root, Transform::IDENTITY)];
+    let mut stack = vec![(Transform::IDENTITY, placed(&top))];
+    while let Some((t, next)) = stack.last_mut() {
+        let Some((id, placement)) = next.next() else {
+            stack.pop();
+            continue;
+        };
+        let t = t.then(placement);
+        let cell = lib.cell(id).expect("a library's instances name its cells");
+        out.extend(cell.elements().iter().map(|e| e.transform(t)));
+        stack.push((t, placed(cell.instances())));
+    }
     Ok(out)
 }
 
-/// Appends `id`'s artwork under `t` to `out`.
-fn flatten_into(lib: &Library, id: CellId, t: Transform, out: &mut Vec<Element>) {
-    let cell = lib.cell(id).expect("validated by caller");
-    out.extend(cell.elements().iter().map(|e| e.transform(t)));
-    for inst in cell.instances() {
-        for placement in inst.placements() {
-            flatten_into(lib, inst.cell, t.then(placement), out);
-        }
-    }
+/// Every copy `instances` place, instance by instance and row by row: the
+/// child and its transform in the parent.
+fn placed(instances: &[Instance]) -> impl Iterator<Item = (CellId, Transform)> + '_ {
+    let instances = instances.iter();
+    instances.flat_map(|i| i.placements().map(|p| (i.cell, p)))
 }
 
 /// Flattens and decomposes every element into per-layer rectangles — the

@@ -89,7 +89,7 @@ impl Library {
 
     /// Iterates over `(id, cell)` pairs in id order: children before
     /// parents.
-    pub fn iter(&self) -> impl Iterator<Item = (CellId, &Cell)> {
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (CellId, &Cell)> + ExactSizeIterator {
         self.cells
             .iter()
             .enumerate()

@@ -1,5 +1,5 @@
 use crate::{flatten_to_rects, CellId, Extents, LayoutError, Library};
-use silc_geom::{band_decompose, Coord, Orientation, Rect};
+use silc_geom::{band_decompose, Coord, Rect};
 
 /// Exact area of the union of a set of rectangles (overlaps counted once):
 /// the summed area of the disjoint rectangles [`band_decompose`] cuts the
@@ -53,7 +53,7 @@ impl CellStats {
             .cell(root)
             .ok_or(LayoutError::UnknownCell { id: root })?;
         // Counts and the die come from the hierarchy; only area flattens.
-        let extent = Extents::new(lib).of(root, Orientation::R0)?;
+        let extent = Extents::new(lib, root)?.root();
         Ok(CellStats {
             name: cell.name().to_string(),
             local_elements: cell.elements().len(),

@@ -374,8 +374,12 @@ fn worker_loop(shared: &Shared, queue: &Queue) {
         shared.stats.busy_workers.fetch_add(1, Ordering::SeqCst);
         let response = run_job(shared, &job);
         shared.stats.busy_workers.fetch_sub(1, Ordering::SeqCst);
-        // Fails iff the waiter timed out meanwhile; discard.
-        let _ = job.reply.send(response);
+        // Past the deadline the waiter answers `timeout`, so a late
+        // result is never sent to race it; a send fails iff the waiter
+        // timed out meanwhile.
+        if Instant::now() < job.deadline {
+            let _ = job.reply.send(response);
+        }
         last_conn = Some(job.conn);
     }
 }
@@ -482,11 +486,8 @@ fn execute(
             let end = Instant::now() + Duration::from_millis(*ms);
             loop {
                 let now = Instant::now();
-                if now >= end || shared.should_stop() {
+                if now >= end.min(deadline) || shared.should_stop() {
                     break;
-                }
-                if now >= deadline {
-                    return Err(format!("slept past the {ms}ms deadline"));
                 }
                 std::thread::sleep((end - now).min(Duration::from_millis(5)));
             }

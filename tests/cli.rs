@@ -1,5 +1,7 @@
 //! Integration: the `silc` command-line programming environment.
 
+mod common;
+
 use std::io::Write as _;
 use std::process::Command;
 
@@ -841,6 +843,25 @@ fn format_2_cache_directory_is_warm() {
     assert!(!stats.contains("incr.miss"), "{stats}");
     let hits = stats.lines().find(|l| l.starts_with("incr.disk_hit"));
     assert_eq!(hits.map(|l| l.split_whitespace().last()), Some(Some("4")));
+}
+
+/// A cached design 50 000 cells deep is proven, measured and written
+/// without recursion: `compile --cache` finishes with the chain's CIF on
+/// the main thread's stack.
+#[test]
+fn a_cached_design_50_000_cells_deep_compiles() {
+    let dir = temp_dir("deep-chain");
+    let source = "place c0() at (0,0);";
+    std::fs::write(dir.join("d.sil"), source).unwrap();
+    let cache = dir.join("cache");
+    common::plant_deep_chain(&cache, source, 50_000);
+    let (cif, stderr) = compile_fixture(&dir, &["--cache", cache.to_str().unwrap(), "--stats"]);
+    let cif = String::from_utf8(cif).unwrap();
+    assert_eq!(cif.matches("DS ").count(), 50_000, "{stderr}");
+    assert!(cif.contains("L NM;\nB 8 8 4 4;"), "{}", &cif[..200]);
+    assert!(stderr.contains("6 flattened elements"), "{stderr}");
+    assert!(stderr.contains("drc.cells_proved"), "{stderr}");
+    assert!(stderr.contains("0 violation"), "{stderr}");
 }
 
 #[test]

@@ -3,6 +3,8 @@
 //! SIGINT shutdown of the real binary, and byte-identical equivalence
 //! with the `silc compile` CLI.
 
+mod common;
+
 use proptest::prelude::*;
 use silc::serve::json::{parse as parse_json, Json};
 use silc::serve::{Server, ServerConfig, MAX_REQUEST_BYTES};
@@ -359,6 +361,38 @@ fn design_too_large_to_flatten_is_an_error_reply_and_the_worker_lives_on() {
     ));
     assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
     handle.shutdown();
+}
+
+/// A worker pointed at a cache directory that holds a design 50 000
+/// cells deep proves, measures and writes it on its 2 MiB stack, and its
+/// CIF is the CLI's.
+#[test]
+fn a_cached_design_50_000_cells_deep_is_served() {
+    let dir = std::env::temp_dir().join(format!("silc-serve-deep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let source = "place c0() at (0,0);";
+    common::plant_deep_chain(&dir, source, 50_000);
+    let (addr, handle) = start(ServerConfig {
+        jobs: 1,
+        cache_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    let reply = Client::connect(addr).request(&format!(
+        r#"{{"op":"compile","id":1,"source":{}}}"#,
+        quoted(source)
+    ));
+    handle.shutdown();
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    let served = reply.get("cif").and_then(Json::as_str).expect("cif");
+    assert_eq!(served.matches("DS ").count(), 50_000);
+    let cli = silc()
+        .arg("compile")
+        .arg(design_file(source, "deep"))
+        .args(["--cache", dir.to_str().unwrap()])
+        .output()
+        .expect("CLI runs");
+    assert!(cli.status.success(), "{cli:?}");
+    assert_eq!(served.as_bytes(), &cli.stdout[..]);
 }
 
 #[test]
