@@ -10,6 +10,9 @@ use std::collections::HashMap;
 /// Coordinates are in **centimicrons** (CIF's base unit), with all `DS`
 /// scale factors applied. The file's top level (geometry and calls outside
 /// any symbol definition) becomes a synthesised cell named `__top__`.
+/// Cells take their names by [`Library::add_cell_renamed`]: a symbol its
+/// `9` name or `S<number>`, suffixed `_1`, `_2`, … where that is taken,
+/// and the top cell comes last.
 #[derive(Debug)]
 pub struct CifDesign {
     /// The parsed hierarchy.
@@ -37,9 +40,9 @@ impl Fingerprint for CifDesign {
 ///
 /// Supported: nested comments, `DS`/`DF` with scale factors, `C` calls with
 /// `T`/`M X`/`M Y`/`R` (Manhattan directions only), `L`, `B` (with optional
-/// axis-aligned direction), `P`, `W`, `R` round-flashes (approximated by
-/// their bounding square), `9 name` symbol names, other numeric user
-/// extensions (skipped), and the `E` end marker.
+/// axis-aligned direction), `P`, `W`, `9 name` symbol names, other numeric
+/// user extensions (skipped), and the `E` end marker. `R` round flashes are
+/// refused.
 ///
 /// # Errors
 ///
@@ -551,20 +554,9 @@ impl<'a> Parser<'a> {
 
         let mut library = Library::new();
         let mut cell_ids: HashMap<u64, CellId> = HashMap::new();
-        let mut used_names: HashMap<String, usize> = HashMap::new();
         for id in order {
             let body = &symbols[&id];
-            let base = body.name.clone().unwrap_or_else(|| format!("S{id}"));
-            let name = match used_names.get_mut(&base) {
-                Some(n) => {
-                    *n += 1;
-                    format!("{base}_{n}")
-                }
-                None => {
-                    used_names.insert(base.clone(), 0);
-                    base
-                }
-            };
+            let name = body.name.clone().unwrap_or_else(|| format!("S{id}"));
             let mut cell = Cell::new(name);
             for e in &body.elements {
                 cell.push_element(e.clone());
@@ -575,9 +567,11 @@ impl<'a> Parser<'a> {
             for &(callee, t) in &body.calls {
                 cell.push_instance(Instance::place(cell_ids[&callee], t));
             }
-            let cid = library.add_cell(cell).map_err(|e| CifError::BadGeometry {
-                message: e.to_string(),
-            })?;
+            let cid = library
+                .add_cell_renamed(cell)
+                .map_err(|e| CifError::BadGeometry {
+                    message: e.to_string(),
+                })?;
             cell_ids.insert(id, cid);
         }
 
@@ -589,7 +583,7 @@ impl<'a> Parser<'a> {
             top_cell.push_instance(Instance::place(cell_ids[&callee], t));
         }
         let top_id = library
-            .add_cell(top_cell)
+            .add_cell_renamed(top_cell)
             .map_err(|e| CifError::BadGeometry {
                 message: e.to_string(),
             })?;
@@ -850,6 +844,24 @@ mod tests {
         let d = parse(text).unwrap();
         assert!(d.library.cell_by_name("pad").is_some());
         assert!(d.library.cell_by_name("pad_1").is_some());
+    }
+
+    fn names(d: &CifDesign) -> Vec<&str> {
+        d.library.iter().map(|(_, c)| c.name()).collect()
+    }
+
+    #[test]
+    fn a_name_that_a_suffix_would_take_gets_a_suffix_of_its_own() {
+        let d = parse("DS 1; 9 a; DF; DS 2; 9 a; DF; DS 3; 9 a_1; DF; E").unwrap();
+        assert_eq!(names(&d), ["a", "a_1", "a_1_1", "__top__"]);
+    }
+
+    #[test]
+    fn a_symbol_named_like_the_top_cell_keeps_its_name() {
+        let d = parse("DS 1; 9 __top__; L NM; B 4 4 0 0; DF; C 1; E").unwrap();
+        assert_eq!(names(&d), ["__top__", "__top___1"]);
+        assert_eq!(d.library.cell(d.top).unwrap().name(), "__top___1");
+        assert_eq!(d.symbol_count(), 1);
     }
 
     #[test]

@@ -46,7 +46,9 @@ impl Persist for Design {
 /// Parameterised cells are elaborated lazily and **memoized per argument
 /// tuple**: placing `shifter(8)` twice emits one library cell instanced
 /// twice, preserving the sharing a graphics language's symbol facility
-/// provides.
+/// provides. A variant is its argument values, compared exactly; its
+/// library name (`shifter$i8`) is made unique by
+/// [`Library::add_cell_renamed`], and so is the top cell's, `main`.
 ///
 /// # Example
 ///
@@ -197,7 +199,7 @@ impl Compiler {
         }
         let top_id = interp
             .lib
-            .add_cell(top)
+            .add_cell_renamed(top)
             .map_err(|e| LangError::eval(0, e.to_string()))?;
         drop(elab_span);
         self.tracer.add("lang.cells", interp.lib.len() as u64);
@@ -279,6 +281,10 @@ enum Flow {
 /// A definition and the tree it indexes.
 type Found<'p> = (&'p Program<'p>, &'p Def);
 
+/// A cell variant: the cell's name and its bound arguments, compared
+/// exactly.
+type Variant<'p> = (&'p str, Vec<Value>);
+
 /// The evaluator. `'p` is the parsed program and the prelude: definitions
 /// are registered and run by reference, never copied.
 #[derive(Default)]
@@ -287,12 +293,12 @@ struct Interp<'p> {
     fns: HashMap<&'p str, Found<'p>>,
     types: HashMap<&'p str, Found<'p>>,
     lib: Library,
-    memo: HashMap<String, CellId>,
-    /// Per elaborated cell, the largest coordinate magnitude anything
-    /// under it reaches in the cell's own frame (at most [`MAX_COORD`]).
-    reach: HashMap<CellId, i128>,
-    /// Memo keys of the cells under elaboration, outermost first.
-    elab_stack: Vec<String>,
+    /// Every variant met so far, and its cell: `None` while it elaborates.
+    memo: HashMap<Variant<'p>, Option<CellId>>,
+    /// Per elaborated cell by raw id, the largest coordinate magnitude
+    /// anything under it reaches in the cell's own frame (at most
+    /// [`MAX_COORD`]).
+    reach: Vec<i128>,
     /// Evaluator frames live right now; see [`MAX_FRAMES`].
     frames: usize,
     /// Steps taken so far; see [`MAX_STEPS`].
@@ -342,15 +348,16 @@ impl<'p> Interp<'p> {
     // ---------------------------------------------------------------
 
     /// Binds `args` to the parameters of a `cell` or `fn`, defaults
-    /// filling in for missing trailing arguments.
+    /// filling in for missing trailing arguments: the value of each
+    /// parameter, in order.
     fn bind(
         &mut self,
         what: &str,
         counted: &str,
         (tree, def): Found<'p>,
-        args: Vec<Value>,
+        mut args: Vec<Value>,
         line: usize,
-    ) -> Result<Vec<(&'p str, Value)>, LangError> {
+    ) -> Result<Vec<Value>, LangError> {
         let name = tree.text(def.name);
         let params = tree.bindings(def.params);
         if args.len() > params.len() {
@@ -363,23 +370,18 @@ impl<'p> Interp<'p> {
                 ),
             ));
         }
-        let mut args = args.into_iter();
-        let mut bound = Vec::with_capacity(params.len());
-        for param in params {
-            let pname = tree.text(param.name);
-            let value = match (args.next(), param.value) {
-                (Some(value), _) => value,
-                (None, Some(default)) => self.eval(default, &Env::new(tree), line)?,
-                (None, None) => {
-                    return Err(LangError::eval(
-                        line,
-                        format!("{what} `{name}` missing argument `{pname}`"),
-                    ))
-                }
+        for param in &params[args.len()..] {
+            let Some(default) = param.value else {
+                let pname = tree.text(param.name);
+                return Err(LangError::eval(
+                    line,
+                    format!("{what} `{name}` missing argument `{pname}`"),
+                ));
             };
-            bound.push((pname, value));
+            let value = self.eval(default, &Env::new(tree), line)?;
+            args.push(value);
         }
-        Ok(bound)
+        Ok(args)
     }
 
     fn elaborate_cell(
@@ -388,29 +390,17 @@ impl<'p> Interp<'p> {
         args: Vec<Value>,
         line: usize,
     ) -> Result<CellId, LangError> {
-        let found @ (tree, def) = *self
+        let (&name, &found @ (tree, def)) = self
             .cells
-            .get(name)
+            .get_key_value(name)
             .ok_or_else(|| LangError::eval(line, format!("cell `{name}` is not defined")))?;
-        let bound = self.bind("cell", "parameter", found, args, line)?;
-
-        // Memoization key from the bound argument tuple.
-        let mut key = String::with_capacity(name.len() + 16);
-        key.push_str(name);
-        key.push('(');
-        for (i, (_, value)) in bound.iter().enumerate() {
-            key.push_str(if i > 0 { "," } else { "" });
-            value.write_memo_key(&mut key);
-        }
-        key.push(')');
-        if let Some(&id) = self.memo.get(&key) {
+        let variant = (name, self.bind("cell", "parameter", found, args, line)?);
+        if let Some(&done) = self.memo.get(&variant) {
+            let id = done.ok_or_else(|| LangError::RecursiveCell {
+                name: name.to_string(),
+            })?;
             self.memo_hits += 1;
             return Ok(id);
-        }
-        if self.elab_stack.contains(&key) {
-            return Err(LangError::RecursiveCell {
-                name: name.to_string(),
-            });
         }
         // Cells nest on the machine stack as calls do: this frame and the
         // `exec_stmt` under it take 1.9 KiB optimised and 15.4 KiB in a
@@ -419,26 +409,14 @@ impl<'p> Interp<'p> {
         if self.frames + 2 + MAX_DEPTH > MAX_FRAMES {
             return Err(LangError::eval(line, "cell nesting too deep"));
         }
-        // Unique library name per variant: the key's arguments, with
-        // everything but letters and digits an underscore.
-        let mut lib_name = String::with_capacity(key.len());
-        lib_name.push_str(name);
-        if !bound.is_empty() {
-            lib_name.push('$');
-            let args = &key[name.len() + 1..key.len() - 1];
-            lib_name.extend(
-                args.chars()
-                    .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }),
-            );
-        }
+        self.memo.insert(variant.clone(), None);
         self.frames += 2;
-        self.elab_stack.push(key);
 
         let mut env = Env::new(tree);
-        for (pname, value) in bound {
-            env.define(pname, value);
+        for (param, value) in tree.bindings(def.params).iter().zip(&variant.1) {
+            env.define(tree.text(param.name), value.clone());
         }
-        let mut cell = Cell::new(lib_name);
+        let mut cell = Cell::new(variant_name(&variant));
         for stmt in tree.stmts(def.body) {
             let flow = self.exec_stmt(stmt, &mut env, &mut Some(&mut cell))?;
             if let Flow::Return(_) = flow {
@@ -449,15 +427,14 @@ impl<'p> Interp<'p> {
             }
         }
         self.frames -= 2;
-        let key = self.elab_stack.pop().expect("pushed above");
 
         let reach = self.cell_reach(&cell);
         let id = self
             .lib
-            .add_cell(cell)
+            .add_cell_renamed(cell)
             .map_err(|e| LangError::eval(def.line as usize, e.to_string()))?;
-        self.reach.insert(id, reach);
-        self.memo.insert(key, id);
+        self.reach.push(reach);
+        self.memo.insert(variant, Some(id));
         self.cells_elaborated += 1;
         Ok(id)
     }
@@ -647,7 +624,7 @@ impl<'p> Interp<'p> {
                 .map(|(i, j)| along(|p| p.x, i, j).abs().max(along(|p| p.y, i, j).abs()))
                 .max()
                 .expect("four corners");
-                in_range(span + self.reach[&child_id], line)?;
+                in_range(span + self.reach[child_id.raw() as usize], line)?;
                 let target = self.target(cell, line)?;
                 // Axis-aligned steps map onto native array instances
                 // (compact in CIF); diagonal steps expand to placements.
@@ -879,9 +856,15 @@ impl<'p> Interp<'p> {
             }
             Expr::Unary { op, expr } => {
                 let v = self.eval(expr, env, line)?;
+                let neg = |i: i64| {
+                    i.checked_neg()
+                        .ok_or_else(|| LangError::eval(line, "integer overflow in negation"))
+                };
                 match (op, v) {
-                    (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(-i)),
-                    (UnOp::Neg, Value::Point(p)) => Ok(Value::Point(Point::new(-p.x, -p.y))),
+                    (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(neg(i)?)),
+                    (UnOp::Neg, Value::Point(p)) => {
+                        Ok(Value::Point(Point::new(neg(p.x)?, neg(p.y)?)))
+                    }
                     (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
                     (op, v) => Err(LangError::eval(
                         line,
@@ -926,8 +909,9 @@ impl<'p> Interp<'p> {
         };
         let (tree, def) = found;
         let mut env = Env::new(tree);
-        for (pname, value) in self.bind("fn", "argument", found, args, line)? {
-            env.define(pname, value);
+        let args = self.bind("fn", "argument", found, args, line)?;
+        for (param, value) in tree.bindings(def.params).iter().zip(args) {
+            env.define(tree.text(param.name), value);
         }
         match self.exec_block(def.body, &mut env, &mut None, line)? {
             Flow::Return(v) => Ok(v),
@@ -972,7 +956,7 @@ impl<'p> Interp<'p> {
         far(at)
             .max(last(at.x, inst.dx, inst.cols))
             .max(last(at.y, inst.dy, inst.rows))
-            + self.reach[&inst.cell]
+            + self.reach[inst.cell.raw() as usize]
     }
 
     fn cell_reach(&self, cell: &Cell) -> i128 {
@@ -1005,6 +989,26 @@ impl<'p> Interp<'p> {
     }
 }
 
+/// The name a variant asks the library for: the cell's name and, after a
+/// `$`, its arguments' [`Value::write_memo_key`] texts joined by commas,
+/// with everything but letters and digits an underscore.
+fn variant_name((name, args): &Variant<'_>) -> String {
+    let mut text = String::new();
+    for (i, value) in args.iter().enumerate() {
+        text.push_str(if i > 0 { "," } else { "" });
+        value.write_memo_key(&mut text);
+    }
+    let mut out = name.to_string();
+    if !args.is_empty() {
+        out.push('$');
+        out.extend(
+            text.chars()
+                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }),
+        );
+    }
+    out
+}
+
 /// The variable `name`, read in place.
 fn read<'e>(name: Sym, env: &'e Env<'_>, line: usize) -> Result<&'e Value, LangError> {
     let name = env.tree.text(name);
@@ -1034,8 +1038,21 @@ fn in_range(reach: i128, line: usize) -> Result<(), LangError> {
     ))
 }
 
-/// `value`, if it is within [`MAX_VALUE_SIZE`].
+/// `value`, if it nests no deeper than a literal can ([`MAX_DEPTH`]) and
+/// is within [`MAX_VALUE_SIZE`]. Every list and record is built here, so
+/// no walk over a value (a copy, a drop, `size`, `Display`, a hash or a
+/// variant's name) recurses more than [`MAX_DEPTH`] levels.
 fn bounded(value: Value, line: usize) -> Result<Value, LangError> {
+    let depth = value.depth();
+    if depth > MAX_DEPTH {
+        return Err(LangError::eval(
+            line,
+            format!(
+                "{} nested {depth} deep is over the nesting bound of {MAX_DEPTH}",
+                value.type_name()
+            ),
+        ));
+    }
     let size = value.size();
     if size <= MAX_VALUE_SIZE {
         return Ok(value);
@@ -1073,23 +1090,20 @@ fn binary(op: &BinOp, l: Value, r: Value, line: usize) -> Result<Value, LangErro
     let add = |a: i64, b: i64| a.checked_add(b).ok_or_else(|| overflow("addition"));
     let sub = |a: i64, b: i64| a.checked_sub(b).ok_or_else(|| overflow("subtraction"));
     let mul = |a: i64, b: i64| a.checked_mul(b).ok_or_else(|| overflow("multiplication"));
+    // `i64::MIN / -1` and `i64::MIN % -1` overflow in every build.
+    let div = |a: i64, b: i64, op: fn(i64, i64) -> Option<i64>, what| match b {
+        0 => Err(LangError::eval(line, "division by zero")),
+        _ => op(a, b).ok_or_else(|| overflow(what)),
+    };
     match (op, &l, &r) {
         (Add, Value::Int(a), Value::Int(b)) => Ok(Value::Int(add(*a, *b)?)),
         (Sub, Value::Int(a), Value::Int(b)) => Ok(Value::Int(sub(*a, *b)?)),
         (Mul, Value::Int(a), Value::Int(b)) => Ok(Value::Int(mul(*a, *b)?)),
         (Div, Value::Int(a), Value::Int(b)) => {
-            if *b == 0 {
-                Err(LangError::eval(line, "division by zero"))
-            } else {
-                Ok(Value::Int(a / b))
-            }
+            Ok(Value::Int(div(*a, *b, i64::checked_div, "division")?))
         }
         (Rem, Value::Int(a), Value::Int(b)) => {
-            if *b == 0 {
-                Err(LangError::eval(line, "division by zero"))
-            } else {
-                Ok(Value::Int(a % b))
-            }
+            Ok(Value::Int(div(*a, *b, i64::checked_rem, "remainder")?))
         }
         (Add, Value::Point(a), Value::Point(b)) => {
             Ok(Value::Point(Point::new(add(a.x, b.x)?, add(a.y, b.y)?)))
@@ -1118,7 +1132,10 @@ fn builtin(name: &str, args: &[Value], line: usize) -> Result<Value, LangError> 
             .ok_or_else(|| LangError::eval(line, format!("`{name}` expects int argument {i}")))
     };
     match (name, args.len()) {
-        ("abs", 1) => Ok(Value::Int(int_arg(0)?.abs())),
+        ("abs", 1) => int_arg(0)?
+            .checked_abs()
+            .map(Value::Int)
+            .ok_or_else(|| LangError::eval(line, "integer overflow in `abs`")),
         ("min", 2) => Ok(Value::Int(int_arg(0)?.min(int_arg(1)?))),
         ("max", 2) => Ok(Value::Int(int_arg(0)?.max(int_arg(1)?))),
         ("len", 1) => match &args[0] {
@@ -1256,33 +1273,83 @@ mod tests {
     }
 
     #[test]
-    fn copying_a_value_is_charged_by_its_weight() {
-        // Each trip copies the list built so far, one value deeper than the
-        // last: the budget runs out some 5 800 trips in, in the statement
-        // that copies. Copying, weighing and dropping a value recurse once
-        // a level; at that depth an optimised build needs 1 MiB of stack,
-        // a debug build up to 8.
-        let nest = "let l = [];\nfor i in 0..30000 {\n  l = [l];\n}";
-        let start = std::time::Instant::now();
-        let run = std::thread::Builder::new()
-            .stack_size(16 << 20)
-            .spawn(move || Compiler::new().compile(nest).map(|_| ()))
-            .expect("a thread");
-        match run.join().expect("no panic").unwrap_err() {
-            LangError::Eval { line, message } => {
-                assert_eq!(line, 3);
-                assert_eq!(
-                    message,
-                    format!("the program takes more than {MAX_STEPS} steps")
-                );
+    fn min_int_overflow_is_an_eval_error_not_a_panic() {
+        // `i64::MIN / -1` and `i64::MIN % -1` overflow in every build;
+        // negating `i64::MIN` and taking its `abs` did in a debug build, and
+        // wrapped in an optimised one.
+        let min = "let m = -9223372036854775807 - 1;";
+        for (form, what) in [
+            ("m / -1", "division"),
+            ("m % -1", "remainder"),
+            ("-m", "negation"),
+            ("-pt(0, m)", "negation"),
+            ("abs(m)", "`abs`"),
+        ] {
+            match compile_err(&format!("{min}\nlet x = {form};")) {
+                LangError::Eval { line, message } => {
+                    assert_eq!(line, 2, "{form}");
+                    assert_eq!(message, format!("integer overflow in {what}"), "{form}");
+                }
+                other => panic!("{form}: expected Eval error, got {other:?}"),
             }
-            other => panic!("expected Eval error, got {other:?}"),
         }
-        assert!(start.elapsed().as_secs() < 30, "{:?}", start.elapsed());
+        let d = compile(&format!(
+            "{min}\n// Each term is -1: 2^63 is 1 modulo 7.\nlet w = m / 1 - m - 1 + m % -7 + (-(m + 1) + m) + (abs(m + 1) + m);\nbox metal (0,0) (w + 8, 4);"
+        ));
+        assert_eq!(
+            d.library.cell(d.top).unwrap().elements()[0].bbox().width(),
+            4
+        );
+    }
+
+    #[test]
+    fn a_value_nests_no_deeper_than_a_literal_can() {
+        // Copying, weighing, hashing and dropping a value recurse once a
+        // level, so a list or a record built one level deeper each trip
+        // stops at the parser's bound, on a worker's 2 MiB stack in any
+        // build.
+        let nests = [
+            ("let l = [];\nfor i in 0..30000 {\n  l = [l];\n}", 3, "list"),
+            (
+                "type p { a }\nlet r = 1;\nfor i in 0..30000 {\n  r = p { a: r };\n}",
+                4,
+                "p",
+            ),
+        ];
+        let run = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                nests
+                    .map(|(src, line, what)| (Compiler::new().compile(src).map(|_| ()), line, what))
+            })
+            .expect("a thread");
+        for (result, line, what) in run.join().expect("no overflow, no panic") {
+            assert_eq!(
+                result.unwrap_err(),
+                LangError::eval(
+                    line,
+                    format!(
+                        "{what} nested {} deep is over the nesting bound of 64",
+                        MAX_DEPTH + 1
+                    )
+                )
+            );
+        }
+        // The deepest value is a cell argument like any other.
+        let d = compile(
+            "cell c(v) { box metal (0,0) (4,4); }\nlet l = [];\n\
+             for i in 0..63 { l = [l]; }\nplace c(l) at (0,0);\nplace c(l) at (9,0);\nlet s = str(l);",
+        );
+        assert_eq!(d.library.len(), 2);
+    }
+
+    #[test]
+    fn copying_a_value_is_charged_by_its_weight() {
         // A variable indexed or a field read in place is not copied: a
         // list of 10 000 indexed 10 000 times, and a field beside it read
-        // as often, stay far inside the budget. What such a read takes out
-        // is copied: a list of 10 000 taken out 2 000 times is not.
+        // as often, stay far inside the budget. What a read takes out is
+        // copied: a list of 10 000 taken out 2 000 times is not, whether
+        // out of a variable, a list or a record.
         let setup = format!(
             "type r {{ a, b }}\nlet l = [{}0];\nlet g = r {{ a: l, b: 1 }};\nlet m = [l];\n",
             "0, ".repeat(9_999)
@@ -1290,7 +1357,7 @@ mod tests {
         compile(&format!(
             "{setup}let s = 0;\nfor i in 0..10000 {{ s = s + l[i] + g.b; }}"
         ));
-        for read in ["m[0]", "g.a"] {
+        for read in ["l", "m[0]", "g.a"] {
             let e = compile_err(&format!("{setup}for i in 0..2000 {{ let x = {read}; }}"));
             assert!(matches!(e, LangError::Eval { line: 5, .. }), "{read}: {e}");
             assert!(e.to_string().contains("16777216 steps"), "{read}: {e}");

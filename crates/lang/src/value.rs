@@ -1,8 +1,9 @@
 use silc_geom::Point;
 use std::fmt::{self, Write as _};
 
-/// A SIL runtime value.
-#[derive(Debug, Clone, PartialEq)]
+/// A SIL runtime value. Equal values are the same variant of a cell: the
+/// elaborator's memo hashes and compares argument tuples exactly.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// An integer (lambda distances, counts, ...).
     Int(i64),
@@ -37,8 +38,9 @@ impl Value {
         }
     }
 
-    /// Appends to `out` the canonical key that memoizes cell elaborations
-    /// per argument tuple.
+    /// Appends to `out` the text a variant's library name is made from.
+    /// Distinct values can share it; the name is made unique by the
+    /// library, not by this text.
     pub(crate) fn write_memo_key(&self, out: &mut String) {
         // Writing to a `String` cannot fail.
         let _ = match self {
@@ -74,6 +76,18 @@ impl Value {
             Value::List(items) => 1 + items.iter().map(Value::size).sum::<usize>(),
             Value::Record { fields, .. } => 1 + fields.iter().map(|(_, v)| v.size()).sum::<usize>(),
             _ => 1,
+        }
+    }
+
+    /// How many lists and records nest in the value, itself included: 0
+    /// for a scalar or a string.
+    pub(crate) fn depth(&self) -> usize {
+        match self {
+            Value::List(items) => 1 + items.iter().map(Value::depth).max().unwrap_or(0),
+            Value::Record { fields, .. } => {
+                1 + fields.iter().map(|(_, v)| v.depth()).max().unwrap_or(0)
+            }
+            _ => 0,
         }
     }
 

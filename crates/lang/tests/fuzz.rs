@@ -1,7 +1,7 @@
 //! Robustness: the SIL compiler returns diagnostics, never panics.
 
 use proptest::prelude::*;
-use silc_lang::Compiler;
+use silc_lang::{Compiler, LangError};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -16,7 +16,43 @@ proptest! {
     ) {
         let _ = Compiler::new().compile(&input);
     }
+
+    /// Integer arithmetic over the values at the edges of `i64` ends in a
+    /// value or a line-numbered error: a debug build panics on any
+    /// overflow left unchecked, and `i64::MIN / -1` panics in every build.
+    #[test]
+    fn arithmetic_on_edge_values_never_panics(
+        first in 0..POOL.len(),
+        steps in prop::collection::vec((0..POOL.len(), 0usize..8), 0..6),
+    ) {
+        let mut e = format!("({})", POOL[first]);
+        for (v, op) in steps {
+            let v = POOL[v];
+            e = match op {
+                0..=4 => format!("({e} {} ({v}))", ["+", "-", "*", "/", "%"][op]),
+                5 => format!("-{e}"),
+                6 => format!("abs({e})"),
+                _ => format!("(-pt({e}, {v})).x"),
+            };
+        }
+        let source = format!("let x = {e};");
+        match Compiler::new().compile(&source) {
+            Ok(_) | Err(LangError::Eval { line: 1, .. }) => {}
+            Err(other) => prop_assert!(false, "{source}: {other}"),
+        }
+    }
 }
+
+/// Operands for the arithmetic soup: the ends of `i64` and the values next
+/// to zero that overflow them.
+const POOL: [&str; 6] = [
+    "0",
+    "1",
+    "-1",
+    "2",
+    "9223372036854775807",
+    "-9223372036854775807 - 1",
+];
 
 /// Every nesting shape, at every depth around the parser's bound, either
 /// compiles or is refused — on a 2 MiB stack, which is what a `silc

@@ -25,7 +25,8 @@ impl CellId {
 /// The library owns all cells; instances refer to cells by [`CellId`].
 /// Structural invariants maintained:
 ///
-/// * cell names are unique ([`LayoutError::DuplicateCellName`]);
+/// * cell names are unique ([`LayoutError::DuplicateCellName`]), and
+///   [`add_cell_renamed`](Library::add_cell_renamed) picks a free one;
 /// * ids run children before parents: a cell may only place cells added
 ///   before it ([`LayoutError::UnknownCell`]), so the hierarchy is a DAG
 ///   and ascending id order is a bottom-up order.
@@ -33,6 +34,9 @@ impl CellId {
 pub struct Library {
     cells: Vec<Cell>,
     by_name: HashMap<String, CellId>,
+    /// Per suffix prefix (`base_`, `base$imp`), the last number handed
+    /// out: every name up to it is taken, and names are never removed.
+    last_suffix: HashMap<String, u32>,
 }
 
 impl Library {
@@ -118,6 +122,37 @@ impl Library {
         copies
     }
 
+    /// Adds `cell` under the first free name of `name`, `name_1`,
+    /// `name_2`, …, checked against every name in the library: how a SIL
+    /// variant, a SIL top cell and a CIF symbol get a name of their own.
+    ///
+    /// # Errors
+    ///
+    /// [`LayoutError::UnknownCell`], as for [`add_cell`](Self::add_cell).
+    pub fn add_cell_renamed(&mut self, cell: Cell) -> Result<CellId, LayoutError> {
+        self.add_suffixed(cell, "_")
+    }
+
+    /// Adds `cell` under its own name if that is free, else under
+    /// `{name}{sep}{n}` for the least free `n` from 1.
+    fn add_suffixed(&mut self, mut cell: Cell, sep: &str) -> Result<CellId, LayoutError> {
+        if !self.by_name.contains_key(cell.name()) {
+            return self.add_cell(cell);
+        }
+        let prefix = format!("{}{sep}", cell.name);
+        let mut n = self.last_suffix.get(&prefix).copied().unwrap_or(0);
+        cell.name = loop {
+            n += 1;
+            let name = format!("{prefix}{n}");
+            if !self.by_name.contains_key(&name) {
+                break name;
+            }
+        };
+        let id = self.add_cell(cell)?;
+        self.last_suffix.insert(prefix, n);
+        Ok(id)
+    }
+
     /// Imports every cell of `other` into this library, returning the id
     /// each of `other`'s cells received here (indexable by the old id's
     /// raw value). Name collisions are resolved by appending `$imp<n>`.
@@ -127,26 +162,12 @@ impl Library {
     pub fn import(&mut self, other: &Library) -> Vec<CellId> {
         let mut mapping = Vec::with_capacity(other.len());
         for cell in &other.cells {
-            let mut name = cell.name().to_string();
-            let mut n = 0;
-            while self.by_name.contains_key(&name) {
-                n += 1;
-                name = format!("{}$imp{n}", cell.name());
+            let mut copy = cell.clone();
+            for inst in &mut copy.instances {
+                inst.cell = mapping[inst.cell.raw() as usize];
             }
-            let mut copy = Cell::new(name);
-            for e in cell.elements() {
-                copy.push_element(e.clone());
-            }
-            for p in cell.ports() {
-                copy.push_port(p.clone());
-            }
-            for inst in cell.instances() {
-                let mut remapped = inst.clone();
-                remapped.cell = mapping[inst.cell.raw() as usize];
-                copy.push_instance(remapped);
-            }
-            let id = self.add_cell(copy);
-            mapping.push(id.expect("name uniquified and children already present"));
+            let id = self.add_suffixed(copy, "$imp");
+            mapping.push(id.expect("children already present"));
         }
         mapping
     }
@@ -192,6 +213,29 @@ mod tests {
             lib.add_cell(leaf("a")),
             Err(LayoutError::DuplicateCellName { .. })
         ));
+    }
+
+    #[test]
+    fn renamed_cells_take_the_first_free_suffix() {
+        let mut lib = Library::new();
+        let names = ["a", "a", "a_2", "a", "a", "a_1", "b_1", "b", "b"];
+        for name in names {
+            lib.add_cell_renamed(leaf(name)).unwrap();
+        }
+        let got: Vec<&str> = lib.iter().map(|(_, c)| c.name()).collect();
+        assert_eq!(
+            got,
+            ["a", "a_1", "a_2", "a_3", "a_4", "a_1_1", "b_1", "b", "b_2"]
+        );
+        // Only a dangling instance is refused, and it takes no name.
+        let mut bad = leaf("a");
+        bad.push_instance(Instance::place(CellId::from_raw(99), Transform::IDENTITY));
+        assert!(matches!(
+            lib.add_cell_renamed(bad),
+            Err(LayoutError::UnknownCell { .. })
+        ));
+        let id = lib.add_cell_renamed(leaf("a")).unwrap();
+        assert_eq!(lib.cell(id).unwrap().name(), "a_5");
     }
 
     #[test]

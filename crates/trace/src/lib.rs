@@ -20,9 +20,10 @@
 //!    tracer; the enabled state sits behind a `Mutex` that is
 //!    locked only at span *close* and counter flush, never inside
 //!    per-rectangle loops (callers accumulate locally and flush in bulk).
-//! 3. **Deterministic output.** Events are ordered by start time, then
-//!    by name; counters are sorted by name. Two runs of the same design
-//!    produce the same table modulo wall-clock jitter.
+//! 3. **Deterministic output.** Spans are ordered by when they opened,
+//!    by a sequence number taken at open, never by a clock reading that
+//!    two spans can share; counters are sorted by name. Two runs of the
+//!    same design produce the same table modulo wall-clock jitter.
 //!
 //! # Example
 //!
@@ -41,6 +42,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -104,12 +106,15 @@ pub enum Tracer {
 #[derive(Debug)]
 pub struct Collector {
     epoch: Instant,
+    /// The sequence number the next span to open takes.
+    opened: AtomicU64,
     state: Mutex<State>,
 }
 
 #[derive(Debug, Default)]
 struct State {
-    spans: Vec<SpanEvent>,
+    /// Closed spans, each with its sequence number.
+    spans: Vec<(u64, SpanEvent)>,
     counters: BTreeMap<&'static str, u64>,
 }
 
@@ -139,6 +144,7 @@ impl Tracer {
     pub fn enabled() -> Tracer {
         Tracer::Enabled(Arc::new(Collector {
             epoch: Instant::now(),
+            opened: AtomicU64::new(0),
             state: Mutex::new(State::default()),
         }))
     }
@@ -155,12 +161,14 @@ impl Tracer {
             Tracer::Disabled => Span {
                 collector: None,
                 name,
+                seq: 0,
                 start: None,
                 attrs: Vec::new(),
             },
             Tracer::Enabled(c) => Span {
                 collector: Some(c),
                 name,
+                seq: c.opened.fetch_add(1, Ordering::Relaxed),
                 start: Some(Instant::now()),
                 attrs: Vec::new(),
             },
@@ -195,9 +203,9 @@ impl Tracer {
             Tracer::Enabled(c) => {
                 let state = c.state.lock().expect("trace state poisoned");
                 let mut spans = state.spans.clone();
-                spans.sort_by(|a, b| (a.start_us, a.name).cmp(&(b.start_us, b.name)));
+                spans.sort_unstable_by_key(|&(seq, _)| seq);
                 TraceReport {
-                    spans,
+                    spans: spans.into_iter().map(|(_, span)| span).collect(),
                     counters: state.counters.iter().map(|(&k, &v)| (k, v)).collect(),
                 }
             }
@@ -212,6 +220,7 @@ impl Tracer {
 pub struct Span<'t> {
     collector: Option<&'t Arc<Collector>>,
     name: &'static str,
+    seq: u64,
     start: Option<Instant>,
     attrs: Vec<(&'static str, u64)>,
 }
@@ -241,7 +250,7 @@ impl Drop for Span<'_> {
             .lock()
             .expect("trace state poisoned")
             .spans
-            .push(event);
+            .push((self.seq, event));
     }
 }
 
@@ -255,7 +264,7 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// All closed spans, ordered by start time.
+    /// All closed spans, in the order they opened.
     pub fn spans(&self) -> &[SpanEvent] {
         &self.spans
     }
@@ -289,7 +298,7 @@ impl TraceReport {
     }
 
     /// Renders the human `--stats` summary: one row per distinct span
-    /// name (aggregated over calls, ordered by first start), then the
+    /// name (aggregated over calls, ordered by first open), then the
     /// counters.
     pub fn stats_table(&self) -> String {
         let mut order: Vec<&'static str> = Vec::new();
@@ -389,6 +398,30 @@ mod tests {
         assert_eq!(names, vec!["drc", "drc.width"]);
         // The parent span covers its child.
         assert!(report.stage_us("drc") >= report.stage_us("drc.width"));
+    }
+
+    #[test]
+    fn spans_opened_within_one_microsecond_keep_their_open_order() {
+        let t = Tracer::enabled();
+        let names = [
+            "drc.width",
+            "drc.spacing",
+            "drc.contact",
+            "drc.gate",
+            "a",
+            "drc.merge",
+        ];
+        for name in names {
+            drop(span!(t, name));
+        }
+        {
+            let _outer = span!(t, "z");
+            drop(span!(t, "y"));
+        }
+        let report = t.finish();
+        let order: Vec<&str> = report.spans().iter().map(|s| s.name).collect();
+        assert_eq!(order[..names.len()], names);
+        assert_eq!(order[names.len()..], ["z", "y"]);
     }
 
     #[test]

@@ -58,6 +58,93 @@ fn compile_diagnoses_syntax_errors() {
     assert!(stderr.contains("silc:"), "{stderr}");
 }
 
+/// The CIF symbols of `cif` in order, each its name and its layers.
+fn cif_symbols(cif: &str) -> Vec<(String, Vec<String>)> {
+    let mut symbols = Vec::new();
+    for line in cif.lines() {
+        if let Some(name) = line.strip_prefix("9 ") {
+            symbols.push((name.trim_end_matches(';').to_string(), Vec::new()));
+        } else if let (Some(layer), Some((_, layers))) =
+            (line.strip_prefix("L "), symbols.last_mut())
+        {
+            layers.push(layer.trim_end_matches(';').to_string());
+        }
+    }
+    symbols
+}
+
+#[test]
+fn variants_whose_arguments_print_alike_are_cells_of_their_own() {
+    let compile = |name: &str, source: &str| {
+        let out = silc()
+            .arg("compile")
+            .arg(write_temp(name, source))
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{name}: {stderr}");
+        cif_symbols(&String::from_utf8_lossy(&out.stdout))
+    };
+    let symbol = |name: &str, layers: &[&str]| {
+        (
+            name.to_string(),
+            layers.iter().map(|l| l.to_string()).collect::<Vec<_>>(),
+        )
+    };
+    // Both tuples once wrote the memo key `c(sx,sy,sz)`, so the second
+    // placement got the first variant's poly box where its body draws metal.
+    let both = compile(
+        "alike.sil",
+        "cell c(a, b) { if a == \"x,sy\" { box poly (0,0) (4,4); } else { box metal (0,0) (4,4); } }\n\
+         place c(\"x,sy\", \"z\") at (0,0);\nplace c(\"x\", \"y,sz\") at (20,0);\n",
+    );
+    assert_eq!(
+        both,
+        [
+            symbol("c$sx_sy_sz", &["NP"]),
+            symbol("c$sx_sy_sz_1", &["NM"]),
+            symbol("main", &[])
+        ]
+    );
+    // Two variants whose names alike were refused as a duplicate name.
+    let names = compile(
+        "names.sil",
+        "cell c(s) { box metal (0,0) (4,4); }\nplace c(\"a.b\") at (0,0);\nplace c(\"a,b\") at (20,0);\n",
+    );
+    assert_eq!(
+        names,
+        [
+            symbol("c$sa_b", &["NM"]),
+            symbol("c$sa_b_1", &["NM"]),
+            symbol("main", &[])
+        ]
+    );
+    // So was a user cell named `main`, placed, as the implicit top cell's.
+    let main = compile(
+        "main.sil",
+        "cell main() { box metal (0,0) (4,4); }\nplace main() at (0,0);\n",
+    );
+    assert_eq!(main, [symbol("main", &["NM"]), symbol("main_1", &[])]);
+}
+
+#[test]
+fn integer_overflow_is_a_line_numbered_error_not_a_panic() {
+    for form in ["m / -1", "m % -1", "-m", "-pt(m, 0)", "abs(m)"] {
+        let sil = write_temp(
+            "min.sil",
+            &format!("let m = -9223372036854775807 - 1;\nlet x = {form};\n"),
+        );
+        let out = silc().arg("compile").arg(&sil).output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{form}: {stderr}");
+        assert!(
+            stderr.contains("error on line 2: integer overflow in "),
+            "{form}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{form}: {stderr}");
+    }
+}
+
 #[test]
 fn sim_runs_and_dumps_registers() {
     let isl = write_temp(

@@ -300,6 +300,36 @@ fn endless_program_is_an_error_reply_and_the_worker_lives_on() {
 }
 
 #[test]
+fn a_value_nested_past_the_bound_is_an_error_reply_and_the_worker_lives_on() {
+    // One worker: a list one level deeper each trip stops at the nesting
+    // bound. Bounded only by steps, it reached some 5 800 levels, and
+    // copying, dropping or printing it recursed once a level: more than a
+    // debug worker's 2 MiB of stack.
+    let (addr, handle) = start(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr);
+    let nest = "let l = [];\nfor i in 0..30000 {\n  l = [l];\n}\nlet s = str(l);";
+    let reply = client.request(&format!(
+        r#"{{"op":"compile","id":1,"source":{}}}"#,
+        quoted(nest)
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    let message = reply.to_string();
+    assert!(
+        message.contains("line 3") && message.contains("list nested 65 deep"),
+        "{message}"
+    );
+    let reply = client.request(&format!(
+        r#"{{"op":"compile","id":2,"source":{}}}"#,
+        quoted(&sil_program(7))
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    handle.shutdown();
+}
+
+#[test]
 fn oversized_memory_is_an_error_reply_and_the_worker_lives_on() {
     // One worker: the simulator used to ask for 800 GB up front, and the
     // failed allocation aborted the whole process.
