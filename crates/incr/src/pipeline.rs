@@ -8,7 +8,9 @@
 //! source ──elaborate──▶ Design ──die──▶ DieSummary
 //!                         ├──drc (+ rules)──▶ Report
 //!                         ├──cif──▶ String
-//!                         └──extract──▶ ExtractSnapshot
+//!                         ├──extract──▶ ExtractSnapshot
+//!                         └─(extract)─▶ Netlist ──pnr──▶ PnrSnapshot (routed CIF)
+//!                                          └──verify (reads pnr's CIF)──▶ VerifySnapshot
 //! ISL source ─parse─▶ Machine ──sim──▶ SimSnapshot
 //!                        └──synth──▶ SynthSnapshot
 //! PLA table ──pla──▶ PlaSnapshot
@@ -684,18 +686,22 @@ pub fn verify_isl(
     })
 }
 
-/// Check 3: pnr extract-back netlist vs. the input netlist — the
-/// functional upgrade of `structurally_matches` LVS. The key is the
-/// same `(netlist, stack, floorplan)` triple as [`pnr_products`], so a
-/// warm verify is a pure [`Stage::VERIFY`] hit; a cold one re-runs
-/// place-and-route inside the closure (the routed geometry is
-/// deterministic in the key, so this stays correct).
+/// Check 3: the routed mask vs. the input netlist — the functional
+/// upgrade of `structurally_matches` LVS. The key is the same
+/// `(netlist, stack, floorplan)` triple as [`pnr_products`], so a warm
+/// verify is a pure [`Stage::VERIFY`] hit. A cold one lowers the source
+/// netlist first, so a malformed one is refused before anything is
+/// routed; it then reads the routed CIF from [`pnr_products`], the one
+/// [`Stage::PNR`] entry `silc pnr` writes, parses it, extracts the cell
+/// its top level calls (the routed cell, which carries the port
+/// labels), and proves that equivalent to the source. The hits and
+/// misses of the PNR query count in `stats` too.
 ///
 /// # Errors
 ///
-/// Elaboration, extraction, placement or routing failures, rendered to
-/// strings. An inequivalent pair is NOT an error: the verdict comes
-/// back in the snapshot.
+/// Elaboration, extraction, placement or routing failures, or a routed
+/// CIF that does not parse, rendered to strings. An inequivalent pair
+/// is NOT an error: the verdict comes back in the snapshot.
 pub fn verify_sil(
     engine: &Engine,
     source: &str,
@@ -703,19 +709,26 @@ pub fn verify_sil(
 ) -> Result<Arc<VerifySnapshot>, String> {
     let (netlist, stack, floorplan) = pnr_inputs(engine, source, stats)?;
     let key = (("verify-sil", &netlist), (&stack, &floorplan)).fingerprint();
-    engine.query(Stage::VERIFY, key, stats, || {
+    let mut pnr = JobStats::default();
+    let verdict = engine.query(Stage::VERIFY, key, stats, || {
         let tracer = engine.tracer();
-        let out = place_and_route_traced(&netlist, &stack, &floorplan, tracer)
-            .map_err(|e| e.to_string())?;
-        let back = silc_extract::extract_traced(&out.library, out.root, tracer)
+        let spec_net = network_from_netlist(&netlist).map_err(|e| e.to_string())?;
+        let routed = pnr_products(engine, &netlist, &stack, &floorplan, false, &mut pnr)?;
+        let mask = silc_cif::parse(&routed.cif).map_err(|e| format!("routed CIF: {e}"))?;
+        let Some([call]) = mask.library.cell(mask.top).map(|top| top.instances()) else {
+            return Err("routed CIF: the top level does not call exactly one cell".into());
+        };
+        let back = silc_extract::extract_traced(&mask.library, call.cell, tracer)
             .map_err(|e| e.to_string())?;
         let impl_net = network_from_netlist(&back.netlist).map_err(|e| e.to_string())?;
-        let spec_net = network_from_netlist(&netlist).map_err(|e| e.to_string())?;
         let report =
             check_equivalence_traced(&impl_net, &spec_net, &VerifyOptions::default(), tracer)
                 .map_err(|e| e.to_string())?;
         Ok(verify_snapshot("sil", report))
-    })
+    });
+    stats.hits += pnr.hits;
+    stats.misses += pnr.misses;
+    verdict
 }
 
 /// `silc verify A --against B`: two PLA tables checked against each

@@ -1236,6 +1236,125 @@ fn warm_reverify_is_a_pure_cache_hit() {
     assert!(stderr.contains("equivalent"), "{stderr}");
 }
 
+/// A design without a `gnd` net has no logic to prove. Verify lowers
+/// the source netlist before it routes, so such a design is refused
+/// after elaboration and extraction, with nothing placed or routed.
+#[test]
+fn verify_refuses_a_rail_less_design_before_routing() {
+    let sil = write_temp("rail-less.sil", PNR_SIL);
+    let out = silc()
+        .args(["verify", sil.to_str().unwrap(), "--stats"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("verify: malformed network: netlist `main` has no `gnd` net"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("extract.netlist"), "{stderr}");
+    assert!(
+        !stderr.lines().any(|l| l.starts_with("pnr.")),
+        "verify routed a rail-less design: {stderr}"
+    );
+}
+
+/// Runs `silc <args…> <design> [--cache cache]`.
+fn run_on(
+    args: &[&str],
+    design: &std::path::Path,
+    cache: Option<&std::path::Path>,
+) -> std::process::Output {
+    let mut cmd = silc();
+    cmd.args(args).arg(design);
+    if let Some(cache) = cache {
+        cmd.arg("--cache").arg(cache);
+    }
+    cmd.output().expect("runs")
+}
+
+/// The `--stats` table apart: what a run prints once its stats are cut
+/// off (the table starts at its `stage` header line).
+fn without_stats(stderr: &[u8]) -> String {
+    let text = String::from_utf8_lossy(stderr);
+    let cut = text.find("stage  ").unwrap_or(text.len());
+    text[..cut].to_string()
+}
+
+#[test]
+fn pnr_then_verify_routes_once() {
+    let dir = temp_dir("pnr-then-verify");
+    let sil = dir.join("d.sil");
+    std::fs::write(&sil, common::TWO_INVERTERS).unwrap();
+    let cache = dir.join("cache");
+    let pnr = run_on(&["pnr"], &sil, Some(&cache));
+    assert!(pnr.status.success(), "{pnr:?}");
+
+    let verify = run_on(&["verify", "--stats"], &sil, Some(&cache));
+    assert!(verify.status.success(), "{verify:?}");
+    let stderr = String::from_utf8_lossy(&verify.stderr);
+    for stage in ["pnr.place", "pnr.route"] {
+        assert!(
+            !stderr.lines().any(|l| l.starts_with(stage)),
+            "verify routed again (`{stage}`): {stderr}"
+        );
+    }
+    // Elaboration and the routed products are read from disk.
+    let disk_hits = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("incr.disk_hit"))
+        .map(|v| v.trim().parse::<u64>().unwrap());
+    assert_eq!(disk_hits, Some(2), "{stderr}");
+
+    // Apart from the stats, the verify says what an uncached one says.
+    let fresh = run_on(&["verify", "--no-cache"], &sil, None);
+    assert!(fresh.status.success(), "{fresh:?}");
+    assert_eq!(verify.stdout, fresh.stdout);
+    assert_eq!(
+        without_stats(&verify.stderr),
+        String::from_utf8_lossy(&fresh.stderr)
+    );
+    assert!(
+        stderr.contains("verify(sil): equivalent: 2 outputs"),
+        "{stderr}"
+    );
+}
+
+/// Verify proves the mask that `pnr` stored, not a second routing of
+/// the design: a stored CIF with two input labels swapped is refuted,
+/// and one that does not parse is an error, never a panic.
+#[test]
+fn verify_reads_the_mask_that_pnr_stored() {
+    let dir = temp_dir("verify-reads-pnr");
+    let sil = dir.join("d.sil");
+    std::fs::write(&sil, common::TWO_INVERTERS).unwrap();
+    let cache = dir.join("cache");
+    assert!(run_on(&["pnr"], &sil, Some(&cache)).status.success());
+
+    common::plant_routed_cif(&cache, common::TWO_INVERTERS, common::swap_a_and_b);
+    let out = run_on(&["verify"], &sil, Some(&cache));
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("NOT equivalent"), "{stderr}");
+    for output in ["`x`", "`y`"] {
+        let witness = format!("output {output}: impl=");
+        assert!(stderr.contains(&witness), "witness for {output}: {stderr}");
+    }
+    assert!(stderr.contains(" under "), "{stderr}");
+
+    // Verdicts are cached; a fresh cache holds the damaged mask alone.
+    let cache = dir.join("cache-damaged");
+    assert!(run_on(&["pnr"], &sil, Some(&cache)).status.success());
+    common::plant_routed_cif(&cache, common::TWO_INVERTERS, |cif| {
+        cif[..cif.len() / 2].to_string()
+    });
+    let out = run_on(&["verify"], &sil, Some(&cache));
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("silc: verify: routed CIF: "), "{stderr}");
+    assert!(!stderr.contains("panic"), "{stderr}");
+}
+
 #[test]
 fn unknown_command_fails_with_usage() {
     let out = silc().arg("bogus").output().expect("runs");

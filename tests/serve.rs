@@ -232,6 +232,143 @@ fn verify_op_answers_verdicts_and_reuses_the_cache() {
     handle.shutdown();
 }
 
+/// A 16×16 grid of inverters: 512 transistors, long enough to route
+/// that a deadline of a few milliseconds expires inside `pnr`.
+const GRID_SIL: &str = "cell inv() { \
+     box diff (0, 0) (4, 30); \
+     box poly (-4, 8) (8, 10); \
+     box poly (-4, 20) (8, 22); \
+     box implant (-2, 18) (6, 24); \
+     box contact (1, 14) (3, 16); \
+     box metal (0, 13) (12, 17); } \
+     cell grid() { array inv() at (0, 0) step (20, 0) (0, 36) count 16 16; } \
+     place grid() at (0, 0);";
+
+#[test]
+fn deadline_that_expires_inside_pnr_is_a_timeout_and_the_worker_serves_on() {
+    let (addr, handle) = start(ServerConfig {
+        jobs: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr);
+    // The idle worker takes the job at once, so it runs, and the deadline
+    // passes while it places and routes.
+    let reply = client.request(&format!(
+        r#"{{"op":"pnr","deadline_ms":5,"source":{}}}"#,
+        quoted(GRID_SIL)
+    ));
+    assert_eq!(
+        reply.get("error").and_then(Json::as_str),
+        Some("timeout"),
+        "{reply:?}"
+    );
+    let reply = client.request(&format!(
+        r#"{{"op":"compile","source":{}}}"#,
+        quoted(&sil_program(7))
+    ));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    // The routing ran to its end and was kept: asked again, it is a hit.
+    let reply = client.request(&format!(r#"{{"op":"pnr","source":{}}}"#, quoted(GRID_SIL)));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    assert_eq!(reply.get("cache_misses"), Some(&Json::Int(0)), "{reply:?}");
+    let stats = client.request(r#"{"op":"stats"}"#);
+    assert_eq!(stats.get("timeouts"), Some(&Json::Int(1)), "{stats:?}");
+    handle.shutdown();
+}
+
+/// `verify` of a SIL design reads the `pnr` entry a served `pnr` of the
+/// same source wrote: it misses one query fewer than after a `compile`,
+/// which shares the elaboration alone.
+#[test]
+fn served_verify_reads_the_routing_a_served_pnr_stored() {
+    let verify = format!(
+        r#"{{"op":"verify","lang":"sil","source":{}}}"#,
+        quoted(common::TWO_INVERTERS)
+    );
+    let after = |op: &str| {
+        let (addr, handle) = start(ServerConfig::default());
+        let mut client = Client::connect(addr);
+        let first = client.request(&format!(
+            r#"{{"op":"{op}","source":{}}}"#,
+            quoted(common::TWO_INVERTERS)
+        ));
+        assert_eq!(first.get("ok"), Some(&Json::Bool(true)), "{first:?}");
+        let reply = client.request(&verify);
+        handle.shutdown();
+        assert_eq!(
+            reply.get("equivalent"),
+            Some(&Json::Bool(true)),
+            "{reply:?}"
+        );
+        let count = |field| match reply.get(field) {
+            Some(&Json::Int(n)) => n,
+            other => panic!("{field}: {other:?}"),
+        };
+        (count("cache_misses"), count("cache_hits"))
+    };
+    let (misses, hits) = after("compile");
+    assert_eq!(after("pnr"), (misses - 1, hits + 1));
+}
+
+/// The served twin of the CLI's planted-entry test: a stored mask with
+/// two input labels swapped is refuted, one that does not parse is an
+/// error reply, and the server answers on.
+#[test]
+fn a_planted_routed_mask_is_refuted_or_refused_and_the_server_lives_on() {
+    let dir = std::env::temp_dir().join(format!("silc-serve-planted-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let design = design_file(common::TWO_INVERTERS, "planted");
+    let verify = format!(
+        r#"{{"op":"verify","lang":"sil","source":{}}}"#,
+        quoted(common::TWO_INVERTERS)
+    );
+    let serve = |cache: &std::path::Path, edit: fn(&str) -> String| {
+        let pnr = silc()
+            .arg("pnr")
+            .arg(&design)
+            .arg("--cache")
+            .arg(cache)
+            .output()
+            .expect("CLI runs");
+        assert!(pnr.status.success(), "{pnr:?}");
+        common::plant_routed_cif(cache, common::TWO_INVERTERS, edit);
+        let (addr, handle) = start(ServerConfig {
+            jobs: 1,
+            cache_dir: Some(cache.to_path_buf()),
+            ..ServerConfig::default()
+        });
+        let mut client = Client::connect(addr);
+        let reply = client.request(&verify);
+        let next = client.request(&format!(
+            r#"{{"op":"compile","source":{}}}"#,
+            quoted(&sil_program(7))
+        ));
+        assert_eq!(next.get("ok"), Some(&Json::Bool(true)), "{next:?}");
+        handle.shutdown();
+        reply
+    };
+
+    let reply = serve(&dir.join("swapped"), common::swap_a_and_b);
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply:?}");
+    assert_eq!(
+        reply.get("equivalent"),
+        Some(&Json::Bool(false)),
+        "{reply:?}"
+    );
+    let mismatches = reply.get("mismatches").expect("mismatches").to_string();
+    assert!(
+        mismatches.contains("`x`") && mismatches.contains("`y`"),
+        "{mismatches}"
+    );
+
+    let reply = serve(&dir.join("damaged"), |cif| cif[..cif.len() / 2].to_string());
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    assert!(
+        reply.to_string().contains("verify: routed CIF: "),
+        "{reply:?}"
+    );
+}
+
 #[test]
 fn out_of_range_geometry_is_an_error_reply_and_the_worker_lives_on() {
     // One worker: if the request killed it (it used to abort the whole
