@@ -119,12 +119,6 @@ impl RuleSet {
     }
 }
 
-impl Default for RuleSet {
-    fn default() -> Self {
-        RuleSet::mead_conway_nmos()
-    }
-}
-
 impl Fingerprint for RuleSet {
     fn fp_hash(&self, h: &mut FpHasher) {
         h.write_str(&self.name);

@@ -21,7 +21,7 @@ use crate::pipeline::{
     synth_allocation, verify_against, verify_isl, verify_pla, verify_sil, CompileOptions,
     CompileOutput, PlaSnapshot, PnrSnapshot, SimSnapshot, SynthSnapshot, VerifySnapshot,
 };
-use silc_drc::{Report, RuleSet};
+use silc_drc::Report;
 use silc_trace::span;
 use std::path::Path;
 use std::sync::Arc;
@@ -524,8 +524,7 @@ pub fn run(
             // `compile` of the same source is all hits.
             let design = elaborate(engine, source, stats)?;
             die_summary(engine, &design, stats)?;
-            let rules = RuleSet::mead_conway_nmos();
-            Outcome::Drc(drc_report(engine, &design, &rules, stats)?)
+            Outcome::Drc(drc_report(engine, &design, stats)?)
         }
         Sim => {
             let machine = machine()?;

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! source ──elaborate──▶ Design ──die──▶ DieSummary
-//!                         ├──drc (+ rules)──▶ Report
+//!                         ├──drc (+ the deck)──▶ Report
 //!                         ├──cif──▶ String
 //!                         ├──extract──▶ ExtractSnapshot
 //!                         └─(extract)─▶ Netlist ──pnr──▶ PnrSnapshot (routed CIF)
@@ -257,9 +257,16 @@ pub fn die_summary(
     })
 }
 
-/// Design + rule set → DRC report ([`silc_drc::check_traced`]: proven
-/// from the hierarchy when it can be, the expanded design checked when
-/// not).
+/// The one rule deck: every stage checks against it, and the `pnr`
+/// stage routes on the stack derived from it.
+fn deck() -> &'static RuleSet {
+    static DECK: OnceLock<RuleSet> = OnceLock::new();
+    DECK.get_or_init(RuleSet::mead_conway_nmos)
+}
+
+/// Design → DRC report against the one deck ([`silc_drc::check_traced`]:
+/// proven from the hierarchy when it can be, the expanded design checked
+/// when not). The key covers the deck.
 ///
 /// # Errors
 ///
@@ -267,9 +274,9 @@ pub fn die_summary(
 pub fn drc_report(
     engine: &Engine,
     design: &Elaborated,
-    rules: &RuleSet,
     stats: &mut JobStats,
 ) -> Result<Arc<Report>, String> {
+    let rules = deck();
     let key = (design.key(), rules).fingerprint();
     engine.query(Stage::DRC, key, stats, || {
         check_traced(&design.library, design.top, rules, engine.tracer()).map_err(|e| e.to_string())
@@ -436,8 +443,7 @@ pub fn pla_products(
         let mut lib = silc_layout::Library::new();
         let id =
             generate_layout_traced(&spec, &mut lib, "pla", tracer).map_err(|e| e.to_string())?;
-        let report = check_traced(&lib, id, &RuleSet::mead_conway_nmos(), tracer)
-            .map_err(|e| e.to_string())?;
+        let report = check_traced(&lib, id, deck(), tracer).map_err(|e| e.to_string())?;
         let cif = CifWriter::new()
             .with_tracer(tracer.clone())
             .write_to_string(&lib, id)
@@ -451,7 +457,8 @@ pub fn pla_products(
 }
 
 /// Netlist + routing stack + floorplan → routed layout products. The
-/// key is exactly those three fingerprints.
+/// key is exactly those three fingerprints, and the routed mask is
+/// checked against the deck the stack was derived from.
 ///
 /// # Errors
 ///
@@ -472,7 +479,7 @@ pub fn pnr_products(
         let tracer = engine.tracer();
         let out =
             place_and_route_traced(netlist, stack, floorplan, tracer).map_err(|e| e.to_string())?;
-        let drc = check_traced(&out.library, out.root, &RuleSet::mead_conway_nmos(), tracer)
+        let drc = check_traced(&out.library, out.root, stack.rules(), tracer)
             .map_err(|e| e.to_string())?;
         let extracted = silc_extract::extract_traced(&out.library, out.root, tracer)
             .map_err(|e| e.to_string())?;
@@ -500,14 +507,15 @@ pub fn pnr_products(
 }
 
 /// What `pnr_sil` and `verify_sil` both start from: the design's
-/// transistor netlist (elaborated, then extracted uncached), the one
-/// routing stack, and a [`Floorplan::squarish`] floorplan sized for it.
+/// transistor netlist (elaborated, then extracted uncached), the
+/// routing stack of the one deck, and a [`Floorplan::squarish`]
+/// floorplan sized for it.
 fn pnr_inputs(
     engine: &Engine,
     source: &str,
     stats: &mut JobStats,
 ) -> Result<(Netlist, RouteStack, Floorplan), String> {
-    let stack = RouteStack::mead_conway_nmos();
+    let stack = RouteStack::from_rules(deck()).map_err(|e| e.to_string())?;
     let design = elaborate(engine, source, stats)?;
     let extracted = silc_extract::extract_traced(&design.library, design.top, engine.tracer())
         .map_err(|e| format!("extract: {e}"))?;
@@ -517,7 +525,7 @@ fn pnr_inputs(
 
 /// The full `silc pnr` pipeline over SIL source: elaborate, extract the
 /// transistor netlist, place it into a [`Floorplan::squarish`]
-/// floorplan on [`RouteStack::mead_conway_nmos`], and route — every
+/// floorplan on the stack the one deck induces, and route — every
 /// front-end (CLI, batch `pnr` jobs, serve `pnr` requests) runs through
 /// here, so they share cache entries. Elaboration and extraction are
 /// themselves queries; the routed products come from [`pnr_products`].
@@ -804,8 +812,7 @@ pub fn compile_sil(
     let design = elaborate(engine, source, stats)?;
     let die = die_summary(engine, &design, stats)?;
     let drc = if options.check_drc {
-        let rules = RuleSet::mead_conway_nmos();
-        Some(drc_report(engine, &design, &rules, stats)?)
+        Some(drc_report(engine, &design, stats)?)
     } else {
         None
     };

@@ -58,6 +58,9 @@ pub struct LeafCell {
     pub rows: i64,
 }
 
+/// The narrowest track pitch that keeps the cell's internal spacings.
+pub(crate) const MIN_PITCH: Coord = 7;
+
 fn rect(x0: Coord, y0: Coord, x1: Coord, y1: Coord) -> Rect {
     Rect::new(Point::new(x0, y0), Point::new(x1, y1)).expect("cell rect has positive extent")
 }
@@ -66,9 +69,9 @@ fn rect(x0: Coord, y0: Coord, x1: Coord, y1: Coord) -> Rect {
 ///
 /// # Errors
 ///
-/// [`PnrError::UnsupportedKind`] for kinds outside `enh`/`dep`, and
-/// [`PnrError::BadStack`] when the stack pitch is too tight for the
-/// cell's internal spacings.
+/// [`PnrError::UnsupportedKind`] for kinds outside `enh`/`dep`. Every
+/// stack holds the cell: [`RouteStack::from_rules`] refuses a pitch
+/// below 7 lambda.
 pub fn leaf_cell(kind: &str, stack: &RouteStack) -> Result<LeafCell, PnrError> {
     if kind != "enh" && kind != "dep" {
         return Err(PnrError::UnsupportedKind {
@@ -76,13 +79,7 @@ pub fn leaf_cell(kind: &str, stack: &RouteStack) -> Result<LeafCell, PnrError> {
             kind: kind.to_string(),
         });
     }
-    let p = stack.pitch;
-    if p < 7 {
-        return Err(PnrError::BadStack {
-            stack: stack.name.clone(),
-            missing: "pitch below 7 lambda cannot hold the transistor cell",
-        });
-    }
+    let p = stack.pitch();
     // Local lambda frame: source pin at (2, 4), gate pin at (2+p, 4+2p),
     // drain pin at (2+2p, 4). All values below keep the Mead–Conway
     // rules internally and leave >= spacing to anything on neighbouring

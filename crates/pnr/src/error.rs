@@ -41,9 +41,10 @@ pub enum PnrError {
         /// Rip-up rounds spent before giving up.
         ripups: u64,
     },
-    /// The stack has no layer for a required direction.
+    /// The rule deck induces no stack the router and the cell library
+    /// can use.
     BadStack {
-        /// The stack name.
+        /// The deck's name.
         stack: String,
         /// What was missing.
         missing: &'static str,

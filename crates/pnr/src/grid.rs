@@ -15,8 +15,7 @@
 //! cell rect onto the sites it reaches, once per run, and the searches
 //! read only the table.
 
-use crate::stack::RouteStack;
-use silc_drc::RuleSet;
+use crate::stack::{RouteStack, LAYERS};
 use silc_geom::{Coord, Rect};
 use silc_layout::Layer;
 
@@ -47,12 +46,12 @@ pub(crate) fn admits(access: u32, net: u32) -> bool {
     access == FREE || access == net
 }
 
-/// The routing grid's node space: `(layer, col, row)` packed to `u32`.
+/// The routing grid's node space: `(layer, col, row)` packed to `u32`,
+/// one plane per router layer.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Grid {
     pub cols: i64,
     pub rows: i64,
-    pub layers: usize,
 }
 
 impl Grid {
@@ -61,7 +60,7 @@ impl Grid {
         (self.cols * self.rows) as usize
     }
     pub fn len(&self) -> usize {
-        self.layers * self.plane()
+        LAYERS.len() * self.plane()
     }
     pub fn idx(&self, l: usize, c: i64, r: i64) -> u32 {
         ((l as i64 * self.rows + r) * self.cols + c) as u32
@@ -109,25 +108,24 @@ impl Sites {
         let plane = grid.plane();
         let (pad, cut) = (|c, r| stack.pad_rect(c, r), |c, r| stack.cut_rect(c, r));
         let mut node = vec![FREE; grid.len()];
-        for (l, rl) in stack.layers.iter().enumerate() {
+        for (l, &(layer, _)) in LAYERS.iter().enumerate() {
             let sites = &mut node[l * plane..(l + 1) * plane];
-            for &(rect, net) in &tagged[rl.layer.index()] {
-                paint(sites, grid, stack, (rect, net), rl.spacing, pad);
+            for &(rect, net) in &tagged[layer.index()] {
+                paint(sites, grid, stack, (rect, net), stack.spacing(l), pad);
             }
-            if rl.layer == Layer::Poly {
-                let spacing =
-                    RuleSet::mead_conway_nmos().min_spacing(Layer::Poly, Layer::Diffusion);
+            if layer == Layer::Poly {
+                let spacing = stack.rules().min_spacing(Layer::Poly, Layer::Diffusion);
                 for &(rect, _) in &tagged[Layer::Diffusion.index()] {
                     paint(sites, grid, stack, (rect, BLOCKED), spacing, pad);
                 }
             }
         }
         let mut via = vec![FREE; plane];
-        for &tagged_cut in &tagged[stack.via.cut_layer.index()] {
-            paint(&mut via, grid, stack, tagged_cut, stack.via.spacing, cut);
+        for &tagged_cut in &tagged[Layer::Contact.index()] {
+            paint(&mut via, grid, stack, tagged_cut, stack.cut_spacing(), cut);
         }
         for (flat, access) in via.iter_mut().enumerate() {
-            *access = (0..grid.layers).fold(*access, |a, l| meet(a, node[l * plane + flat]));
+            *access = (0..LAYERS.len()).fold(*access, |a, l| meet(a, node[l * plane + flat]));
         }
         Sites { node, via }
     }
@@ -154,14 +152,15 @@ fn paint(
     spacing: Coord,
     probe: impl Fn(i64, i64) -> Rect,
 ) {
-    let reach = stack.via.pad() + spacing;
+    let reach = stack.pad() + spacing;
     let tracks = |lo: Coord, hi: Coord, origin: Coord, n: i64| {
-        let first = (lo - reach - origin).div_euclid(stack.pitch).max(0);
-        let last = (hi + reach - origin).div_euclid(stack.pitch).min(n - 1);
+        let first = (lo - reach - origin).div_euclid(stack.pitch()).max(0);
+        let last = (hi + reach - origin).div_euclid(stack.pitch()).min(n - 1);
         first..=last
     };
-    for r in tracks(rect.bottom(), rect.top(), stack.origin.y, grid.rows) {
-        for c in tracks(rect.left(), rect.right(), stack.origin.x, grid.cols) {
+    let origin = RouteStack::ORIGIN;
+    for r in tracks(rect.bottom(), rect.top(), origin.y, grid.rows) {
+        for c in tracks(rect.left(), rect.right(), origin.x, grid.cols) {
             if too_close(probe(c, r), rect, spacing) {
                 let site = &mut sites[(r * grid.cols + c) as usize];
                 *site = meet(*site, net);
@@ -174,6 +173,7 @@ fn paint(
 mod tests {
     use super::*;
     use crate::{gen::random_netlist, place, Floorplan};
+    use silc_drc::RuleSet;
     use silc_geom::{Point, RectIndex};
     use silc_trace::Tracer;
 
@@ -214,19 +214,17 @@ mod tests {
         fn build(stack: &RouteStack, tagged: &[Vec<(Rect, u32)>]) -> ObstructionMap {
             let layer = |l: Layer| LayerObs::build(&tagged[l.index()]);
             ObstructionMap {
-                layers: stack.layers.iter().map(|rl| layer(rl.layer)).collect(),
-                cuts: layer(stack.via.cut_layer),
+                layers: LAYERS.iter().map(|&(l, _)| layer(l)).collect(),
+                cuts: layer(Layer::Contact),
                 diff: layer(Layer::Diffusion).index,
-                poly_diff_spacing: RuleSet::mead_conway_nmos()
-                    .min_spacing(Layer::Poly, Layer::Diffusion),
+                poly_diff_spacing: stack.rules().min_spacing(Layer::Poly, Layer::Diffusion),
             }
         }
 
         fn can_occupy(&self, stack: &RouteStack, l: usize, col: i64, row: i64, net: u32) -> bool {
-            let rl = &stack.layers[l];
             let probe = stack.pad_rect(col, row);
-            !self.layers[l].conflicts(probe, rl.spacing, net)
-                && (rl.layer != Layer::Poly || self.clear_of_diffusion(probe))
+            !self.layers[l].conflicts(probe, stack.spacing(l), net)
+                && (LAYERS[l].0 != Layer::Poly || self.clear_of_diffusion(probe))
         }
 
         /// Poly may not touch or crowd diffusion, whatever the nets.
@@ -238,10 +236,10 @@ mod tests {
         }
 
         fn can_via(&self, stack: &RouteStack, col: i64, row: i64, net: u32) -> bool {
-            (0..stack.layers.len()).all(|l| self.can_occupy(stack, l, col, row, net))
+            (0..LAYERS.len()).all(|l| self.can_occupy(stack, l, col, row, net))
                 && !self
                     .cuts
-                    .conflicts(stack.cut_rect(col, row), stack.via.spacing, net)
+                    .conflicts(stack.cut_rect(col, row), stack.cut_spacing(), net)
         }
     }
 
@@ -250,31 +248,32 @@ mod tests {
     }
 
     /// The oracle and the table over an 8 x 8 grid.
-    fn both(tagged: &[Vec<(Rect, u32)>]) -> (RouteStack, ObstructionMap, Grid, Sites) {
-        let stack = RouteStack::mead_conway_nmos();
-        let grid = Grid {
-            cols: 8,
-            rows: 8,
-            layers: stack.layers.len(),
-        };
-        let obs = ObstructionMap::build(&stack, tagged);
-        let sites = Sites::build(&stack, grid, tagged);
-        (stack, obs, grid, sites)
+    fn both(stack: &RouteStack, tagged: &[Vec<(Rect, u32)>]) -> (ObstructionMap, Grid, Sites) {
+        let grid = Grid { cols: 8, rows: 8 };
+        let obs = ObstructionMap::build(stack, tagged);
+        let sites = Sites::build(stack, grid, tagged);
+        (obs, grid, sites)
     }
 
     /// `(occupy layer 0, occupy layer 1, via)` at `(col, row)` for
-    /// `net`, asserted equal between oracle and table.
-    fn ask(tagged: &[Vec<(Rect, u32)>], col: i64, row: i64, net: u32) -> (bool, bool, bool) {
-        let (stack, obs, grid, sites) = both(tagged);
+    /// `net` on `stack`, asserted equal between oracle and table.
+    fn ask(
+        stack: &RouteStack,
+        tagged: &[Vec<(Rect, u32)>],
+        col: i64,
+        row: i64,
+        net: u32,
+    ) -> (bool, bool, bool) {
+        let (obs, grid, sites) = both(stack, tagged);
         let table = (
             sites.occupy(grid.idx(0, col, row), net),
             sites.occupy(grid.idx(1, col, row), net),
             sites.via(grid, grid.idx(0, col, row), net),
         );
         let oracle = (
-            obs.can_occupy(&stack, 0, col, row, net),
-            obs.can_occupy(&stack, 1, col, row, net),
-            obs.can_via(&stack, col, row, net),
+            obs.can_occupy(stack, 0, col, row, net),
+            obs.can_occupy(stack, 1, col, row, net),
+            obs.can_via(stack, col, row, net),
         );
         assert_eq!(table, oracle, "({col}, {row}) for net {net}");
         table
@@ -282,7 +281,8 @@ mod tests {
 
     #[test]
     fn empty_map_is_free() {
-        assert_eq!(ask(&empty_tagged(), 3, 3, 7), (true, true, true));
+        let stack = RouteStack::mead_conway_nmos();
+        assert_eq!(ask(&stack, &empty_tagged(), 3, 3, 7), (true, true, true));
     }
 
     #[test]
@@ -291,11 +291,11 @@ mod tests {
         let mut tagged = empty_tagged();
         // Net 1 owns a via pad at crossing (2, 2).
         tagged[Layer::Metal.index()].push((stack.pad_rect(2, 2), 1));
-        let (_, metal, _) = ask(&tagged, 2, 2, 9);
+        let (_, metal, _) = ask(&stack, &tagged, 2, 2, 9);
         assert!(!metal, "same crossing blocked");
-        let (poly, metal, _) = ask(&tagged, 2, 2, 1);
+        let (poly, metal, _) = ask(&stack, &tagged, 2, 2, 1);
         assert!(poly && metal, "owner may reuse it; other layer unaffected");
-        let (_, metal, _) = ask(&tagged, 3, 2, 9);
+        let (_, metal, _) = ask(&stack, &tagged, 3, 2, 9);
         assert!(metal, "next track is legal");
     }
 
@@ -313,12 +313,33 @@ mod tests {
             .unwrap(),
             NO_NET,
         ));
-        let (poly, metal, via) = ask(&tagged, 4, 1, 3);
+        let (poly, metal, via) = ask(&stack, &tagged, 4, 1, 3);
         assert!(!poly, "poly blocked on the bar");
         assert!(!via, "via blocked on the bar");
         assert!(metal, "metal may cross");
-        let (poly, _, _) = ask(&tagged, 4, 3, 3);
+        let (poly, _, _) = ask(&stack, &tagged, 4, 3, 3);
         assert!(poly, "poly fine two rows up");
+    }
+
+    /// The table and its oracle keep poly as far from diffusion as the
+    /// stack's own deck says.
+    #[test]
+    fn poly_keeps_the_decks_own_distance_from_diffusion() {
+        let mut rules = RuleSet::mead_conway_nmos();
+        rules.set_min_spacing(Layer::Poly, Layer::Diffusion, 3);
+        let stack = RouteStack::from_rules(&rules).unwrap();
+        assert_eq!(stack.pitch(), 7);
+        // Diffusion 2 lambda east of the pad probe of crossing (4, 1).
+        let probe = stack.pad_rect(4, 1);
+        let corner = Point::new(probe.right() + 2, probe.bottom());
+        let diff = Rect::from_origin_size(corner, 2, probe.height()).unwrap();
+        let mut tagged = empty_tagged();
+        tagged[Layer::Diffusion.index()].push((diff, NO_NET));
+        let (poly, metal, _) = ask(&stack, &tagged, 4, 1, 3);
+        assert!(!poly, "2 lambda is inside the deck's 3");
+        assert!(metal, "metal may cross");
+        let (poly, _, _) = ask(&RouteStack::mead_conway_nmos(), &tagged, 4, 1, 3);
+        assert!(poly, "2 lambda clears Mead-Conway's 1");
     }
 
     #[test]
@@ -326,9 +347,9 @@ mod tests {
         let stack = RouteStack::mead_conway_nmos();
         let mut tagged = empty_tagged();
         tagged[Layer::Contact.index()].push((stack.cut_rect(2, 2), 1));
-        assert!(!ask(&tagged, 2, 2, 9).2, "coincident foreign cut");
-        assert!(ask(&tagged, 2, 2, 1).2, "own cut may stack");
-        assert!(ask(&tagged, 3, 2, 9).2, "one track over is clear");
+        assert!(!ask(&stack, &tagged, 2, 2, 9).2, "coincident foreign cut");
+        assert!(ask(&stack, &tagged, 2, 2, 1).2, "own cut may stack");
+        assert!(ask(&stack, &tagged, 3, 2, 9).2, "one track over is clear");
     }
 
     /// The three ways a probe's neighbourhood can meet: one net on both
@@ -347,10 +368,14 @@ mod tests {
         for (rects, want) in cases {
             let mut tagged = empty_tagged();
             tagged[Layer::Metal.index()] = rects.iter().map(|&(r, n)| (r.grow(1, 0), n)).collect();
-            let (_, _, grid, sites) = both(&tagged);
+            let (_, grid, sites) = both(&stack, &tagged);
             assert_eq!(sites.node[grid.idx(1, 2, 2) as usize], want, "{rects:?}");
             for net in [1, 2, 3] {
-                assert_eq!(ask(&tagged, 2, 2, net).1, admits(want, net), "{rects:?}");
+                assert_eq!(
+                    ask(&stack, &tagged, 2, 2, net).1,
+                    admits(want, net),
+                    "{rects:?}"
+                );
             }
         }
         assert_eq!(meet(FREE, FREE), FREE);
@@ -373,7 +398,6 @@ mod tests {
             let grid = Grid {
                 cols: fp.grid_cols(),
                 rows: fp.grid_rows(),
-                layers: stack.layers.len(),
             };
             let obs = ObstructionMap::build(&stack, &tagged);
             let sites = Sites::build(&stack, grid, &tagged);

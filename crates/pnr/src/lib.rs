@@ -1,9 +1,11 @@
-//! # silc-pnr — gridded place-and-route over a declared layer stack
+//! # silc-pnr — gridded place-and-route over a rule deck's layer stack
 //!
 //! The paper calls wiring management the central complexity problem of
 //! silicon compilation. This crate is the workspace's answer for
-//! arbitrary floorplans: a declared routing [`RouteStack`] (per-layer
-//! direction, pitch, via rules), a greedy row-based placer legalizing
+//! arbitrary floorplans: a routing [`RouteStack`] read from the DRC rule
+//! deck (vertical poly, horizontal metal, contact vias, one pitch), so a
+//! different process is a different [`silc_drc::RuleSet`], not a
+//! different router; a greedy row-based placer legalizing
 //! transistor netlists onto grid-aligned sites, and a per-net gridded
 //! maze router — A* over track crossings, layer changes via vias —
 //! running against a site-access table painted once per run from the
@@ -42,11 +44,12 @@ mod stack;
 pub use error::PnrError;
 pub use place::{place, Floorplan, PlacedCell, PlacedPin, Placement};
 pub use route::MAX_RIPUP_ROUNDS;
-pub use stack::{Dir, RouteLayer, RouteStack, ViaRule};
+pub use stack::RouteStack;
 
 use silc_layout::{Cell, CellId, Element, Library, Port};
 use silc_netlist::Netlist;
 use silc_trace::Tracer;
+use stack::{LAYERS, PIN_LAYER};
 
 /// Counters summarizing one place-and-route run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -133,10 +136,7 @@ pub fn place_and_route_traced(
             root.push_element(Element::rect(layer, r));
         }
     }
-    let pin_layer = stack
-        .layer_for_dir(Dir::Horiz)
-        .expect("checked during routing");
-    let port_layer = stack.layers[pin_layer].layer;
+    let port_layer = LAYERS[PIN_LAYER].0;
     let mut seen = std::collections::BTreeSet::new();
     let mut ports: Vec<(u32, Port)> = Vec::new();
     for cell in &placement.cells {

@@ -171,9 +171,9 @@ impl Placement {
 
 /// Lambda offset moving a leaf cell's local frame onto `site`.
 pub(crate) fn cell_offset(stack: &RouteStack, site: (i64, i64)) -> Vector {
-    // The leaf cell keeps its source pin at local (2, 4); site (a, b)
-    // must put it on crossing (a, b).
-    Vector::new(stack.track_x(site.0) - 2, stack.track_y(site.1) - 4)
+    // The leaf cell keeps its source pin at the stack origin, crossing
+    // (0, 0); site (a, b) must put it on crossing (a, b).
+    stack.crossing(site.0, site.1) - RouteStack::ORIGIN
 }
 
 /// Places `netlist` into `floorplan` on `stack`.

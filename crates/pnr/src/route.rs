@@ -27,7 +27,7 @@
 use crate::grid::{admits, Grid, Sites, FREE};
 use crate::place::Placement;
 use crate::queue::RadixQueue;
-use crate::stack::{Dir, RouteStack};
+use crate::stack::{Dir, RouteStack, LAYERS, PIN_LAYER};
 use crate::PnrError;
 use silc_geom::Rect;
 use silc_layout::Layer;
@@ -42,10 +42,8 @@ pub const MAX_RIPUP_ROUNDS: u64 = 256;
 struct NetTask {
     net: u32,
     name: String,
-    /// Pin crossings, sorted.
+    /// Pin crossings on [`PIN_LAYER`], sorted.
     pins: Vec<(i64, i64)>,
-    /// Stack layer the pins sit on (the metal layer).
-    pin_layer: usize,
 }
 
 /// A complete routed tree for one net.
@@ -105,7 +103,7 @@ pub(crate) fn net_geometry(stack: &RouteStack, segments: &[Vec<(usize, i64, i64)
             if end_of_run {
                 let (l, c1, r1) = path[start];
                 let (_, c2, r2) = path[i];
-                rects.push((stack.layers[l].layer, stack.run_rect(l, c1, r1, c2, r2)));
+                rects.push((LAYERS[l].0, stack.run_rect(l, c1, r1, c2, r2)));
                 start = i + 1;
             }
             if i + 1 < path.len() {
@@ -114,12 +112,12 @@ pub(crate) fn net_geometry(stack: &RouteStack, segments: &[Vec<(usize, i64, i64)
                 if la != lb {
                     // Layer change: cut plus a landing pad on each layer.
                     vias += 1;
-                    rects.push((stack.via.cut_layer, stack.cut_rect(ca, ra)));
+                    rects.push((Layer::Contact, stack.cut_rect(ca, ra)));
                     for l in [la, lb] {
-                        rects.push((stack.layers[l].layer, stack.pad_rect(ca, ra)));
+                        rects.push((LAYERS[l].0, stack.pad_rect(ca, ra)));
                     }
                 } else {
-                    wirelength += (stack.pitch * ((ca - cb).abs() + (ra - rb).abs())) as u64;
+                    wirelength += (stack.pitch() * ((ca - cb).abs() + (ra - rb).abs())) as u64;
                 }
             }
         }
@@ -164,14 +162,8 @@ impl Congestion {
 
 /// The in-grid nodes one track step from `(l, c, r)` along the layer's
 /// direction, west/south first, with their column and row.
-fn track_steps(
-    grid: Grid,
-    stack: &RouteStack,
-    l: usize,
-    c: i64,
-    r: i64,
-) -> impl Iterator<Item = (u32, i64, i64)> {
-    let (dc, dr) = match stack.layers[l].dir {
+fn track_steps(grid: Grid, l: usize, c: i64, r: i64) -> impl Iterator<Item = (u32, i64, i64)> {
+    let (dc, dr) = match LAYERS[l].1 {
         Dir::Horiz => (1i64, 0i64),
         Dir::Vert => (0, 1),
     };
@@ -187,25 +179,17 @@ fn track_steps(
 /// rather than dead-ending inside the cell (the node over the gate
 /// between a cell's two contacts is legal for metal but leads
 /// nowhere).
-fn has_onward(
-    grid: Grid,
-    stack: &RouteStack,
-    sites: &Sites,
-    net: u32,
-    node: u32,
-    pin: u32,
-) -> bool {
+fn has_onward(grid: Grid, sites: &Sites, net: u32, node: u32, pin: u32) -> bool {
     let (l, c, r) = grid.decode(node);
-    track_steps(grid, stack, l, c, r).any(|(m, _, _)| m != pin && sites.occupy(m, net))
+    track_steps(grid, l, c, r).any(|(m, _, _)| m != pin && sites.occupy(m, net))
         || sites.via(grid, node, net)
-            && (0..grid.layers).any(|l2| l2 != l && grid.idx(l2, c, r) != pin)
+            && (0..LAYERS.len()).any(|l2| l2 != l && grid.idx(l2, c, r) != pin)
 }
 
 /// Legal moves for `net` out of `cur`, skipping nodes already walked,
 /// nodes reserved for other nets, and dead ends.
 fn open_moves(
     grid: Grid,
-    stack: &RouteStack,
     sites: &Sites,
     net: u32,
     cur: u32,
@@ -213,10 +197,10 @@ fn open_moves(
     reserved: &[u32],
 ) -> Vec<u32> {
     let (l, c, r) = grid.decode(cur);
-    let steps = track_steps(grid, stack, l, c, r)
+    let steps = track_steps(grid, l, c, r)
         .map(|(m, _, _)| m)
         .filter(|&m| sites.occupy(m, net));
-    let vias = (0..grid.layers)
+    let vias = (0..LAYERS.len())
         .filter(|&l2| l2 != l && sites.via(grid, cur, net))
         .map(|l2| grid.idx(l2, c, r));
     steps
@@ -224,7 +208,7 @@ fn open_moves(
         .filter(|&m| {
             !visited.contains(&m)
                 && admits(reserved[m as usize], net)
-                && has_onward(grid, stack, sites, net, m, cur)
+                && has_onward(grid, sites, net, m, cur)
         })
         .collect()
 }
@@ -243,7 +227,6 @@ fn open_moves(
 /// reservation, which proves the placement unroutable.
 fn reserve_pin_accesses(
     grid: Grid,
-    stack: &RouteStack,
     sites: &Sites,
     tasks: &BTreeMap<u32, NetTask>,
 ) -> Result<Vec<u32>, (u32, FailInfo)> {
@@ -255,14 +238,12 @@ fn reserve_pin_accesses(
         let mut changed = false;
         for task in tasks.values() {
             for &(c, r) in &task.pins {
-                let pin = grid.idx(task.pin_layer, c, r);
+                let pin = grid.idx(PIN_LAYER, c, r);
                 let mut visited = vec![pin];
                 let mut cur = pin;
                 // Follow the chain of sole moves; a tree leaving this
                 // pin must traverse every node on it.
-                while let [only] =
-                    open_moves(grid, stack, sites, task.net, cur, &visited, &reserved)[..]
-                {
+                while let [only] = open_moves(grid, sites, task.net, cur, &visited, &reserved)[..] {
                     let owner = &mut reserved[only as usize];
                     if *owner == FREE {
                         *owner = task.net;
@@ -369,10 +350,11 @@ impl Search {
         } = self;
         let stamp = *stamp;
         queue.clear();
-        let via_cost = (stack.pitch + 5) as u64;
+        let pitch = stack.pitch() as u64;
+        let via_cost = pitch + 5;
         let (tl, tc, tr) = grid.decode(target);
         let h = |l: usize, c: i64, r: i64| -> u64 {
-            let manhattan = ((c - tc).abs() + (r - tr).abs()) as u64 * stack.pitch as u64;
+            let manhattan = ((c - tc).abs() + (r - tr).abs()) as u64 * pitch;
             manhattan + if l != tl { via_cost } else { 0 }
         };
 
@@ -425,9 +407,9 @@ impl Search {
             };
 
             // Track steps along the layer's direction.
-            for (next, nc, nr) in track_steps(grid, stack, l, c, r) {
+            for (next, nc, nr) in track_steps(grid, l, c, r) {
                 if sites.occupy(next, net) && congestion.allows(next, net) {
-                    let cost = stack.pitch as u64 + congestion.penalty(next);
+                    let cost = pitch + congestion.penalty(next);
                     relax(next, (l, nc, nr), cost);
                 }
             }
@@ -442,7 +424,7 @@ impl Search {
                 continue;
             }
             for l2 in [l.wrapping_sub(1), l + 1] {
-                if l2 >= grid.layers {
+                if l2 >= LAYERS.len() {
                     continue;
                 }
                 let next = grid.idx(l2, c, r);
@@ -467,12 +449,12 @@ fn route_net(
     task: &NetTask,
 ) -> Result<NetRoute, FailInfo> {
     search.tree_stamp += 1;
-    let first = grid.idx(task.pin_layer, task.pins[0].0, task.pins[0].1);
+    let first = grid.idx(PIN_LAYER, task.pins[0].0, task.pins[0].1);
     search.grow(first);
     let mut nodes = vec![first];
     let mut segments = Vec::new();
     for &(pc, pr) in &task.pins[1..] {
-        let target = grid.idx(task.pin_layer, pc, pr);
+        let target = grid.idx(PIN_LAYER, pc, pr);
         if search.in_tree(target) {
             continue;
         }
@@ -481,7 +463,7 @@ fn route_net(
         // one: mark the partner node so sharing detection sees the
         // full footprint.
         let vias = path.windows(2).filter(|w| w[0].0 != w[1].0);
-        let partners = vias.flat_map(|w| (0..grid.layers).map(move |l| (l, w[0].1, w[0].2)));
+        let partners = vias.flat_map(|w| (0..LAYERS.len()).map(move |l| (l, w[0].1, w[0].2)));
         for (l, c, r) in path.iter().copied().chain(partners) {
             let n = grid.idx(l, c, r);
             if search.grow(n) {
@@ -502,16 +484,9 @@ pub(crate) fn route_all(
     tracer: &Tracer,
 ) -> Result<RouteOutcome, PnrError> {
     let _span = tracer.span("pnr.route");
-    let pin_layer = stack
-        .layer_for_dir(Dir::Horiz)
-        .ok_or_else(|| PnrError::BadStack {
-            stack: stack.name.clone(),
-            missing: "no horizontal routing layer for pins",
-        })?;
     let grid = Grid {
         cols: placement.floorplan.grid_cols(),
         rows: placement.floorplan.grid_rows(),
-        layers: stack.layers.len(),
     };
 
     // Gather pins per net; a net is named by its first pin.
@@ -521,7 +496,6 @@ pub(crate) fn route_all(
             net: pin.net,
             name: pin.net_name.clone(),
             pins: Vec::new(),
-            pin_layer,
         });
         task.pins.push((pin.col, pin.row));
     }
@@ -537,8 +511,8 @@ pub(crate) fn route_all(
         let _span = tracer.span("pnr.sites");
         Sites::build(stack, grid, cell_rects)
     };
-    let reserved = reserve_pin_accesses(grid, stack, &sites, &tasks)
-        .map_err(|(net, fail)| unroutable(&tasks[&net], stack, fail, 0))?;
+    let reserved = reserve_pin_accesses(grid, &sites, &tasks)
+        .map_err(|(net, fail)| unroutable(&tasks[&net], fail, 0))?;
 
     let mut congestion = Congestion {
         users: vec![0; grid.len()],
@@ -557,7 +531,7 @@ pub(crate) fn route_all(
         .values()
         .map(|task| {
             route_net(grid, stack, &sites, &congestion, &mut search, task)
-                .map_err(|fail| unroutable(task, stack, fail, 0))
+                .map_err(|fail| unroutable(task, fail, 0))
         })
         .collect::<Result<_, _>>()?;
     let mut routes: BTreeMap<u32, NetRoute> = BTreeMap::new();
@@ -593,11 +567,11 @@ pub(crate) fn route_all(
                 .find(|&&n| congestion.shared(n))
                 .map(|&n| FailInfo::at(grid, n))
                 .unwrap_or(FailInfo {
-                    layer: pin_layer,
+                    layer: PIN_LAYER,
                     col: task.pins[0].0,
                     row: task.pins[0].1,
                 });
-            return Err(unroutable(task, stack, fail, ripup_rounds));
+            return Err(unroutable(task, fail, ripup_rounds));
         }
         ripup_rounds += 1;
         // Pressure (the price of standing on another net's node) ramps
@@ -608,7 +582,7 @@ pub(crate) fn route_all(
         // camping forever. With pressure capped, the camped node's
         // history eventually dwarfs any finite detour and the tie
         // breaks.
-        congestion.pressure = stack.pitch as u64 * rounds.min(16);
+        congestion.pressure = stack.pitch() as u64 * rounds.min(16);
         // Rotate the re-route order every round. With a fixed order
         // the lowest-id contested net always moves first and vacates
         // the shared node before anyone else looks, so a net parked on
@@ -628,7 +602,7 @@ pub(crate) fn route_all(
             }
             let task = &tasks[&net];
             let route = route_net(grid, stack, &sites, &congestion, &mut search, task)
-                .map_err(|fail| unroutable(task, stack, fail, ripup_rounds))?;
+                .map_err(|fail| unroutable(task, fail, ripup_rounds))?;
             for &n in &route.nodes {
                 congestion.users[n as usize] += 1;
             }
@@ -638,7 +612,7 @@ pub(crate) fn route_all(
         // Deepen history wherever sharing survived this round.
         for (history, &users) in congestion.history.iter_mut().zip(&congestion.users) {
             if users > 1 {
-                *history += stack.pitch as u64;
+                *history += stack.pitch() as u64;
             }
         }
     }
@@ -659,11 +633,11 @@ pub(crate) fn route_all(
     })
 }
 
-fn unroutable(task: &NetTask, stack: &RouteStack, fail: FailInfo, ripups: u64) -> PnrError {
+fn unroutable(task: &NetTask, fail: FailInfo, ripups: u64) -> PnrError {
     PnrError::Unroutable {
         net: task.name.clone(),
         pins: task.pins.len(),
-        layer: stack.layers[fail.layer].layer.to_string(),
+        layer: LAYERS[fail.layer].0.to_string(),
         col: fail.col,
         row: fail.row,
         ripups,

@@ -1,90 +1,55 @@
 //! The declared routing stack: which layers carry wires, in which
 //! direction, on what pitch, and how layer changes are made.
 //!
-//! The stack is *data*, not code: the placer and router consult it for
-//! every coordinate they emit, so a different process (different pitch,
-//! swapped directions, wider wires) is a different [`RouteStack`] value,
-//! not a different router. Stacks join incremental cache keys through
-//! [`Fingerprint`], so editing the stack invalidates routed results.
+//! The stack is a view of its rule deck, not a second description of
+//! the process: poly runs vertically and metal horizontally, contact
+//! cuts join them, and every width, spacing, cut and surround is read
+//! from the [`RuleSet`] the stack keeps. The placer and router consult
+//! it for every coordinate they emit, so a different process is a
+//! different [`RuleSet`], not a different router. Stacks join
+//! incremental cache keys through [`Fingerprint`], so editing the deck
+//! invalidates routed results.
 
+use crate::cells::MIN_PITCH;
 use crate::PnrError;
 use silc_drc::RuleSet;
 use silc_geom::{Coord, Fingerprint, FpHasher, Point, Rect};
 use silc_layout::Layer;
-use std::fmt;
 
-/// Preferred routing direction of one stack layer.
+/// Preferred (and, in this router, only) routing direction of a layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dir {
+pub(crate) enum Dir {
     /// Wires run left-to-right; tracks are rows.
     Horiz,
     /// Wires run bottom-to-top; tracks are columns.
     Vert,
 }
 
-impl fmt::Display for Dir {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Dir::Horiz => "horiz",
-            Dir::Vert => "vert",
-        })
-    }
-}
+/// The routing layers, bottom-up, each with its direction. A router
+/// layer id indexes this.
+pub(crate) const LAYERS: [(Layer, Dir); 2] = [(Layer::Poly, Dir::Vert), (Layer::Metal, Dir::Horiz)];
 
-/// One routable layer of the stack.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteLayer {
-    /// The mask layer wires are drawn on.
-    pub layer: Layer,
-    /// Preferred (and, in this router, only) direction.
-    pub dir: Dir,
-    /// Drawn wire width in lambda.
-    pub wire_width: Coord,
-    /// Same-layer spacing rule in lambda.
-    pub spacing: Coord,
-}
+/// The router layer id pins sit on: metal, the horizontal layer.
+pub(crate) const PIN_LAYER: usize = 1;
 
-/// How adjacent stack layers are joined.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ViaRule {
-    /// The cut mask layer.
-    pub cut_layer: Layer,
-    /// Square cut edge length in lambda.
-    pub cut: Coord,
-    /// Landing-pad surround beyond the cut on both joined layers.
-    pub surround: Coord,
-    /// Cut-to-cut spacing rule in lambda.
-    pub spacing: Coord,
-}
-
-impl ViaRule {
-    /// Edge length of the square landing pad a via places on each
-    /// joined layer.
-    pub fn pad(&self) -> Coord {
-        self.cut + 2 * self.surround
-    }
-}
-
-/// A full declared routing stack plus the track grid it induces.
+/// A rule deck seen as a routing stack, plus the track grid it induces.
 ///
 /// Track `(col, row)` crossings sit at
-/// `(origin.x + pitch*col, origin.y + pitch*row)` in lambda. The same
+/// `(ORIGIN.x + pitch*col, ORIGIN.y + pitch*row)` in lambda. The same
 /// pitch serves every layer so any crossing is a legal via site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteStack {
-    /// Stack name (joins cache keys and diagnostics).
-    pub name: String,
-    /// Routable layers, bottom-up. Index is the router's layer id.
-    pub layers: Vec<RouteLayer>,
-    /// Via rule joining adjacent stack layers.
-    pub via: ViaRule,
-    /// Track pitch in lambda, shared by all layers.
-    pub pitch: Coord,
-    /// Lambda position of track crossing `(0, 0)`.
-    pub origin: Point,
+    /// The deck every width, spacing, cut and surround is read from.
+    rules: RuleSet,
+    /// Track pitch in lambda, derived from `rules` once.
+    pitch: Coord,
 }
 
 impl RouteStack {
+    /// Lambda position of track crossing `(0, 0)`: where a leaf cell
+    /// placed at site `(0, 0)` has its source pin.
+    pub(crate) const ORIGIN: Point = Point::new(2, 4);
+
     /// The stack a lambda rule deck induces: poly runs vertically, metal
     /// horizontally, contact cuts join them, and every width, spacing
     /// and the via rule are read from `rules`, so the router cannot
@@ -95,46 +60,27 @@ impl RouteStack {
     ///
     /// [`PnrError::BadStack`] when the deck gives a wire or the cut no
     /// width, or that pitch would put cuts on adjacent tracks closer
-    /// than the deck's cut spacing.
+    /// than the deck's cut spacing or is too tight for the transistor
+    /// cell.
     pub fn from_rules(rules: &RuleSet) -> Result<RouteStack, PnrError> {
-        let layer = |layer, dir| RouteLayer {
-            layer,
-            dir,
-            wire_width: rules.min_width(layer),
-            spacing: rules.min_spacing(layer, layer),
+        let mut stack = RouteStack {
+            rules: rules.clone(),
+            pitch: 0,
         };
-        let layers = vec![
-            layer(Layer::Poly, Dir::Vert),
-            layer(Layer::Metal, Dir::Horiz),
-        ];
-        let via = ViaRule {
-            cut_layer: Layer::Contact,
-            cut: rules.min_width(Layer::Contact),
-            surround: rules
-                .contact_metal_surround
-                .max(rules.contact_lower_surround),
-            spacing: rules.min_spacing(Layer::Contact, Layer::Contact),
-        };
-        let pitch = via.pad() + layers.iter().map(|l| l.spacing).max().unwrap_or(0);
-        let drawable = via.cut > 0 && layers.iter().all(|l| l.wire_width > 0);
-        if !drawable || pitch < via.cut + via.spacing {
+        stack.pitch = stack.pad() + stack.spacing(0).max(stack.spacing(1));
+        let drawable = stack.cut() > 0 && (0..LAYERS.len()).all(|l| stack.wire_width(l) > 0);
+        if !drawable || stack.pitch < (stack.cut() + stack.cut_spacing()).max(MIN_PITCH) {
             return Err(PnrError::BadStack {
                 stack: rules.name.clone(),
-                missing: "widths and a pitch that clear its own spacing rules",
+                missing: "widths and a pitch that clear its own spacing rules and hold the transistor cell",
             });
         }
-        Ok(RouteStack {
-            name: rules.name.clone(),
-            layers,
-            via,
-            pitch,
-            origin: Point::new(2, 4),
-        })
+        Ok(stack)
     }
 
-    /// The Mead–Conway nMOS stack the rest of the workspace targets,
-    /// derived from [`RuleSet::mead_conway_nmos`]: 4x4 via pads under
-    /// the 3-lambda metal spacing rule give pitch 7.
+    /// The Mead–Conway nMOS stack, derived from
+    /// [`RuleSet::mead_conway_nmos`]: 4x4 via pads under the 3-lambda
+    /// metal spacing rule give pitch 7.
     ///
     /// # Panics
     ///
@@ -144,19 +90,59 @@ impl RouteStack {
             .expect("the Mead-Conway deck induces a legal stack")
     }
 
-    /// Router layer id carrying `dir`, if any.
-    pub fn layer_for_dir(&self, dir: Dir) -> Option<usize> {
-        self.layers.iter().position(|l| l.dir == dir)
+    /// The rule deck this stack was derived from: what the routed
+    /// layout is checked against.
+    pub fn rules(&self) -> &RuleSet {
+        &self.rules
+    }
+
+    /// Track pitch in lambda, shared by both layers.
+    pub fn pitch(&self) -> Coord {
+        self.pitch
+    }
+
+    /// Drawn wire width on router layer `l`: the deck's minimum width.
+    pub(crate) fn wire_width(&self, l: usize) -> Coord {
+        self.rules.min_width(LAYERS[l].0)
+    }
+
+    /// The deck's same-layer spacing on router layer `l`.
+    pub(crate) fn spacing(&self, l: usize) -> Coord {
+        let layer = LAYERS[l].0;
+        self.rules.min_spacing(layer, layer)
+    }
+
+    /// Edge of the square contact cut.
+    pub(crate) fn cut(&self) -> Coord {
+        self.rules.min_width(Layer::Contact)
+    }
+
+    /// Cut-to-cut spacing.
+    pub(crate) fn cut_spacing(&self) -> Coord {
+        self.rules.min_spacing(Layer::Contact, Layer::Contact)
+    }
+
+    /// Landing-pad surround beyond the cut on both joined layers.
+    fn surround(&self) -> Coord {
+        self.rules
+            .contact_metal_surround
+            .max(self.rules.contact_lower_surround)
+    }
+
+    /// Edge length of the square landing pad a via places on each
+    /// joined layer.
+    pub(crate) fn pad(&self) -> Coord {
+        self.cut() + 2 * self.surround()
     }
 
     /// Lambda x of vertical track `col`.
     pub fn track_x(&self, col: i64) -> Coord {
-        self.origin.x + self.pitch * col
+        Self::ORIGIN.x + self.pitch * col
     }
 
     /// Lambda y of horizontal track `row`.
     pub fn track_y(&self, row: i64) -> Coord {
-        self.origin.y + self.pitch * row
+        Self::ORIGIN.y + self.pitch * row
     }
 
     /// Lambda position of track crossing `(col, row)`.
@@ -166,29 +152,28 @@ impl RouteStack {
 
     /// The square via landing pad centered on crossing `(col, row)`.
     pub fn pad_rect(&self, col: i64, row: i64) -> Rect {
-        Rect::centered(self.crossing(col, row), self.via.pad(), self.via.pad())
+        Rect::centered(self.crossing(col, row), self.pad(), self.pad())
             .expect("via pad has positive extent")
     }
 
     /// The square via cut centered on crossing `(col, row)`.
     pub fn cut_rect(&self, col: i64, row: i64) -> Rect {
-        Rect::centered(self.crossing(col, row), self.via.cut, self.via.cut)
+        Rect::centered(self.crossing(col, row), self.cut(), self.cut())
             .expect("via cut has positive extent")
     }
 
-    /// The wire rectangle for a run on stack layer `l` between track
+    /// The wire rectangle for a run on router layer `l` between track
     /// crossings `(c1, r1)` and `(c2, r2)` (inclusive; for [`Dir::Horiz`]
     /// the rows must match, for [`Dir::Vert`] the columns). A
     /// single-crossing run yields a `width`-long stub.
-    pub fn run_rect(&self, l: usize, c1: i64, r1: i64, c2: i64, r2: i64) -> Rect {
-        let rl = &self.layers[l];
-        let w = rl.wire_width;
+    pub(crate) fn run_rect(&self, l: usize, c1: i64, r1: i64, c2: i64, r2: i64) -> Rect {
+        let w = self.wire_width(l);
         // Odd widths sit asymmetrically on the track: [t - w/2, t + w - w/2].
         let lo = w / 2;
         let hi = w - lo;
         let (xa, xb) = (self.track_x(c1.min(c2)), self.track_x(c1.max(c2)));
         let (ya, yb) = (self.track_y(r1.min(r2)), self.track_y(r1.max(r2)));
-        let r = match rl.dir {
+        let r = match LAYERS[l].1 {
             Dir::Horiz => Rect::new(Point::new(xa - lo, ya - lo), Point::new(xb + hi, ya + hi)),
             Dir::Vert => Rect::new(Point::new(xa - lo, ya - lo), Point::new(xa + hi, yb + hi)),
         };
@@ -196,22 +181,25 @@ impl RouteStack {
     }
 }
 
+/// The key covers the deck through the deck's name and the numbers
+/// routing reads from it, in the stream the stack wrote when it stored
+/// them itself: a second deck must carry its own name.
 impl Fingerprint for RouteStack {
     fn fp_hash(&self, h: &mut FpHasher) {
-        h.write_str(&self.name);
-        h.write_len(self.layers.len());
-        for l in &self.layers {
-            h.write_u32(l.layer.index() as u32);
-            h.write_u32(matches!(l.dir, Dir::Vert) as u32);
-            h.write_i64(l.wire_width);
-            h.write_i64(l.spacing);
+        h.write_str(&self.rules.name);
+        h.write_len(LAYERS.len());
+        for (l, &(layer, dir)) in LAYERS.iter().enumerate() {
+            h.write_u32(layer.index() as u32);
+            h.write_u32((dir == Dir::Vert) as u32);
+            h.write_i64(self.wire_width(l));
+            h.write_i64(self.spacing(l));
         }
-        h.write_u32(self.via.cut_layer.index() as u32);
-        h.write_i64(self.via.cut);
-        h.write_i64(self.via.surround);
-        h.write_i64(self.via.spacing);
+        h.write_u32(Layer::Contact.index() as u32);
+        h.write_i64(self.cut());
+        h.write_i64(self.surround());
+        h.write_i64(self.cut_spacing());
         h.write_i64(self.pitch);
-        self.origin.fp_hash(h);
+        Self::ORIGIN.fp_hash(h);
     }
 }
 
@@ -222,15 +210,11 @@ mod tests {
     #[test]
     fn nmos_stack_shape() {
         let s = RouteStack::mead_conway_nmos();
-        assert_eq!(s.layers.len(), 2);
-        assert_eq!(s.layers[0].layer, Layer::Poly);
-        assert_eq!(s.layers[1].layer, Layer::Metal);
-        assert_eq!(s.layer_for_dir(Dir::Horiz), Some(1));
-        assert_eq!(s.layer_for_dir(Dir::Vert), Some(0));
-        assert_eq!(s.via.pad(), 4);
+        assert_eq!(LAYERS[PIN_LAYER], (Layer::Metal, Dir::Horiz));
+        assert_eq!(s.pad(), 4);
         // Adjacent-track via pads keep the metal spacing rule.
-        let gap = s.pitch - s.via.pad();
-        assert!(gap >= s.layers[1].spacing);
+        let gap = s.pitch - s.pad();
+        assert!(gap >= s.spacing(PIN_LAYER));
     }
 
     /// The derived default is the stack the literals used to spell, to
@@ -238,10 +222,11 @@ mod tests {
     #[test]
     fn default_stack_keeps_its_numbers_and_its_fingerprint() {
         let s = RouteStack::mead_conway_nmos();
-        let widths_and_spacings: Vec<_> =
-            s.layers.iter().map(|l| (l.wire_width, l.spacing)).collect();
+        let widths_and_spacings: Vec<_> = (0..LAYERS.len())
+            .map(|l| (s.wire_width(l), s.spacing(l)))
+            .collect();
         assert_eq!(widths_and_spacings, [(2, 2), (3, 3)]);
-        assert_eq!((s.via.cut, s.via.surround, s.via.spacing), (2, 1, 2));
+        assert_eq!((s.cut(), s.surround(), s.cut_spacing()), (2, 1, 2));
         assert_eq!(s.pitch, 7);
         assert_eq!(s.fingerprint().to_hex(), "3edd1efb315da0ceadaefa89ffbccced");
     }
@@ -260,7 +245,7 @@ mod tests {
         rules.set_min_spacing(Layer::Metal, Layer::Metal, 4);
         assert!(!silc_drc::check_flat(&layers, &rules).is_clean());
         let wide = RouteStack::from_rules(&rules).unwrap();
-        assert_eq!((wide.layers[1].spacing, wide.pitch), (4, 8));
+        assert_eq!((wide.spacing(1), wide.pitch), (4, 8));
     }
 
     #[test]
@@ -271,6 +256,13 @@ mod tests {
         rules.set_min_spacing(Layer::Contact, Layer::Contact, 9); // pitch 7 leaves cuts 5 apart
         let err = RouteStack::from_rules(&rules).unwrap_err();
         assert!(err.to_string().contains("pitch"), "{err}");
+        // Pads 4 apart under spacing 2 give pitch 6: the rules clear, but
+        // the transistor cell's internal spacings do not.
+        let mut rules = RuleSet::mead_conway_nmos();
+        rules.set_min_spacing(Layer::Poly, Layer::Poly, 2);
+        rules.set_min_spacing(Layer::Metal, Layer::Metal, 2);
+        let err = RouteStack::from_rules(&rules).unwrap_err();
+        assert!(err.to_string().contains("transistor cell"), "{err}");
     }
 
     #[test]
@@ -290,8 +282,10 @@ mod tests {
     #[test]
     fn fingerprint_tracks_edits() {
         let a = RouteStack::mead_conway_nmos();
-        let mut b = a.clone();
-        b.pitch = 8;
+        let mut rules = a.rules().clone();
+        rules.set_min_spacing(Layer::Metal, Layer::Metal, 4);
+        let b = RouteStack::from_rules(&rules).unwrap();
+        assert_eq!(b.pitch, 8);
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 }
