@@ -46,8 +46,8 @@ pub enum PnrError {
     BadStack {
         /// The deck's name.
         stack: String,
-        /// What was missing.
-        missing: &'static str,
+        /// Why, naming the rule the deck breaks.
+        reason: String,
     },
 }
 
@@ -73,8 +73,8 @@ impl fmt::Display for PnrError {
                 f,
                 "net `{net}` ({pins} pins) is unroutable: search gave up on layer {layer} near track ({col}, {row}) after {ripups} rip-up rounds"
             ),
-            PnrError::BadStack { stack, missing } => {
-                write!(f, "stack `{stack}` is unusable: {missing}")
+            PnrError::BadStack { stack, reason } => {
+                write!(f, "stack `{stack}` is unusable: {reason}")
             }
         }
     }

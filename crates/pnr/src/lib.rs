@@ -5,8 +5,10 @@
 //! arbitrary floorplans: a routing [`RouteStack`] read from the DRC rule
 //! deck (vertical poly, horizontal metal, contact vias, one pitch), so a
 //! different process is a different [`silc_drc::RuleSet`], not a
-//! different router; a greedy row-based placer legalizing
-//! transistor netlists onto grid-aligned sites, and a per-net gridded
+//! different router, and which accepts a deck only when the checker
+//! finds the transistor cells it draws clean under it; a greedy
+//! row-based placer legalizing transistor netlists onto grid-aligned
+//! sites, picking each next cell from a lazy max-heap; and a per-net gridded
 //! maze router — A* over track crossings, layer changes via vias —
 //! running against a site-access table painted once per run from the
 //! cell geometry, with bounded rip-up-and-reroute. The heuristic is
@@ -32,7 +34,7 @@
 //! # Ok::<(), silc_pnr::PnrError>(())
 //! ```
 
-pub mod cells;
+mod cells;
 mod error;
 pub mod gen;
 mod grid;

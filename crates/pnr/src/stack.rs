@@ -6,11 +6,12 @@
 //! cuts join them, and every width, spacing, cut and surround is read
 //! from the [`RuleSet`] the stack keeps. The placer and router consult
 //! it for every coordinate they emit, so a different process is a
-//! different [`RuleSet`], not a different router. Stacks join
-//! incremental cache keys through [`Fingerprint`], so editing the deck
-//! invalidates routed results.
+//! different [`RuleSet`], not a different router. The transistor cells
+//! are drawn once per stack, and a deck is accepted only when the
+//! checker finds both clean under it. A stack's [`Fingerprint`] is its
+//! deck's, so editing any rule invalidates routed results.
 
-use crate::cells::MIN_PITCH;
+use crate::cells::{leaf_cell, LeafCell, KINDS};
 use crate::PnrError;
 use silc_drc::RuleSet;
 use silc_geom::{Coord, Fingerprint, FpHasher, Point, Rect};
@@ -43,6 +44,9 @@ pub struct RouteStack {
     rules: RuleSet,
     /// Track pitch in lambda, derived from `rules` once.
     pitch: Coord,
+    /// The transistor cells drawn on `pitch`, one per kind in
+    /// [`KINDS`] order.
+    cells: [LeafCell; 2],
 }
 
 impl RouteStack {
@@ -55,25 +59,41 @@ impl RouteStack {
     /// and the via rule are read from `rules`, so the router cannot
     /// disagree with the checker. The pitch is the via pad plus the
     /// widest same-layer spacing: adjacent-track pads clear every rule.
+    /// The `enh` and `dep` cells are drawn on that pitch here, once.
     ///
     /// # Errors
     ///
     /// [`PnrError::BadStack`] when the deck gives a wire or the cut no
-    /// width, or that pitch would put cuts on adjacent tracks closer
-    /// than the deck's cut spacing or is too tight for the transistor
-    /// cell.
+    /// width, when the pitch would put cuts on adjacent tracks closer
+    /// than the deck's cut spacing, or, naming the first violation, when
+    /// [`silc_drc::check_flat`] finds either transistor cell not clean
+    /// under the deck.
     pub fn from_rules(rules: &RuleSet) -> Result<RouteStack, PnrError> {
+        let refuse = |reason: String| PnrError::BadStack {
+            stack: rules.name.clone(),
+            reason,
+        };
         let mut stack = RouteStack {
             rules: rules.clone(),
             pitch: 0,
+            cells: Default::default(),
         };
         stack.pitch = stack.pad() + stack.spacing(0).max(stack.spacing(1));
         let drawable = stack.cut() > 0 && (0..LAYERS.len()).all(|l| stack.wire_width(l) > 0);
-        if !drawable || stack.pitch < (stack.cut() + stack.cut_spacing()).max(MIN_PITCH) {
-            return Err(PnrError::BadStack {
-                stack: rules.name.clone(),
-                missing: "widths and a pitch that clear its own spacing rules and hold the transistor cell",
-            });
+        if !drawable || stack.pitch < stack.cut() + stack.cut_spacing() {
+            return Err(refuse(
+                "it needs wire and cut widths and a pitch that clears its own cut spacing".into(),
+            ));
+        }
+        stack.cells = KINDS.map(|kind| leaf_cell(kind == "dep", stack.pitch));
+        for (kind, cell) in KINDS.iter().zip(&stack.cells) {
+            let mut layers = vec![Vec::new(); Layer::ALL.len()];
+            for &(layer, r, _) in &cell.rects {
+                layers[layer.index()].push(r);
+            }
+            if let Some(v) = silc_drc::check_flat(&layers, rules).violations.first() {
+                return Err(refuse(format!("its `{kind}` transistor cell breaks {v}")));
+            }
         }
         Ok(stack)
     }
@@ -99,6 +119,24 @@ impl RouteStack {
     /// Track pitch in lambda, shared by both layers.
     pub fn pitch(&self) -> Coord {
         self.pitch
+    }
+
+    /// The transistor cell this stack drew for `instance` of `kind`.
+    ///
+    /// # Errors
+    ///
+    /// [`PnrError::UnsupportedKind`], naming `instance`, for kinds
+    /// outside [`KINDS`].
+    pub(crate) fn cell(&self, instance: &str, kind: &str) -> Result<&LeafCell, PnrError> {
+        let unsupported = || PnrError::UnsupportedKind {
+            instance: instance.to_string(),
+            kind: kind.to_string(),
+        };
+        let i = KINDS
+            .iter()
+            .position(|&k| k == kind)
+            .ok_or_else(unsupported)?;
+        Ok(&self.cells[i])
     }
 
     /// Drawn wire width on router layer `l`: the deck's minimum width.
@@ -181,25 +219,12 @@ impl RouteStack {
     }
 }
 
-/// The key covers the deck through the deck's name and the numbers
-/// routing reads from it, in the stream the stack wrote when it stored
-/// them itself: a second deck must carry its own name.
+/// The stack is a view of its deck, and the router's layers, directions
+/// and origin are code, as every other stage's constants are: the key is
+/// the deck's.
 impl Fingerprint for RouteStack {
     fn fp_hash(&self, h: &mut FpHasher) {
-        h.write_str(&self.rules.name);
-        h.write_len(LAYERS.len());
-        for (l, &(layer, dir)) in LAYERS.iter().enumerate() {
-            h.write_u32(layer.index() as u32);
-            h.write_u32((dir == Dir::Vert) as u32);
-            h.write_i64(self.wire_width(l));
-            h.write_i64(self.spacing(l));
-        }
-        h.write_u32(Layer::Contact.index() as u32);
-        h.write_i64(self.cut());
-        h.write_i64(self.surround());
-        h.write_i64(self.cut_spacing());
-        h.write_i64(self.pitch);
-        Self::ORIGIN.fp_hash(h);
+        self.rules.fp_hash(h);
     }
 }
 
@@ -217,8 +242,8 @@ mod tests {
         assert!(gap >= s.spacing(PIN_LAYER));
     }
 
-    /// The derived default is the stack the literals used to spell, to
-    /// the cache key: routed results cached before the derivation hit.
+    /// The derived default is the stack the literals used to spell, and
+    /// its key is its deck's.
     #[test]
     fn default_stack_keeps_its_numbers_and_its_fingerprint() {
         let s = RouteStack::mead_conway_nmos();
@@ -228,7 +253,8 @@ mod tests {
         assert_eq!(widths_and_spacings, [(2, 2), (3, 3)]);
         assert_eq!((s.cut(), s.surround(), s.cut_spacing()), (2, 1, 2));
         assert_eq!(s.pitch, 7);
-        assert_eq!(s.fingerprint().to_hex(), "3edd1efb315da0ceadaefa89ffbccced");
+        assert_eq!(s.fingerprint(), s.rules().fingerprint());
+        assert_eq!(s.fingerprint().to_hex(), "3855b449014b61f864b238418d5ab44f");
     }
 
     /// One edit to the rule deck moves the checker's verdict and the
@@ -256,13 +282,19 @@ mod tests {
         rules.set_min_spacing(Layer::Contact, Layer::Contact, 9); // pitch 7 leaves cuts 5 apart
         let err = RouteStack::from_rules(&rules).unwrap_err();
         assert!(err.to_string().contains("pitch"), "{err}");
-        // Pads 4 apart under spacing 2 give pitch 6: the rules clear, but
-        // the transistor cell's internal spacings do not.
+        // The transistor cell draws 2-lambda cuts in 4-lambda pads: a
+        // deck that asks for wider cuts or surrounds is refused by name.
         let mut rules = RuleSet::mead_conway_nmos();
-        rules.set_min_spacing(Layer::Poly, Layer::Poly, 2);
-        rules.set_min_spacing(Layer::Metal, Layer::Metal, 2);
+        rules.set_min_width(Layer::Contact, 3);
         let err = RouteStack::from_rules(&rules).unwrap_err();
-        assert!(err.to_string().contains("transistor cell"), "{err}");
+        assert!(err.to_string().contains("contact width < 3"), "{err}");
+        let mut rules = RuleSet::mead_conway_nmos();
+        rules.contact_metal_surround = 2;
+        let err = RouteStack::from_rules(&rules).unwrap_err();
+        assert!(
+            err.to_string().contains("contact metal surround < 2"),
+            "{err}"
+        );
     }
 
     #[test]

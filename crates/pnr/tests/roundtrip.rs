@@ -97,3 +97,34 @@ fn medium_floorplan_routes_clean() {
     let extracted = silc_extract::extract(&out.library, out.root).unwrap();
     assert!(extracted.netlist.structurally_matches(&netlist));
 }
+
+/// Whether a deck holds the transistor cell is the checker's verdict:
+/// decks tighter than Mead–Conway whose rules the cell keeps (poly and
+/// metal spacing 1 and 2 under 4-lambda pads: pitches 5 and 6) are
+/// accepted, route clean under their own rules and extract back.
+#[test]
+fn tighter_decks_route_clean_under_their_own_rules() {
+    for (spacing, pitch) in [(1, 5), (2, 6)] {
+        let mut rules = RuleSet::mead_conway_nmos();
+        rules.set_min_spacing(Layer::Poly, Layer::Poly, spacing);
+        rules.set_min_spacing(Layer::Metal, Layer::Metal, spacing);
+        let stack = RouteStack::from_rules(&rules).expect("the cell is clean under the deck");
+        assert_eq!(stack.pitch(), pitch);
+        for seed in 0..4 {
+            let netlist = random_netlist(seed, 16);
+            let fp = Floorplan::squarish(16);
+            let out = place_and_route(&netlist, &stack, &fp, false).expect("routes");
+            let report = check_flat(&flat_layers(&out), &rules);
+            assert!(
+                report.is_clean(),
+                "spacing {spacing}, seed {seed}: {:?}",
+                report.violations
+            );
+            let extracted = silc_extract::extract(&out.library, out.root).unwrap();
+            assert!(
+                extracted.netlist.structurally_matches(&netlist),
+                "spacing {spacing}, seed {seed}"
+            );
+        }
+    }
+}
