@@ -47,7 +47,7 @@
 //! ```
 
 use silc_drc::{covered, merge_rects, Cover, Merged, UnionFind};
-use silc_geom::{Fingerprint, FpHasher, Point, Rect, RectIndex};
+use silc_geom::{Point, Rect, RectIndex};
 use silc_layout::{CellId, Layer, LayoutError, Library};
 use silc_netlist::{Netlist, NetlistError};
 use silc_trace::{span, Tracer};
@@ -115,18 +115,6 @@ impl Extracted {
     /// Number of recovered transistors.
     pub fn transistor_count(&self) -> usize {
         self.transistors.len()
-    }
-}
-
-impl Fingerprint for Extracted {
-    fn fp_hash(&self, h: &mut FpHasher) {
-        self.netlist.fp_hash(h);
-        h.write_len(self.transistors.len());
-        for (kind, at) in &self.transistors {
-            h.write_str(kind);
-            at.fp_hash(h);
-        }
-        h.write_len(self.nets);
     }
 }
 

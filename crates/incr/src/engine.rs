@@ -62,7 +62,7 @@ impl Stage {
         name: "cif",
         tag: 3,
     };
-    /// Design → extracted netlist summary.
+    /// Design → extracted transistor netlist.
     pub const EXTRACT: Stage = Stage {
         name: "extract",
         tag: 4,

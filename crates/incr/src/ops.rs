@@ -126,7 +126,7 @@ pub struct Op {
     pub verb: Verb,
     /// `compile`: skip DRC and emit CIF regardless.
     pub no_drc: bool,
-    /// `compile`: also extract the netlist summary.
+    /// `compile`: also extract the transistor netlist.
     pub extract: bool,
     /// `pla`: skip minimization.
     pub raw: bool,

@@ -8,8 +8,8 @@
 //! source ──elaborate──▶ Design ──die──▶ DieSummary
 //!                         ├──drc (+ the deck)──▶ Report
 //!                         ├──cif──▶ String
-//!                         ├──extract──▶ ExtractSnapshot
-//!                         └─(extract)─▶ Netlist ──pnr──▶ PnrSnapshot (routed CIF)
+//!                         └──extract──▶ ExtractSnapshot (netlist)
+//!                                          ├──pnr (+ the stack)──▶ PnrSnapshot (routed CIF)
 //!                                          └──verify (reads pnr's CIF)──▶ VerifySnapshot
 //! ISL source ─parse─▶ Machine ──sim──▶ SimSnapshot
 //!                        └──synth──▶ SynthSnapshot
@@ -19,7 +19,9 @@
 //! A comment-only SIL edit re-elaborates (cheap), finds the design
 //! fingerprint unchanged, and serves die/DRC/CIF/extract from cache. The
 //! die comes from the hierarchy, and DRC expands only a design it cannot
-//! prove clean from its hierarchy; no stage here expands one itself.
+//! prove clean from its hierarchy; no stage here expands one itself. A
+//! source design is extracted by the `extract` query alone, so a warm
+//! `pnr` or `verify` reads its netlist back and touches no geometry.
 //! Parsing ISL is likewise always live, so simulation results are keyed
 //! by the *machine*, making them immune to formatting edits.
 
@@ -77,22 +79,17 @@ persist!(FlatSnapshot {
     bbox
 });
 
-/// Extraction summary: everything LVS needs, without the full netlist.
+/// What a design extracts to: the transistor netlist that `pnr` places
+/// and `verify` proves, one instance per transistor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtractSnapshot {
-    /// Canonical netlist signature ([`silc_netlist::Netlist::isomorphic_signature`]).
-    pub signature: Vec<String>,
-    /// Recovered transistor count.
-    pub transistors: u64,
-    /// Electrically distinct nets.
+    /// The recovered transistor netlist.
+    pub netlist: Netlist,
+    /// Electrically distinct nets, floating ones included.
     pub nets: u64,
 }
 
-persist!(ExtractSnapshot {
-    signature,
-    transistors,
-    nets
-});
+persist!(ExtractSnapshot { netlist, nets });
 
 /// Simulation results: the final machine state the CLI prints, in
 /// declaration order.
@@ -257,11 +254,15 @@ pub fn die_summary(
     })
 }
 
-/// The one rule deck: every stage checks against it, and the `pnr`
-/// stage routes on the stack derived from it.
-fn deck() -> &'static RuleSet {
-    static DECK: OnceLock<RuleSet> = OnceLock::new();
-    DECK.get_or_init(RuleSet::mead_conway_nmos)
+/// The routing stack of the one rule deck, built (its cells drawn and
+/// checked) once per process: every stage checks against its deck
+/// ([`RouteStack::rules`]), and the `pnr` stage routes on it.
+fn stack() -> Result<&'static RouteStack, String> {
+    static STACK: OnceLock<Result<RouteStack, String>> = OnceLock::new();
+    let stack = STACK.get_or_init(|| {
+        RouteStack::from_rules(&RuleSet::mead_conway_nmos()).map_err(|e| e.to_string())
+    });
+    stack.as_ref().map_err(Clone::clone)
 }
 
 /// Design → DRC report against the one deck ([`silc_drc::check_traced`]:
@@ -276,7 +277,7 @@ pub fn drc_report(
     design: &Elaborated,
     stats: &mut JobStats,
 ) -> Result<Arc<Report>, String> {
-    let rules = deck();
+    let rules = stack()?.rules();
     let key = (design.key(), rules).fingerprint();
     engine.query(Stage::DRC, key, stats, || {
         check_traced(&design.library, design.top, rules, engine.tracer()).map_err(|e| e.to_string())
@@ -301,12 +302,13 @@ pub fn cif_text(
     })
 }
 
-/// Design → extracted netlist summary.
+/// Design → extracted transistor netlist: the one extraction of a
+/// source design, read by `compile --extract`, `pnr` and `verify`.
 ///
 /// # Errors
 ///
 /// Extraction errors (malformed transistors), rendered to strings.
-pub fn extract_signature(
+pub fn extract_netlist(
     engine: &Engine,
     design: &Elaborated,
     stats: &mut JobStats,
@@ -315,8 +317,7 @@ pub fn extract_signature(
         let extracted = silc_extract::extract_traced(&design.library, design.top, engine.tracer())
             .map_err(|e| e.to_string())?;
         Ok(ExtractSnapshot {
-            signature: extracted.netlist.isomorphic_signature(),
-            transistors: extracted.transistor_count() as u64,
+            netlist: extracted.netlist,
             nets: extracted.nets as u64,
         })
     })
@@ -443,7 +444,7 @@ pub fn pla_products(
         let mut lib = silc_layout::Library::new();
         let id =
             generate_layout_traced(&spec, &mut lib, "pla", tracer).map_err(|e| e.to_string())?;
-        let report = check_traced(&lib, id, deck(), tracer).map_err(|e| e.to_string())?;
+        let report = check_traced(&lib, id, stack()?.rules(), tracer).map_err(|e| e.to_string())?;
         let cif = CifWriter::new()
             .with_tracer(tracer.clone())
             .write_to_string(&lib, id)
@@ -506,29 +507,13 @@ pub fn pnr_products(
     })
 }
 
-/// What `pnr_sil` and `verify_sil` both start from: the design's
-/// transistor netlist (elaborated, then extracted uncached), the
-/// routing stack of the one deck, and a [`Floorplan::squarish`]
-/// floorplan sized for it.
-fn pnr_inputs(
-    engine: &Engine,
-    source: &str,
-    stats: &mut JobStats,
-) -> Result<(Netlist, RouteStack, Floorplan), String> {
-    let stack = RouteStack::from_rules(deck()).map_err(|e| e.to_string())?;
-    let design = elaborate(engine, source, stats)?;
-    let extracted = silc_extract::extract_traced(&design.library, design.top, engine.tracer())
-        .map_err(|e| format!("extract: {e}"))?;
-    let floorplan = Floorplan::squarish(extracted.netlist.instances().len());
-    Ok((extracted.netlist, stack, floorplan))
-}
-
 /// The full `silc pnr` pipeline over SIL source: elaborate, extract the
 /// transistor netlist, place it into a [`Floorplan::squarish`]
 /// floorplan on the stack the one deck induces, and route — every
 /// front-end (CLI, batch `pnr` jobs, serve `pnr` requests) runs through
 /// here, so they share cache entries. Elaboration and extraction are
-/// themselves queries; the routed products come from [`pnr_products`].
+/// themselves queries ([`extract_netlist`] is the one `compile
+/// --extract` asks); the routed products come from [`pnr_products`].
 ///
 /// # Errors
 ///
@@ -540,8 +525,11 @@ pub fn pnr_sil(
     source: &str,
     stats: &mut JobStats,
 ) -> Result<Arc<PnrSnapshot>, String> {
-    let (netlist, stack, floorplan) = pnr_inputs(engine, source, stats)?;
-    let out = pnr_products(engine, &netlist, &stack, &floorplan, false, stats)?;
+    let stack = stack()?;
+    let design = elaborate(engine, source, stats)?;
+    let netlist = &extract_netlist(engine, &design, stats)?.netlist;
+    let floorplan = Floorplan::squarish(netlist.instances().len());
+    let out = pnr_products(engine, netlist, stack, &floorplan, false, stats)?;
     if !out.drc.is_clean() {
         return Err(format!(
             "drc: routed layout has {} violation(s)",
@@ -696,14 +684,15 @@ pub fn verify_isl(
 
 /// Check 3: the routed mask vs. the input netlist — the functional
 /// upgrade of `structurally_matches` LVS. The key is the same
-/// `(netlist, stack, floorplan)` triple as [`pnr_products`], so a warm
-/// verify is a pure [`Stage::VERIFY`] hit. A cold one lowers the source
-/// netlist first, so a malformed one is refused before anything is
-/// routed; it then reads the routed CIF from [`pnr_products`], the one
-/// [`Stage::PNR`] entry `silc pnr` writes, parses it, extracts the cell
-/// its top level calls (the routed cell, which carries the port
-/// labels), and proves that equivalent to the source. The hits and
-/// misses of the PNR query count in `stats` too.
+/// `(netlist, stack, floorplan)` triple as [`pnr_products`], and the
+/// netlist is the [`Stage::EXTRACT`] entry, so a warm verify touches no
+/// geometry: it hits elaboration, extraction and the verdict. A cold
+/// one lowers the source netlist first, so a malformed one is refused
+/// before anything is routed; it then reads the routed CIF from
+/// [`pnr_products`], the one [`Stage::PNR`] entry `silc pnr` writes,
+/// parses it, extracts the cell its top level calls (the routed cell,
+/// which carries the port labels), and proves that equivalent to the
+/// source. The hits and misses of the PNR query count in `stats` too.
 ///
 /// # Errors
 ///
@@ -715,13 +704,16 @@ pub fn verify_sil(
     source: &str,
     stats: &mut JobStats,
 ) -> Result<Arc<VerifySnapshot>, String> {
-    let (netlist, stack, floorplan) = pnr_inputs(engine, source, stats)?;
-    let key = (("verify-sil", &netlist), (&stack, &floorplan)).fingerprint();
+    let stack = stack()?;
+    let design = elaborate(engine, source, stats)?;
+    let netlist = &extract_netlist(engine, &design, stats)?.netlist;
+    let floorplan = Floorplan::squarish(netlist.instances().len());
+    let key = (("verify-sil", netlist), (stack, &floorplan)).fingerprint();
     let mut pnr = JobStats::default();
     let verdict = engine.query(Stage::VERIFY, key, stats, || {
         let tracer = engine.tracer();
-        let spec_net = network_from_netlist(&netlist).map_err(|e| e.to_string())?;
-        let routed = pnr_products(engine, &netlist, &stack, &floorplan, false, &mut pnr)?;
+        let spec_net = network_from_netlist(netlist).map_err(|e| e.to_string())?;
+        let routed = pnr_products(engine, netlist, stack, &floorplan, false, &mut pnr)?;
         let mask = silc_cif::parse(&routed.cif).map_err(|e| format!("routed CIF: {e}"))?;
         let Some([call]) = mask.library.cell(mask.top).map(|top| top.instances()) else {
             return Err("routed CIF: the top level does not call exactly one cell".into());
@@ -766,7 +758,7 @@ pub fn verify_against(
 pub struct CompileOptions {
     /// Run DRC (and withhold CIF when violations are found).
     pub check_drc: bool,
-    /// Produce the extracted netlist summary.
+    /// Extract the design's transistor netlist.
     pub extract: bool,
 }
 
@@ -791,7 +783,7 @@ pub struct CompileOutput {
     pub drc: Option<Arc<Report>>,
     /// CIF text, when the layout is clean (or unchecked).
     pub cif: Option<Arc<String>>,
-    /// Extraction summary, when requested.
+    /// The extracted netlist, when requested.
     pub extract: Option<Arc<ExtractSnapshot>>,
 }
 
@@ -823,7 +815,7 @@ pub fn compile_sil(
         None
     };
     let extract = if options.extract {
-        Some(extract_signature(engine, &design, stats)?)
+        Some(extract_netlist(engine, &design, stats)?)
     } else {
         None
     };

@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use silc_incr::{compile_sil, CompileOptions, Engine, EngineConfig, JobStats};
+use silc_netlist::Netlist;
 use silc_trace::Tracer;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -38,7 +39,7 @@ fn observe(
     engine: &Engine,
     source: &str,
     stats: &mut JobStats,
-) -> Result<(Option<String>, String, Vec<String>), String> {
+) -> Result<(Option<String>, String, Option<Netlist>), String> {
     let out = compile_sil(engine, source, &options(), stats)?;
     Ok((
         out.cif.as_deref().cloned(),
@@ -46,10 +47,7 @@ fn observe(
             .as_deref()
             .map(ToString::to_string)
             .unwrap_or_default(),
-        out.extract
-            .as_deref()
-            .map(|e| e.signature.clone())
-            .unwrap_or_default(),
+        out.extract.as_deref().map(|e| e.netlist.clone()),
     ))
 }
 
@@ -131,6 +129,13 @@ fn disk_cache_round_trips_across_engines_and_survives_corruption() {
     let warm = observe(&persistent(&dir), &source, &mut warm_stats).expect("warm");
     assert_eq!(warm, cold);
     assert_eq!(warm_stats.misses, 0, "disk cache was not used");
+    // The netlist read back from disk is what extraction recovers.
+    let design = silc_lang::Compiler::new()
+        .compile(&source)
+        .expect("compiles");
+    let fresh = silc_extract::extract(&design.library, design.top).expect("extracts");
+    assert!(!fresh.netlist.instances().is_empty());
+    assert_eq!(warm.2, Some(fresh.netlist));
 
     // Vandalize every entry; the next run must recompute everything,
     // succeed, and still produce identical bytes.

@@ -15,6 +15,7 @@ use silc_incr::{
     SimSnapshot, SynthSnapshot, VerifySnapshot,
 };
 use silc_layout::{Cell, CellId, Element, Instance, Layer, Library, Port, Shape};
+use silc_netlist::{NetId, Netlist};
 
 fn check<T: Persist>(value: &T) -> Result<(), TestCaseError> {
     let mut e = Enc::new();
@@ -134,6 +135,23 @@ fn report(rng: R) -> Report {
         rects_checked,
     }
 }
+/// Names carry their index, so no two nets and no two instances share one.
+fn netlist(rng: R) -> Netlist {
+    let mut n = Netlist::new(text(rng));
+    let nets: Vec<NetId> = (0..rng.gen_range(0..6u32))
+        .map(|i| n.add_net(format!("{i}:{}", text(rng))))
+        .collect();
+    for i in 0..rng.gen_range(0..6u32) {
+        let pins = match nets.len() {
+            0 => Vec::new(),
+            k => list(rng, |rng| (text(rng), nets[rng.gen_range(0..k)])),
+        };
+        let pins: Vec<(&str, NetId)> = pins.iter().map(|(p, id)| (p.as_str(), *id)).collect();
+        n.add_instance(format!("{i}:{}", text(rng)), text(rng), &pins)
+            .unwrap();
+    }
+    n
+}
 fn named(rng: R) -> (String, u64) {
     (text(rng), num(rng))
 }
@@ -192,7 +210,7 @@ proptest! {
         let layers = list(rng, |rng| list(rng, rect));
         check(&FlatSnapshot { layers, flat_elements: n[0], bbox: flag.then(|| rect(rng)) })?;
         check(&DieSummary { flat_elements: n[1], bbox: flag.then(|| rect(rng)) })?;
-        check(&ExtractSnapshot { signature: list(rng, text), transistors: n[0], nets: n[1] })?;
+        check(&ExtractSnapshot { netlist: netlist(rng), nets: n[1] })?;
         let (state, regs, outputs) = (text(rng), list(rng, named), list(rng, named));
         check(&SimSnapshot { cycles: n[0], halted: flag, state, regs, outputs })?;
         let control = (n[0] as u32, n[1] as u32, n[2] as u32, n[3] as u32);

@@ -2,13 +2,14 @@
 //! (this file printed them there). A moved key orphans every cache
 //! directory in the field; a payload may move only with `FORMAT_VERSION`,
 //! and format 2 moved exactly one: a `Design` lost the four-byte raw id
-//! it used to write before each cell.
+//! it used to write before each cell. Format 3 moved only the `extract`
+//! payload: it holds the netlist (384 bytes of signature before).
 
 use silc_drc::RuleSet;
 use silc_exec::SimEngine;
 use silc_geom::{Fingerprint, FpHasher};
 use silc_incr::{
-    compile_sil, extract_signature, pla_products, pnr_products, sim_results, synth_allocation,
+    compile_sil, extract_netlist, pla_products, pnr_products, sim_results, synth_allocation,
     verify_pla, CompileOptions, Enc, Engine, JobStats, Persist, FORMAT_VERSION,
 };
 use silc_pnr::{gen::random_netlist, Floorplan, RouteStack};
@@ -48,7 +49,7 @@ fn payload<T: Persist>(value: &T) -> (usize, String) {
 
 #[test]
 fn keys_and_payloads_are_the_parents_but_for_the_design() {
-    assert_eq!(FORMAT_VERSION, 2);
+    assert_eq!(FORMAT_VERSION, 3);
     let engine = Engine::in_memory();
     let stats = &mut JobStats::default();
     let out = compile_sil(&engine, SIL, &CompileOptions::default(), stats).unwrap();
@@ -86,7 +87,7 @@ fn keys_and_payloads_are_the_parents_but_for_the_design() {
     assert_eq!(payload(&*out.design).0, 496 - 4 * 3);
     let drc = out.drc.as_ref().unwrap();
     assert_eq!(drc.violations.len(), 9);
-    let extract = extract_signature(&engine, &out.design, stats).unwrap();
+    let extract = extract_netlist(&engine, &out.design, stats).unwrap();
     let sim = sim_results(&engine, &machine, 100, stats).unwrap();
     let synth = synth_allocation(&engine, &machine, stats).unwrap();
     let pla = pla_products(&engine, PLA, false, stats).unwrap();
@@ -96,7 +97,7 @@ fn keys_and_payloads_are_the_parents_but_for_the_design() {
         // The die summary has no format-1 ancestor: pinned when added.
         (payload(&*out.die), 41, "1211dc274b1c9a14364d217d599bc6eb"),
         (payload(&**drc), 426, "29f5d4c5937b69a80724042168e6159a"),
-        (payload(&*extract), 384, "c08bac8ce0fcde88c656b9c8111f0737"),
+        (payload(&*extract), 998, "ac15a1a3e91a8f32410718b5d5117c72"),
         (payload(&*sim), 74, "41b1ff2c49c849a410c7be48860f6302"),
         (payload(&*synth), 237, "043ab953df11fe2b2ccc1ba62da2a381"),
         (payload(&*pla), 1106, "845293dc25193a45693857f905c1ba5e"),

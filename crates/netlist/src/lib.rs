@@ -25,7 +25,7 @@
 //! # Ok::<(), silc_netlist::NetlistError>(())
 //! ```
 
-use silc_geom::{Fingerprint, FpHasher};
+use silc_geom::{Dec, DecodeError, Fingerprint, FpHasher, Persist};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -341,6 +341,29 @@ impl Fingerprint for Netlist {
     }
 }
 
+/// The fingerprint stream read back through the constructors, so bytes
+/// no netlist hashes to (a net name twice, a connection past the last
+/// net, an instance name twice) are refused rather than merged.
+impl Persist for Netlist {
+    fn decode(d: &mut Dec<'_>) -> Result<Netlist, DecodeError> {
+        let mut netlist = Netlist::new(String::decode(d)?);
+        for name in Vec::<String>::decode(d)? {
+            if netlist.net_names.contains_key(&name) {
+                return Err(NetlistError::DuplicateName { name }.to_string());
+            }
+            netlist.add_net(name);
+        }
+        // Each instance: its name and kind, then its `(port, net id)` pins.
+        for ((name, kind), pins) in Vec::<((String, String), Vec<(String, u32)>)>::decode(d)? {
+            let pins: Vec<(&str, NetId)> = pins.iter().map(|(p, n)| (&**p, NetId(*n))).collect();
+            netlist
+                .add_instance(name, kind, &pins)
+                .map_err(|e| e.to_string())?;
+        }
+        Ok(netlist)
+    }
+}
+
 impl fmt::Display for Netlist {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -629,6 +652,69 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         let renamed = inverter_pair(["a2", "mid", "q", "vdd"]);
         assert_ne!(a.fingerprint(), renamed.fingerprint());
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Netlist, DecodeError> {
+        let mut d = Dec::new(bytes);
+        let netlist = Netlist::decode(&mut d)?;
+        assert!(d.is_done(), "decode left trailing bytes");
+        Ok(netlist)
+    }
+
+    #[test]
+    fn decoding_reads_back_the_netlist_and_its_fingerprint() {
+        for seed in 0..200 {
+            let n = seeded_netlist(seed);
+            let mut e = silc_geom::Enc::new();
+            n.encode(&mut e);
+            let bytes = e.into_bytes();
+            let back = decode(&bytes).unwrap();
+            assert_eq!(back, n, "seed {seed}");
+            assert_eq!(back.fingerprint(), n.fingerprint(), "seed {seed}");
+            if seed < 4 {
+                for cut in 0..bytes.len() {
+                    assert!(decode(&bytes[..cut]).is_err(), "seed {seed}, cut {cut}");
+                }
+            }
+        }
+    }
+
+    /// The stream of a netlist `t` with `nets`, and one `enh` instance
+    /// per `(name, net id)` whose gate is that net.
+    fn stream(nets: &[&str], instances: &[(&str, u32)]) -> Vec<u8> {
+        let mut h = FpHasher::buffer();
+        h.write_str("t");
+        h.write_len(nets.len());
+        nets.iter().for_each(|n| h.write_str(n));
+        h.write_len(instances.len());
+        for (name, net) in instances {
+            h.write_str(name);
+            h.write_str("enh");
+            h.write_len(1);
+            h.write_str("gate");
+            h.write_u32(*net);
+        }
+        h.into_bytes()
+    }
+
+    #[test]
+    fn streams_no_netlist_writes_are_refused() {
+        assert!(decode(&stream(&["a", "b"], &[("i", 1), ("j", 0)])).is_ok());
+        let refused = [
+            (stream(&["a", "a"], &[]), "name `a` already used"),
+            (stream(&["a"], &[("i", 1)]), "unknown net id 1"),
+            (
+                stream(&["a"], &[("i", u32::MAX)]),
+                "unknown net id 4294967295",
+            ),
+            (
+                stream(&["a"], &[("i", 0), ("i", 0)]),
+                "name `i` already used",
+            ),
+        ];
+        for (bytes, error) in refused {
+            assert_eq!(decode(&bytes).unwrap_err(), error);
+        }
     }
 
     #[test]

@@ -424,7 +424,8 @@ fn execute(
                         ("die", Json::Arr(die.to_vec())),
                     ];
                     if let Some(ex) = &out.extract {
-                        let counts = [("transistors", ex.transistors), ("nets", ex.nets)];
+                        let transistors = ex.netlist.instances().len() as u64;
+                        let counts = [("transistors", transistors), ("nets", ex.nets)];
                         let counts = counts.map(|(name, n)| (name.to_string(), int(n)));
                         fields.push(("extract", Json::Obj(counts.to_vec())));
                     }

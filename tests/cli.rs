@@ -885,7 +885,7 @@ fn compile_fixture(dir: &std::path::Path, extra: &[&str]) -> (Vec<u8>, String) {
 
 /// `tests/fixtures/cache-v1` is the cache directory the last format-1
 /// binary wrote for `d.sil`, raw cell ids in its `Design` payload
-/// included. Format 2 must refuse every entry by
+/// included. Every later format must refuse every entry by
 /// its version — never decode a v1 `Design` — recompute, print what a
 /// cold run prints, and leave a cache the next run hits.
 #[test]
@@ -900,29 +900,32 @@ fn format_1_cache_directory_is_a_warned_recompute() {
     // A compile still asks for the elaborate and cif entries under their
     // old keys. DRC is keyed by the design now, and nothing flattens, so
     // the other two are orphans and never read.
-    assert_eq!(
-        err.matches("format version 1, expected 2").count(),
-        2,
-        "{err}"
-    );
+    let refused = format!("format version 1, expected {}", silc::incr::FORMAT_VERSION);
+    assert_eq!(err.matches(&refused).count(), 2, "{err}");
     assert!(err.ends_with(&cold_err), "{err}");
-    // The entries were overwritten as format 2: warm, silent, identical.
+    // The entries were overwritten in this format: warm, silent, identical.
     let (warm_out, warm_err) = compile_fixture(&dir, &cached);
     assert_eq!((warm_out, warm_err), (cold_out, cold_err));
 }
 
 /// `tests/fixtures/cache-v2` is the cache directory a format-2 binary
-/// wrote for `d.sil` with every decoder hand-written in `silc-incr`. The
-/// decoders that sit with their types, most of them generated from one
-/// field list, must read every entry back: four hits, no warning, what a
-/// cold run prints.
+/// wrote for `d.sil`. Format 3 moved only the `extract` payload, which a
+/// compile does not ask, but the version guards every entry: all four
+/// are refused by it, the compile prints what a cold run prints, and the
+/// next run reads all four back, silent and identical.
 #[test]
-fn format_2_cache_directory_is_warm() {
+fn format_2_cache_directory_is_a_warned_recompute() {
     let (dir, entries) = fixture_cache("cache-v2");
     assert_eq!(entries, 4, "elaborate, die, drc, cif");
     let cache = dir.join("cache");
+    let cached = ["--cache", cache.to_str().unwrap(), "--stats"];
     let (cold_out, cold_err) = compile_fixture(&dir, &["--no-cache"]);
-    let (out, err) = compile_fixture(&dir, &["--cache", cache.to_str().unwrap(), "--stats"]);
+    let (out, err) = compile_fixture(&dir, &cached[..2]);
+    assert_eq!(out, cold_out);
+    let refused = format!("format version 2, expected {}", silc::incr::FORMAT_VERSION);
+    assert_eq!(err.matches(&refused).count(), 4, "{err}");
+    assert!(err.ends_with(&cold_err), "{err}");
+    let (out, err) = compile_fixture(&dir, &cached);
     assert_eq!(out, cold_out);
     let stats = err
         .strip_prefix(&cold_err)
@@ -1299,12 +1302,12 @@ fn pnr_then_verify_routes_once() {
             "verify routed again (`{stage}`): {stderr}"
         );
     }
-    // Elaboration and the routed products are read from disk.
+    // Elaboration, extraction and the routed products are read from disk.
     let disk_hits = stderr
         .lines()
         .find_map(|l| l.strip_prefix("incr.disk_hit"))
         .map(|v| v.trim().parse::<u64>().unwrap());
-    assert_eq!(disk_hits, Some(2), "{stderr}");
+    assert_eq!(disk_hits, Some(3), "{stderr}");
 
     // Apart from the stats, the verify says what an uncached one says.
     let fresh = run_on(&["verify", "--no-cache"], &sil, None);
@@ -1353,6 +1356,90 @@ fn verify_reads_the_mask_that_pnr_stored() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("silc: verify: routed CIF: "), "{stderr}");
     assert!(!stderr.contains("panic"), "{stderr}");
+}
+
+/// A warm `pnr` or `verify` reads back the netlist the `extract` query
+/// stored: it extracts nothing, misses nothing, and prints what the cold
+/// run printed. The stored netlist decodes to itself, fingerprint and all.
+#[test]
+fn warm_pnr_and_verify_extract_nothing() {
+    use silc::geom::{Dec, Enc, Fingerprint, Persist};
+    use silc::incr::{elaborate, extract_netlist, Engine, ExtractSnapshot, JobStats};
+    let dir = temp_dir("warm-extract");
+    for (verb, source) in [("pnr", PNR_SIL), ("verify", common::TWO_INVERTERS)] {
+        let (engine, stats) = (Engine::in_memory(), &mut JobStats::default());
+        let design = elaborate(&engine, source, stats).expect("elaborates");
+        let extracted = extract_netlist(&engine, &design, stats).expect("extracts");
+        let mut e = Enc::new();
+        extracted.encode(&mut e);
+        let back = ExtractSnapshot::decode(&mut Dec::new(&e.into_bytes())).expect("decodes");
+        assert_eq!(back, *extracted);
+        assert_eq!(back.netlist.fingerprint(), extracted.netlist.fingerprint());
+
+        let sil = dir.join(format!("{verb}.sil"));
+        std::fs::write(&sil, source).unwrap();
+        let cache = dir.join(format!("{verb}-cache"));
+        let cold = run_on(&[verb, "--stats"], &sil, Some(&cache));
+        assert!(cold.status.success(), "{cold:?}");
+        let cold_err = String::from_utf8_lossy(&cold.stderr);
+        assert!(cold_err.contains("extract.netlist"), "{cold_err}");
+        let warm = run_on(&[verb, "--stats"], &sil, Some(&cache));
+        assert!(warm.status.success(), "{warm:?}");
+        assert_eq!(warm.stdout, cold.stdout);
+        assert_eq!(without_stats(&warm.stderr), without_stats(&cold.stderr));
+        let stderr = String::from_utf8_lossy(&warm.stderr);
+        assert!(
+            !stderr
+                .lines()
+                .any(|l| l.starts_with("extract.") || l.starts_with("incr.miss")),
+            "warm {verb}: {stderr}"
+        );
+    }
+}
+
+/// An `extract` entry whose bytes no netlist writes (stored under a good
+/// checksum, so only the decoder can refuse it) is a warned recompute:
+/// `pnr` prints what an uncached run prints, and never panics.
+#[test]
+fn a_damaged_extract_entry_is_a_warned_recompute() {
+    use silc::incr::{elaborate, DiskCache, Engine, JobStats, Stage};
+    let dir = temp_dir("damaged-extract");
+    let sil = dir.join("d.sil");
+    std::fs::write(&sil, common::TWO_INVERTERS).unwrap();
+    let fresh = run_on(&["pnr"], &sil, None);
+    assert!(fresh.status.success(), "{fresh:?}");
+    let cache = dir.join("cache");
+    assert!(run_on(&["pnr"], &sil, Some(&cache)).status.success());
+    let design = elaborate(
+        &Engine::in_memory(),
+        common::TWO_INVERTERS,
+        &mut JobStats::default(),
+    )
+    .expect("elaborates");
+    let damages: [fn(&mut Vec<u8>); 2] = [
+        |payload| payload.truncate(payload.len() / 2),
+        // The last connection's net id, before the trailing net count.
+        |payload| {
+            let at = payload.len() - 12;
+            payload[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        },
+    ];
+    for damage in damages {
+        let disk = DiskCache::open(&cache).unwrap();
+        let mut payload = disk.load(Stage::EXTRACT, design.key()).expect("stored");
+        damage(&mut payload);
+        assert!(disk.store(Stage::EXTRACT, design.key(), &payload) > 0);
+        let out = run_on(&["pnr"], &sil, Some(&cache));
+        assert!(out.status.success(), "{out:?}");
+        assert_eq!(out.stdout, fresh.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let warning = "silc-incr: warning: undecodable `extract` cache entry (";
+        assert!(stderr.starts_with(warning), "{stderr}");
+        assert!(
+            stderr.ends_with(&*String::from_utf8_lossy(&fresh.stderr)),
+            "{stderr}"
+        );
+    }
 }
 
 #[test]

@@ -276,9 +276,10 @@ fn deadline_that_expires_inside_pnr_is_a_timeout_and_the_worker_serves_on() {
     handle.shutdown();
 }
 
-/// `verify` of a SIL design reads the `pnr` entry a served `pnr` of the
-/// same source wrote: it misses one query fewer than after a `compile`,
-/// which shares the elaboration alone.
+/// `verify` of a SIL design reads the `extract` and `pnr` entries a
+/// served `pnr` of the same source wrote, so it misses the verdict alone.
+/// After a `compile`, which shares the elaboration alone, it also misses
+/// the extraction and the routing.
 #[test]
 fn served_verify_reads_the_routing_a_served_pnr_stored() {
     let verify = format!(
@@ -306,8 +307,8 @@ fn served_verify_reads_the_routing_a_served_pnr_stored() {
         };
         (count("cache_misses"), count("cache_hits"))
     };
-    let (misses, hits) = after("compile");
-    assert_eq!(after("pnr"), (misses - 1, hits + 1));
+    assert_eq!(after("compile"), (3, 1));
+    assert_eq!(after("pnr"), (1, 3));
 }
 
 /// The served twin of the CLI's planted-entry test: a stored mask with
