@@ -5,8 +5,12 @@
 //!
 //! ```text
 //! magic "SILCINCR" | format version u32 | stage tag u8 | key fp 16B |
-//! payload len u64  | payload            | FNV-128 checksum of payload
+//! payload len u64  | payload            | checksum of payload 16B
 //! ```
+//!
+//! The checksum is the payload's [`silc_geom::Fingerprint`] digest
+//! (MurmurHash3 x64_128 over the stored bytes), which is also the
+//! value's fingerprint: the stored bytes are its `fp_hash` stream.
 //!
 //! Loading is **corruption-tolerant by construction**: any mismatch —
 //! wrong magic, stale version, foreign stage or key, truncation, bad
@@ -30,8 +34,9 @@ const MAGIC: &[u8; 8] = b"SILCINCR";
 /// persisted type's [`crate::Persist`] encoding. Old entries are then
 /// ignored (and overwritten), not misread. Version 2: a `Design` no
 /// longer carries a raw id before each cell (ids are dense). Version 3:
-/// an `extract` entry holds the netlist, not its signature.
-pub const FORMAT_VERSION: u32 = 3;
+/// an `extract` entry holds the netlist, not its signature. Version 4:
+/// keys and checksums are MurmurHash3 x64_128 digests, not FNV-1a.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Handle to a cache directory.
 #[derive(Debug)]

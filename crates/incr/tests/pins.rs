@@ -4,10 +4,15 @@
 //! and format 2 moved exactly one: a `Design` lost the four-byte raw id
 //! it used to write before each cell. Format 3 moved only the `extract`
 //! payload: it holds the netlist (384 bytes of signature before).
+//!
+//! Format 4 moved every key and no payload: fingerprints became
+//! MurmurHash3 x64_128 digests, so the keys were pinned again, once. The
+//! payloads are still pinned as the FNV-1a/128 digests of their stored
+//! bytes, which is what proves that no byte stream moved with the hash.
 
 use silc_drc::RuleSet;
 use silc_exec::SimEngine;
-use silc_geom::{Fingerprint, FpHasher};
+use silc_geom::Fingerprint;
 use silc_incr::{
     compile_sil, extract_netlist, pla_products, pnr_products, sim_results, synth_allocation,
     verify_pla, CompileOptions, Enc, Engine, JobStats, Persist, FORMAT_VERSION,
@@ -37,19 +42,34 @@ const ISL: &str = "machine counter {
 
 const PLA: &str = ".i 3\n.o 2\n.ilb a b c\n.ob x y\n11- 10\n1-1 10\n-11 01\n000 01\n";
 
-/// Length and FNV-128 of a value's stored bytes.
+/// FNV-1a/128 of `bytes`, the digest these pins were taken with before
+/// fingerprints moved to MurmurHash3: kept here so a pin still proves
+/// that no byte stream moved.
+fn fnv1a_128(bytes: &[u8]) -> String {
+    let digest = bytes
+        .iter()
+        .fold(0x6c62272e07bb014262b821756295c58d_u128, |h, &b| {
+            (h ^ u128::from(b)).wrapping_mul(0x0000000001000000000000000000013b)
+        });
+    format!("{digest:032x}")
+}
+
+#[test]
+fn the_reference_is_fnv_1a_128() {
+    assert_eq!(fnv1a_128(b"a"), "d228cb696f1a8caf78912b704e4a8964");
+}
+
+/// Length and FNV-1a/128 digest of a value's stored bytes.
 fn payload<T: Persist>(value: &T) -> (usize, String) {
     let mut e = Enc::new();
     value.encode(&mut e);
     let bytes = e.into_bytes();
-    let mut h = FpHasher::new();
-    h.write(&bytes);
-    (bytes.len(), h.finish().to_hex())
+    (bytes.len(), fnv1a_128(&bytes))
 }
 
 #[test]
 fn keys_and_payloads_are_the_parents_but_for_the_design() {
-    assert_eq!(FORMAT_VERSION, 3);
+    assert_eq!(FORMAT_VERSION, 4);
     let engine = Engine::in_memory();
     let stats = &mut JobStats::default();
     let out = compile_sil(&engine, SIL, &CompileOptions::default(), stats).unwrap();
@@ -60,22 +80,21 @@ fn keys_and_payloads_are_the_parents_but_for_the_design() {
     let keys = [
         (
             (SIL, silc_lang::PRELUDE).fingerprint(),
-            "216d38f4edb9b87a4dae540870ef6b7c",
+            "b565950742968587efc8e19666fe0a3a",
         ),
-        (out.design.fingerprint(), "b6bb75d3e6fcc0207f669da5a911eb6b"),
+        (out.design.fingerprint(), "7b8b836571968e82b2cbdb960357bef9"),
         (
             RuleSet::mead_conway_nmos().fingerprint(),
-            "3855b449014b61f864b238418d5ab44f",
+            "1d52e659e669b093414547b374073984",
         ),
-        // The stack's key is its deck's (it was `3edd1efb…`, a stream of
-        // the deck's name and routing numbers): old `pnr` entries miss.
-        (stack.fingerprint(), "3855b449014b61f864b238418d5ab44f"),
-        (netlist.fingerprint(), "698b8e8fe17ad05861af19452e68228e"),
-        (machine.fingerprint(), "6b2eebbceb50093d011be6e2150660db"),
+        // The stack's key is its deck's.
+        (stack.fingerprint(), "1d52e659e669b093414547b374073984"),
+        (netlist.fingerprint(), "4b717aa14d4349688c7a6b49e90ec14c"),
+        (machine.fingerprint(), "2062a87b0a121820f59f1e53d3e309f6"),
         // The SIM key as a whole, its engine tag included.
         (
             (&machine, 100u64, SimEngine::Compiled.tag()).fingerprint(),
-            "f0b5f999098c4e22815b309054c76e65",
+            "61cdadd97acca3dd7830e24712159a7c",
         ),
     ];
     for (key, pinned) in keys {

@@ -1,10 +1,11 @@
 //! Diagnostics and designs pinned at the last commit whose front end
 //! copied the program (this file printed every value there): the text,
-//! line and column of each error, and the fingerprint of each design.
+//! line and column of each error, and the fingerprint stream of each
+//! design (as its FNV-1a/128 digest).
 
 mod gen;
 
-use silc_geom::Fingerprint;
+use silc_geom::{Fingerprint, FpHasher};
 use silc_lang::Compiler;
 
 /// `(source, what the compiler says)`. Columns count bytes, an error after
@@ -344,9 +345,30 @@ const DIAGNOSTICS: &[(&str, &str)] = &[
     ),
 ];
 
+/// FNV-1a/128 of `bytes`, the digest these pins were taken with before
+/// fingerprints moved to MurmurHash3: kept here so a pin still proves
+/// that no byte stream moved.
+fn fnv1a_128(bytes: &[u8]) -> String {
+    let digest = bytes
+        .iter()
+        .fold(0x6c62272e07bb014262b821756295c58d_u128, |h, &b| {
+            (h ^ u128::from(b)).wrapping_mul(0x0000000001000000000000000000013b)
+        });
+    format!("{digest:032x}")
+}
+
+#[test]
+fn the_reference_is_fnv_1a_128() {
+    assert_eq!(fnv1a_128(b"a"), "d228cb696f1a8caf78912b704e4a8964");
+}
+
 fn said(source: &str) -> String {
     match Compiler::new().compile(source) {
-        Ok(design) => format!("ok {}", design.fingerprint().to_hex()),
+        Ok(design) => {
+            let mut stream = FpHasher::buffer();
+            design.fp_hash(&mut stream);
+            format!("ok {}", fnv1a_128(&stream.into_bytes()))
+        }
         Err(e) => e.to_string(),
     }
 }

@@ -254,7 +254,7 @@ mod tests {
         assert_eq!((s.cut(), s.surround(), s.cut_spacing()), (2, 1, 2));
         assert_eq!(s.pitch, 7);
         assert_eq!(s.fingerprint(), s.rules().fingerprint());
-        assert_eq!(s.fingerprint().to_hex(), "3855b449014b61f864b238418d5ab44f");
+        assert_eq!(s.fingerprint().to_hex(), "1d52e659e669b093414547b374073984");
     }
 
     /// One edit to the rule deck moves the checker's verdict and the

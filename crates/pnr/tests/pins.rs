@@ -1,9 +1,9 @@
 //! Place-and-route output, byte for byte, on seeded netlists from 8 to
 //! 48 cells. `pins.txt` was written by the router this crate had before
 //! the site-access table, dense congestion state and reused search
-//! buffers: per netlist, the fingerprint of the report (search effort
-//! included) and the CIF, or the error text. A search that pops in a
-//! different order, or a site answered differently, moves a line of it.
+//! buffers: per netlist, the FNV-1a/128 digest of the report (search
+//! effort included) and the CIF, or the error text. A search that pops in
+//! a different order, or a site answered differently, moves a line of it.
 
 use silc_cif::CifWriter;
 use silc_geom::FpHasher;
@@ -41,6 +41,23 @@ const PINNED: [(usize, u64); 25] = [
     (48, 144),
 ];
 
+/// FNV-1a/128 of `bytes`, the digest these pins were taken with before
+/// fingerprints moved to MurmurHash3: kept here so a pin still proves
+/// that no byte stream moved.
+fn fnv1a_128(bytes: &[u8]) -> String {
+    let digest = bytes
+        .iter()
+        .fold(0x6c62272e07bb014262b821756295c58d_u128, |h, &b| {
+            (h ^ u128::from(b)).wrapping_mul(0x0000000001000000000000000000013b)
+        });
+    format!("{digest:032x}")
+}
+
+#[test]
+fn the_reference_is_fnv_1a_128() {
+    assert_eq!(fnv1a_128(b"a"), "d228cb696f1a8caf78912b704e4a8964");
+}
+
 /// What routing `(cells, seed)` on the squarish floorplan every
 /// front-end uses comes to.
 fn outcome(cells: usize, seed: u64) -> String {
@@ -51,10 +68,10 @@ fn outcome(cells: usize, seed: u64) -> String {
             let cif = CifWriter::new()
                 .write_to_string(&out.library, out.root)
                 .expect("routed layouts write");
-            let mut h = FpHasher::new();
+            let mut h = FpHasher::buffer();
             h.write_str(&format!("{:?}", out.report));
             h.write_str(&cif);
-            h.finish().to_hex()
+            fnv1a_128(&h.into_bytes())
         }
         Err(e) => e.to_string(),
     }

@@ -883,56 +883,43 @@ fn compile_fixture(dir: &std::path::Path, extra: &[&str]) -> (Vec<u8>, String) {
     )
 }
 
-/// `tests/fixtures/cache-v1` is the cache directory the last format-1
-/// binary wrote for `d.sil`, raw cell ids in its `Design` payload
-/// included. Every later format must refuse every entry by
-/// its version — never decode a v1 `Design` — recompute, print what a
-/// cold run prints, and leave a cache the next run hits.
-#[test]
-fn format_1_cache_directory_is_a_warned_recompute() {
-    let (dir, entries) = fixture_cache("cache-v1");
-    assert_eq!(entries, 4, "elaborate, flatten, drc, cif");
-    let cache = dir.join("cache");
-    let cached = ["--cache", cache.to_str().unwrap()];
-    let (cold_out, cold_err) = compile_fixture(&dir, &["--no-cache"]);
-    let (out, err) = compile_fixture(&dir, &cached);
-    assert_eq!(out, cold_out);
-    // A compile still asks for the elaborate and cif entries under their
-    // old keys. DRC is keyed by the design now, and nothing flattens, so
-    // the other two are orphans and never read.
-    let refused = format!("format version 1, expected {}", silc::incr::FORMAT_VERSION);
-    assert_eq!(err.matches(&refused).count(), 2, "{err}");
-    assert!(err.ends_with(&cold_err), "{err}");
-    // The entries were overwritten in this format: warm, silent, identical.
-    let (warm_out, warm_err) = compile_fixture(&dir, &cached);
-    assert_eq!((warm_out, warm_err), (cold_out, cold_err));
-}
-
-/// `tests/fixtures/cache-v2` is the cache directory a format-2 binary
-/// wrote for `d.sil`. Format 3 moved only the `extract` payload, which a
-/// compile does not ask, but the version guards every entry: all four
-/// are refused by it, the compile prints what a cold run prints, and the
-/// next run reads all four back, silent and identical.
-#[test]
-fn format_2_cache_directory_is_a_warned_recompute() {
-    let (dir, entries) = fixture_cache("cache-v2");
-    assert_eq!(entries, 4, "elaborate, die, drc, cif");
+/// A cache directory an older binary wrote for `d.sil`: its four entries
+/// sit under FNV-1a keys, which nothing asks for since fingerprints became
+/// MurmurHash3 digests (format 4). The compile is a cold one and prints
+/// exactly what `--no-cache` prints, with no warning; the rerun reads back
+/// the four entries it stored (elaborate, die, drc, cif), silent and
+/// identical, and the orphans are left as they were.
+fn orphaned_cache_directory_is_a_silent_recompute(fixture: &str) {
+    let (dir, entries) = fixture_cache(fixture);
+    assert_eq!(entries, 4);
     let cache = dir.join("cache");
     let cached = ["--cache", cache.to_str().unwrap(), "--stats"];
-    let (cold_out, cold_err) = compile_fixture(&dir, &["--no-cache"]);
-    let (out, err) = compile_fixture(&dir, &cached[..2]);
-    assert_eq!(out, cold_out);
-    let refused = format!("format version 2, expected {}", silc::incr::FORMAT_VERSION);
-    assert_eq!(err.matches(&refused).count(), 4, "{err}");
-    assert!(err.ends_with(&cold_err), "{err}");
+    let cold = compile_fixture(&dir, &["--no-cache"]);
+    assert_eq!(compile_fixture(&dir, &cached[..2]), cold);
     let (out, err) = compile_fixture(&dir, &cached);
-    assert_eq!(out, cold_out);
+    assert_eq!(out, cold.0);
     let stats = err
-        .strip_prefix(&cold_err)
+        .strip_prefix(&cold.1)
         .expect("no warning before the stats");
     assert!(!stats.contains("incr.miss"), "{stats}");
     let hits = stats.lines().find(|l| l.starts_with("incr.disk_hit"));
     assert_eq!(hits.map(|l| l.split_whitespace().last()), Some(Some("4")));
+    assert_eq!(std::fs::read_dir(&cache).unwrap().count(), 2 * entries);
+}
+
+/// `tests/fixtures/cache-v1` is the cache directory the last format-1
+/// binary wrote for `d.sil`, raw cell ids in its `Design` payload
+/// included; no later binary may decode it.
+#[test]
+fn format_1_cache_directory_is_a_silent_recompute() {
+    orphaned_cache_directory_is_a_silent_recompute("cache-v1");
+}
+
+/// `tests/fixtures/cache-v2` is the cache directory a format-2 binary
+/// wrote for `d.sil`.
+#[test]
+fn format_2_cache_directory_is_a_silent_recompute() {
+    orphaned_cache_directory_is_a_silent_recompute("cache-v2");
 }
 
 /// A cached design 50 000 cells deep is proven, measured and written
