@@ -15,6 +15,13 @@ pub struct Sym(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExprId(u32);
 
+impl ExprId {
+    /// The index, for tables kept beside the tree.
+    pub fn raw(self) -> u32 {
+        self.0
+    }
+}
+
 /// Consecutive nodes in one of the vectors of a [`Program`]: a body, an
 /// argument list, the fields of a record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -192,8 +199,9 @@ pub enum StmtKind {
     },
     /// `let name = expr;`
     Let { name: Sym, value: ExprId },
-    /// `name = expr;`
-    Assign { name: Sym, value: ExprId },
+    /// `name = expr;`, the name stored as the [`Expr::Ident`] `target`
+    /// so that it resolves as a read of it does.
+    Assign { target: ExprId, value: ExprId },
     /// `for i in a .. b { body }`
     For {
         var: Sym,

@@ -29,6 +29,11 @@ pub enum LangError {
     },
 }
 
+/// What the parser's and the evaluator's steps return. A failure ends the
+/// compile, so it is boxed: a result costs what its value does, not what
+/// an error's text does.
+pub(crate) type Fallible<T> = Result<T, Box<LangError>>;
+
 impl LangError {
     /// Creates an evaluation error.
     pub fn eval(line: usize, message: impl Into<String>) -> LangError {

@@ -1,4 +1,5 @@
 use crate::ast::*;
+use crate::error::Fallible;
 use crate::parser::{parse, MAX_DEPTH};
 use crate::value::Value;
 use crate::LangError;
@@ -8,6 +9,7 @@ use silc_geom::{
 };
 use silc_layout::{Cell, CellId, Element, Instance, Layer, Library, Port, MAX_FLAT_ELEMENTS};
 use silc_trace::{span, Tracer};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -160,47 +162,8 @@ impl Compiler {
             program
         };
         let elab_span = span!(self.tracer, "lang.elaborate");
-        let mut interp = Interp::default();
-
-        // Register definitions first so order of items is free. The
-        // standard-cell prelude is always in scope.
-        let mut top_stmts: Vec<&Stmt> = Vec::new();
-        for tree in [prelude(), &program] {
-            for item in &tree.items {
-                let (defs, what, def) = match item {
-                    Item::Cell(def) => (&mut interp.cells, "cell", def),
-                    Item::Fn(def) => (&mut interp.fns, "fn", def),
-                    Item::Type(def) => (&mut interp.types, "type", def),
-                    Item::Stmt(s) => {
-                        top_stmts.push(s);
-                        continue;
-                    }
-                };
-                let name = tree.text(def.name);
-                if defs.insert(name, (tree, def)).is_some() {
-                    return Err(LangError::eval(
-                        def.line as usize,
-                        format!("{what} `{name}` is defined twice"),
-                    ));
-                }
-            }
-        }
-
-        let mut env = Env::new(&program);
-        let mut top = Cell::new("main");
-        for stmt in top_stmts {
-            let flow = interp.exec_stmt(stmt, &mut env, &mut Some(&mut top))?;
-            if let Flow::Return(_) = flow {
-                return Err(LangError::eval(
-                    stmt.line as usize,
-                    "return outside a function",
-                ));
-            }
-        }
-        let top_id = interp
-            .lib
-            .add_cell_renamed(top)
-            .map_err(|e| LangError::eval(0, e.to_string()))?;
+        let mut interp = Interp::new(&program);
+        let top = interp.run().map_err(|e| *e)?;
         drop(elab_span);
         self.tracer.add("lang.cells", interp.lib.len() as u64);
         self.tracer
@@ -208,7 +171,7 @@ impl Compiler {
         self.tracer.add("lang.memo_hits", interp.memo_hits);
         Ok(Design {
             library: interp.lib,
-            top: top_id,
+            top,
         })
     }
 }
@@ -221,52 +184,286 @@ fn prelude() -> &'static Program<'static> {
 }
 
 // -------------------------------------------------------------------
-// Environment
+// Names
 // -------------------------------------------------------------------
 
-/// The variables in scope, and the tree the running code indexes: the
-/// program's or the prelude's. Both change together, at a call.
-struct Env<'p> {
-    tree: &'p Program<'p>,
-    scopes: Vec<HashMap<&'p str, Value>>,
+/// The three kinds of definition, each named in a map of its own.
+#[derive(Clone, Copy)]
+enum Kind {
+    Cell,
+    Fn,
+    Type,
 }
 
-impl<'p> Env<'p> {
-    fn new(tree: &'p Program<'p>) -> Env<'p> {
-        Env {
-            tree,
-            scopes: vec![HashMap::new()],
+/// A definition under its name: its item, counting the prelude's items
+/// before the program's, and once it is used, its index in
+/// [`Defs::used`] ([`NONE`] until then).
+#[derive(Clone, Copy)]
+struct Registered {
+    item: u32,
+    used: u32,
+}
+
+/// A definition in use: the tree it indexes, and once its body has run,
+/// where the names of the body resolve.
+#[derive(Clone, Copy)]
+struct Defined<'p> {
+    tree: &'p Program<'p>,
+    def: &'p Def,
+    names: Option<Names>,
+}
+
+/// The definitions of a compile, each kind by name. A definition is copied
+/// out into `used` the first time a body that runs names it (a placement
+/// that runs, a call or a record literal in a body resolved), and resolved
+/// names refer to it there: one never named so keeps only its entry in a
+/// map, eight bytes beside its name.
+struct Defs<'p> {
+    program: &'p Program<'p>,
+    by_name: [HashMap<&'p str, Registered>; 3],
+    used: Vec<Defined<'p>>,
+}
+
+impl<'p> Defs<'p> {
+    /// The index in `used` of the definition of `kind` called `name`.
+    fn find(&mut self, kind: Kind, name: &str) -> Option<u32> {
+        let entry = self.by_name[kind as usize].get_mut(name)?;
+        if entry.used == NONE {
+            let prelude = prelude();
+            let item = entry.item as usize;
+            let (tree, item) = match item.checked_sub(prelude.items.len()) {
+                Some(item) => (self.program, item),
+                None => (prelude, item),
+            };
+            let (Item::Cell(def) | Item::Fn(def) | Item::Type(def)) = &tree.items[item] else {
+                unreachable!("only definitions are registered");
+            };
+            entry.used = self.used.len() as u32;
+            let names = None;
+            self.used.push(Defined { tree, def, names });
+        }
+        Some(entry.used)
+    }
+}
+
+/// What a name in a body resolves to, by the expression that holds it, in
+/// a window of [`Interp::slots`]: entry `at + (e - lo)` for expression
+/// `e` in `lo..lo + len`. For an [`Expr::Ident`] (a read, or the target of
+/// an assignment) the entry is its slot in the running frame, for an
+/// [`Expr::Call`] the `fn` it calls, for an [`Expr::Record`] its `type`,
+/// both as indices into [`Defs::used`]. A name that resolves to nothing
+/// (an undefined variable, a builtin, an unknown type) has no entry, so
+/// the error it raises, if it runs, is raised where it always was.
+#[derive(Clone, Copy, Default)]
+struct Names {
+    lo: u32,
+    at: u32,
+    len: u32,
+}
+
+/// No entry: a name that resolves to nothing, or a definition not used
+/// yet.
+const NONE: u32 = u32::MAX;
+
+impl Names {
+    fn get(self, slots: &[u32], e: ExprId) -> Option<u32> {
+        let i = e.raw().wrapping_sub(self.lo);
+        if i >= self.len {
+            return None;
+        }
+        let entry = slots[(self.at + i) as usize];
+        (entry != NONE).then_some(entry)
+    }
+}
+
+/// Resolves the names of a body to slots of its frame, once, before the
+/// body first runs.
+///
+/// A frame's slots are its parameters, then its `let`s and `for`
+/// variables in the order they run, and a block's are given back when it
+/// ends. So the slot of a binding is the number of bindings in scope
+/// where it is made, the same at every run, and the evaluator makes a
+/// binding by pushing it onto the value stack. Within a block statements
+/// run in order and nothing jumps back, so a name read at a point means
+/// the binding textually last made before it in the innermost block that
+/// has one: what a search of the scopes live at that point finds.
+#[derive(Default)]
+struct Resolver<'p> {
+    /// The slot of every name in scope, its innermost binding.
+    scope: HashMap<&'p str, u32>,
+    /// Every binding in scope in slot order, with the slot its name had
+    /// before it: closing a block pops back to the block's mark.
+    bound: Vec<(&'p str, Option<u32>)>,
+    /// `(expression, entry)` for every name resolved since the last seal.
+    found: Vec<(u32, u32)>,
+}
+
+impl<'p> Resolver<'p> {
+    /// The names of a `cell` or `fn`. Defaults run with nothing in scope,
+    /// so theirs are resolved before any parameter is bound. A `fn` body
+    /// runs as a block under its parameters and a cell body beside them,
+    /// which binds alike.
+    fn def(&mut self, defs: &mut Defs<'p>, tree: &'p Program<'p>, def: &Def) {
+        self.scope.clear();
+        self.bound.clear();
+        let params = tree.bindings(def.params);
+        for default in params.iter().filter_map(|p| p.value) {
+            self.expr(defs, tree, default);
+        }
+        for param in params {
+            self.bind(tree.text(param.name));
+        }
+        for stmt in tree.stmts(def.body) {
+            self.stmt(defs, tree, stmt);
         }
     }
 
-    fn push(&mut self) {
-        self.scopes.push(HashMap::new());
+    fn bind(&mut self, name: &'p str) {
+        let slot = self.bound.len() as u32;
+        self.bound.push((name, self.scope.insert(name, slot)));
     }
 
-    fn pop(&mut self) {
-        self.scopes.pop();
+    fn block(&mut self, defs: &mut Defs<'p>, tree: &'p Program<'p>, body: Run) {
+        let mark = self.bound.len();
+        for stmt in tree.stmts(body) {
+            self.stmt(defs, tree, stmt);
+        }
+        self.close(mark);
     }
 
-    fn define(&mut self, name: &'p str, value: Value) {
-        self.scopes
-            .last_mut()
-            .expect("at least one scope")
-            .insert(name, value);
+    /// Gives back the bindings past `mark`, innermost first.
+    fn close(&mut self, mark: usize) {
+        for (name, shadowed) in self.bound.drain(mark..).rev() {
+            match shadowed {
+                Some(slot) => self.scope.insert(name, slot),
+                None => self.scope.remove(name),
+            };
+        }
     }
 
-    fn assign(&mut self, name: &str, value: Value) -> bool {
-        for scope in self.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = value;
-                return true;
+    fn stmt(&mut self, defs: &mut Defs<'p>, tree: &'p Program<'p>, stmt: &Stmt) {
+        match stmt.kind {
+            StmtKind::Box { layer, a, b } => self.exprs(defs, tree, [layer, a, b]),
+            StmtKind::Wire {
+                layer,
+                width,
+                points,
+            } => self.exprs(defs, tree, [layer, width].into_iter().chain(points.ids())),
+            StmtKind::Polygon { layer, points } => {
+                self.exprs(defs, tree, [layer].into_iter().chain(points.ids()));
             }
+            StmtKind::Port { name, layer, at } => self.exprs(defs, tree, [name, layer, at]),
+            StmtKind::Place { args, at, .. } => self.exprs(defs, tree, args.ids().chain([at])),
+            StmtKind::ArrayPlace {
+                args,
+                at,
+                step,
+                step2,
+                count,
+                count2,
+                ..
+            } => {
+                let rest = [at, step, count].into_iter().chain(step2).chain(count2);
+                self.exprs(defs, tree, args.ids().chain(rest));
+            }
+            StmtKind::Let { name, value } => {
+                self.expr(defs, tree, value);
+                self.bind(tree.text(name));
+            }
+            StmtKind::Assign { target, value } => self.exprs(defs, tree, [target, value]),
+            StmtKind::For {
+                var,
+                from,
+                to,
+                body,
+            } => {
+                self.exprs(defs, tree, [from, to]);
+                let mark = self.bound.len();
+                self.bind(tree.text(var));
+                self.block(defs, tree, body);
+                self.close(mark);
+            }
+            StmtKind::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                self.expr(defs, tree, cond);
+                self.block(defs, tree, then_body);
+                self.block(defs, tree, else_body);
+            }
+            StmtKind::Return { value } => self.exprs(defs, tree, value),
+            StmtKind::Expr { value } => self.expr(defs, tree, value),
         }
-        false
     }
 
-    fn get(&self, name: &str) -> Option<&Value> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+    fn exprs(
+        &mut self,
+        defs: &mut Defs<'p>,
+        tree: &'p Program<'p>,
+        exprs: impl IntoIterator<Item = ExprId>,
+    ) {
+        for e in exprs {
+            self.expr(defs, tree, e);
+        }
     }
+
+    /// Resolves the names under `e`; the parser bounds how deep that
+    /// recurses.
+    fn expr(&mut self, defs: &mut Defs<'p>, tree: &'p Program<'p>, e: ExprId) {
+        let mut found = |entry: Option<u32>| {
+            if let Some(entry) = entry {
+                self.found.push((e.raw(), entry));
+            }
+        };
+        match *tree.expr(e) {
+            Expr::Int(_) | Expr::Bool(_) | Expr::Str(_) => {}
+            Expr::Ident(name) => found(self.scope.get(tree.text(name)).copied()),
+            Expr::Record { type_name, fields } => {
+                found(defs.find(Kind::Type, tree.text(type_name)));
+                let values = tree.bindings(fields).iter().filter_map(|f| f.value);
+                self.exprs(defs, tree, values);
+            }
+            Expr::Call { name, args } => {
+                found(defs.find(Kind::Fn, tree.text(name)));
+                self.exprs(defs, tree, args.ids());
+            }
+            Expr::List(items) => self.exprs(defs, tree, items.ids()),
+            Expr::Field { base, .. } => self.expr(defs, tree, base),
+            Expr::Unary { expr, .. } => self.expr(defs, tree, expr),
+            Expr::Point(l, r)
+            | Expr::Index { base: l, index: r }
+            | Expr::Binary { lhs: l, rhs: r, .. } => self.exprs(defs, tree, [l, r]),
+        }
+    }
+
+    /// Writes what was found since the last seal into `slots` as one
+    /// window, sized by the expressions that hold a name and no more.
+    fn seal(&mut self, slots: &mut Vec<u32>) -> Names {
+        let Some(lo) = self.found.iter().map(|f| f.0).min() else {
+            return Names::default();
+        };
+        let hi = self.found.iter().map(|f| f.0).max().unwrap_or(lo);
+        let at = slots.len();
+        slots.resize(at + (hi - lo) as usize + 1, NONE);
+        for &(e, entry) in &self.found {
+            slots[at + (e - lo) as usize] = entry;
+        }
+        self.found.clear();
+        Names {
+            lo,
+            at: at as u32,
+            len: hi - lo + 1,
+        }
+    }
+}
+
+/// The code running: the tree it indexes, where its names resolve, and
+/// where its window on the value stack starts.
+struct Frame<'p> {
+    tree: &'p Program<'p>,
+    names: Names,
+    base: usize,
 }
 
 enum Flow {
@@ -274,27 +471,43 @@ enum Flow {
     Return(Value),
 }
 
+/// A value read: a variable's, in place on the stack, or one evaluated.
+enum Operand {
+    Local(usize),
+    Owned(Value),
+}
+
+impl Operand {
+    fn get<'a>(&'a self, stack: &'a [Value]) -> &'a Value {
+        match self {
+            Operand::Local(at) => &stack[*at],
+            Operand::Owned(value) => value,
+        }
+    }
+}
+
 // -------------------------------------------------------------------
 // Interpreter
 // -------------------------------------------------------------------
 
-/// A definition and the tree it indexes.
-type Found<'p> = (&'p Program<'p>, &'p Def);
-
-/// A cell variant: the cell's name and its bound arguments, compared
-/// exactly.
-type Variant<'p> = (&'p str, Vec<Value>);
+/// A cell variant: the cell, by its index in [`Defs::used`], and its bound
+/// arguments, compared exactly.
+type Variant = (u32, Vec<Value>);
 
 /// The evaluator. `'p` is the parsed program and the prelude: definitions
 /// are registered and run by reference, never copied.
-#[derive(Default)]
 struct Interp<'p> {
-    cells: HashMap<&'p str, Found<'p>>,
-    fns: HashMap<&'p str, Found<'p>>,
-    types: HashMap<&'p str, Found<'p>>,
+    defs: Defs<'p>,
+    resolver: Resolver<'p>,
+    /// The windows of every body resolved so far, end to end.
+    slots: Vec<u32>,
+    /// The variables of every frame running, innermost last.
+    stack: Vec<Value>,
     lib: Library,
-    /// Every variant met so far, and its cell: `None` while it elaborates.
-    memo: HashMap<Variant<'p>, Option<CellId>>,
+    /// Every variant met so far, and its index in `variants`.
+    memo: HashMap<Variant, usize>,
+    /// Per variant, its cell: `None` while it elaborates.
+    variants: Vec<Option<CellId>>,
     /// Per elaborated cell by raw id, the largest coordinate magnitude
     /// anything under it reaches in the cell's own frame (at most
     /// [`MAX_COORD`]).
@@ -318,8 +531,9 @@ type CellSlot<'a, 'b> = Option<&'a mut Cell>;
 /// rather than by the number of calls. The parser lets one tree reach
 /// 64 levels, so only a recursive `fn` or a chain of cells each placing
 /// the next gets here. Sized for the 2 MiB stack of a `silc serve`
-/// worker: a frame and the `exec_stmt` under it measure up to 1.2 KiB
-/// optimised and 13.4 KiB in a debug build.
+/// worker: a frame and the `exec_stmt` under it measure up to 1.1 KiB
+/// optimised and 7.5 KiB in a debug build (a body of nested `if`s; the
+/// least stack a thread needs for a recursion, over its depth).
 const MAX_FRAMES: usize = if cfg!(debug_assertions) { 96 } else { 1024 };
 
 /// How many steps one compile may take in all: a step is an expression
@@ -331,7 +545,8 @@ const MAX_FRAMES: usize = if cfg!(debug_assertions) { 96 } else { 1024 };
 /// in a loop would otherwise hold a `silc serve` worker long after its
 /// reply. The programs of the tests, the examples and the benchmark
 /// (seeds 5, 11 and 23) take 27 854 steps at most, the tests of this
-/// budget, of the value bound and of random soups aside.
+/// budget, of the value bound, of random soups and of what a read or a
+/// call costs aside.
 const MAX_STEPS: u64 = 1 << 24;
 
 /// The largest value a program may build, by [`Value::size`]: a string
@@ -342,99 +557,206 @@ const MAX_STEPS: u64 = 1 << 24;
 /// benchmark build a list of 257 values and a string of 3 bytes at most.
 const MAX_VALUE_SIZE: usize = 1 << 20;
 
+/// An evaluation error on `line`.
+fn fail(line: usize, message: impl Into<String>) -> Box<LangError> {
+    Box::new(LangError::eval(line, message))
+}
+
 impl<'p> Interp<'p> {
+    fn new(program: &'p Program<'p>) -> Interp<'p> {
+        Interp {
+            defs: Defs {
+                program,
+                by_name: Default::default(),
+                used: Vec::new(),
+            },
+            resolver: Resolver::default(),
+            slots: Vec::new(),
+            stack: Vec::new(),
+            lib: Library::default(),
+            memo: HashMap::new(),
+            variants: Vec::new(),
+            reach: Vec::new(),
+            frames: 0,
+            steps: 0,
+            diagonal_copies: 0,
+            cells_elaborated: 0,
+            memo_hits: 0,
+        }
+    }
+
+    /// Registers the definitions of the prelude and of the program, then
+    /// runs the program's top-level statements into the top cell, `main`.
+    fn run(&mut self) -> Fallible<CellId> {
+        let program = self.defs.program;
+        // Register definitions first so order of items is free. The
+        // standard-cell prelude is always in scope.
+        let mut top = Vec::new();
+        let items = [prelude(), program]
+            .into_iter()
+            .flat_map(|tree| tree.items.iter().map(move |item| (tree, item)));
+        for (at, (tree, item)) in items.enumerate() {
+            let (kind, what, def) = match item {
+                Item::Cell(def) => (Kind::Cell, "cell", def),
+                Item::Fn(def) => (Kind::Fn, "fn", def),
+                Item::Type(def) => (Kind::Type, "type", def),
+                Item::Stmt(stmt) => {
+                    top.push((tree, stmt));
+                    continue;
+                }
+            };
+            let name = tree.text(def.name);
+            // An item takes two bytes of a source under 4 GiB at least.
+            let item = u32::try_from(at).expect("fewer than 2^32 items");
+            let entry = Registered { item, used: NONE };
+            let named = &mut self.defs.by_name[kind as usize];
+            if named.insert(name, entry).is_some() {
+                return Err(fail(
+                    def.line as usize,
+                    format!("{what} `{name}` is defined twice"),
+                ));
+            }
+        }
+        // The top level is one body, resolved before any of it runs; each
+        // statement keeps a window of its own, so none spans the
+        // definitions between them.
+        let top: Vec<_> = top
+            .into_iter()
+            .map(|(tree, stmt)| {
+                self.resolver.stmt(&mut self.defs, tree, stmt);
+                let names = self.resolver.seal(&mut self.slots);
+                (
+                    Frame {
+                        tree,
+                        names,
+                        base: 0,
+                    },
+                    stmt,
+                )
+            })
+            .collect();
+        let mut main = Cell::new("main");
+        for (frame, stmt) in &top {
+            if let Flow::Return(_) = self.exec_stmt(stmt, frame, &mut Some(&mut main))? {
+                return Err(fail(stmt.line as usize, "return outside a function"));
+            }
+        }
+        self.lib
+            .add_cell_renamed(main)
+            .map_err(|e| fail(0, e.to_string()))
+    }
+
+    /// The `cell` or `fn` used as `index`, and a frame for it with its
+    /// window at `base`, its names resolved on its first run.
+    fn frame(&mut self, index: u32, base: usize) -> (Frame<'p>, &'p Def) {
+        let Defined { tree, def, names } = self.defs.used[index as usize];
+        let names = names.unwrap_or_else(|| {
+            self.resolver.def(&mut self.defs, tree, def);
+            let names = self.resolver.seal(&mut self.slots);
+            self.defs.used[index as usize].names = Some(names);
+            names
+        });
+        (Frame { tree, names, base }, def)
+    }
+
     // ---------------------------------------------------------------
     // Cell elaboration
     // ---------------------------------------------------------------
 
-    /// Binds `args` to the parameters of a `cell` or `fn`, defaults
-    /// filling in for missing trailing arguments: the value of each
-    /// parameter, in order.
+    /// Checks the arguments on the stack above `f.base` against the
+    /// parameters of `def`, a `cell` or `fn`, and pushes the defaults of
+    /// the missing trailing ones: afterwards the window holds the value
+    /// of each parameter, in order. Defaults see no variable.
     fn bind(
         &mut self,
         what: &str,
         counted: &str,
-        (tree, def): Found<'p>,
-        mut args: Vec<Value>,
+        f: &Frame<'p>,
+        def: &Def,
         line: usize,
-    ) -> Result<Vec<Value>, LangError> {
-        let name = tree.text(def.name);
-        let params = tree.bindings(def.params);
-        if args.len() > params.len() {
-            return Err(LangError::eval(
+    ) -> Fallible<()> {
+        let given = self.stack.len() - f.base;
+        let name = f.tree.text(def.name);
+        let params = f.tree.bindings(def.params);
+        if given > params.len() {
+            return Err(fail(
                 line,
                 format!(
-                    "{what} `{name}` takes {} {counted}(s), got {}",
-                    params.len(),
-                    args.len()
+                    "{what} `{name}` takes {} {counted}(s), got {given}",
+                    params.len()
                 ),
             ));
         }
-        for param in &params[args.len()..] {
+        for param in &params[given..] {
             let Some(default) = param.value else {
-                let pname = tree.text(param.name);
-                return Err(LangError::eval(
+                let pname = f.tree.text(param.name);
+                return Err(fail(
                     line,
                     format!("{what} `{name}` missing argument `{pname}`"),
                 ));
             };
-            let value = self.eval(default, &Env::new(tree), line)?;
-            args.push(value);
+            let value = self.eval(default, f, line)?;
+            self.stack.push(value);
         }
-        Ok(args)
+        Ok(())
     }
 
-    fn elaborate_cell(
-        &mut self,
-        name: &str,
-        args: Vec<Value>,
-        line: usize,
-    ) -> Result<CellId, LangError> {
-        let (&name, &found @ (tree, def)) = self
-            .cells
-            .get_key_value(name)
-            .ok_or_else(|| LangError::eval(line, format!("cell `{name}` is not defined")))?;
-        let variant = (name, self.bind("cell", "parameter", found, args, line)?);
-        if let Some(&done) = self.memo.get(&variant) {
-            let id = done.ok_or_else(|| LangError::RecursiveCell {
-                name: name.to_string(),
-            })?;
-            self.memo_hits += 1;
-            return Ok(id);
-        }
+    /// The cell `name` of the arguments on the stack above `base`, which
+    /// become the window of its body if this variant is new.
+    fn elaborate_cell(&mut self, name: &str, base: usize, line: usize) -> Fallible<CellId> {
+        let index = self
+            .defs
+            .find(Kind::Cell, name)
+            .ok_or_else(|| fail(line, format!("cell `{name}` is not defined")))?;
+        let (f, def) = self.frame(index, base);
+        self.bind("cell", "parameter", &f, def, line)?;
+        let variant = self.variants.len();
+        let cell_name = match self.memo.entry((index, self.stack[base..].to_vec())) {
+            Entry::Occupied(hit) => {
+                let id = self.variants[*hit.get()].ok_or_else(|| {
+                    Box::new(LangError::RecursiveCell {
+                        name: name.to_string(),
+                    })
+                })?;
+                self.memo_hits += 1;
+                self.stack.truncate(base);
+                return Ok(id);
+            }
+            Entry::Vacant(miss) => {
+                let cell_name = variant_name(name, &miss.key().1);
+                miss.insert(variant);
+                cell_name
+            }
+        };
         // Cells nest on the machine stack as calls do: this frame and the
-        // `exec_stmt` under it take 1.9 KiB optimised and 15.4 KiB in a
+        // `exec_stmt` under it take 1.4 KiB optimised and 8.6 KiB in a
         // debug build, two frames' worth. The body is owed what its deepest
         // statement can need, so a `fn` is never blamed for running out.
         if self.frames + 2 + MAX_DEPTH > MAX_FRAMES {
-            return Err(LangError::eval(line, "cell nesting too deep"));
+            return Err(fail(line, "cell nesting too deep"));
         }
-        self.memo.insert(variant.clone(), None);
+        self.variants.push(None);
         self.frames += 2;
-
-        let mut env = Env::new(tree);
-        for (param, value) in tree.bindings(def.params).iter().zip(&variant.1) {
-            env.define(tree.text(param.name), value.clone());
-        }
-        let mut cell = Cell::new(variant_name(&variant));
-        for stmt in tree.stmts(def.body) {
-            let flow = self.exec_stmt(stmt, &mut env, &mut Some(&mut cell))?;
+        let mut cell = Cell::new(cell_name);
+        for stmt in f.tree.stmts(def.body) {
+            let flow = self.exec_stmt(stmt, &f, &mut Some(&mut cell))?;
             if let Flow::Return(_) = flow {
-                return Err(LangError::eval(
+                return Err(fail(
                     stmt.line as usize,
                     "return is not allowed in a cell body",
                 ));
             }
         }
         self.frames -= 2;
+        self.stack.truncate(base);
 
         let reach = self.cell_reach(&cell);
         let id = self
             .lib
             .add_cell_renamed(cell)
-            .map_err(|e| LangError::eval(def.line as usize, e.to_string()))?;
+            .map_err(|e| fail(def.line as usize, e.to_string()))?;
         self.reach.push(reach);
-        self.memo.insert(variant, Some(id));
+        self.variants[variant] = Some(id);
         self.cells_elaborated += 1;
         Ok(id)
     }
@@ -446,89 +768,90 @@ impl<'p> Interp<'p> {
     fn exec_block(
         &mut self,
         body: Run,
-        env: &mut Env<'p>,
+        f: &Frame<'p>,
         cell: &mut CellSlot<'_, '_>,
         line: usize,
-    ) -> Result<Flow, LangError> {
+    ) -> Fallible<Flow> {
         self.enter(line)?;
-        env.push();
+        let mark = self.stack.len();
         let mut flow = Flow::Normal;
-        for stmt in env.tree.stmts(body) {
-            flow = self.exec_stmt(stmt, env, cell)?;
+        for stmt in f.tree.stmts(body) {
+            flow = self.exec_stmt(stmt, f, cell)?;
             if let Flow::Return(_) = flow {
                 break;
             }
         }
-        env.pop();
+        self.stack.truncate(mark);
         self.frames -= 1;
         Ok(flow)
     }
 
     /// Takes one frame and one step of the budgets. An error abandons the
     /// compile, so only the paths that return a value give their frame
-    /// back.
-    fn enter(&mut self, line: usize) -> Result<(), LangError> {
+    /// back, and their slots.
+    fn enter(&mut self, line: usize) -> Fallible<()> {
         if self.frames >= MAX_FRAMES {
-            return Err(LangError::eval(line, "function recursion too deep"));
+            return Err(fail(line, "function recursion too deep"));
         }
-        self.step(1, line)?;
+        charge(&mut self.steps, 1, line)?;
         self.frames += 1;
-        Ok(())
-    }
-
-    /// Takes `n` steps of the budget. Copying a value out of a variable,
-    /// a list or a record takes `size() - 1`: a list or a record costs
-    /// what it weighs, a scalar nothing.
-    fn step(&mut self, n: usize, line: usize) -> Result<(), LangError> {
-        self.steps += n as u64;
-        if self.steps > MAX_STEPS {
-            return Err(LangError::eval(
-                line,
-                format!("the program takes more than {MAX_STEPS} steps"),
-            ));
-        }
         Ok(())
     }
 
     /// What an [`eval`](Self::eval) of a leaf takes of the budgets, for a
     /// leaf read in place.
-    fn leaf(&mut self, line: usize) -> Result<(), LangError> {
+    fn leaf(&mut self, line: usize) -> Fallible<()> {
         self.enter(line)?;
         self.frames -= 1;
         Ok(())
     }
 
-    /// The value of `e`, read in place if `e` names a variable (the base of
-    /// `name.field` or `name[i]`), else evaluated into `owned`.
-    fn operand<'e>(
-        &mut self,
-        e: ExprId,
-        env: &'e Env<'p>,
-        owned: &'e mut Option<Value>,
-        line: usize,
-    ) -> Result<&'e Value, LangError> {
-        match *env.tree.expr(e) {
+    /// Where on the stack the variable `e` (an [`Expr::Ident`] of `name`)
+    /// lives.
+    fn local(&self, f: &Frame<'p>, e: ExprId, name: Sym, line: usize) -> Fallible<usize> {
+        match f.names.get(&self.slots, e) {
+            Some(slot) => Ok(f.base + slot as usize),
+            None => Err(fail(
+                line,
+                format!("`{}` is not defined", f.tree.text(name)),
+            )),
+        }
+    }
+
+    /// The value of `e`: read in place if `e` names a variable (the base
+    /// of `name.field` or `name[i]`), else evaluated.
+    fn operand(&mut self, e: ExprId, f: &Frame<'p>, line: usize) -> Fallible<Operand> {
+        match *f.tree.expr(e) {
             Expr::Ident(name) => {
                 self.leaf(line)?;
-                read(name, env, line)
+                Ok(Operand::Local(self.local(f, e, name, line)?))
             }
-            _ => Ok(owned.insert(self.eval(e, env, line)?)),
+            _ => Ok(Operand::Owned(self.eval(e, f, line)?)),
         }
+    }
+
+    /// Evaluates the expressions of `run` onto the stack, in order.
+    fn push_all(&mut self, run: Run, f: &Frame<'p>, line: usize) -> Fallible<()> {
+        for e in run.ids() {
+            let value = self.eval(e, f, line)?;
+            self.stack.push(value);
+        }
+        Ok(())
     }
 
     fn exec_stmt(
         &mut self,
         stmt: &Stmt,
-        env: &mut Env<'p>,
+        f: &Frame<'p>,
         cell: &mut CellSlot<'_, '_>,
-    ) -> Result<Flow, LangError> {
+    ) -> Fallible<Flow> {
         let line = stmt.line as usize;
         match stmt.kind {
             StmtKind::Box { layer, a, b } => {
-                let layer = self.eval_layer(layer, env, line)?;
-                let pa = self.eval_point(a, env, line)?;
-                let pb = self.eval_point(b, env, line)?;
-                let rect = Rect::new(pa, pb).map_err(|e| LangError::eval(line, e.to_string()))?;
+                let layer = self.eval_layer(layer, f, line)?;
+                let pa = self.eval_point(a, f, line)?;
+                let pb = self.eval_point(b, f, line)?;
+                let rect = Rect::new(pa, pb).map_err(|e| fail(line, e.to_string()))?;
                 self.target(cell, line)?
                     .push_element(Element::rect(layer, rect));
             }
@@ -537,31 +860,31 @@ impl<'p> Interp<'p> {
                 width,
                 points,
             } => {
-                let layer = self.eval_layer(layer, env, line)?;
-                let w = self.eval_int(width, env, line)?;
-                let pts = self.eval_points(points, env, line)?;
-                let path = Path::new(w, pts).map_err(|e| LangError::eval(line, e.to_string()))?;
+                let layer = self.eval_layer(layer, f, line)?;
+                let w = self.eval_int(width, f, line)?;
+                let pts = self.eval_points(points, f, line)?;
+                let path = Path::new(w, pts).map_err(|e| fail(line, e.to_string()))?;
                 let wire = Element::new(layer, path);
                 in_range(far_corner(wire.bbox()), line)?;
                 self.target(cell, line)?.push_element(wire);
             }
             StmtKind::Polygon { layer, points } => {
-                let layer = self.eval_layer(layer, env, line)?;
-                let pts = self.eval_points(points, env, line)?;
-                let poly = Polygon::new(pts).map_err(|e| LangError::eval(line, e.to_string()))?;
+                let layer = self.eval_layer(layer, f, line)?;
+                let pts = self.eval_points(points, f, line)?;
+                let poly = Polygon::new(pts).map_err(|e| fail(line, e.to_string()))?;
                 self.target(cell, line)?
                     .push_element(Element::new(layer, poly));
             }
             StmtKind::Port { name, layer, at } => {
-                let name_value = self.eval(name, env, line)?;
+                let name_value = self.eval(name, f, line)?;
                 let Value::Str(port_name) = name_value else {
-                    return Err(LangError::eval(
+                    return Err(fail(
                         line,
                         format!("port name must be a string, got {}", name_value.type_name()),
                     ));
                 };
-                let layer = self.eval_layer(layer, env, line)?;
-                let p = self.eval_point(at, env, line)?;
+                let layer = self.eval_layer(layer, f, line)?;
+                let p = self.eval_point(at, f, line)?;
                 self.target(cell, line)?
                     .push_port(Port::new(port_name, layer, p));
             }
@@ -571,9 +894,10 @@ impl<'p> Interp<'p> {
                 at,
                 orient,
             } => {
-                let arg_values = self.eval_all(args, env, line)?;
-                let at = self.eval_point(at, env, line)?;
-                let child_id = self.elaborate_cell(env.tree.text(child), arg_values, line)?;
+                let base = self.stack.len();
+                self.push_all(args, f, line)?;
+                let at = self.eval_point(at, f, line)?;
+                let child_id = self.elaborate_cell(f.tree.text(child), base, line)?;
                 let inst = Instance::place(child_id, Transform::new(orient, at));
                 in_range(self.instance_reach(&inst), line)?;
                 self.target(cell, line)?.push_instance(inst);
@@ -588,25 +912,25 @@ impl<'p> Interp<'p> {
                 count2,
                 orient,
             } => {
-                let arg_values = self.eval_all(args, env, line)?;
-                let at = self.eval_point(at, env, line)?;
-                let step = self.eval_point(step, env, line)?;
-                let step2 = step2.map(|s| self.eval_point(s, env, line)).transpose()?;
-                let count = self.eval_int(count, env, line)?;
+                let base = self.stack.len();
+                self.push_all(args, f, line)?;
+                let at = self.eval_point(at, f, line)?;
+                let step = self.eval_point(step, f, line)?;
+                let step2 = step2.map(|s| self.eval_point(s, f, line)).transpose()?;
+                let count = self.eval_int(count, f, line)?;
                 let count2 = count2
-                    .map(|c| self.eval_int(c, env, line))
+                    .map(|c| self.eval_int(c, f, line))
                     .transpose()?
                     .unwrap_or(1);
                 if count < 1 || count2 < 1 {
-                    return Err(LangError::eval(line, "array count must be at least 1"));
+                    return Err(fail(line, "array count must be at least 1"));
                 }
                 let count_u32 = |n: i64| {
-                    u32::try_from(n).map_err(|_| {
-                        LangError::eval(line, format!("array count {n} is above {}", u32::MAX))
-                    })
+                    u32::try_from(n)
+                        .map_err(|_| fail(line, format!("array count {n} is above {}", u32::MAX)))
                 };
                 let (cols, rows) = (count_u32(count)?, count_u32(count2)?);
-                let child_id = self.elaborate_cell(env.tree.text(child), arg_values, line)?;
+                let child_id = self.elaborate_cell(f.tree.text(child), base, line)?;
                 // The copies farthest out sit at the corners of the array.
                 let along = |axis: fn(Point) -> Coord, i: i64, j: i64| {
                     let step2 = step2.map_or(0, axis);
@@ -639,7 +963,7 @@ impl<'p> Interp<'p> {
                         step.x,
                         dy,
                     )
-                    .map_err(|e| LangError::eval(line, e.to_string()))?;
+                    .map_err(|e| fail(line, e.to_string()))?;
                     target.push_instance(inst);
                 } else {
                     // Past this many copies flattening refuses the design;
@@ -648,7 +972,7 @@ impl<'p> Interp<'p> {
                     // `u64`.
                     self.diagonal_copies += u64::from(cols) * u64::from(rows);
                     if self.diagonal_copies > MAX_FLAT_ELEMENTS as u64 {
-                        return Err(LangError::eval(
+                        return Err(fail(
                             line,
                             format!(
                                 "a diagonal array of {count} x {count2} copies; \
@@ -670,34 +994,30 @@ impl<'p> Interp<'p> {
                     }
                 }
             }
-            StmtKind::Let { name, value } => {
-                let v = self.eval(value, env, line)?;
-                env.define(env.tree.text(name), v);
+            StmtKind::Let { value, .. } => {
+                let v = self.eval(value, f, line)?;
+                self.stack.push(v);
             }
-            StmtKind::Assign { name, value } => {
-                let v = self.eval(value, env, line)?;
-                let name = env.tree.text(name);
-                if !env.assign(name, v) {
-                    return Err(LangError::eval(
+            StmtKind::Assign { target, value } => {
+                let v = self.eval(value, f, line)?;
+                let Some(slot) = f.names.get(&self.slots, target) else {
+                    let Expr::Ident(name) = *f.tree.expr(target) else {
+                        unreachable!("the parser stores an assignment's target as a name");
+                    };
+                    return Err(fail(
                         line,
-                        format!("assignment to undefined variable `{name}`"),
+                        format!("assignment to undefined variable `{}`", f.tree.text(name)),
                     ));
-                }
+                };
+                self.stack[f.base + slot as usize] = v;
             }
-            StmtKind::For {
-                var,
-                from,
-                to,
-                body,
-            } => {
-                let from = self.eval_int(from, env, line)?;
-                let to = self.eval_int(to, env, line)?;
-                let var = env.tree.text(var);
+            StmtKind::For { from, to, body, .. } => {
+                let from = self.eval_int(from, f, line)?;
+                let to = self.eval_int(to, f, line)?;
                 for i in from..to {
-                    env.push();
-                    env.define(var, Value::Int(i));
-                    let flow = self.exec_block(body, env, cell, line)?;
-                    env.pop();
+                    self.stack.push(Value::Int(i));
+                    let flow = self.exec_block(body, f, cell, line)?;
+                    self.stack.pop();
                     if let Flow::Return(_) = flow {
                         return Ok(flow);
                     }
@@ -708,98 +1028,100 @@ impl<'p> Interp<'p> {
                 then_body,
                 else_body,
             } => {
-                let c = self.eval(cond, env, line)?;
+                let c = self.eval(cond, f, line)?;
                 let c = c.as_bool().ok_or_else(|| {
-                    LangError::eval(
+                    fail(
                         line,
                         format!("if condition must be bool, got {}", c.type_name()),
                     )
                 })?;
                 let body = if c { then_body } else { else_body };
-                return self.exec_block(body, env, cell, line);
+                return self.exec_block(body, f, cell, line);
             }
             StmtKind::Return { value } => {
                 let v = match value {
-                    Some(e) => self.eval(e, env, line)?,
+                    Some(e) => self.eval(e, f, line)?,
                     None => Value::Int(0),
                 };
                 return Ok(Flow::Return(v));
             }
             StmtKind::Expr { value } => {
-                self.eval(value, env, line)?;
+                self.eval(value, f, line)?;
             }
         }
         Ok(Flow::Normal)
     }
 
-    fn target<'a>(
-        &self,
-        cell: &'a mut CellSlot<'_, '_>,
-        line: usize,
-    ) -> Result<&'a mut Cell, LangError> {
-        cell.as_deref_mut().ok_or_else(|| {
-            LangError::eval(line, "geometry statements are not allowed inside fn bodies")
-        })
+    fn target<'a>(&self, cell: &'a mut CellSlot<'_, '_>, line: usize) -> Fallible<&'a mut Cell> {
+        cell.as_deref_mut()
+            .ok_or_else(|| fail(line, "geometry statements are not allowed inside fn bodies"))
     }
 
     // ---------------------------------------------------------------
     // Expressions
     // ---------------------------------------------------------------
 
-    fn eval(&mut self, e: ExprId, env: &Env<'p>, line: usize) -> Result<Value, LangError> {
+    fn eval(&mut self, e: ExprId, f: &Frame<'p>, line: usize) -> Fallible<Value> {
         self.enter(line)?;
-        let value = self.eval_expr(e, env, line)?;
+        let value = self.eval_expr(e, f, line)?;
         self.frames -= 1;
         Ok(value)
     }
 
-    /// The values of an argument list or a list literal, in order.
-    fn eval_all(&mut self, run: Run, env: &Env<'p>, line: usize) -> Result<Vec<Value>, LangError> {
-        run.ids().map(|e| self.eval(e, env, line)).collect()
-    }
-
-    fn eval_expr(&mut self, e: ExprId, env: &Env<'p>, line: usize) -> Result<Value, LangError> {
-        match *env.tree.expr(e) {
+    fn eval_expr(&mut self, e: ExprId, f: &Frame<'p>, line: usize) -> Fallible<Value> {
+        match *f.tree.expr(e) {
             Expr::Int(v) => Ok(Value::Int(v)),
             Expr::Bool(b) => Ok(Value::Bool(b)),
-            Expr::Str(s) => Ok(Value::Str(env.tree.text(s).to_string())),
+            Expr::Str(s) => Ok(Value::Str(f.tree.text(s).to_string())),
             Expr::Point(x, y) => {
-                let px = self.eval_int(x, env, line)?;
-                let py = self.eval_int(y, env, line)?;
+                let px = self.eval_int(x, f, line)?;
+                let py = self.eval_int(y, f, line)?;
                 Ok(Value::Point(Point::new(px, py)))
             }
-            Expr::List(items) => bounded(Value::List(self.eval_all(items, env, line)?), line),
+            Expr::List(items) => {
+                let items = items
+                    .ids()
+                    .map(|e| self.eval(e, f, line))
+                    .collect::<Fallible<_>>()?;
+                bounded(Value::List(items), line)
+            }
             Expr::Ident(name) => {
-                let value = read(name, env, line)?;
-                self.step(value.size() - 1, line)?;
+                let value = &self.stack[self.local(f, e, name, line)?];
+                charge(&mut self.steps, value.size() - 1, line)?;
                 Ok(value.clone())
             }
             Expr::Record { type_name, fields } => {
-                let type_name = env.tree.text(type_name);
-                let &(type_tree, def) = self.types.get(type_name).ok_or_else(|| {
-                    LangError::eval(line, format!("type `{type_name}` is not defined"))
-                })?;
+                let type_name = f.tree.text(type_name);
+                let index = f
+                    .names
+                    .get(&self.slots, e)
+                    .ok_or_else(|| fail(line, format!("type `{type_name}` is not defined")))?;
+                let Defined {
+                    tree: type_tree,
+                    def,
+                    ..
+                } = self.defs.used[index as usize];
                 let declared = type_tree.bindings(def.params);
-                let given = env.tree.bindings(fields);
+                let given = f.tree.bindings(fields);
                 let mut out: Vec<(String, Value)> = Vec::with_capacity(declared.len());
                 for Binding { name, .. } in declared {
                     let name = type_tree.text(*name);
                     let value = given
                         .iter()
-                        .find(|g| env.tree.text(g.name) == name)
+                        .find(|g| f.tree.text(g.name) == name)
                         .and_then(|g| g.value)
                         .ok_or_else(|| {
-                            LangError::eval(
+                            fail(
                                 line,
                                 format!("missing field `{name}` of type `{type_name}`"),
                             )
                         })?;
-                    out.push((name.to_string(), self.eval(value, env, line)?));
+                    out.push((name.to_string(), self.eval(value, f, line)?));
                 }
                 for Binding { name, .. } in given {
-                    let name = env.tree.text(*name);
+                    let name = f.tree.text(*name);
                     if !declared.iter().any(|d| type_tree.text(d.name) == name) {
-                        return Err(LangError::eval(
+                        return Err(fail(
                             line,
                             format!("type `{type_name}` has no field `{name}`"),
                         ));
@@ -812,13 +1134,19 @@ impl<'p> Interp<'p> {
                 bounded(record, line)
             }
             Expr::Call { name, args } => {
-                let arg_values = self.eval_all(args, env, line)?;
-                self.call(env.tree.text(name), arg_values, line)
+                let base = self.stack.len();
+                self.push_all(args, f, line)?;
+                let value = match f.names.get(&self.slots, e) {
+                    Some(index) => self.call(index, base, line)?,
+                    None => builtin(f.tree.text(name), &self.stack[base..], line)?,
+                };
+                self.stack.truncate(base);
+                Ok(value)
             }
             Expr::Field { base, field } => {
-                let mut owned = None;
-                let base = self.operand(base, env, &mut owned, line)?;
-                let field = env.tree.text(field);
+                let base = self.operand(base, f, line)?;
+                let base = base.get(&self.stack);
+                let field = f.tree.text(field);
                 let value = match (base, field) {
                     (Value::Point(p), "x") => return Ok(Value::Int(p.x)),
                     (Value::Point(p), "y") => return Ok(Value::Int(p.y)),
@@ -828,37 +1156,36 @@ impl<'p> Interp<'p> {
                     _ => None,
                 };
                 let value = value.ok_or_else(|| {
-                    LangError::eval(line, format!("{} has no field `{field}`", base.type_name()))
+                    fail(line, format!("{} has no field `{field}`", base.type_name()))
                 })?;
-                self.step(value.size() - 1, line)?;
+                charge(&mut self.steps, value.size() - 1, line)?;
                 Ok(value.clone())
             }
             Expr::Index { base, index } => {
-                let mut owned = None;
-                let base = self.operand(base, env, &mut owned, line)?;
-                let i = self.eval_int(index, env, line)?;
-                let Value::List(items) = base else {
-                    return Err(LangError::eval(
+                let base = self.operand(base, f, line)?;
+                let i = self.eval_int(index, f, line)?;
+                let Value::List(items) = base.get(&self.stack) else {
+                    return Err(fail(
                         line,
-                        format!("cannot index a {}", base.type_name()),
+                        format!("cannot index a {}", base.get(&self.stack).type_name()),
                     ));
                 };
                 let item = items
                     .get(usize::try_from(i).unwrap_or(usize::MAX))
                     .ok_or_else(|| {
-                        LangError::eval(
+                        fail(
                             line,
                             format!("index {i} out of range (len {})", items.len()),
                         )
                     })?;
-                self.step(item.size() - 1, line)?;
+                charge(&mut self.steps, item.size() - 1, line)?;
                 Ok(item.clone())
             }
             Expr::Unary { op, expr } => {
-                let v = self.eval(expr, env, line)?;
+                let v = self.eval(expr, f, line)?;
                 let neg = |i: i64| {
                     i.checked_neg()
-                        .ok_or_else(|| LangError::eval(line, "integer overflow in negation"))
+                        .ok_or_else(|| fail(line, "integer overflow in negation"))
                 };
                 match (op, v) {
                     (UnOp::Neg, Value::Int(i)) => Ok(Value::Int(neg(i)?)),
@@ -866,7 +1193,7 @@ impl<'p> Interp<'p> {
                         Ok(Value::Point(Point::new(neg(p.x)?, neg(p.y)?)))
                     }
                     (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-                    (op, v) => Err(LangError::eval(
+                    (op, v) => Err(fail(
                         line,
                         format!("cannot apply {op:?} to {}", v.type_name()),
                     )),
@@ -875,9 +1202,9 @@ impl<'p> Interp<'p> {
             Expr::Binary { op, lhs, rhs } => {
                 // Short-circuit logicals.
                 if matches!(op, BinOp::And | BinOp::Or) {
-                    let l = self.eval(lhs, env, line)?;
+                    let l = self.eval(lhs, f, line)?;
                     let l = l.as_bool().ok_or_else(|| {
-                        LangError::eval(
+                        fail(
                             line,
                             format!("logical op needs bool, got {}", l.type_name()),
                         )
@@ -886,9 +1213,9 @@ impl<'p> Interp<'p> {
                         (BinOp::And, false) => Ok(Value::Bool(false)),
                         (BinOp::Or, true) => Ok(Value::Bool(true)),
                         _ => {
-                            let r = self.eval(rhs, env, line)?;
+                            let r = self.eval(rhs, f, line)?;
                             r.as_bool().map(Value::Bool).ok_or_else(|| {
-                                LangError::eval(
+                                fail(
                                     line,
                                     format!("logical op needs bool, got {}", r.type_name()),
                                 )
@@ -896,24 +1223,19 @@ impl<'p> Interp<'p> {
                         }
                     };
                 }
-                let l = self.eval(lhs, env, line)?;
-                let r = self.eval(rhs, env, line)?;
+                let l = self.eval(lhs, f, line)?;
+                let r = self.eval(rhs, f, line)?;
                 binary(&op, l, r, line)
             }
         }
     }
 
-    fn call(&mut self, name: &str, args: Vec<Value>, line: usize) -> Result<Value, LangError> {
-        let Some(&found) = self.fns.get(name) else {
-            return builtin(name, &args, line);
-        };
-        let (tree, def) = found;
-        let mut env = Env::new(tree);
-        let args = self.bind("fn", "argument", found, args, line)?;
-        for (param, value) in tree.bindings(def.params).iter().zip(args) {
-            env.define(tree.text(param.name), value);
-        }
-        match self.exec_block(def.body, &mut env, &mut None, line)? {
+    /// Calls the `fn` `index` on the arguments on the stack above `base`,
+    /// which become the window of its body.
+    fn call(&mut self, index: u32, base: usize, line: usize) -> Fallible<Value> {
+        let (f, def) = self.frame(index, base);
+        self.bind("fn", "argument", &f, def, line)?;
+        match self.exec_block(def.body, &f, &mut None, line)? {
             Flow::Return(v) => Ok(v),
             Flow::Normal => Ok(Value::Int(0)),
         }
@@ -921,29 +1243,24 @@ impl<'p> Interp<'p> {
 
     // Typed evaluation helpers.
 
-    fn eval_int(&mut self, e: ExprId, env: &Env<'p>, line: usize) -> Result<i64, LangError> {
-        let v = self.eval(e, env, line)?;
+    fn eval_int(&mut self, e: ExprId, f: &Frame<'p>, line: usize) -> Fallible<i64> {
+        let v = self.eval(e, f, line)?;
         v.as_int()
-            .ok_or_else(|| LangError::eval(line, format!("expected an int, got {}", v.type_name())))
+            .ok_or_else(|| fail(line, format!("expected an int, got {}", v.type_name())))
     }
 
-    fn eval_point(&mut self, e: ExprId, env: &Env<'p>, line: usize) -> Result<Point, LangError> {
-        let v = self.eval(e, env, line)?;
-        let p = v.as_point().ok_or_else(|| {
-            LangError::eval(line, format!("expected a point, got {}", v.type_name()))
-        })?;
+    fn eval_point(&mut self, e: ExprId, f: &Frame<'p>, line: usize) -> Fallible<Point> {
+        let v = self.eval(e, f, line)?;
+        let p = v
+            .as_point()
+            .ok_or_else(|| fail(line, format!("expected a point, got {}", v.type_name())))?;
         in_range(far(p), line)?;
         Ok(p)
     }
 
     /// The vertices of a wire or a polygon.
-    fn eval_points(
-        &mut self,
-        run: Run,
-        env: &Env<'p>,
-        line: usize,
-    ) -> Result<Vec<Point>, LangError> {
-        run.ids().map(|e| self.eval_point(e, env, line)).collect()
+    fn eval_points(&mut self, run: Run, f: &Frame<'p>, line: usize) -> Fallible<Vec<Point>> {
+        run.ids().map(|e| self.eval_point(e, f, line)).collect()
     }
 
     /// How far from its parent's origin `inst` puts anything. The child's
@@ -965,18 +1282,18 @@ impl<'p> Interp<'p> {
         own.chain(placed).max().unwrap_or(0)
     }
 
-    fn eval_layer(&mut self, e: ExprId, env: &Env<'p>, line: usize) -> Result<Layer, LangError> {
+    fn eval_layer(&mut self, e: ExprId, f: &Frame<'p>, line: usize) -> Fallible<Layer> {
         // A name written bare is parsed from the source.
         let owned;
-        let name = match *env.tree.expr(e) {
+        let name = match *f.tree.expr(e) {
             Expr::Str(name) => {
                 self.leaf(line)?;
-                env.tree.text(name)
+                f.tree.text(name)
             }
             _ => {
-                owned = self.eval(e, env, line)?;
+                owned = self.eval(e, f, line)?;
                 let Value::Str(name) = &owned else {
-                    return Err(LangError::eval(
+                    return Err(fail(
                         line,
                         format!("expected a layer name, got {}", owned.type_name()),
                     ));
@@ -985,14 +1302,28 @@ impl<'p> Interp<'p> {
             }
         };
         name.parse()
-            .map_err(|_| LangError::eval(line, format!("unknown layer `{name}`")))
+            .map_err(|_| fail(line, format!("unknown layer `{name}`")))
     }
 }
 
-/// The name a variant asks the library for: the cell's name and, after a
-/// `$`, its arguments' [`Value::write_memo_key`] texts joined by commas,
-/// with everything but letters and digits an underscore.
-fn variant_name((name, args): &Variant<'_>) -> String {
+/// Takes `n` steps of the budget. Copying a value out of a variable, a
+/// list or a record takes `size() - 1`: a list or a record costs what it
+/// weighs, a scalar nothing.
+fn charge(steps: &mut u64, n: usize, line: usize) -> Fallible<()> {
+    *steps += n as u64;
+    if *steps > MAX_STEPS {
+        return Err(fail(
+            line,
+            format!("the program takes more than {MAX_STEPS} steps"),
+        ));
+    }
+    Ok(())
+}
+
+/// The name a variant of the cell `name` asks the library for: the name
+/// and, after a `$`, its arguments' [`Value::write_memo_key`] texts joined
+/// by commas, with everything but letters and digits an underscore.
+fn variant_name(name: &str, args: &[Value]) -> String {
     let mut text = String::new();
     for (i, value) in args.iter().enumerate() {
         text.push_str(if i > 0 { "," } else { "" });
@@ -1009,13 +1340,6 @@ fn variant_name((name, args): &Variant<'_>) -> String {
     out
 }
 
-/// The variable `name`, read in place.
-fn read<'e>(name: Sym, env: &'e Env<'_>, line: usize) -> Result<&'e Value, LangError> {
-    let name = env.tree.text(name);
-    env.get(name)
-        .ok_or_else(|| LangError::eval(line, format!("`{name}` is not defined")))
-}
-
 /// The larger coordinate magnitude of `p`.
 fn far(p: Point) -> i128 {
     i128::from(p.x.unsigned_abs().max(p.y.unsigned_abs()))
@@ -1028,11 +1352,11 @@ fn far_corner(r: Rect) -> i128 {
 
 /// Geometry may reach [`MAX_COORD`] from the origin of its cell and no
 /// further: inside that bound no later stage can overflow a coordinate.
-fn in_range(reach: i128, line: usize) -> Result<(), LangError> {
+fn in_range(reach: i128, line: usize) -> Fallible<()> {
     if reach <= i128::from(MAX_COORD) {
         return Ok(());
     }
-    Err(LangError::eval(
+    Err(fail(
         line,
         format!("geometry reaches {reach} lambda from the origin; the limit is 2^40"),
     ))
@@ -1042,10 +1366,10 @@ fn in_range(reach: i128, line: usize) -> Result<(), LangError> {
 /// is within [`MAX_VALUE_SIZE`]. Every list and record is built here, so
 /// no walk over a value (a copy, a drop, `size`, `Display`, a hash or a
 /// variant's name) recurses more than [`MAX_DEPTH`] levels.
-fn bounded(value: Value, line: usize) -> Result<Value, LangError> {
+fn bounded(value: Value, line: usize) -> Fallible<Value> {
     let depth = value.depth();
     if depth > MAX_DEPTH {
-        return Err(LangError::eval(
+        return Err(fail(
             line,
             format!(
                 "{} nested {depth} deep is over the nesting bound of {MAX_DEPTH}",
@@ -1062,7 +1386,7 @@ fn bounded(value: Value, line: usize) -> Result<Value, LangError> {
     } else {
         "values"
     };
-    Err(LangError::eval(
+    Err(fail(
         line,
         format!(
             "{} of {size} {unit} is over the value bound of {MAX_VALUE_SIZE}",
@@ -1071,10 +1395,10 @@ fn bounded(value: Value, line: usize) -> Result<Value, LangError> {
     ))
 }
 
-fn binary(op: &BinOp, l: Value, r: Value, line: usize) -> Result<Value, LangError> {
+fn binary(op: &BinOp, l: Value, r: Value, line: usize) -> Fallible<Value> {
     use BinOp::*;
     let type_err = |l: &Value, r: &Value| {
-        LangError::eval(
+        fail(
             line,
             format!(
                 "cannot apply {op:?} to {} and {}",
@@ -1086,13 +1410,13 @@ fn binary(op: &BinOp, l: Value, r: Value, line: usize) -> Result<Value, LangErro
     // Arithmetic must fail loudly: unchecked ops panic on overflow in
     // debug builds and silently wrap in release, producing corrupt
     // geometry. `checked_*` turns both into an `Eval` diagnostic.
-    let overflow = |what: &str| LangError::eval(line, format!("integer overflow in {what}"));
+    let overflow = |what: &str| fail(line, format!("integer overflow in {what}"));
     let add = |a: i64, b: i64| a.checked_add(b).ok_or_else(|| overflow("addition"));
     let sub = |a: i64, b: i64| a.checked_sub(b).ok_or_else(|| overflow("subtraction"));
     let mul = |a: i64, b: i64| a.checked_mul(b).ok_or_else(|| overflow("multiplication"));
     // `i64::MIN / -1` and `i64::MIN % -1` overflow in every build.
     let div = |a: i64, b: i64, op: fn(i64, i64) -> Option<i64>, what| match b {
-        0 => Err(LangError::eval(line, "division by zero")),
+        0 => Err(fail(line, "division by zero")),
         _ => op(a, b).ok_or_else(|| overflow(what)),
     };
     match (op, &l, &r) {
@@ -1125,30 +1449,30 @@ fn binary(op: &BinOp, l: Value, r: Value, line: usize) -> Result<Value, LangErro
     }
 }
 
-fn builtin(name: &str, args: &[Value], line: usize) -> Result<Value, LangError> {
-    let int_arg = |i: usize| -> Result<i64, LangError> {
+fn builtin(name: &str, args: &[Value], line: usize) -> Fallible<Value> {
+    let int_arg = |i: usize| -> Fallible<i64> {
         args.get(i)
             .and_then(Value::as_int)
-            .ok_or_else(|| LangError::eval(line, format!("`{name}` expects int argument {i}")))
+            .ok_or_else(|| fail(line, format!("`{name}` expects int argument {i}")))
     };
     match (name, args.len()) {
         ("abs", 1) => int_arg(0)?
             .checked_abs()
             .map(Value::Int)
-            .ok_or_else(|| LangError::eval(line, "integer overflow in `abs`")),
+            .ok_or_else(|| fail(line, "integer overflow in `abs`")),
         ("min", 2) => Ok(Value::Int(int_arg(0)?.min(int_arg(1)?))),
         ("max", 2) => Ok(Value::Int(int_arg(0)?.max(int_arg(1)?))),
         ("len", 1) => match &args[0] {
             Value::List(items) => Ok(Value::Int(items.len() as i64)),
             Value::Str(s) => Ok(Value::Int(s.len() as i64)),
-            other => Err(LangError::eval(
+            other => Err(fail(
                 line,
                 format!("`len` expects a list or string, got {}", other.type_name()),
             )),
         },
         ("pt", 2) => Ok(Value::Point(Point::new(int_arg(0)?, int_arg(1)?))),
         ("str", 1) => bounded(Value::Str(args[0].to_string()), line),
-        _ => Err(LangError::eval(
+        _ => Err(fail(
             line,
             format!("`{name}` is not a function (or wrong argument count)"),
         )),

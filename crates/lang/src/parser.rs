@@ -1,4 +1,5 @@
 use crate::ast::*;
+use crate::error::Fallible;
 use crate::lexer::{int_at, syntax_error, Lexer, Tok, Token};
 use crate::LangError;
 use silc_geom::Orientation;
@@ -40,7 +41,7 @@ pub fn parse(source: &str) -> Result<Program<'_>, LangError> {
     // The lexer reports again the error that ended the stream, or finds
     // one past the syntax error that stopped the parser.
     while p.lexer.next_token()?.kind != Tok::Eof {}
-    parsed?;
+    parsed.map_err(|e| *e)?;
     Ok(p.tree)
 }
 
@@ -130,13 +131,13 @@ impl Parser<'_> {
         found
     }
 
-    fn err(&self, message: impl Into<String>) -> LangError {
-        syntax_error(self.source, self.cur.at, message.into())
+    fn err(&self, message: impl Into<String>) -> Box<LangError> {
+        Box::new(syntax_error(self.source, self.cur.at, message.into()))
     }
 
     /// Records that the tree parsed last now stands `height` high, and
     /// refuses it once it reaches deeper than the bound.
-    fn grown(&mut self, height: usize) -> Result<(), LangError> {
+    fn grown(&mut self, height: usize) -> Fallible<()> {
         self.height = height;
         if self.open + height > MAX_DEPTH {
             return Err(self.err(format!("nested more than {MAX_DEPTH} levels deep")));
@@ -144,7 +145,7 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn expect(&mut self, kind: Tok) -> Result<(), LangError> {
+    fn expect(&mut self, kind: Tok) -> Fallible<()> {
         if self.eat(kind) {
             return Ok(());
         }
@@ -155,7 +156,7 @@ impl Parser<'_> {
         )))
     }
 
-    fn ident(&mut self) -> Result<Sym, LangError> {
+    fn ident(&mut self) -> Fallible<Sym> {
         if self.peek() != Tok::Ident {
             return Err(self.err(format!("expected identifier, found {}", self.found())));
         }
@@ -164,7 +165,7 @@ impl Parser<'_> {
 
     // ---------------------------------------------------------------
 
-    fn item(&mut self) -> Result<Item, LangError> {
+    fn item(&mut self) -> Fallible<Item> {
         let line = self.line();
         let kind = self.peek();
         if !matches!(kind, Tok::Cell | Tok::Fn | Tok::Type) {
@@ -196,7 +197,7 @@ impl Parser<'_> {
 
     /// The parameters of a `cell` or `fn` in parentheses, or the fields of
     /// a `type` in braces, which take no defaults.
-    fn params(&mut self, kind: Tok) -> Result<Run, LangError> {
+    fn params(&mut self, kind: Tok) -> Fallible<Run> {
         let (open, close) = match kind {
             Tok::Type => (Tok::LBrace, Tok::RBrace),
             _ => (Tok::LParen, Tok::RParen),
@@ -222,7 +223,7 @@ impl Parser<'_> {
         Ok(self.tree.seal_bindings(&mut self.bindings, mark))
     }
 
-    fn block(&mut self) -> Result<Run, LangError> {
+    fn block(&mut self) -> Fallible<Run> {
         self.expect(Tok::LBrace)?;
         let mark = self.stmts.len();
         while self.peek() != Tok::RBrace {
@@ -234,7 +235,7 @@ impl Parser<'_> {
     }
 
     /// Orientation modifiers, composed in source order.
-    fn orient_mods(&mut self) -> Result<Orientation, LangError> {
+    fn orient_mods(&mut self) -> Fallible<Orientation> {
         let mut total = Orientation::R0;
         loop {
             let step = match self.peek() {
@@ -263,7 +264,7 @@ impl Parser<'_> {
         }
     }
 
-    fn stmt(&mut self) -> Result<Stmt, LangError> {
+    fn stmt(&mut self) -> Fallible<Stmt> {
         // Every cycle in the statement grammar comes through here.
         self.open += 1;
         self.grown(0)?;
@@ -312,7 +313,7 @@ impl Parser<'_> {
         Ok(Stmt { kind, line })
     }
 
-    fn simple_stmt(&mut self) -> Result<StmtKind, LangError> {
+    fn simple_stmt(&mut self) -> Fallible<StmtKind> {
         let kind = match self.peek() {
             Tok::Box_ => {
                 self.advance();
@@ -419,9 +420,10 @@ impl Parser<'_> {
             }
             Tok::Ident if self.peek2() == Tok::Assign => {
                 let name = Sym(self.take().at);
+                let target = self.tree.alloc(Expr::Ident(name));
                 self.advance();
                 StmtKind::Assign {
-                    name,
+                    target,
                     value: self.expr_id()?,
                 }
             }
@@ -435,7 +437,7 @@ impl Parser<'_> {
 
     /// A layer position: an identifier (the usual case) or a
     /// parenthesized expression computing a layer name string.
-    fn layer_expr(&mut self) -> Result<ExprId, LangError> {
+    fn layer_expr(&mut self) -> Fallible<ExprId> {
         match self.peek() {
             Tok::Ident => {
                 let name = Sym(self.take().at);
@@ -448,7 +450,7 @@ impl Parser<'_> {
 
     /// The points of a wire or polygon: `first` of them whatever comes,
     /// then one for every `(` that follows.
-    fn points(&mut self, first: usize) -> Result<Run, LangError> {
+    fn points(&mut self, first: usize) -> Fallible<Run> {
         let mark = self.exprs.len();
         while self.exprs.len() < mark + first || self.peek() == Tok::LParen {
             let point = self.expr()?;
@@ -459,7 +461,7 @@ impl Parser<'_> {
 
     /// Expressions separated by commas up to `close`, counted as one node
     /// over them: the arguments of a call or a placement, a list literal.
-    fn expr_list(&mut self, close: Tok) -> Result<Run, LangError> {
+    fn expr_list(&mut self, close: Tok) -> Fallible<Run> {
         let mark = self.exprs.len();
         let mut below = 0;
         while self.peek() != close {
@@ -475,7 +477,7 @@ impl Parser<'_> {
         Ok(self.tree.seal_exprs(&mut self.exprs, mark))
     }
 
-    fn call_args(&mut self) -> Result<Run, LangError> {
+    fn call_args(&mut self) -> Fallible<Run> {
         self.expect(Tok::LParen)?;
         self.expr_list(Tok::RParen)
     }
@@ -484,22 +486,22 @@ impl Parser<'_> {
     // `ident { ... }` record literal, which would swallow statement
     // blocks after `if`/`for`.
 
-    fn expr(&mut self) -> Result<Expr, LangError> {
+    fn expr(&mut self) -> Fallible<Expr> {
         self.binary_expr(0, true)
     }
 
     /// An expression, stored.
-    fn expr_id(&mut self) -> Result<ExprId, LangError> {
+    fn expr_id(&mut self) -> Fallible<ExprId> {
         let e = self.expr()?;
         Ok(self.tree.alloc(e))
     }
 
-    fn expr_no_record(&mut self) -> Result<ExprId, LangError> {
+    fn expr_no_record(&mut self) -> Fallible<ExprId> {
         let e = self.binary_expr(0, false)?;
         Ok(self.tree.alloc(e))
     }
 
-    fn binary_expr(&mut self, min_prec: u8, allow_record: bool) -> Result<Expr, LangError> {
+    fn binary_expr(&mut self, min_prec: u8, allow_record: bool) -> Fallible<Expr> {
         let mut lhs = self.unary_expr(allow_record)?;
         loop {
             let (op, prec) = match self.peek() {
@@ -534,7 +536,7 @@ impl Parser<'_> {
         Ok(lhs)
     }
 
-    fn unary_expr(&mut self, allow_record: bool) -> Result<Expr, LangError> {
+    fn unary_expr(&mut self, allow_record: bool) -> Fallible<Expr> {
         // Every cycle in the expression grammar comes through here, and
         // a new tree starts.
         self.open += 1;
@@ -559,7 +561,7 @@ impl Parser<'_> {
         Ok(e)
     }
 
-    fn postfix_expr(&mut self, allow_record: bool) -> Result<Expr, LangError> {
+    fn postfix_expr(&mut self, allow_record: bool) -> Fallible<Expr> {
         let mut e = self.primary_expr(allow_record)?;
         loop {
             match self.peek() {
@@ -589,7 +591,7 @@ impl Parser<'_> {
         Ok(e)
     }
 
-    fn primary_expr(&mut self, allow_record: bool) -> Result<Expr, LangError> {
+    fn primary_expr(&mut self, allow_record: bool) -> Fallible<Expr> {
         let token = self.take();
         match token.kind {
             Tok::Int => Ok(Expr::Int(int_at(self.source, token.at))),
@@ -639,14 +641,14 @@ impl Parser<'_> {
                     Ok(Expr::Ident(name))
                 }
             }
-            _ => Err(syntax_error(
+            _ => Err(Box::new(syntax_error(
                 self.source,
                 token.at,
                 format!(
                     "expected an expression, found {}",
                     token.describe(self.source)
                 ),
-            )),
+            ))),
         }
     }
 }

@@ -187,7 +187,7 @@ fn the_deepest_admitted_cell_nesting_fits_a_worker_stack() {
         .spawn(deepest);
     let (admitted, rects, clean, transistors) =
         worker.expect("spawns").join().expect("no overflow");
-    // A debug build's frames are ten times the size and its budget a tenth.
+    // A debug build's frames are seven times the size and its budget a tenth.
     assert!(
         admitted >= if cfg!(debug_assertions) { 16 } else { 200 },
         "{admitted}"
