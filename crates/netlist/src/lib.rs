@@ -25,7 +25,7 @@
 //! # Ok::<(), silc_netlist::NetlistError>(())
 //! ```
 
-use silc_geom::{Dec, DecodeError, Fingerprint, FpHasher, Persist};
+use silc_geom::{Dec, DecodeError, Fingerprint, Fp, FpHasher, Persist};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -147,25 +147,30 @@ impl Netlist {
         kind: impl Into<String>,
         connections: &[(&str, NetId)],
     ) -> Result<InstanceId, NetlistError> {
-        let name = name.into();
-        if self.instance_names.contains_key(&name) {
-            return Err(NetlistError::DuplicateName { name });
-        }
-        for &(_, net) in connections {
-            if net.raw() as usize >= self.nets.len() {
-                return Err(NetlistError::UnknownNet { id: net });
-            }
-        }
-        let id = InstanceId(self.instances.len() as u32);
-        self.instance_names.insert(name.clone(), id);
-        self.instances.push(Instance {
-            name,
+        self.push_instance(Instance {
+            name: name.into(),
             kind: kind.into(),
             connections: connections
                 .iter()
                 .map(|&(p, n)| (p.to_string(), n))
                 .collect(),
-        });
+        })
+    }
+
+    /// Adds an instance it owns, refused as [`Netlist::add_instance`]
+    /// refuses one.
+    fn push_instance(&mut self, inst: Instance) -> Result<InstanceId, NetlistError> {
+        if self.instance_names.contains_key(&inst.name) {
+            return Err(NetlistError::DuplicateName { name: inst.name });
+        }
+        for &(_, id) in &inst.connections {
+            if id.raw() as usize >= self.nets.len() {
+                return Err(NetlistError::UnknownNet { id });
+            }
+        }
+        let id = InstanceId(self.instances.len() as u32);
+        self.instance_names.insert(inst.name.clone(), id);
+        self.instances.push(inst);
         Ok(id)
     }
 
@@ -209,62 +214,63 @@ impl Netlist {
 
     /// A canonical signature for structural comparison (LVS-lite): labels
     /// nets and instances by iterated neighbourhood refinement **to a
-    /// fixpoint** and returns the sorted multiset of instance labels. Two
-    /// netlists with equal signatures are structurally identical up to
-    /// renaming for all practical layouts (the refinement is not a
-    /// complete isomorphism test, but distinguishes everything the
-    /// extractor produces, including long chains whose ends a
+    /// fixpoint** and returns the sorted multiset of instance labels, each
+    /// a fingerprint. Two netlists with equal signatures are structurally
+    /// identical up to renaming for all practical layouts (the refinement
+    /// is not a complete isomorphism test, but distinguishes everything
+    /// the extractor produces, including long chains whose ends a
     /// fixed-round refinement cannot see).
-    pub fn isomorphic_signature(&self) -> Vec<String> {
+    pub fn isomorphic_signature(&self) -> Vec<Fp> {
         self.refined_signature(None)
     }
 
-    /// Label refinement driving [`isomorphic_signature`]. Each round
-    /// relabels instances from their nets' labels and nets from their
-    /// instances' labels, chaining the previous label so classes only
-    /// ever split; labels are compressed to fixed-size content hashes and
-    /// each net's pins are listed once, up front, so round cost stays
-    /// linear. With `rounds: None` refinement runs until the partition
-    /// stops splitting (at most `nets + instances` rounds); `Some(k)`
-    /// stops after exactly `k` rounds (used by tests to pin the
+    /// Label refinement driving [`isomorphic_signature`]. A label is the
+    /// fingerprint of a tuple, so its length prefixes keep the parts
+    /// apart: a net starts as its sorted `(kind, port)` pins; each round
+    /// an instance becomes `(previous label, kind, sorted (port, net
+    /// label))` and then a net `(previous label, sorted (port, instance
+    /// label))`. Chaining the previous label means classes only ever
+    /// split, and each net's pins are listed once, up front, so round
+    /// cost stays linear. With `rounds: None` refinement runs until the
+    /// partition stops splitting (at most `nets + instances` rounds);
+    /// `Some(k)` stops after exactly `k` rounds (used by tests to pin the
     /// shallow-refinement failure mode).
     ///
     /// [`isomorphic_signature`]: Netlist::isomorphic_signature
-    fn refined_signature(&self, rounds: Option<usize>) -> Vec<String> {
+    fn refined_signature(&self, rounds: Option<usize>) -> Vec<Fp> {
         let pins = self.pins_per_net();
-        // Initial net labels: sorted multiset of (kind, port) pins.
-        let mut net_labels: Vec<String> = pins
+        let mut net_labels: Vec<Fp> = pins
             .iter()
             .map(|on_net| {
-                let mut labels: Vec<String> = on_net
+                let mut kinds: Vec<(&str, &str)> = on_net
                     .iter()
-                    .map(|&(ii, p)| format!("{}:{}", self.instances[ii].kind, p))
+                    .map(|&(ii, p)| (self.instances[ii].kind.as_str(), p))
                     .collect();
-                labels.sort();
-                compress(&labels.join(","))
+                kinds.sort_unstable();
+                kinds.fingerprint()
             })
             .collect();
         let max_rounds = rounds.unwrap_or(self.nets.len() + self.instances.len() + 1);
-        let mut inst_labels: Vec<String> = vec![String::new(); self.instances.len()];
+        let mut inst_labels = vec![Fp::from_raw(0); self.instances.len()];
+        let mut parts: Vec<(&str, Fp)> = Vec::new();
+        let class_count = |labels: &[Fp]| labels.iter().collect::<HashSet<_>>().len();
         let mut prev_classes = 0;
         for _ in 0..max_rounds {
-            for (ii, inst) in self.instances.iter().enumerate() {
-                let mut parts: Vec<String> = inst
-                    .connections
-                    .iter()
-                    .map(|(p, n)| format!("{p}={}", net_labels[n.raw() as usize]))
-                    .collect();
-                parts.sort();
-                let raw = format!("{}|{}({})", inst_labels[ii], inst.kind, parts.join(";"));
-                inst_labels[ii] = compress(&raw);
+            for (label, inst) in inst_labels.iter_mut().zip(&self.instances) {
+                parts.clear();
+                parts.extend(
+                    inst.connections
+                        .iter()
+                        .map(|(p, n)| (p.as_str(), net_labels[n.raw() as usize])),
+                );
+                parts.sort_unstable();
+                *label = (*label, inst.kind.as_str(), &*parts).fingerprint();
             }
             for (label, on_net) in net_labels.iter_mut().zip(&pins) {
-                let mut labels: Vec<String> = on_net
-                    .iter()
-                    .map(|&(ii, p)| format!("{p}@{}", inst_labels[ii]))
-                    .collect();
-                labels.sort();
-                *label = compress(&format!("{label}|{}", labels.join(",")));
+                parts.clear();
+                parts.extend(on_net.iter().map(|&(ii, p)| (p, inst_labels[ii])));
+                parts.sort_unstable();
+                *label = (*label, &*parts).fingerprint();
             }
             if rounds.is_none() {
                 // Chained labels mean classes only split; an unchanged
@@ -277,7 +283,7 @@ impl Netlist {
                 prev_classes = classes;
             }
         }
-        inst_labels.sort();
+        inst_labels.sort_unstable();
         inst_labels
     }
 
@@ -307,18 +313,6 @@ impl Netlist {
         }
         used.into_iter().filter(|&u| u).count()
     }
-}
-
-/// A label's fixed-size content hash.
-fn compress(raw: &str) -> String {
-    let mut h = FpHasher::new();
-    h.write_str(raw);
-    h.finish().to_hex()
-}
-
-/// Distinct labels in `labels`.
-fn class_count(labels: &[String]) -> usize {
-    labels.iter().collect::<HashSet<_>>().len()
 }
 
 impl Fingerprint for Netlist {
@@ -355,9 +349,13 @@ impl Persist for Netlist {
         }
         // Each instance: its name and kind, then its `(port, net id)` pins.
         for ((name, kind), pins) in Vec::<((String, String), Vec<(String, u32)>)>::decode(d)? {
-            let pins: Vec<(&str, NetId)> = pins.iter().map(|(p, n)| (&**p, NetId(*n))).collect();
+            let connections = pins.into_iter().map(|(p, n)| (p, NetId(n))).collect();
             netlist
-                .add_instance(name, kind, &pins)
+                .push_instance(Instance {
+                    name,
+                    kind,
+                    connections,
+                })
                 .map_err(|e| e.to_string())?;
         }
         Ok(netlist)
@@ -390,6 +388,7 @@ impl fmt::Display for Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn inverter_pair(names: [&str; 4]) -> Netlist {
         // Two chained inverters built from pull-up/pull-down pairs.
@@ -525,10 +524,14 @@ mod tests {
         assert!(a.structurally_matches(&b));
     }
 
-    /// The per-net scan `refined_signature` replaced: every net looks
-    /// through every instance's connections, once per round. Kept as the
-    /// oracle for the pin lists built once.
+    /// The reference refinement: every net looks through every
+    /// instance's connections, once per round, and a label is the hex
+    /// digest of text joined with separators. Its labels are not
+    /// `refined_signature`'s, so the two are compared by verdict, never
+    /// by label value.
     fn scanned_signature(n: &Netlist, rounds: Option<usize>) -> Vec<String> {
+        let digest = |raw: &str| raw.fingerprint().to_string();
+        let distinct = |labels: &[String]| labels.iter().collect::<BTreeSet<_>>().len();
         let mut net_labels: Vec<String> = vec![String::new(); n.nets.len()];
         for (ni, label) in net_labels.iter_mut().enumerate() {
             let mut pins: Vec<String> = n
@@ -542,7 +545,7 @@ mod tests {
                 })
                 .collect();
             pins.sort();
-            *label = compress(&pins.join(","));
+            *label = digest(&pins.join(","));
         }
         let max_rounds = rounds.unwrap_or(n.nets.len() + n.instances.len() + 1);
         let mut inst_labels: Vec<String> = vec![String::new(); n.instances.len()];
@@ -556,7 +559,7 @@ mod tests {
                     .collect();
                 parts.sort();
                 let raw = format!("{}|{}({})", inst_labels[ii], inst.kind, parts.join(";"));
-                inst_labels[ii] = compress(&raw);
+                inst_labels[ii] = digest(&raw);
             }
             let mut next_nets = net_labels.clone();
             for (ni, label) in next_nets.iter_mut().enumerate() {
@@ -569,11 +572,11 @@ mod tests {
                     }
                 }
                 pins.sort();
-                *label = compress(&format!("{}|{}", net_labels[ni], pins.join(",")));
+                *label = digest(&format!("{}|{}", net_labels[ni], pins.join(",")));
             }
             net_labels = next_nets;
             if rounds.is_none() {
-                let classes = class_count(&inst_labels) + class_count(&net_labels);
+                let classes = distinct(&inst_labels) + distinct(&net_labels);
                 if classes == prev_classes {
                     break;
                 }
@@ -590,17 +593,22 @@ mod tests {
             .count()
     }
 
-    /// A random netlist: some nets unused, some pins sharing a net with
-    /// another pin of the same instance.
-    fn seeded_netlist(seed: u64) -> Netlist {
+    /// A seeded draw below its argument (SplitMix64).
+    fn rng(seed: u64) -> impl FnMut(u64) -> u64 {
         let mut state = seed;
-        let mut next = |below: u64| {
+        move |below: u64| {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             (z ^ (z >> 31)) % below
-        };
+        }
+    }
+
+    /// A random netlist: some nets unused, some pins sharing a net with
+    /// another pin of the same instance.
+    fn seeded_netlist(seed: u64) -> Netlist {
+        let mut next = rng(seed);
         let mut n = Netlist::new(format!("seed{seed}"));
         let nets: Vec<NetId> = (0..1 + next(24))
             .map(|i| n.add_net(format!("n{i}")))
@@ -616,8 +624,72 @@ mod tests {
         n
     }
 
+    /// `n` with every net and instance renamed, the nets and the
+    /// instances in a shuffled order and each instance's pins reversed:
+    /// the same structure.
+    fn renamed(n: &Netlist, seed: u64) -> Netlist {
+        let mut next = rng(!seed);
+        let mut shuffled = |len: usize| {
+            let mut order: Vec<usize> = (0..len).collect();
+            for i in (1..len).rev() {
+                order.swap(i, next(i as u64 + 1) as usize);
+            }
+            order
+        };
+        let mut out = Netlist::new("renamed");
+        let mut ids = vec![NetId(0); n.nets.len()];
+        for (k, old) in shuffled(n.nets.len()).into_iter().enumerate() {
+            ids[old] = out.add_net(format!("r{k}"));
+        }
+        for (k, old) in shuffled(n.instances.len()).into_iter().enumerate() {
+            let inst = &n.instances[old];
+            let pins: Vec<(&str, NetId)> = inst
+                .connections
+                .iter()
+                .rev()
+                .map(|(p, id)| (p.as_str(), ids[id.raw() as usize]))
+                .collect();
+            out.add_instance(format!("q{k}"), inst.kind.as_str(), &pins)
+                .unwrap();
+        }
+        out
+    }
+
+    /// Copies of `n` with one edit each, at one seeded pin: its
+    /// instance's kind renamed, its port renamed, and (when `n` has two
+    /// nets) the pin moved to another net.
+    fn edited(n: &Netlist, seed: u64) -> Vec<Netlist> {
+        let mut next = rng(seed.rotate_left(32));
+        let ii = next(n.instances.len() as u64) as usize;
+        let pin = next(n.instances[ii].connections.len() as u64) as usize;
+        let mut out = vec![n.clone(); 3];
+        out[0].instances[ii].kind.push('\'');
+        out[1].instances[ii].connections[pin].0.push('\'');
+        let nets = n.nets.len() as u64;
+        if nets < 2 {
+            out.pop();
+        } else {
+            let net = &mut out[2].instances[ii].connections[pin].1;
+            *net = NetId(((u64::from(net.raw()) + 1 + next(nets - 1)) % nets) as u32);
+        }
+        out
+    }
+
+    /// Whether `other`'s signature after `rounds` equals `n`'s, read by
+    /// the refinement and by the oracle.
+    fn verdicts(n: &Netlist, rounds: Option<usize>) -> impl Fn(&Netlist) -> [bool; 2] {
+        let (ours, oracle) = (n.refined_signature(rounds), scanned_signature(n, rounds));
+        move |other| {
+            [
+                ours == other.refined_signature(rounds),
+                oracle == scanned_signature(other, rounds),
+            ]
+        }
+    }
+
     #[test]
     fn pins_listed_once_label_as_the_per_net_scan_does() {
+        let mut told_apart = [0; 3];
         for seed in 0..200 {
             let n = seeded_netlist(seed);
             assert_eq!(
@@ -625,23 +697,32 @@ mod tests {
                 scanned_nets_with_pins(&n),
                 "seed {seed}"
             );
+            let same = renamed(&n, seed);
+            let edits = edited(&n, seed);
             for rounds in [None, Some(0), Some(1), Some(3)] {
-                assert_eq!(
-                    n.refined_signature(rounds),
-                    scanned_signature(&n, rounds),
-                    "seed {seed}, rounds {rounds:?}"
-                );
+                let against = verdicts(&n, rounds);
+                assert_eq!(against(&same), [true; 2], "seed {seed}, rounds {rounds:?}");
+                for (e, edit) in edits.iter().enumerate() {
+                    let [ours, oracle] = against(edit);
+                    assert_eq!(ours, oracle, "seed {seed}, rounds {rounds:?}, edit {e}");
+                    told_apart[e] += usize::from(!ours);
+                }
             }
         }
+        // An edit is seen from the first round on in most draws (a kind
+        // or a port in every one), and never by `Some(0)`, which labels no
+        // instance.
+        assert!(told_apart.iter().all(|&t| t >= 500), "{told_apart:?}");
         // A long chain refines for about half its length before the
         // partition settles; the quadratic oracle runs a few rounds.
         let chain = buf_chains(&[2000]);
         assert_eq!(chain.nets_with_pins(), scanned_nets_with_pins(&chain));
+        let same = renamed(&chain, 1);
+        let moved = edited(&chain, 1).pop().unwrap();
         for rounds in [Some(1), Some(4)] {
-            assert_eq!(
-                chain.refined_signature(rounds),
-                scanned_signature(&chain, rounds)
-            );
+            let against = verdicts(&chain, rounds);
+            assert_eq!(against(&same), [true; 2]);
+            assert_eq!(against(&moved), [false; 2]);
         }
     }
 

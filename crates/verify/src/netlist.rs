@@ -109,19 +109,14 @@ pub fn network_from_netlist(netlist: &Netlist) -> Result<Network, VerifyError> {
     }
 
     // Primary inputs: nets observed only at gates (never pulled up,
-    // never a rail, never in a channel path).
-    let mut inputs: Vec<NetId> = Vec::new();
-    for net in netlist.nets() {
-        let id = netlist
-            .net_by_name(&net.name)
-            .expect("net names are unique");
+    // never a rail, never in a channel path), in net order.
+    let mut inputs: Vec<NetId> = enh.iter().map(|t| t.gate).collect();
+    inputs.sort_unstable();
+    inputs.dedup();
+    inputs.retain(|&id| {
         let is_rail = Some(id) == vdd || id == gnd;
-        let gates = enh.iter().any(|t| t.gate == id);
-        let in_channel = channels.contains_key(&id);
-        if gates && !is_rail && !in_channel && !pulled_up.contains_key(&id) {
-            inputs.push(id);
-        }
-    }
+        !is_rail && !channels.contains_key(&id) && !pulled_up.contains_key(&id)
+    });
 
     let mut net = Network::new();
     let mut node_of: HashMap<NetId, NodeId> = HashMap::new();
